@@ -6,7 +6,6 @@ time-sliced geographically weighted regression from tabular detection,
 anchor, and crowd-intensity inputs.
 """
 
-from ._accel import active_backend
 from .exceptions import (ComputationError, ConfigError, SeviError, StageError,
                          ValidationError)
 from .geodata import (CityTables, SpatialIndex, TablePaths, load_tables,
@@ -18,6 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CityTables", "ComputationError", "ConfigError", "PipelineConfig",
     "SeviError", "SpatialIndex", "StageError", "TablePaths",
-    "ValidationError", "active_backend", "load_tables", "project_to_metric",
+    "ValidationError", "load_tables", "project_to_metric",
     "robustness", "run", "__version__",
 ]

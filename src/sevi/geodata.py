@@ -116,7 +116,6 @@ class MallAnchor:
     y: float
     lon: float = 0.0
     lat: float = 0.0
-    sigma_m: float = 0.0  # filled by spillover.calibrate_sigma
 
 
 @dataclass(frozen=True)

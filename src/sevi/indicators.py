@@ -120,30 +120,26 @@ def brand_ratio_series(points: list[SamplingPoint], tallies: dict[str, BrandTall
 
 def smoothed_brand_ratio(points: list[SamplingPoint], tallies: dict[str, BrandTally],
                          weights: BrandWeights,
-                         window: int = DEFAULT_SMOOTHING_WINDOW) -> tuple[float, bool]:
+                         window: int = DEFAULT_SMOOTHING_WINDOW
+                         ) -> tuple[float, bool, np.ndarray]:
     """Segment brand premium from the smoothed point-level series.
 
     The segment value is the signboard-weighted mean of the smoothed
     per-point ratios, which reduces exactly to the plain weighted-count
-    ratio when window == 1. Returns (value, no_signboards).
+    ratio when window == 1. Returns (value, no_signboards, smoothed series).
     """
     series, ns = brand_ratio_series(points, tallies, weights)
+    smoothed = smooth_along_route(series, window)
     total = ns.sum()
     if total <= 0:
-        return 0.0, True
-    smoothed = smooth_along_route(series, window)
-    return float((smoothed * ns).sum() / total), False
+        return 0.0, True, smoothed
+    return float((smoothed * ns).sum() / total), False, smoothed
 
 
 def segment_indicators(segment: StreetSegment, points: list[SamplingPoint],
-                       brand_counts: BrandTally, mv_value: float,
-                       weights: BrandWeights,
-                       br_value: float | None = None) -> IndicatorVector:
-    """Aggregate one segment's indicator vector.
-
-    `br_value`, when given, overrides the direct weighted-count ratio (used
-    by the pipeline to inject the route-smoothed brand premium).
-    """
+                       br: float, mv_value: float) -> IndicatorVector:
+    """Aggregate one segment's indicator vector around its brand premium
+    `br` (see `smoothed_brand_ratio`) and spillover value `mv_value`."""
     if segment.length_m <= 0:
         raise ValidationError(f"segment {segment.id!r} has non-positive length")
     length = segment.length_m
@@ -159,15 +155,11 @@ def segment_indicators(segment: StreetSegment, points: list[SamplingPoint],
 
     no_signboards = ns == 0
     cr = 0.0 if no_signboards else nc / ns
-    if br_value is not None:
-        br = 0.0 if no_signboards else br_value
-    else:
-        br = 0.0 if no_signboards else weights.score(brand_counts) / ns
 
     return IndicatorVector(
         sd=ns / length,
         cr=cr,
-        br=br,
+        br=0.0 if no_signboards else br,
         mv=mv_value,
         md=total("motor") / length,
         nd=total("nonmotor") / length,
@@ -176,17 +168,3 @@ def segment_indicators(segment: StreetSegment, points: list[SamplingPoint],
         gd=total("glass") / length,
         no_signboards=no_signboards,
     )
-
-
-def segment_brand_tally(points: list[SamplingPoint],
-                        tallies: dict[str, BrandTally]) -> BrandTally:
-    """Sum per-point tier tallies over a segment."""
-    n_local = n_intl = n_ord = 0
-    for p in points:
-        t = tallies.get(p.id)
-        if t is None:
-            continue
-        n_local += t.n_local
-        n_intl += t.n_international
-        n_ord += t.n_ordinary
-    return BrandTally(n_local=n_local, n_international=n_intl, n_ordinary=n_ord)

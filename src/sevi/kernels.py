@@ -1,17 +1,14 @@
 """Hot numeric kernels: spillover field accumulation and local GWR fits.
 
-Each kernel exists twice: a scalar-loop version compiled with numba when
-available, and a vectorized numpy fallback. `spill_field` and `gwr_fit_all`
-dispatch on the SEVI_NUMBA env flag (see `_accel`). Both flavours agree to
-well below 1e-12 on the magnitudes this package produces; the benchmark in
-benchmarks/bench_kernels.py compares their throughput.
+`spill_field` evaluates the gated decay sum over the id-sorted anchors in
+chunks of points. `gwr_fit_all` solves one local weighted least-squares
+system per location with a LAPACK Cholesky factorization; a system whose
+smallest pivot falls below `_CHOL_TOL` of its largest diagonal is re-solved
+with a small ridge and flagged.
 """
 
-import math
-
 import numpy as np
-
-from ._accel import HAVE_NUMBA, NUMBA_ENABLED, njit_maybe
+from scipy.linalg import cho_solve
 
 DECAY_GAUSSIAN = 0
 DECAY_EXPONENTIAL = 1
@@ -30,40 +27,23 @@ FLAG_SINGULAR = 2
 RIDGE_REL = 1e-8       # ridge = RIDGE_REL * trace(A) / p on near-singular systems
 _CHOL_TOL = 1e-12      # pivot threshold relative to max initial diagonal
 
+_SPILL_CHUNK = 256     # points per distance block; bounds memory at chunk x anchors
+
 
 # ---------------------------------------------------------------------------
 # spillover field
 # ---------------------------------------------------------------------------
 
-def _spill_field_loop(px, py, ax, ay, sigma, d_max, decay_code):
-    n = px.shape[0]
-    m = ax.shape[0]
-    out = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(m):
-            dx = ax[j] - px[i]
-            dy = ay[j] - py[i]
-            d = math.sqrt(dx * dx + dy * dy)
-            if d <= d_max:
-                if decay_code == 0:
-                    acc += math.exp(-(d * d) / (2.0 * sigma[j] * sigma[j]))
-                elif decay_code == 1:
-                    acc += math.exp(-d / sigma[j])
-                else:
-                    v = 1.0 - d / d_max
-                    if v > 0.0:
-                        acc += v
-        out[i] = acc
-    return out
+def spill_field(px, py, ax, ay, sigma, d_max, decay_code):
+    """Distance-decayed, threshold-gated anchor sum at every point.
 
-
-def spill_field_numpy(px, py, ax, ay, sigma, d_max, decay_code, chunk=256):
-    """Vectorized fallback; anchors are traversed in array order per point."""
+    Anchor arrays must already be in the canonical (id-sorted) order; each
+    point's terms are then summed in a deterministic order.
+    """
     n = px.shape[0]
     out = np.zeros(n)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, _SPILL_CHUNK):
+        hi = min(lo + _SPILL_CHUNK, n)
         d = np.hypot(ax[None, :] - px[lo:hi, None], ay[None, :] - py[lo:hi, None])
         inside = d <= d_max
         if decay_code == DECAY_GAUSSIAN:
@@ -76,239 +56,63 @@ def spill_field_numpy(px, py, ax, ay, sigma, d_max, decay_code, chunk=256):
     return out
 
 
-spill_field_numba = njit_maybe(_spill_field_loop) if HAVE_NUMBA else None
-
-
-def spill_field(px, py, ax, ay, sigma, d_max, decay_code):
-    """Distance-decayed, threshold-gated anchor sum at every point.
-
-    Anchor arrays must already be in the canonical (id-sorted) order; the
-    accumulation then has a deterministic order on both backends.
-    """
-    if NUMBA_ENABLED:
-        return spill_field_numba(px, py, ax, ay, sigma, d_max, decay_code)
-    return spill_field_numpy(px, py, ax, ay, sigma, d_max, decay_code)
-
-
 # ---------------------------------------------------------------------------
 # GWR local weighted least squares
 # ---------------------------------------------------------------------------
 
-def _gwr_fit_loop(cx, cy, X, y, bandwidths, kernel_code):
-    n, p = X.shape
-    beta = np.zeros((n, p))
-    s_ii = np.zeros(n)
-    s_norm2 = np.zeros(n)
-    fitted = np.zeros(n)
-    flags = np.zeros(n, dtype=np.int8)
-
-    w = np.empty(n)
-    A = np.empty((p, p))
-    L = np.empty((p, p))
-    rhs = np.empty(p)
-    sol = np.empty(p)
-    c = np.empty(p)
-    tmp = np.empty(p)
-
-    for i in range(n):
-        b = bandwidths[i]
-        for j in range(n):
-            dx = cx[j] - cx[i]
-            dy = cy[j] - cy[i]
-            d = math.sqrt(dx * dx + dy * dy)
-            if kernel_code == 0:
-                t = d / b
-                w[j] = math.exp(-0.5 * t * t)
-            else:
-                t = d / b
-                if t < 1.0:
-                    u = 1.0 - t * t
-                    w[j] = u * u
-                else:
-                    w[j] = 0.0
-
-        # A = X' W X (upper triangle), rhs = X' W y
-        for a_ in range(p):
-            rhs[a_] = 0.0
-            for b_ in range(a_, p):
-                A[a_, b_] = 0.0
-        for j in range(n):
-            wj = w[j]
-            if wj == 0.0:
-                continue
-            for a_ in range(p):
-                t = wj * X[j, a_]
-                rhs[a_] += t * y[j]
-                for b_ in range(a_, p):
-                    A[a_, b_] += t * X[j, b_]
-        for a_ in range(p):
-            for b_ in range(a_):
-                A[a_, b_] = A[b_, a_]
-
-        ok = _chol_loop(A, L)
-        if not ok:
-            tr = 0.0
-            for a_ in range(p):
-                tr += A[a_, a_]
-            lam = RIDGE_REL * tr / p
-            for a_ in range(p):
-                A[a_, a_] += lam
-            ok = _chol_loop(A, L)
-            if not ok:
-                flags[i] = FLAG_SINGULAR
-                continue
-            flags[i] = FLAG_RIDGED
-
-        _chol_solve_loop(L, rhs, sol, tmp)
-        for a_ in range(p):
-            beta[i, a_] = sol[a_]
-        for a_ in range(p):
-            rhs[a_] = X[i, a_]
-        _chol_solve_loop(L, rhs, c, tmp)
-
-        fit_i = 0.0
-        sii = 0.0
-        for a_ in range(p):
-            fit_i += X[i, a_] * beta[i, a_]
-            sii += X[i, a_] * c[a_]
-        fitted[i] = fit_i
-        s_ii[i] = sii  # self-weight is kernel(0) == 1
-
-        acc = 0.0
-        for j in range(n):
-            wj = w[j]
-            if wj == 0.0:
-                continue
-            dotv = 0.0
-            for a_ in range(p):
-                dotv += X[j, a_] * c[a_]
-            t = wj * dotv
-            acc += t * t
-        s_norm2[i] = acc
-
-    return beta, fitted, s_ii, s_norm2, flags
-
-
-def _chol_loop(A, L):
-    p = A.shape[0]
-    dmax = 0.0
-    for j in range(p):
-        if A[j, j] > dmax:
-            dmax = A[j, j]
-    if dmax <= 0.0:
-        return False
-    for j in range(p):
-        acc = A[j, j]
-        for k in range(j):
-            acc -= L[j, k] * L[j, k]
-        if acc <= _CHOL_TOL * dmax:
-            return False
-        L[j, j] = math.sqrt(acc)
-        for i in range(j + 1, p):
-            s = A[i, j]
-            for k in range(j):
-                s -= L[i, k] * L[j, k]
-            L[i, j] = s / L[j, j]
-    return True
-
-
-def _chol_solve_loop(L, b, out, tmp):
-    p = L.shape[0]
-    for i in range(p):
-        s = b[i]
-        for k in range(i):
-            s -= L[i, k] * tmp[k]
-        tmp[i] = s / L[i, i]
-    for i in range(p - 1, -1, -1):
-        s = tmp[i]
-        for k in range(i + 1, p):
-            s -= L[k, i] * out[k]
-        out[i] = s / L[i, i]
-
-
-def _chol_numpy(A):
-    """Column Cholesky with the same pivot threshold as the loop kernel."""
-    p = A.shape[0]
+def _chol(A):
+    """Lower Cholesky factor of A, or None when A fails the pivot rule: its
+    largest diagonal is not positive, LAPACK finds it not positive definite,
+    or a squared pivot is at most `_CHOL_TOL` times the largest diagonal."""
     dmax = float(np.max(np.diag(A)))
     if dmax <= 0.0:
         return None
-    L = np.zeros_like(A)
-    for j in range(p):
-        acc = A[j, j] - L[j, :j] @ L[j, :j]
-        if acc <= _CHOL_TOL * dmax:
-            return None
-        L[j, j] = math.sqrt(acc)
-        if j + 1 < p:
-            L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    if float(np.min(np.diag(L))) ** 2 <= _CHOL_TOL * dmax:
+        return None
     return L
-
-
-def _chol_solve_numpy(L, b):
-    p = L.shape[0]
-    tmp = np.empty(p)
-    out = np.empty(p)
-    for i in range(p):
-        tmp[i] = (b[i] - L[i, :i] @ tmp[:i]) / L[i, i]
-    for i in range(p - 1, -1, -1):
-        out[i] = (tmp[i] - L[i + 1:, i] @ out[i + 1:]) / L[i, i]
-    return out
-
-
-def gwr_fit_numpy(cx, cy, X, y, bandwidths, kernel_code):
-    n, p = X.shape
-    beta = np.zeros((n, p))
-    s_ii = np.zeros(n)
-    s_norm2 = np.zeros(n)
-    fitted = np.zeros(n)
-    flags = np.zeros(n, dtype=np.int8)
-
-    for i in range(n):
-        b = bandwidths[i]
-        d = np.hypot(cx - cx[i], cy - cy[i])
-        if kernel_code == KERNEL_GAUSSIAN:
-            t = d / b
-            w = np.exp(-0.5 * t * t)
-        else:
-            t = d / b
-            w = np.where(t < 1.0, (1.0 - t * t) ** 2, 0.0)
-
-        Xw = X * w[:, None]
-        A = X.T @ Xw
-        rhs = Xw.T @ y
-
-        L = _chol_numpy(A)
-        if L is None:
-            lam = RIDGE_REL * float(np.trace(A)) / p
-            L = _chol_numpy(A + lam * np.eye(p))
-            if L is None:
-                flags[i] = FLAG_SINGULAR
-                continue
-            flags[i] = FLAG_RIDGED
-
-        bi = _chol_solve_numpy(L, rhs)
-        c = _chol_solve_numpy(L, X[i])
-        beta[i] = bi
-        fitted[i] = X[i] @ bi
-        s_ii[i] = X[i] @ c
-        sx = w * (X @ c)
-        s_norm2[i] = float(sx @ sx)
-
-    return beta, fitted, s_ii, s_norm2, flags
-
-
-if HAVE_NUMBA:
-    # helpers must be jitted before the outer kernel resolves them on first call
-    _chol_loop = njit_maybe(_chol_loop)
-    _chol_solve_loop = njit_maybe(_chol_solve_loop)
-    gwr_fit_numba = njit_maybe(_gwr_fit_loop)
-else:  # pragma: no cover
-    gwr_fit_numba = None
 
 
 def gwr_fit_all(cx, cy, X, y, bandwidths, kernel_code):
     """Local WLS at every location: coefficients, fitted values, hat diagonal
     and hat-row squared norms (streamed, S never materialized), plus a
     per-location flag (0 clean, 1 ridged, 2 singular)."""
-    if NUMBA_ENABLED:
-        return gwr_fit_numba(cx, cy, X, y, bandwidths, kernel_code)
-    return gwr_fit_numpy(cx, cy, X, y, bandwidths, kernel_code)
+    n, p = X.shape
+    beta = np.zeros((n, p))
+    s_ii = np.zeros(n)
+    s_norm2 = np.zeros(n)
+    fitted = np.zeros(n)
+    flags = np.zeros(n, dtype=np.int8)
+
+    for i in range(n):
+        t = np.hypot(cx - cx[i], cy - cy[i]) / bandwidths[i]
+        if kernel_code == KERNEL_GAUSSIAN:
+            w = np.exp(-0.5 * t * t)
+        else:
+            w = np.where(t < 1.0, (1.0 - t * t) ** 2, 0.0)
+
+        Xw = X * w[:, None]
+        A = X.T @ Xw
+
+        L = _chol(A)
+        if L is None:
+            lam = RIDGE_REL * float(np.trace(A)) / p
+            L = _chol(A + lam * np.eye(p))
+            if L is None:
+                flags[i] = FLAG_SINGULAR
+                continue
+            flags[i] = FLAG_RIDGED
+
+        # one solve for both right-hand sides: X'Wy -> beta_i, x_i -> c = A^-1 x_i
+        sol = cho_solve((L, True), np.column_stack([Xw.T @ y, X[i]]), check_finite=False)
+        bi, c = sol[:, 0], sol[:, 1]
+        beta[i] = bi
+        fitted[i] = X[i] @ bi
+        s_ii[i] = X[i] @ c  # self-weight is kernel(0) == 1
+        sx = w * (X @ c)
+        s_norm2[i] = float(sx @ sx)
+
+    return beta, fitted, s_ii, s_norm2, flags

@@ -25,8 +25,8 @@ from .exceptions import (ComputationError, ConfigError, SeviError, StageError,
 from .geodata import (PERIODS, CityTables, TablePaths, filter_active,
                       load_tables, radius_join, write_tables)
 from .gwr import GwrDesign, coef_summary, time_sliced
-from .indicators import (BLOCKS, INDICATOR_NAMES, BrandWeights, brand_ratio_series,
-                         segment_indicators, smooth_along_route)
+from .indicators import (BLOCKS, INDICATOR_NAMES, BrandWeights, segment_indicators,
+                         smoothed_brand_ratio)
 from .report import RobustnessReport, TierValidation
 
 DEFAULT_CONFIG = {
@@ -242,9 +242,9 @@ def _round_floats(obj, digits: int = 6):
 
 
 def write_json(path: Path, obj):
+    text = json.dumps(_round_floats(obj), indent=2, sort_keys=True, ensure_ascii=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_round_floats(obj), fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def file_sha256(path: Path) -> str:
@@ -284,14 +284,10 @@ def _indicator_table(tables: CityTables, mv_by_segment: dict[str, float],
     point_br: dict[str, float] = {}
     for sid in segment_ids:
         pts = by_segment[sid]
-        series, ns = brand_ratio_series(pts, tallies, weights)
-        smoothed = smooth_along_route(series, window)
+        br, _, smoothed = smoothed_brand_ratio(pts, tallies, weights, window)
         for p, value in zip(pts, smoothed):
             point_br[p.id] = float(value)
-        total_ns = ns.sum()
-        br_value = float((smoothed * ns).sum() / total_ns) if total_ns > 0 else 0.0
-        vec = segment_indicators(tables.segments[sid], pts, None,
-                                 mv_by_segment.get(sid, 0.0), weights, br_value=br_value)
+        vec = segment_indicators(tables.segments[sid], pts, br, mv_by_segment.get(sid, 0.0))
         rows.append(vec.as_array())
         flags.append(vec.no_signboards)
     return segment_ids, np.array(rows), flags, point_br
@@ -365,33 +361,34 @@ def emit_geojson(path: Path, tables: CityTables,
                  use_segment_geometry: bool = False):
     """One Point feature per sampling point (or LineString per segment when
     geometry was ingested), carrying the nine indicators plus A/U/P/sevi."""
-    features = []
+    def encode(fid, geometry, props) -> str:
+        return json.dumps({"type": "Feature", "id": fid, "geometry": geometry,
+                           "properties": _round_floats(props)},
+                          sort_keys=True, ensure_ascii=False)
+
+    features = []  # the JSON text of each feature
     if use_segment_geometry and tables.segment_geometry:
         for sid in sorted(properties_by_segment):
             coords = tables.segment_geometry.get(sid)
             if coords is None:
                 raise ValidationError(f"no geometry for segment {sid!r}")
-            features.append({
-                "type": "Feature", "id": sid,
-                "geometry": {"type": "LineString",
-                             "coordinates": [[round(c[0], 7), round(c[1], 7)] for c in coords]},
-                "properties": _round_floats(properties_by_segment[sid]),
-            })
+            features.append(encode(sid, {"type": "LineString", "coordinates": [
+                [round(c[0], 7), round(c[1], 7)] for c in coords]}, properties_by_segment[sid]))
     else:
         for p in sorted(tables.points, key=lambda q: q.id):
             props = properties_by_segment.get(p.segment_id)
             if props is None:
                 continue
-            features.append({
-                "type": "Feature", "id": p.id,
-                "geometry": {"type": "Point",
-                             "coordinates": [round(p.lon, 7), round(p.lat, 7)]},
-                "properties": _round_floats(props),
-            })
-    doc = {"type": "FeatureCollection", "features": features}
+            features.append(encode(p.id, {"type": "Point", "coordinates": [
+                round(p.lon, 7), round(p.lat, 7)]}, props))
+    # The collection is framed by hand, as json.dumps(sort_keys=True) frames it,
+    # so that the whole document's text (4.4 MB on a 12k-point city) is never
+    # held in memory next to its encoded bytes.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+        fh.write('{"features": [')
+        for k, text in enumerate(features):
+            fh.write(", " + text if k else text)
+        fh.write('], "type": "FeatureCollection"}\n')
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +411,9 @@ class _Manifest:
                 files[name] = file_sha256(self.outdir / name)
         doc = {"config_sha256": self.config_hash, "stages": self.stages, "files": files}
         path = self.outdir / "manifest.json"
+        text = json.dumps(doc, indent=2, sort_keys=True)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
         return path
 
 

@@ -112,6 +112,11 @@ def entropy_weights(block: np.ndarray) -> np.ndarray:
     1e-12 (constant or all-zero columns) get weight 0; if every column is
     degenerate the weights are uniform.
     """
+    return _entropy_weights(block)[0]
+
+
+def _entropy_weights(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, column entropies) of one block; see `entropy_weights`."""
     block = np.asarray(block, dtype=float)
     if block.ndim != 2:
         raise ValidationError(f"expected a 2-D block, got shape {block.shape}")
@@ -143,29 +148,15 @@ def entropy_weights(block: np.ndarray) -> np.ndarray:
         weights = np.full(k, 1.0 / k)
     else:
         weights = divergence / total_div
-    return weights
+    return weights, entropies
 
 
 def compute_weight_matrix(nm: NormalizedMatrix) -> WeightMatrix:
     entropy_diag: dict[str, list[float]] = {}
     blocks = {}
     for name in BLOCKS:
-        blk = nm.block(name)
-        blocks[name] = entropy_weights(blk)
-        lo, hi = BLOCKS[name]
-        ent = []
-        n = blk.shape[0]
-        log_n = np.log(n)
-        for j in range(blk.shape[1]):
-            col = blk[:, j]
-            total = col.sum()
-            if total <= 0:
-                ent.append(1.0)
-                continue
-            p = col / total
-            nz = p > 0
-            ent.append(float(-(p[nz] * np.log(p[nz])).sum() / log_n))
-        entropy_diag[name] = ent
+        blocks[name], entropies = _entropy_weights(nm.block(name))
+        entropy_diag[name] = entropies.tolist()
     return WeightMatrix(activity=blocks["activity"], utilization=blocks["utilization"],
                         environment=blocks["environment"], entropy=entropy_diag)
 

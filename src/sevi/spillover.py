@@ -3,7 +3,7 @@
 Bandwidths come from the average nearest-neighbor distance within each
 anchor category; field values sum a distance-decay term over all anchors
 inside a hard threshold. Summation is always in ascending anchor-id order
-so outputs are bit-stable for a given backend.
+so outputs are bit-stable.
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ def calibrate_sigma(anchors: list[MallAnchor]) -> SigmaTable:
     return table
 
 
-def apply_sigma(anchors: list[MallAnchor], table: SigmaTable) -> None:
-    for a in anchors:
-        a.sigma_m = table.get(a.category)
-
-
 def decay_value(d: float, sigma: float, config: SpilloverConfig) -> float:
     """Single decay term in [0, 1], gated to zero beyond the threshold."""
     if d < 0:
@@ -145,7 +140,7 @@ def field_at(point: SamplingPoint, anchors: list[MallAnchor], sigma_table: Sigma
 
 def field_all(points_xy: np.ndarray, anchors: list[MallAnchor], sigma_table: SigmaTable,
               config: SpilloverConfig) -> np.ndarray:
-    """Spillover values for a full point set via the accelerated kernel.
+    """Spillover values for a full point set via `kernels.spill_field`.
 
     The kernel evaluates the gate directly over the id-sorted anchor arrays,
     which is the same indicator the index-backed candidate search applies.

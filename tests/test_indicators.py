@@ -81,7 +81,7 @@ def test_segment_density_and_closure():
         make_point("p0", signboards_left=4, signboards_right=2, closed_left=1),
         make_point("p1", order=1, signboards_left=3, signboards_right=1, closed_right=1),
     ]
-    vec = segment_indicators(_segment(100.0), points, BrandTally(), 0.0, BrandWeights())
+    vec = segment_indicators(_segment(100.0), points, 0.0, 0.0)
     assert vec.sd == pytest.approx(0.10)
     assert vec.cr == pytest.approx(0.20)
     assert not vec.no_signboards
@@ -90,22 +90,25 @@ def test_segment_density_and_closure():
 def test_segment_brand_ratio_hand_value():
     # 10 signboards, 2 local + 2 international at default weights -> 0.5
     points = [make_point("p0", signboards_left=10)]
-    tally = BrandTally(n_local=2, n_international=2)
-    vec = segment_indicators(_segment(100.0), points, tally, 0.0, BrandWeights())
+    tallies = {"p0": BrandTally(n_local=2, n_international=2)}
+    br, _, _ = smoothed_brand_ratio(points, tallies, BrandWeights(), window=1)
+    vec = segment_indicators(_segment(100.0), points, br, 0.0)
     assert vec.br == pytest.approx((2 * 1.0 + 2 * 1.5) / 10)
 
 
 def test_segment_all_zero_detections():
     points = [make_point("p0"), make_point("p1", order=1)]
-    vec = segment_indicators(_segment(80.0), points, BrandTally(), 0.0, BrandWeights())
+    # a premium passed for a segment without signboards is forced to 0
+    vec = segment_indicators(_segment(80.0), points, 0.5, 0.0)
     assert vec.as_array().tolist() == [0.0] * 9
     assert vec.no_signboards
 
 
 def test_segment_all_ordinary_brands_score_zero():
     points = [make_point("p0", signboards_left=5)]
-    vec = segment_indicators(_segment(50.0), points, BrandTally(n_ordinary=5), 0.0,
-                             BrandWeights())
+    tallies = {"p0": BrandTally(n_ordinary=5)}
+    br, _, _ = smoothed_brand_ratio(points, tallies, BrandWeights(), window=1)
+    vec = segment_indicators(_segment(50.0), points, br, 0.0)
     assert vec.br == 0.0
 
 
@@ -114,29 +117,29 @@ def test_density_scale_invariance():
                          persons_left=8, glass_right=3)]
     doubled = [make_point("p0", signboards_left=8, motor_left=12, nonmotor_right=4,
                           persons_left=16, glass_right=6)]
-    v1 = segment_indicators(_segment(100.0), points, BrandTally(), 0.0, BrandWeights())
-    v2 = segment_indicators(_segment(200.0), doubled, BrandTally(), 0.0, BrandWeights())
+    v1 = segment_indicators(_segment(100.0), points, 0.0, 0.0)
+    v2 = segment_indicators(_segment(200.0), doubled, 0.0, 0.0)
     for name in ("sd", "md", "nd", "pp", "gd"):
         assert getattr(v1, name) == pytest.approx(getattr(v2, name))
 
 
 def test_closure_ratio_clamped_to_unit():
     points = [make_point("p0", signboards_left=3, closed_left=9)]
-    vec = segment_indicators(_segment(50.0), points, BrandTally(), 0.0, BrandWeights())
+    vec = segment_indicators(_segment(50.0), points, 0.0, 0.0)
     assert vec.cr == 1.0
 
 
 def test_green_ratio():
     points = [make_point("p0", green_pixels_left=250, total_pixels_left=1000,
                          green_pixels_right=250, total_pixels_right=1000)]
-    vec = segment_indicators(_segment(50.0), points, BrandTally(), 0.0, BrandWeights())
+    vec = segment_indicators(_segment(50.0), points, 0.0, 0.0)
     assert vec.gr == pytest.approx(0.25)
     assert 0.0 <= vec.gr <= 1.0
 
 
 def test_mv_passthrough():
     points = [make_point("p0")]
-    vec = segment_indicators(_segment(50.0), points, BrandTally(), 2.75, BrandWeights())
+    vec = segment_indicators(_segment(50.0), points, 0.0, 2.75)
     assert vec.mv == 2.75
 
 
@@ -150,7 +153,7 @@ def test_smoothed_ratio_window_one_matches_direct():
         make_point("p1", order=1, signboards_left=6),
     ]
     tallies = {"p0": BrandTally(n_international=2), "p1": BrandTally(n_local=3)}
-    value, flag = smoothed_brand_ratio(points, tallies, BrandWeights(), window=1)
+    value, flag, _ = smoothed_brand_ratio(points, tallies, BrandWeights(), window=1)
     direct = (2 * 1.5 + 3 * 1.0) / 10
     assert value == pytest.approx(direct, abs=1e-12)
     assert not flag
@@ -158,7 +161,7 @@ def test_smoothed_ratio_window_one_matches_direct():
 
 def test_smoothed_ratio_no_signboards():
     points = [make_point("p0")]
-    value, flag = smoothed_brand_ratio(points, {}, BrandWeights(), window=5)
+    value, flag, _ = smoothed_brand_ratio(points, {}, BrandWeights(), window=5)
     assert value == 0.0 and flag
 
 
@@ -166,7 +169,7 @@ def test_smoothed_ratio_spreads_along_route():
     # a single branded point bleeds into its neighbors under window 5
     points = [make_point(f"p{i}", order=i, signboards_left=2) for i in range(5)]
     tallies = {"p2": BrandTally(n_international=2)}
-    smoothed, _ = smoothed_brand_ratio(points, tallies, BrandWeights(), window=5)
+    smoothed, _, _ = smoothed_brand_ratio(points, tallies, BrandWeights(), window=5)
     series = [0, 0, (2 * 1.5) / 2, 0, 0]
     expected = np.mean([np.mean(series[max(0, i - 2):i + 3]) for i in range(5)])
     assert smoothed == pytest.approx(expected, abs=1e-12)

@@ -1,0 +1,59 @@
+import csv
+import json
+
+import pytest
+
+from sevi.pipeline import PipelineConfig, run
+
+# headline values of the bundled synthetic city (seed 20251015)
+MEAN_ADJUSTED_R2 = 0.603279
+SEVI_MEAN = 0.521222
+KW_H = 258.331652
+
+
+def _run(city_dir, outdir, overrides=()):
+    config = PipelineConfig.from_mapping({"output_dir": str(outdir)}, list(overrides))
+    return run(config, city_dir)
+
+
+def _close(value, reference, tol=1e-5):
+    return abs(value - reference) <= tol * max(1.0, abs(reference))
+
+
+@pytest.fixture(scope="module")
+def default_run(city_dir, tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("run_default")
+    _run(city_dir, outdir)
+    return outdir
+
+
+def test_run_headline_values(default_run):
+    summary = json.loads((default_run / "gwr_summary.json").read_text(encoding="utf-8"))
+    kw = json.loads((default_run / "kw.json").read_text(encoding="utf-8"))
+    with open(default_run / "sevi.csv", newline="", encoding="utf-8") as fh:
+        sevi = [float(row["sevi"]) for row in csv.DictReader(fh)]
+    assert _close(summary["mean_adjusted_r2"], MEAN_ADJUSTED_R2)
+    assert _close(sum(sevi) / len(sevi), SEVI_MEAN)
+    assert _close(kw["h"], KW_H)
+
+
+def test_geojson_has_one_feature_per_scored_point(city_dir, default_run):
+    with open(default_run / "sevi.csv", newline="", encoding="utf-8") as fh:
+        scored = {row["segment_id"]: float(row["sevi"]) for row in csv.DictReader(fh)}
+    with open(city_dir / "points.csv", newline="", encoding="utf-8") as fh:
+        points = {row["id"]: row["segment_id"] for row in csv.DictReader(fh)}
+    doc = json.loads((default_run / "sevi.geojson").read_text(encoding="utf-8"))
+    assert doc["type"] == "FeatureCollection"
+    features = {f["id"]: f["properties"] for f in doc["features"]}
+    assert len(features) == len(doc["features"])
+    assert set(features) == {pid for pid, sid in points.items() if sid in scored}
+    for pid, props in features.items():
+        assert props["sevi"] == scored[points[pid]]
+
+
+def test_rerun_gives_identical_manifest(city_dir, tmp_path):
+    overrides = ["gwr.bandwidth=1500"]
+    first = _run(city_dir, tmp_path / "a", overrides)
+    second = _run(city_dir, tmp_path / "b", overrides)
+    # config_sha256 covers output_dir, so only the files map is compared
+    assert first["files"] and first["files"] == second["files"]
