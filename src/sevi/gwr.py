@@ -5,6 +5,15 @@ kernel-weighted neighbors; hat-matrix traces are accumulated exactly while
 streaming (S itself is never materialized), giving effective degrees of
 freedom for adjusted R-squared and AICc. Bandwidths are either fixed
 meters, adaptive neighbor counts, or AICc-selected by golden section.
+
+The periods of a time-sliced analysis normally share coordinates and
+predictors and differ only in the response, so at a given bandwidth their
+local systems, hat diagonals and hat-row norms are identical. `time_sliced`
+groups such periods and fits each group in one kernel call with the
+responses as columns. With AICc selection every period keeps its own
+golden-section search, but the group's AICc values at each visited
+bandwidth come from one shared fit; each chosen bandwidth is then refitted
+once for the periods that chose it.
 """
 
 from __future__ import annotations
@@ -107,6 +116,8 @@ class GwrFit:
     flags: np.ndarray           # 0 clean, 1 ridged, 2 singular
     predictor_names: list[str]
     location_ids: list[str]
+    aicc_evals: int = 0                     # distinct bandwidths the AICc search fitted
+    bandwidth_boundary: str | None = None   # "lower" | "upper" when the search hit one
 
     @property
     def n(self) -> int:
@@ -143,8 +154,7 @@ def adaptive_bandwidths(coords: np.ndarray, m: int) -> np.ndarray:
         raise ValidationError(f"adaptive neighbor count must be in [1, {n - 1}], got {m}")
     d = np.hypot(coords[:, 0][:, None] - coords[:, 0][None, :],
                  coords[:, 1][:, None] - coords[:, 1][None, :])
-    d_sorted = np.sort(d, axis=1)
-    bw = d_sorted[:, m]  # index 0 is the self distance
+    bw = np.partition(d, m, axis=1)[:, m]  # the m+1 smallest include the self distance
     if np.any(bw <= 0):
         i = int(np.argmax(bw <= 0))
         raise ComputationError(
@@ -152,6 +162,58 @@ def adaptive_bandwidths(coords: np.ndarray, m: int) -> np.ndarray:
             "(coincident coordinates); increase the neighbor count"
         )
     return bw
+
+
+def _fit_group(designs: list[GwrDesign], bandwidth) -> list[GwrFit]:
+    """`fit_local` for designs that share coordinates, X and kernel, in one
+    kernel call with their responses as columns."""
+    first = designs[0]
+    if isinstance(bandwidth, tuple):
+        mode, m = bandwidth
+        if mode != "adaptive":
+            raise ValidationError(f"unknown bandwidth mode {mode!r}")
+        m = int(m)
+        bw_arr = adaptive_bandwidths(first.coords, m)
+        bw_scalar, adaptive_m = None, m
+    else:
+        bw = float(bandwidth)
+        if bw <= 0:
+            raise ValidationError(f"bandwidth must be > 0, got {bw}")
+        bw_arr = np.full(first.n, bw)
+        bw_scalar, adaptive_m = bw, None
+
+    cx = np.ascontiguousarray(first.coords[:, 0])
+    cy = np.ascontiguousarray(first.coords[:, 1])
+    Y = np.column_stack([design.y for design in designs])
+    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(
+        cx, cy, first.X, Y, bw_arr, kernels.KERNEL_CODES[first.kernel]
+    )
+    if np.any(flags == kernels.FLAG_SINGULAR):
+        i = int(np.argmax(flags == kernels.FLAG_SINGULAR))
+        raise ComputationError(
+            f"local system singular even after ridge fallback at location "
+            f"{first.location_ids[i]!r}"
+        )
+    trace_s = float(s_ii.sum())
+    trace_sts = float(s_norm2.sum())
+
+    fits = []
+    for k, design in enumerate(designs):
+        residuals = design.y - fitted[:, k]
+        rss = float(residuals @ residuals)
+        ybar = design.y.mean()
+        tss = float(((design.y - ybar) ** 2).sum())
+        fit = GwrFit(beta=np.ascontiguousarray(beta[:, :, k]), fitted=fitted[:, k],
+                     residuals=residuals, hat_diag=s_ii, trace_s=trace_s,
+                     trace_sts=trace_sts, rss=rss, tss=tss, adjusted_r2=math.nan,
+                     aicc=math.nan, bandwidth=bw_scalar, adaptive_neighbors=adaptive_m,
+                     kernel=design.kernel, flags=flags,
+                     predictor_names=list(design.predictor_names),
+                     location_ids=list(design.location_ids))
+        fit.adjusted_r2 = adjusted_r2(fit, design.n)
+        fit.aicc = aicc(fit, design.n)
+        fits.append(fit)
+    return fits
 
 
 def fit_local(design: GwrDesign, bandwidth) -> GwrFit:
@@ -162,48 +224,7 @@ def fit_local(design: GwrDesign, bandwidth) -> GwrFit:
     ridge and flagged; a system that remains singular raises an error naming
     its location.
     """
-    if isinstance(bandwidth, tuple):
-        mode, m = bandwidth
-        if mode != "adaptive":
-            raise ValidationError(f"unknown bandwidth mode {mode!r}")
-        m = int(m)
-        bw_arr = adaptive_bandwidths(design.coords, m)
-        bw_scalar, adaptive_m = None, m
-    else:
-        bw = float(bandwidth)
-        if bw <= 0:
-            raise ValidationError(f"bandwidth must be > 0, got {bw}")
-        bw_arr = np.full(design.n, bw)
-        bw_scalar, adaptive_m = bw, None
-
-    cx = np.ascontiguousarray(design.coords[:, 0])
-    cy = np.ascontiguousarray(design.coords[:, 1])
-    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(
-        cx, cy, design.X, design.y, bw_arr, kernels.KERNEL_CODES[design.kernel]
-    )
-    if np.any(flags == kernels.FLAG_SINGULAR):
-        i = int(np.argmax(flags == kernels.FLAG_SINGULAR))
-        raise ComputationError(
-            f"local system singular even after ridge fallback at location "
-            f"{design.location_ids[i]!r}"
-        )
-
-    residuals = design.y - fitted
-    rss = float(residuals @ residuals)
-    ybar = design.y.mean()
-    tss = float(((design.y - ybar) ** 2).sum())
-    trace_s = float(s_ii.sum())
-    trace_sts = float(s_norm2.sum())
-
-    fit = GwrFit(beta=beta, fitted=fitted, residuals=residuals, hat_diag=s_ii,
-                 trace_s=trace_s, trace_sts=trace_sts, rss=rss, tss=tss,
-                 adjusted_r2=math.nan, aicc=math.nan, bandwidth=bw_scalar,
-                 adaptive_neighbors=adaptive_m, kernel=design.kernel, flags=flags,
-                 predictor_names=list(design.predictor_names),
-                 location_ids=list(design.location_ids))
-    fit.adjusted_r2 = adjusted_r2(fit, design.n)
-    fit.aicc = aicc(fit, design.n)
-    return fit
+    return _fit_group([design], bandwidth)[0]
 
 
 def adjusted_r2(fit: GwrFit, n: int) -> float:
@@ -228,6 +249,66 @@ def aicc(fit: GwrFit, n: int) -> float:
             + n * (n + fit.trace_s) / denom)
 
 
+def _golden_section(objective, lo0: float, hi0: float, rel_tol: float,
+                    max_iter: int) -> tuple[float, str | None, int]:
+    """Minimize `objective` over [lo0, hi0]: (best bandwidth, the boundary it
+    was clamped to or None, number of distinct bandwidths evaluated)."""
+    cache: dict[float, float] = {}
+
+    def f(b: float) -> float:
+        if b not in cache:
+            cache[b] = objective(b)
+        return cache[b]
+
+    lo, hi = lo0, hi0
+    f(lo)
+    f(hi)
+    x1 = hi - GOLDEN_INV * (hi - lo)
+    x2 = lo + GOLDEN_INV * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(max_iter):
+        if (hi - lo) <= rel_tol * (hi0 - lo0):
+            break
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - GOLDEN_INV * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + GOLDEN_INV * (hi - lo)
+            f2 = f(x2)
+
+    best = min(cache, key=lambda b: (cache[b], b))
+    boundary = None
+    boundary_pad = rel_tol * (hi0 - lo0)
+    if best <= lo0 + boundary_pad or best >= hi0 - boundary_pad:
+        best, boundary = (lo0, "lower") if best <= lo0 + boundary_pad else (hi0, "upper")
+        warnings.warn(
+            f"bandwidth search hit the {boundary} boundary "
+            f"({best:.3f} m); the criterion appears monotone over the search range"
+        )
+    return float(best), boundary, len(cache)
+
+
+def _select_group(designs: list[GwrDesign], rel_tol: float = 1e-3,
+                  max_iter: int = 60) -> list[tuple[float, str | None, int]]:
+    """One golden-section AICc search per design of a shared-design group.
+
+    Each search follows its own path, but every bandwidth any of them visits
+    is fitted once for the whole group and its AICc values are memoised.
+    """
+    lo0, hi0 = designs[0].pairwise_extent()
+    memo: dict[float, list[float]] = {}
+
+    def group_aicc(b: float) -> list[float]:
+        if b not in memo:
+            memo[b] = [fit.aicc for fit in _fit_group(designs, b)]
+        return memo[b]
+
+    return [_golden_section(lambda b, k=k: group_aicc(b)[k], lo0, hi0, rel_tol, max_iter)
+            for k in range(len(designs))]
+
+
 def select_bandwidth(design: GwrDesign, criterion: str = "aicc",
                      rel_tol: float = 1e-3, max_iter: int = 60) -> float:
     """Golden-section AICc minimization over [min nonzero distance, diameter].
@@ -238,47 +319,32 @@ def select_bandwidth(design: GwrDesign, criterion: str = "aicc",
     """
     if criterion != "aicc":
         raise ValidationError(f"unknown selection criterion {criterion!r}")
-    lo0, hi0 = design.pairwise_extent()
-    cache: dict[float, float] = {}
+    return _select_group([design], rel_tol, max_iter)[0][0]
 
-    def objective(b: float) -> float:
-        if b not in cache:
-            cache[b] = fit_local(design, b).aicc
-        return cache[b]
 
-    lo, hi = lo0, hi0
-    objective(lo)
-    objective(hi)
-    x1 = hi - GOLDEN_INV * (hi - lo)
-    x2 = lo + GOLDEN_INV * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(max_iter):
-        if (hi - lo) <= rel_tol * (hi0 - lo0):
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN_INV * (hi - lo)
-            f1 = objective(x1)
+def _design_groups(designs: dict[str, GwrDesign]) -> list[list[str]]:
+    """The canonical periods, grouped by equal coordinates, X and kernel."""
+    groups: list[list[str]] = []
+    for period in PERIODS:
+        d = designs[period]
+        for group in groups:
+            g = designs[group[0]]
+            if (g.kernel == d.kernel and np.array_equal(g.coords, d.coords)
+                    and np.array_equal(g.X, d.X)):
+                group.append(period)
+                break
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN_INV * (hi - lo)
-            f2 = objective(x2)
-
-    best = min(cache, key=lambda b: (cache[b], b))
-    boundary_pad = rel_tol * (hi0 - lo0)
-    if best <= lo0 + boundary_pad or best >= hi0 - boundary_pad:
-        best = lo0 if best <= lo0 + boundary_pad else hi0
-        warnings.warn(
-            f"bandwidth search hit the {'lower' if best == lo0 else 'upper'} boundary "
-            f"({best:.3f} m); the criterion appears monotone over the search range"
-        )
-    return float(best)
+            groups.append([period])
+    return groups
 
 
 def time_sliced(designs: dict[str, GwrDesign], bandwidth="aicc") -> dict[str, GwrFit]:
     """Independent fits for the eight canonical periods.
 
     `bandwidth` is "aicc" (selected per period), a float, or ("adaptive", m).
+    Periods that share a design are fitted together; with "aicc" each keeps
+    its own search, and each fit records the search's evaluation count and
+    the boundary it hit, if any.
     """
     missing = [p for p in PERIODS if p not in designs]
     if missing:
@@ -287,11 +353,20 @@ def time_sliced(designs: dict[str, GwrDesign], bandwidth="aicc") -> dict[str, Gw
     if unknown:
         raise ValidationError(f"unknown periods: {unknown}")
     fits: dict[str, GwrFit] = {}
-    for period in PERIODS:
-        design = designs[period]
-        bw = select_bandwidth(design) if bandwidth == "aicc" else bandwidth
-        fits[period] = fit_local(design, bw)
-    return fits
+    for periods in _design_groups(designs):
+        if bandwidth != "aicc":
+            fits.update(zip(periods, _fit_group([designs[p] for p in periods], bandwidth)))
+            continue
+        searches = dict(zip(periods, _select_group([designs[p] for p in periods])))
+        by_bandwidth: dict[float, list[str]] = {}
+        for period, (bw, _, _) in searches.items():
+            by_bandwidth.setdefault(bw, []).append(period)
+        for bw, members in by_bandwidth.items():
+            fits.update(zip(members, _fit_group([designs[p] for p in members], bw)))
+        for period, (_, boundary, evals) in searches.items():
+            fits[period].aicc_evals = evals
+            fits[period].bandwidth_boundary = boundary
+    return {p: fits[p] for p in PERIODS}
 
 
 def r2_trajectory(fits: dict[str, GwrFit]) -> list[tuple[str, float]]:

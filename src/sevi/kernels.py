@@ -1,14 +1,16 @@
 """Hot numeric kernels: spillover field accumulation and local GWR fits.
 
 `spill_field` evaluates the gated decay sum over the id-sorted anchors in
-chunks of points. `gwr_fit_all` solves one local weighted least-squares
-system per location with a LAPACK Cholesky factorization; a system whose
-smallest pivot falls below `_CHOL_TOL` of its largest diagonal is re-solved
-with a small ridge and flagged.
+chunks of points. `gwr_fit_all` fits every location in row blocks: per
+block, one GEMM forms all local X'WX (against the row-wise outer products
+of X) and one forms X'WY for every response column, so responses that share
+coordinates and X share one pass. A stacked LAPACK Cholesky applies the
+pivot rule; a system whose smallest pivot falls below `_CHOL_TOL` of its
+largest diagonal is re-solved with a small ridge and flagged. The stack is
+then solved in one gufunc call with [X'WY | x_i] as right-hand sides.
 """
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 DECAY_GAUSSIAN = 0
 DECAY_EXPONENTIAL = 1
@@ -28,6 +30,11 @@ RIDGE_REL = 1e-8       # ridge = RIDGE_REL * trace(A) / p on near-singular syste
 _CHOL_TOL = 1e-12      # pivot threshold relative to max initial diagonal
 
 _SPILL_CHUNK = 256     # points per distance block; bounds memory at chunk x anchors
+# kernel weights (rows x n) per GWR row block; bounds the block's temporaries.
+# Larger blocks save nothing measurable, but their GEMMs grow big enough for
+# OpenBLAS to split across threads, which on a busy 2-CPU host stalled for
+# milliseconds on about one call in ten.
+_FIT_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -76,43 +83,73 @@ def _chol(A):
     return L
 
 
+def _failed_pivots(A):
+    """Boolean mask of the stacked matrices that fail the pivot rule of `_chol`."""
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:  # raised for the whole stack; find the culprits
+        return np.array([_chol(a) is None for a in A], dtype=bool)
+    dmax = np.max(np.diagonal(A, axis1=1, axis2=2), axis=1)
+    dmin_l = np.min(np.diagonal(L, axis1=1, axis2=2), axis=1)
+    return dmin_l ** 2 <= _CHOL_TOL * dmax
+
+
 def gwr_fit_all(cx, cy, X, y, bandwidths, kernel_code):
-    """Local WLS at every location: coefficients, fitted values, hat diagonal
-    and hat-row squared norms (streamed, S never materialized), plus a
-    per-location flag (0 clean, 1 ridged, 2 singular)."""
+    """Local WLS at every location for one or more responses sharing X.
+
+    `y` is (n,) or (n, m). Returns coefficients (n, p) or (n, p, m), fitted
+    values (n,) or (n, m), the hat diagonal and hat-row squared norms
+    (streamed, S never materialized) and a per-location flag (0 clean,
+    1 ridged, 2 singular); the last three depend on X and the weights only,
+    so they are shared by all responses.
+    """
     n, p = X.shape
-    beta = np.zeros((n, p))
+    Y = y.reshape(n, -1)
+    m = Y.shape[1]
+    # row-wise outer products, so W @ XX and W @ XY form every local X'WX
+    # and X'WY of a block in one GEMM each
+    XX = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+    XY = (X[:, :, None] * Y[:, None, :]).reshape(n, p * m)
+    beta = np.zeros((n, p, m))
     s_ii = np.zeros(n)
     s_norm2 = np.zeros(n)
-    fitted = np.zeros(n)
     flags = np.zeros(n, dtype=np.int8)
 
-    for i in range(n):
-        t = np.hypot(cx - cx[i], cy - cy[i]) / bandwidths[i]
+    rows = max(1, _FIT_BLOCK // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        t = np.hypot(cx[None, :] - cx[lo:hi, None],
+                     cy[None, :] - cy[lo:hi, None]) / bandwidths[lo:hi, None]
         if kernel_code == KERNEL_GAUSSIAN:
-            w = np.exp(-0.5 * t * t)
+            W = np.exp(-0.5 * t * t)
         else:
-            w = np.where(t < 1.0, (1.0 - t * t) ** 2, 0.0)
+            W = np.where(t < 1.0, (1.0 - t * t) ** 2, 0.0)
+        A = (W @ XX).reshape(-1, p, p)
+        B = (W @ XY).reshape(-1, p, m)
 
-        Xw = X * w[:, None]
-        A = X.T @ Xw
+        failed = _failed_pivots(A)
+        blk_flags = flags[lo:hi]
+        for r in np.flatnonzero(failed):
+            lam = RIDGE_REL * float(np.trace(A[r])) / p
+            ridged = A[r] + lam * np.eye(p)
+            if _chol(ridged) is None:
+                blk_flags[r] = FLAG_SINGULAR
+            else:
+                A[r] = ridged
+                blk_flags[r] = FLAG_RIDGED
 
-        L = _chol(A)
-        if L is None:
-            lam = RIDGE_REL * float(np.trace(A)) / p
-            L = _chol(A + lam * np.eye(p))
-            if L is None:
-                flags[i] = FLAG_SINGULAR
-                continue
-            flags[i] = FLAG_RIDGED
+        ok = np.flatnonzero(blk_flags != FLAG_SINGULAR)
+        xi = X[lo:hi][ok]
+        # one solve for all right-hand sides: X'WY -> beta_i, x_i -> c = A^-1 x_i
+        sol = np.linalg.solve(A[ok], np.concatenate([B[ok], xi[:, :, None]], axis=2))
+        rows_ok = lo + ok
+        beta[rows_ok] = sol[:, :, :m]
+        c = sol[:, :, m]
+        s_ii[rows_ok] = np.einsum("ip,ip->i", xi, c)  # self-weight is kernel(0) == 1
+        sx = W[ok] * (c @ X.T)
+        s_norm2[rows_ok] = np.einsum("ij,ij->i", sx, sx)
 
-        # one solve for both right-hand sides: X'Wy -> beta_i, x_i -> c = A^-1 x_i
-        sol = cho_solve((L, True), np.column_stack([Xw.T @ y, X[i]]), check_finite=False)
-        bi, c = sol[:, 0], sol[:, 1]
-        beta[i] = bi
-        fitted[i] = X[i] @ bi
-        s_ii[i] = X[i] @ c  # self-weight is kernel(0) == 1
-        sx = w * (X @ c)
-        s_norm2[i] = float(sx @ sx)
-
+    fitted = np.einsum("ip,ipm->im", X, beta)
+    if y.ndim == 1:
+        return beta[:, :, 0], fitted[:, 0], s_ii, s_norm2, flags
     return beta, fitted, s_ii, s_norm2, flags

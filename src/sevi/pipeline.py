@@ -108,7 +108,7 @@ def _parse_bandwidth(value):
 
 @dataclass
 class PipelineConfig:
-    raw: dict  # merged config; hashed into the manifest
+    raw: dict  # merged config; hashed into the manifest, output_dir aside
 
     @classmethod
     def from_file(cls, path, overrides: list[str] | None = None) -> "PipelineConfig":
@@ -199,7 +199,9 @@ class PipelineConfig:
         )
 
     def sha256(self) -> str:
-        canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        """Digest of the analysis settings; where the outputs go is left out."""
+        analysis = {k: v for k, v in self.raw.items() if k != "output_dir"}
+        canon = json.dumps(analysis, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -597,6 +599,8 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
                 "trace_sts": fits[period].trace_sts,
                 "n_ridged": fits[period].n_ridged,
                 "n": fits[period].n,
+                "aicc_evals": fits[period].aicc_evals,
+                "bandwidth_boundary": fits[period].bandwidth_boundary,
             } for period in PERIODS
         },
         "mean_adjusted_r2": report.mean_adjusted_r2(

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from sevi import gwr
 from sevi.exceptions import ComputationError, ValidationError
 from sevi.geodata import PERIODS
 from sevi.gwr import (GwrDesign, adaptive_bandwidths, adjusted_r2, aicc,
@@ -234,6 +236,39 @@ def test_time_sliced_identical_response(rng):
     fits = time_sliced(designs, bandwidth=1500.0)
     r2 = [fits[p].adjusted_r2 for p in PERIODS]
     assert np.allclose(r2, r2[0], atol=1e-12)
+
+
+def test_time_sliced_matches_per_period_search(rng):
+    # a jittered grid keeps the smallest distance, the search's lower bound,
+    # well posed; wd_am carries no signal, so its search runs into the upper
+    # boundary, and we_nt has its own predictors, so it forms a second group
+    grid = 300.0 * np.stack(np.meshgrid(np.arange(9), np.arange(9)), -1).reshape(-1, 2)
+    coords = grid + rng.uniform(-30, 30, grid.shape)
+    n = len(coords)
+    predictors = rng.normal(size=(n, 2))
+    slope = 1.0 + coords[:, 0] / 2400.0
+    designs = {}
+    for period in PERIODS:
+        signal = 0.0 if period == "wd_am" else slope * predictors[:, 0]
+        x = rng.normal(size=(n, 2)) if period == "we_nt" else predictors
+        designs[period] = GwrDesign.build(coords, x, signal + rng.normal(0, 0.5, n))
+    assert len(gwr._design_groups(designs)) == 2
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fits = time_sliced(designs)
+    with warnings.catch_warnings(record=True) as caught_ref:
+        warnings.simplefilter("always")
+        bandwidths = {p: select_bandwidth(designs[p]) for p in PERIODS}
+
+    assert len(caught) == len(caught_ref) >= 1
+    for p in PERIODS:
+        ref = fit_local(designs[p], bandwidths[p])
+        assert fits[p].bandwidth == bandwidths[p]
+        np.testing.assert_allclose(fits[p].beta, ref.beta, rtol=1e-10, atol=1e-12)
+        assert fits[p].aicc == pytest.approx(ref.aicc, rel=1e-12)
+        assert fits[p].aicc_evals > 0
+    assert fits["wd_am"].bandwidth_boundary == "upper"
 
 
 def test_time_sliced_missing_period(rng):

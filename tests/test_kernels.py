@@ -5,15 +5,21 @@ from sevi import kernels
 from sevi.gwr import adaptive_bandwidths, kernel_weight
 
 
-def _oracle(coords, X, y, bandwidths, kernel):
-    """Per-location WLS from the normal equations with `np.linalg.solve`."""
+def _local_system(coords, X, bandwidths, kernel, i):
+    """Kernel weights and X'WX at location i, one weight at a time."""
+    d = np.hypot(*(coords - coords[i]).T)
+    w = np.array([kernel_weight(dj, bandwidths[i], kernel) for dj in d])
+    return w, X.T @ (w[:, None] * X)
+
+
+def _oracle(coords, X, y, bandwidths, kernel, rows=None):
+    """Per-location WLS from the normal equations with `np.linalg.solve`, at
+    `rows` (default all); other rows stay zero."""
     n, p = X.shape
     beta = np.zeros((n, p))
     fitted, s_ii, s_norm2 = np.zeros(n), np.zeros(n), np.zeros(n)
-    for i in range(n):
-        d = np.hypot(*(coords - coords[i]).T)
-        w = np.array([kernel_weight(dj, bandwidths[i], kernel) for dj in d])
-        A = X.T @ (w[:, None] * X)
+    for i in range(n) if rows is None else rows:
+        w, A = _local_system(coords, X, bandwidths, kernel, i)
         beta[i] = np.linalg.solve(A, X.T @ (w * y))
         c = np.linalg.solve(A, X[i])
         fitted[i] = X[i] @ beta[i]
@@ -22,11 +28,21 @@ def _oracle(coords, X, y, bandwidths, kernel):
     return beta, fitted, s_ii, s_norm2
 
 
-@pytest.mark.parametrize("kernel", ["gaussian", "bisquare"])
-@pytest.mark.parametrize("adaptive", [False, True])
-def test_gwr_fit_all_matches_normal_equations(kernel, adaptive):
+def _reference_flags(coords, X, bandwidths, kernel):
+    """Per-location pivot rule, ridge and singular verdict, one `_chol` at a time."""
+    n, p = X.shape
+    flags = np.zeros(n, dtype=np.int8)
+    for i in range(n):
+        _, A = _local_system(coords, X, bandwidths, kernel, i)
+        if kernels._chol(A) is None:
+            lam = kernels.RIDGE_REL * np.trace(A) / p
+            ridged = kernels._chol(A + lam * np.eye(p)) is not None
+            flags[i] = kernels.FLAG_RIDGED if ridged else kernels.FLAG_SINGULAR
+    return flags
+
+
+def _check_against_oracle(n, kernel, adaptive):
     rng = np.random.default_rng(11)
-    n = 60
     coords = rng.uniform(0, 2000, (n, 2))
     X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
     y = X @ np.array([1.0, 2.0, 3.0]) + rng.normal(0, 0.1, n)
@@ -38,6 +54,19 @@ def test_gwr_fit_all_matches_normal_equations(kernel, adaptive):
     assert np.all(flags == kernels.FLAG_OK)
     for got, want in zip((beta, fitted, s_ii, s_norm2), _oracle(coords, X, y, bw, kernel)):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "bisquare"])
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_gwr_fit_all_matches_normal_equations(kernel, adaptive):
+    _check_against_oracle(60, kernel, adaptive)
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "bisquare"])
+def test_gwr_fit_all_across_row_blocks(kernel):
+    n = 300
+    assert kernels._FIT_BLOCK // n < n  # the locations span more than one row block
+    _check_against_oracle(n, kernel, adaptive=True)
 
 
 def test_near_singular_system_ridged_although_lapack_factors_it():
@@ -61,3 +90,57 @@ def test_near_singular_system_ridged_although_lapack_factors_it():
     *_, flags = kernels.gwr_fit_all(coords[:, 0].copy(), coords[:, 1].copy(), X, y, bw,
                                     kernels.KERNEL_GAUSSIAN)
     assert np.all(flags == kernels.FLAG_RIDGED)
+
+
+def test_gwr_fit_all_multiple_responses_match_single_calls():
+    rng = np.random.default_rng(5)
+    n = 80
+    coords = rng.uniform(0, 2000, (n, 2))
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+    Y = X @ rng.normal(size=(3, 3)) + rng.normal(0, 0.2, (n, 3))
+    bw = np.full(n, 900.0)
+    cx, cy = coords[:, 0].copy(), coords[:, 1].copy()
+
+    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(
+        cx, cy, X, Y, bw, kernels.KERNEL_GAUSSIAN)
+
+    assert beta.shape == (n, 3, 3) and fitted.shape == (n, 3)
+    assert np.all(flags == kernels.FLAG_OK)
+    for k in range(3):
+        single = kernels.gwr_fit_all(cx, cy, X, Y[:, k].copy(), bw, kernels.KERNEL_GAUSSIAN)
+        oracle = _oracle(coords, X, Y[:, k], bw, "gaussian")
+        for got, one, want in zip((beta[:, :, k], fitted[:, k], s_ii, s_norm2), single, oracle):
+            np.testing.assert_allclose(got, one, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+def test_mixed_block_falls_back_to_per_row_pivot_rule(monkeypatch):
+    # bisquare at 100 m: a dense cluster gives clean systems, isolated points
+    # see only themselves (rank 1, ridged), and an isolated point with a zero
+    # row has X'WX == 0, which no ridge repairs; that row makes the stacked
+    # Cholesky raise for the whole block
+    rng = np.random.default_rng(3)
+    cluster = rng.uniform(0, 150, (24, 2))
+    isolated = 1000.0 * np.arange(1, 7)[:, None] * np.ones((6, 2))
+    coords = np.vstack([cluster, isolated])
+    n = len(coords)
+    X = rng.normal(size=(n, 3))
+    X[-1] = 0.0
+    y = rng.normal(size=n)
+    bw = np.full(n, 100.0)
+    calls = []
+    chol = kernels._chol
+    monkeypatch.setattr(kernels, "_chol", lambda A: calls.append(1) or chol(A))
+
+    beta, _, _, _, flags = kernels.gwr_fit_all(coords[:, 0].copy(), coords[:, 1].copy(),
+                                               X, y, bw, kernels.KERNEL_BISQUARE)
+
+    assert len(calls) >= n  # the block was re-checked row by row
+    want = _reference_flags(coords, X, bw, "bisquare")
+    np.testing.assert_array_equal(flags, want)
+    assert set(np.unique(flags)) == {kernels.FLAG_OK, kernels.FLAG_RIDGED,
+                                     kernels.FLAG_SINGULAR}
+    assert np.all(beta[flags == kernels.FLAG_SINGULAR] == 0.0)
+    clean = np.flatnonzero(flags == kernels.FLAG_OK)
+    want_beta = _oracle(coords, X, y, bw, "bisquare", rows=clean)[0]
+    np.testing.assert_allclose(beta[clean], want_beta[clean], rtol=1e-10, atol=0)
