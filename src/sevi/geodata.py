@@ -149,9 +149,6 @@ class CityTables:
     def points_xy(self) -> np.ndarray:
         return np.array([(p.x, p.y) for p in self.points], dtype=float).reshape(-1, 2)
 
-    def pois_xy(self) -> np.ndarray:
-        return np.array([(p.x, p.y) for p in self.pois], dtype=float).reshape(-1, 2)
-
     def points_by_segment(self) -> dict[str, list[SamplingPoint]]:
         by_id = {p.id: p for p in self.points}
         return {

@@ -1,10 +1,12 @@
-"""Configuration, stage orchestration, and artifact emission.
+"""Configuration, the analysis core, and artifact emission.
 
-A run executes load -> bandwidth calibration -> spillover field ->
-indicators (with route smoothing) -> normalization -> entropy weights ->
-TOPSIS and alternates -> statistics -> external validation -> time-sliced
-GWR -> GeoJSON -> report, writing every intermediate table and a manifest
-of per-file checksums. Reruns on identical inputs are byte-identical.
+`_Analysis` computes, on first read and inside the stage named after each
+result: spillover field -> indicators (with route smoothing) -> normalization
+-> entropy weights -> TOPSIS and alternates -> statistics -> external
+validation -> time-sliced GWR. `run` reads one analysis in that order and
+writes every table, the GeoJSON, the report and a manifest of per-file
+checksums; `robustness` reads one analysis per spillover setting of its
+sweeps. Reruns on identical inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import csv
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +28,7 @@ from .exceptions import (ComputationError, ConfigError, SeviError, StageError,
                          ValidationError)
 from .geodata import (PERIODS, CityTables, TablePaths, filter_active,
                       load_tables, radius_join, write_tables)
-from .gwr import GwrDesign, coef_summary, time_sliced
+from .gwr import GwrDesign, GwrFit, coef_summary, time_sliced
 from .indicators import (BLOCKS, INDICATOR_NAMES, BrandWeights, segment_indicators,
                          smoothed_brand_ratio)
 from .report import RobustnessReport, TierValidation
@@ -68,16 +72,15 @@ DEFAULT_CONFIG = {
 
 
 def _merge_defaults(defaults: dict, user: dict, path: str = "") -> dict:
+    # every mapping is rebuilt, so that an override never edits DEFAULT_CONFIG
     merged = {}
     for key, default_value in defaults.items():
-        if key in user and isinstance(default_value, dict):
-            if not isinstance(user[key], dict):
+        if isinstance(default_value, dict):
+            if not isinstance(user.get(key, {}), dict):
                 raise ConfigError(f"config key {path + key!r} must be a mapping")
-            merged[key] = _merge_defaults(default_value, user[key], path + key + ".")
-        elif key in user:
-            merged[key] = user[key]
+            merged[key] = _merge_defaults(default_value, user.get(key, {}), path + key + ".")
         else:
-            merged[key] = default_value
+            merged[key] = user.get(key, default_value)
     for key in user:
         if key not in defaults:
             raise ConfigError(f"unknown config key {path + key!r}")
@@ -258,27 +261,18 @@ def file_sha256(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# shared computation steps
+# the analysis core
 # ---------------------------------------------------------------------------
 
-def _segment_mv(tables: CityTables, mv_point: np.ndarray) -> dict[str, float]:
-    """Segment spillover: mean over the segment's sampling points."""
-    pos = {p.id: i for i, p in enumerate(tables.points)}
-    out = {}
-    for sid, seg in tables.segments.items():
-        if not seg.point_ids:
-            continue
-        out[sid] = float(np.mean([mv_point[pos[pid]] for pid in seg.point_ids]))
-    return out
-
-
-def _indicator_table(tables: CityTables, mv_by_segment: dict[str, float],
+def _indicator_table(tables: CityTables, mv_point: np.ndarray,
                      weights: BrandWeights, window: int):
     """Per-segment indicator matrix plus the smoothed point-level brand series.
 
-    Returns (segment_ids, raw_matrix, flags, point_br).
+    A segment's spillover is the mean of the field over its route-ordered
+    points. Returns (segment_ids, raw_matrix, flags, point_br).
     """
     tallies = tables.brands or {}
+    pos = {p.id: i for i, p in enumerate(tables.points)}
     by_segment = tables.points_by_segment()
     segment_ids = sorted(sid for sid, seg in tables.segments.items() if seg.point_ids)
     rows = []
@@ -289,7 +283,8 @@ def _indicator_table(tables: CityTables, mv_by_segment: dict[str, float],
         br, _, smoothed = smoothed_brand_ratio(pts, tallies, weights, window)
         for p, value in zip(pts, smoothed):
             point_br[p.id] = float(value)
-        vec = segment_indicators(tables.segments[sid], pts, br, mv_by_segment.get(sid, 0.0))
+        mv = float(np.mean(mv_point[[pos[p.id] for p in pts]]))
+        vec = segment_indicators(tables.segments[sid], pts, br, mv)
         rows.append(vec.as_array())
         flags.append(vec.no_signboards)
     return segment_ids, np.array(rows), flags, point_br
@@ -340,15 +335,12 @@ def _tier_validation(tables: CityTables, point_br: dict[str, float],
         hits = poi_lists[p.id]
         totals[label].append(len(hits))
         premiums[label].append(sum(1 for q in hits if q in premium_ids))
-    for tier in ("low", "high"):
-        if not totals[tier]:
-            raise ComputationError(f"tier {tier!r} is empty; cannot form the growth contrast")
-    mean_total = {t: (float(np.mean(v)) if v else math.nan) for t, v in totals.items()}
-    mean_premium = {t: (float(np.mean(v)) if v else math.nan) for t, v in premiums.items()}
-    groups = [totals[t] for t in stats.TERTILE_LABELS if totals[t]]
-    if len(groups) < 2:
-        raise ComputationError("fewer than 2 nonempty tiers; rank test undefined")
-    kw = stats.kruskal_wallis(groups)
+    for tier, counts in totals.items():
+        if not counts:
+            raise ComputationError(f"tier {tier!r} is empty; the tiers cannot be compared")
+    mean_total = {t: float(np.mean(v)) for t, v in totals.items()}
+    mean_premium = {t: float(np.mean(v)) for t, v in premiums.items()}
+    kw = stats.kruskal_wallis(list(totals.values()))
     return TierValidation(
         tier_n={t: len(v) for t, v in totals.items()},
         mean_total_poi=mean_total, mean_premium_poi=mean_premium,
@@ -356,6 +348,107 @@ def _tier_validation(tables: CityTables, point_br: dict[str, float],
         growth_premium_pct=report.growth_pct(mean_premium["high"], mean_premium["low"]),
         kw_total=kw, n_active=len(active), n_points=len(tables.points),
     )
+
+
+@contextmanager
+def _run_stage(name: str):
+    """Wrap every package error raised inside the block in a StageError
+    naming `name`; an error already wrapped by a nested stage passes as is."""
+    try:
+        yield
+    except StageError:
+        raise
+    except SeviError as exc:
+        raise StageError(name, exc) from exc
+
+
+def _output_dir(config: PipelineConfig, workdir: Path) -> Path:
+    outdir = Path(workdir) / config.raw["output_dir"]
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
+def _load_city(config: PipelineConfig, workdir: Path) -> tuple[CityTables, spillover.SigmaTable]:
+    """The `load` and `calibrate_sigma` stages."""
+    with _run_stage("load"):
+        paths = config.table_paths(Path(workdir))
+        if paths.brands is None:
+            raise ValidationError("a brands table is required for the analysis "
+                                  "(inputs.brands); produce one with 'brands decode'")
+        tables = load_tables(paths, config.raw["inputs"]["format"])
+    with _run_stage("calibrate_sigma"):
+        return tables, spillover.calibrate_sigma(tables.anchors)
+
+
+@dataclass
+class _Analysis:
+    """The analysis of one loaded city under one spillover setting.
+
+    Each result is computed the first time it is read, inside the stage named
+    after it, and is then kept; a caller computes exactly the stages it reads.
+    """
+
+    config: PipelineConfig
+    tables: CityTables
+    sigma: spillover.SigmaTable
+    sp_cfg: spillover.SpilloverConfig
+
+    @cached_property
+    def mv_point(self) -> np.ndarray:
+        with _run_stage("spillover_field"):
+            return spillover.field_all(self.tables.points_xy(), self.tables.anchors,
+                                       self.sigma, self.sp_cfg)
+
+    @cached_property
+    def indicators(self):
+        """(segment_ids, raw_matrix, no-signboard flags, point brand series)"""
+        with _run_stage("indicators"):
+            return _indicator_table(self.tables, self.mv_point, self.config.brand_weights(),
+                                    self.config.raw["smoothing_window"])
+
+    @cached_property
+    def nm(self) -> scoring.NormalizedMatrix:
+        with _run_stage("normalize"):
+            segment_ids, raw_matrix, _, _ = self.indicators
+            return scoring.align_and_normalize(raw_matrix, segment_ids)
+
+    @cached_property
+    def wm(self) -> scoring.WeightMatrix:
+        with _run_stage("entropy_weights"):
+            return scoring.compute_weight_matrix(self.nm)
+
+    @cached_property
+    def scores(self):
+        """(TOPSIS result, equal-weight index, PCA index)"""
+        with _run_stage("scores"):
+            dims = scoring.block_aggregate(self.nm.values, self.wm)
+            result = scoring.topsis(dims, self.indicators[0])
+            eq, pca_index = scoring.alternative_indices(self.nm)
+            return result, eq, pca_index
+
+    @cached_property
+    def corr_pca(self) -> tuple[stats.CorrelationMatrix, stats.PcaModel]:
+        with _run_stage("stats"):
+            raw_matrix = self.indicators[1]
+            corr = stats.spearman_matrix(raw_matrix, list(INDICATOR_NAMES))
+            model = stats.pca(raw_matrix, n_components=self.config.raw["pca_components"],
+                              column_labels=list(INDICATOR_NAMES))
+            return corr, model
+
+    @cached_property
+    def validation(self) -> TierValidation:
+        with _run_stage("validation"):
+            return _tier_validation(self.tables, self.indicators[3],
+                                    float(self.config.raw["poi_radius_m"]))
+
+    @cached_property
+    def fits(self) -> dict[str, GwrFit]:
+        with _run_stage("gwr"):
+            gwr_cfg = self.config.raw["gwr"]
+            segment_ids, raw_matrix, _, _ = self.indicators
+            x_matrix = self.nm.values if gwr_cfg["x_source"] == "normalized" else raw_matrix
+            designs = _gwr_designs(self.tables, segment_ids, x_matrix, gwr_cfg["kernel"])
+            return time_sliced(designs, self.config.bandwidth())
 
 
 def emit_geojson(path: Path, tables: CityTables,
@@ -406,26 +499,17 @@ class _Manifest:
     def stage(self, name: str, files: list[str]):
         self.stages.append({"name": name, "files": sorted(files)})
 
-    def write(self) -> Path:
+    def write(self) -> dict:
+        """Write manifest.json and return its document."""
         files = {}
         for stage in self.stages:
             for name in stage["files"]:
                 files[name] = file_sha256(self.outdir / name)
         doc = {"config_sha256": self.config_hash, "stages": self.stages, "files": files}
-        path = self.outdir / "manifest.json"
         text = json.dumps(doc, indent=2, sort_keys=True)
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(self.outdir / "manifest.json", "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        return path
-
-
-def _run_stage(name, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except StageError:
-        raise
-    except SeviError as exc:
-        raise StageError(name, exc) from exc
+        return doc
 
 
 def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict:
@@ -437,65 +521,41 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
     """
     if until not in (None, "spillover", "indicators", "sevi", "stats", "gwr"):
         raise ValidationError(f"unknown stop stage {until!r}")
-    workdir = Path(workdir)
-    outdir = workdir / config.raw["output_dir"]
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(config, workdir)
     manifest = _Manifest(outdir, config.sha256())
-    weights_cfg = config.brand_weights()
-    sp_cfg = config.spillover_config()
-    window = config.raw["smoothing_window"]
 
-    def _stop(marker: str) -> dict | None:
-        if until == marker:
-            manifest.write()
-            with open(outdir / "manifest.json", "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        return None
-
-    def _load():
-        paths = config.table_paths(workdir)
-        if paths.brands is None:
-            raise ValidationError("a brands table is required for the full run "
-                                  "(inputs.brands); produce one with 'brands decode'")
-        return load_tables(paths, config.raw["inputs"]["format"])
-
-    tables = _run_stage("load", _load)
+    tables, sigma_table = _load_city(config, workdir)
     manifest.stage("load", [])
-
-    sigma_table = _run_stage("calibrate_sigma", spillover.calibrate_sigma, tables.anchors)
     write_csv(outdir / "sigma.csv", ("category", "sigma_m", "provenance"),
               [(cat, sigma_table.sigma_m[cat], sigma_table.provenance[cat])
                for cat in sorted(sigma_table.sigma_m)])
     manifest.stage("calibrate_sigma", ["sigma.csv"])
 
-    points_xy = tables.points_xy()
-    mv_point = _run_stage("spillover_field", spillover.field_all,
-                          points_xy, tables.anchors, sigma_table, sp_cfg)
+    sp_cfg = config.spillover_config()
+    analysis = _Analysis(config, tables, sigma_table, sp_cfg)
     mv_col = f"mv_{sp_cfg.decay}_{int(sp_cfg.threshold_m)}"
     write_csv(outdir / "mv.csv", ("point_id", mv_col),
-              [(p.id, float(mv_point[i])) for i, p in enumerate(tables.points)])
+              [(p.id, float(v)) for p, v in zip(tables.points, analysis.mv_point)])
     manifest.stage("spillover_field", ["mv.csv"])
-    if (doc := _stop("spillover")) is not None:
-        return doc
+    if until == "spillover":
+        return manifest.write()
 
-    mv_by_segment = _segment_mv(tables, mv_point)
-    segment_ids, raw_matrix, seg_flags, point_br = _run_stage(
-        "indicators", _indicator_table, tables, mv_by_segment, weights_cfg, window)
+    segment_ids, raw_matrix, seg_flags, _ = analysis.indicators
     write_csv(outdir / "indicators.csv",
               ("segment_id",) + INDICATOR_NAMES + ("no_signboards",),
               [(sid,) + tuple(float(v) for v in raw_matrix[i]) + (int(seg_flags[i]),)
                for i, sid in enumerate(segment_ids)])
     manifest.stage("indicators", ["indicators.csv"])
-    if (doc := _stop("indicators")) is not None:
-        return doc
+    if until == "indicators":
+        return manifest.write()
 
-    nm = _run_stage("normalize", scoring.align_and_normalize, raw_matrix, segment_ids)
+    nm = analysis.nm
     write_csv(outdir / "normalized.csv", ("segment_id",) + INDICATOR_NAMES,
               [(sid,) + tuple(float(v) for v in nm.values[i])
                for i, sid in enumerate(segment_ids)])
     manifest.stage("normalize", ["normalized.csv"])
 
-    wm = _run_stage("entropy_weights", scoring.compute_weight_matrix, nm)
+    wm = analysis.wm
     weights_doc = {"columns": [vars(c) for c in nm.columns], "blocks": {}}
     for name in BLOCKS:
         lo, hi = BLOCKS[name]
@@ -507,13 +567,7 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
     write_json(outdir / "weights.json", weights_doc)
     manifest.stage("entropy_weights", ["weights.json"])
 
-    def _scores():
-        dims = scoring.block_aggregate(nm.values, wm)
-        result = scoring.topsis(dims, segment_ids)
-        eq, pca_index = scoring.alternative_indices(nm)
-        return result, eq, pca_index
-
-    sevi_result, sevi_eq, sevi_pca = _run_stage("scores", _scores)
+    sevi_result, sevi_eq, sevi_pca = analysis.scores
     write_csv(outdir / "sevi.csv",
               ("segment_id", "activity", "utilization", "environment",
                "sevi", "sevi_eq", "sevi_pca"),
@@ -522,16 +576,10 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
                 float(sevi_eq[i]), float(sevi_pca[i]))
                for i, sid in enumerate(segment_ids)])
     manifest.stage("scores", ["sevi.csv"])
-    if (doc := _stop("sevi")) is not None:
-        return doc
+    if until == "sevi":
+        return manifest.write()
 
-    def _stats():
-        corr = stats.spearman_matrix(raw_matrix, list(INDICATOR_NAMES))
-        model = stats.pca(raw_matrix, n_components=config.raw["pca_components"],
-                          column_labels=list(INDICATOR_NAMES))
-        return corr, model
-
-    corr, pca_model = _run_stage("stats", _stats)
+    corr, pca_model = analysis.corr_pca
     write_csv(outdir / "correlation.csv", ("variable",) + INDICATOR_NAMES,
               [(INDICATOR_NAMES[i],) + tuple(float(v) for v in corr.values[i])
                for i in range(len(INDICATOR_NAMES))])
@@ -552,8 +600,7 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
     })
     manifest.stage("stats", ["correlation.csv", "pca_loadings.csv", "pca_summary.json"])
 
-    tier_validation = _run_stage("validation", _tier_validation,
-                                 tables, point_br, float(config.raw["poi_radius_m"]))
+    tier_validation = analysis.validation
     write_csv(outdir / "tier_validation.csv",
               ("tier", "n_points", "mean_total_poi", "mean_premium_poi"),
               [(t, tier_validation.tier_n[t], tier_validation.mean_total_poi[t],
@@ -567,16 +614,10 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
         "n_active": tier_validation.n_active, "n_points": tier_validation.n_points,
     })
     manifest.stage("validation", ["tier_validation.csv", "kw.json"])
-    if (doc := _stop("stats")) is not None:
-        return doc
+    if until == "stats":
+        return manifest.write()
 
-    def _gwr():
-        x_matrix = nm.values if config.raw["gwr"]["x_source"] == "normalized" else raw_matrix
-        designs = _gwr_designs(tables, segment_ids, x_matrix, config.raw["gwr"]["kernel"])
-        fits = time_sliced(designs, config.bandwidth())
-        return fits
-
-    fits = _run_stage("gwr", _gwr)
+    fits = analysis.fits
     gwr_files = []
     for period in PERIODS:
         fit = fits[period]
@@ -618,8 +659,8 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
                "whisker_lo", "whisker_hi", "n_outliers"), coef_rows)
     gwr_files.append("coef_summary.csv")
     manifest.stage("gwr", gwr_files)
-    if (doc := _stop("gwr")) is not None:
-        return doc
+    if until == "gwr":
+        return manifest.write()
 
     props = {}
     for i, sid in enumerate(segment_ids):
@@ -631,8 +672,9 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
             "sevi": float(sevi_result.sevi[i]),
         })
         props[sid] = entry
-    _run_stage("geojson", emit_geojson, outdir / "sevi.geojson", tables, props,
-               use_segment_geometry=bool(tables.segment_geometry))
+    with _run_stage("geojson"):
+        emit_geojson(outdir / "sevi.geojson", tables, props,
+                     use_segment_geometry=bool(tables.segment_geometry))
     manifest.stage("geojson", ["sevi.geojson"])
 
     sevi_stats = {
@@ -648,10 +690,7 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
         {name: wm.block(name) for name in BLOCKS}, tier_validation)
     (outdir / "summary.txt").write_text(text, encoding="utf-8")
     manifest.stage("report", ["summary.txt"])
-
-    manifest.write()
-    with open(outdir / "manifest.json", "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return manifest.write()
 
 
 # ---------------------------------------------------------------------------
@@ -661,69 +700,31 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
 def robustness(config: PipelineConfig, workdir: Path) -> RobustnessReport:
     """Threshold and decay sweeps for the GWR explanatory power, alternative
     composite-index correlations, and the external tier validation."""
-    workdir = Path(workdir)
-    outdir = workdir / config.raw["output_dir"]
-    outdir.mkdir(parents=True, exist_ok=True)
-    weights_cfg = config.brand_weights()
-    window = config.raw["smoothing_window"]
+    outdir = _output_dir(config, workdir)
+    tables, sigma_table = _load_city(config, workdir)
     sp = config.raw["spillover"]
-    base_cfg = config.spillover_config()
+    base = config.spillover_config()
+    thresholds = [float(d) for d in sp["sweep_thresholds"]]
+    analyses = {(base.threshold_m, base.decay): _Analysis(config, tables, sigma_table, base)}
+    for key in ([(d, base.decay) for d in thresholds]
+                + [(base.threshold_m, decay) for decay in sp["sweep_decays"]]):
+        analyses.setdefault(key, _Analysis(config, tables, sigma_table,
+                                           spillover.SpilloverConfig(*key)))
+    r2_by_threshold = {p: {str(int(d)): analyses[d, base.decay].fits[p].adjusted_r2
+                           for d in thresholds} for p in PERIODS}
+    r2_by_decay = {p: {decay: analyses[base.threshold_m, decay].fits[p].adjusted_r2
+                       for decay in sp["sweep_decays"]} for p in PERIODS}
 
-    paths = config.table_paths(workdir)
-    if paths.brands is None:
-        raise ValidationError("a brands table is required for robustness runs")
-    tables = load_tables(paths, config.raw["inputs"]["format"])
-    sigma_table = spillover.calibrate_sigma(tables.anchors)
-    points_xy = tables.points_xy()
-
-    def _r2_for(threshold: float, decay: str) -> dict[str, float]:
-        cfg_v = spillover.SpilloverConfig(threshold_m=threshold, decay=decay)
-        mv_point = spillover.field_all(points_xy, tables.anchors, sigma_table, cfg_v)
-        mv_seg = _segment_mv(tables, mv_point)
-        seg_ids, matrix, _, _ = _indicator_table(tables, mv_seg, weights_cfg, window)
-        nm_v = scoring.align_and_normalize(matrix, seg_ids)
-        x_matrix = nm_v.values if config.raw["gwr"]["x_source"] == "normalized" else matrix
-        designs = _gwr_designs(tables, seg_ids, x_matrix, config.raw["gwr"]["kernel"])
-        fits = time_sliced(designs, config.bandwidth())
-        return {p: fits[p].adjusted_r2 for p in PERIODS}
-
-    cache: dict[tuple[float, str], dict[str, float]] = {}
-
-    def _cached(threshold: float, decay: str) -> dict[str, float]:
-        key = (float(threshold), decay)
-        if key not in cache:
-            cache[key] = _r2_for(*key)
-        return cache[key]
-
-    r2_by_threshold = {p: {} for p in PERIODS}
-    for d in sp["sweep_thresholds"]:
-        r2 = _cached(float(d), base_cfg.decay)
-        for p in PERIODS:
-            r2_by_threshold[p][str(int(d))] = r2[p]
-    r2_by_decay = {p: {} for p in PERIODS}
-    for decay in sp["sweep_decays"]:
-        r2 = _cached(base_cfg.threshold_m, decay)
-        for p in PERIODS:
-            r2_by_decay[p][decay] = r2[p]
-
-    # baseline composite indices and their rank agreement
-    mv_point = spillover.field_all(points_xy, tables.anchors, sigma_table, base_cfg)
-    mv_seg = _segment_mv(tables, mv_point)
-    seg_ids, matrix, _, point_br = _indicator_table(tables, mv_seg, weights_cfg, window)
-    nm = scoring.align_and_normalize(matrix, seg_ids)
-    wm = scoring.compute_weight_matrix(nm)
-    sevi = scoring.topsis(scoring.block_aggregate(nm.values, wm), seg_ids).sevi
-    sevi_eq, sevi_pca = scoring.alternative_indices(nm)
-    corr = stats.spearman_matrix(np.column_stack([sevi, sevi_eq, sevi_pca]),
+    baseline = analyses[base.threshold_m, base.decay]
+    sevi_result, sevi_eq, sevi_pca = baseline.scores
+    corr = stats.spearman_matrix(np.column_stack([sevi_result.sevi, sevi_eq, sevi_pca]),
                                  ["sevi", "sevi_eq", "sevi_pca"])
-
-    tier_validation = _tier_validation(tables, point_br, float(config.raw["poi_radius_m"]))
+    tier_validation = baseline.validation
 
     rob = RobustnessReport(
         r2_by_threshold=r2_by_threshold, r2_by_decay=r2_by_decay,
         index_correlation={"labels": corr.labels, "matrix": corr.values.tolist()},
-        tier_validation=tier_validation,
-        thresholds=[float(d) for d in sp["sweep_thresholds"]],
+        tier_validation=tier_validation, thresholds=thresholds,
         decays=list(sp["sweep_decays"]),
     )
     rob.validate_complete()
@@ -757,8 +758,7 @@ def decode_to_files(config: PipelineConfig, workdir: Path) -> dict:
     """Run the offline (or live) two-stage decode and write assignments.csv,
     brands.csv, and decode_summary.json under the output directory."""
     workdir = Path(workdir)
-    outdir = workdir / config.raw["output_dir"]
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(config, workdir)
     dec = config.raw["decode"]
     db = brandsem.ReferenceDb.from_json(workdir / dec["reference_db"])
     if dec["backend"] == "offline":
@@ -814,16 +814,14 @@ def evaluate_files(gt_path: Path, pred_path: Path, out_path: Path | None = None)
 def ingest(config: PipelineConfig, workdir: Path) -> dict:
     """Validate the inputs and write round-tripped copies plus a summary."""
     workdir = Path(workdir)
-    outdir = workdir / config.raw["output_dir"]
+    outdir = _output_dir(config, workdir)
     tables = load_tables(config.table_paths(workdir), config.raw["inputs"]["format"])
-    validated_dir = outdir / "validated"
-    write_tables(tables, validated_dir)
+    write_tables(tables, outdir / "validated")
     summary = {
         "points": len(tables.points), "segments": len(tables.segments),
         "anchors": len(tables.anchors), "pois": len(tables.pois),
         "lbs_segments": len(tables.lbs),
         "brand_points": len(tables.brands) if tables.brands else 0,
     }
-    outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / "ingest_summary.json", summary)
     return summary

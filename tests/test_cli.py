@@ -28,16 +28,39 @@ def test_bad_config_exits_one(city_dir, tmp_path, capsys, extra, overrides):
     assert "no_such_key" in capsys.readouterr().err
 
 
-def test_calibration_error_exits_two(city_dir, tmp_path, capsys):
+def _edited_city(city_dir, tmp_path, table, edit):
+    """A copy of the city whose `table` rows are replaced by edit(rows)."""
     city = tmp_path / "city"
     shutil.copytree(city_dir, city)
-    with open(city / "anchors.csv", newline="", encoding="utf-8") as fh:
+    with open(city / table, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
-    for row in rows:  # every anchor of every category at the same spot
-        row["lon"], row["lat"] = rows[0]["lon"], rows[0]["lat"]
-    with open(city / "anchors.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+    fieldnames = list(rows[0])
+    with open(city / table, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        writer.writerows(rows)
-    assert main(["--workdir", str(city), "spillover", "--config", _config(tmp_path)]) == 2
+        writer.writerows(edit(rows))
+    return city
+
+
+def _coincide(rows):  # every anchor of every category at the same spot
+    for row in rows:
+        row["lon"], row["lat"] = rows[0]["lon"], rows[0]["lat"]
+    return rows
+
+
+@pytest.mark.parametrize("command", ["spillover", "robustness"])
+def test_calibration_error_exits_two(city_dir, tmp_path, capsys, command):
+    city = _edited_city(city_dir, tmp_path, "anchors.csv", _coincide)
+    assert main(["--workdir", str(city), command, "--config", _config(tmp_path)]) == 2
     assert "stage 'calibrate_sigma' failed" in capsys.readouterr().err
+
+
+def test_empty_mid_tier_exits_two(city_dir, tmp_path, capsys):
+    # with brand tallies on one point in 30, over two thirds of the active
+    # points have a brand premium of 0, so both tertile cuts fall on 0
+    city = _edited_city(city_dir, tmp_path, "brands.csv", lambda rows: rows[::30])
+    assert main(["--workdir", str(city), "stats", "--config", _config(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'validation' failed" in err and "tier 'mid'" in err
+    assert (tmp_path / "out" / "correlation.csv").is_file()
+    assert not (tmp_path / "out" / "tier_validation.csv").exists()

@@ -1,9 +1,11 @@
 import csv
 import json
+import math
 
 import pytest
 
-from sevi.pipeline import PipelineConfig, run
+from sevi.geodata import PERIODS
+from sevi.pipeline import PipelineConfig, robustness, run
 
 # headline values of the bundled synthetic city (seed 20251015)
 MEAN_ADJUSTED_R2 = 0.603279
@@ -11,9 +13,16 @@ SEVI_MEAN = 0.521222
 KW_H = 258.331652
 
 
-def _run(city_dir, outdir, overrides=()):
-    config = PipelineConfig.from_mapping({"output_dir": str(outdir)}, list(overrides))
-    return run(config, city_dir)
+def _config(outdir, overrides=()):
+    return PipelineConfig.from_mapping({"output_dir": str(outdir)}, list(overrides))
+
+
+def _run(city_dir, outdir, overrides=(), until=None):
+    return run(_config(outdir, overrides), city_dir, until=until)
+
+
+def _json(path):
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _close(value, reference, tol=1e-5):
@@ -51,6 +60,11 @@ def test_geojson_has_one_feature_per_scored_point(city_dir, default_run):
         assert props["sevi"] == scored[points[pid]]
 
 
+def test_override_leaves_later_configs_alone(tmp_path):
+    assert _config(tmp_path, ["gwr.bandwidth=1500"]).raw["gwr"]["bandwidth"] == 1500
+    assert _config(tmp_path).raw["gwr"]["bandwidth"] == "aicc"
+
+
 def test_rerun_gives_identical_manifest(city_dir, tmp_path):
     # the output directory is not part of the analysis, so it stays out of
     # config_sha256 and the two manifests agree byte for byte
@@ -60,3 +74,32 @@ def test_rerun_gives_identical_manifest(city_dir, tmp_path):
     assert first["files"]
     assert ((tmp_path / "a" / "manifest.json").read_bytes()
             == (tmp_path / "b" / "manifest.json").read_bytes())
+
+
+@pytest.mark.parametrize("until, last_stage", [
+    ("spillover", "spillover_field"), ("indicators", "indicators"), ("sevi", "scores"),
+    ("stats", "validation"), ("gwr", "gwr"),
+])
+def test_until_writes_exactly_its_manifest(city_dir, default_run, tmp_path, until, last_stage):
+    doc = _run(city_dir, tmp_path, until=until)
+    assert doc == _json(tmp_path / "manifest.json")
+    assert {p.name for p in tmp_path.iterdir()} == set(doc["files"]) | {"manifest.json"}
+    full = [stage["name"] for stage in _json(default_run / "manifest.json")["stages"]]
+    assert [stage["name"] for stage in doc["stages"]] == full[:full.index(last_stage) + 1]
+
+
+def test_robustness_grid_complete_and_baseline_matches_run(city_dir, default_run, tmp_path):
+    config = _config(tmp_path)
+    robustness(config, city_dir)
+    doc = _json(tmp_path / "robustness.json")
+    sp = config.raw["spillover"]
+    summary = _json(default_run / "gwr_summary.json")
+    for p in PERIODS:
+        assert set(doc["r2_by_threshold"][p]) == {str(int(d)) for d in sp["sweep_thresholds"]}
+        assert set(doc["r2_by_decay"][p]) == set(sp["sweep_decays"])
+        cells = list(doc["r2_by_threshold"][p].values()) + list(doc["r2_by_decay"][p].values())
+        assert all(isinstance(v, float) and math.isfinite(v) for v in cells)
+        baseline = summary["periods"][p]["adjusted_r2"]
+        assert doc["r2_by_threshold"][p]["2000"] == baseline
+        assert doc["r2_by_decay"][p]["gaussian"] == baseline
+    assert doc["tier_validation"]["kw"]["h"] == _json(default_run / "kw.json")["h"]

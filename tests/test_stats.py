@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 from sevi.exceptions import ComputationError, ValidationError
-from sevi.stats import (chi2_sf, kruskal_wallis, pca, rankdata, reg_gamma_q,
-                        spearman, spearman_matrix, tertile_split, varimax)
+from sevi.stats import (chi2_sf, kruskal_wallis, pca, rankdata, spearman,
+                        spearman_matrix, tertile_split, varimax)
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +189,20 @@ def test_varimax_warns_on_non_convergence(rng):
 
 
 # ---------------------------------------------------------------------------
-# chi-square survival / incomplete gamma
+# chi-square survival
 # ---------------------------------------------------------------------------
-
-def test_reg_gamma_q_against_scipy():
-    for a in (0.5, 1.0, 1.5, 2.0, 3.5, 10.0, 50.0):
-        for x in (0.0, 1e-8, 0.3, 1.0, 2.5, 7.0, 30.0, 120.0):
-            mine = reg_gamma_q(a, x)
-            ref = float(scipy.special.gammaincc(a, x))
-            assert mine == pytest.approx(ref, rel=1e-10, abs=1e-300)
-
 
 def test_chi2_sf_basics():
     assert chi2_sf(0.0, 2) == 1.0
-    # dof=2 has the closed form exp(-x/2)
+    # closed forms: dof 1 erfc(sqrt(x/2)), dof 2 exp(-x/2), dof 4 exp(-x/2)(1 + x/2)
     assert chi2_sf(3.0, 2) == pytest.approx(math.exp(-1.5), rel=1e-12)
+    for x in (0.01, 0.5, 1.0, 3.84, 10.0, 40.0):
+        assert chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-12)
+        assert chi2_sf(x, 4) == pytest.approx(math.exp(-x / 2) * (1 + x / 2), rel=1e-12)
+    with pytest.raises(ValidationError):
+        chi2_sf(1.0, 0)
+    with pytest.raises(ValidationError):
+        chi2_sf(-1.0, 2)
 
 
 # ---------------------------------------------------------------------------
