@@ -8,15 +8,14 @@ anchor, and crowd-intensity inputs.
 
 from .exceptions import (ComputationError, ConfigError, SeviError, StageError,
                          ValidationError)
-from .geodata import (CityTables, SpatialIndex, TablePaths, load_tables,
-                      project_to_metric)
+from .geodata import CityTables, TablePaths, load_tables, project_to_metric
 from .pipeline import PipelineConfig, robustness, run
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CityTables", "ComputationError", "ConfigError", "PipelineConfig",
-    "SeviError", "SpatialIndex", "StageError", "TablePaths",
-    "ValidationError", "load_tables", "project_to_metric",
+    "SeviError", "StageError", "TablePaths", "ValidationError",
+    "load_tables", "project_to_metric",
     "robustness", "run", "__version__",
 ]

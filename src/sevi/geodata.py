@@ -1,4 +1,4 @@
-"""Data model, ingestion, metric projection, spatial indexing, and joins.
+"""Data model, ingestion, metric projection, and the cell-grid radius join.
 
 All tables are immutable after load and safe for concurrent reads. Ingestion
 is strict: the first bad row aborts the load with a file/row/column
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .exceptions import SchemaError, ValidationError
 
@@ -156,43 +155,6 @@ class CityTables:
                         key=lambda p: p.order_along_segment)
             for sid, seg in self.segments.items()
         }
-
-
-class SpatialIndex:
-    """Balanced k-d tree over metric (x, y) sites.
-
-    Duplicate coordinates are kept as distinct entries; queries return
-    exactly the brute-force answer set (radius comparisons are <=).
-    """
-
-    def __init__(self, xy: np.ndarray):
-        xy = np.asarray(xy, dtype=float)
-        if xy.ndim != 2 or xy.shape[1] != 2:
-            raise ValidationError(f"spatial index expects an (n, 2) array, got {xy.shape}")
-        if xy.shape[0] and not np.all(np.isfinite(xy)):
-            raise ValidationError("spatial index coordinates must be finite")
-        self._xy = xy.copy()
-        self._tree = cKDTree(self._xy, balanced_tree=True) if len(xy) else None
-
-    def __len__(self) -> int:
-        return len(self._xy)
-
-    def query_radius(self, xy: tuple[float, float], radius: float) -> np.ndarray:
-        """Indices of all sites with Euclidean distance <= radius, ascending."""
-        if radius <= 0:
-            raise ValidationError(f"radius must be positive, got {radius}")
-        if self._tree is None:
-            return np.empty(0, dtype=np.intp)
-        idx = np.asarray(self._tree.query_ball_point(list(xy), radius), dtype=np.intp)
-        idx.sort()
-        return idx
-
-    def query_nearest(self, xy: tuple[float, float], k: int = 1):
-        """(distances, indices) of the k nearest sites."""
-        if self._tree is None:
-            raise ValidationError("nearest query on an empty index")
-        d, i = self._tree.query(list(xy), k=k)
-        return np.atleast_1d(d), np.atleast_1d(i)
 
 
 # ---------------------------------------------------------------------------
@@ -559,27 +521,101 @@ def write_tables(tables: CityTables, outdir: Path) -> list[Path]:
 # spatial joins
 # ---------------------------------------------------------------------------
 
+# candidate pairs `pairs_within` tests at once; bounds its working memory
+_PAIR_CHUNK = 2**16
+
+
+def _xy_array(xy, what: str) -> np.ndarray:
+    xy = np.asarray(xy, dtype=float)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValidationError(f"{what} coordinates must be an (n, 2) array, got {xy.shape}")
+    if not np.all(np.isfinite(xy)):
+        raise ValidationError(f"{what} coordinates must be finite")
+    return xy
+
+
+def pairs_within(query_xy, site_xy, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays `(qi, si)` of every query/site pair with Euclidean
+    distance <= `radius`, ordered by query, then site.
+
+    Duplicate sites are distinct entries. The test is the correctly rounded
+    `math.hypot(dx, dy) <= radius`. Sites are bucketed into square cells at
+    least `radius` wide, so each query's candidates are the sites of the
+    3 x 3 cells around its own: three contiguous runs of the cell-sorted
+    sites, found with `np.searchsorted`.
+    """
+    if not radius > 0:
+        raise ValidationError(f"radius must be positive, got {radius}")
+    q = _xy_array(query_xy, "query")
+    s = _xy_array(site_xy, "site")
+    if len(q) == 0 or len(s) == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+
+    lo = s.min(axis=0)
+    span = s.max(axis=0) - lo
+    # at most 2**20 cells a side keeps a row-major cell key inside int64; the
+    # 2**-20 widening keeps rounding in the cell coordinates from putting a
+    # site at distance exactly `radius` two cells away from its query
+    cell = max(float(radius), float(span.max()) / 2**20) * (1.0 + 2**-20)
+    ncols, nrows = (np.floor(span / cell).astype(np.int64) + 1).tolist()
+    site_cell = np.floor((s - lo) / cell).astype(np.int64)
+    site_key = site_cell[:, 1] * ncols + site_cell[:, 0]
+    order = np.argsort(site_key, kind="stable")
+    site_key = site_key[order]
+
+    # a query more than one cell off the grid reaches no site, so its cell is
+    # clamped there; the column run is clamped to the grid, so the key runs of
+    # rows outside it are empty
+    q_cell = np.clip(np.floor((q - lo) / cell), -1, [ncols, nrows]).astype(np.int64)
+    col_lo = np.maximum(q_cell[:, 0] - 1, 0)[:, None]
+    col_hi = np.minimum(q_cell[:, 0] + 1, ncols - 1)[:, None]
+    row_key = (q_cell[:, 1, None] + np.arange(-1, 2)) * ncols
+    start = np.searchsorted(site_key, row_key + col_lo, side="left")
+    count = np.searchsorted(site_key, row_key + col_hi, side="right") - start
+    per_query = count.sum(axis=1)
+    cum = np.concatenate(([0], np.cumsum(per_query)))
+
+    out_q, out_s = [], []
+    a = 0
+    while a < len(q):
+        b = max(int(np.searchsorted(cum, cum[a] + _PAIR_CHUNK, side="right")) - 1, a + 1)
+        run_start, run_len = start[a:b].ravel(), count[a:b].ravel()
+        # the k-th candidate of a run sits at run_start + k in the sorted sites
+        pos = np.repeat(run_start - (np.cumsum(run_len) - run_len), run_len)
+        si = order[pos + np.arange(int(cum[b] - cum[a]))]
+        qi = np.repeat(np.arange(a, b), per_query[a:b])
+        dx = s[si, 0] - q[qi, 0]
+        dy = s[si, 1] - q[qi, 1]
+        dist = np.hypot(dx, dy)
+        keep = dist <= radius
+        # np.hypot may round one unit in the last place away from math.hypot;
+        # pairs that close to the radius are settled by math.hypot
+        for k in np.flatnonzero(np.abs(dist - radius) <= np.spacing(radius)).tolist():
+            keep[k] = math.hypot(dx[k], dy[k]) <= radius
+        qi, si = qi[keep], si[keep]
+        by_site = np.lexsort((si, qi))
+        out_q.append(qi[by_site])
+        out_s.append(si[by_site])
+        a = b
+    return np.concatenate(out_q), np.concatenate(out_s)
+
+
 def radius_join(points: list[SamplingPoint], pois: list[PoiRecord],
                 radius: float) -> dict[str, list[str]]:
     """For each point, the ids of all POIs within `radius` meters (<=),
-    sorted by POI id."""
-    if radius <= 0:
-        raise ValidationError(f"radius must be positive, got {radius}")
-    result: dict[str, list[str]] = {}
-    if not pois:
-        return {p.id: [] for p in points}
-    xy = np.array([(q.x, q.y) for q in pois], dtype=float)
-    ids = [q.id for q in pois]
-    index = SpatialIndex(xy)
-    for p in points:
-        cand = index.query_radius((p.x, p.y), radius)
-        hits = []
-        for j in cand:
-            if math.hypot(xy[j, 0] - p.x, xy[j, 1] - p.y) <= radius:
-                hits.append(ids[j])
-        hits.sort()
-        result[p.id] = hits
-    return result
+    sorted by POI id: one `pairs_within` call over the id-sorted POIs."""
+    by_id = sorted(pois, key=lambda q: q.id)
+    qi, si = pairs_within(
+        np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2),
+        np.array([(q.x, q.y) for q in by_id], dtype=float).reshape(-1, 2),
+        radius,
+    )
+    # within a point the pairs ascend by site index, which is the POI id rank
+    bounds = np.searchsorted(qi, np.arange(len(points) + 1)).tolist()
+    ranks = si.tolist()
+    ids = [q.id for q in by_id]
+    return {p.id: [ids[j] for j in ranks[bounds[k]:bounds[k + 1]]]
+            for k, p in enumerate(points)}
 
 
 def filter_active(points: list[SamplingPoint],

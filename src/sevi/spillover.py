@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .exceptions import CalibrationError, ComputationError, ValidationError
-from .geodata import MallAnchor, SamplingPoint, SpatialIndex
+from .geodata import MallAnchor, SamplingPoint
 
 DECAYS = ("gaussian", "exponential", "linear")
 DEFAULT_THRESHOLD_M = 2000.0
@@ -65,17 +65,16 @@ def calibrate_sigma(anchors: list[MallAnchor]) -> SigmaTable:
         members = by_cat[cat]
         if len(members) < 2:
             continue
-        xy = np.array([(a.x, a.y) for a in members], dtype=float)
-        index = SpatialIndex(xy)
-        total = 0.0
-        for k in range(len(members)):
-            # two nearest: the first is the anchor itself (distance 0)
-            d, idx = index.query_nearest((xy[k, 0], xy[k, 1]), k=2)
-            if idx[0] == k:
-                total += d[1]
-            else:
-                # a coincident twin was returned first; its distance is the NN distance
-                total += d[0]
+        x = np.array([a.x for a in members], dtype=float)
+        y = np.array([a.y for a in members], dtype=float)
+        dx = x[:, None] - x[None, :]
+        dy = y[:, None] - y[None, :]
+        dist = np.sqrt(dx * dx + dy * dy)
+        # an anchor is not its own competitor; a coincident twin still gives 0
+        np.fill_diagonal(dist, np.inf)
+        # a left-to-right sum in member order: np.sum's pairwise order would
+        # move the last bits of sigma
+        total = sum(dist.min(axis=1).tolist())
         sigma = total / len(members)
         if sigma <= 0.0:
             raise CalibrationError(
@@ -117,21 +116,17 @@ def _sorted_anchor_arrays(anchors: list[MallAnchor], sigma_table: SigmaTable):
     ax = np.array([a.x for a in ordered], dtype=float)
     ay = np.array([a.y for a in ordered], dtype=float)
     sig = np.array([sigma_table.get(a.category) for a in ordered], dtype=float)
-    return ordered, ax, ay, sig
+    return ax, ay, sig
 
 
 def field_at(point: SamplingPoint, anchors: list[MallAnchor], sigma_table: SigmaTable,
-             config: SpilloverConfig, index: SpatialIndex | None = None) -> float:
-    """Spillover value at one point: candidates from the spatial index within
-    the threshold, gate re-checked, summed in ascending anchor-id order."""
-    ordered, ax, ay, sig = _sorted_anchor_arrays(anchors, sigma_table)
-    if not ordered:
-        return 0.0
-    if index is None:
-        index = SpatialIndex(np.column_stack([ax, ay]))
-    cand = index.query_radius((point.x, point.y), config.threshold_m)
+             config: SpilloverConfig) -> float:
+    """Spillover value at one point: a scalar scan of the id-sorted anchors,
+    gated at the threshold and summed in ascending anchor-id order. The
+    reference that tests hold `field_all` to."""
+    ax, ay, sig = _sorted_anchor_arrays(anchors, sigma_table)
     acc = 0.0
-    for j in cand:  # ascending index == ascending anchor id
+    for j in range(len(ax)):
         d = math.hypot(ax[j] - point.x, ay[j] - point.y)
         if d <= config.threshold_m:
             acc += decay_value(d, sig[j], config)
@@ -143,12 +138,12 @@ def field_all(points_xy: np.ndarray, anchors: list[MallAnchor], sigma_table: Sig
     """Spillover values for a full point set via `kernels.spill_field`.
 
     The kernel evaluates the gate directly over the id-sorted anchor arrays,
-    which is the same indicator the index-backed candidate search applies.
+    as `field_at` does for one point.
     """
     points_xy = np.asarray(points_xy, dtype=float).reshape(-1, 2)
     if len(points_xy) == 0:
         return np.zeros(0)
-    _, ax, ay, sig = _sorted_anchor_arrays(anchors, sigma_table)
+    ax, ay, sig = _sorted_anchor_arrays(anchors, sigma_table)
     if len(ax) == 0:
         return np.zeros(len(points_xy))
     return kernels.spill_field(

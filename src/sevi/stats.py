@@ -1,7 +1,8 @@
 """Rank statistics, PCA with varimax rotation, and the Kruskal-Wallis test.
 
 Ranks, correlations, PCA and the H statistic are computed here with numpy;
-the chi-square tail probability of H comes from `scipy.special.chdtrc`.
+the chi-square tail probability of H is a closed-form sum over the integer
+degrees of freedom.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .exceptions import ComputationError, ValidationError
 
@@ -191,12 +191,28 @@ def pca(matrix: np.ndarray, n_components: int = 4,
 # ---------------------------------------------------------------------------
 
 def chi2_sf(x: float, dof: int) -> float:
-    """Chi-square survival function P(X >= x) with `dof` degrees of freedom."""
-    if dof < 1:
-        raise ValidationError(f"degrees of freedom must be >= 1, got {dof}")
+    """Chi-square survival function P(X >= x) with `dof` degrees of freedom.
+
+    With h = x / 2, an even `dof` gives sum_{i < dof/2} e^-h h^i / i!, and an
+    odd one gives erfc(sqrt(h)) + sum_{i=1}^{(dof-1)/2} e^-h h^(i-1/2) / G(i+1/2).
+    Each term is formed in log space, so none underflows before the sum does.
+    """
+    if dof < 1 or dof != int(dof):
+        raise ValidationError(f"degrees of freedom must be an integer >= 1, got {dof}")
     if x < 0:
         raise ValidationError(f"argument must be >= 0, got {x}")
-    return float(special.chdtrc(dof, x))
+    dof = int(dof)
+    if x == 0:
+        return 1.0
+    h = 0.5 * x
+    log_h = math.log(h)
+    if dof % 2 == 0:
+        terms = [math.exp(i * log_h - h - math.lgamma(i + 1)) for i in range(dof // 2)]
+    else:
+        terms = [math.erfc(math.sqrt(h))]
+        terms += [math.exp((i - 0.5) * log_h - h - math.lgamma(i + 0.5))
+                  for i in range(1, (dof - 1) // 2 + 1)]
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------

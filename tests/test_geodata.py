@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevi.exceptions import SchemaError, ValidationError
 from sevi.geodata import (COUNT_COLUMNS, EARTH_RADIUS_M, POINTS_HEADER,
-                          SpatialIndex, TablePaths, filter_active, load_tables,
-                          metric_to_lonlat, project_to_metric, radius_join,
-                          write_tables)
+                          TablePaths, filter_active, load_tables,
+                          metric_to_lonlat, pairs_within, project_to_metric,
+                          radius_join, write_tables)
 from sevi.geodata import PoiRecord
 
 from .conftest import make_point
@@ -59,53 +61,110 @@ def test_projection_round_trip(rng):
 
 
 # ---------------------------------------------------------------------------
-# spatial index
+# pair search
 # ---------------------------------------------------------------------------
 
-def _brute_radius(xy, q, r):
-    d = np.hypot(xy[:, 0] - q[0], xy[:, 1] - q[1])
-    return set(np.flatnonzero(d <= r).tolist())
+def _brute_pairs(query_xy, site_xy, r):
+    """(query, site) index pairs with math.hypot <= r, in (query, site) order."""
+    return [(i, j) for i, (qx, qy) in enumerate(query_xy) for j, (sx, sy) in enumerate(site_xy)
+            if math.hypot(sx - qx, sy - qy) <= r]
+
+
+def _pairs(query_xy, site_xy, r):
+    qi, si = pairs_within(np.asarray(query_xy, dtype=float).reshape(-1, 2),
+                          np.asarray(site_xy, dtype=float).reshape(-1, 2), r)
+    return list(zip(qi.tolist(), si.tolist()))
 
 
 def test_index_matches_brute_force(rng):
     for _ in range(20):
         n = int(rng.integers(1, 400))
         xy = rng.uniform(0, 1000, (n, 2))
-        index = SpatialIndex(xy)
-        q = tuple(rng.uniform(0, 1000, 2))
+        queries = rng.uniform(0, 1000, (int(rng.integers(1, 30)), 2))
         r = float(rng.uniform(10, 500))
-        assert set(index.query_radius(q, r).tolist()) == _brute_radius(xy, q, r)
+        assert _pairs(queries, xy, r) == _brute_pairs(queries, xy, r)
 
 
 def test_index_permutation_invariant(rng):
     xy = rng.uniform(0, 100, (200, 2))
     perm = rng.permutation(200)
-    a = SpatialIndex(xy)
-    b = SpatialIndex(xy[perm])
-    for _ in range(20):
-        q = tuple(rng.uniform(0, 100, 2))
-        r = float(rng.uniform(5, 60))
-        ids_a = set(map(tuple, xy[a.query_radius(q, r)]))
-        ids_b = set(map(tuple, xy[perm][b.query_radius(q, r)]))
-        assert ids_a == ids_b
+    queries = rng.uniform(0, 100, (20, 2))
+    for r in rng.uniform(5, 60, 5):
+        qa, sa = pairs_within(queries, xy, float(r))
+        qb, sb = pairs_within(queries, xy[perm], float(r))
+        assert qa.tolist() == qb.tolist()
+        assert sorted(zip(qa.tolist(), perm[sb].tolist())) == list(zip(qa.tolist(), sa.tolist()))
 
 
 def test_index_keeps_duplicates():
     xy = np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
-    index = SpatialIndex(xy)
-    hits = index.query_radius((1.0, 1.0), 0.5)
-    assert hits.tolist() == [0, 1]
+    assert _pairs([[1.0, 1.0]], xy, 0.5) == [(0, 0), (0, 1)]
 
 
 def test_index_boundary_is_inclusive():
     # exact 3-4-5 triangle: the distance is exactly representable
-    index = SpatialIndex(np.array([[3.0, 4.0]]))
-    assert index.query_radius((0.0, 0.0), 5.0).tolist() == [0]
+    assert _pairs([[0.0, 0.0]], [[3.0, 4.0]], 5.0) == [(0, 0)]
+    assert _pairs([[0.0, 0.0]], [[3.0, 4.0]], np.nextafter(5.0, 0.0)) == []
 
 
 def test_index_empty():
-    index = SpatialIndex(np.empty((0, 2)))
-    assert index.query_radius((0.0, 0.0), 10.0).tolist() == []
+    assert _pairs([[0.0, 0.0]], np.empty((0, 2)), 10.0) == []
+    assert _pairs(np.empty((0, 2)), [[0.0, 0.0]], 10.0) == []
+
+
+def test_pairs_negative_coordinates_and_queries_off_the_grid(rng):
+    sites = rng.uniform(-5000, -3000, (300, 2))
+    # inside the site extent, just outside it, and far outside it
+    queries = np.vstack([rng.uniform(-5200, -2800, (40, 2)),
+                         [[-5000 - 75.0, -4000.0], [-2900.0, -2900.0], [1e6, -1e6], [-1e7, 0.0]]])
+    assert _pairs(queries, sites, 80.0) == _brute_pairs(queries, sites, 80.0)
+
+
+def test_pairs_radius_larger_than_extent(rng):
+    # 90,000 candidate pairs: more than one chunk of the search
+    sites = rng.uniform(0, 50, (300, 2))
+    queries = rng.uniform(-100, 150, (300, 2))
+    assert _pairs(queries, sites, 400.0) == _brute_pairs(queries, sites, 400.0)
+    # one site, or all sites coincident: the extent is zero
+    assert _pairs(queries, [[7.0, 7.0]] * 3, 60.0) == _brute_pairs(queries, [[7.0, 7.0]] * 3, 60.0)
+
+
+def test_pairs_sites_on_cell_edges_and_at_the_radius():
+    r = 25.0
+    # sites on every multiple of the radius, which are the edges of cells r
+    # wide, and queries on the same lattice and halfway between: many pairs
+    # sit exactly at distance r
+    lattice = [(i * r, j * r) for i in range(-3, 4) for j in range(-3, 4)]
+    queries = lattice + [(x + r / 2, y) for x, y in lattice] + [(x, y + r) for x, y in lattice]
+    got = _pairs(queries, lattice, r)
+    assert got == _brute_pairs(queries, lattice, r)
+    assert (0, 1) in got and (0, 7) in got    # the neighbours exactly r away
+    # 2 - (1 - 2**-53) rounds to a distance of exactly 1, though in exact
+    # arithmetic the site lies just over 1 away: cells exactly 1 wide would
+    # put it two cells from the query
+    sites = [(0.0, 0.0), (1.0 - 2**-53, 0.0), (3.0, 0.0)]
+    assert _pairs([(2.0, 0.0)], sites, 1.0) == [(0, 1), (0, 2)]
+    # a far site widens the cells past r, so one cell holds the whole lattice
+    wide = lattice + [(1e9, -1e9)]
+    assert _pairs(queries, wide, r) == _brute_pairs(queries, wide, r)
+
+
+def test_pairs_distance_rounds_as_math_hypot():
+    # a libm hypot that is not correctly rounded puts these two distances one
+    # unit in the last place above and below the correctly rounded math.hypot
+    for site in ((980.091, 269.908), (657.957, 216.65)):
+        d = math.hypot(*site)
+        for r in (d, float(np.nextafter(d, 0.0))):
+            assert _pairs([[0.0, 0.0]], [site], r) == _brute_pairs([[0.0, 0.0]], [site], r)
+
+
+def test_pairs_rejects_bad_input():
+    with pytest.raises(ValidationError):
+        pairs_within(np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
+    with pytest.raises(ValidationError):
+        pairs_within(np.zeros((1, 3)), np.zeros((1, 2)), 1.0)
+    with pytest.raises(ValidationError):
+        pairs_within(np.zeros((1, 2)), np.array([[0.0, np.nan]]), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +202,24 @@ def test_radius_join_brute_force_oracle(rng):
             q.id for q in pois if math.hypot(q.x - p.x, q.y - p.y) <= 120.0
         )
         assert joined[p.id] == expected
+
+
+_coord = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_coord, _coord), max_size=25),
+       st.lists(st.tuples(_coord, _coord, st.integers(0, 30)), max_size=40),
+       st.floats(1e-3, 3e4, allow_nan=False))
+def test_radius_join_property(point_xy, poi_rows, radius):
+    points = [make_point(f"p{i}", x, y) for i, (x, y) in enumerate(point_xy)]
+    # ids may repeat a sort key's prefix and arrive in any order
+    pois = [_poi(f"q{k}-{j}", x, y) for j, (x, y, k) in enumerate(poi_rows)]
+    joined = radius_join(points, pois, radius)
+    assert joined == {
+        p.id: sorted(q.id for q in pois if math.hypot(q.x - p.x, q.y - p.y) <= radius)
+        for p in points
+    }
 
 
 def test_filter_active():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sevi.exceptions import CalibrationError, ComputationError
-from sevi.geodata import MallAnchor, SpatialIndex
+from sevi.geodata import MallAnchor
 from sevi.spillover import (SigmaTable, SpilloverConfig, calibrate_sigma,
                             decay_value, field_all, field_at, threshold_sweep)
 
@@ -67,6 +67,31 @@ def test_sigma_planted_grid(rng):
                for i in range(4) for j in range(4)]
     table = calibrate_sigma(anchors)
     assert table.sigma_m["mall"] == pytest.approx(spacing, abs=1e-9)
+
+
+def _nn_mean(anchors):
+    """Mean nearest-competitor distance, each distance as sqrt(dx*dx + dy*dy)."""
+    total = 0.0
+    for a in anchors:
+        total += min(math.sqrt((a.x - b.x) * (a.x - b.x) + (a.y - b.y) * (a.y - b.y))
+                     for b in anchors if b is not a)
+    return total / len(anchors)
+
+
+def test_sigma_equals_nearest_neighbour_mean(rng):
+    anchors = [_anchor(f"m{j:02d}", *rng.uniform(-3e4, 4e4, 2), category="m")
+               for j in range(40)]
+    # one coincident pair among other anchors: both members have distance 0
+    twins = [_anchor(f"t{j}", *rng.uniform(1e6, 1e6 + 5e3, 2), category="t") for j in range(6)]
+    twins.append(_anchor("t6", twins[2].x, twins[2].y, category="t"))
+    # two-member categories: sigma is their one distance, unblurred by a sum
+    pairs = [_anchor(f"p{j}", *rng.uniform(-3e4, 4e4, 2), category=f"p{j // 2}")
+             for j in range(40)]
+    table = calibrate_sigma(anchors + twins + pairs)
+    assert table.sigma_m["m"] == _nn_mean(anchors)
+    assert table.sigma_m["t"] == _nn_mean(twins)
+    for c in range(20):
+        assert table.sigma_m[f"p{c}"] == _nn_mean(pairs[2 * c:2 * c + 2])
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +194,10 @@ def test_field_at_agrees_with_field_all(rng):
     anchors = [_anchor(f"a{j:02d}", *rng.uniform(0, 3000, 2)) for j in range(30)]
     table = _sigma_for(anchors)
     cfg = SpilloverConfig(threshold_m=1500.0)
-    index = SpatialIndex(np.array([[a.x, a.y] for a in sorted(anchors, key=lambda a: a.id)]))
     pts = [make_point(f"p{i}", *rng.uniform(0, 3000, 2)) for i in range(25)]
     batch = field_all(np.array([[p.x, p.y] for p in pts]), anchors, table, cfg)
     for i, p in enumerate(pts):
-        single = field_at(p, anchors, table, cfg, index=index)
+        single = field_at(p, anchors, table, cfg)
         assert single == pytest.approx(batch[i], abs=1e-12)
 
 

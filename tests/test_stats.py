@@ -205,6 +205,27 @@ def test_chi2_sf_basics():
         chi2_sf(-1.0, 2)
 
 
+def test_chi2_sf_matches_scipy_reference():
+    from scipy import special   # the reference only; `sevi` does not import scipy
+
+    worst = 0.0
+    for dof in range(1, 201):
+        # a grid to 2000, where e^-x/2 alone underflows past x = 1490 while the
+        # tail for large dof is still far above 1e-300, plus the bulk around dof
+        xs = np.concatenate([np.linspace(0.0, 2000.0, 201),
+                             dof + np.linspace(-3.0, 3.0, 13) * math.sqrt(2 * dof)])
+        for x in xs[xs >= 0].tolist():
+            ref = float(special.chdtrc(dof, x))
+            if ref > 1e-300:
+                worst = max(worst, abs(chi2_sf(x, dof) - ref) / ref)
+    assert worst <= 1e-12
+
+
+def test_chi2_sf_rejects_fractional_dof():
+    with pytest.raises(ValidationError):
+        chi2_sf(1.0, 2.5)
+
+
 # ---------------------------------------------------------------------------
 # Kruskal-Wallis
 # ---------------------------------------------------------------------------
