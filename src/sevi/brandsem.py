@@ -288,7 +288,8 @@ class HttpChatClient:
         return cls(endpoint=endpoint, token=token, model=model)
 
     def complete(self, request: VlmRequest) -> str:
-        import requests
+        import http.client
+        import urllib.request
 
         payload = {
             "model": self.model,
@@ -300,15 +301,18 @@ class HttpChatClient:
         headers = {
             "Authorization": f"Bearer {self.token}",
             "X-Idempotency-Key": request_hash(request),
+            "Content-Type": "application/json",
         }
+        body = json.dumps(payload).encode("utf-8")
         last_err = None
         for attempt in range(self.max_retries):
             try:
-                resp = requests.post(self.endpoint, json=payload, headers=headers,
-                                     timeout=self.timeout)
-                resp.raise_for_status()
-                return resp.json()["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, ValueError) as exc:
+                post = urllib.request.Request(self.endpoint, data=body, headers=headers,
+                                              method="POST")
+                # an HTTP error status raises HTTPError, an OSError
+                with urllib.request.urlopen(post, timeout=self.timeout) as resp:
+                    return json.loads(resp.read())["choices"][0]["message"]["content"]
+            except (OSError, http.client.HTTPException, KeyError, ValueError) as exc:
                 last_err = exc
                 time.sleep(min(2.0 ** attempt, 8.0))
         raise TransportError(f"model call failed after {self.max_retries} attempts: {last_err}")

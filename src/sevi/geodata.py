@@ -1,7 +1,15 @@
-"""Data model, ingestion, metric projection, and the cell-grid radius join.
+"""Data model, ingestion, metric projection, and the cell-grid pair search.
+
+Sampling points and POIs are held as columns, one array per field and one
+row per record in file order (`PointTable`, `PoiTable`). A point's sixteen
+detection counts are one row of an (n, 16) int64 matrix in COUNT_COLUMNS
+order. The route order sorts the segments by id and each segment's points by
+`order`; `PointTable.route` returns it as a permutation plus run bounds, so
+a per-segment reduction reads one contiguous slice of the permuted column.
 
 All tables are immutable after load and safe for concurrent reads. Ingestion
-is strict: the first bad row aborts the load with a file/row/column
+is strict: every row passes a per-row validator before the columns are
+built, and the first bad row aborts the load with a file/row/column
 diagnostic rather than silently dropping data.
 """
 
@@ -10,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,46 +73,10 @@ def metric_to_lonlat(x: float, y: float) -> tuple[float, float]:
     return lon, lat
 
 
-@dataclass(frozen=True)
-class DetectionCounts:
-    signboards_left: int = 0
-    signboards_right: int = 0
-    closed_left: int = 0
-    closed_right: int = 0
-    glass_left: int = 0
-    glass_right: int = 0
-    persons_left: int = 0
-    persons_right: int = 0
-    motor_left: int = 0
-    motor_right: int = 0
-    nonmotor_left: int = 0
-    nonmotor_right: int = 0
-    green_pixels_left: int = 0
-    green_pixels_right: int = 0
-    total_pixels_left: int = 0
-    total_pixels_right: int = 0
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-
-@dataclass(frozen=True)
-class SamplingPoint:
-    id: str
-    lon: float
-    lat: float
-    x: float
-    y: float
-    segment_id: str
-    order_along_segment: int
-    detections: DetectionCounts
-
-
 @dataclass
 class StreetSegment:
     id: str
     length_m: float
-    point_ids: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -118,43 +90,96 @@ class MallAnchor:
 
 
 @dataclass(frozen=True)
-class PoiRecord:
-    id: str
-    x: float
-    y: float
-    top_category: str
-    is_premium: bool
-
-
-@dataclass(frozen=True)
 class BrandTally:
     n_local: int = 0
     n_international: int = 0
     n_ordinary: int = 0
 
 
+def _columns(rows, dtypes) -> list[np.ndarray]:
+    """One array per field of `rows`, of the given dtypes."""
+    fields = list(zip(*rows)) or [()] * len(dtypes)
+    return [np.array(f, dtype=t) for f, t in zip(fields, dtypes)]
+
+
+@dataclass(frozen=True, eq=False)
+class PointTable:
+    """The sampling points as columns, one row per point in file order;
+    `counts` is (n, 16) int64 in COUNT_COLUMNS order, read via `both_sides`."""
+
+    ids: np.ndarray          # str objects
+    lon: np.ndarray
+    lat: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    segment_ids: np.ndarray  # str objects
+    order: np.ndarray        # int64 rank along the segment
+    counts: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows) -> "PointTable":
+        """Columns from (id, lon, lat, x, y, segment_id, order, counts) rows."""
+        *columns, counts = _columns(rows, (object, float, float, float, float, object,
+                                           np.int64, np.int64))
+        return cls(*columns, counts.reshape(-1, len(COUNT_COLUMNS)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def both_sides(self, name: str) -> np.ndarray:
+        """Per point, the left plus the right count of `name` ("signboards", ...)."""
+        j = COUNT_COLUMNS.index(f"{name}_left")
+        return self.counts[:, j] + self.counts[:, j + 1]
+
+    def route(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """Route order: the segments that hold points sorted by id, each one's
+        points by `order`. Returns (segment_ids, perm, bounds); the points of
+        `segment_ids[k]` are rows `perm[bounds[k]:bounds[k + 1]]`."""
+        segment_ids, code = np.unique(self.segment_ids, return_inverse=True)
+        perm = np.lexsort((self.order, code))
+        bounds = np.searchsorted(code[perm], np.arange(len(segment_ids) + 1))
+        return segment_ids.tolist(), perm, bounds
+
+
+@dataclass(frozen=True, eq=False)
+class PoiTable:
+    """The POIs as columns, one row per POI in file order."""
+
+    ids: np.ndarray         # str objects
+    x: np.ndarray
+    y: np.ndarray
+    category: np.ndarray    # str objects
+    is_premium: np.ndarray  # bool
+
+    @classmethod
+    def from_rows(cls, rows) -> "PoiTable":
+        """Columns from (id, x, y, top_category, is_premium) rows."""
+        return cls(*_columns(rows, (object, float, float, object, bool)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def counts_within(self, x, y, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """For each location (x[i], y[i]), the number of POIs within `radius`
+        meters (<=) and the number of premium ones among them."""
+        qi, si = pairs_within(np.column_stack((x, y)), np.column_stack((self.x, self.y)),
+                              radius)
+        n = len(x)
+        return (np.bincount(qi, minlength=n),
+                np.bincount(qi[self.is_premium[si]], minlength=n))
+
+
 @dataclass
 class CityTables:
     """Validated, referentially consistent in-memory tables."""
 
-    points: list[SamplingPoint]
+    points: PointTable
     segments: dict[str, StreetSegment]
     anchors: list[MallAnchor]
-    pois: list[PoiRecord]
+    pois: PoiTable
     lbs: dict[str, dict[str, float]]              # segment_id -> period -> uv
     brands: dict[str, BrandTally] | None = None   # point_id -> tally
     segment_geometry: dict[str, list[tuple[float, float]]] | None = None
-
-    def points_xy(self) -> np.ndarray:
-        return np.array([(p.x, p.y) for p in self.points], dtype=float).reshape(-1, 2)
-
-    def points_by_segment(self) -> dict[str, list[SamplingPoint]]:
-        by_id = {p.id: p for p in self.points}
-        return {
-            sid: sorted((by_id[pid] for pid in seg.point_ids),
-                        key=lambda p: p.order_along_segment)
-            for sid, seg in self.segments.items()
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +235,8 @@ def _parse_float(path, row, column, text, minimum=None):
     return value
 
 
-def _point_from_fields(path, lineno, rec: dict) -> SamplingPoint:
+def _point_from_fields(path, lineno, rec: dict) -> tuple:
+    """One validated `PointTable` row."""
     pid = rec["id"].strip()
     if not pid:
         raise SchemaError(path, lineno, "id", "empty id")
@@ -227,20 +253,9 @@ def _point_from_fields(path, lineno, rec: dict) -> SamplingPoint:
             raise SchemaError(path, lineno, f"green_pixels_{side}",
                               "green pixel count exceeds total pixel count")
     x, y = project_to_metric(lon, lat)
-    return SamplingPoint(
-        id=pid, lon=lon, lat=lat, x=x, y=y,
-        segment_id=rec["segment_id"].strip(),
-        order_along_segment=_parse_int(path, lineno, "order", rec["order"], minimum=0),
-        detections=DetectionCounts(**counts),
-    )
-
-
-def _load_points_csv(path: Path) -> list[SamplingPoint]:
-    points = []
-    for lineno, row in _read_csv_rows(path, POINTS_HEADER):
-        rec = dict(zip(POINTS_HEADER, row))
-        points.append(_point_from_fields(path, lineno, rec))
-    return points
+    return (pid, lon, lat, x, y, rec["segment_id"].strip(),
+            _parse_int(path, lineno, "order", rec["order"], minimum=0),
+            tuple(counts.values()))
 
 
 def _load_segments_csv(path: Path) -> dict[str, StreetSegment]:
@@ -280,8 +295,8 @@ def _load_anchors_csv(path: Path) -> list[MallAnchor]:
     return anchors
 
 
-def _load_pois_csv(path: Path) -> list[PoiRecord]:
-    pois = []
+def _load_pois_csv(path: Path) -> PoiTable:
+    rows = []
     seen = set()
     for lineno, row in _read_csv_rows(path, POIS_HEADER):
         pid = row[0].strip()
@@ -298,9 +313,8 @@ def _load_pois_csv(path: Path) -> list[PoiRecord]:
         if premium_raw not in ("0", "1"):
             raise SchemaError(path, lineno, "is_premium", f"must be 0 or 1, got {premium_raw!r}")
         x, y = project_to_metric(lon, lat)
-        pois.append(PoiRecord(id=pid, x=x, y=y,
-                              top_category=row[3].strip(), is_premium=premium_raw == "1"))
-    return pois
+        rows.append((pid, x, y, row[3].strip(), premium_raw == "1"))
+    return PoiTable.from_rows(rows)
 
 
 def _load_lbs_csv(path: Path, segments: dict[str, StreetSegment]):
@@ -419,52 +433,52 @@ def load_tables(paths: TablePaths, fmt: str = "csv") -> CityTables:
     if fmt not in ("csv", "geojson"):
         raise ValidationError(f"unknown table format {fmt!r} (expected csv or geojson)")
 
+    if fmt == "csv":
+        point_recs = ((n, dict(zip(POINTS_HEADER, row)))
+                      for n, row in _read_csv_rows(paths.points, POINTS_HEADER))
+    else:
+        point_recs = _load_point_features_geojson(paths.points, POINTS_HEADER)
+    points = PointTable.from_rows(_point_from_fields(paths.points, n, rec)
+                                  for n, rec in point_recs)
     segment_geometry = None
     if fmt == "csv":
-        points = _load_points_csv(paths.points)
         segments = _load_segments_csv(paths.segments)
         anchors = _load_anchors_csv(paths.anchors)
         pois = _load_pois_csv(paths.pois)
     else:
-        rows = _load_point_features_geojson(paths.points, POINTS_HEADER)
-        points = [_point_from_fields(paths.points, n, rec) for n, rec in rows]
         segments, segment_geometry = _load_segments_geojson(paths.segments)
         anchors = []
         for lineno, rec in _load_point_features_geojson(paths.anchors, ANCHORS_HEADER):
             x, y = project_to_metric(float(rec["lon"]), float(rec["lat"]))
             anchors.append(MallAnchor(id=rec["id"], category=rec["category"], x=x, y=y,
                                       lon=float(rec["lon"]), lat=float(rec["lat"])))
-        pois = []
+        poi_rows = []
         for lineno, rec in _load_point_features_geojson(paths.pois, POIS_HEADER):
             if rec["is_premium"] not in ("0", "1"):
                 raise SchemaError(paths.pois, lineno, "is_premium",
                                   f"must be 0 or 1, got {rec['is_premium']!r}")
             x, y = project_to_metric(float(rec["lon"]), float(rec["lat"]))
-            pois.append(PoiRecord(id=rec["id"], x=x, y=y, top_category=rec["top_category"],
-                                  is_premium=rec["is_premium"] == "1"))
+            poi_rows.append((rec["id"], x, y, rec["top_category"], rec["is_premium"] == "1"))
+        pois = PoiTable.from_rows(poi_rows)
 
     # referential integrity and per-segment ordering
     seen_points: set[str] = set()
     order_seen: dict[str, set[int]] = {}
-    for p in points:
-        if p.id in seen_points:
-            raise ValidationError(f"{paths.points}: duplicate point id {p.id!r}")
-        seen_points.add(p.id)
-        if p.segment_id not in segments:
+    for pid, sid, order in zip(points.ids.tolist(), points.segment_ids.tolist(),
+                               points.order.tolist()):
+        if pid in seen_points:
+            raise ValidationError(f"{paths.points}: duplicate point id {pid!r}")
+        seen_points.add(pid)
+        if sid not in segments:
             raise ValidationError(
-                f"{paths.points}: point {p.id!r} references unknown segment {p.segment_id!r}"
+                f"{paths.points}: point {pid!r} references unknown segment {sid!r}"
             )
-        orders = order_seen.setdefault(p.segment_id, set())
-        if p.order_along_segment in orders:
+        orders = order_seen.setdefault(sid, set())
+        if order in orders:
             raise ValidationError(
-                f"{paths.points}: duplicate order {p.order_along_segment} "
-                f"within segment {p.segment_id!r}"
+                f"{paths.points}: duplicate order {order} within segment {sid!r}"
             )
-        orders.add(p.order_along_segment)
-        segments[p.segment_id].point_ids.append(p.id)
-    order_of = {p.id: p.order_along_segment for p in points}
-    for seg in segments.values():
-        seg.point_ids.sort(key=lambda pid: order_of[pid])
+        orders.add(order)
 
     lbs = _load_lbs_csv(paths.lbs, segments)
 
@@ -495,18 +509,20 @@ def write_tables(tables: CityTables, outdir: Path) -> list[Path]:
             w.writerows(rows)
         written.append(path)
 
+    pts = tables.points
     _write("points.csv", POINTS_HEADER,
-           [(p.id, repr(p.lon), repr(p.lat), p.segment_id, p.order_along_segment)
-            + p.detections.as_tuple() for p in tables.points])
+           [(pid, repr(lon), repr(lat), sid, order, *counts)
+            for pid, lon, lat, sid, order, counts in zip(*(c.tolist() for c in (
+                pts.ids, pts.lon, pts.lat, pts.segment_ids, pts.order, pts.counts)))])
     _write("segments.csv", SEGMENTS_HEADER,
            [(s.id, repr(s.length_m)) for s in tables.segments.values()])
     _write("anchors.csv", ANCHORS_HEADER,
            [(a.id, a.category, repr(a.lon), repr(a.lat)) for a in tables.anchors])
-    pois_rows = []
-    for p in tables.pois:
-        lon, lat = metric_to_lonlat(p.x, p.y)
-        pois_rows.append((p.id, repr(lon), repr(lat), p.top_category, int(p.is_premium)))
-    _write("pois.csv", POIS_HEADER, pois_rows)
+    pois = tables.pois
+    _write("pois.csv", POIS_HEADER,
+           [(pid, *map(repr, metric_to_lonlat(x, y)), category, int(premium))
+            for pid, x, y, category, premium in zip(*(c.tolist() for c in (
+                pois.ids, pois.x, pois.y, pois.category, pois.is_premium)))])
     _write("lbs.csv", LBS_HEADER,
            [(sid, period, repr(slot[period]))
             for sid, slot in sorted(tables.lbs.items()) for period in PERIODS])
@@ -598,27 +614,3 @@ def pairs_within(query_xy, site_xy, radius: float) -> tuple[np.ndarray, np.ndarr
         out_s.append(si[by_site])
         a = b
     return np.concatenate(out_q), np.concatenate(out_s)
-
-
-def radius_join(points: list[SamplingPoint], pois: list[PoiRecord],
-                radius: float) -> dict[str, list[str]]:
-    """For each point, the ids of all POIs within `radius` meters (<=),
-    sorted by POI id: one `pairs_within` call over the id-sorted POIs."""
-    by_id = sorted(pois, key=lambda q: q.id)
-    qi, si = pairs_within(
-        np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2),
-        np.array([(q.x, q.y) for q in by_id], dtype=float).reshape(-1, 2),
-        radius,
-    )
-    # within a point the pairs ascend by site index, which is the POI id rank
-    bounds = np.searchsorted(qi, np.arange(len(points) + 1)).tolist()
-    ranks = si.tolist()
-    ids = [q.id for q in by_id]
-    return {p.id: [ids[j] for j in ranks[bounds[k]:bounds[k + 1]]]
-            for k, p in enumerate(points)}
-
-
-def filter_active(points: list[SamplingPoint],
-                  poi_lists: dict[str, list[str]]) -> list[SamplingPoint]:
-    """Points with at least one joined POI; callers report len() as coverage."""
-    return [p for p in points if poi_lists.get(p.id)]

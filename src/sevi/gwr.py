@@ -27,6 +27,7 @@ import numpy as np
 from . import kernels
 from .exceptions import ComputationError, ValidationError
 from .geodata import PERIODS
+from .stats import sorted_quantiles
 
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -405,7 +406,7 @@ def coef_summary(fits: dict[str, GwrFit], variable: str) -> list[CoefSummary]:
                 )
             col = 1 + fit.predictor_names.index(variable)
         values = fit.beta[:, col]
-        q1, med, q3 = np.quantile(values, [0.25, 0.5, 0.75])
+        q1, med, q3 = sorted_quantiles(np.sort(values), (0.25, 0.5, 0.75))
         iqr = q3 - q1
         lo_fence = q1 - 1.5 * iqr
         hi_fence = q3 + 1.5 * iqr

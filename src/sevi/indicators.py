@@ -1,10 +1,15 @@
 """The nine street-level indicators, computed per segment from detection
 counts, brand tallies, and spillover values.
 
-Counts are summed over both sides of every sampling point on a segment and
-divided by the segment length once. The brand-premium series is optionally
-smoothed along the route (window confined within a segment) before the
-segment aggregate is formed.
+`indicator_table` works in the route order of `PointTable.route`, where each
+segment's points are one contiguous slice of the permuted columns. Counts
+are summed over both sides of every point of a segment with
+`np.add.reduceat`, which is exact on integers, and divided by the segment
+length once. The float reductions stay one `np.sum`/`np.mean` call per
+segment slice: the route smoothing of the brand-premium series (its window
+confined within the segment), the signboard-weighted brand numerator and the
+mean spillover. `np.add.reduceat` would add the floats in another order than
+the pairwise summation of `np.sum` and move the last bits of the results.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .geodata import BrandTally, SamplingPoint, StreetSegment
+from .geodata import BrandTally, PointTable, StreetSegment
 
 INDICATOR_NAMES = ("sd", "cr", "br", "mv", "md", "nd", "pp", "gr", "gd")
 
@@ -46,34 +51,6 @@ class BrandWeights:
                 f"got {vals}"
             )
 
-    def score(self, tally: BrandTally) -> float:
-        return (tally.n_local * self.local
-                + tally.n_international * self.international
-                + tally.n_ordinary * self.ordinary)
-
-
-@dataclass(frozen=True)
-class IndicatorVector:
-    sd: float
-    cr: float
-    br: float
-    mv: float
-    md: float
-    nd: float
-    pp: float
-    gr: float
-    gd: float
-    no_signboards: bool = False  # cr and br were forced to 0 for lack of storefronts
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.sd, self.cr, self.br, self.mv, self.md,
-                         self.nd, self.pp, self.gr, self.gd], dtype=float)
-
-
-def clamp_closures(nc: int, ns: int) -> int:
-    """Detection-noise guard: closures can never exceed storefronts."""
-    return min(nc, ns)
-
 
 def smooth_along_route(values, window: int = DEFAULT_SMOOTHING_WINDOW) -> np.ndarray:
     """Centered moving mean over a route-ordered series.
@@ -96,75 +73,61 @@ def smooth_along_route(values, window: int = DEFAULT_SMOOTHING_WINDOW) -> np.nda
     return out
 
 
-def point_brand_ratio(tally: BrandTally, signboards: int, weights: BrandWeights) -> float:
-    if signboards <= 0:
-        return 0.0
-    return weights.score(tally) / signboards
+def indicator_table(points: PointTable, segments: dict[str, StreetSegment],
+                    tallies: dict[str, BrandTally], weights: BrandWeights,
+                    mv_point, window: int = DEFAULT_SMOOTHING_WINDOW):
+    """Indicator matrix of the segments that hold points, sorted by id.
 
+    A point's brand premium is its tier-weighted brand count per signboard
+    (0 without signboards or tally). A segment's `br` is the signboard-
+    weighted mean of the smoothed point series (the plain weighted-count
+    ratio when window == 1), its `mv` the mean of `mv_point` over its points.
+    Closures are clamped to storefronts; no signboards give cr = br = 0.
 
-def brand_ratio_series(points: list[SamplingPoint], tallies: dict[str, BrandTally],
-                       weights: BrandWeights) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point brand premium along a route-ordered segment.
-
-    Returns (ratio series, signboard counts); points without a tally count
-    as zero-brand observations.
+    Returns (segment_ids, (k, 9) matrix in INDICATOR_NAMES order, per-segment
+    no-signboard flags, smoothed point brand series in table order).
     """
-    ns = np.array([p.detections.signboards_left + p.detections.signboards_right
-                   for p in points], dtype=float)
-    series = np.array([
-        point_brand_ratio(tallies.get(p.id, BrandTally()), int(ns[i]), weights)
-        for i, p in enumerate(points)
-    ])
-    return series, ns
+    segment_ids, perm, bounds = points.route()
+    length = np.array([segments[sid].length_m for sid in segment_ids], dtype=float)
+    bad = [sid for sid in segment_ids if segments[sid].length_m <= 0]
+    if bad:
+        raise ValidationError(f"segment {bad[0]!r} has non-positive length")
 
+    def total(name: str) -> np.ndarray:
+        return np.add.reduceat(points.both_sides(name)[perm], bounds[:-1])
 
-def smoothed_brand_ratio(points: list[SamplingPoint], tallies: dict[str, BrandTally],
-                         weights: BrandWeights,
-                         window: int = DEFAULT_SMOOTHING_WINDOW
-                         ) -> tuple[float, bool, np.ndarray]:
-    """Segment brand premium from the smoothed point-level series.
+    row = dict(zip(points.ids.tolist(), range(len(points))))
+    tally = np.zeros((len(points), 3), dtype=np.int64)
+    for pid, t in tallies.items():
+        if pid in row:
+            tally[row[pid]] = (t.n_local, t.n_international, t.n_ordinary)
+    score = (tally[:, 0] * weights.local + tally[:, 1] * weights.international
+             + tally[:, 2] * weights.ordinary)
+    ns = points.both_sides("signboards")
+    ratio = np.where(ns > 0, score / np.maximum(ns, 1), 0.0)[perm]
+    ns_route = ns[perm].astype(float)
+    mv_route = np.asarray(mv_point, dtype=float)[perm]
 
-    The segment value is the signboard-weighted mean of the smoothed
-    per-point ratios, which reduces exactly to the plain weighted-count
-    ratio when window == 1. Returns (value, no_signboards, smoothed series).
-    """
-    series, ns = brand_ratio_series(points, tallies, weights)
-    smoothed = smooth_along_route(series, window)
-    total = ns.sum()
-    if total <= 0:
-        return 0.0, True, smoothed
-    return float((smoothed * ns).sum() / total), False, smoothed
+    ns_seg = total("signboards")
+    smoothed = np.empty(len(points))
+    br = np.zeros(len(segment_ids))
+    mv = np.empty(len(segment_ids))
+    edges = bounds.tolist()
+    for k in range(len(segment_ids)):
+        lo, hi = edges[k], edges[k + 1]
+        smoothed[lo:hi] = smooth_along_route(ratio[lo:hi], window)
+        if ns_seg[k] > 0:
+            br[k] = (smoothed[lo:hi] * ns_route[lo:hi]).sum() / ns_seg[k]
+        mv[k] = np.mean(mv_route[lo:hi])
 
-
-def segment_indicators(segment: StreetSegment, points: list[SamplingPoint],
-                       br: float, mv_value: float) -> IndicatorVector:
-    """Aggregate one segment's indicator vector around its brand premium
-    `br` (see `smoothed_brand_ratio`) and spillover value `mv_value`."""
-    if segment.length_m <= 0:
-        raise ValidationError(f"segment {segment.id!r} has non-positive length")
-    length = segment.length_m
-
-    def total(attr: str) -> int:
-        return sum(getattr(p.detections, f"{attr}_left")
-                   + getattr(p.detections, f"{attr}_right") for p in points)
-
-    ns = total("signboards")
-    nc = clamp_closures(total("closed"), ns)
-    greens = total("green_pixels")
+    closed = np.minimum(total("closed"), ns_seg)  # so 0 where there are no signboards
     pixels = total("total_pixels")
-
-    no_signboards = ns == 0
-    cr = 0.0 if no_signboards else nc / ns
-
-    return IndicatorVector(
-        sd=ns / length,
-        cr=cr,
-        br=0.0 if no_signboards else br,
-        mv=mv_value,
-        md=total("motor") / length,
-        nd=total("nonmotor") / length,
-        pp=total("persons") / length,
-        gr=0.0 if pixels == 0 else greens / pixels,
-        gd=total("glass") / length,
-        no_signboards=no_signboards,
-    )
+    matrix = np.column_stack([
+        ns_seg / length, closed / np.maximum(ns_seg, 1), br, mv,
+        total("motor") / length, total("nonmotor") / length, total("persons") / length,
+        np.where(pixels == 0, 0.0, total("green_pixels") / np.maximum(pixels, 1)),
+        total("glass") / length,
+    ])
+    point_br = np.empty(len(points))
+    point_br[perm] = smoothed
+    return segment_ids, matrix, ns_seg == 0, point_br

@@ -19,19 +19,21 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import yaml
 
-from . import brandsem, report, scoring, spillover, stats
+from . import report, scoring, spillover, stats
 from .exceptions import (ComputationError, ConfigError, SeviError, StageError,
                          ValidationError)
-from .geodata import (PERIODS, CityTables, TablePaths, filter_active,
-                      load_tables, radius_join, write_tables)
+from .geodata import PERIODS, CityTables, TablePaths, load_tables, write_tables
 from .gwr import GwrDesign, GwrFit, coef_summary, time_sliced
-from .indicators import (BLOCKS, INDICATOR_NAMES, BrandWeights, segment_indicators,
-                         smoothed_brand_ratio)
+from .indicators import BLOCKS, INDICATOR_NAMES, BrandWeights, indicator_table
 from .report import RobustnessReport, TierValidation
+
+if TYPE_CHECKING:  # brandsem is imported by the brand workflows only
+    from . import brandsem
 
 DEFAULT_CONFIG = {
     "inputs": {
@@ -264,32 +266,6 @@ def file_sha256(path: Path) -> str:
 # the analysis core
 # ---------------------------------------------------------------------------
 
-def _indicator_table(tables: CityTables, mv_point: np.ndarray,
-                     weights: BrandWeights, window: int):
-    """Per-segment indicator matrix plus the smoothed point-level brand series.
-
-    A segment's spillover is the mean of the field over its route-ordered
-    points. Returns (segment_ids, raw_matrix, flags, point_br).
-    """
-    tallies = tables.brands or {}
-    pos = {p.id: i for i, p in enumerate(tables.points)}
-    by_segment = tables.points_by_segment()
-    segment_ids = sorted(sid for sid, seg in tables.segments.items() if seg.point_ids)
-    rows = []
-    flags = []
-    point_br: dict[str, float] = {}
-    for sid in segment_ids:
-        pts = by_segment[sid]
-        br, _, smoothed = smoothed_brand_ratio(pts, tallies, weights, window)
-        for p, value in zip(pts, smoothed):
-            point_br[p.id] = float(value)
-        mv = float(np.mean(mv_point[[pos[p.id] for p in pts]]))
-        vec = segment_indicators(tables.segments[sid], pts, br, mv)
-        rows.append(vec.as_array())
-        flags.append(vec.no_signboards)
-    return segment_ids, np.array(rows), flags, point_br
-
-
 def _gwr_designs(tables: CityTables, segment_ids: list[str], x_matrix: np.ndarray,
                  kernel: str) -> dict[str, GwrDesign]:
     """One design per period over the segments that carry crowd intensities."""
@@ -300,11 +276,13 @@ def _gwr_designs(tables: CityTables, segment_ids: list[str], x_matrix: np.ndarra
             f"only {len(usable)} segments have both indicators and crowd data; "
             f"need more than {x_matrix.shape[1] + 2}"
         )
-    by_segment = tables.points_by_segment()
-    coords = np.array([
-        [np.mean([p.x for p in by_segment[sid]]), np.mean([p.y for p in by_segment[sid]])]
-        for sid in usable
-    ])
+    # each segment's centroid is the mean over its route slice, as its mv is
+    _, perm, bounds = tables.points.route()
+    x, y = tables.points.x[perm], tables.points.y[perm]
+    edges = bounds.tolist()
+    centroids = np.array([[np.mean(x[lo:hi]), np.mean(y[lo:hi])]
+                          for lo, hi in zip(edges, edges[1:])]).reshape(-1, 2)
+    coords = centroids[[pos[sid] for sid in usable]]
     X = x_matrix[[pos[sid] for sid in usable], :]
     designs = {}
     for period in PERIODS:
@@ -316,28 +294,22 @@ def _gwr_designs(tables: CityTables, segment_ids: list[str], x_matrix: np.ndarra
     return designs
 
 
-def _tier_validation(tables: CityTables, point_br: dict[str, float],
+def _tier_validation(tables: CityTables, point_br: np.ndarray,
                      radius_m: float) -> TierValidation:
-    """50 m POI join, active-point filter, brand-premium tertiles, and the
-    rank test on POI counts across tiers."""
-    poi_lists = radius_join(tables.points, tables.pois, radius_m)
-    active = filter_active(tables.points, poi_lists)
-    if len(active) < 3:
+    """POI counts within `radius_m` of each point, the active points (those
+    with a POI), their brand-premium tertiles, and the rank test on POI
+    counts across tiers."""
+    points = tables.points
+    n_total, n_premium = tables.pois.counts_within(points.x, points.y, radius_m)
+    active = n_total > 0
+    n_active = int(active.sum())
+    if n_active < 3:
         raise ComputationError(
-            f"external validation needs at least 3 active points, got {len(active)}"
+            f"external validation needs at least 3 active points, got {n_active}"
         )
-    premium_ids = {p.id for p in tables.pois if p.is_premium}
-    values = [point_br.get(p.id, 0.0) for p in active]
-    labels = stats.tertile_split(values)
-    totals = {t: [] for t in stats.TERTILE_LABELS}
-    premiums = {t: [] for t in stats.TERTILE_LABELS}
-    for p, label in zip(active, labels):
-        hits = poi_lists[p.id]
-        totals[label].append(len(hits))
-        premiums[label].append(sum(1 for q in hits if q in premium_ids))
-    for tier, counts in totals.items():
-        if not counts:
-            raise ComputationError(f"tier {tier!r} is empty; the tiers cannot be compared")
+    labels = np.array(stats.tertile_split(point_br[active]))
+    totals = {t: n_total[active][labels == t] for t in stats.TERTILE_LABELS}
+    premiums = {t: n_premium[active][labels == t] for t in stats.TERTILE_LABELS}
     mean_total = {t: float(np.mean(v)) for t, v in totals.items()}
     mean_premium = {t: float(np.mean(v)) for t, v in premiums.items()}
     kw = stats.kruskal_wallis(list(totals.values()))
@@ -346,7 +318,7 @@ def _tier_validation(tables: CityTables, point_br: dict[str, float],
         mean_total_poi=mean_total, mean_premium_poi=mean_premium,
         growth_total_pct=report.growth_pct(mean_total["high"], mean_total["low"]),
         growth_premium_pct=report.growth_pct(mean_premium["high"], mean_premium["low"]),
-        kw_total=kw, n_active=len(active), n_points=len(tables.points),
+        kw_total=kw, n_active=n_active, n_points=len(points),
     )
 
 
@@ -396,15 +368,17 @@ class _Analysis:
     @cached_property
     def mv_point(self) -> np.ndarray:
         with _run_stage("spillover_field"):
-            return spillover.field_all(self.tables.points_xy(), self.tables.anchors,
-                                       self.sigma, self.sp_cfg)
+            points = self.tables.points
+            return spillover.field_all(np.column_stack((points.x, points.y)),
+                                       self.tables.anchors, self.sigma, self.sp_cfg)
 
     @cached_property
     def indicators(self):
         """(segment_ids, raw_matrix, no-signboard flags, point brand series)"""
         with _run_stage("indicators"):
-            return _indicator_table(self.tables, self.mv_point, self.config.brand_weights(),
-                                    self.config.raw["smoothing_window"])
+            return indicator_table(self.tables.points, self.tables.segments,
+                                   self.tables.brands or {}, self.config.brand_weights(),
+                                   self.mv_point, self.config.raw["smoothing_window"])
 
     @cached_property
     def nm(self) -> scoring.NormalizedMatrix:
@@ -470,12 +444,15 @@ def emit_geojson(path: Path, tables: CityTables,
             features.append(encode(sid, {"type": "LineString", "coordinates": [
                 [round(c[0], 7), round(c[1], 7)] for c in coords]}, properties_by_segment[sid]))
     else:
-        for p in sorted(tables.points, key=lambda q: q.id):
-            props = properties_by_segment.get(p.segment_id)
+        pts = tables.points
+        by_id = np.argsort(pts.ids)
+        for pid, sid, lon, lat in zip(*(c[by_id].tolist() for c in (
+                pts.ids, pts.segment_ids, pts.lon, pts.lat))):
+            props = properties_by_segment.get(sid)
             if props is None:
                 continue
-            features.append(encode(p.id, {"type": "Point", "coordinates": [
-                round(p.lon, 7), round(p.lat, 7)]}, props))
+            features.append(encode(pid, {"type": "Point", "coordinates": [
+                round(lon, 7), round(lat, 7)]}, props))
     # The collection is framed by hand, as json.dumps(sort_keys=True) frames it,
     # so that the whole document's text (4.4 MB on a 12k-point city) is never
     # held in memory next to its encoded bytes.
@@ -535,7 +512,7 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
     analysis = _Analysis(config, tables, sigma_table, sp_cfg)
     mv_col = f"mv_{sp_cfg.decay}_{int(sp_cfg.threshold_m)}"
     write_csv(outdir / "mv.csv", ("point_id", mv_col),
-              [(p.id, float(v)) for p, v in zip(tables.points, analysis.mv_point)])
+              zip(tables.points.ids.tolist(), analysis.mv_point.tolist()))
     manifest.stage("spillover_field", ["mv.csv"])
     if until == "spillover":
         return manifest.write()
@@ -662,16 +639,9 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
     if until == "gwr":
         return manifest.write()
 
-    props = {}
-    for i, sid in enumerate(segment_ids):
-        entry = {name: float(raw_matrix[i, j]) for j, name in enumerate(INDICATOR_NAMES)}
-        entry.update({
-            "activity": float(sevi_result.dims[i, 0]),
-            "utilization": float(sevi_result.dims[i, 1]),
-            "environment": float(sevi_result.dims[i, 2]),
-            "sevi": float(sevi_result.sevi[i]),
-        })
-        props[sid] = entry
+    names = INDICATOR_NAMES + ("activity", "utilization", "environment", "sevi")
+    values = np.column_stack([raw_matrix, sevi_result.dims, sevi_result.sevi]).tolist()
+    props = {sid: dict(zip(names, row)) for sid, row in zip(segment_ids, values)}
     with _run_stage("geojson"):
         emit_geojson(outdir / "sevi.geojson", tables, props,
                      use_segment_geometry=bool(tables.segment_geometry))
@@ -757,6 +727,8 @@ def robustness(config: PipelineConfig, workdir: Path) -> RobustnessReport:
 def decode_to_files(config: PipelineConfig, workdir: Path) -> dict:
     """Run the offline (or live) two-stage decode and write assignments.csv,
     brands.csv, and decode_summary.json under the output directory."""
+    from . import brandsem
+
     workdir = Path(workdir)
     outdir = _output_dir(config, workdir)
     dec = config.raw["decode"]
@@ -792,6 +764,8 @@ def decode_to_files(config: PipelineConfig, workdir: Path) -> dict:
 def evaluate_files(gt_path: Path, pred_path: Path, out_path: Path | None = None) -> brandsem.EvalReport:
     """Evaluate a predictions CSV against ground truth; images present in the
     ground truth but absent from the predictions count as empty predictions."""
+    from . import brandsem
+
     gt = brandsem.load_labeled_pairs(gt_path)
     pred = brandsem.load_labeled_pairs(pred_path)
     for image_id in gt:

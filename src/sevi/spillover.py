@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .exceptions import CalibrationError, ComputationError, ValidationError
-from .geodata import MallAnchor, SamplingPoint
+from .geodata import MallAnchor
 
 DECAYS = ("gaussian", "exponential", "linear")
 DEFAULT_THRESHOLD_M = 2000.0
@@ -119,44 +119,44 @@ def _sorted_anchor_arrays(anchors: list[MallAnchor], sigma_table: SigmaTable):
     return ax, ay, sig
 
 
-def field_at(point: SamplingPoint, anchors: list[MallAnchor], sigma_table: SigmaTable,
+def field_at(x: float, y: float, anchors: list[MallAnchor], sigma_table: SigmaTable,
              config: SpilloverConfig) -> float:
-    """Spillover value at one point: a scalar scan of the id-sorted anchors,
+    """Spillover value at the point (x, y): a scalar scan of the id-sorted anchors,
     gated at the threshold and summed in ascending anchor-id order. The
     reference that tests hold `field_all` to."""
     ax, ay, sig = _sorted_anchor_arrays(anchors, sigma_table)
     acc = 0.0
     for j in range(len(ax)):
-        d = math.hypot(ax[j] - point.x, ay[j] - point.y)
+        d = math.hypot(ax[j] - x, ay[j] - y)
         if d <= config.threshold_m:
             acc += decay_value(d, sig[j], config)
     return acc
 
 
-def field_all(points_xy: np.ndarray, anchors: list[MallAnchor], sigma_table: SigmaTable,
+def field_all(xy: np.ndarray, anchors: list[MallAnchor], sigma_table: SigmaTable,
               config: SpilloverConfig) -> np.ndarray:
     """Spillover values for a full point set via `kernels.spill_field`.
 
     The kernel evaluates the gate directly over the id-sorted anchor arrays,
     as `field_at` does for one point.
     """
-    points_xy = np.asarray(points_xy, dtype=float).reshape(-1, 2)
-    if len(points_xy) == 0:
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    if len(xy) == 0:
         return np.zeros(0)
     ax, ay, sig = _sorted_anchor_arrays(anchors, sigma_table)
     if len(ax) == 0:
-        return np.zeros(len(points_xy))
+        return np.zeros(len(xy))
     return kernels.spill_field(
-        np.ascontiguousarray(points_xy[:, 0]), np.ascontiguousarray(points_xy[:, 1]),
+        np.ascontiguousarray(xy[:, 0]), np.ascontiguousarray(xy[:, 1]),
         ax, ay, sig, float(config.threshold_m), kernels.DECAY_CODES[config.decay],
     )
 
 
-def threshold_sweep(points_xy: np.ndarray, anchors: list[MallAnchor], sigma_table: SigmaTable,
+def threshold_sweep(xy: np.ndarray, anchors: list[MallAnchor], sigma_table: SigmaTable,
                     thresholds=DEFAULT_SWEEP_M, decay: str = "gaussian") -> dict[float, np.ndarray]:
     """Re-evaluate the field for each threshold; keys are the thresholds."""
     out: dict[float, np.ndarray] = {}
     for d_max in thresholds:
         cfg = SpilloverConfig(threshold_m=float(d_max), decay=decay)
-        out[float(d_max)] = field_all(points_xy, anchors, sigma_table, cfg)
+        out[float(d_max)] = field_all(xy, anchors, sigma_table, cfg)
     return out

@@ -274,19 +274,39 @@ def kruskal_wallis(groups: list) -> KwResult:
 TERTILE_LABELS = ("low", "mid", "high")
 
 
+def sorted_quantiles(ordered, qs) -> list[float]:
+    """Quantiles `qs` of the ascending 1-D array `ordered`, bit for bit as
+    numpy's default "linear" method: at the index (n - 1) q, the lerp
+    a + (b - a) g, or b - (b - a) (1 - g) when g >= 0.5."""
+    last = len(ordered) - 1
+    out = []
+    for q in qs:
+        i = min(math.floor(last * q), last)
+        a, b = float(ordered[i]), float(ordered[min(i + 1, last)])
+        g = last * q - i
+        out.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    return out
+
+
 def tertile_split(values) -> list[str]:
-    """Labels at the interpolated 1/3 and 2/3 quantiles; ties at a cut fall
-    into the lower tier."""
+    """Tier labels cut at c1 and c2, the largest values at or below the
+    interpolated 1/3 and 2/3 quantiles: v <= c1 "low", v <= c2 "mid", else
+    "high". Should a tier stay empty, c2 is clamped into [u[1], u[-2]] over
+    the sorted distinct values u and c1 to below c2. Tied values share a
+    label, and three or more distinct values give three non-empty tiers.
+    """
     values = np.asarray(values, dtype=float)
     if len(values) < 3:
         raise ValidationError(f"tertile split needs at least 3 values, got {len(values)}")
-    q1, q2 = np.quantile(values, [1.0 / 3.0, 2.0 / 3.0])
-    labels = []
-    for v in values:
-        if v <= q1:
-            labels.append("low")
-        elif v <= q2:
-            labels.append("mid")
-        else:
-            labels.append("high")
-    return labels
+    ordered = np.sort(values)
+    # np.unique would import numpy.ma
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    if len(distinct) < 3:
+        raise ComputationError(
+            f"tertile split needs at least 3 distinct values, got {len(distinct)}")
+    q1, q2 = sorted_quantiles(ordered, (1.0 / 3.0, 2.0 / 3.0))
+    c1, c2 = distinct[np.searchsorted(distinct, [q1, q2], side="right") - 1]
+    c2 = min(max(c2, distinct[1]), distinct[-2])
+    c1 = min(c1, distinct[np.searchsorted(distinct, c2) - 1])
+    tier = (values > c1).astype(int) + (values > c2)
+    return [TERTILE_LABELS[t] for t in tier.tolist()]

@@ -76,7 +76,7 @@ def generate_city(outdir, seed: int = 20251015, n_segments: int = 160,
             seg_meta.append((sid, sx, sy, horizontal, n_pts))
             idx += 1
 
-    pxs, pys, point_ids, seg_of_point = [], [], [], []
+    pxs, pys, pids, seg_of_point = [], [], [], []
     for sid, sx, sy, horizontal, n_pts in seg_meta:
         for k in range(n_pts):
             off = (k - (n_pts - 1) / 2.0) * POINT_SPACING_M
@@ -84,14 +84,14 @@ def generate_city(outdir, seed: int = 20251015, n_segments: int = 160,
             py = sy + (0.0 if horizontal else off)
             pxs.append(px)
             pys.append(py)
-            point_ids.append(f"p{len(point_ids):06d}")
+            pids.append(f"p{len(pids):06d}")
             seg_of_point.append((sid, k))
     pxs = np.array(pxs)
     pys = np.array(pys)
     intensity = _hotspot_intensity(pxs, pys, hotspots, hotspot_scales, hotspot_amps)
 
     brand_rows = []
-    for i, pid in enumerate(point_ids):
+    for i, pid in enumerate(pids):
         inten = intensity[i]
         lon, lat = metric_to_lonlat(pxs[i], pys[i])
         counts = {}

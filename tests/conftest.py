@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sevi.geodata import DetectionCounts, SamplingPoint, project_to_metric
+from sevi.geodata import COUNT_COLUMNS, PointTable, project_to_metric
 from sevi.synth import generate_brand_corpus, generate_city
 
 CITY_SEED = 20251015
@@ -23,10 +23,18 @@ def corpus_dir(tmp_path_factory):
     return path
 
 
-def make_point(pid="p0", x=0.0, y=0.0, segment_id="s0", order=0, **counts):
-    """A sampling point placed directly in metric coordinates."""
-    return SamplingPoint(id=pid, lon=0.0, lat=0.0, x=x, y=y, segment_id=segment_id,
-                         order_along_segment=order, detections=DetectionCounts(**counts))
+def point_row(pid="p0", x=0.0, y=0.0, segment_id="s0", order=0, **counts):
+    """One `PointTable` row placed directly in metric coordinates; counts
+    not named are 0."""
+    unknown = set(counts) - set(COUNT_COLUMNS)
+    assert not unknown, f"unknown count columns {unknown}"
+    return (pid, 0.0, 0.0, x, y, segment_id, order,
+            tuple(counts.get(c, 0) for c in COUNT_COLUMNS))
+
+
+def make_points(*rows) -> PointTable:
+    """A `PointTable` of `point_row` rows."""
+    return PointTable.from_rows(rows)
 
 
 def metric_offset(lon0, lat0, dx, dy):

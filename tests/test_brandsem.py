@@ -1,8 +1,11 @@
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from sevi.brandsem import (OfflineFixtureClient, ReferenceDb, S2_PARAMS,
+from sevi import brandsem
+from sevi.brandsem import (HttpChatClient, OfflineFixtureClient, ReferenceDb, S2_PARAMS,
                            TierAssignment, VlmRequest, brand_counts,
                            build_prompts, classify, decode_corpus, evaluate,
                            harmonic_f1, load_corpus, load_labeled_pairs,
@@ -300,3 +303,74 @@ def test_load_labeled_pairs_and_eval_against_plant(corpus_dir):
     assert 0.3 < rep.overall.f1 < 1.0
     assert all(0.0 <= m.recall <= 1.0 and 0.0 <= m.precision <= 1.0
                for m in rep.per_tier.values())
+
+
+# ---------------------------------------------------------------------------
+# live HTTP client, against a local server
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    """A localhost endpoint answering with the queued HTTP statuses (200
+    once the queue is empty); it records each request's headers and body.
+    `time.sleep` is stubbed to record the retry back-off."""
+    seen, statuses, sleeps = [], [], []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            seen.append((dict(self.headers), body))
+            status = statuses.pop(0) if statuses else 200
+            answer = {"choices": [{"message": {"content": f"echo {body['model']}"}}]}
+            data = json.dumps(answer).encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    monkeypatch.setenv("no_proxy", "*")
+    monkeypatch.setattr(brandsem.time, "sleep", sleeps.append)
+    client = HttpChatClient(f"http://127.0.0.1:{server.server_port}/v1/chat", token="t0k",
+                            model="m1", timeout=10.0, max_retries=3)
+    yield client, seen, statuses, sleeps
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+_REQUEST = VlmRequest(image_ref="img-1", prompt="read the signs", params=S2_PARAMS, stage="s2")
+
+
+def test_http_client_posts_and_parses(chat_server):
+    client, seen, _, sleeps = chat_server
+    assert client.complete(_REQUEST) == "echo m1"
+    (headers, body), = seen
+    assert headers["Authorization"] == "Bearer t0k"
+    assert headers["X-Idempotency-Key"] == request_hash(_REQUEST)
+    assert body["messages"] == [{"role": "user", "content": "read the signs"}]
+    assert body["max_tokens"] == S2_PARAMS.max_new_tokens
+    assert sleeps == []
+
+
+def test_http_client_retries_a_server_error(chat_server):
+    client, seen, statuses, sleeps = chat_server
+    statuses.append(500)
+    assert client.complete(_REQUEST) == "echo m1"
+    assert len(seen) == 2
+    assert sleeps == [1.0]
+
+
+def test_http_client_gives_up_after_max_retries(chat_server):
+    client, seen, statuses, sleeps = chat_server
+    statuses.extend([500, 502, 503])
+    with pytest.raises(TransportError, match="after 3 attempts"):
+        client.complete(_REQUEST)
+    assert len(seen) == 3
+    assert sleeps == [1.0, 2.0, 4.0]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -7,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevi.exceptions import SchemaError, ValidationError
-from sevi.geodata import (COUNT_COLUMNS, EARTH_RADIUS_M, POINTS_HEADER,
-                          TablePaths, filter_active, load_tables,
-                          metric_to_lonlat, pairs_within, project_to_metric,
-                          radius_join, write_tables)
-from sevi.geodata import PoiRecord
+from sevi.exceptions import ComputationError, SchemaError, ValidationError
+from sevi.geodata import (COUNT_COLUMNS, EARTH_RADIUS_M, POINTS_HEADER, CityTables,
+                          PoiTable, TablePaths, load_tables, metric_to_lonlat,
+                          pairs_within, project_to_metric, write_tables)
+from sevi.pipeline import _tier_validation
 
-from .conftest import make_point
+from .conftest import make_points, point_row
 
 
 # ---------------------------------------------------------------------------
@@ -168,40 +168,56 @@ def test_pairs_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# radius join and the active filter
+# the point table
 # ---------------------------------------------------------------------------
 
-def _poi(pid, x, y, premium=False):
-    return PoiRecord(id=pid, x=x, y=y, top_category="shopping", is_premium=premium)
+def test_route_sorts_segments_by_id_and_points_by_order():
+    points = make_points(point_row("a", segment_id="s2", order=5),
+                         point_row("b", segment_id="s10", order=0),
+                         point_row("c", segment_id="s2", order=1),
+                         point_row("d", segment_id="s2", order=3, signboards_right=4))
+    segment_ids, perm, bounds = points.route()
+    assert segment_ids == ["s10", "s2"]
+    assert points.ids[perm].tolist() == ["b", "c", "d", "a"]
+    assert bounds.tolist() == [0, 1, 4]
+    assert points.both_sides("signboards").tolist() == [0, 0, 0, 4]
+
+
+# ---------------------------------------------------------------------------
+# radius join (POI counts per point) and the active filter
+# ---------------------------------------------------------------------------
+
+def _pois(rows):
+    """A PoiTable of (id, x, y, is_premium) rows."""
+    return PoiTable.from_rows([(pid, x, y, "shopping", premium) for pid, x, y, premium in rows])
+
+
+def _brute_counts(points_xy, poi_rows, radius):
+    hits = [[q for q in poi_rows if math.hypot(q[1] - x, q[2] - y) <= radius]
+            for x, y in points_xy]
+    return [len(h) for h in hits], [sum(q[3] for q in h) for h in hits]
+
+
+def _counts(points_xy, poi_rows, radius):
+    xy = np.asarray(points_xy, dtype=float).reshape(-1, 2)
+    total, premium = _pois(poi_rows).counts_within(xy[:, 0], xy[:, 1], radius)
+    return total.tolist(), premium.tolist()
 
 
 def test_radius_join_simple():
-    points = [make_point("p0", 0.0, 0.0)]
-    pois = [_poi("q1", 30.0, 0.0), _poi("q2", 60.0, 0.0)]
-    assert radius_join(points, pois, 50.0) == {"p0": ["q1"]}
+    rows = [("q1", 30.0, 0.0, True), ("q2", 60.0, 0.0, True)]
+    assert _counts([(0.0, 0.0)], rows, 50.0) == ([1], [1])
 
 
 def test_radius_join_coincident_included():
-    points = [make_point("p0", 10.0, 10.0)]
-    pois = [_poi("q1", 10.0, 10.0)]
-    assert radius_join(points, pois, 50.0)["p0"] == ["q1"]
-
-
-def test_radius_join_sorted_by_poi_id():
-    points = [make_point("p0", 0.0, 0.0)]
-    pois = [_poi("q9", 1.0, 0.0), _poi("q1", 2.0, 0.0), _poi("q5", 3.0, 0.0)]
-    assert radius_join(points, pois, 50.0)["p0"] == ["q1", "q5", "q9"]
+    assert _counts([(10.0, 10.0)], [("q1", 10.0, 10.0, False)], 50.0) == ([1], [0])
 
 
 def test_radius_join_brute_force_oracle(rng):
-    points = [make_point(f"p{i}", *rng.uniform(0, 2000, 2)) for i in range(200)]
-    pois = [_poi(f"q{j:03d}", *rng.uniform(0, 2000, 2)) for j in range(500)]
-    joined = radius_join(points, pois, 120.0)
-    for p in points:
-        expected = sorted(
-            q.id for q in pois if math.hypot(q.x - p.x, q.y - p.y) <= 120.0
-        )
-        assert joined[p.id] == expected
+    points_xy = rng.uniform(0, 2000, (200, 2)).tolist()
+    rows = [(f"q{j:03d}", *rng.uniform(0, 2000, 2).tolist(), bool(j % 3 == 0))
+            for j in range(500)]
+    assert _counts(points_xy, rows, 120.0) == _brute_counts(points_xy, rows, 120.0)
 
 
 _coord = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
@@ -209,32 +225,36 @@ _coord = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(_coord, _coord), max_size=25),
-       st.lists(st.tuples(_coord, _coord, st.integers(0, 30)), max_size=40),
+       st.lists(st.tuples(_coord, _coord, st.booleans()), max_size=40),
        st.floats(1e-3, 3e4, allow_nan=False))
-def test_radius_join_property(point_xy, poi_rows, radius):
-    points = [make_point(f"p{i}", x, y) for i, (x, y) in enumerate(point_xy)]
-    # ids may repeat a sort key's prefix and arrive in any order
-    pois = [_poi(f"q{k}-{j}", x, y) for j, (x, y, k) in enumerate(poi_rows)]
-    joined = radius_join(points, pois, radius)
-    assert joined == {
-        p.id: sorted(q.id for q in pois if math.hypot(q.x - p.x, q.y - p.y) <= radius)
-        for p in points
-    }
+def test_radius_join_property(points_xy, poi_xy, radius):
+    rows = [(f"q{j}", x, y, premium) for j, (x, y, premium) in enumerate(poi_xy)]
+    assert _counts(points_xy, rows, radius) == _brute_counts(points_xy, rows, radius)
+
+
+def _validation(points_xy, poi_rows):
+    """The tier validation of points with brand premiums 0, 1, 2, ..."""
+    points = make_points(*(point_row(f"p{i:04d}", x, y) for i, (x, y) in enumerate(points_xy)))
+    tables = CityTables(points=points, segments={}, anchors=[], pois=_pois(poi_rows), lbs={})
+    return _tier_validation(tables, np.arange(len(points), dtype=float), 50.0)
 
 
 def test_filter_active():
-    points = [make_point(f"p{i}") for i in range(3)]
-    lists = {"p0": [], "p1": ["q1"], "p2": []}
-    active = filter_active(points, lists)
-    assert [p.id for p in active] == ["p1"]
-    assert filter_active(points, {p.id: [] for p in points}) == []
+    # a point is active when at least one POI lies within the radius
+    points_xy = [(1000.0 * i, 0.0) for i in range(7)]
+    rows = [(f"q{i}", 1000.0 * i + 20.0, 0.0, True) for i in (1, 2, 4, 5, 6)]
+    tv = _validation(points_xy, rows)
+    assert (tv.n_active, tv.n_points) == (5, 7)
+    assert sum(tv.tier_n.values()) == 5
+    with pytest.raises(ComputationError, match="at least 3 active points, got 0"):
+        _validation(points_xy, [("q0", 500.0, 0.0, True)])
 
 
-def test_filter_active_planted_coverage(rng):
-    points = [make_point(f"p{i:04d}") for i in range(1000)]
-    lists = {p.id: (["q"] if i < 638 else []) for i, p in enumerate(points)}
-    active = filter_active(points, lists)
-    assert len(active) / len(points) == pytest.approx(0.638)
+def test_filter_active_planted_coverage():
+    points_xy = [(1000.0 * (i % 40), 1000.0 * (i // 40)) for i in range(1000)]
+    rows = [(f"q{i}", x, y, True) for i, (x, y) in enumerate(points_xy[:638])]
+    tv = _validation(points_xy, rows)
+    assert tv.coverage == pytest.approx(0.638)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +295,8 @@ def _point_row(pid="p0", lon="0.0", lat="0.0", seg="s0", order="0", **overrides)
 def test_load_empty_points_file(tmp_path):
     paths = _minimal_tables(tmp_path)
     tables = load_tables(paths)
-    assert tables.points == []
+    assert len(tables.points) == 0
+    assert tables.points.counts.shape == (0, len(COUNT_COLUMNS))
     assert len(tables.segments) == 1
 
 
@@ -330,6 +351,11 @@ def test_load_rejects_bad_period(tmp_path):
         load_tables(paths)
 
 
+def _assert_same_columns(a, b):
+    for f in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
 def test_round_trip_ten_rows(tmp_path, rng):
     rows = []
     for i in range(10):
@@ -347,7 +373,8 @@ def test_round_trip_ten_rows(tmp_path, rng):
     reloaded = load_tables(TablePaths(
         points=out / "points.csv", segments=out / "segments.csv",
         anchors=out / "anchors.csv", pois=out / "pois.csv", lbs=out / "lbs.csv"))
-    assert reloaded.points == tables.points
+    _assert_same_columns(reloaded.points, tables.points)
+    _assert_same_columns(reloaded.pois, tables.pois)
     assert {s.id: s.length_m for s in reloaded.segments.values()} == \
            {s.id: s.length_m for s in tables.segments.values()}
     assert reloaded.lbs == tables.lbs
@@ -357,12 +384,14 @@ def test_geojson_points_ingestion(tmp_path):
     paths = _minimal_tables(tmp_path, point_rows=[_point_row(signboards_left=3)])
     csv_tables = load_tables(paths)
 
+    pts = csv_tables.points
     features = []
-    for p in csv_tables.points:
-        props = {"id": p.id, "segment_id": p.segment_id, "order": p.order_along_segment}
-        props.update({c: getattr(p.detections, c) for c in COUNT_COLUMNS})
+    for i in range(len(pts)):
+        props = {"id": pts.ids[i], "segment_id": pts.segment_ids[i], "order": int(pts.order[i])}
+        props.update(zip(COUNT_COLUMNS, pts.counts[i].tolist()))
         features.append({"type": "Feature",
-                         "geometry": {"type": "Point", "coordinates": [p.lon, p.lat]},
+                         "geometry": {"type": "Point",
+                                      "coordinates": [float(pts.lon[i]), float(pts.lat[i])]},
                          "properties": props})
     (tmp_path / "points.geojson").write_text(
         json.dumps({"type": "FeatureCollection", "features": features}))
@@ -384,7 +413,7 @@ def test_geojson_points_ingestion(tmp_path):
         points=tmp_path / "points.geojson", segments=tmp_path / "segments.geojson",
         anchors=tmp_path / "anchors.geojson", pois=tmp_path / "pois.geojson",
         lbs=tmp_path / "lbs.csv"), fmt="geojson")
-    assert gj.points == csv_tables.points
+    _assert_same_columns(gj.points, csv_tables.points)
     assert gj.segment_geometry == {"s0": [(0.0, 0.0), (0.001, 0.0)]}
     assert [a.id for a in gj.anchors] == ["a0"]
-    assert [q.id for q in gj.pois] == ["q0"]
+    assert gj.pois.ids.tolist() == ["q0"] and gj.pois.is_premium.tolist() == [True]

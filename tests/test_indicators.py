@@ -1,16 +1,26 @@
+import csv
+
 import numpy as np
 import pytest
 
 from sevi.exceptions import ValidationError
-from sevi.geodata import BrandTally, StreetSegment
-from sevi.indicators import (BrandWeights, clamp_closures, segment_indicators,
-                             smooth_along_route, smoothed_brand_ratio)
+from sevi.geodata import BrandTally, StreetSegment, TablePaths, load_tables
+from sevi.indicators import (INDICATOR_NAMES, BrandWeights, indicator_table,
+                             smooth_along_route)
 
-from .conftest import make_point
+from .conftest import make_points, point_row
 
 
-def _segment(length=100.0, sid="s0"):
-    return StreetSegment(id=sid, length_m=length)
+def _segment_values(points, length=100.0, tallies=None, window=1, mv_point=None):
+    """indicator_table of a one-segment table: (indicators by name, flag,
+    smoothed point series)."""
+    segments = {sid: StreetSegment(id=sid, length_m=length)
+                for sid in points.segment_ids.tolist()}
+    mv_point = np.zeros(len(points)) if mv_point is None else np.asarray(mv_point)
+    ids, matrix, flags, point_br = indicator_table(points, segments, tallies or {},
+                                                   BrandWeights(), mv_point, window)
+    assert len(ids) == 1
+    return dict(zip(INDICATOR_NAMES, matrix[0].tolist())), bool(flags[0]), point_br
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +63,9 @@ def test_smooth_stays_within_bounds(rng):
 
 @pytest.mark.parametrize("nc,ns,expected", [(3, 10, 3), (12, 10, 10), (0, 0, 0)])
 def test_clamp_closures(nc, ns, expected):
-    assert clamp_closures(nc, ns) == expected
+    # detection noise: closures can never exceed storefronts
+    values, _, _ = _segment_values(make_points(point_row(closed_left=nc, signboards_left=ns)))
+    assert values["cr"] == (expected / ns if ns else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -77,70 +89,71 @@ def test_brand_weights_ordering_enforced():
 # ---------------------------------------------------------------------------
 
 def test_segment_density_and_closure():
-    points = [
-        make_point("p0", signboards_left=4, signboards_right=2, closed_left=1),
-        make_point("p1", order=1, signboards_left=3, signboards_right=1, closed_right=1),
-    ]
-    vec = segment_indicators(_segment(100.0), points, 0.0, 0.0)
-    assert vec.sd == pytest.approx(0.10)
-    assert vec.cr == pytest.approx(0.20)
-    assert not vec.no_signboards
+    points = make_points(
+        point_row("p0", signboards_left=4, signboards_right=2, closed_left=1),
+        point_row("p1", order=1, signboards_left=3, signboards_right=1, closed_right=1),
+    )
+    values, flag, _ = _segment_values(points, 100.0)
+    assert values["sd"] == pytest.approx(0.10)
+    assert values["cr"] == pytest.approx(0.20)
+    assert not flag
 
 
 def test_segment_brand_ratio_hand_value():
     # 10 signboards, 2 local + 2 international at default weights -> 0.5
-    points = [make_point("p0", signboards_left=10)]
+    points = make_points(point_row("p0", signboards_left=10))
     tallies = {"p0": BrandTally(n_local=2, n_international=2)}
-    br, _, _ = smoothed_brand_ratio(points, tallies, BrandWeights(), window=1)
-    vec = segment_indicators(_segment(100.0), points, br, 0.0)
-    assert vec.br == pytest.approx((2 * 1.0 + 2 * 1.5) / 10)
+    values, _, _ = _segment_values(points, 100.0, tallies)
+    assert values["br"] == pytest.approx((2 * 1.0 + 2 * 1.5) / 10)
 
 
 def test_segment_all_zero_detections():
-    points = [make_point("p0"), make_point("p1", order=1)]
-    # a premium passed for a segment without signboards is forced to 0
-    vec = segment_indicators(_segment(80.0), points, 0.5, 0.0)
-    assert vec.as_array().tolist() == [0.0] * 9
-    assert vec.no_signboards
+    points = make_points(point_row("p0"), point_row("p1", order=1))
+    # a brand tally on a segment without signboards gives no premium
+    values, flag, _ = _segment_values(points, 80.0, {"p0": BrandTally(n_international=3)},
+                                      window=5)
+    assert list(values.values()) == [0.0] * 9
+    assert flag
 
 
 def test_segment_all_ordinary_brands_score_zero():
-    points = [make_point("p0", signboards_left=5)]
-    tallies = {"p0": BrandTally(n_ordinary=5)}
-    br, _, _ = smoothed_brand_ratio(points, tallies, BrandWeights(), window=1)
-    vec = segment_indicators(_segment(50.0), points, br, 0.0)
-    assert vec.br == 0.0
+    points = make_points(point_row("p0", signboards_left=5))
+    values, _, _ = _segment_values(points, 50.0, {"p0": BrandTally(n_ordinary=5)})
+    assert values["br"] == 0.0
 
 
 def test_density_scale_invariance():
-    points = [make_point("p0", signboards_left=4, motor_left=6, nonmotor_right=2,
-                         persons_left=8, glass_right=3)]
-    doubled = [make_point("p0", signboards_left=8, motor_left=12, nonmotor_right=4,
-                          persons_left=16, glass_right=6)]
-    v1 = segment_indicators(_segment(100.0), points, 0.0, 0.0)
-    v2 = segment_indicators(_segment(200.0), doubled, 0.0, 0.0)
+    points = make_points(point_row("p0", signboards_left=4, motor_left=6, nonmotor_right=2,
+                                   persons_left=8, glass_right=3))
+    doubled = make_points(point_row("p0", signboards_left=8, motor_left=12,
+                                    nonmotor_right=4, persons_left=16, glass_right=6))
+    v1, _, _ = _segment_values(points, 100.0)
+    v2, _, _ = _segment_values(doubled, 200.0)
     for name in ("sd", "md", "nd", "pp", "gd"):
-        assert getattr(v1, name) == pytest.approx(getattr(v2, name))
+        assert v1[name] == pytest.approx(v2[name])
 
 
 def test_closure_ratio_clamped_to_unit():
-    points = [make_point("p0", signboards_left=3, closed_left=9)]
-    vec = segment_indicators(_segment(50.0), points, 0.0, 0.0)
-    assert vec.cr == 1.0
+    values, _, _ = _segment_values(make_points(point_row(signboards_left=3, closed_left=9)))
+    assert values["cr"] == 1.0
 
 
 def test_green_ratio():
-    points = [make_point("p0", green_pixels_left=250, total_pixels_left=1000,
-                         green_pixels_right=250, total_pixels_right=1000)]
-    vec = segment_indicators(_segment(50.0), points, 0.0, 0.0)
-    assert vec.gr == pytest.approx(0.25)
-    assert 0.0 <= vec.gr <= 1.0
+    points = make_points(point_row(green_pixels_left=250, total_pixels_left=1000,
+                                   green_pixels_right=250, total_pixels_right=1000))
+    values, _, _ = _segment_values(points, 50.0)
+    assert values["gr"] == pytest.approx(0.25)
+    assert 0.0 <= values["gr"] <= 1.0
 
 
 def test_mv_passthrough():
-    points = [make_point("p0")]
-    vec = segment_indicators(_segment(50.0), points, 0.0, 2.75)
-    assert vec.mv == 2.75
+    values, _, _ = _segment_values(make_points(point_row()), 50.0, mv_point=[2.75])
+    assert values["mv"] == 2.75
+
+
+def test_non_positive_length_rejected():
+    with pytest.raises(ValidationError, match="non-positive length"):
+        _segment_values(make_points(point_row()), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,28 +161,95 @@ def test_mv_passthrough():
 # ---------------------------------------------------------------------------
 
 def test_smoothed_ratio_window_one_matches_direct():
-    points = [
-        make_point("p0", order=0, signboards_left=4),
-        make_point("p1", order=1, signboards_left=6),
-    ]
+    points = make_points(
+        point_row("p0", order=0, signboards_left=4),
+        point_row("p1", order=1, signboards_left=6),
+    )
     tallies = {"p0": BrandTally(n_international=2), "p1": BrandTally(n_local=3)}
-    value, flag, _ = smoothed_brand_ratio(points, tallies, BrandWeights(), window=1)
+    values, flag, _ = _segment_values(points, tallies=tallies, window=1)
     direct = (2 * 1.5 + 3 * 1.0) / 10
-    assert value == pytest.approx(direct, abs=1e-12)
+    assert values["br"] == pytest.approx(direct, abs=1e-12)
     assert not flag
 
 
 def test_smoothed_ratio_no_signboards():
-    points = [make_point("p0")]
-    value, flag, _ = smoothed_brand_ratio(points, {}, BrandWeights(), window=5)
-    assert value == 0.0 and flag
+    values, flag, _ = _segment_values(make_points(point_row()), window=5)
+    assert values["br"] == 0.0 and flag
 
 
 def test_smoothed_ratio_spreads_along_route():
-    # a single branded point bleeds into its neighbors under window 5
-    points = [make_point(f"p{i}", order=i, signboards_left=2) for i in range(5)]
+    # a single branded point bleeds into its neighbors under window 5; the
+    # rows arrive out of route order
+    points = make_points(*(point_row(f"p{i}", order=i, signboards_left=2)
+                           for i in (3, 0, 4, 2, 1)))
     tallies = {"p2": BrandTally(n_international=2)}
-    smoothed, _, _ = smoothed_brand_ratio(points, tallies, BrandWeights(), window=5)
+    values, _, point_br = _segment_values(points, tallies=tallies, window=5)
     series = [0, 0, (2 * 1.5) / 2, 0, 0]
-    expected = np.mean([np.mean(series[max(0, i - 2):i + 3]) for i in range(5)])
-    assert smoothed == pytest.approx(expected, abs=1e-12)
+    smoothed = [np.mean(series[max(0, i - 2):i + 3]) for i in range(5)]
+    assert point_br.tolist() == [smoothed[i] for i in (3, 0, 4, 2, 1)]
+    assert values["br"] == pytest.approx(np.mean(smoothed), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# parity with a per-row reference on the bundled city
+# ---------------------------------------------------------------------------
+
+def _reference_table(city_dir, mv_by_id, window):
+    """The indicators computed point by point from the CSV rows: Python
+    integer sums and the same numpy float reductions, per segment in route
+    order."""
+    with open(city_dir / "points.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(city_dir / "brands.csv", newline="", encoding="utf-8") as fh:
+        brands = {r["point_id"]: r for r in csv.DictReader(fh)}
+    with open(city_dir / "segments.csv", newline="", encoding="utf-8") as fh:
+        lengths = {r["id"]: float(r["length_m"]) for r in csv.DictReader(fh)}
+    by_segment = {}
+    for r in rows:
+        by_segment.setdefault(r["segment_id"], []).append(r)
+    half = window // 2
+    table, point_br = {}, {}
+    for sid in sorted(by_segment):
+        route = sorted(by_segment[sid], key=lambda r: int(r["order"]))
+
+        def total(name):
+            return sum(int(r[f"{name}_left"]) + int(r[f"{name}_right"]) for r in route)
+
+        series, signboards = [], []
+        for r in route:
+            ns = int(r["signboards_left"]) + int(r["signboards_right"])
+            b = brands.get(r["id"])
+            score = (int(b["n_local"]) * 1.0 + int(b["n_international"]) * 1.5
+                     + int(b["n_ordinary"]) * 0.0) if b else 0.0
+            series.append(score / ns if ns > 0 else 0.0)
+            signboards.append(float(ns))
+        smoothed = [np.mean(series[max(0, i - half):i + half + 1]) for i in range(len(route))]
+        for r, value in zip(route, smoothed):
+            point_br[r["id"]] = float(value)
+        ns, length, pixels = total("signboards"), lengths[sid], total("total_pixels")
+        br = float((np.array(smoothed) * np.array(signboards)).sum() / ns) if ns else 0.0
+        table[sid] = [
+            ns / length, min(total("closed"), ns) / ns if ns else 0.0, br,
+            float(np.mean([mv_by_id[r["id"]] for r in route])),
+            total("motor") / length, total("nonmotor") / length, total("persons") / length,
+            total("green_pixels") / pixels if pixels else 0.0, total("glass") / length,
+        ]
+    return table, point_br
+
+
+@pytest.mark.parametrize("window", [1, 5, 7])
+def test_indicator_table_matches_per_row_reference(city_dir, rng, window):
+    tables = load_tables(TablePaths(
+        points=city_dir / "points.csv", segments=city_dir / "segments.csv",
+        anchors=city_dir / "anchors.csv", pois=city_dir / "pois.csv",
+        lbs=city_dir / "lbs.csv", brands=city_dir / "brands.csv"))
+    mv_point = rng.uniform(0.0, 3.0, len(tables.points))
+    ids, matrix, flags, point_br = indicator_table(
+        tables.points, tables.segments, tables.brands, BrandWeights(), mv_point, window)
+
+    mv_by_id = dict(zip(tables.points.ids.tolist(), mv_point.tolist()))
+    expected, expected_br = _reference_table(city_dir, mv_by_id, window)
+    assert ids == sorted(expected)
+    assert {sid: row for sid, row in zip(ids, matrix.tolist())} == expected
+    assert flags.tolist() == [expected[sid][0] == 0.0 for sid in ids]
+    assert dict(zip(tables.points.ids.tolist(), point_br.tolist())) == expected_br

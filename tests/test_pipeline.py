@@ -2,10 +2,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from sevi.geodata import PERIODS
-from sevi.pipeline import PipelineConfig, robustness, run
+from sevi.geodata import PERIODS, project_to_metric
+from sevi.pipeline import PipelineConfig, _load_city, robustness, run
 
 # headline values of the bundled synthetic city (seed 20251015)
 MEAN_ADJUSTED_R2 = 0.603279
@@ -103,3 +104,33 @@ def test_robustness_grid_complete_and_baseline_matches_run(city_dir, default_run
         assert doc["r2_by_threshold"][p]["2000"] == baseline
         assert doc["r2_by_decay"][p]["gaussian"] == baseline
     assert doc["tier_validation"]["kw"]["h"] == _json(default_run / "kw.json")["h"]
+
+
+def _projected(path, premium=False):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    xy = np.array([project_to_metric(float(r["lon"]), float(r["lat"])) for r in rows])
+    return (xy, np.array([r["is_premium"] == "1" for r in rows])) if premium else xy
+
+
+def test_tier_counts_match_brute_force_join(city_dir, default_run):
+    # per point: the POIs whose math.hypot distance is <= 50 m, found by a
+    # scan of the POIs within the 50 m box around the point
+    points_xy = _projected(city_dir / "points.csv")
+    pois_xy, is_premium = _projected(city_dir / "pois.csv", premium=True)
+    expected_total, expected_premium = [], []
+    for x, y in points_xy.tolist():
+        box = np.flatnonzero((np.abs(pois_xy[:, 0] - x) <= 50.0)
+                             & (np.abs(pois_xy[:, 1] - y) <= 50.0))
+        hits = [j for j in box.tolist()
+                if math.hypot(pois_xy[j, 0] - x, pois_xy[j, 1] - y) <= 50.0]
+        expected_total.append(len(hits))
+        expected_premium.append(int(is_premium[hits].sum()))
+
+    tables, _ = _load_city(_config(default_run), city_dir)
+    total, premium = tables.pois.counts_within(tables.points.x, tables.points.y, 50.0)
+    assert total.tolist() == expected_total
+    assert premium.tolist() == expected_premium
+    kw = _json(default_run / "kw.json")
+    assert kw["n_active"] == sum(n > 0 for n in expected_total)
+    assert kw["n_points"] == len(expected_total)

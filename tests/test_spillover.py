@@ -8,8 +8,6 @@ from sevi.geodata import MallAnchor
 from sevi.spillover import (SigmaTable, SpilloverConfig, calibrate_sigma,
                             decay_value, field_all, field_at, threshold_sweep)
 
-from .conftest import make_point
-
 
 def _anchor(aid, x, y, category="mall"):
     return MallAnchor(id=aid, category=category, x=x, y=y)
@@ -147,20 +145,20 @@ def _sigma_for(anchors):
 def test_field_no_anchor_within_threshold():
     anchors = [_anchor("a0", 10000.0, 0.0)]
     cfg = SpilloverConfig(threshold_m=2000.0)
-    assert field_at(make_point(), anchors, _sigma_for(anchors), cfg) == 0.0
+    assert field_at(0.0, 0.0, anchors, _sigma_for(anchors), cfg) == 0.0
 
 
 def test_field_single_anchor_at_zero_distance():
     anchors = [_anchor("a0", 0.0, 0.0)]
     cfg = SpilloverConfig()
-    assert field_at(make_point(), anchors, _sigma_for(anchors), cfg) == 1.0
+    assert field_at(0.0, 0.0, anchors, _sigma_for(anchors), cfg) == 1.0
 
 
 def test_field_missing_category():
     anchors = [_anchor("a0", 0.0, 0.0)]
     table = SigmaTable(sigma_m={"other": 100.0}, provenance={"other": "computed"})
     with pytest.raises(ComputationError):
-        field_at(make_point(), anchors, table, SpilloverConfig())
+        field_at(0.0, 0.0, anchors, table, SpilloverConfig())
 
 
 def _brute_field(points_xy, anchors, table, cfg):
@@ -194,10 +192,10 @@ def test_field_at_agrees_with_field_all(rng):
     anchors = [_anchor(f"a{j:02d}", *rng.uniform(0, 3000, 2)) for j in range(30)]
     table = _sigma_for(anchors)
     cfg = SpilloverConfig(threshold_m=1500.0)
-    pts = [make_point(f"p{i}", *rng.uniform(0, 3000, 2)) for i in range(25)]
-    batch = field_all(np.array([[p.x, p.y] for p in pts]), anchors, table, cfg)
-    for i, p in enumerate(pts):
-        single = field_at(p, anchors, table, cfg)
+    xy = rng.uniform(0, 3000, (25, 2))
+    batch = field_all(xy, anchors, table, cfg)
+    for i, (x, y) in enumerate(xy.tolist()):
+        single = field_at(x, y, anchors, table, cfg)
         assert single == pytest.approx(batch[i], abs=1e-12)
 
 
@@ -243,6 +241,6 @@ def test_field_non_increasing_when_anchor_moves_away(decay):
     previous = math.inf
     for dist in (100.0, 400.0, 900.0, 1500.0, 1999.0, 2100.0):
         anchors = fixed + [_anchor("a1", dist, 0.0)]
-        value = field_at(make_point(), anchors, table, cfg)
+        value = field_at(0.0, 0.0, anchors, table, cfg)
         assert value <= previous + 1e-15
         previous = value

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevi.exceptions import ComputationError, ValidationError
-from sevi.stats import (chi2_sf, kruskal_wallis, pca, rankdata, spearman,
-                        spearman_matrix, tertile_split, varimax)
+from sevi.stats import (TERTILE_LABELS, chi2_sf, kruskal_wallis, pca, rankdata,
+                        sorted_quantiles, spearman, spearman_matrix, tertile_split,
+                        varimax)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +279,48 @@ def test_tertile_nine_values():
     assert labels == ["low"] * 3 + ["mid"] * 3 + ["high"] * 3
 
 
-def test_tertile_all_equal_goes_low():
-    assert tertile_split([4.0] * 6) == ["low"] * 6
+def test_tertile_all_equal_raises():
+    with pytest.raises(ComputationError, match="3 distinct values, got 1"):
+        tertile_split([4.0] * 6)
+    with pytest.raises(ComputationError, match="3 distinct values, got 2"):
+        tertile_split([4.0] * 6 + [5.0])
+
+
+def test_tertile_ties_at_the_lowest_value():
+    # over two thirds of the values are 0, so both quantiles are 0; the mid
+    # tier is the next distinct value
+    values = [0.0] * 8 + [0.5, 2.0, 3.0, 3.0]
+    assert tertile_split(values) == ["low"] * 8 + ["mid", "high", "high", "high"]
+
+
+def _old_rule(values):
+    """The cut rule without clamping: v <= q1 low, v <= q2 mid, else high."""
+    q1, q2 = np.quantile(values, [1.0 / 3.0, 2.0 / 3.0])
+    return ["low" if v <= q1 else "mid" if v <= q2 else "high" for v in values]
+
+
+_tied = st.one_of(st.integers(0, 5).map(float), st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_tied, min_size=3, max_size=40))
+def test_tertile_property(values):
+    if len(set(values)) < 3:
+        with pytest.raises(ComputationError):
+            tertile_split(values)
+        return
+    labels = tertile_split(values)
+    assert set(labels) == set(TERTILE_LABELS)
+    old = _old_rule(values)
+    if set(old) == set(TERTILE_LABELS):
+        assert labels == old
+    rank = {t: k for k, t in enumerate(TERTILE_LABELS)}
+    for v, a in zip(values, labels):
+        for w, b in zip(values, labels):
+            if v == w:
+                assert a == b  # ties share a label
+            elif v < w:
+                assert rank[a] <= rank[b]  # labels are monotone in the value
 
 
 def test_tertile_means_monotone(rng):
@@ -290,3 +333,19 @@ def test_tertile_means_monotone(rng):
 def test_tertile_needs_three():
     with pytest.raises(ValidationError):
         tertile_split([1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# quantiles
+# ---------------------------------------------------------------------------
+
+_q = st.one_of(st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75, 1.0]),
+               st.floats(0.0, 1.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(-1e12, 1e12, allow_nan=False), min_size=1, max_size=60),
+       st.lists(_q, min_size=1, max_size=4))
+def test_sorted_quantiles_match_numpy(values, qs):
+    values = np.array(values)
+    assert sorted_quantiles(np.sort(values), qs) == np.quantile(values, qs).tolist()
