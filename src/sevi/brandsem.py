@@ -10,7 +10,6 @@ name from environment variables only.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -21,8 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
-from .exceptions import ModelOutputError, TransportError, ValidationError
-from .geodata import BrandTally
+from .exceptions import ModelOutputError, SchemaError, TransportError, ValidationError
+from .geodata import BrandTally, _read_csv_rows
 
 TIERS = ("International", "Local", "Ordinary")
 
@@ -390,19 +389,8 @@ class DecodedImage:
 
 def load_corpus(path) -> list[tuple[str, str]]:
     """corpus.csv rows (image_id, point_id) in file order."""
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["image_id", "point_id"]:
-            raise ValidationError(f"{path}: expected header image_id,point_id")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}: expected 2 fields, got {len(row)}")
-            rows.append((row[0].strip(), row[1].strip()))
-    return rows
+    return [(image_id.strip(), point_id.strip())
+            for _, (image_id, point_id) in _read_csv_rows(path, ("image_id", "point_id"))]
 
 
 def _decode_one(image_id: str, point_id: str, reference_db: ReferenceDb,
@@ -492,20 +480,11 @@ def report_from_tier_metrics(metrics: dict[str, tuple[float, float]]) -> EvalRep
 def load_labeled_pairs(path) -> dict[str, set[tuple[str, str]]]:
     """CSV (image_id, brand, tier) -> per-image sets of normalized pairs."""
     out: dict[str, set[tuple[str, str]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["image_id", "brand", "tier"]:
-            raise ValidationError(f"{path}: expected header image_id,brand,tier")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValidationError(f"{path}: row {lineno}: expected 3 fields")
-            image_id, brand, tier = (c.strip() for c in row)
-            if tier not in TIERS:
-                raise ValidationError(f"{path}: row {lineno}: unknown tier {tier!r}")
-            out.setdefault(image_id, set()).add((normalize_brand(brand), tier))
+    for lineno, row in _read_csv_rows(path, ("image_id", "brand", "tier")):
+        image_id, brand, tier = (c.strip() for c in row)
+        if tier not in TIERS:
+            raise SchemaError(path, lineno, "tier", f"unknown tier {tier!r}")
+        out.setdefault(image_id, set()).add((normalize_brand(brand), tier))
     return out
 
 

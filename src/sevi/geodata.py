@@ -7,10 +7,14 @@ order. The route order sorts the segments by id and each segment's points by
 `order`; `PointTable.route` returns it as a permutation plus run bounds, so
 a per-segment reduction reads one contiguous slice of the permuted column.
 
-All tables are immutable after load and safe for concurrent reads. Ingestion
-is strict: every row passes a per-row validator before the columns are
-built, and the first bad row aborts the load with a file/row/column
-diagnostic rather than silently dropping data.
+Ingestion reads every table as text rows, each a row number and its fields
+in header order. The encoding decides only how those rows are read: from a
+CSV file, or from a GeoJSON FeatureCollection, where a feature's number is
+its row and a Point's coordinates fill `lon`/`lat`. Both encodings yield the
+same rows and pass the same checks, because each table has exactly one
+validator. The first bad row aborts the load with a file/row/column
+diagnostic rather than silently dropping data. All tables are immutable
+after load and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -213,6 +217,62 @@ def _read_csv_rows(path: Path, expected_header: tuple[str, ...]):
     return rows
 
 
+def _read_geojson_rows(path: Path, header: tuple[str, ...]):
+    """The features of a GeoJSON FeatureCollection as `_read_csv_rows` rows:
+    (feature number, fields as text in header order).
+
+    With lon/lat in the header the features are Points whose coordinates
+    fill those two fields; otherwise they are LineStrings. Returns the rows
+    and, for LineStrings, each one's [(lon, lat), ...] vertices (else None).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot open {path}: {exc}") from exc
+    except ValueError as exc:
+        raise SchemaError(path, 0, "-", f"not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+        raise SchemaError(path, 0, "type", "expected a FeatureCollection")
+    features = doc.get("features")
+    if not isinstance(features, list):
+        raise SchemaError(path, 0, "features", "expected a list of features")
+    kind = "Point" if "lon" in header else "LineString"
+    rows, vertices = [], [] if kind == "LineString" else None
+    for i, feat in enumerate(features, start=1):
+        geom = feat.get("geometry") if isinstance(feat, dict) else None
+        if not isinstance(geom, dict) or geom.get("type") != kind:
+            raise SchemaError(path, i, "geometry", f"expected a {kind} feature")
+        props = feat.get("properties")
+        if not isinstance(props, dict):
+            raise SchemaError(path, i, "properties", "expected an object")
+        coords = geom.get("coordinates")
+        if not (isinstance(coords, list) and len(coords) >= 2):
+            raise SchemaError(path, i, "coordinates", "expected [lon, lat] for a Point, "
+                              f"two or more such vertices for a LineString; got {coords!r}")
+        if kind == "Point":
+            props = {**props, "lon": coords[0], "lat": coords[1]}
+        else:
+            vertices.append([_vertex(path, i, k, c) for k, c in enumerate(coords)])
+        missing = [name for name in header if name not in props]
+        if missing:
+            raise SchemaError(path, i, missing[0], "missing property")
+        rows.append((i, ["" if props[name] is None else str(props[name]) for name in header]))
+    return rows, vertices
+
+
+def _vertex(path, feature, k, c) -> tuple[float, float]:
+    """Vertex `k` of a LineString feature as a finite (lon, lat)."""
+    try:
+        lon, lat = float(c[0]), float(c[1])
+    except (TypeError, ValueError, IndexError, KeyError):
+        lon = lat = math.nan
+    if not (isinstance(c, list) and math.isfinite(lon) and math.isfinite(lat)):
+        raise SchemaError(path, feature, "coordinates",
+                          f"vertex {k}: expected finite [lon, lat], got {c!r}")
+    return lon, lat
+
+
 def _parse_int(path, row, column, text, minimum=None):
     try:
         value = int(text)
@@ -235,37 +295,60 @@ def _parse_float(path, row, column, text, minimum=None):
     return value
 
 
-def _point_from_fields(path, lineno, rec: dict) -> tuple:
-    """One validated `PointTable` row."""
-    pid = rec["id"].strip()
-    if not pid:
-        raise SchemaError(path, lineno, "id", "empty id")
-    lon = _parse_float(path, lineno, "lon", rec["lon"])
-    lat = _parse_float(path, lineno, "lat", rec["lat"])
+def _unique_id(path, row, text, seen: set, what: str, column: str = "id") -> str:
+    """`text` stripped, checked non-empty and not in `seen`, then added to it."""
+    ident = text.strip()
+    if not ident:
+        raise SchemaError(path, row, column, "empty id")
+    if ident in seen:
+        raise SchemaError(path, row, column, f"duplicate {what} id {ident!r}")
+    seen.add(ident)
+    return ident
+
+
+def _lonlat(path, row, lon_text, lat_text) -> tuple[float, float, float, float]:
+    """(lon, lat, x, y) of a row's coordinate; its latitude must lie inside
+    the projection band."""
+    lon = _parse_float(path, row, "lon", lon_text)
+    lat = _parse_float(path, row, "lat", lat_text)
     if abs(lat) >= MAX_ABS_LAT:
-        raise SchemaError(path, lineno, "lat",
+        raise SchemaError(path, row, "lat",
                           f"latitude {lat} outside projection band (|lat| < {MAX_ABS_LAT})")
-    counts = {}
-    for col in COUNT_COLUMNS:
-        counts[col] = _parse_int(path, lineno, col, rec[col], minimum=0)
-    for side in ("left", "right"):
-        if counts[f"green_pixels_{side}"] > counts[f"total_pixels_{side}"]:
-            raise SchemaError(path, lineno, f"green_pixels_{side}",
-                              "green pixel count exceeds total pixel count")
-    x, y = project_to_metric(lon, lat)
-    return (pid, lon, lat, x, y, rec["segment_id"].strip(),
-            _parse_int(path, lineno, "order", rec["order"], minimum=0),
-            tuple(counts.values()))
+    return (lon, lat, *project_to_metric(lon, lat))
 
 
-def _load_segments_csv(path: Path) -> dict[str, StreetSegment]:
+_GREEN = COUNT_COLUMNS.index("green_pixels_left")
+_TOTAL = COUNT_COLUMNS.index("total_pixels_left")
+
+
+def _load_points(path: Path, rows) -> PointTable:
+    seen: set[str] = set()
+    placed: set[tuple[str, int]] = set()
+    table = []
+    for lineno, row in rows:
+        pid = _unique_id(path, lineno, row[0], seen, "point")
+        lon, lat, x, y = _lonlat(path, lineno, row[1], row[2])
+        sid = row[3].strip()
+        order = _parse_int(path, lineno, "order", row[4], minimum=0)
+        if (sid, order) in placed:
+            raise SchemaError(path, lineno, "order",
+                              f"duplicate order {order} within segment {sid!r}")
+        placed.add((sid, order))
+        counts = tuple(_parse_int(path, lineno, col, text, minimum=0)
+                       for col, text in zip(COUNT_COLUMNS, row[5:]))
+        for side in (0, 1):
+            if counts[_GREEN + side] > counts[_TOTAL + side]:
+                raise SchemaError(path, lineno, COUNT_COLUMNS[_GREEN + side],
+                                  "green pixel count exceeds total pixel count")
+        table.append((pid, lon, lat, x, y, sid, order, counts))
+    return PointTable.from_rows(table)
+
+
+def _load_segments(path: Path, rows) -> dict[str, StreetSegment]:
+    seen: set[str] = set()
     segments: dict[str, StreetSegment] = {}
-    for lineno, row in _read_csv_rows(path, SEGMENTS_HEADER):
-        sid = row[0].strip()
-        if not sid:
-            raise SchemaError(path, lineno, "id", "empty id")
-        if sid in segments:
-            raise SchemaError(path, lineno, "id", f"duplicate segment id {sid!r}")
+    for lineno, row in rows:
+        sid = _unique_id(path, lineno, row[0], seen, "segment")
         length = _parse_float(path, lineno, "length_m", row[1])
         if length <= 0:
             raise SchemaError(path, lineno, "length_m", f"must be > 0, got {length}")
@@ -273,53 +356,35 @@ def _load_segments_csv(path: Path) -> dict[str, StreetSegment]:
     return segments
 
 
-def _load_anchors_csv(path: Path) -> list[MallAnchor]:
+def _load_anchors(path: Path, rows) -> list[MallAnchor]:
+    seen: set[str] = set()
     anchors = []
-    seen = set()
-    for lineno, row in _read_csv_rows(path, ANCHORS_HEADER):
-        aid = row[0].strip()
-        if not aid:
-            raise SchemaError(path, lineno, "id", "empty id")
-        if aid in seen:
-            raise SchemaError(path, lineno, "id", f"duplicate anchor id {aid!r}")
-        seen.add(aid)
+    for lineno, row in rows:
+        aid = _unique_id(path, lineno, row[0], seen, "anchor")
         category = row[1].strip()
         if not category:
             raise SchemaError(path, lineno, "category", "empty category")
-        lon = _parse_float(path, lineno, "lon", row[2])
-        lat = _parse_float(path, lineno, "lat", row[3])
-        if abs(lat) >= MAX_ABS_LAT:
-            raise SchemaError(path, lineno, "lat", "latitude outside projection band")
-        x, y = project_to_metric(lon, lat)
+        lon, lat, x, y = _lonlat(path, lineno, row[2], row[3])
         anchors.append(MallAnchor(id=aid, category=category, x=x, y=y, lon=lon, lat=lat))
     return anchors
 
 
-def _load_pois_csv(path: Path) -> PoiTable:
-    rows = []
-    seen = set()
-    for lineno, row in _read_csv_rows(path, POIS_HEADER):
-        pid = row[0].strip()
-        if not pid:
-            raise SchemaError(path, lineno, "id", "empty id")
-        if pid in seen:
-            raise SchemaError(path, lineno, "id", f"duplicate poi id {pid!r}")
-        seen.add(pid)
-        lon = _parse_float(path, lineno, "lon", row[1])
-        lat = _parse_float(path, lineno, "lat", row[2])
-        if abs(lat) >= MAX_ABS_LAT:
-            raise SchemaError(path, lineno, "lat", "latitude outside projection band")
+def _load_pois(path: Path, rows) -> PoiTable:
+    seen: set[str] = set()
+    table = []
+    for lineno, row in rows:
+        pid = _unique_id(path, lineno, row[0], seen, "poi")
+        _, _, x, y = _lonlat(path, lineno, row[1], row[2])
         premium_raw = row[4].strip()
         if premium_raw not in ("0", "1"):
             raise SchemaError(path, lineno, "is_premium", f"must be 0 or 1, got {premium_raw!r}")
-        x, y = project_to_metric(lon, lat)
-        rows.append((pid, x, y, row[3].strip(), premium_raw == "1"))
-    return PoiTable.from_rows(rows)
+        table.append((pid, x, y, row[3].strip(), premium_raw == "1"))
+    return PoiTable.from_rows(table)
 
 
-def _load_lbs_csv(path: Path, segments: dict[str, StreetSegment]):
+def _load_lbs(path: Path, rows, segments: dict[str, StreetSegment]):
     lbs: dict[str, dict[str, float]] = {}
-    for lineno, row in _read_csv_rows(path, LBS_HEADER):
+    for lineno, row in rows:
         sid = row[0].strip()
         if sid not in segments:
             raise SchemaError(path, lineno, "segment_id", f"unknown segment {sid!r}")
@@ -342,75 +407,17 @@ def _load_lbs_csv(path: Path, segments: dict[str, StreetSegment]):
     return lbs
 
 
-def _load_brands_csv(path: Path) -> dict[str, BrandTally]:
+def _load_brands(path: Path, rows) -> dict[str, BrandTally]:
+    seen: set[str] = set()
     brands: dict[str, BrandTally] = {}
-    for lineno, row in _read_csv_rows(path, BRANDS_HEADER):
-        pid = row[0].strip()
-        if pid in brands:
-            raise SchemaError(path, lineno, "point_id", f"duplicate point id {pid!r}")
+    for lineno, row in rows:
+        pid = _unique_id(path, lineno, row[0], seen, "point", column="point_id")
         brands[pid] = BrandTally(
             n_local=_parse_int(path, lineno, "n_local", row[1], minimum=0),
             n_international=_parse_int(path, lineno, "n_international", row[2], minimum=0),
             n_ordinary=_parse_int(path, lineno, "n_ordinary", row[3], minimum=0),
         )
     return brands
-
-
-def _load_point_features_geojson(path: Path, prop_names: tuple[str, ...]):
-    """Rows (as string dicts) from a GeoJSON FeatureCollection of Points."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read GeoJSON {path}: {exc}") from exc
-    if doc.get("type") != "FeatureCollection":
-        raise SchemaError(path, 0, "type", "expected a FeatureCollection")
-    rows = []
-    for i, feat in enumerate(doc.get("features", []), start=1):
-        geom = feat.get("geometry") or {}
-        if geom.get("type") != "Point":
-            raise SchemaError(path, i, "geometry", f"expected Point, got {geom.get('type')!r}")
-        coords = geom.get("coordinates")
-        if not isinstance(coords, (list, tuple)) or len(coords) < 2:
-            raise SchemaError(path, i, "coordinates", "expected [lon, lat]")
-        props = feat.get("properties") or {}
-        rec = {"lon": str(coords[0]), "lat": str(coords[1])}
-        for name in prop_names:
-            if name in ("lon", "lat"):
-                continue
-            if name not in props:
-                raise SchemaError(path, i, name, "missing property")
-            rec[name] = str(props[name])
-        rows.append((i, rec))
-    return rows
-
-
-def _load_segments_geojson(path: Path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read GeoJSON {path}: {exc}") from exc
-    if doc.get("type") != "FeatureCollection":
-        raise SchemaError(path, 0, "type", "expected a FeatureCollection")
-    segments: dict[str, StreetSegment] = {}
-    geometry: dict[str, list[tuple[float, float]]] = {}
-    for i, feat in enumerate(doc.get("features", []), start=1):
-        geom = feat.get("geometry") or {}
-        if geom.get("type") != "LineString":
-            raise SchemaError(path, i, "geometry", f"expected LineString, got {geom.get('type')!r}")
-        props = feat.get("properties") or {}
-        sid = str(props.get("id", "")).strip()
-        if not sid:
-            raise SchemaError(path, i, "id", "missing or empty id")
-        if sid in segments:
-            raise SchemaError(path, i, "id", f"duplicate segment id {sid!r}")
-        length = _parse_float(path, i, "length_m", str(props.get("length_m")))
-        if length <= 0:
-            raise SchemaError(path, i, "length_m", f"must be > 0, got {length}")
-        segments[sid] = StreetSegment(id=sid, length_m=length)
-        geometry[sid] = [(float(c[0]), float(c[1])) for c in geom.get("coordinates", [])]
-    return segments, geometry
 
 
 @dataclass(frozen=True)
@@ -426,67 +433,42 @@ class TablePaths:
 def load_tables(paths: TablePaths, fmt: str = "csv") -> CityTables:
     """Load and cross-validate the five core tables (plus optional brands).
 
-    `fmt` selects the spatial-table encoding: "csv" or "geojson" (Point
-    features with the same property names; segments as LineString features).
-    The non-spatial lbs/brands tables are CSV in both modes.
+    `fmt` selects how the four spatial tables are encoded: "csv", or
+    "geojson", where points, anchors and POIs are Point features and
+    segments are LineString features, with the CSV columns as properties.
+    The encoding only decides how text rows are read: both yield the same
+    rows, and each table has one validator. LineString vertices become
+    `segment_geometry`. The lbs/brands tables are CSV in both modes.
     """
-    if fmt not in ("csv", "geojson"):
+    if fmt == "csv":
+        def read(path, header):
+            return _read_csv_rows(path, header), None
+    elif fmt == "geojson":
+        read = _read_geojson_rows
+    else:
         raise ValidationError(f"unknown table format {fmt!r} (expected csv or geojson)")
 
-    if fmt == "csv":
-        point_recs = ((n, dict(zip(POINTS_HEADER, row)))
-                      for n, row in _read_csv_rows(paths.points, POINTS_HEADER))
-    else:
-        point_recs = _load_point_features_geojson(paths.points, POINTS_HEADER)
-    points = PointTable.from_rows(_point_from_fields(paths.points, n, rec)
-                                  for n, rec in point_recs)
-    segment_geometry = None
-    if fmt == "csv":
-        segments = _load_segments_csv(paths.segments)
-        anchors = _load_anchors_csv(paths.anchors)
-        pois = _load_pois_csv(paths.pois)
-    else:
-        segments, segment_geometry = _load_segments_geojson(paths.segments)
-        anchors = []
-        for lineno, rec in _load_point_features_geojson(paths.anchors, ANCHORS_HEADER):
-            x, y = project_to_metric(float(rec["lon"]), float(rec["lat"]))
-            anchors.append(MallAnchor(id=rec["id"], category=rec["category"], x=x, y=y,
-                                      lon=float(rec["lon"]), lat=float(rec["lat"])))
-        poi_rows = []
-        for lineno, rec in _load_point_features_geojson(paths.pois, POIS_HEADER):
-            if rec["is_premium"] not in ("0", "1"):
-                raise SchemaError(paths.pois, lineno, "is_premium",
-                                  f"must be 0 or 1, got {rec['is_premium']!r}")
-            x, y = project_to_metric(float(rec["lon"]), float(rec["lat"]))
-            poi_rows.append((rec["id"], x, y, rec["top_category"], rec["is_premium"] == "1"))
-        pois = PoiTable.from_rows(poi_rows)
+    points = _load_points(paths.points, read(paths.points, POINTS_HEADER)[0])
+    segment_rows, vertices = read(paths.segments, SEGMENTS_HEADER)
+    segments = _load_segments(paths.segments, segment_rows)
+    anchors = _load_anchors(paths.anchors, read(paths.anchors, ANCHORS_HEADER)[0])
+    pois = _load_pois(paths.pois, read(paths.pois, POIS_HEADER)[0])
+    segment_geometry = None if vertices is None else dict(zip(segments, vertices))
 
-    # referential integrity and per-segment ordering
-    seen_points: set[str] = set()
-    order_seen: dict[str, set[int]] = {}
-    for pid, sid, order in zip(points.ids.tolist(), points.segment_ids.tolist(),
-                               points.order.tolist()):
-        if pid in seen_points:
-            raise ValidationError(f"{paths.points}: duplicate point id {pid!r}")
-        seen_points.add(pid)
+    for pid, sid in zip(points.ids.tolist(), points.segment_ids.tolist()):
         if sid not in segments:
             raise ValidationError(
                 f"{paths.points}: point {pid!r} references unknown segment {sid!r}"
             )
-        orders = order_seen.setdefault(sid, set())
-        if order in orders:
-            raise ValidationError(
-                f"{paths.points}: duplicate order {order} within segment {sid!r}"
-            )
-        orders.add(order)
 
-    lbs = _load_lbs_csv(paths.lbs, segments)
+    lbs = _load_lbs(paths.lbs, _read_csv_rows(paths.lbs, LBS_HEADER), segments)
 
     brands = None
     if paths.brands is not None:
-        brands = _load_brands_csv(paths.brands)
+        brands = _load_brands(paths.brands, _read_csv_rows(paths.brands, BRANDS_HEADER))
+        point_ids = set(points.ids.tolist())
         for pid in brands:
-            if pid not in seen_points:
+            if pid not in point_ids:
                 raise ValidationError(
                     f"{paths.brands}: brand tally references unknown point {pid!r}"
                 )

@@ -30,6 +30,7 @@ from .geodata import PERIODS
 from .stats import sorted_quantiles
 
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
+KERNELS = ("gaussian", "bisquare")
 
 
 @dataclass
@@ -50,8 +51,8 @@ class GwrDesign:
         predictors = np.atleast_2d(np.asarray(predictors, dtype=float))
         y = np.asarray(y, dtype=float)
         n, k = predictors.shape
-        if kernel not in kernels.KERNEL_CODES:
-            raise ValidationError(f"unknown kernel {kernel!r}")
+        if kernel not in KERNELS:
+            raise ValidationError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
         if coords.shape[0] != n or len(y) != n:
             raise ValidationError(
                 f"row mismatch: coords {coords.shape[0]}, X {n}, y {len(y)}"
@@ -165,9 +166,10 @@ def adaptive_bandwidths(coords: np.ndarray, m: int) -> np.ndarray:
     return bw
 
 
-def _fit_group(designs: list[GwrDesign], bandwidth) -> list[GwrFit]:
-    """`fit_local` for designs that share coordinates, X and kernel, in one
-    kernel call with their responses as columns."""
+def _group_kernel(designs: list[GwrDesign], bandwidth):
+    """One kernel call for designs that share coordinates, X and kernel, with
+    their responses as columns: (fixed bandwidth or None, adaptive neighbor
+    count or None, *`kernels.gwr_fit_all`'s outputs)."""
     first = designs[0]
     if isinstance(bandwidth, tuple):
         mode, m = bandwidth
@@ -186,22 +188,33 @@ def _fit_group(designs: list[GwrDesign], bandwidth) -> list[GwrFit]:
     cx = np.ascontiguousarray(first.coords[:, 0])
     cy = np.ascontiguousarray(first.coords[:, 1])
     Y = np.column_stack([design.y for design in designs])
-    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(
-        cx, cy, first.X, Y, bw_arr, kernels.KERNEL_CODES[first.kernel]
-    )
+    out = kernels.gwr_fit_all(cx, cy, first.X, Y, bw_arr, first.kernel)
+    flags = out[-1]
     if np.any(flags == kernels.FLAG_SINGULAR):
         i = int(np.argmax(flags == kernels.FLAG_SINGULAR))
         raise ComputationError(
             f"local system singular even after ridge fallback at location "
             f"{first.location_ids[i]!r}"
         )
+    return (bw_scalar, adaptive_m, *out)
+
+
+def _rss(design: GwrDesign, fitted: np.ndarray) -> tuple[np.ndarray, float]:
+    residuals = design.y - fitted
+    return residuals, float(residuals @ residuals)
+
+
+def _fit_group(designs: list[GwrDesign], bandwidth) -> list[GwrFit]:
+    """`fit_local` for designs that share coordinates, X and kernel, in one
+    kernel call with their responses as columns."""
+    bw_scalar, adaptive_m, beta, fitted, s_ii, s_norm2, flags = _group_kernel(
+        designs, bandwidth)
     trace_s = float(s_ii.sum())
     trace_sts = float(s_norm2.sum())
 
     fits = []
     for k, design in enumerate(designs):
-        residuals = design.y - fitted[:, k]
-        rss = float(residuals @ residuals)
+        residuals, rss = _rss(design, fitted[:, k])
         ybar = design.y.mean()
         tss = float(((design.y - ybar) ** 2).sum())
         fit = GwrFit(beta=np.ascontiguousarray(beta[:, :, k]), fitted=fitted[:, k],
@@ -212,7 +225,7 @@ def _fit_group(designs: list[GwrDesign], bandwidth) -> list[GwrFit]:
                      predictor_names=list(design.predictor_names),
                      location_ids=list(design.location_ids))
         fit.adjusted_r2 = adjusted_r2(fit, design.n)
-        fit.aicc = aicc(fit, design.n)
+        fit.aicc = _aicc(rss, trace_s, design.n)
         fits.append(fit)
     return fits
 
@@ -242,12 +255,16 @@ def adjusted_r2(fit: GwrFit, n: int) -> float:
 
 def aicc(fit: GwrFit, n: int) -> float:
     """Corrected AIC; +inf when the trace penalty denominator is not positive."""
-    denom = n - 2.0 - fit.trace_s
+    return _aicc(fit.rss, fit.trace_s, n)
+
+
+def _aicc(rss: float, trace_s: float, n: int) -> float:
+    denom = n - 2.0 - trace_s
     if denom <= 0:
         return math.inf
-    rss = max(fit.rss, 1e-300)
+    rss = max(rss, 1e-300)
     return (n * math.log(rss / n) + n * math.log(2.0 * math.pi)
-            + n * (n + fit.trace_s) / denom)
+            + n * (n + trace_s) / denom)
 
 
 def _golden_section(objective, lo0: float, hi0: float, rel_tol: float,
@@ -297,13 +314,18 @@ def _select_group(designs: list[GwrDesign], rel_tol: float = 1e-3,
 
     Each search follows its own path, but every bandwidth any of them visits
     is fitted once for the whole group and its AICc values are memoised.
+    Only AICc is computed there: adjusted R^2 is undefined at bandwidths so
+    small that the effective parameters reach n, where AICc is +inf.
     """
     lo0, hi0 = designs[0].pairwise_extent()
     memo: dict[float, list[float]] = {}
 
     def group_aicc(b: float) -> list[float]:
         if b not in memo:
-            memo[b] = [fit.aicc for fit in _fit_group(designs, b)]
+            *_, fitted, s_ii, _, _ = _group_kernel(designs, b)
+            trace_s = float(s_ii.sum())
+            memo[b] = [_aicc(_rss(design, fitted[:, k])[1], trace_s, design.n)
+                       for k, design in enumerate(designs)]
         return memo[b]
 
     return [_golden_section(lambda b, k=k: group_aicc(b)[k], lo0, hi0, rel_tol, max_iter)

@@ -12,15 +12,6 @@ then solved in one gufunc call with [X'WY | x_i] as right-hand sides.
 
 import numpy as np
 
-DECAY_GAUSSIAN = 0
-DECAY_EXPONENTIAL = 1
-DECAY_LINEAR = 2
-DECAY_CODES = {"gaussian": DECAY_GAUSSIAN, "exponential": DECAY_EXPONENTIAL, "linear": DECAY_LINEAR}
-
-KERNEL_GAUSSIAN = 0
-KERNEL_BISQUARE = 1
-KERNEL_CODES = {"gaussian": KERNEL_GAUSSIAN, "bisquare": KERNEL_BISQUARE}
-
 # GWR location flags
 FLAG_OK = 0
 FLAG_RIDGED = 1
@@ -41,8 +32,9 @@ _FIT_BLOCK = 1 << 14
 # spillover field
 # ---------------------------------------------------------------------------
 
-def spill_field(px, py, ax, ay, sigma, d_max, decay_code):
-    """Distance-decayed, threshold-gated anchor sum at every point.
+def spill_field(px, py, ax, ay, sigma, d_max, decay):
+    """Distance-decayed, threshold-gated anchor sum at every point; `decay`
+    is "gaussian", "exponential" or "linear".
 
     Anchor arrays must already be in the canonical (id-sorted) order; each
     point's terms are then summed in a deterministic order.
@@ -53,9 +45,9 @@ def spill_field(px, py, ax, ay, sigma, d_max, decay_code):
         hi = min(lo + _SPILL_CHUNK, n)
         d = np.hypot(ax[None, :] - px[lo:hi, None], ay[None, :] - py[lo:hi, None])
         inside = d <= d_max
-        if decay_code == DECAY_GAUSSIAN:
+        if decay == "gaussian":
             vals = np.exp(-(d * d) / (2.0 * sigma[None, :] ** 2))
-        elif decay_code == DECAY_EXPONENTIAL:
+        elif decay == "exponential":
             vals = np.exp(-d / sigma[None, :])
         else:
             vals = np.maximum(0.0, 1.0 - d / d_max)
@@ -94,8 +86,9 @@ def _failed_pivots(A):
     return dmin_l ** 2 <= _CHOL_TOL * dmax
 
 
-def gwr_fit_all(cx, cy, X, y, bandwidths, kernel_code):
-    """Local WLS at every location for one or more responses sharing X.
+def gwr_fit_all(cx, cy, X, y, bandwidths, kernel):
+    """Local WLS at every location for one or more responses sharing X,
+    under the "gaussian" or "bisquare" `kernel`.
 
     `y` is (n,) or (n, m). Returns coefficients (n, p) or (n, p, m), fitted
     values (n,) or (n, m), the hat diagonal and hat-row squared norms
@@ -120,7 +113,7 @@ def gwr_fit_all(cx, cy, X, y, bandwidths, kernel_code):
         hi = min(lo + rows, n)
         t = np.hypot(cx[None, :] - cx[lo:hi, None],
                      cy[None, :] - cy[lo:hi, None]) / bandwidths[lo:hi, None]
-        if kernel_code == KERNEL_GAUSSIAN:
+        if kernel == "gaussian":
             W = np.exp(-0.5 * t * t)
         else:
             W = np.where(t < 1.0, (1.0 - t * t) ** 2, 0.0)

@@ -27,8 +27,8 @@ import yaml
 from . import report, scoring, spillover, stats
 from .exceptions import (ComputationError, ConfigError, SeviError, StageError,
                          ValidationError)
-from .geodata import PERIODS, CityTables, TablePaths, load_tables, write_tables
-from .gwr import GwrDesign, GwrFit, coef_summary, time_sliced
+from .geodata import BRANDS_HEADER, PERIODS, CityTables, TablePaths, load_tables, write_tables
+from .gwr import KERNELS, GwrDesign, GwrFit, coef_summary, time_sliced
 from .indicators import BLOCKS, INDICATOR_NAMES, BrandWeights, indicator_table
 from .report import RobustnessReport, TierValidation
 
@@ -168,8 +168,8 @@ class PipelineConfig:
             raise ConfigError("poi_radius_m must be positive")
         if not (isinstance(c["pca_components"], int) and 1 <= c["pca_components"] <= 9):
             raise ConfigError("pca_components must be an integer in [1, 9]")
-        if c["gwr"]["kernel"] not in ("gaussian", "bisquare"):
-            raise ConfigError(f"gwr.kernel must be gaussian or bisquare, got {c['gwr']['kernel']!r}")
+        if c["gwr"]["kernel"] not in KERNELS:
+            raise ConfigError(f"gwr.kernel must be one of {KERNELS}, got {c['gwr']['kernel']!r}")
         if c["gwr"]["x_source"] not in ("normalized", "raw"):
             raise ConfigError("gwr.x_source must be normalized or raw")
         for v in c["gwr"]["summary_variables"]:
@@ -751,8 +751,7 @@ def decode_to_files(config: PipelineConfig, workdir: Path) -> dict:
             rows.append((item.image_id, brand, item.assignment.tiers[brand], source))
     write_csv(outdir / "assignments.csv", ("image_id", "brand", "tier", "provenance"), rows)
     tally = brandsem.tally_by_point(decoded)
-    write_csv(outdir / "brands.csv",
-              ("point_id", "n_local", "n_international", "n_ordinary"),
+    write_csv(outdir / "brands.csv", BRANDS_HEADER,
               [(pid, t.n_local, t.n_international, t.n_ordinary)
                for pid, t in sorted(tally.items())])
     summary = {"images": len(decoded), "assignments": len(rows),

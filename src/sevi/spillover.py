@@ -148,7 +148,7 @@ def field_all(xy: np.ndarray, anchors: list[MallAnchor], sigma_table: SigmaTable
         return np.zeros(len(xy))
     return kernels.spill_field(
         np.ascontiguousarray(xy[:, 0]), np.ascontiguousarray(xy[:, 1]),
-        ax, ay, sig, float(config.threshold_m), kernels.DECAY_CODES[config.decay],
+        ax, ay, sig, float(config.threshold_m), config.decay,
     )
 
 

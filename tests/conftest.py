@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,24 @@ def metric_offset(lon0, lat0, dx, dy):
     from sevi.geodata import metric_to_lonlat
     x0, y0 = project_to_metric(lon0, lat0)
     return metric_to_lonlat(x0 + dx, y0 + dy)
+
+
+def write_feature_collection(path, header, rows, vertices=None):
+    """GeoJSON twin of a CSV table of text `rows` in `header` order. Without
+    `vertices` each row is a Point feature at its lon/lat fields; with them,
+    row k is a LineString through vertices[k]. The other fields become
+    properties, as text."""
+    features = []
+    for k, row in enumerate(rows):
+        props = dict(zip(header, row))
+        if vertices is None:
+            geometry = {"type": "Point",
+                        "coordinates": [float(props.pop("lon")), float(props.pop("lat"))]}
+        else:
+            geometry = {"type": "LineString", "coordinates": vertices[k]}
+        features.append({"type": "Feature", "geometry": geometry, "properties": props})
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}),
+                    encoding="utf-8")
 
 
 @pytest.fixture

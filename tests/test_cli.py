@@ -1,4 +1,6 @@
 import csv
+import json
+import math
 import shutil
 
 import pytest
@@ -64,3 +66,33 @@ def test_sparse_brand_city_validates(city_dir, tmp_path):
     with open(tmp_path / "out" / "tier_validation.csv", newline="", encoding="utf-8") as fh:
         tier_n = {row["tier"]: int(row["n_points"]) for row in csv.DictReader(fh)}
     assert tier_n == {"low": 1506, "mid": 1, "high": 257}
+
+
+def test_bisquare_with_aicc_search_exits_zero(city_dir, tmp_path):
+    # the search meets bandwidths where the effective parameters reach n;
+    # AICc is +inf there and the search moves on
+    argv = ["--workdir", str(city_dir), "gwr", "--config", _config(tmp_path),
+            "--set", "gwr.kernel=bisquare"]
+    assert main(argv) == 0
+    out = tmp_path / "out"
+    periods = json.loads((out / "gwr_summary.json").read_text(encoding="utf-8"))["periods"]
+    for period, fit in periods.items():
+        assert fit["kernel"] == "bisquare"
+        assert all(math.isfinite(fit[k]) for k in ("adjusted_r2", "aicc", "bandwidth_m"))
+        with open(out / f"gwr_{period}.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == fit["n"]
+        assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
+
+
+def test_missing_corpus_exits_one(corpus_dir, tmp_path, capsys):
+    config = _config(tmp_path, "decode: {corpus: no_such_corpus.csv}\n")
+    assert main(["--workdir", str(corpus_dir), "brands", "decode", "--config", config]) == 1
+    assert str(corpus_dir / "no_such_corpus.csv") in capsys.readouterr().err
+
+
+def test_missing_ground_truth_exits_one(corpus_dir, capsys):
+    argv = ["--workdir", str(corpus_dir), "brands", "eval", "--gt", "no_such_gt.csv",
+            "--pred", "predictions.csv"]
+    assert main(argv) == 1
+    assert str(corpus_dir / "no_such_gt.csv") in capsys.readouterr().err

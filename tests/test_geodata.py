@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevi.exceptions import ComputationError, SchemaError, ValidationError
-from sevi.geodata import (COUNT_COLUMNS, EARTH_RADIUS_M, POINTS_HEADER, CityTables,
-                          PoiTable, TablePaths, load_tables, metric_to_lonlat,
-                          pairs_within, project_to_metric, write_tables)
+from sevi.geodata import (ANCHORS_HEADER, COUNT_COLUMNS, EARTH_RADIUS_M, POINTS_HEADER,
+                          POIS_HEADER, SEGMENTS_HEADER, CityTables, PoiTable, TablePaths,
+                          load_tables, metric_to_lonlat, pairs_within, project_to_metric,
+                          write_tables)
 from sevi.pipeline import _tier_validation
 
-from .conftest import make_points, point_row
+from .conftest import make_points, point_row, write_feature_collection
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +270,24 @@ def _write_csv(path, header, rows):
 
 
 def _minimal_tables(tmp_path, point_rows=(), segment_rows=(("s0", "100.0"),),
-                    lbs_rows=None):
-    _write_csv(tmp_path / "points.csv", POINTS_HEADER, point_rows)
-    _write_csv(tmp_path / "segments.csv", ("id", "length_m"), segment_rows)
-    _write_csv(tmp_path / "anchors.csv", ("id", "category", "lon", "lat"),
-               [("a0", "mall", "0.001", "0.0")])
-    _write_csv(tmp_path / "pois.csv", ("id", "lon", "lat", "top_category", "is_premium"),
-               [("q0", "0.0005", "0.0", "shopping", "1")])
+                    lbs_rows=None, anchor_rows=(("a0", "mall", "0.001", "0.0"),),
+                    poi_rows=(("q0", "0.0005", "0.0", "shopping", "1"),), fmt="csv"):
+    """The tables in `fmt`; as GeoJSON each segment runs from (0, 0) to (0.001, 0)."""
+    spatial = {"points": (POINTS_HEADER, point_rows, None),
+               "segments": (SEGMENTS_HEADER, segment_rows,
+                            [[[0.0, 0.0], [0.001, 0.0]]] * len(segment_rows)),
+               "anchors": (ANCHORS_HEADER, anchor_rows, None),
+               "pois": (POIS_HEADER, poi_rows, None)}
+    for name, (header, rows, vertices) in spatial.items():
+        if fmt == "csv":
+            _write_csv(tmp_path / f"{name}.csv", header, rows)
+        else:
+            write_feature_collection(tmp_path / f"{name}.{fmt}", header, rows, vertices)
     if lbs_rows is None:
         lbs_rows = [("s0", per, "10.0") for per in
                     ("wd_am", "wd_md", "wd_pm", "wd_nt", "we_am", "we_md", "we_pm", "we_nt")]
     _write_csv(tmp_path / "lbs.csv", ("segment_id", "period", "uv"), lbs_rows)
-    return TablePaths(points=tmp_path / "points.csv", segments=tmp_path / "segments.csv",
-                      anchors=tmp_path / "anchors.csv", pois=tmp_path / "pois.csv",
+    return TablePaths(**{name: tmp_path / f"{name}.{fmt}" for name in spatial},
                       lbs=tmp_path / "lbs.csv")
 
 
@@ -417,3 +423,88 @@ def test_geojson_points_ingestion(tmp_path):
     assert gj.segment_geometry == {"s0": [(0.0, 0.0), (0.001, 0.0)]}
     assert [a.id for a in gj.anchors] == ["a0"]
     assert gj.pois.ids.tolist() == ["q0"] and gj.pois.is_premium.tolist() == [True]
+
+
+# each case: table, the rows that replace its default, index of the bad row, column
+_BAD_ROWS = {
+    "duplicate anchor id": ("anchors", [("a0", "mall", "0.001", "0.0"),
+                                        (" a0 ", "mall", "0.002", "0.0")], 1, "id"),
+    "duplicate poi id": ("pois", [("q0", "0.0005", "0.0", "shopping", "1"),
+                                  ("q0", "0.0006", "0.0", "shopping", "0")], 1, "id"),
+    "empty category": ("anchors", [("a0", " ", "0.001", "0.0")], 0, "category"),
+    "out-of-band latitude": ("anchors", [("a0", "mall", "0.001", "0.0"),
+                                         ("a1", "mall", "0.001", "85.5")], 1, "lat"),
+    "bad is_premium": ("pois", [("q0", "0.0005", "0.0", "shopping", "yes")], 0, "is_premium"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "geojson"])
+@pytest.mark.parametrize("case", list(_BAD_ROWS))
+def test_both_encodings_reject_bad_rows(tmp_path, fmt, case):
+    table, rows, bad, column = _BAD_ROWS[case]
+    paths = _minimal_tables(tmp_path, fmt=fmt, **{f"{table[:-1]}_rows": rows})
+    with pytest.raises(SchemaError) as err:
+        load_tables(paths, fmt)
+    # a CSV row number counts the header; a feature number starts at 1
+    row = bad + (2 if fmt == "csv" else 1)
+    assert (err.value.path, err.value.row, err.value.column) == \
+        (str(getattr(paths, table)), row, column)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "geojson"])
+def test_both_encodings_strip_ids(tmp_path, fmt):
+    paths = _minimal_tables(tmp_path, fmt=fmt, anchor_rows=[(" a1 ", " mall ", "0.001", "0.0")],
+                            poi_rows=[(" q1 ", "0.0005", "0.0", " shop ", " 0 ")])
+    tables = load_tables(paths, fmt)
+    assert [(a.id, a.category) for a in tables.anchors] == [("a1", "mall")]
+    assert tables.pois.ids.tolist() == ["q1"] and tables.pois.category.tolist() == ["shop"]
+
+
+def _edit_features(path, edit):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc["features"])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _coordinates(value):
+    """An edit that gives the first feature's geometry these coordinates."""
+    return lambda features: features[0]["geometry"].update(coordinates=value)
+
+
+# each case: table, edit of its feature list, feature number, column
+_BAD_FEATURES = {
+    "not an object": ("anchors", lambda fs: fs.append(42), 2, "geometry"),
+    "wrong geometry": ("anchors", lambda fs: fs[0].update(geometry={
+        "type": "LineString", "coordinates": [[0, 0], [1, 1]]}), 1, "geometry"),
+    "point without lat": ("pois", _coordinates([0.0005]), 1, "coordinates"),
+    "missing property": ("pois", lambda fs: fs[0]["properties"].pop("is_premium"), 1,
+                         "is_premium"),
+    "null id": ("anchors", lambda fs: fs[0]["properties"].update(id=None), 1, "id"),
+    "no properties": ("anchors", lambda fs: fs[0].update(properties=None), 1, "properties"),
+    "one vertex": ("segments", _coordinates([[0.0, 0.0]]), 1, "coordinates"),
+    "short vertex": ("segments", _coordinates([[0.0, 0.0], [0.001]]), 1, "coordinates"),
+    "text vertex": ("segments", _coordinates([[0.0, 0.0], ["x", 0.0]]), 1, "coordinates"),
+    "vertex not a list": ("segments", _coordinates([[0.0, 0.0], "12"]), 1, "coordinates"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_FEATURES))
+def test_geojson_rejects_malformed_features(tmp_path, case):
+    table, edit, feature, column = _BAD_FEATURES[case]
+    paths = _minimal_tables(tmp_path, fmt="geojson")
+    _edit_features(getattr(paths, table), edit)
+    with pytest.raises(SchemaError) as err:
+        load_tables(paths, "geojson")
+    assert (err.value.path, err.value.row, err.value.column) == \
+        (str(getattr(paths, table)), feature, column)
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"type": "Feature"}', "[]",
+                                  '{"type": "FeatureCollection", "features": {}}'])
+def test_geojson_rejects_malformed_document(tmp_path, text):
+    paths = _minimal_tables(tmp_path, fmt="geojson")
+    paths.points.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_tables(paths, "geojson")
+    assert err.value.path == str(paths.points) and err.value.row == 0
+

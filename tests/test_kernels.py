@@ -49,7 +49,7 @@ def _check_against_oracle(n, kernel, adaptive):
     bw = adaptive_bandwidths(coords, 20) if adaptive else np.full(n, 1200.0)
 
     beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(
-        coords[:, 0].copy(), coords[:, 1].copy(), X, y, bw, kernels.KERNEL_CODES[kernel])
+        coords[:, 0].copy(), coords[:, 1].copy(), X, y, bw, kernel)
 
     assert np.all(flags == kernels.FLAG_OK)
     for got, want in zip((beta, fitted, s_ii, s_norm2), _oracle(coords, X, y, bw, kernel)):
@@ -88,7 +88,7 @@ def test_near_singular_system_ridged_although_lapack_factors_it():
     assert np.min(np.diag(L)) ** 2 <= kernels._CHOL_TOL * np.max(np.diag(A))
 
     *_, flags = kernels.gwr_fit_all(coords[:, 0].copy(), coords[:, 1].copy(), X, y, bw,
-                                    kernels.KERNEL_GAUSSIAN)
+                                    "gaussian")
     assert np.all(flags == kernels.FLAG_RIDGED)
 
 
@@ -101,13 +101,12 @@ def test_gwr_fit_all_multiple_responses_match_single_calls():
     bw = np.full(n, 900.0)
     cx, cy = coords[:, 0].copy(), coords[:, 1].copy()
 
-    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(
-        cx, cy, X, Y, bw, kernels.KERNEL_GAUSSIAN)
+    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(cx, cy, X, Y, bw, "gaussian")
 
     assert beta.shape == (n, 3, 3) and fitted.shape == (n, 3)
     assert np.all(flags == kernels.FLAG_OK)
     for k in range(3):
-        single = kernels.gwr_fit_all(cx, cy, X, Y[:, k].copy(), bw, kernels.KERNEL_GAUSSIAN)
+        single = kernels.gwr_fit_all(cx, cy, X, Y[:, k].copy(), bw, "gaussian")
         oracle = _oracle(coords, X, Y[:, k], bw, "gaussian")
         for got, one, want in zip((beta[:, :, k], fitted[:, k], s_ii, s_norm2), single, oracle):
             np.testing.assert_allclose(got, one, rtol=1e-10, atol=0)
@@ -133,7 +132,7 @@ def test_mixed_block_falls_back_to_per_row_pivot_rule(monkeypatch):
     monkeypatch.setattr(kernels, "_chol", lambda A: calls.append(1) or chol(A))
 
     beta, _, _, _, flags = kernels.gwr_fit_all(coords[:, 0].copy(), coords[:, 1].copy(),
-                                               X, y, bw, kernels.KERNEL_BISQUARE)
+                                               X, y, bw, "bisquare")
 
     assert len(calls) >= n  # the block was re-checked row by row
     want = _reference_flags(coords, X, bw, "bisquare")

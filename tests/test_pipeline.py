@@ -1,12 +1,16 @@
 import csv
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from sevi.geodata import PERIODS, project_to_metric
+from sevi.geodata import (ANCHORS_HEADER, PERIODS, POINTS_HEADER, POIS_HEADER,
+                          SEGMENTS_HEADER, project_to_metric)
 from sevi.pipeline import PipelineConfig, _load_city, robustness, run
+
+from .conftest import write_feature_collection
 
 # headline values of the bundled synthetic city (seed 20251015)
 MEAN_ADJUSTED_R2 = 0.603279
@@ -134,3 +138,45 @@ def test_tier_counts_match_brute_force_join(city_dir, default_run):
     kw = _json(default_run / "kw.json")
     assert kw["n_active"] == sum(n > 0 for n in expected_total)
     assert kw["n_points"] == len(expected_total)
+
+
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_geojson_inputs_give_the_csv_artifacts(city_dir, default_run, tmp_path):
+    # the city's spatial tables as GeoJSON: points, anchors and POIs become
+    # Point features, each segment a LineString through its route-ordered points
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    points = _csv_rows(city_dir / "points.csv")
+    route = {}
+    for row in sorted(points, key=lambda row: int(row[4])):
+        route.setdefault(row[3], []).append([float(row[1]), float(row[2])])
+    segments = _csv_rows(city_dir / "segments.csv")
+    write_feature_collection(city / "points.geojson", POINTS_HEADER, points)
+    write_feature_collection(city / "segments.geojson", SEGMENTS_HEADER, segments,
+                             [route[row[0]] for row in segments])
+    for name, header in (("anchors", ANCHORS_HEADER), ("pois", POIS_HEADER)):
+        write_feature_collection(city / f"{name}.geojson", header,
+                                 _csv_rows(city_dir / f"{name}.csv"))
+    inputs = {name: f"{name}.geojson" for name in ("points", "segments", "anchors", "pois")}
+    outdir = tmp_path / "out"
+    config = PipelineConfig.from_mapping({"output_dir": str(outdir),
+                                          "inputs": {"format": "geojson", **inputs}})
+
+    doc = run(config, city)
+
+    assert set(doc["files"]) == set(_json(default_run / "manifest.json")["files"])
+    for name in doc["files"]:
+        if name != "sevi.geojson":
+            assert (outdir / name).read_bytes() == (default_run / name).read_bytes(), name
+    with open(default_run / "sevi.csv", newline="", encoding="utf-8") as fh:
+        scored = {row["segment_id"]: float(row["sevi"]) for row in csv.DictReader(fh)}
+    features = _json(outdir / "sevi.geojson")["features"]
+    assert [f["id"] for f in features] == sorted(scored)
+    for f in features:
+        assert f["geometry"] == {"type": "LineString", "coordinates": [
+            [round(lon, 7), round(lat, 7)] for lon, lat in route[f["id"]]]}
+        assert f["properties"]["sevi"] == scored[f["id"]]
