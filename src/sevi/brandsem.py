@@ -366,15 +366,6 @@ def classify(raw_brands: list[str], reference_db: ReferenceDb,
     return assignment
 
 
-def brand_counts(assignment: TierAssignment) -> BrandTally:
-    """Tier tally feeding the weighted brand ratio."""
-    n = {"International": 0, "Local": 0, "Ordinary": 0}
-    for tier in assignment.tiers.values():
-        n[tier] += 1
-    return BrandTally(n_local=n["Local"], n_international=n["International"],
-                      n_ordinary=n["Ordinary"])
-
-
 # ---------------------------------------------------------------------------
 # corpus decoding
 # ---------------------------------------------------------------------------

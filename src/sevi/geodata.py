@@ -198,23 +198,38 @@ def _read_csv_rows(path: Path, expected_header: tuple[str, ...]):
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(path, 0, "-", "file is empty (header row required)")
-        if tuple(h.strip() for h in header) != expected_header:
-            raise SchemaError(
-                path, 1, "-",
-                f"header {header} does not match expected {list(expected_header)}",
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise SchemaError(path, lineno, "-",
-                                  f"expected {len(expected_header)} fields, got {len(row)}")
-            rows.append((lineno, row))
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(path, 0, "-", "file is empty (header row required)")
+            if tuple(h.strip() for h in header) != expected_header:
+                raise SchemaError(
+                    path, 1, "-",
+                    f"header {header} does not match expected {list(expected_header)}",
+                )
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(expected_header):
+                    raise SchemaError(path, lineno, "-",
+                                      f"expected {len(expected_header)} fields, got {len(row)}")
+                rows.append((lineno, row))
+        except UnicodeDecodeError:
+            _raise_not_utf8(path)
     return rows
+
+
+def _raise_not_utf8(path: Path):
+    """Raise a `SchemaError` naming the line of the first byte of `path` that
+    is not UTF-8; the streaming decoder only knows its offset in a chunk."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, data.count(b"\n", 0, exc.start) + 1, "-",
+                          f"not UTF-8 text: byte {data[exc.start]:#04x} at offset "
+                          f"{exc.start} ({exc.reason})") from None
+    raise ValidationError(f"{path} changed while it was read")
 
 
 def _read_geojson_rows(path: Path, header: tuple[str, ...]):

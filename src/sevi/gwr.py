@@ -6,14 +6,14 @@ streaming (S itself is never materialized), giving effective degrees of
 freedom for adjusted R-squared and AICc. Bandwidths are either fixed
 meters, adaptive neighbor counts, or AICc-selected by golden section.
 
-The periods of a time-sliced analysis normally share coordinates and
-predictors and differ only in the response, so at a given bandwidth their
-local systems, hat diagonals and hat-row norms are identical. `time_sliced`
-groups such periods and fits each group in one kernel call with the
-responses as columns. With AICc selection every period keeps its own
-golden-section search, but the group's AICc values at each visited
+A `GwrDesign` holds one set of coordinates and predictors and its responses
+as columns: the time-sliced analysis pairs the lagged streetscape
+predictors with one crowd response per period. At a given bandwidth the
+columns share their local systems, hat diagonals and hat-row norms, so
+`fit` fits them in one kernel call. With AICc selection every column keeps
+its own golden-section search, but the AICc values at each visited
 bandwidth come from one shared fit; each chosen bandwidth is then refitted
-once for the periods that chose it.
+once for the columns that chose it.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ KERNELS = ("gaussian", "bisquare")
 
 @dataclass
 class GwrDesign:
-    """Coordinates, lagged predictors (intercept prepended), and response."""
+    """Coordinates, lagged predictors (intercept prepended), and responses."""
 
     coords: np.ndarray              # (n, 2) meters
     X: np.ndarray                   # (n, k+1), first column all ones
-    y: np.ndarray                   # (n,)
+    Y: np.ndarray                   # (n, m), one response per column
     kernel: str = "gaussian"        # gaussian | bisquare
     predictor_names: list[str] = field(default_factory=list)
     location_ids: list[str] = field(default_factory=list)
@@ -47,12 +47,15 @@ class GwrDesign:
     @classmethod
     def build(cls, coords, predictors, y, kernel="gaussian",
               predictor_names=None, location_ids=None) -> "GwrDesign":
+        """`y` is one response (n,) or m responses as columns (n, m)."""
         coords = np.asarray(coords, dtype=float).reshape(-1, 2)
         predictors = np.atleast_2d(np.asarray(predictors, dtype=float))
         y = np.asarray(y, dtype=float)
         n, k = predictors.shape
         if kernel not in KERNELS:
             raise ValidationError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+        if y.ndim not in (1, 2):
+            raise ValidationError(f"response must be (n,) or (n, m), got shape {y.shape}")
         if coords.shape[0] != n or len(y) != n:
             raise ValidationError(
                 f"row mismatch: coords {coords.shape[0]}, X {n}, y {len(y)}"
@@ -77,9 +80,9 @@ class GwrDesign:
         X = np.column_stack([np.ones(n), predictors])
         if location_ids is None:
             location_ids = [str(i) for i in range(n)]
-        return cls(coords=coords, X=np.ascontiguousarray(X), y=np.ascontiguousarray(y),
-                   kernel=kernel, predictor_names=list(predictor_names),
-                   location_ids=list(location_ids))
+        return cls(coords=coords, X=np.ascontiguousarray(X),
+                   Y=np.ascontiguousarray(y.reshape(n, -1)), kernel=kernel,
+                   predictor_names=list(predictor_names), location_ids=list(location_ids))
 
     @property
     def n(self) -> int:
@@ -91,8 +94,7 @@ class GwrDesign:
 
     def pairwise_extent(self) -> tuple[float, float]:
         """(smallest nonzero pairwise distance, diameter) of the coordinates."""
-        d = np.hypot(self.coords[:, 0][:, None] - self.coords[:, 0][None, :],
-                     self.coords[:, 1][:, None] - self.coords[:, 1][None, :])
+        d = _pairwise(self.coords)
         diameter = float(d.max())
         nonzero = d[d > 0]
         if len(nonzero) == 0 or diameter <= 0:
@@ -147,6 +149,12 @@ def kernel_weight(d: float, bandwidth: float, kernel: str = "gaussian") -> float
     raise ValidationError(f"unknown kernel {kernel!r}")
 
 
+def _pairwise(coords: np.ndarray) -> np.ndarray:
+    """(n, n) Euclidean distances between the rows of `coords`."""
+    return np.hypot(coords[:, 0][:, None] - coords[:, 0][None, :],
+                    coords[:, 1][:, None] - coords[:, 1][None, :])
+
+
 def adaptive_bandwidths(coords: np.ndarray, m: int) -> np.ndarray:
     """Per-location bandwidth: distance to the m-th nearest neighbor
     (self excluded)."""
@@ -154,8 +162,7 @@ def adaptive_bandwidths(coords: np.ndarray, m: int) -> np.ndarray:
     n = coords.shape[0]
     if not (1 <= m <= n - 1):
         raise ValidationError(f"adaptive neighbor count must be in [1, {n - 1}], got {m}")
-    d = np.hypot(coords[:, 0][:, None] - coords[:, 0][None, :],
-                 coords[:, 1][:, None] - coords[:, 1][None, :])
+    d = _pairwise(coords)
     bw = np.partition(d, m, axis=1)[:, m]  # the m+1 smallest include the self distance
     if np.any(bw <= 0):
         i = int(np.argmax(bw <= 0))
@@ -166,79 +173,71 @@ def adaptive_bandwidths(coords: np.ndarray, m: int) -> np.ndarray:
     return bw
 
 
-def _group_kernel(designs: list[GwrDesign], bandwidth):
-    """One kernel call for designs that share coordinates, X and kernel, with
-    their responses as columns: (fixed bandwidth or None, adaptive neighbor
-    count or None, *`kernels.gwr_fit_all`'s outputs)."""
-    first = designs[0]
+def _kernel(design: GwrDesign, Y: np.ndarray, bandwidth):
+    """One kernel call over the response columns `Y` of `design`: (fixed
+    bandwidth or None, adaptive neighbor count or None, *`kernels.gwr_fit_all`'s
+    outputs)."""
     if isinstance(bandwidth, tuple):
         mode, m = bandwidth
         if mode != "adaptive":
             raise ValidationError(f"unknown bandwidth mode {mode!r}")
         m = int(m)
-        bw_arr = adaptive_bandwidths(first.coords, m)
+        bw_arr = adaptive_bandwidths(design.coords, m)
         bw_scalar, adaptive_m = None, m
     else:
         bw = float(bandwidth)
         if bw <= 0:
             raise ValidationError(f"bandwidth must be > 0, got {bw}")
-        bw_arr = np.full(first.n, bw)
+        bw_arr = np.full(design.n, bw)
         bw_scalar, adaptive_m = bw, None
 
-    cx = np.ascontiguousarray(first.coords[:, 0])
-    cy = np.ascontiguousarray(first.coords[:, 1])
-    Y = np.column_stack([design.y for design in designs])
-    out = kernels.gwr_fit_all(cx, cy, first.X, Y, bw_arr, first.kernel)
+    cx = np.ascontiguousarray(design.coords[:, 0])
+    cy = np.ascontiguousarray(design.coords[:, 1])
+    out = kernels.gwr_fit_all(cx, cy, design.X, Y, bw_arr, design.kernel)
     flags = out[-1]
     if np.any(flags == kernels.FLAG_SINGULAR):
         i = int(np.argmax(flags == kernels.FLAG_SINGULAR))
         raise ComputationError(
             f"local system singular even after ridge fallback at location "
-            f"{first.location_ids[i]!r}"
+            f"{design.location_ids[i]!r}"
         )
     return (bw_scalar, adaptive_m, *out)
 
 
-def _rss(design: GwrDesign, fitted: np.ndarray) -> tuple[np.ndarray, float]:
-    residuals = design.y - fitted
+def _rss(y: np.ndarray, fitted: np.ndarray) -> tuple[np.ndarray, float]:
+    residuals = y - fitted
     return residuals, float(residuals @ residuals)
 
 
-def _fit_group(designs: list[GwrDesign], bandwidth) -> list[GwrFit]:
-    """`fit_local` for designs that share coordinates, X and kernel, in one
-    kernel call with their responses as columns."""
-    bw_scalar, adaptive_m, beta, fitted, s_ii, s_norm2, flags = _group_kernel(
-        designs, bandwidth)
-    trace_s = float(s_ii.sum())
-    trace_sts = float(s_norm2.sum())
-
-    fits = []
-    for k, design in enumerate(designs):
-        residuals, rss = _rss(design, fitted[:, k])
-        ybar = design.y.mean()
-        tss = float(((design.y - ybar) ** 2).sum())
-        fit = GwrFit(beta=np.ascontiguousarray(beta[:, :, k]), fitted=fitted[:, k],
-                     residuals=residuals, hat_diag=s_ii, trace_s=trace_s,
-                     trace_sts=trace_sts, rss=rss, tss=tss, adjusted_r2=math.nan,
-                     aicc=math.nan, bandwidth=bw_scalar, adaptive_neighbors=adaptive_m,
-                     kernel=design.kernel, flags=flags,
-                     predictor_names=list(design.predictor_names),
-                     location_ids=list(design.location_ids))
-        fit.adjusted_r2 = adjusted_r2(fit, design.n)
-        fit.aicc = _aicc(rss, trace_s, design.n)
-        fits.append(fit)
-    return fits
-
-
-def fit_local(design: GwrDesign, bandwidth) -> GwrFit:
-    """Fit the local WLS at every location.
+def _fit_columns(design: GwrDesign, columns: list[int], bandwidth) -> list[GwrFit]:
+    """Fits of the response `columns` at one bandwidth, in one kernel call.
 
     `bandwidth` is either a positive float (meters, fixed kernel) or a tuple
     ("adaptive", m). Near-singular local systems are re-solved with a small
     ridge and flagged; a system that remains singular raises an error naming
     its location.
     """
-    return _fit_group([design], bandwidth)[0]
+    Y = design.Y[:, columns]
+    bw_scalar, adaptive_m, beta, fitted, s_ii, s_norm2, flags = _kernel(design, Y, bandwidth)
+    trace_s = float(s_ii.sum())
+    trace_sts = float(s_norm2.sum())
+
+    fits = []
+    for k in range(len(columns)):
+        y = Y[:, k]
+        residuals, rss = _rss(y, fitted[:, k])
+        tss = float(((y - y.mean()) ** 2).sum())
+        column_fit = GwrFit(beta=np.ascontiguousarray(beta[:, :, k]), fitted=fitted[:, k],
+                            residuals=residuals, hat_diag=s_ii, trace_s=trace_s,
+                            trace_sts=trace_sts, rss=rss, tss=tss, adjusted_r2=math.nan,
+                            aicc=math.nan, bandwidth=bw_scalar, adaptive_neighbors=adaptive_m,
+                            kernel=design.kernel, flags=flags,
+                            predictor_names=list(design.predictor_names),
+                            location_ids=list(design.location_ids))
+        column_fit.adjusted_r2 = adjusted_r2(column_fit, design.n)
+        column_fit.aicc = _aicc(rss, trace_s, design.n)
+        fits.append(column_fit)
+    return fits
 
 
 def adjusted_r2(fit: GwrFit, n: int) -> float:
@@ -253,12 +252,8 @@ def adjusted_r2(fit: GwrFit, n: int) -> float:
     return 1.0 - (fit.rss / (n - p_eff)) / (fit.tss / (n - 1))
 
 
-def aicc(fit: GwrFit, n: int) -> float:
-    """Corrected AIC; +inf when the trace penalty denominator is not positive."""
-    return _aicc(fit.rss, fit.trace_s, n)
-
-
 def _aicc(rss: float, trace_s: float, n: int) -> float:
+    """Corrected AIC; +inf when the trace penalty denominator is not positive."""
     denom = n - 2.0 - trace_s
     if denom <= 0:
         return math.inf
@@ -308,88 +303,54 @@ def _golden_section(objective, lo0: float, hi0: float, rel_tol: float,
     return float(best), boundary, len(cache)
 
 
-def _select_group(designs: list[GwrDesign], rel_tol: float = 1e-3,
-                  max_iter: int = 60) -> list[tuple[float, str | None, int]]:
-    """One golden-section AICc search per design of a shared-design group.
+def _search(design: GwrDesign, rel_tol: float = 1e-3,
+            max_iter: int = 60) -> list[tuple[float, str | None, int]]:
+    """One golden-section AICc search per response column over [min nonzero
+    distance, diameter].
 
     Each search follows its own path, but every bandwidth any of them visits
-    is fitted once for the whole group and its AICc values are memoised.
-    Only AICc is computed there: adjusted R^2 is undefined at bandwidths so
-    small that the effective parameters reach n, where AICc is +inf.
+    is fitted once for all columns and its AICc values are memoised. Only
+    AICc is computed there: adjusted R^2 is undefined at bandwidths so small
+    that the effective parameters reach n, where AICc is +inf.
     """
-    lo0, hi0 = designs[0].pairwise_extent()
+    lo0, hi0 = design.pairwise_extent()
     memo: dict[float, list[float]] = {}
 
-    def group_aicc(b: float) -> list[float]:
+    def column_aicc(b: float) -> list[float]:
         if b not in memo:
-            *_, fitted, s_ii, _, _ = _group_kernel(designs, b)
+            *_, fitted, s_ii, _, _ = _kernel(design, design.Y, b)
             trace_s = float(s_ii.sum())
-            memo[b] = [_aicc(_rss(design, fitted[:, k])[1], trace_s, design.n)
-                       for k, design in enumerate(designs)]
+            memo[b] = [_aicc(_rss(design.Y[:, k], fitted[:, k])[1], trace_s, design.n)
+                       for k in range(design.Y.shape[1])]
         return memo[b]
 
-    return [_golden_section(lambda b, k=k: group_aicc(b)[k], lo0, hi0, rel_tol, max_iter)
-            for k in range(len(designs))]
+    return [_golden_section(lambda b, k=k: column_aicc(b)[k], lo0, hi0, rel_tol, max_iter)
+            for k in range(design.Y.shape[1])]
 
 
-def select_bandwidth(design: GwrDesign, criterion: str = "aicc",
-                     rel_tol: float = 1e-3, max_iter: int = 60) -> float:
-    """Golden-section AICc minimization over [min nonzero distance, diameter].
+def fit(design: GwrDesign, bandwidth="aicc") -> list[GwrFit]:
+    """One fit per response column of `design`, in column order.
 
-    When the criterion is monotone over the interval the search lands on a
-    boundary, which is returned with a warning. Deterministic for fixed
-    inputs.
+    `bandwidth` is "aicc" (selected per column), a float (meters), or
+    ("adaptive", m). With "aicc" each fit records its search's evaluation
+    count and the boundary it hit, if any; when the criterion is monotone
+    over the interval the search lands on that boundary, with a warning.
+    Deterministic for fixed inputs.
     """
-    if criterion != "aicc":
-        raise ValidationError(f"unknown selection criterion {criterion!r}")
-    return _select_group([design], rel_tol, max_iter)[0][0]
-
-
-def _design_groups(designs: dict[str, GwrDesign]) -> list[list[str]]:
-    """The canonical periods, grouped by equal coordinates, X and kernel."""
-    groups: list[list[str]] = []
-    for period in PERIODS:
-        d = designs[period]
-        for group in groups:
-            g = designs[group[0]]
-            if (g.kernel == d.kernel and np.array_equal(g.coords, d.coords)
-                    and np.array_equal(g.X, d.X)):
-                group.append(period)
-                break
-        else:
-            groups.append([period])
-    return groups
-
-
-def time_sliced(designs: dict[str, GwrDesign], bandwidth="aicc") -> dict[str, GwrFit]:
-    """Independent fits for the eight canonical periods.
-
-    `bandwidth` is "aicc" (selected per period), a float, or ("adaptive", m).
-    Periods that share a design are fitted together; with "aicc" each keeps
-    its own search, and each fit records the search's evaluation count and
-    the boundary it hit, if any.
-    """
-    missing = [p for p in PERIODS if p not in designs]
-    if missing:
-        raise ValidationError(f"missing periods: {missing}")
-    unknown = [p for p in designs if p not in PERIODS]
-    if unknown:
-        raise ValidationError(f"unknown periods: {unknown}")
-    fits: dict[str, GwrFit] = {}
-    for periods in _design_groups(designs):
-        if bandwidth != "aicc":
-            fits.update(zip(periods, _fit_group([designs[p] for p in periods], bandwidth)))
-            continue
-        searches = dict(zip(periods, _select_group([designs[p] for p in periods])))
-        by_bandwidth: dict[float, list[str]] = {}
-        for period, (bw, _, _) in searches.items():
-            by_bandwidth.setdefault(bw, []).append(period)
-        for bw, members in by_bandwidth.items():
-            fits.update(zip(members, _fit_group([designs[p] for p in members], bw)))
-        for period, (_, boundary, evals) in searches.items():
-            fits[period].aicc_evals = evals
-            fits[period].bandwidth_boundary = boundary
-    return {p: fits[p] for p in PERIODS}
+    columns = list(range(design.Y.shape[1]))
+    if bandwidth != "aicc":
+        return _fit_columns(design, columns, bandwidth)
+    searches = _search(design)
+    by_bandwidth: dict[float, list[int]] = {}
+    for k, (bw, _, _) in enumerate(searches):
+        by_bandwidth.setdefault(bw, []).append(k)
+    fits: dict[int, GwrFit] = {}
+    for bw, members in by_bandwidth.items():
+        fits.update(zip(members, _fit_columns(design, members, bw)))
+    for k, (_, boundary, evals) in enumerate(searches):
+        fits[k].aicc_evals = evals
+        fits[k].bandwidth_boundary = boundary
+    return [fits[k] for k in columns]
 
 
 def r2_trajectory(fits: dict[str, GwrFit]) -> list[tuple[str, float]]:

@@ -3,8 +3,8 @@
 `spill_field` evaluates the gated decay sum over the id-sorted anchors in
 chunks of points. `gwr_fit_all` fits every location in row blocks: per
 block, one GEMM forms all local X'WX (against the row-wise outer products
-of X) and one forms X'WY for every response column, so responses that share
-coordinates and X share one pass. A stacked LAPACK Cholesky applies the
+of X) and one forms X'WY for every response column, so the responses of a
+design share one pass. A stacked LAPACK Cholesky applies the
 pivot rule; a system whose smallest pivot falls below `_CHOL_TOL` of its
 largest diagonal is re-solved with a small ridge and flagged. The stack is
 then solved in one gufunc call with [X'WY | x_i] as right-hand sides.
@@ -86,18 +86,16 @@ def _failed_pivots(A):
     return dmin_l ** 2 <= _CHOL_TOL * dmax
 
 
-def gwr_fit_all(cx, cy, X, y, bandwidths, kernel):
-    """Local WLS at every location for one or more responses sharing X,
-    under the "gaussian" or "bisquare" `kernel`.
+def gwr_fit_all(cx, cy, X, Y, bandwidths, kernel):
+    """Local WLS at every location for the m response columns of `Y` (n, m),
+    which share X, under the "gaussian" or "bisquare" `kernel`.
 
-    `y` is (n,) or (n, m). Returns coefficients (n, p) or (n, p, m), fitted
-    values (n,) or (n, m), the hat diagonal and hat-row squared norms
-    (streamed, S never materialized) and a per-location flag (0 clean,
-    1 ridged, 2 singular); the last three depend on X and the weights only,
-    so they are shared by all responses.
+    Returns coefficients (n, p, m), fitted values (n, m), the hat diagonal
+    and hat-row squared norms (streamed, S never materialized) and a
+    per-location flag (0 clean, 1 ridged, 2 singular); the last three depend
+    on X and the weights only, so they are shared by all responses.
     """
     n, p = X.shape
-    Y = y.reshape(n, -1)
     m = Y.shape[1]
     # row-wise outer products, so W @ XX and W @ XY form every local X'WX
     # and X'WY of a block in one GEMM each
@@ -143,6 +141,4 @@ def gwr_fit_all(cx, cy, X, y, bandwidths, kernel):
         s_norm2[rows_ok] = np.einsum("ij,ij->i", sx, sx)
 
     fitted = np.einsum("ip,ipm->im", X, beta)
-    if y.ndim == 1:
-        return beta[:, :, 0], fitted[:, 0], s_ii, s_norm2, flags
     return beta, fitted, s_ii, s_norm2, flags

@@ -24,11 +24,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 import yaml
 
-from . import report, scoring, spillover, stats
+from . import gwr, report, scoring, spillover, stats
 from .exceptions import (ComputationError, ConfigError, SeviError, StageError,
                          ValidationError)
 from .geodata import BRANDS_HEADER, PERIODS, CityTables, TablePaths, load_tables, write_tables
-from .gwr import KERNELS, GwrDesign, GwrFit, coef_summary, time_sliced
+from .gwr import KERNELS, GwrDesign, GwrFit, coef_summary
 from .indicators import BLOCKS, INDICATOR_NAMES, BrandWeights, indicator_table
 from .report import RobustnessReport, TierValidation
 
@@ -111,6 +111,15 @@ def _parse_bandwidth(value):
     return bw
 
 
+def _is_integer(value) -> bool:
+    # YAML booleans load as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_integer(value) or isinstance(value, float)
+
+
 @dataclass
 class PipelineConfig:
     raw: dict  # merged config; hashed into the manifest, output_dir aside
@@ -151,23 +160,37 @@ class PipelineConfig:
         if c["inputs"]["format"] not in ("csv", "geojson"):
             raise ConfigError(f"inputs.format must be csv or geojson, got {c['inputs']['format']!r}")
         sp = c["spillover"]
-        if not (isinstance(sp["threshold_m"], (int, float)) and sp["threshold_m"] > 0):
+        if not (_is_number(sp["threshold_m"]) and sp["threshold_m"] > 0):
             raise ConfigError(f"spillover.threshold_m must be positive, got {sp['threshold_m']!r}")
         if sp["decay"] not in spillover.DECAYS:
             raise ConfigError(f"spillover.decay must be one of {spillover.DECAYS}")
+        for key in ("sweep_thresholds", "sweep_decays"):
+            if not isinstance(sp[key], list):
+                raise ConfigError(f"spillover.{key} must be a list, got {sp[key]!r}")
+        labels: dict[int, float] = {}
         for d in sp["sweep_thresholds"]:
-            if not (isinstance(d, (int, float)) and d > 0):
-                raise ConfigError(f"sweep threshold must be positive, got {d!r}")
+            if not (_is_number(d) and 0 < d < math.inf):
+                raise ConfigError(f"sweep threshold must be positive and finite, got {d!r}")
+            # robustness outputs label each threshold by its whole meters
+            if int(d) in labels:
+                raise ConfigError(f"sweep thresholds {labels[int(d)]!r} and {d!r} share the "
+                                  f"label {int(d)}; they must differ in whole meters")
+            labels[int(d)] = d
         for decay in sp["sweep_decays"]:
             if decay not in spillover.DECAYS:
                 raise ConfigError(f"sweep decay must be one of {spillover.DECAYS}, got {decay!r}")
+        if len(set(sp["sweep_decays"])) < len(sp["sweep_decays"]):
+            raise ConfigError(f"sweep decays must be distinct, got {sp['sweep_decays']!r}")
         w = c["smoothing_window"]
-        if not (isinstance(w, int) and w >= 1 and w % 2 == 1):
+        if not (_is_integer(w) and w >= 1 and w % 2 == 1):
             raise ConfigError(f"smoothing_window must be an odd integer >= 1, got {w!r}")
-        if not (isinstance(c["poi_radius_m"], (int, float)) and c["poi_radius_m"] > 0):
+        if not (_is_number(c["poi_radius_m"]) and c["poi_radius_m"] > 0):
             raise ConfigError("poi_radius_m must be positive")
-        if not (isinstance(c["pca_components"], int) and 1 <= c["pca_components"] <= 9):
+        if not (_is_integer(c["pca_components"]) and 1 <= c["pca_components"] <= 9):
             raise ConfigError("pca_components must be an integer in [1, 9]")
+        for tier, weight in c["brand_weights"].items():
+            if not _is_number(weight):
+                raise ConfigError(f"brand_weights.{tier} must be a number, got {weight!r}")
         if c["gwr"]["kernel"] not in KERNELS:
             raise ConfigError(f"gwr.kernel must be one of {KERNELS}, got {c['gwr']['kernel']!r}")
         if c["gwr"]["x_source"] not in ("normalized", "raw"):
@@ -178,6 +201,9 @@ class PipelineConfig:
         _parse_bandwidth(c["gwr"]["bandwidth"])
         if c["decode"]["backend"] not in ("offline", "live"):
             raise ConfigError("decode.backend must be offline or live")
+        if not (_is_integer(c["decode"]["parallelism"]) and c["decode"]["parallelism"] >= 1):
+            raise ConfigError(f"decode.parallelism must be an integer >= 1, "
+                              f"got {c['decode']['parallelism']!r}")
         # builds BrandWeights to trigger its own invariant checks
         self.brand_weights()
 
@@ -266,9 +292,10 @@ def file_sha256(path: Path) -> str:
 # the analysis core
 # ---------------------------------------------------------------------------
 
-def _gwr_designs(tables: CityTables, segment_ids: list[str], x_matrix: np.ndarray,
-                 kernel: str) -> dict[str, GwrDesign]:
-    """One design per period over the segments that carry crowd intensities."""
+def _gwr_design(tables: CityTables, segment_ids: list[str], x_matrix: np.ndarray,
+                kernel: str) -> GwrDesign:
+    """The design over the segments that carry crowd intensities, with one
+    response column per period."""
     pos = {sid: i for i, sid in enumerate(segment_ids)}
     usable = [sid for sid in segment_ids if sid in tables.lbs]
     if len(usable) < x_matrix.shape[1] + 3:
@@ -284,14 +311,9 @@ def _gwr_designs(tables: CityTables, segment_ids: list[str], x_matrix: np.ndarra
                           for lo, hi in zip(edges, edges[1:])]).reshape(-1, 2)
     coords = centroids[[pos[sid] for sid in usable]]
     X = x_matrix[[pos[sid] for sid in usable], :]
-    designs = {}
-    for period in PERIODS:
-        y = np.array([tables.lbs[sid][period] for sid in usable])
-        designs[period] = GwrDesign.build(
-            coords, X, y, kernel=kernel,
-            predictor_names=list(INDICATOR_NAMES), location_ids=usable,
-        )
-    return designs
+    Y = np.array([[tables.lbs[sid][period] for period in PERIODS] for sid in usable])
+    return GwrDesign.build(coords, X, Y, kernel=kernel,
+                           predictor_names=list(INDICATOR_NAMES), location_ids=usable)
 
 
 def _tier_validation(tables: CityTables, point_br: np.ndarray,
@@ -421,8 +443,8 @@ class _Analysis:
             gwr_cfg = self.config.raw["gwr"]
             segment_ids, raw_matrix, _, _ = self.indicators
             x_matrix = self.nm.values if gwr_cfg["x_source"] == "normalized" else raw_matrix
-            designs = _gwr_designs(self.tables, segment_ids, x_matrix, gwr_cfg["kernel"])
-            return time_sliced(designs, self.config.bandwidth())
+            design = _gwr_design(self.tables, segment_ids, x_matrix, gwr_cfg["kernel"])
+            return dict(zip(PERIODS, gwr.fit(design, self.config.bandwidth())))
 
 
 def emit_geojson(path: Path, tables: CityTables,
@@ -697,7 +719,6 @@ def robustness(config: PipelineConfig, workdir: Path) -> RobustnessReport:
         tier_validation=tier_validation, thresholds=thresholds,
         decays=list(sp["sweep_decays"]),
     )
-    rob.validate_complete()
 
     write_json(outdir / "robustness.json", {
         "r2_by_threshold": rob.r2_by_threshold,
@@ -738,7 +759,7 @@ def decode_to_files(config: PipelineConfig, workdir: Path) -> dict:
         parallelism = 1
     else:
         client = brandsem.HttpChatClient.from_env()
-        parallelism = int(dec["parallelism"])
+        parallelism = dec["parallelism"]
     corpus = brandsem.load_corpus(workdir / dec["corpus"])
     decoded = brandsem.decode_corpus(corpus, db, client, parallelism=parallelism)
 

@@ -53,19 +53,6 @@ class RobustnessReport:
     thresholds: list[float] = field(default_factory=list)
     decays: list[str] = field(default_factory=list)
 
-    def validate_complete(self):
-        for period in PERIODS:
-            for d in self.thresholds:
-                if str(int(d)) not in self.r2_by_threshold.get(period, {}):
-                    raise ComputationError(
-                        f"robustness grid incomplete: missing R^2 for ({period}, {int(d)} m)"
-                    )
-            for decay in self.decays:
-                if decay not in self.r2_by_decay.get(period, {}):
-                    raise ComputationError(
-                        f"robustness grid incomplete: missing R^2 for ({period}, {decay})"
-                    )
-
 
 # ---------------------------------------------------------------------------
 # plain-text tables

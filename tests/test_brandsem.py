@@ -6,7 +6,7 @@ import pytest
 
 from sevi import brandsem
 from sevi.brandsem import (HttpChatClient, OfflineFixtureClient, ReferenceDb, S2_PARAMS,
-                           TierAssignment, VlmRequest, brand_counts,
+                           DecodedImage, TierAssignment, VlmRequest,
                            build_prompts, classify, decode_corpus, evaluate,
                            harmonic_f1, load_corpus, load_labeled_pairs,
                            normalize_brand, parse_model_json,
@@ -181,19 +181,29 @@ def test_request_hash_sensitive_to_prompt():
 # tallies
 # ---------------------------------------------------------------------------
 
+def _image(point_id, tiers, image_id="img"):
+    return DecodedImage(image_id=image_id, point_id=point_id, summary="",
+                        assignment=TierAssignment(tiers=tiers))
+
+
 def test_brand_counts_all_ordinary():
-    assignment = TierAssignment(tiers={f"b{i}": "Ordinary" for i in range(4)})
-    assert brand_counts(assignment) == BrandTally(n_ordinary=4)
+    tally = tally_by_point([_image("p0", {f"b{i}": "Ordinary" for i in range(4)})])
+    assert tally == {"p0": BrandTally(n_ordinary=4)}
 
 
 def test_brand_counts_mixed_hand_tally():
-    assignment = TierAssignment(tiers={"a": "Local", "b": "International",
-                                       "c": "Local", "d": "Ordinary"})
-    assert brand_counts(assignment) == BrandTally(n_local=2, n_international=1, n_ordinary=1)
+    # two images of p0 add up; p1 is tallied apart
+    decoded = [_image("p0", {"a": "Local", "b": "International"}, "i0"),
+               _image("p1", {"a": "International"}, "i1"),
+               _image("p0", {"c": "Local", "d": "Ordinary"}, "i2")]
+    assert tally_by_point(decoded) == {
+        "p0": BrandTally(n_local=2, n_international=1, n_ordinary=1),
+        "p1": BrandTally(n_international=1)}
 
 
 def test_brand_counts_empty():
-    assert brand_counts(TierAssignment()) == BrandTally()
+    assert tally_by_point([_image("p0", {})]) == {"p0": BrandTally()}
+    assert tally_by_point([]) == {}
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,37 @@ def test_stage_run_exits_zero(city_dir, tmp_path):
 @pytest.mark.parametrize("extra, overrides", [
     ("no_such_key: 1\n", []),
     ("", ["--set", "gwr.no_such_key=1"]),
+    ("", ["--set", "brand_weights.local=abc"]),
+    ("", ["--set", "spillover.sweep_thresholds=1000"]),
+    ("", ["--set", "spillover.sweep_decays=gaussian"]),
+    # YAML booleans are not numbers
+    ("", ["--set", "spillover.threshold_m=true"]),
+    ("", ["--set", "smoothing_window=true"]),
+    ("", ["--set", "pca_components=true"]),
+    ("", ["--set", "poi_radius_m=true"]),
+    ("", ["--set", "decode.parallelism=abc"]),
 ])
 def test_bad_config_exits_one(city_dir, tmp_path, capsys, extra, overrides):
     argv = ["--workdir", str(city_dir), "spillover", "--config", _config(tmp_path, extra)]
     assert main(argv + overrides) == 1
-    assert "no_such_key" in capsys.readouterr().err
+    # the message names the offending key
+    key = overrides[-1].split("=")[0] if overrides else "no_such_key"
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, message", [
+    # both would be labelled "1000" in robustness.json and robustness.txt
+    ("spillover.sweep_thresholds=[1000.4, 1000.6, 3000]", "share the label 1000"),
+    ("spillover.sweep_thresholds=[2000, 2000]", "share the label 2000"),
+    ("spillover.sweep_thresholds=[.inf]", "finite"),
+    ("spillover.sweep_decays=[gaussian, linear, gaussian]", "distinct"),
+])
+def test_colliding_sweep_labels_exit_one(city_dir, tmp_path, capsys, override, message):
+    argv = ["--workdir", str(city_dir), "robustness", "--config", _config(tmp_path),
+            "--set", override]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "robustness.json").exists()
 
 
 def _edited_city(city_dir, tmp_path, table, edit):
@@ -55,6 +81,18 @@ def test_calibration_error_exits_two(city_dir, tmp_path, capsys, command):
     city = _edited_city(city_dir, tmp_path, "anchors.csv", _coincide)
     assert main(["--workdir", str(city), command, "--config", _config(tmp_path)]) == 2
     assert "stage 'calibrate_sigma' failed" in capsys.readouterr().err
+
+
+def test_non_utf8_table_exits_one(city_dir, tmp_path, capsys):
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    lines = (city / "anchors.csv").read_bytes().split(b"\n")
+    lines[3] = b"\xe9" + lines[3]  # a Latin-1 byte where UTF-8 text is expected
+    (city / "anchors.csv").write_bytes(b"\n".join(lines))
+    assert main(["--workdir", str(city), "ingest", "--config", _config(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{city / 'anchors.csv'}: row 4" in err
+    assert "not UTF-8" in err and "0xe9" in err
 
 
 def test_sparse_brand_city_validates(city_dir, tmp_path):

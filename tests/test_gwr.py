@@ -7,12 +7,17 @@ import pytest
 from sevi import gwr
 from sevi.exceptions import ComputationError, ValidationError
 from sevi.geodata import PERIODS
-from sevi.gwr import (GwrDesign, adaptive_bandwidths, adjusted_r2, aicc,
-                      coef_summary, fit_local, kernel_weight, r2_trajectory,
-                      select_bandwidth, time_sliced)
+from sevi.gwr import (GwrDesign, adaptive_bandwidths, adjusted_r2, coef_summary,
+                      kernel_weight, r2_trajectory)
 from sevi.report import mean_adjusted_r2
 
 TABLE_A1_BASELINE = (0.5729, 0.7089, 0.6800, 0.6629, 0.5974, 0.6985, 0.6821, 0.6644)
+
+
+def _fit1(design, bandwidth):
+    """The fit of a one-response design."""
+    (fit,) = gwr.fit(design, bandwidth)
+    return fit
 
 
 def _linear_design(rng, n=200, k=3, noise=0.0, extent=2000.0, kernel="gaussian"):
@@ -80,13 +85,31 @@ def test_design_rejects_too_few_rows(rng):
         GwrDesign.build(coords, predictors, rng.normal(size=5))
 
 
+def test_design_holds_responses_as_columns(rng):
+    coords = rng.uniform(0, 100, (20, 2))
+    predictors = rng.normal(size=(20, 2))
+    y = rng.normal(size=20)
+    assert GwrDesign.build(coords, predictors, y).Y.shape == (20, 1)
+    Y = rng.normal(size=(20, 3))
+    design = GwrDesign.build(coords, predictors, Y)
+    assert design.Y.shape == (20, 3) and design.Y.flags.c_contiguous
+    np.testing.assert_array_equal(design.Y, Y)
+    with pytest.raises(ValidationError, match="shape"):
+        GwrDesign.build(coords, predictors, Y[:, :, None])
+    with pytest.raises(ValidationError, match="row mismatch"):
+        GwrDesign.build(coords, predictors, Y[:19])
+    Y[3, 1] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        GwrDesign.build(coords, predictors, Y)
+
+
 # ---------------------------------------------------------------------------
 # local fits
 # ---------------------------------------------------------------------------
 
 def test_exact_fit_recovery(rng):
     design, beta = _linear_design(rng, n=120, k=3, noise=0.0)
-    fit = fit_local(design, 500.0)
+    fit = _fit1(design, 500.0)
     assert fit.rss < 1e-16 * fit.tss
     assert np.allclose(fit.beta, beta, atol=1e-6)
     assert fit.adjusted_r2 == pytest.approx(1.0, abs=1e-9)
@@ -95,17 +118,16 @@ def test_exact_fit_recovery(rng):
 def test_ols_limit_matches_global_regression(rng):
     design, _ = _linear_design(rng, n=300, k=4, noise=0.5)
     _, diameter = design.pairwise_extent()
-    fit = fit_local(design, 1e3 * diameter)
-    beta_ols, *_ = np.linalg.lstsq(design.X, design.y, rcond=None)
+    fit = _fit1(design, 1e3 * diameter)
+    beta_ols, *_ = np.linalg.lstsq(design.X, design.Y[:, 0], rcond=None)
     rel = np.max(np.abs(fit.beta - beta_ols)) / np.max(np.abs(beta_ols))
     assert rel < 1e-6
 
 
 def test_two_regime_recovery(rng):
     design, gap = _two_regime(rng)
-    bw = select_bandwidth(design)
-    assert bw < gap
-    fit = fit_local(design, bw)
+    fit = _fit1(design, "aicc")
+    assert fit.bandwidth < gap
     slopes = fit.beta[:, 1]
     n = len(slopes) // 2
     assert np.abs(slopes[:n] - 1.0).max() < 0.05 * 1.0
@@ -120,7 +142,7 @@ def test_singular_local_system_flagged_not_fatal(rng):
     predictors = np.column_stack([x, x + 0.0])
     jitter = predictors + rng.normal(0, 1e-13, predictors.shape)
     design = GwrDesign.build(coords, jitter, rng.normal(size=30))
-    fit = fit_local(design, 50.0)
+    fit = _fit1(design, 50.0)
     assert fit.n_ridged == 30
 
 
@@ -130,7 +152,7 @@ def test_singular_local_system_flagged_not_fatal(rng):
 
 def test_adjusted_r2_perfect_fit(rng):
     design, _ = _linear_design(rng, n=100, k=2, noise=0.0)
-    fit = fit_local(design, 800.0)
+    fit = _fit1(design, 800.0)
     assert adjusted_r2(fit, design.n) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -140,7 +162,7 @@ def test_adjusted_r2_uninformative_predictors(rng):
     y = rng.normal(size=200)  # unrelated response
     design = GwrDesign.build(coords, predictors, y)
     _, diameter = design.pairwise_extent()
-    fit = fit_local(design, 100.0 * diameter)
+    fit = _fit1(design, 100.0 * diameter)
     assert abs(fit.adjusted_r2) < 0.1
 
 
@@ -154,23 +176,23 @@ def test_table_baseline_mean_matches_reported_average():
 def test_hat_trace_bounds(rng):
     design, _ = _linear_design(rng, n=150, k=3, noise=0.3)
     for bw in (200.0, 500.0, 2000.0):
-        fit = fit_local(design, bw)
+        fit = _fit1(design, bw)
         assert design.n_params - 1e-6 <= fit.trace_s < design.n
         assert fit.trace_sts > 0
 
 
 def test_rss_monotone_in_bandwidth(rng):
     design, _ = _linear_design(rng, n=150, k=3, noise=0.5)
-    rss = [fit_local(design, bw).rss for bw in (100.0, 200.0, 400.0, 800.0, 1600.0)]
+    rss = [_fit1(design, bw).rss for bw in (100.0, 200.0, 400.0, 800.0, 1600.0)]
     assert all(rss[i] <= rss[i + 1] + 1e-9 * design.n for i in range(len(rss) - 1))
 
 
 def test_row_permutation_invariance(rng):
     design, _ = _linear_design(rng, n=80, k=2, noise=0.4)
     perm = rng.permutation(design.n)
-    permuted = GwrDesign.build(design.coords[perm], design.X[perm, 1:], design.y[perm])
-    fit = fit_local(design, 600.0)
-    fit_p = fit_local(permuted, 600.0)
+    permuted = GwrDesign.build(design.coords[perm], design.X[perm, 1:], design.Y[perm])
+    fit = _fit1(design, 600.0)
+    fit_p = _fit1(permuted, 600.0)
     assert np.allclose(fit_p.beta, fit.beta[perm], rtol=1e-8, atol=1e-10)
     assert fit_p.rss == pytest.approx(fit.rss, rel=1e-10)
     assert fit_p.trace_s == pytest.approx(fit.trace_s, rel=1e-10)
@@ -181,7 +203,7 @@ def test_adaptive_bisquare_well_posed(rng):
     predictors = rng.normal(size=(100, 2))
     y = rng.normal(size=100)
     design = GwrDesign.build(coords, predictors, y, kernel="bisquare")
-    fit = fit_local(design, ("adaptive", design.n_params + 1))
+    fit = _fit1(design, ("adaptive", design.n_params + 1))
     assert set(np.unique(fit.flags)) <= {0, 1}
 
 
@@ -201,90 +223,78 @@ def test_adaptive_bandwidths_are_mth_neighbor(rng):
 def test_selection_hits_upper_boundary_for_global_truth(rng):
     design, _ = _linear_design(rng, n=120, k=2, noise=0.5)
     with pytest.warns(UserWarning, match="boundary"):
-        bw = select_bandwidth(design)
+        fit = _fit1(design, "aicc")
     _, diameter = design.pairwise_extent()
-    assert bw == pytest.approx(diameter)
+    assert fit.bandwidth == pytest.approx(diameter)
+    assert fit.bandwidth_boundary == "upper"
 
 
 def test_selection_deterministic(rng):
     design, gap = _two_regime(rng, n_per_side=80)
-    assert select_bandwidth(design) == select_bandwidth(design)
+    assert _fit1(design, "aicc").bandwidth == _fit1(design, "aicc").bandwidth
 
 
 # ---------------------------------------------------------------------------
 # time slicing
 # ---------------------------------------------------------------------------
 
-def _period_designs(rng, strengths, n=160, noise_by_period=None):
+def _period_design(rng, strengths, n=160):
     coords = rng.uniform(0, 3000, (n, 2))
     predictors = rng.normal(size=(n, 2))
     base_signal = predictors @ np.array([2.0, -1.0])
-    designs = {}
-    for period in PERIODS:
-        s = strengths[period]
-        noise = (noise_by_period or {}).get(period, 1.0)
-        y = 10.0 + s * base_signal + rng.normal(0, noise, n)
-        designs[period] = GwrDesign.build(coords, predictors, y)
-    return designs
+    Y = np.column_stack([10.0 + strengths[p] * base_signal + rng.normal(0, 1.0, n)
+                         for p in PERIODS])
+    return GwrDesign.build(coords, predictors, Y)
 
 
 def test_time_sliced_identical_response(rng):
     coords = rng.uniform(0, 3000, (100, 2))
     predictors = rng.normal(size=(100, 2))
     y = predictors @ np.array([1.0, 2.0]) + rng.normal(0, 0.3, 100)
-    designs = {p: GwrDesign.build(coords, predictors, y) for p in PERIODS}
-    fits = time_sliced(designs, bandwidth=1500.0)
-    r2 = [fits[p].adjusted_r2 for p in PERIODS]
+    design = GwrDesign.build(coords, predictors, np.column_stack([y] * len(PERIODS)))
+    fits = gwr.fit(design, bandwidth=1500.0)
+    r2 = [fit.adjusted_r2 for fit in fits]
+    assert len(fits) == len(PERIODS)
     assert np.allclose(r2, r2[0], atol=1e-12)
 
 
 def test_time_sliced_matches_per_period_search(rng):
     # a jittered grid keeps the smallest distance, the search's lower bound,
     # well posed; wd_am carries no signal, so its search runs into the upper
-    # boundary, and we_nt has its own predictors, so it forms a second group
+    # boundary, while the others share a slope that drifts across the grid
     grid = 300.0 * np.stack(np.meshgrid(np.arange(9), np.arange(9)), -1).reshape(-1, 2)
     coords = grid + rng.uniform(-30, 30, grid.shape)
     n = len(coords)
     predictors = rng.normal(size=(n, 2))
     slope = 1.0 + coords[:, 0] / 2400.0
-    designs = {}
-    for period in PERIODS:
-        signal = 0.0 if period == "wd_am" else slope * predictors[:, 0]
-        x = rng.normal(size=(n, 2)) if period == "we_nt" else predictors
-        designs[period] = GwrDesign.build(coords, x, signal + rng.normal(0, 0.5, n))
-    assert len(gwr._design_groups(designs)) == 2
+    Y = np.column_stack([(0.0 if period == "wd_am" else slope * predictors[:, 0])
+                         + rng.normal(0, 0.5, n) for period in PERIODS])
+    design = GwrDesign.build(coords, predictors, Y)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fits = time_sliced(designs)
+        fits = dict(zip(PERIODS, gwr.fit(design)))
     with warnings.catch_warnings(record=True) as caught_ref:
         warnings.simplefilter("always")
-        bandwidths = {p: select_bandwidth(designs[p]) for p in PERIODS}
+        refs = {p: _fit1(GwrDesign.build(coords, predictors, Y[:, k]), "aicc")
+                for k, p in enumerate(PERIODS)}
 
     assert len(caught) == len(caught_ref) >= 1
+    assert len({fit.bandwidth for fit in fits.values()}) > 1
     for p in PERIODS:
-        ref = fit_local(designs[p], bandwidths[p])
-        assert fits[p].bandwidth == bandwidths[p]
+        ref = refs[p]
+        assert fits[p].bandwidth == ref.bandwidth
         np.testing.assert_allclose(fits[p].beta, ref.beta, rtol=1e-10, atol=1e-12)
         assert fits[p].aicc == pytest.approx(ref.aicc, rel=1e-12)
-        assert fits[p].aicc_evals > 0
+        assert fits[p].aicc_evals == ref.aicc_evals > 0
+        assert fits[p].bandwidth_boundary == ref.bandwidth_boundary
     assert fits["wd_am"].bandwidth_boundary == "upper"
-
-
-def test_time_sliced_missing_period(rng):
-    coords = rng.uniform(0, 3000, (50, 2))
-    predictors = rng.normal(size=(50, 2))
-    designs = {p: GwrDesign.build(coords, predictors, rng.normal(size=50))
-               for p in PERIODS if p != "we_nt"}
-    with pytest.raises(ValidationError, match="we_nt"):
-        time_sliced(designs, bandwidth=1000.0)
 
 
 def test_time_sliced_tidal_pattern(rng):
     strengths = {"wd_am": 0.2, "wd_md": 3.0, "wd_pm": 2.5, "wd_nt": 1.5,
                  "we_am": 0.3, "we_md": 2.8, "we_pm": 2.4, "we_nt": 1.8}
-    designs = _period_designs(rng, strengths)
-    fits = time_sliced(designs, bandwidth=2000.0)
+    fits = dict(zip(PERIODS, gwr.fit(_period_design(rng, strengths), bandwidth=2000.0)))
     assert fits["wd_md"].adjusted_r2 > fits["wd_am"].adjusted_r2
     trajectory = r2_trajectory(fits)
     assert [p for p, _ in trajectory] == list(PERIODS)
@@ -296,8 +306,8 @@ def test_time_sliced_tidal_pattern(rng):
 
 def test_coef_summary_constant_coefficients(rng):
     design, beta = _linear_design(rng, n=100, k=2, noise=0.0)
-    fits = {p: fit_local(design, 1000.0) for p in PERIODS}
-    summaries = coef_summary(fits, "x1")
+    fit = _fit1(design, 1000.0)
+    summaries = coef_summary({p: fit for p in PERIODS}, "x1")
     for cs in summaries:
         assert cs.q1 == pytest.approx(cs.q3, abs=1e-6)
         assert cs.outliers == []
@@ -306,7 +316,7 @@ def test_coef_summary_constant_coefficients(rng):
 
 def test_coef_summary_symmetric_distribution(rng):
     design, _ = _linear_design(rng, n=200, k=2, noise=1.0)
-    fit = fit_local(design, 300.0)
+    fit = _fit1(design, 300.0)
     fits = {p: fit for p in PERIODS}
     cs = coef_summary(fits, "x1")[0]
     values = fit.beta[:, 1]
@@ -318,37 +328,36 @@ def test_coef_summary_symmetric_distribution(rng):
 def test_coef_summary_planted_night_outliers(rng):
     coords = rng.uniform(0, 3000, (150, 2))
     predictors = rng.normal(size=(150, 2))
-    quiet = GwrDesign.build(coords, predictors,
-                            predictors @ np.array([1.0, 0.5]) + rng.normal(0, 0.05, 150))
+    y_quiet = predictors @ np.array([1.0, 0.5]) + rng.normal(0, 0.05, 150)
     # night response flips sign in a far-away pocket of the city
     pocket = coords[:, 0] > np.quantile(coords[:, 0], 0.9)
     y_night = predictors @ np.array([1.0, 0.5]) + rng.normal(0, 0.05, 150)
     y_night[pocket] -= 6.0 * predictors[pocket, 0]
-    night = GwrDesign.build(coords, predictors, y_night)
-    designs = {p: (night if p.endswith("_nt") else quiet) for p in PERIODS}
-    fits = time_sliced(designs, bandwidth=400.0)
+    Y = np.column_stack([y_night if p.endswith("_nt") else y_quiet for p in PERIODS])
+    fits = dict(zip(PERIODS, gwr.fit(GwrDesign.build(coords, predictors, Y), bandwidth=400.0)))
     summaries = {cs.period: cs for cs in coef_summary(fits, "x1")}
     assert len(summaries["wd_nt"].outliers) > len(summaries["wd_am"].outliers)
 
 
 def test_coef_summary_unknown_variable(rng):
     design, _ = _linear_design(rng, n=60, k=2)
-    fits = {p: fit_local(design, 500.0) for p in PERIODS}
+    fit = _fit1(design, 500.0)
     with pytest.raises(ValidationError):
-        coef_summary(fits, "nope")
+        coef_summary({p: fit for p in PERIODS}, "nope")
 
 
 def test_aicc_guard_small_denominator(rng):
     design, _ = _linear_design(rng, n=60, k=2, noise=0.2)
-    fit = fit_local(design, 300.0)
+    fit = _fit1(design, 300.0)
     assert math.isfinite(fit.aicc)
-    fit.trace_s = design.n  # force the degenerate branch
-    assert aicc(fit, design.n) == math.inf
+    assert gwr._aicc(fit.rss, fit.trace_s, design.n) == fit.aicc
+    # a trace of n - 2 or more is the degenerate branch
+    assert gwr._aicc(fit.rss, design.n - 2.0, design.n) == math.inf
 
 
 def test_adjusted_r2_rejects_overparameterized(rng):
     design, _ = _linear_design(rng, n=60, k=2, noise=0.2)
-    fit = fit_local(design, 300.0)
+    fit = _fit1(design, 300.0)
     fit.trace_s = design.n  # p_eff >= n
     fit.trace_sts = 0.0
     with pytest.raises(ComputationError):

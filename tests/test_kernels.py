@@ -49,10 +49,12 @@ def _check_against_oracle(n, kernel, adaptive):
     bw = adaptive_bandwidths(coords, 20) if adaptive else np.full(n, 1200.0)
 
     beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(
-        coords[:, 0].copy(), coords[:, 1].copy(), X, y, bw, kernel)
+        coords[:, 0].copy(), coords[:, 1].copy(), X, y[:, None], bw, kernel)
 
+    assert beta.shape == (n, 3, 1) and fitted.shape == (n, 1)
     assert np.all(flags == kernels.FLAG_OK)
-    for got, want in zip((beta, fitted, s_ii, s_norm2), _oracle(coords, X, y, bw, kernel)):
+    for got, want in zip((beta[:, :, 0], fitted[:, 0], s_ii, s_norm2),
+                         _oracle(coords, X, y, bw, kernel)):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
@@ -87,8 +89,8 @@ def test_near_singular_system_ridged_although_lapack_factors_it():
     L = np.linalg.cholesky(A)  # LAPACK alone does not object
     assert np.min(np.diag(L)) ** 2 <= kernels._CHOL_TOL * np.max(np.diag(A))
 
-    *_, flags = kernels.gwr_fit_all(coords[:, 0].copy(), coords[:, 1].copy(), X, y, bw,
-                                    "gaussian")
+    *_, flags = kernels.gwr_fit_all(coords[:, 0].copy(), coords[:, 1].copy(), X, y[:, None],
+                                    bw, "gaussian")
     assert np.all(flags == kernels.FLAG_RIDGED)
 
 
@@ -106,9 +108,10 @@ def test_gwr_fit_all_multiple_responses_match_single_calls():
     assert beta.shape == (n, 3, 3) and fitted.shape == (n, 3)
     assert np.all(flags == kernels.FLAG_OK)
     for k in range(3):
-        single = kernels.gwr_fit_all(cx, cy, X, Y[:, k].copy(), bw, "gaussian")
+        b1, f1, *single = kernels.gwr_fit_all(cx, cy, X, Y[:, k:k + 1].copy(), bw, "gaussian")
         oracle = _oracle(coords, X, Y[:, k], bw, "gaussian")
-        for got, one, want in zip((beta[:, :, k], fitted[:, k], s_ii, s_norm2), single, oracle):
+        for got, one, want in zip((beta[:, :, k], fitted[:, k], s_ii, s_norm2),
+                                  (b1[:, :, 0], f1[:, 0], *single[:2]), oracle):
             np.testing.assert_allclose(got, one, rtol=1e-10, atol=0)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
@@ -132,7 +135,7 @@ def test_mixed_block_falls_back_to_per_row_pivot_rule(monkeypatch):
     monkeypatch.setattr(kernels, "_chol", lambda A: calls.append(1) or chol(A))
 
     beta, _, _, _, flags = kernels.gwr_fit_all(coords[:, 0].copy(), coords[:, 1].copy(),
-                                               X, y, bw, "bisquare")
+                                               X, y[:, None], bw, "bisquare")
 
     assert len(calls) >= n  # the block was re-checked row by row
     want = _reference_flags(coords, X, bw, "bisquare")
@@ -142,4 +145,4 @@ def test_mixed_block_falls_back_to_per_row_pivot_rule(monkeypatch):
     assert np.all(beta[flags == kernels.FLAG_SINGULAR] == 0.0)
     clean = np.flatnonzero(flags == kernels.FLAG_OK)
     want_beta = _oracle(coords, X, y, bw, "bisquare", rows=clean)[0]
-    np.testing.assert_allclose(beta[clean], want_beta[clean], rtol=1e-10, atol=0)
+    np.testing.assert_allclose(beta[clean, :, 0], want_beta[clean], rtol=1e-10, atol=0)
