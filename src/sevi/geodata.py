@@ -150,6 +150,8 @@ class PoiTable:
     """The POIs as columns, one row per POI in file order."""
 
     ids: np.ndarray         # str objects
+    lon: np.ndarray
+    lat: np.ndarray
     x: np.ndarray
     y: np.ndarray
     category: np.ndarray    # str objects
@@ -157,8 +159,8 @@ class PoiTable:
 
     @classmethod
     def from_rows(cls, rows) -> "PoiTable":
-        """Columns from (id, x, y, top_category, is_premium) rows."""
-        return cls(*_columns(rows, (object, float, float, object, bool)))
+        """Columns from (id, lon, lat, x, y, top_category, is_premium) rows."""
+        return cls(*_columns(rows, (object, float, float, float, float, object, bool)))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -389,11 +391,11 @@ def _load_pois(path: Path, rows) -> PoiTable:
     table = []
     for lineno, row in rows:
         pid = _unique_id(path, lineno, row[0], seen, "poi")
-        _, _, x, y = _lonlat(path, lineno, row[1], row[2])
+        lon, lat, x, y = _lonlat(path, lineno, row[1], row[2])
         premium_raw = row[4].strip()
         if premium_raw not in ("0", "1"):
             raise SchemaError(path, lineno, "is_premium", f"must be 0 or 1, got {premium_raw!r}")
-        table.append((pid, x, y, row[3].strip(), premium_raw == "1"))
+        table.append((pid, lon, lat, x, y, row[3].strip(), premium_raw == "1"))
     return PoiTable.from_rows(table)
 
 
@@ -490,44 +492,6 @@ def load_tables(paths: TablePaths, fmt: str = "csv") -> CityTables:
 
     return CityTables(points=points, segments=segments, anchors=anchors, pois=pois,
                       lbs=lbs, brands=brands, segment_geometry=segment_geometry)
-
-
-def write_tables(tables: CityTables, outdir: Path) -> list[Path]:
-    """Re-serialize validated tables to CSV (the load/write round trip)."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def _write(name, header, rows):
-        path = outdir / name
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-        written.append(path)
-
-    pts = tables.points
-    _write("points.csv", POINTS_HEADER,
-           [(pid, repr(lon), repr(lat), sid, order, *counts)
-            for pid, lon, lat, sid, order, counts in zip(*(c.tolist() for c in (
-                pts.ids, pts.lon, pts.lat, pts.segment_ids, pts.order, pts.counts)))])
-    _write("segments.csv", SEGMENTS_HEADER,
-           [(s.id, repr(s.length_m)) for s in tables.segments.values()])
-    _write("anchors.csv", ANCHORS_HEADER,
-           [(a.id, a.category, repr(a.lon), repr(a.lat)) for a in tables.anchors])
-    pois = tables.pois
-    _write("pois.csv", POIS_HEADER,
-           [(pid, *map(repr, metric_to_lonlat(x, y)), category, int(premium))
-            for pid, x, y, category, premium in zip(*(c.tolist() for c in (
-                pois.ids, pois.x, pois.y, pois.category, pois.is_premium)))])
-    _write("lbs.csv", LBS_HEADER,
-           [(sid, period, repr(slot[period]))
-            for sid, slot in sorted(tables.lbs.items()) for period in PERIODS])
-    if tables.brands is not None:
-        _write("brands.csv", BRANDS_HEADER,
-               [(pid, t.n_local, t.n_international, t.n_ordinary)
-                for pid, t in sorted(tables.brands.items())])
-    return written
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,13 @@ result: spillover field -> indicators (with route smoothing) -> normalization
 validation -> time-sliced GWR. `run` reads one analysis in that order and
 writes every table, the GeoJSON, the report and a manifest of per-file
 checksums; `robustness` reads one analysis per spillover setting of its
-sweeps. Reruns on identical inputs are byte-identical.
+sweeps; `ingest` writes validated copies of the input tables.
+
+Each artifact format has one writer. `write_csv` writes every table, the
+synthetic fixtures and the validated copies included; a caller passes a
+table as columns zipped into rows. `write_json` writes every JSON document,
+the manifest included. `emit_geojson` writes the map. Reruns on identical
+inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ import yaml
 from . import gwr, report, scoring, spillover, stats
 from .exceptions import (ComputationError, ConfigError, SeviError, StageError,
                          ValidationError)
-from .geodata import BRANDS_HEADER, PERIODS, CityTables, TablePaths, load_tables, write_tables
+from .geodata import (ANCHORS_HEADER, BRANDS_HEADER, LBS_HEADER, PERIODS, POINTS_HEADER,
+                      POIS_HEADER, SEGMENTS_HEADER, BrandTally, CityTables, TablePaths,
+                      load_tables)
 from .gwr import KERNELS, GwrDesign, GwrFit, coef_summary
 from .indicators import BLOCKS, INDICATOR_NAMES, BrandWeights, indicator_table
 from .report import RobustnessReport, TierValidation
@@ -165,8 +173,8 @@ class PipelineConfig:
         if sp["decay"] not in spillover.DECAYS:
             raise ConfigError(f"spillover.decay must be one of {spillover.DECAYS}")
         for key in ("sweep_thresholds", "sweep_decays"):
-            if not isinstance(sp[key], list):
-                raise ConfigError(f"spillover.{key} must be a list, got {sp[key]!r}")
+            if not (isinstance(sp[key], list) and sp[key]):
+                raise ConfigError(f"spillover.{key} must be a non-empty list, got {sp[key]!r}")
         labels: dict[int, float] = {}
         for d in sp["sweep_thresholds"]:
             if not (_is_number(d) and 0 < d < math.inf):
@@ -195,6 +203,9 @@ class PipelineConfig:
             raise ConfigError(f"gwr.kernel must be one of {KERNELS}, got {c['gwr']['kernel']!r}")
         if c["gwr"]["x_source"] not in ("normalized", "raw"):
             raise ConfigError("gwr.x_source must be normalized or raw")
+        if not isinstance(c["gwr"]["summary_variables"], list):
+            raise ConfigError(f"gwr.summary_variables must be a list of indicator names, "
+                              f"got {c['gwr']['summary_variables']!r}")
         for v in c["gwr"]["summary_variables"]:
             if v != "intercept" and v not in INDICATOR_NAMES:
                 raise ConfigError(f"gwr.summary_variables entry {v!r} is not an indicator")
@@ -241,12 +252,16 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
+    """A float with six decimals; any other cell as `str`, which for the str
+    and int cells callers pass is the text the csv module writes for them."""
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
 
 
 def write_csv(path: Path, header, rows):
+    """Write `header` and `rows` as CSV; a float cell gets six decimals, so a
+    caller wanting another precision passes its text."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -448,36 +463,47 @@ class _Analysis:
 
 
 def emit_geojson(path: Path, tables: CityTables,
-                 properties_by_segment: dict[str, dict[str, float]],
-                 use_segment_geometry: bool = False):
-    """One Point feature per sampling point (or LineString per segment when
-    geometry was ingested), carrying the nine indicators plus A/U/P/sevi."""
-    def encode(fid, geometry, props) -> str:
-        return json.dumps({"type": "Feature", "id": fid, "geometry": geometry,
-                           "properties": _round_floats(props)},
-                          sort_keys=True, ensure_ascii=False)
+                 properties_by_segment: dict[str, dict[str, float]]):
+    """Write the map of the scored segments as a FeatureCollection: one
+    LineString feature per segment when segment geometry was ingested, else
+    one Point feature per sampling point of a scored segment, in id order.
+    Each feature carries its segment's nine indicators and A/U/P/sevi, with
+    floats rounded to 6 decimals and coordinates to 7.
+
+    The text is that of json.dumps(sort_keys=True, ensure_ascii=False) on
+    the whole collection, built by hand: each segment's properties are
+    encoded once, however many points share them, and each feature's text is
+    assembled around that string.
+    """
+    properties = {sid: json.dumps(_round_floats(props), sort_keys=True, ensure_ascii=False)
+                  for sid, props in properties_by_segment.items()}
+
+    def position(lon: float, lat: float) -> str:
+        return f"[{round(lon, 7)!r}, {round(lat, 7)!r}]"
+
+    def feature(fid: str, kind: str, coordinates: str, props: str) -> str:
+        return (f'{{"geometry": {{"coordinates": {coordinates}, "type": "{kind}"}}, '
+                f'"id": {json.dumps(fid, ensure_ascii=False)}, "properties": {props}, '
+                f'"type": "Feature"}}')
 
     features = []  # the JSON text of each feature
-    if use_segment_geometry and tables.segment_geometry:
-        for sid in sorted(properties_by_segment):
+    if tables.segment_geometry:
+        for sid in sorted(properties):
             coords = tables.segment_geometry.get(sid)
             if coords is None:
                 raise ValidationError(f"no geometry for segment {sid!r}")
-            features.append(encode(sid, {"type": "LineString", "coordinates": [
-                [round(c[0], 7), round(c[1], 7)] for c in coords]}, properties_by_segment[sid]))
+            features.append(feature(sid, "LineString", "[" + ", ".join(
+                position(lon, lat) for lon, lat in coords) + "]", properties[sid]))
     else:
         pts = tables.points
         by_id = np.argsort(pts.ids)
         for pid, sid, lon, lat in zip(*(c[by_id].tolist() for c in (
                 pts.ids, pts.segment_ids, pts.lon, pts.lat))):
-            props = properties_by_segment.get(sid)
-            if props is None:
-                continue
-            features.append(encode(pid, {"type": "Point", "coordinates": [
-                round(lon, 7), round(lat, 7)]}, props))
-    # The collection is framed by hand, as json.dumps(sort_keys=True) frames it,
-    # so that the whole document's text (4.4 MB on a 12k-point city) is never
-    # held in memory next to its encoded bytes.
+            if sid in properties:
+                features.append(feature(pid, "Point", position(lon, lat), properties[sid]))
+    # The collection is framed by hand too, so that the whole document's text
+    # (4.4 MB on a 12k-point city) is never held in memory next to its
+    # encoded bytes.
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"features": [')
         for k, text in enumerate(features):
@@ -500,14 +526,10 @@ class _Manifest:
 
     def write(self) -> dict:
         """Write manifest.json and return its document."""
-        files = {}
-        for stage in self.stages:
-            for name in stage["files"]:
-                files[name] = file_sha256(self.outdir / name)
+        files = {name: file_sha256(self.outdir / name)
+                 for stage in self.stages for name in stage["files"]}
         doc = {"config_sha256": self.config_hash, "stages": self.stages, "files": files}
-        text = json.dumps(doc, indent=2, sort_keys=True)
-        with open(self.outdir / "manifest.json", "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_json(self.outdir / "manifest.json", doc)
         return doc
 
 
@@ -542,16 +564,14 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
     segment_ids, raw_matrix, seg_flags, _ = analysis.indicators
     write_csv(outdir / "indicators.csv",
               ("segment_id",) + INDICATOR_NAMES + ("no_signboards",),
-              [(sid,) + tuple(float(v) for v in raw_matrix[i]) + (int(seg_flags[i]),)
-               for i, sid in enumerate(segment_ids)])
+              zip(segment_ids, *raw_matrix.T.tolist(), seg_flags.astype(int).tolist()))
     manifest.stage("indicators", ["indicators.csv"])
     if until == "indicators":
         return manifest.write()
 
     nm = analysis.nm
     write_csv(outdir / "normalized.csv", ("segment_id",) + INDICATOR_NAMES,
-              [(sid,) + tuple(float(v) for v in nm.values[i])
-               for i, sid in enumerate(segment_ids)])
+              zip(segment_ids, *nm.values.T.tolist()))
     manifest.stage("normalize", ["normalized.csv"])
 
     wm = analysis.wm
@@ -570,26 +590,21 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
     write_csv(outdir / "sevi.csv",
               ("segment_id", "activity", "utilization", "environment",
                "sevi", "sevi_eq", "sevi_pca"),
-              [(sid, float(sevi_result.dims[i, 0]), float(sevi_result.dims[i, 1]),
-                float(sevi_result.dims[i, 2]), float(sevi_result.sevi[i]),
-                float(sevi_eq[i]), float(sevi_pca[i]))
-               for i, sid in enumerate(segment_ids)])
+              zip(segment_ids, *sevi_result.dims.T.tolist(), sevi_result.sevi.tolist(),
+                  sevi_eq.tolist(), sevi_pca.tolist()))
     manifest.stage("scores", ["sevi.csv"])
     if until == "sevi":
         return manifest.write()
 
     corr, pca_model = analysis.corr_pca
     write_csv(outdir / "correlation.csv", ("variable",) + INDICATOR_NAMES,
-              [(INDICATOR_NAMES[i],) + tuple(float(v) for v in corr.values[i])
-               for i in range(len(INDICATOR_NAMES))])
+              zip(INDICATOR_NAMES, *corr.values.T.tolist()))
     k_comp = pca_model.loadings.shape[1]
     header = (("variable",) + tuple(f"pc{j + 1}_raw" for j in range(k_comp))
               + tuple(f"pc{j + 1}_rotated" for j in range(k_comp)))
     write_csv(outdir / "pca_loadings.csv", header,
-              [(INDICATOR_NAMES[i],)
-               + tuple(float(v) for v in pca_model.loadings[i])
-               + tuple(float(v) for v in pca_model.rotated_loadings[i])
-               for i in range(len(INDICATOR_NAMES))])
+              zip(INDICATOR_NAMES, *pca_model.loadings.T.tolist(),
+                  *pca_model.rotated_loadings.T.tolist()))
     write_json(outdir / "pca_summary.json", {
         "explained_variance_ratio": pca_model.explained_variance_ratio.tolist(),
         "retained_components": k_comp,
@@ -624,8 +639,7 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
         header = (("segment_id", "beta_intercept")
                   + tuple(f"beta_{v}" for v in fit.predictor_names) + ("residual",))
         write_csv(outdir / name, header,
-                  [(fit.location_ids[i],) + tuple(float(b) for b in fit.beta[i])
-                   + (float(fit.residuals[i]),) for i in range(fit.n)])
+                  zip(fit.location_ids, *fit.beta.T.tolist(), fit.residuals.tolist()))
         gwr_files.append(name)
     summary = {
         "periods": {
@@ -665,8 +679,7 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
     values = np.column_stack([raw_matrix, sevi_result.dims, sevi_result.sevi]).tolist()
     props = {sid: dict(zip(names, row)) for sid, row in zip(segment_ids, values)}
     with _run_stage("geojson"):
-        emit_geojson(outdir / "sevi.geojson", tables, props,
-                     use_segment_geometry=bool(tables.segment_geometry))
+        emit_geojson(outdir / "sevi.geojson", tables, props)
     manifest.stage("geojson", ["sevi.geojson"])
 
     sevi_stats = {
@@ -756,12 +769,10 @@ def decode_to_files(config: PipelineConfig, workdir: Path) -> dict:
     db = brandsem.ReferenceDb.from_json(workdir / dec["reference_db"])
     if dec["backend"] == "offline":
         client = brandsem.OfflineFixtureClient.from_json(workdir / dec["fixtures"])
-        parallelism = 1
     else:
         client = brandsem.HttpChatClient.from_env()
-        parallelism = dec["parallelism"]
     corpus = brandsem.load_corpus(workdir / dec["corpus"])
-    decoded = brandsem.decode_corpus(corpus, db, client, parallelism=parallelism)
+    decoded = brandsem.decode_corpus(corpus, db, client, parallelism=dec["parallelism"])
 
     rows = []
     n_default = 0
@@ -772,9 +783,7 @@ def decode_to_files(config: PipelineConfig, workdir: Path) -> dict:
             rows.append((item.image_id, brand, item.assignment.tiers[brand], source))
     write_csv(outdir / "assignments.csv", ("image_id", "brand", "tier", "provenance"), rows)
     tally = brandsem.tally_by_point(decoded)
-    write_csv(outdir / "brands.csv", BRANDS_HEADER,
-              [(pid, t.n_local, t.n_international, t.n_ordinary)
-               for pid, t in sorted(tally.items())])
+    _write_brands(outdir / "brands.csv", tally)
     summary = {"images": len(decoded), "assignments": len(rows),
                "defaulted_to_ordinary": n_default, "points": len(tally)}
     write_json(outdir / "decode_summary.json", summary)
@@ -803,6 +812,34 @@ def evaluate_files(gt_path: Path, pred_path: Path, out_path: Path | None = None)
             "gt_counts": rep.gt_counts,
         })
     return rep
+
+
+def _write_brands(path: Path, tallies: dict[str, BrandTally]):
+    write_csv(path, BRANDS_HEADER, ((pid, t.n_local, t.n_international, t.n_ordinary)
+                                    for pid, t in sorted(tallies.items())))
+
+
+def write_tables(tables: CityTables, outdir: Path):
+    """Write the validated tables as CSV under `outdir`. Coordinates, lengths
+    and crowd intensities are written as `repr`, so that they load back
+    exactly and a second load/write round trip gives the same bytes."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    pts, pois = tables.points, tables.pois
+    write_csv(outdir / "points.csv", POINTS_HEADER,
+              zip(pts.ids.tolist(), map(repr, pts.lon.tolist()), map(repr, pts.lat.tolist()),
+                  pts.segment_ids.tolist(), pts.order.tolist(), *pts.counts.T.tolist()))
+    write_csv(outdir / "segments.csv", SEGMENTS_HEADER,
+              ((s.id, repr(s.length_m)) for s in tables.segments.values()))
+    write_csv(outdir / "anchors.csv", ANCHORS_HEADER,
+              ((a.id, a.category, repr(a.lon), repr(a.lat)) for a in tables.anchors))
+    write_csv(outdir / "pois.csv", POIS_HEADER,
+              zip(pois.ids.tolist(), map(repr, pois.lon.tolist()), map(repr, pois.lat.tolist()),
+                  pois.category.tolist(), pois.is_premium.astype(int).tolist()))
+    write_csv(outdir / "lbs.csv", LBS_HEADER,
+              ((sid, period, repr(slot[period]))
+               for sid, slot in sorted(tables.lbs.items()) for period in PERIODS))
+    if tables.brands is not None:
+        _write_brands(outdir / "brands.csv", tables.brands)
 
 
 def ingest(config: PipelineConfig, workdir: Path) -> dict:

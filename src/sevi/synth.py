@@ -7,7 +7,6 @@ only the written files and is seed-free.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -18,6 +17,7 @@ from . import brandsem
 from .geodata import (ANCHORS_HEADER, BRANDS_HEADER, LBS_HEADER, PERIODS,
                       POINTS_HEADER, POIS_HEADER, SEGMENTS_HEADER,
                       metric_to_lonlat, project_to_metric)
+from .pipeline import write_csv
 
 CENTER_LON, CENTER_LAT = 118.78, 32.06
 POINT_SPACING_M = 20.0
@@ -167,18 +167,12 @@ def generate_city(outdir, seed: int = 20251015, n_segments: int = 160,
             uv = 30.0 + _PERIOD_AMP[period] * seg_drive[sid] + rng.normal(0.0, _PERIOD_NOISE[period])
             lbs_rows.append((sid, period, f"{max(uv, 0.0):.3f}"))
 
-    def _write(name, header, rows):
-        with open(outdir / name, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-
-    _write("points.csv", POINTS_HEADER, point_rows)
-    _write("segments.csv", SEGMENTS_HEADER, seg_rows)
-    _write("anchors.csv", ANCHORS_HEADER, anchor_rows)
-    _write("pois.csv", POIS_HEADER, poi_rows)
-    _write("lbs.csv", LBS_HEADER, lbs_rows)
-    _write("brands.csv", BRANDS_HEADER, brand_rows)
+    write_csv(outdir / "points.csv", POINTS_HEADER, point_rows)
+    write_csv(outdir / "segments.csv", SEGMENTS_HEADER, seg_rows)
+    write_csv(outdir / "anchors.csv", ANCHORS_HEADER, anchor_rows)
+    write_csv(outdir / "pois.csv", POIS_HEADER, poi_rows)
+    write_csv(outdir / "lbs.csv", LBS_HEADER, lbs_rows)
+    write_csv(outdir / "brands.csv", BRANDS_HEADER, brand_rows)
 
     return {"points": len(point_rows), "segments": len(seg_rows),
             "anchors": len(anchor_rows), "pois": len(poi_rows),
@@ -310,15 +304,9 @@ def generate_brand_corpus(outdir, seed: int = 7, n_images: int = 50) -> dict:
     with open(outdir / "fixtures.json", "w", encoding="utf-8") as fh:
         json.dump(fixtures, fh, ensure_ascii=False, indent=2, sort_keys=True)
 
-    def _write(name, header, rows):
-        with open(outdir / name, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-
-    _write("corpus.csv", ("image_id", "point_id"), corpus_rows)
-    _write("ground_truth.csv", ("image_id", "brand", "tier"), gt_rows)
-    _write("predictions.csv", ("image_id", "brand", "tier"), pred_rows)
+    write_csv(outdir / "corpus.csv", ("image_id", "point_id"), corpus_rows)
+    write_csv(outdir / "ground_truth.csv", ("image_id", "brand", "tier"), gt_rows)
+    write_csv(outdir / "predictions.csv", ("image_id", "brand", "tier"), pred_rows)
 
     return {"images": n_images, "fixtures": len(fixtures),
             "gt_pairs": len(gt_rows), "predicted_pairs": len(pred_rows)}

@@ -32,6 +32,10 @@ def test_stage_run_exits_zero(city_dir, tmp_path):
     ("", ["--set", "pca_components=true"]),
     ("", ["--set", "poi_radius_m=true"]),
     ("", ["--set", "decode.parallelism=abc"]),
+    # an empty sweep has no R^2 to average; a bare name is not a list of names
+    ("", ["--set", "spillover.sweep_thresholds=[]"]),
+    ("", ["--set", "spillover.sweep_decays=[]"]),
+    ("", ["--set", "gwr.summary_variables=mv"]),
 ])
 def test_bad_config_exits_one(city_dir, tmp_path, capsys, extra, overrides):
     argv = ["--workdir", str(city_dir), "spillover", "--config", _config(tmp_path, extra)]

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from sevi.exceptions import ComputationError, SchemaError, ValidationError
 from sevi.geodata import (ANCHORS_HEADER, COUNT_COLUMNS, EARTH_RADIUS_M, POINTS_HEADER,
                           POIS_HEADER, SEGMENTS_HEADER, CityTables, PoiTable, TablePaths,
-                          load_tables, metric_to_lonlat, pairs_within, project_to_metric,
-                          write_tables)
-from sevi.pipeline import _tier_validation
+                          load_tables, metric_to_lonlat, pairs_within, project_to_metric)
+from sevi.pipeline import _tier_validation, write_tables
 
 from .conftest import make_points, point_row, write_feature_collection
 
@@ -189,8 +188,10 @@ def test_route_sorts_segments_by_id_and_points_by_order():
 # ---------------------------------------------------------------------------
 
 def _pois(rows):
-    """A PoiTable of (id, x, y, is_premium) rows."""
-    return PoiTable.from_rows([(pid, x, y, "shopping", premium) for pid, x, y, premium in rows])
+    """A PoiTable of (id, x, y, is_premium) rows placed directly in metric
+    coordinates."""
+    return PoiTable.from_rows([(pid, 0.0, 0.0, x, y, "shopping", premium)
+                               for pid, x, y, premium in rows])
 
 
 def _brute_counts(points_xy, poi_rows, radius):

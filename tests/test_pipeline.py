@@ -8,7 +8,7 @@ import pytest
 
 from sevi.geodata import (ANCHORS_HEADER, PERIODS, POINTS_HEADER, POIS_HEADER,
                           SEGMENTS_HEADER, project_to_metric)
-from sevi.pipeline import PipelineConfig, _load_city, robustness, run
+from sevi.pipeline import PipelineConfig, _load_city, ingest, robustness, run
 
 from .conftest import write_feature_collection
 
@@ -28,6 +28,15 @@ def _run(city_dir, outdir, overrides=(), until=None):
 
 def _json(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _geojson(path):
+    """The document in a sevi.geojson file, whose text must be exactly what
+    json.dumps(sort_keys=True, ensure_ascii=False) writes for it."""
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n"
+    return doc
 
 
 def _close(value, reference, tol=1e-5):
@@ -56,7 +65,7 @@ def test_geojson_has_one_feature_per_scored_point(city_dir, default_run):
         scored = {row["segment_id"]: float(row["sevi"]) for row in csv.DictReader(fh)}
     with open(city_dir / "points.csv", newline="", encoding="utf-8") as fh:
         points = {row["id"]: row["segment_id"] for row in csv.DictReader(fh)}
-    doc = json.loads((default_run / "sevi.geojson").read_text(encoding="utf-8"))
+    doc = _geojson(default_run / "sevi.geojson")
     assert doc["type"] == "FeatureCollection"
     features = {f["id"]: f["properties"] for f in doc["features"]}
     assert len(features) == len(doc["features"])
@@ -174,9 +183,54 @@ def test_geojson_inputs_give_the_csv_artifacts(city_dir, default_run, tmp_path):
             assert (outdir / name).read_bytes() == (default_run / name).read_bytes(), name
     with open(default_run / "sevi.csv", newline="", encoding="utf-8") as fh:
         scored = {row["segment_id"]: float(row["sevi"]) for row in csv.DictReader(fh)}
-    features = _json(outdir / "sevi.geojson")["features"]
+    features = _geojson(outdir / "sevi.geojson")["features"]
     assert [f["id"] for f in features] == sorted(scored)
     for f in features:
         assert f["geometry"] == {"type": "LineString", "coordinates": [
             [round(lon, 7), round(lat, 7)] for lon, lat in route[f["id"]]]}
         assert f["properties"]["sevi"] == scored[f["id"]]
+
+
+ODD_SEGMENT, ODD_POINT = 's0000,"é', 'p000000,"ü'
+
+
+def test_ids_with_csv_and_json_metacharacters_read_back(city_dir, tmp_path):
+    # one segment id and one point id hold a comma, a double quote and a
+    # non-ASCII letter, which CSV must quote and JSON must escape or keep
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    renamed = {"s0000": ODD_SEGMENT, "p000000": ODD_POINT}
+    for name in ("points.csv", "segments.csv", "lbs.csv", "brands.csv"):
+        with open(city / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        with open(city / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([[renamed.get(c, c) for c in row] for row in rows])
+    outdir = tmp_path / "out"
+    run(_config(outdir, ["gwr.bandwidth=1500"]), city)
+
+    point_ids = {row[0] for row in _csv_rows(city / "points.csv")}
+    assert ODD_POINT in point_ids
+    features = {f["id"]: f["properties"] for f in _geojson(outdir / "sevi.geojson")["features"]}
+    assert set(features) == point_ids
+    assert {row[0] for row in _csv_rows(outdir / "mv.csv")} == point_ids
+    assert ODD_SEGMENT in {row[0] for row in _csv_rows(outdir / "indicators.csv")}
+    with open(outdir / "sevi.csv", newline="", encoding="utf-8") as fh:
+        scored = {row["segment_id"]: float(row["sevi"]) for row in csv.DictReader(fh)}
+    assert features[ODD_POINT]["sevi"] == scored[ODD_SEGMENT]
+
+
+def test_ingest_round_trip_is_a_fixed_point(city_dir, tmp_path):
+    ingest(_config(tmp_path / "first"), city_dir)
+    validated = tmp_path / "first" / "validated"
+    ingest(_config(tmp_path / "second"), validated)
+    again = tmp_path / "second" / "validated"
+    names = sorted(p.name for p in validated.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (again / name).read_bytes() == (validated / name).read_bytes(), name
+
+    def lonlat(path):
+        return [(float(row[1]), float(row[2])) for row in _csv_rows(path)]
+
+    # the POI coordinates are the input's, not their projection inverted
+    assert lonlat(validated / "pois.csv") == lonlat(city_dir / "pois.csv")
