@@ -380,8 +380,8 @@ class DecodedImage:
 
 def load_corpus(path) -> list[tuple[str, str]]:
     """corpus.csv rows (image_id, point_id) in file order."""
-    return [(image_id.strip(), point_id.strip())
-            for _, (image_id, point_id) in _read_csv_rows(path, ("image_id", "point_id"))]
+    _, (image_ids, point_ids) = _read_csv_rows(path, ("image_id", "point_id"))
+    return list(zip(map(str.strip, image_ids), map(str.strip, point_ids)))
 
 
 def _decode_one(image_id: str, point_id: str, reference_db: ReferenceDb,
@@ -471,7 +471,8 @@ def report_from_tier_metrics(metrics: dict[str, tuple[float, float]]) -> EvalRep
 def load_labeled_pairs(path) -> dict[str, set[tuple[str, str]]]:
     """CSV (image_id, brand, tier) -> per-image sets of normalized pairs."""
     out: dict[str, set[tuple[str, str]]] = {}
-    for lineno, row in _read_csv_rows(path, ("image_id", "brand", "tier")):
+    lines, columns = _read_csv_rows(path, ("image_id", "brand", "tier"))
+    for lineno, row in zip(lines, zip(*columns)):
         image_id, brand, tier = (c.strip() for c in row)
         if tier not in TIERS:
             raise SchemaError(path, lineno, "tier", f"unknown tier {tier!r}")

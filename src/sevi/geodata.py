@@ -7,14 +7,14 @@ order. The route order sorts the segments by id and each segment's points by
 `order`; `PointTable.route` returns it as a permutation plus run bounds, so
 a per-segment reduction reads one contiguous slice of the permuted column.
 
-Ingestion reads every table as text rows, each a row number and its fields
-in header order. The encoding decides only how those rows are read: from a
-CSV file, or from a GeoJSON FeatureCollection, where a feature's number is
-its row and a Point's coordinates fill `lon`/`lat`. Both encodings yield the
-same rows and pass the same checks, because each table has exactly one
-validator. The first bad row aborts the load with a file/row/column
-diagnostic rather than silently dropping data. All tables are immutable
-after load and safe for concurrent reads.
+Ingestion reads every table as text columns plus row numbers, from a CSV
+file or from a GeoJSON FeatureCollection (a feature's number is its row, a
+Point's coordinates fill `lon`/`lat`); each table has one validator. The
+large tables (points, POIs, brand tallies) are checked as whole columns
+with the `int`, `float` and `str.strip` of a row-by-row check, so both
+accept the same text; only when a column check fails does the row-by-row
+check run, to raise the file/row/column error of the first bad row rather
+than drop data. Tables are immutable after load and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,17 +95,10 @@ class MallAnchor:
     lat: float = 0.0
 
 
-@dataclass(frozen=True)
-class BrandTally:
+class BrandTally(NamedTuple):
     n_local: int = 0
     n_international: int = 0
     n_ordinary: int = 0
-
-
-def _columns(rows, dtypes) -> list[np.ndarray]:
-    """One array per field of `rows`, of the given dtypes."""
-    fields = list(zip(*rows)) or [()] * len(dtypes)
-    return [np.array(f, dtype=t) for f, t in zip(fields, dtypes)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,13 +114,6 @@ class PointTable:
     segment_ids: np.ndarray  # str objects
     order: np.ndarray        # int64 rank along the segment
     counts: np.ndarray
-
-    @classmethod
-    def from_rows(cls, rows) -> "PointTable":
-        """Columns from (id, lon, lat, x, y, segment_id, order, counts) rows."""
-        *columns, counts = _columns(rows, (object, float, float, float, float, object,
-                                           np.int64, np.int64))
-        return cls(*columns, counts.reshape(-1, len(COUNT_COLUMNS)))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -157,11 +145,6 @@ class PoiTable:
     category: np.ndarray    # str objects
     is_premium: np.ndarray  # bool
 
-    @classmethod
-    def from_rows(cls, rows) -> "PoiTable":
-        """Columns from (id, lon, lat, x, y, top_category, is_premium) rows."""
-        return cls(*_columns(rows, (object, float, float, float, float, object, bool)))
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -192,11 +175,19 @@ class CityTables:
 # ingestion
 # ---------------------------------------------------------------------------
 
+_CHUNK_ROWS = 256  # a chunk's row lists die before 700 allocations start a GC pass
+
+
 def _read_csv_rows(path: Path, expected_header: tuple[str, ...]):
+    """A CSV table's non-blank rows as (row numbers, one list of texts per
+    column in header order); the header is row 1. A UTF-8 byte-order mark
+    before the header is skipped."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
+    width = len(expected_header)
+    lines, columns = [], [[] for _ in expected_header]
     with fh:
         reader = csv.reader(fh)
         try:
@@ -208,17 +199,23 @@ def _read_csv_rows(path: Path, expected_header: tuple[str, ...]):
                     path, 1, "-",
                     f"header {header} does not match expected {list(expected_header)}",
                 )
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(expected_header):
-                    raise SchemaError(path, lineno, "-",
-                                      f"expected {len(expected_header)} fields, got {len(row)}")
-                rows.append((lineno, row))
+            start = 2
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                numbers = range(start, start + len(chunk))
+                start += len(chunk)
+                if set(map(len, chunk)) != {width}:
+                    kept = [(lineno, row) for lineno, row in zip(numbers, chunk) if row]
+                    for lineno, row in kept:
+                        if len(row) != width:
+                            raise SchemaError(path, lineno, "-",
+                                              f"expected {width} fields, got {len(row)}")
+                    numbers, chunk = [k[0] for k in kept], [k[1] for k in kept]
+                lines.extend(numbers)
+                for column, texts in zip(columns, zip(*chunk)):
+                    column.extend(texts)
         except UnicodeDecodeError:
             _raise_not_utf8(path)
-    return rows
+    return lines, columns
 
 
 def _raise_not_utf8(path: Path):
@@ -235,11 +232,11 @@ def _raise_not_utf8(path: Path):
 
 
 def _read_geojson_rows(path: Path, header: tuple[str, ...]):
-    """The features of a GeoJSON FeatureCollection as `_read_csv_rows` rows:
-    (feature number, fields as text in header order).
+    """The features of a GeoJSON FeatureCollection as a `_read_csv_rows`
+    table: (feature numbers, one list of texts per column in header order).
 
     With lon/lat in the header the features are Points whose coordinates
-    fill those two fields; otherwise they are LineStrings. Returns the rows
+    fill those two fields; otherwise they are LineStrings. Returns the table
     and, for LineStrings, each one's [(lon, lat), ...] vertices (else None).
     """
     try:
@@ -274,8 +271,9 @@ def _read_geojson_rows(path: Path, header: tuple[str, ...]):
         missing = [name for name in header if name not in props]
         if missing:
             raise SchemaError(path, i, missing[0], "missing property")
-        rows.append((i, ["" if props[name] is None else str(props[name]) for name in header]))
-    return rows, vertices
+        rows.append(["" if props[name] is None else str(props[name]) for name in header])
+    columns = [list(texts) for texts in zip(*rows)] or [[] for _ in header]
+    return (list(range(1, len(rows) + 1)), columns), vertices
 
 
 def _vertex(path, feature, k, c) -> tuple[float, float]:
@@ -297,6 +295,8 @@ def _parse_int(path, row, column, text, minimum=None):
         raise SchemaError(path, row, column, f"not an integer: {text!r}")
     if minimum is not None and value < minimum:
         raise SchemaError(path, row, column, f"must be >= {minimum}, got {value}")
+    if not -2**63 <= value < 2**63:
+        raise SchemaError(path, row, column, f"outside the 64-bit integer range: {text!r}")
     return value
 
 
@@ -334,37 +334,64 @@ def _lonlat(path, row, lon_text, lat_text) -> tuple[float, float, float, float]:
     return (lon, lat, *project_to_metric(lon, lat))
 
 
+def _unique(ids: list[str]) -> bool:
+    return all(ids) and len(set(ids)) == len(ids)
+
+
+def _int64(columns) -> np.ndarray:
+    """(n, k) int64 matrix of k text columns; ValueError/OverflowError if one is not."""
+    return np.array([list(map(int, texts)) for texts in columns], dtype=np.int64).T
+
+
+def _project(lon: list[float], lat: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """`project_to_metric` per pair, by its scalar math (numpy's arcsinh(tan) differs)."""
+    return (np.array([EARTH_RADIUS_M * math.radians(v) for v in lon], dtype=float),
+            np.array([EARTH_RADIUS_M * math.asinh(math.tan(math.radians(v))) for v in lat],
+                     dtype=float))
+
+
 _GREEN = COUNT_COLUMNS.index("green_pixels_left")
 _TOTAL = COUNT_COLUMNS.index("total_pixels_left")
 
 
-def _load_points(path: Path, rows) -> PointTable:
-    seen: set[str] = set()
-    placed: set[tuple[str, int]] = set()
-    table = []
-    for lineno, row in rows:
-        pid = _unique_id(path, lineno, row[0], seen, "point")
-        lon, lat, x, y = _lonlat(path, lineno, row[1], row[2])
-        sid = row[3].strip()
-        order = _parse_int(path, lineno, "order", row[4], minimum=0)
-        if (sid, order) in placed:
-            raise SchemaError(path, lineno, "order",
-                              f"duplicate order {order} within segment {sid!r}")
-        placed.add((sid, order))
-        counts = tuple(_parse_int(path, lineno, col, text, minimum=0)
-                       for col, text in zip(COUNT_COLUMNS, row[5:]))
-        for side in (0, 1):
-            if counts[_GREEN + side] > counts[_TOTAL + side]:
-                raise SchemaError(path, lineno, COUNT_COLUMNS[_GREEN + side],
-                                  "green pixel count exceeds total pixel count")
-        table.append((pid, lon, lat, x, y, sid, order, counts))
-    return PointTable.from_rows(table)
+def _load_points(path: Path, lines, columns) -> PointTable:
+    ids, segment_ids = list(map(str.strip, columns[0])), list(map(str.strip, columns[3]))
+    try:
+        lon, lat = list(map(float, columns[1])), list(map(float, columns[2]))
+        ints = _int64(columns[4:])  # order, then the counts
+        order, counts = ints[:, 0], ints[:, 1:]
+        ok = (_unique(ids) and np.isfinite(lon).all() and (np.abs(lat) < MAX_ABS_LAT).all()
+              and ints.min(initial=0) >= 0
+              and (counts[:, _GREEN:_GREEN + 2] <= counts[:, _TOTAL:_TOTAL + 2]).all()
+              and len(set(zip(segment_ids, order.tolist()))) == len(ids))
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok:
+        seen, placed = set(), set()
+        for lineno, row in zip(lines, zip(*columns)):
+            _unique_id(path, lineno, row[0], seen, "point")
+            _lonlat(path, lineno, row[1], row[2])
+            sid = row[3].strip()
+            order = _parse_int(path, lineno, "order", row[4], minimum=0)
+            if (sid, order) in placed:
+                raise SchemaError(path, lineno, "order",
+                                  f"duplicate order {order} within segment {sid!r}")
+            placed.add((sid, order))
+            counts = [_parse_int(path, lineno, col, text, minimum=0)
+                      for col, text in zip(COUNT_COLUMNS, row[5:])]
+            for side in (0, 1):
+                if counts[_GREEN + side] > counts[_TOTAL + side]:
+                    raise SchemaError(path, lineno, COUNT_COLUMNS[_GREEN + side],
+                                      "green pixel count exceeds total pixel count")
+        raise ValidationError(f"{path}: the column checks failed on no row")
+    return PointTable(np.array(ids, dtype=object), np.array(lon), np.array(lat),
+                      *_project(lon, lat), np.array(segment_ids, dtype=object), order, counts)
 
 
-def _load_segments(path: Path, rows) -> dict[str, StreetSegment]:
+def _load_segments(path: Path, lines, columns) -> dict[str, StreetSegment]:
     seen: set[str] = set()
     segments: dict[str, StreetSegment] = {}
-    for lineno, row in rows:
+    for lineno, row in zip(lines, zip(*columns)):
         sid = _unique_id(path, lineno, row[0], seen, "segment")
         length = _parse_float(path, lineno, "length_m", row[1])
         if length <= 0:
@@ -373,10 +400,10 @@ def _load_segments(path: Path, rows) -> dict[str, StreetSegment]:
     return segments
 
 
-def _load_anchors(path: Path, rows) -> list[MallAnchor]:
+def _load_anchors(path: Path, lines, columns) -> list[MallAnchor]:
     seen: set[str] = set()
     anchors = []
-    for lineno, row in rows:
+    for lineno, row in zip(lines, zip(*columns)):
         aid = _unique_id(path, lineno, row[0], seen, "anchor")
         category = row[1].strip()
         if not category:
@@ -386,22 +413,31 @@ def _load_anchors(path: Path, rows) -> list[MallAnchor]:
     return anchors
 
 
-def _load_pois(path: Path, rows) -> PoiTable:
-    seen: set[str] = set()
-    table = []
-    for lineno, row in rows:
-        pid = _unique_id(path, lineno, row[0], seen, "poi")
-        lon, lat, x, y = _lonlat(path, lineno, row[1], row[2])
-        premium_raw = row[4].strip()
-        if premium_raw not in ("0", "1"):
-            raise SchemaError(path, lineno, "is_premium", f"must be 0 or 1, got {premium_raw!r}")
-        table.append((pid, lon, lat, x, y, row[3].strip(), premium_raw == "1"))
-    return PoiTable.from_rows(table)
+def _load_pois(path: Path, lines, columns) -> PoiTable:
+    ids, premium = list(map(str.strip, columns[0])), list(map(str.strip, columns[4]))
+    try:
+        lon, lat = list(map(float, columns[1])), list(map(float, columns[2]))
+        ok = (_unique(ids) and np.isfinite(lon).all() and (np.abs(lat) < MAX_ABS_LAT).all()
+              and set(premium) <= {"0", "1"})
+    except ValueError:
+        ok = False
+    if not ok:
+        seen = set()
+        for lineno, row in zip(lines, zip(*columns)):
+            _unique_id(path, lineno, row[0], seen, "poi")
+            _lonlat(path, lineno, row[1], row[2])
+            if row[4].strip() not in ("0", "1"):
+                raise SchemaError(path, lineno, "is_premium",
+                                  f"must be 0 or 1, got {row[4].strip()!r}")
+        raise ValidationError(f"{path}: the column checks failed on no row")
+    return PoiTable(np.array(ids, dtype=object), np.array(lon), np.array(lat),
+                    *_project(lon, lat), np.array(list(map(str.strip, columns[3])), dtype=object),
+                    np.array([p == "1" for p in premium], dtype=bool))
 
 
-def _load_lbs(path: Path, rows, segments: dict[str, StreetSegment]):
+def _load_lbs(path: Path, lines, columns, segments: dict[str, StreetSegment]):
     lbs: dict[str, dict[str, float]] = {}
-    for lineno, row in rows:
+    for lineno, row in zip(lines, zip(*columns)):
         sid = row[0].strip()
         if sid not in segments:
             raise SchemaError(path, lineno, "segment_id", f"unknown segment {sid!r}")
@@ -424,17 +460,21 @@ def _load_lbs(path: Path, rows, segments: dict[str, StreetSegment]):
     return lbs
 
 
-def _load_brands(path: Path, rows) -> dict[str, BrandTally]:
-    seen: set[str] = set()
-    brands: dict[str, BrandTally] = {}
-    for lineno, row in rows:
-        pid = _unique_id(path, lineno, row[0], seen, "point", column="point_id")
-        brands[pid] = BrandTally(
-            n_local=_parse_int(path, lineno, "n_local", row[1], minimum=0),
-            n_international=_parse_int(path, lineno, "n_international", row[2], minimum=0),
-            n_ordinary=_parse_int(path, lineno, "n_ordinary", row[3], minimum=0),
-        )
-    return brands
+def _load_brands(path: Path, lines, columns) -> dict[str, BrandTally]:
+    ids = list(map(str.strip, columns[0]))
+    try:
+        counts = _int64(columns[1:])
+        ok = _unique(ids) and counts.min(initial=0) >= 0
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok:
+        seen = set()
+        for lineno, row in zip(lines, zip(*columns)):
+            _unique_id(path, lineno, row[0], seen, "point", column="point_id")
+            for column, text in zip(BRANDS_HEADER[1:], row[1:]):
+                _parse_int(path, lineno, column, text, minimum=0)
+        raise ValidationError(f"{path}: the column checks failed on no row")
+    return dict(zip(ids, map(BrandTally._make, counts.tolist())))
 
 
 @dataclass(frozen=True)
@@ -453,8 +493,8 @@ def load_tables(paths: TablePaths, fmt: str = "csv") -> CityTables:
     `fmt` selects how the four spatial tables are encoded: "csv", or
     "geojson", where points, anchors and POIs are Point features and
     segments are LineString features, with the CSV columns as properties.
-    The encoding only decides how text rows are read: both yield the same
-    rows, and each table has one validator. LineString vertices become
+    The encoding only decides how the text columns are read: both yield the
+    same columns, and each table has one validator. LineString vertices become
     `segment_geometry`. The lbs/brands tables are CSV in both modes.
     """
     if fmt == "csv":
@@ -465,11 +505,11 @@ def load_tables(paths: TablePaths, fmt: str = "csv") -> CityTables:
     else:
         raise ValidationError(f"unknown table format {fmt!r} (expected csv or geojson)")
 
-    points = _load_points(paths.points, read(paths.points, POINTS_HEADER)[0])
-    segment_rows, vertices = read(paths.segments, SEGMENTS_HEADER)
-    segments = _load_segments(paths.segments, segment_rows)
-    anchors = _load_anchors(paths.anchors, read(paths.anchors, ANCHORS_HEADER)[0])
-    pois = _load_pois(paths.pois, read(paths.pois, POIS_HEADER)[0])
+    points = _load_points(paths.points, *read(paths.points, POINTS_HEADER)[0])
+    segment_table, vertices = read(paths.segments, SEGMENTS_HEADER)
+    segments = _load_segments(paths.segments, *segment_table)
+    anchors = _load_anchors(paths.anchors, *read(paths.anchors, ANCHORS_HEADER)[0])
+    pois = _load_pois(paths.pois, *read(paths.pois, POIS_HEADER)[0])
     segment_geometry = None if vertices is None else dict(zip(segments, vertices))
 
     for pid, sid in zip(points.ids.tolist(), points.segment_ids.tolist()):
@@ -478,11 +518,11 @@ def load_tables(paths: TablePaths, fmt: str = "csv") -> CityTables:
                 f"{paths.points}: point {pid!r} references unknown segment {sid!r}"
             )
 
-    lbs = _load_lbs(paths.lbs, _read_csv_rows(paths.lbs, LBS_HEADER), segments)
+    lbs = _load_lbs(paths.lbs, *_read_csv_rows(paths.lbs, LBS_HEADER), segments)
 
     brands = None
     if paths.brands is not None:
-        brands = _load_brands(paths.brands, _read_csv_rows(paths.brands, BRANDS_HEADER))
+        brands = _load_brands(paths.brands, *_read_csv_rows(paths.brands, BRANDS_HEADER))
         point_ids = set(points.ids.tolist())
         for pid in brands:
             if pid not in point_ids:

@@ -5,16 +5,17 @@ counts, brand tallies, and spillover values.
 segment's points are one contiguous slice of the permuted columns. Counts
 are summed over both sides of every point of a segment with
 `np.add.reduceat`, which is exact on integers, and divided by the segment
-length once. The float reductions stay one `np.sum`/`np.mean` call per
-segment slice: the route smoothing of the brand-premium series (its window
-confined within the segment), the signboard-weighted brand numerator and the
-mean spillover. `np.add.reduceat` would add the floats in another order than
-the pairwise summation of `np.sum` and move the last bits of the results.
+length once. The brand-premium series is smoothed in one pass over the
+route (`smooth_along_route` with the segment bounds). The signboard-weighted
+brand numerator and the mean spillover stay one `np.sum` per segment
+slice: `np.add.reduceat` would add the floats in another order than the
+pairwise summation of `np.sum` and move the last bits of the results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -52,25 +53,28 @@ class BrandWeights:
             )
 
 
-def smooth_along_route(values, window: int = DEFAULT_SMOOTHING_WINDOW) -> np.ndarray:
-    """Centered moving mean over a route-ordered series.
+def smooth_along_route(values, window: int = DEFAULT_SMOOTHING_WINDOW,
+                       bounds=None) -> np.ndarray:
+    """Centered moving mean over a route-ordered series, within the runs
+    values[bounds[k]:bounds[k + 1]] (default: one run). At a run's ends the
+    window shrinks to the available neighbors. window must be odd and >= 1.
 
-    At the boundaries the window shrinks to the available neighbors, so the
-    output has the input's length. window must be odd and >= 1.
+    A window's values are added left to right from 0.0, with 0.0 for the
+    positions outside the run, as np.mean adds fewer than eight values: up
+    to window 7 each mean is bit for bit np.mean's.
     """
     if window < 1 or window % 2 == 0:
         raise ValidationError(f"smoothing window must be odd and >= 1, got {window}")
     values = np.asarray(values, dtype=float)
     n = len(values)
-    if n == 0:
-        return values.copy()
-    half = window // 2
-    out = np.empty(n)
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        out[i] = values[lo:hi].mean()
-    return out
+    bounds = np.asarray([0, n] if bounds is None else bounds)
+    start, end = (np.repeat(b, np.diff(bounds)) for b in (bounds[:-1], bounds[1:]))
+    half, at = window // 2, np.arange(n)
+    total = np.zeros(n)
+    for shift in range(-half, half + 1):
+        src = at + shift
+        total += np.where((src >= start) & (src < end), values.take(src, mode="clip"), 0.0)
+    return total / (np.minimum(at + half + 1, end) - np.maximum(at - half, start))
 
 
 def indicator_table(points: PointTable, segments: dict[str, StreetSegment],
@@ -96,11 +100,9 @@ def indicator_table(points: PointTable, segments: dict[str, StreetSegment],
     def total(name: str) -> np.ndarray:
         return np.add.reduceat(points.both_sides(name)[perm], bounds[:-1])
 
-    row = dict(zip(points.ids.tolist(), range(len(points))))
-    tally = np.zeros((len(points), 3), dtype=np.int64)
-    for pid, t in tallies.items():
-        if pid in row:
-            tally[row[pid]] = (t.n_local, t.n_international, t.n_ordinary)
+    rows = (tallies.get(pid, (0, 0, 0)) for pid in points.ids.tolist())
+    tally = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                        count=3 * len(points)).reshape(-1, 3)
     score = (tally[:, 0] * weights.local + tally[:, 1] * weights.international
              + tally[:, 2] * weights.ordinary)
     ns = points.both_sides("signboards")
@@ -109,21 +111,17 @@ def indicator_table(points: PointTable, segments: dict[str, StreetSegment],
     mv_route = np.asarray(mv_point, dtype=float)[perm]
 
     ns_seg = total("signboards")
-    smoothed = np.empty(len(points))
-    br = np.zeros(len(segment_ids))
-    mv = np.empty(len(segment_ids))
-    edges = bounds.tolist()
-    for k in range(len(segment_ids)):
-        lo, hi = edges[k], edges[k + 1]
-        smoothed[lo:hi] = smooth_along_route(ratio[lo:hi], window)
-        if ns_seg[k] > 0:
-            br[k] = (smoothed[lo:hi] * ns_route[lo:hi]).sum() / ns_seg[k]
-        mv[k] = np.mean(mv_route[lo:hi])
+    smoothed = smooth_along_route(ratio, window, bounds)
+    slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    weighted = smoothed * ns_route
+    br_sum = np.array([weighted[k].sum() for k in slices])
+    mv = np.array([mv_route[k].sum() for k in slices]) / np.diff(bounds)  # as np.mean
 
     closed = np.minimum(total("closed"), ns_seg)  # so 0 where there are no signboards
     pixels = total("total_pixels")
     matrix = np.column_stack([
-        ns_seg / length, closed / np.maximum(ns_seg, 1), br, mv,
+        ns_seg / length, closed / np.maximum(ns_seg, 1),
+        np.where(ns_seg > 0, br_sum / np.maximum(ns_seg, 1), 0.0), mv,
         total("motor") / length, total("nonmotor") / length, total("persons") / length,
         np.where(pixels == 0, 0.0, total("green_pixels") / np.maximum(pixels, 1)),
         total("glass") / length,

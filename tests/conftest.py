@@ -34,9 +34,17 @@ def point_row(pid="p0", x=0.0, y=0.0, segment_id="s0", order=0, **counts):
             tuple(counts.get(c, 0) for c in COUNT_COLUMNS))
 
 
+def table_columns(rows, dtypes) -> list[np.ndarray]:
+    """One array per field of `rows`, of the given dtypes."""
+    fields = list(zip(*rows)) or [()] * len(dtypes)
+    return [np.array(f, dtype=t) for f, t in zip(fields, dtypes)]
+
+
 def make_points(*rows) -> PointTable:
     """A `PointTable` of `point_row` rows."""
-    return PointTable.from_rows(rows)
+    *columns, counts = table_columns(rows, (object, float, float, float, float, object,
+                                            np.int64, np.int64))
+    return PointTable(*columns, counts.reshape(-1, len(COUNT_COLUMNS)))
 
 
 def metric_offset(lon0, lat0, dx, dy):

@@ -99,6 +99,36 @@ def test_non_utf8_table_exits_one(city_dir, tmp_path, capsys):
     assert "not UTF-8" in err and "0xe9" in err
 
 
+def test_non_utf8_table_with_byte_order_mark_names_its_row(city_dir, tmp_path, capsys):
+    # the mark is skipped, but the row of the bad byte is counted in the file
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    lines = (city / "anchors.csv").read_bytes().split(b"\n")
+    lines[0] = b"\xef\xbb\xbf" + lines[0]
+    lines[3] = b"\xe9" + lines[3]
+    (city / "anchors.csv").write_bytes(b"\n".join(lines))
+    assert main(["--workdir", str(city), "ingest", "--config", _config(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{city / 'anchors.csv'}: row 4" in err and "0xe9" in err
+
+
+@pytest.mark.parametrize("table, row, column, command", [
+    ("points.csv", 11, "closed_left", "spillover"),
+    ("points.csv", 900, "order", "spillover"),
+    ("brands.csv", 21, "n_international", "indicators"),
+])
+def test_integer_outside_int64_exits_one(city_dir, tmp_path, capsys, table, row, column,
+                                         command):
+    def edit(rows):
+        rows[row - 2][column] = "99999999999999999999"
+        return rows
+
+    city = _edited_city(city_dir, tmp_path, table, edit)
+    assert main(["--workdir", str(city), command, "--config", _config(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{city / table}: row {row}, column {column!r}: outside the 64-bit integer" in err
+
+
 def test_sparse_brand_city_validates(city_dir, tmp_path):
     # with brand tallies on one point in 30, over two thirds of the active
     # points have a brand premium of 0, so both tertile quantiles fall on 0;

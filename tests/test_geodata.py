@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sevi import geodata
 from sevi.exceptions import ComputationError, SchemaError, ValidationError
-from sevi.geodata import (ANCHORS_HEADER, COUNT_COLUMNS, EARTH_RADIUS_M, POINTS_HEADER,
-                          POIS_HEADER, SEGMENTS_HEADER, CityTables, PoiTable, TablePaths,
-                          load_tables, metric_to_lonlat, pairs_within, project_to_metric)
+from sevi.geodata import (ANCHORS_HEADER, BRANDS_HEADER, COUNT_COLUMNS, EARTH_RADIUS_M,
+                          POINTS_HEADER, POIS_HEADER, SEGMENTS_HEADER, BrandTally, CityTables,
+                          PoiTable, TablePaths, load_tables, metric_to_lonlat, pairs_within,
+                          project_to_metric)
 from sevi.pipeline import _tier_validation, write_tables
 
-from .conftest import make_points, point_row, write_feature_collection
+from .conftest import make_points, point_row, table_columns, write_feature_collection
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +192,9 @@ def test_route_sorts_segments_by_id_and_points_by_order():
 def _pois(rows):
     """A PoiTable of (id, x, y, is_premium) rows placed directly in metric
     coordinates."""
-    return PoiTable.from_rows([(pid, 0.0, 0.0, x, y, "shopping", premium)
-                               for pid, x, y, premium in rows])
+    return PoiTable(*table_columns([(pid, 0.0, 0.0, x, y, "shopping", premium)
+                                    for pid, x, y, premium in rows],
+                                   (object, float, float, float, float, object, bool)))
 
 
 def _brute_counts(points_xy, poi_rows, radius):
@@ -509,3 +512,150 @@ def test_geojson_rejects_malformed_document(tmp_path, text):
         load_tables(paths, "geojson")
     assert err.value.path == str(paths.points) and err.value.row == 0
 
+
+
+# ---------------------------------------------------------------------------
+# column checks against a row-by-row reference
+# ---------------------------------------------------------------------------
+
+def _reference_rows(path, header):
+    """(row number, fields) of a CSV table's non-blank rows, read one by one."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        assert tuple(h.strip() for h in next(reader)) == header
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SchemaError(path, lineno, "-",
+                                  f"expected {len(header)} fields, got {len(row)}")
+            rows.append((lineno, row))
+        return rows
+
+
+def _reference_points(path):
+    """The row-by-row points loader: every field checked as it is met."""
+    seen, placed, table = set(), set(), []
+    for lineno, row in _reference_rows(path, POINTS_HEADER):
+        pid = geodata._unique_id(path, lineno, row[0], seen, "point")
+        lon, lat, x, y = geodata._lonlat(path, lineno, row[1], row[2])
+        sid = row[3].strip()
+        order = geodata._parse_int(path, lineno, "order", row[4], minimum=0)
+        if (sid, order) in placed:
+            raise SchemaError(path, lineno, "order",
+                              f"duplicate order {order} within segment {sid!r}")
+        placed.add((sid, order))
+        counts = tuple(geodata._parse_int(path, lineno, col, text, minimum=0)
+                       for col, text in zip(COUNT_COLUMNS, row[5:]))
+        for side in ("left", "right"):
+            green = COUNT_COLUMNS.index(f"green_pixels_{side}")
+            if counts[green] > counts[COUNT_COLUMNS.index(f"total_pixels_{side}")]:
+                raise SchemaError(path, lineno, COUNT_COLUMNS[green],
+                                  "green pixel count exceeds total pixel count")
+        table.append((pid, lon, lat, x, y, sid, order, counts))
+    return make_points(*table)
+
+
+def _reference_pois(path):
+    seen, table = set(), []
+    for lineno, row in _reference_rows(path, POIS_HEADER):
+        pid = geodata._unique_id(path, lineno, row[0], seen, "poi")
+        lon, lat, x, y = geodata._lonlat(path, lineno, row[1], row[2])
+        premium = row[4].strip()
+        if premium not in ("0", "1"):
+            raise SchemaError(path, lineno, "is_premium", f"must be 0 or 1, got {premium!r}")
+        table.append((pid, lon, lat, x, y, row[3].strip(), premium == "1"))
+    return PoiTable(*table_columns(table, (object, float, float, float, float, object, bool)))
+
+
+def _reference_brands(path):
+    seen, brands = set(), {}
+    for lineno, row in _reference_rows(path, BRANDS_HEADER):
+        pid = geodata._unique_id(path, lineno, row[0], seen, "point", column="point_id")
+        brands[pid] = BrandTally(*(geodata._parse_int(path, lineno, col, text, minimum=0)
+                                   for col, text in zip(BRANDS_HEADER[1:], row[1:])))
+    return brands
+
+
+def _columnar(load, header):
+    return lambda path: load(path, *geodata._read_csv_rows(path, header))
+
+
+# per table: header, valid row k, columnar loader, reference loader
+_TABLES = {
+    "points": (POINTS_HEADER, lambda k: _point_row(f"p{k}", f"{0.01 * k}", f"{-0.02 * k}",
+                                                   f"s{k % 2}", str(k), signboards_left=k),
+               _columnar(geodata._load_points, POINTS_HEADER), _reference_points),
+    "pois": (POIS_HEADER, lambda k: (f"q{k}", f"{0.01 * k}", f"{0.03 * k}", "shop", str(k % 2)),
+             _columnar(geodata._load_pois, POIS_HEADER), _reference_pois),
+    "brands": (BRANDS_HEADER, lambda k: (f"p{k}", str(k), str(2 * k), "1"),
+               _columnar(geodata._load_brands, BRANDS_HEADER), _reference_brands),
+}
+
+# texts that no numeric or id field accepts, and texts that only some columns reject
+_FIELD_FAULTS = ["x", "1.5", "-1", "nan", "inf", "-inf", "", " ", "99999999999999999999",
+                 "-99999999999999999999"]
+_COLUMN_FAULTS = {"lat": ["85.06", "-90"], "green_pixels_left": ["1001"],
+                  "green_pixels_right": ["2000"], "is_premium": ["2", "true"]}
+
+
+def _apply_fault(rows, data, header):
+    """One fault in the text rows: a field's text, a padded field, a copied id
+    or (segment, order), a blank line or a row of the wrong width. Padding
+    and blank lines are no faults: both loaders must accept them."""
+    filled = [i for i, row in enumerate(rows) if row]
+    k = data.draw(st.sampled_from(filled))
+    kind = data.draw(st.sampled_from(["field", "column", "pad", "copy", "blank", "width"]))
+    special = [j for j, name in enumerate(header) if name in _COLUMN_FAULTS]
+    if kind == "field" or (kind == "column" and not special):
+        rows[k][data.draw(st.integers(0, len(header) - 1))] = \
+            data.draw(st.sampled_from(_FIELD_FAULTS))
+    elif kind == "column":
+        j = data.draw(st.sampled_from(special))
+        rows[k][j] = data.draw(st.sampled_from(_COLUMN_FAULTS[header[j]]))
+    elif kind == "pad":
+        j = data.draw(st.integers(0, len(header) - 1))
+        rows[k][j] = f" {rows[k][j]}\t"
+    elif kind == "copy":
+        # ids, then for points (segment, order)
+        j = data.draw(st.sampled_from([0, 3] if header == POINTS_HEADER else [0]))
+        src = data.draw(st.sampled_from(filled))
+        rows[k][j:j + 2] = rows[src][j:j + 2]
+    elif kind == "blank":
+        rows.insert(k, [])
+    else:
+        rows[k].append("0")
+
+
+def _outcome(load, path):
+    try:
+        return "ok", load(path)
+    except SchemaError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("table", list(_TABLES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_column_checks_match_row_reference(tmp_path_factory, table, data):
+    # a few faults per table: the columnar loader returns the columns the
+    # row-by-row loader builds, or raises its error for the first bad row
+    header, valid_row, load, reference = _TABLES[table]
+    rows = [list(valid_row(k)) for k in range(data.draw(st.integers(1, 6)))]
+    for _ in range(data.draw(st.integers(0, 3))):
+        _apply_fault(rows, data, header)
+    path = tmp_path_factory.mktemp("table") / f"{table}.csv"
+    text = "".join(",".join(row) + "\n" for row in [list(header)] + rows)
+    path.write_text(text, encoding="utf-8")
+
+    got, expected = _outcome(load, path), _outcome(reference, path)
+    assert got[0] == expected[0], (got, expected)
+    if got[0] == "error":
+        assert got[1] == expected[1]
+    elif table == "brands":
+        assert got[1] == expected[1]
+    else:
+        _assert_same_columns(got[1], expected[1])
+        assert [getattr(got[1], f.name).dtype for f in dataclasses.fields(got[1])] == \
+            [getattr(expected[1], f.name).dtype for f in dataclasses.fields(expected[1])]

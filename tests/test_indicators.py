@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevi.exceptions import ValidationError
 from sevi.geodata import BrandTally, StreetSegment, TablePaths, load_tables
@@ -55,6 +57,40 @@ def test_smooth_stays_within_bounds(rng):
     out = smooth_along_route(values, window=7)
     assert out.min() >= values.min() - 1e-12
     assert out.max() <= values.max() + 1e-12
+
+
+def _slice_means(values, bounds, window):
+    """Per-slice np.mean oracle of the windowed smoothing within runs."""
+    half, out = window // 2, np.empty(len(values))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for i in range(lo, hi):
+            out[i] = np.mean(values[max(lo, i - half):min(hi, i + half + 1)])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=12),
+       st.lists(st.floats(-1e6, 1e6), min_size=132, max_size=132),
+       st.sampled_from([1, 3, 5, 7, 9, 11]))
+def test_smooth_within_runs_matches_slice_means(runs, draws, window):
+    # runs of 1 point and runs shorter than the window included
+    bounds = np.concatenate(([0], np.cumsum(runs)))
+    values = np.array(draws[:bounds[-1]])
+    if window >= 9:  # the premium series is >= 0, so no cancellation
+        values = np.abs(values)
+    out = smooth_along_route(values, window, bounds)
+    expected = _slice_means(values, bounds.tolist(), window)
+    if window <= 7:  # np.mean adds fewer than 8 values left to right
+        assert out.tobytes() == expected.tobytes()
+    else:
+        np.testing.assert_allclose(out, expected, rtol=1e-14, atol=0)
+
+
+def test_smooth_without_bounds_is_one_run(rng):
+    values = rng.uniform(0, 3, 17)
+    assert np.array_equal(smooth_along_route(values, 5),
+                          smooth_along_route(values, 5, [0, 17]))
+    assert smooth_along_route([], 3, [0]).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

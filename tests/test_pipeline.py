@@ -234,3 +234,18 @@ def test_ingest_round_trip_is_a_fixed_point(city_dir, tmp_path):
 
     # the POI coordinates are the input's, not their projection inverted
     assert lonlat(validated / "pois.csv") == lonlat(city_dir / "pois.csv")
+
+
+def test_byte_order_marks_give_the_same_artifacts(city_dir, default_run, tmp_path):
+    # spreadsheet programs save CSV tables with a UTF-8 byte-order mark
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    for table in city.glob("*.csv"):
+        table.write_bytes(b"\xef\xbb\xbf" + table.read_bytes())
+    outdir = tmp_path / "out"
+    doc = _run(city, outdir)
+    names = sorted(p.name for p in default_run.iterdir())
+    assert sorted(p.name for p in outdir.iterdir()) == names and "manifest.json" in names
+    assert set(doc["files"]) <= set(names)
+    for name in names:
+        assert (outdir / name).read_bytes() == (default_run / name).read_bytes(), name

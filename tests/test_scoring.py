@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevi.exceptions import ValidationError
 from sevi.indicators import INDICATOR_NAMES
@@ -28,6 +30,19 @@ def test_minmax_column():
     raw[:, 0] = [0.0, 5.0, 10.0]
     nm = align_and_normalize(raw)
     assert np.allclose(nm.values[:, 0], [0.0, 0.5, 1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda n: st.lists(
+           st.lists(st.integers(0, 50), min_size=9, max_size=9), min_size=n, max_size=n)),
+       st.integers(0, 8), st.floats(0.01, 100.0), st.floats(-1e3, 1e3))
+def test_minmax_invariant_under_positive_affine_map(rows, j, scale, shift):
+    raw = np.array(rows, dtype=float)
+    mapped = raw.copy()
+    mapped[:, j] = scale * raw[:, j] + shift
+    before, after = align_and_normalize(raw), align_and_normalize(mapped)
+    np.testing.assert_allclose(after.values, before.values, rtol=0, atol=1e-9)
+    assert [c.constant for c in after.columns] == [c.constant for c in before.columns]
 
 
 def test_closure_column_is_benefit_aligned():
@@ -186,6 +201,20 @@ def test_sevi_in_unit_interval(rng):
         sevi = topsis(rng.uniform(0, 1, (30, 3))).sevi
         assert sevi.min() >= 0.0
         assert sevi.max() <= 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 15).flatmap(lambda n: st.lists(
+           st.lists(st.floats(0.0, 1e3), min_size=9, max_size=9), min_size=n, max_size=n)),
+       st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9).filter(
+           lambda w: sum(w[0:4]) > 0 and sum(w[4:7]) > 0 and sum(w[7:9]) > 0))
+def test_topsis_scores_in_unit_interval(rows, weights):
+    # random indicator blocks under random per-block weights summing to one
+    w = np.array(weights)
+    wm = WeightMatrix(activity=w[0:4] / w[0:4].sum(), utilization=w[4:7] / w[4:7].sum(),
+                      environment=w[7:9] / w[7:9].sum())
+    sevi = topsis(block_aggregate(align_and_normalize(np.array(rows)).values, wm)).sevi
+    assert np.all((sevi >= 0.0) & (sevi <= 1.0))
 
 
 def test_topsis_monotone_in_interior_indicator(rng):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevi.exceptions import CalibrationError, ComputationError
 from sevi.geodata import MallAnchor
@@ -231,6 +233,24 @@ def test_field_monotone_in_threshold(rng, decay):
                             decay=decay)
     assert np.all(sweep[1000.0] <= sweep[2000.0] + 1e-15)
     assert np.all(sweep[2000.0] <= sweep[3000.0] + 1e-15)
+
+
+_xy = st.tuples(st.floats(0.0, 5000.0), st.floats(0.0, 5000.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_xy, min_size=1, max_size=15), st.lists(_xy, min_size=1, max_size=10),
+       st.floats(1.0, 8000.0), st.floats(1.0, 8000.0), st.floats(10.0, 3000.0),
+       st.sampled_from(["gaussian", "exponential", "linear"]))
+def test_field_non_decreasing_in_threshold_property(anchor_xy, points_xy, t1, t2, sigma,
+                                                    decay):
+    anchors = [_anchor(f"a{j:02d}", x, y) for j, (x, y) in enumerate(anchor_xy)]
+    table = SigmaTable(sigma_m={"mall": sigma}, provenance={"mall": "computed"})
+    low, high = sorted((t1, t2))
+    xy = np.array(points_xy)
+    assert np.all(field_all(xy, anchors, table, SpilloverConfig(threshold_m=low, decay=decay))
+                  <= field_all(xy, anchors, table, SpilloverConfig(threshold_m=high,
+                                                                   decay=decay)))
 
 
 @pytest.mark.parametrize("decay", ["gaussian", "exponential", "linear"])
