@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 validation/configuration error, 2 computation error.
+Exit codes: 0 success, 1 validation/configuration error, 2 computation error
+or a failed write; an error inside a pipeline stage names that stage.
 All paths in the config are resolved against --workdir.
 """
 
@@ -12,8 +13,8 @@ import time
 from pathlib import Path
 
 from .exceptions import StageError, ValidationError
-from .pipeline import (PipelineConfig, decode_to_files, evaluate_files, ingest,
-                       robustness, run)
+from .pipeline import (UNTIL_GROUPS, PipelineConfig, decode_to_files, evaluate_files,
+                       ingest, robustness, run)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,8 +33,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--workdir", default=".", help="root for all relative paths")
     cmds = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("run", "ingest", "spillover", "indicators", "sevi", "stats",
-                 "gwr", "robustness", "report"):
+    # each `until` group of the stage table is a command that runs up to it
+    for name in ("run", "ingest", *UNTIL_GROUPS, "robustness", "report"):
         sub = cmds.add_parser(name)
         _add_config_args(sub)
 
@@ -102,14 +103,8 @@ def _dispatch(args) -> int:
 
     config = PipelineConfig.from_file(workdir / args.config, args.overrides)
 
-    if args.command == "brands":  # decode
-        summary = decode_to_files(config, workdir)
-        for key, value in summary.items():
-            print(f"{key}: {value}")
-        return 0
-
-    if args.command == "ingest":
-        summary = ingest(config, workdir)
+    if args.command in ("brands", "ingest"):  # brands decode, or ingest
+        summary = (decode_to_files if args.command == "brands" else ingest)(config, workdir)
         for key, value in summary.items():
             print(f"{key}: {value}")
         return 0

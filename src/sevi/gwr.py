@@ -324,8 +324,14 @@ def _search(design: GwrDesign, rel_tol: float = 1e-3,
                        for k in range(design.Y.shape[1])]
         return memo[b]
 
-    return [_golden_section(lambda b, k=k: column_aicc(b)[k], lo0, hi0, rel_tol, max_iter)
-            for k in range(design.Y.shape[1])]
+    searches = [_golden_section(lambda b, k=k: column_aicc(b)[k], lo0, hi0, rel_tol, max_iter)
+                for k in range(design.Y.shape[1])]
+    # the columns share tr(S), so AICc is +inf at a bandwidth for all or none
+    if not any(math.isfinite(aiccs[0]) for aiccs in memo.values()):
+        raise ComputationError(
+            f"no searched bandwidth gives a finite AICc: n={design.n} locations are too "
+            f"few for {design.n_params} parameters per local fit (n - 2 - tr(S) <= 0)")
+    return searches
 
 
 def fit(design: GwrDesign, bandwidth="aicc") -> list[GwrFit]:

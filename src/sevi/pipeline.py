@@ -1,12 +1,17 @@
 """Configuration, the analysis core, and artifact emission.
 
-`_Analysis` computes, on first read and inside the stage named after each
-result: spillover field -> indicators (with route smoothing) -> normalization
--> entropy weights -> TOPSIS and alternates -> statistics -> external
-validation -> time-sliced GWR. `run` reads one analysis in that order and
-writes every table, the GeoJSON, the report and a manifest of per-file
-checksums; `robustness` reads one analysis per spillover setting of its
-sweeps; `ingest` writes validated copies of the input tables.
+The pipeline is the ordered table `STAGES`: load -> calibrate_sigma ->
+spillover_field -> indicators -> normalize -> entropy_weights -> scores ->
+stats -> validation -> gwr -> geojson -> report. Each entry holds the stage
+name, the `until` group it ends (if any) and a writer that returns the names
+of the files it wrote. `_City` and `_Analysis` hold the results, each
+property named after the stage that computes it on first read. `run` loops
+over the table: each stage computes and writes inside one `_run_stage`,
+which turns a package error or a failed write into a `StageError` naming the
+stage; the loop records the stage in the manifest of per-file checksums and
+stops after the `until` group. `robustness` reads one analysis per spillover
+setting of its sweeps and writes its reports inside a stage of its own;
+`ingest` writes validated copies of the input tables.
 
 Each artifact format has one writer. `write_csv` writes every table, the
 synthetic fixtures and the validated copies included; a caller passes a
@@ -21,9 +26,10 @@ import csv
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -307,30 +313,6 @@ def file_sha256(path: Path) -> str:
 # the analysis core
 # ---------------------------------------------------------------------------
 
-def _gwr_design(tables: CityTables, segment_ids: list[str], x_matrix: np.ndarray,
-                kernel: str) -> GwrDesign:
-    """The design over the segments that carry crowd intensities, with one
-    response column per period."""
-    pos = {sid: i for i, sid in enumerate(segment_ids)}
-    usable = [sid for sid in segment_ids if sid in tables.lbs]
-    if len(usable) < x_matrix.shape[1] + 3:
-        raise ValidationError(
-            f"only {len(usable)} segments have both indicators and crowd data; "
-            f"need more than {x_matrix.shape[1] + 2}"
-        )
-    # each segment's centroid is the mean over its route slice, as its mv is
-    _, perm, bounds = tables.points.route()
-    x, y = tables.points.x[perm], tables.points.y[perm]
-    edges = bounds.tolist()
-    centroids = np.array([[np.mean(x[lo:hi]), np.mean(y[lo:hi])]
-                          for lo, hi in zip(edges, edges[1:])]).reshape(-1, 2)
-    coords = centroids[[pos[sid] for sid in usable]]
-    X = x_matrix[[pos[sid] for sid in usable], :]
-    Y = np.array([[tables.lbs[sid][period] for period in PERIODS] for sid in usable])
-    return GwrDesign.build(coords, X, Y, kernel=kernel,
-                           predictor_names=list(INDICATOR_NAMES), location_ids=usable)
-
-
 def _tier_validation(tables: CityTables, point_br: np.ndarray,
                      radius_m: float) -> TierValidation:
     """POI counts within `radius_m` of each point, the active points (those
@@ -361,14 +343,23 @@ def _tier_validation(tables: CityTables, point_br: np.ndarray,
 
 @contextmanager
 def _run_stage(name: str):
-    """Wrap every package error raised inside the block in a StageError
-    naming `name`; an error already wrapped by a nested stage passes as is."""
+    """Turn a package error or a failed file operation inside the block into
+    a StageError naming `name`; one a nested stage already wrapped passes."""
     try:
         yield
     except StageError:
         raise
-    except SeviError as exc:
+    except (SeviError, OSError) as exc:
         raise StageError(name, exc) from exc
+
+
+def _stage_result(compute):
+    """A cached property, computed on first read inside the stage it names."""
+    @wraps(compute)
+    def in_stage(self):
+        with _run_stage(compute.__name__):
+            return compute(self)
+    return cached_property(in_stage)
 
 
 def _output_dir(config: PipelineConfig, workdir: Path) -> Path:
@@ -377,89 +368,103 @@ def _output_dir(config: PipelineConfig, workdir: Path) -> Path:
     return outdir
 
 
-def _load_city(config: PipelineConfig, workdir: Path) -> tuple[CityTables, spillover.SigmaTable]:
-    """The `load` and `calibrate_sigma` stages."""
-    with _run_stage("load"):
-        paths = config.table_paths(Path(workdir))
+@dataclass
+class _City:
+    """One city's tables and decay bandwidths, shared by its analyses."""
+
+    config: PipelineConfig
+    workdir: Path
+
+    @_stage_result
+    def load(self) -> CityTables:
+        paths = self.config.table_paths(self.workdir)
         if paths.brands is None:
             raise ValidationError("a brands table is required for the analysis "
                                   "(inputs.brands); produce one with 'brands decode'")
-        tables = load_tables(paths, config.raw["inputs"]["format"])
-    with _run_stage("calibrate_sigma"):
-        return tables, spillover.calibrate_sigma(tables.anchors)
+        return load_tables(paths, self.config.raw["inputs"]["format"])
+
+    @_stage_result
+    def calibrate_sigma(self) -> spillover.SigmaTable:
+        return spillover.calibrate_sigma(self.load.anchors)
 
 
 @dataclass
 class _Analysis:
-    """The analysis of one loaded city under one spillover setting.
+    """The analysis of a city under one spillover setting; a caller computes
+    exactly the stages whose results it reads."""
 
-    Each result is computed the first time it is read, inside the stage named
-    after it, and is then kept; a caller computes exactly the stages it reads.
-    """
-
-    config: PipelineConfig
-    tables: CityTables
-    sigma: spillover.SigmaTable
+    city: _City
     sp_cfg: spillover.SpilloverConfig
 
-    @cached_property
-    def mv_point(self) -> np.ndarray:
-        with _run_stage("spillover_field"):
-            points = self.tables.points
-            return spillover.field_all(np.column_stack((points.x, points.y)),
-                                       self.tables.anchors, self.sigma, self.sp_cfg)
+    @_stage_result
+    def spillover_field(self) -> np.ndarray:
+        points = self.city.load.points
+        return spillover.field_all(np.column_stack((points.x, points.y)),
+                                   self.city.load.anchors, self.city.calibrate_sigma, self.sp_cfg)
 
-    @cached_property
+    @_stage_result
     def indicators(self):
         """(segment_ids, raw_matrix, no-signboard flags, point brand series)"""
-        with _run_stage("indicators"):
-            return indicator_table(self.tables.points, self.tables.segments,
-                                   self.tables.brands or {}, self.config.brand_weights(),
-                                   self.mv_point, self.config.raw["smoothing_window"])
+        tables, config = self.city.load, self.city.config
+        return indicator_table(tables.points, tables.segments, tables.brands or {},
+                               config.brand_weights(), self.spillover_field,
+                               config.raw["smoothing_window"])
 
-    @cached_property
-    def nm(self) -> scoring.NormalizedMatrix:
-        with _run_stage("normalize"):
-            segment_ids, raw_matrix, _, _ = self.indicators
-            return scoring.align_and_normalize(raw_matrix, segment_ids)
+    @_stage_result
+    def normalize(self) -> scoring.NormalizedMatrix:
+        segment_ids, raw_matrix, _, _ = self.indicators
+        return scoring.align_and_normalize(raw_matrix, segment_ids)
 
-    @cached_property
-    def wm(self) -> scoring.WeightMatrix:
-        with _run_stage("entropy_weights"):
-            return scoring.compute_weight_matrix(self.nm)
+    @_stage_result
+    def entropy_weights(self) -> scoring.WeightMatrix:
+        return scoring.compute_weight_matrix(self.normalize)
 
-    @cached_property
+    @_stage_result
     def scores(self):
         """(TOPSIS result, equal-weight index, PCA index)"""
-        with _run_stage("scores"):
-            dims = scoring.block_aggregate(self.nm.values, self.wm)
-            result = scoring.topsis(dims, self.indicators[0])
-            eq, pca_index = scoring.alternative_indices(self.nm)
-            return result, eq, pca_index
+        dims = scoring.block_aggregate(self.normalize.values, self.entropy_weights)
+        result = scoring.topsis(dims, self.indicators[0])
+        eq, pca_index = scoring.alternative_indices(self.normalize)
+        return result, eq, pca_index
 
-    @cached_property
-    def corr_pca(self) -> tuple[stats.CorrelationMatrix, stats.PcaModel]:
-        with _run_stage("stats"):
-            raw_matrix = self.indicators[1]
-            corr = stats.spearman_matrix(raw_matrix, list(INDICATOR_NAMES))
-            model = stats.pca(raw_matrix, n_components=self.config.raw["pca_components"],
-                              column_labels=list(INDICATOR_NAMES))
-            return corr, model
+    @_stage_result
+    def stats(self) -> tuple[stats.CorrelationMatrix, stats.PcaModel]:
+        raw_matrix = self.indicators[1]
+        corr = stats.spearman_matrix(raw_matrix, list(INDICATOR_NAMES))
+        model = stats.pca(raw_matrix, n_components=self.city.config.raw["pca_components"],
+                          column_labels=list(INDICATOR_NAMES))
+        return corr, model
 
-    @cached_property
+    @_stage_result
     def validation(self) -> TierValidation:
-        with _run_stage("validation"):
-            return _tier_validation(self.tables, self.indicators[3],
-                                    float(self.config.raw["poi_radius_m"]))
+        return _tier_validation(self.city.load, self.indicators[3],
+                                float(self.city.config.raw["poi_radius_m"]))
 
-    @cached_property
-    def fits(self) -> dict[str, GwrFit]:
-        with _run_stage("gwr"):
-            gwr_cfg = self.config.raw["gwr"]
-            segment_ids, raw_matrix, _, _ = self.indicators
-            x_matrix = self.nm.values if gwr_cfg["x_source"] == "normalized" else raw_matrix
-            design = _gwr_design(self.tables, segment_ids, x_matrix, gwr_cfg["kernel"])
-            return dict(zip(PERIODS, gwr.fit(design, self.config.bandwidth())))
+    @_stage_result
+    def gwr(self) -> dict[str, GwrFit]:
+        """One fit per period, over the segments that carry crowd intensities."""
+        tables, config = self.city.load, self.city.config
+        segment_ids, raw_matrix, _, _ = self.indicators
+        x_matrix = (self.normalize.values if config.raw["gwr"]["x_source"] == "normalized"
+                    else raw_matrix)
+        pos = {sid: i for i, sid in enumerate(segment_ids)}
+        usable = [sid for sid in segment_ids if sid in tables.lbs]
+        if len(usable) < x_matrix.shape[1] + 3:
+            raise ValidationError(f"only {len(usable)} segments have both indicators and "
+                                  f"crowd data; need more than {x_matrix.shape[1] + 2}")
+        # each segment's centroid is the mean over its route slice, as its mv is
+        _, perm, bounds = tables.points.route()
+        x, y = tables.points.x[perm], tables.points.y[perm]
+        edges = bounds.tolist()
+        centroids = np.array([[np.mean(x[lo:hi]), np.mean(y[lo:hi])]
+                              for lo, hi in zip(edges, edges[1:])]).reshape(-1, 2)
+        rows = [pos[sid] for sid in usable]
+        design = GwrDesign.build(
+            centroids[rows], x_matrix[rows, :],
+            np.array([[tables.lbs[sid][period] for period in PERIODS] for sid in usable]),
+            kernel=config.raw["gwr"]["kernel"], predictor_names=list(INDICATOR_NAMES),
+            location_ids=usable)
+        return dict(zip(PERIODS, gwr.fit(design, config.bandwidth())))
 
 
 def emit_geojson(path: Path, tables: CityTables,
@@ -512,91 +517,63 @@ def emit_geojson(path: Path, tables: CityTables,
 
 
 # ---------------------------------------------------------------------------
-# the full run
+# the stage table and the full run
 # ---------------------------------------------------------------------------
 
-class _Manifest:
-    def __init__(self, outdir: Path, config_hash: str):
-        self.outdir = outdir
-        self.config_hash = config_hash
-        self.stages: list[dict] = []
-
-    def stage(self, name: str, files: list[str]):
-        self.stages.append({"name": name, "files": sorted(files)})
-
-    def write(self) -> dict:
-        """Write manifest.json and return its document."""
-        files = {name: file_sha256(self.outdir / name)
-                 for stage in self.stages for name in stage["files"]}
-        doc = {"config_sha256": self.config_hash, "stages": self.stages, "files": files}
-        write_json(self.outdir / "manifest.json", doc)
-        return doc
+def _read_tables(a: _Analysis, outdir: Path) -> list[str]:
+    a.city.load  # the tables are held in memory; no file is written
+    return []
 
 
-def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict:
-    """Execute the pipeline and return the manifest document.
-
-    `until` stops after a named stage group ("spillover", "indicators",
-    "sevi", "stats", or "gwr"); the manifest then covers only the stages
-    that ran.
-    """
-    if until not in (None, "spillover", "indicators", "sevi", "stats", "gwr"):
-        raise ValidationError(f"unknown stop stage {until!r}")
-    outdir = _output_dir(config, workdir)
-    manifest = _Manifest(outdir, config.sha256())
-
-    tables, sigma_table = _load_city(config, workdir)
-    manifest.stage("load", [])
+def _write_sigma(a: _Analysis, outdir: Path) -> list[str]:
+    sigma = a.city.calibrate_sigma
     write_csv(outdir / "sigma.csv", ("category", "sigma_m", "provenance"),
-              [(cat, sigma_table.sigma_m[cat], sigma_table.provenance[cat])
-               for cat in sorted(sigma_table.sigma_m)])
-    manifest.stage("calibrate_sigma", ["sigma.csv"])
+              [(cat, sigma.sigma_m[cat], sigma.provenance[cat]) for cat in sorted(sigma.sigma_m)])
+    return ["sigma.csv"]
 
-    sp_cfg = config.spillover_config()
-    analysis = _Analysis(config, tables, sigma_table, sp_cfg)
-    mv_col = f"mv_{sp_cfg.decay}_{int(sp_cfg.threshold_m)}"
-    write_csv(outdir / "mv.csv", ("point_id", mv_col),
-              zip(tables.points.ids.tolist(), analysis.mv_point.tolist()))
-    manifest.stage("spillover_field", ["mv.csv"])
-    if until == "spillover":
-        return manifest.write()
 
-    segment_ids, raw_matrix, seg_flags, _ = analysis.indicators
-    write_csv(outdir / "indicators.csv",
-              ("segment_id",) + INDICATOR_NAMES + ("no_signboards",),
+def _write_mv(a: _Analysis, outdir: Path) -> list[str]:
+    write_csv(outdir / "mv.csv", ("point_id", f"mv_{a.sp_cfg.decay}_{int(a.sp_cfg.threshold_m)}"),
+              zip(a.city.load.points.ids.tolist(), a.spillover_field.tolist()))
+    return ["mv.csv"]
+
+
+def _write_indicators(a: _Analysis, outdir: Path) -> list[str]:
+    segment_ids, raw_matrix, seg_flags, _ = a.indicators
+    write_csv(outdir / "indicators.csv", ("segment_id",) + INDICATOR_NAMES + ("no_signboards",),
               zip(segment_ids, *raw_matrix.T.tolist(), seg_flags.astype(int).tolist()))
-    manifest.stage("indicators", ["indicators.csv"])
-    if until == "indicators":
-        return manifest.write()
+    return ["indicators.csv"]
 
-    nm = analysis.nm
+
+def _write_normalized(a: _Analysis, outdir: Path) -> list[str]:
     write_csv(outdir / "normalized.csv", ("segment_id",) + INDICATOR_NAMES,
-              zip(segment_ids, *nm.values.T.tolist()))
-    manifest.stage("normalize", ["normalized.csv"])
+              zip(a.indicators[0], *a.normalize.values.T.tolist()))
+    return ["normalized.csv"]
 
-    wm = analysis.wm
-    weights_doc = {"columns": [vars(c) for c in nm.columns], "blocks": {}}
-    for name in BLOCKS:
-        lo, hi = BLOCKS[name]
-        weights_doc["blocks"][name] = {
-            "columns": list(INDICATOR_NAMES[lo:hi]),
-            "weights": wm.block(name).tolist(),
-            "entropy": wm.entropy.get(name, []),
-        }
-    write_json(outdir / "weights.json", weights_doc)
-    manifest.stage("entropy_weights", ["weights.json"])
 
-    sevi_result, sevi_eq, sevi_pca = analysis.scores
-    write_csv(outdir / "sevi.csv",
-              ("segment_id", "activity", "utilization", "environment",
-               "sevi", "sevi_eq", "sevi_pca"),
-              zip(segment_ids, *sevi_result.dims.T.tolist(), sevi_result.sevi.tolist(),
-                  sevi_eq.tolist(), sevi_pca.tolist()))
-    manifest.stage("scores", ["sevi.csv"])
-    if until == "sevi":
-        return manifest.write()
+def _write_weights(a: _Analysis, outdir: Path) -> list[str]:
+    wm = a.entropy_weights
+    write_json(outdir / "weights.json", {
+        "columns": [vars(c) for c in a.normalize.columns],
+        "blocks": {name: {"columns": list(INDICATOR_NAMES[lo:hi]),
+                          "weights": wm.block(name).tolist(),
+                          "entropy": wm.entropy.get(name, [])}
+                   for name, (lo, hi) in BLOCKS.items()},
+    })
+    return ["weights.json"]
 
-    corr, pca_model = analysis.corr_pca
+
+def _write_sevi(a: _Analysis, outdir: Path) -> list[str]:
+    result, eq, pca_index = a.scores
+    write_csv(outdir / "sevi.csv", ("segment_id", "activity", "utilization", "environment",
+                                    "sevi", "sevi_eq", "sevi_pca"),
+              zip(a.indicators[0], *result.dims.T.tolist(), result.sevi.tolist(),
+                  eq.tolist(), pca_index.tolist()))
+    return ["sevi.csv"]
+
+
+def _write_stats(a: _Analysis, outdir: Path) -> list[str]:
+    corr, pca_model = a.stats
     write_csv(outdir / "correlation.csv", ("variable",) + INDICATOR_NAMES,
               zip(INDICATOR_NAMES, *corr.values.T.tolist()))
     k_comp = pca_model.loadings.shape[1]
@@ -612,90 +589,124 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
         "rotation_converged": pca_model.rotation_converged,
         "rotation_sweeps": pca_model.rotation_sweeps,
     })
-    manifest.stage("stats", ["correlation.csv", "pca_loadings.csv", "pca_summary.json"])
+    return ["correlation.csv", "pca_loadings.csv", "pca_summary.json"]
 
-    tier_validation = analysis.validation
+
+def _write_validation(a: _Analysis, outdir: Path) -> list[str]:
+    tv = a.validation
     write_csv(outdir / "tier_validation.csv",
               ("tier", "n_points", "mean_total_poi", "mean_premium_poi"),
-              [(t, tier_validation.tier_n[t], tier_validation.mean_total_poi[t],
-                tier_validation.mean_premium_poi[t]) for t in stats.TERTILE_LABELS])
+              [(t, tv.tier_n[t], tv.mean_total_poi[t], tv.mean_premium_poi[t])
+               for t in stats.TERTILE_LABELS])
     write_json(outdir / "kw.json", {
-        "h": tier_validation.kw_total.h, "dof": tier_validation.kw_total.dof,
-        "p_value": tier_validation.kw_total.p_value,
-        "tie_correction": tier_validation.kw_total.tie_correction,
-        "growth_total_pct": tier_validation.growth_total_pct,
-        "growth_premium_pct": tier_validation.growth_premium_pct,
-        "n_active": tier_validation.n_active, "n_points": tier_validation.n_points,
-    })
-    manifest.stage("validation", ["tier_validation.csv", "kw.json"])
-    if until == "stats":
-        return manifest.write()
+        **vars(tv.kw_total), "growth_total_pct": tv.growth_total_pct,
+        "growth_premium_pct": tv.growth_premium_pct, "n_active": tv.n_active,
+        "n_points": tv.n_points})
+    return ["tier_validation.csv", "kw.json"]
 
-    fits = analysis.fits
-    gwr_files = []
-    for period in PERIODS:
-        fit = fits[period]
-        name = f"gwr_{period}.csv"
+
+def _write_gwr(a: _Analysis, outdir: Path) -> list[str]:
+    fits = a.gwr
+    files = []
+    for period, fit in fits.items():
+        files.append(f"gwr_{period}.csv")
         header = (("segment_id", "beta_intercept")
                   + tuple(f"beta_{v}" for v in fit.predictor_names) + ("residual",))
-        write_csv(outdir / name, header,
+        write_csv(outdir / files[-1], header,
                   zip(fit.location_ids, *fit.beta.T.tolist(), fit.residuals.tolist()))
-        gwr_files.append(name)
-    summary = {
-        "periods": {
-            period: {
-                "adjusted_r2": fits[period].adjusted_r2,
-                "aicc": fits[period].aicc,
-                "bandwidth_m": fits[period].bandwidth,
-                "adaptive_neighbors": fits[period].adaptive_neighbors,
-                "kernel": fits[period].kernel,
-                "trace_s": fits[period].trace_s,
-                "trace_sts": fits[period].trace_sts,
-                "n_ridged": fits[period].n_ridged,
-                "n": fits[period].n,
-                "aicc_evals": fits[period].aicc_evals,
-                "bandwidth_boundary": fits[period].bandwidth_boundary,
-            } for period in PERIODS
-        },
-        "mean_adjusted_r2": report.mean_adjusted_r2(
-            [fits[p].adjusted_r2 for p in PERIODS]),
-    }
-    write_json(outdir / "gwr_summary.json", summary)
-    gwr_files.append("gwr_summary.json")
-    coef_rows = []
-    for variable in config.raw["gwr"]["summary_variables"]:
-        for cs in coef_summary(fits, variable):
-            coef_rows.append((cs.variable, cs.period, cs.q1, cs.median, cs.q3,
-                              cs.whisker_lo, cs.whisker_hi, len(cs.outliers)))
+    write_json(outdir / "gwr_summary.json", {
+        "periods": {period: {
+            "adjusted_r2": fit.adjusted_r2, "aicc": fit.aicc, "bandwidth_m": fit.bandwidth,
+            "adaptive_neighbors": fit.adaptive_neighbors, "kernel": fit.kernel,
+            "trace_s": fit.trace_s, "trace_sts": fit.trace_sts, "n_ridged": fit.n_ridged,
+            "n": fit.n, "aicc_evals": fit.aicc_evals,
+            "bandwidth_boundary": fit.bandwidth_boundary,
+        } for period, fit in fits.items()},
+        "mean_adjusted_r2": report.mean_adjusted_r2([fit.adjusted_r2 for fit in fits.values()]),
+    })
     write_csv(outdir / "coef_summary.csv",
-              ("variable", "period", "q1", "median", "q3",
-               "whisker_lo", "whisker_hi", "n_outliers"), coef_rows)
-    gwr_files.append("coef_summary.csv")
-    manifest.stage("gwr", gwr_files)
-    if until == "gwr":
-        return manifest.write()
+              ("variable", "period", "q1", "median", "q3", "whisker_lo", "whisker_hi",
+               "n_outliers"),
+              [(cs.variable, cs.period, cs.q1, cs.median, cs.q3, cs.whisker_lo, cs.whisker_hi,
+                len(cs.outliers))
+               for variable in a.city.config.raw["gwr"]["summary_variables"]
+               for cs in coef_summary(fits, variable)])
+    return files + ["gwr_summary.json", "coef_summary.csv"]
 
+
+def _write_geojson(a: _Analysis, outdir: Path) -> list[str]:
+    segment_ids, raw_matrix, _, _ = a.indicators
+    result = a.scores[0]
     names = INDICATOR_NAMES + ("activity", "utilization", "environment", "sevi")
-    values = np.column_stack([raw_matrix, sevi_result.dims, sevi_result.sevi]).tolist()
-    props = {sid: dict(zip(names, row)) for sid, row in zip(segment_ids, values)}
-    with _run_stage("geojson"):
-        emit_geojson(outdir / "sevi.geojson", tables, props)
-    manifest.stage("geojson", ["sevi.geojson"])
+    values = np.column_stack([raw_matrix, result.dims, result.sevi]).tolist()
+    emit_geojson(outdir / "sevi.geojson", a.city.load,
+                 {sid: dict(zip(names, row)) for sid, row in zip(segment_ids, values)})
+    return ["sevi.geojson"]
 
+
+def _write_summary(a: _Analysis, outdir: Path) -> list[str]:
+    result, eq, pca_index = a.scores
     sevi_stats = {
-        "n_segments": float(len(segment_ids)),
-        "sevi_min": float(sevi_result.sevi.min()),
-        "sevi_mean": float(sevi_result.sevi.mean()),
-        "sevi_max": float(sevi_result.sevi.max()),
-        "spearman_sevi_eq": stats.spearman(sevi_result.sevi, sevi_eq),
-        "spearman_sevi_pca": stats.spearman(sevi_result.sevi, sevi_pca),
+        "n_segments": float(len(a.indicators[0])),
+        "sevi_min": float(result.sevi.min()),
+        "sevi_mean": float(result.sevi.mean()),
+        "sevi_max": float(result.sevi.max()),
+        "spearman_sevi_eq": stats.spearman(result.sevi, eq),
+        "spearman_sevi_pca": stats.spearman(result.sevi, pca_index),
     }
     text = report.render_run_summary(
-        sevi_stats, {p: fits[p].adjusted_r2 for p in PERIODS},
-        {name: wm.block(name) for name in BLOCKS}, tier_validation)
+        sevi_stats, {p: fit.adjusted_r2 for p, fit in a.gwr.items()},
+        {name: a.entropy_weights.block(name) for name in BLOCKS}, a.validation)
     (outdir / "summary.txt").write_text(text, encoding="utf-8")
-    manifest.stage("report", ["summary.txt"])
-    return manifest.write()
+    return ["summary.txt"]
+
+
+@dataclass(frozen=True)
+class _Stage:
+    name: str
+    write: Callable[[_Analysis, Path], list[str]]  # computes, writes, names its files
+    until: str | None = None  # the `until` group that ends with this stage
+
+
+STAGES = (
+    _Stage("load", _read_tables),
+    _Stage("calibrate_sigma", _write_sigma),
+    _Stage("spillover_field", _write_mv, until="spillover"),
+    _Stage("indicators", _write_indicators, until="indicators"),
+    _Stage("normalize", _write_normalized),
+    _Stage("entropy_weights", _write_weights),
+    _Stage("scores", _write_sevi, until="sevi"),
+    _Stage("stats", _write_stats),
+    _Stage("validation", _write_validation, until="stats"),
+    _Stage("gwr", _write_gwr, until="gwr"),
+    _Stage("geojson", _write_geojson),
+    _Stage("report", _write_summary),
+)
+UNTIL_GROUPS = tuple(stage.until for stage in STAGES if stage.until)
+
+
+def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict:
+    """Run the stages of STAGES in order, each computing and writing its
+    result, and return the manifest document.
+
+    `until` names one of UNTIL_GROUPS; the run stops after the stage that ends
+    that group, and the manifest covers only the stages that ran.
+    """
+    if until is not None and until not in UNTIL_GROUPS:
+        raise ValidationError(f"unknown stop stage {until!r}")
+    outdir = _output_dir(config, workdir)
+    analysis = _Analysis(_City(config, Path(workdir)), config.spillover_config())
+    stages = []
+    for stage in STAGES:
+        with _run_stage(stage.name):
+            files = stage.write(analysis, outdir)
+        stages.append({"name": stage.name, "files": sorted(files)})
+        if until is not None and stage.until == until:
+            break
+    doc = {"config_sha256": config.sha256(), "stages": stages,
+           "files": {name: file_sha256(outdir / name) for s in stages for name in s["files"]}}
+    write_json(outdir / "manifest.json", doc)
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -706,51 +717,40 @@ def robustness(config: PipelineConfig, workdir: Path) -> RobustnessReport:
     """Threshold and decay sweeps for the GWR explanatory power, alternative
     composite-index correlations, and the external tier validation."""
     outdir = _output_dir(config, workdir)
-    tables, sigma_table = _load_city(config, workdir)
+    city = _City(config, Path(workdir))
     sp = config.raw["spillover"]
     base = config.spillover_config()
     thresholds = [float(d) for d in sp["sweep_thresholds"]]
-    analyses = {(base.threshold_m, base.decay): _Analysis(config, tables, sigma_table, base)}
+    analyses = {(base.threshold_m, base.decay): _Analysis(city, base)}
     for key in ([(d, base.decay) for d in thresholds]
                 + [(base.threshold_m, decay) for decay in sp["sweep_decays"]]):
-        analyses.setdefault(key, _Analysis(config, tables, sigma_table,
-                                           spillover.SpilloverConfig(*key)))
-    r2_by_threshold = {p: {str(int(d)): analyses[d, base.decay].fits[p].adjusted_r2
-                           for d in thresholds} for p in PERIODS}
-    r2_by_decay = {p: {decay: analyses[base.threshold_m, decay].fits[p].adjusted_r2
-                       for decay in sp["sweep_decays"]} for p in PERIODS}
-
-    baseline = analyses[base.threshold_m, base.decay]
-    sevi_result, sevi_eq, sevi_pca = baseline.scores
-    corr = stats.spearman_matrix(np.column_stack([sevi_result.sevi, sevi_eq, sevi_pca]),
-                                 ["sevi", "sevi_eq", "sevi_pca"])
-    tier_validation = baseline.validation
-
-    rob = RobustnessReport(
-        r2_by_threshold=r2_by_threshold, r2_by_decay=r2_by_decay,
-        index_correlation={"labels": corr.labels, "matrix": corr.values.tolist()},
-        tier_validation=tier_validation, thresholds=thresholds,
-        decays=list(sp["sweep_decays"]),
-    )
-
-    write_json(outdir / "robustness.json", {
-        "r2_by_threshold": rob.r2_by_threshold,
-        "r2_by_decay": rob.r2_by_decay,
-        "index_correlation": rob.index_correlation,
-        "tier_validation": {
-            "tier_n": tier_validation.tier_n,
-            "mean_total_poi": tier_validation.mean_total_poi,
-            "mean_premium_poi": tier_validation.mean_premium_poi,
-            "growth_total_pct": tier_validation.growth_total_pct,
-            "growth_premium_pct": tier_validation.growth_premium_pct,
-            "kw": {"h": tier_validation.kw_total.h,
-                   "dof": tier_validation.kw_total.dof,
-                   "p_value": tier_validation.kw_total.p_value},
-            "n_active": tier_validation.n_active,
-            "n_points": tier_validation.n_points,
-        },
-    })
-    (outdir / "robustness.txt").write_text(report.render_robustness(rob), encoding="utf-8")
+        analyses.setdefault(key, _Analysis(city, spillover.SpilloverConfig(*key)))
+    # each result is computed inside its own stage; the reports are written
+    # inside this one
+    with _run_stage("robustness"):
+        r2_by_threshold = {p: {str(int(d)): analyses[d, base.decay].gwr[p].adjusted_r2
+                               for d in thresholds} for p in PERIODS}
+        r2_by_decay = {p: {decay: analyses[base.threshold_m, decay].gwr[p].adjusted_r2
+                           for decay in sp["sweep_decays"]} for p in PERIODS}
+        baseline = analyses[base.threshold_m, base.decay]
+        sevi_result, sevi_eq, sevi_pca = baseline.scores
+        corr = stats.spearman_matrix(np.column_stack([sevi_result.sevi, sevi_eq, sevi_pca]),
+                                     ["sevi", "sevi_eq", "sevi_pca"])
+        tv = baseline.validation
+        rob = RobustnessReport(
+            r2_by_threshold=r2_by_threshold, r2_by_decay=r2_by_decay,
+            index_correlation={"labels": corr.labels, "matrix": corr.values.tolist()},
+            tier_validation=tv, thresholds=thresholds, decays=list(sp["sweep_decays"]),
+        )
+        write_json(outdir / "robustness.json", {
+            "r2_by_threshold": r2_by_threshold, "r2_by_decay": r2_by_decay,
+            "index_correlation": rob.index_correlation,
+            # the rank test without its tie correction
+            "tier_validation": {**{k: v for k, v in vars(tv).items() if k != "kw_total"},
+                                "kw": {"h": tv.kw_total.h, "dof": tv.kw_total.dof,
+                                       "p_value": tv.kw_total.p_value}},
+        })
+        (outdir / "robustness.txt").write_text(report.render_robustness(rob), encoding="utf-8")
     return rob
 
 

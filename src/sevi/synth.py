@@ -17,7 +17,7 @@ from . import brandsem
 from .geodata import (ANCHORS_HEADER, BRANDS_HEADER, LBS_HEADER, PERIODS,
                       POINTS_HEADER, POIS_HEADER, SEGMENTS_HEADER,
                       metric_to_lonlat, project_to_metric)
-from .pipeline import write_csv
+from .pipeline import write_csv, write_json
 
 CENTER_LON, CENTER_LAT = 118.78, 32.06
 POINT_SPACING_M = 20.0
@@ -299,10 +299,8 @@ def generate_brand_corpus(outdir, seed: int = 7, n_images: int = 50) -> dict:
             else:
                 pred_rows.append((image_id, brand, tier))
 
-    with open(outdir / "reference_db.json", "w", encoding="utf-8") as fh:
-        json.dump(_REFERENCE_BRANDS, fh, ensure_ascii=False, indent=2, sort_keys=True)
-    with open(outdir / "fixtures.json", "w", encoding="utf-8") as fh:
-        json.dump(fixtures, fh, ensure_ascii=False, indent=2, sort_keys=True)
+    write_json(outdir / "reference_db.json", _REFERENCE_BRANDS)
+    write_json(outdir / "fixtures.json", fixtures)
 
     write_csv(outdir / "corpus.csv", ("image_id", "point_id"), corpus_rows)
     write_csv(outdir / "ground_truth.csv", ("image_id", "brand", "tier"), gt_rows)

@@ -2,10 +2,13 @@ import csv
 import json
 import math
 import shutil
+import warnings
 
 import pytest
 
 from sevi.cli import main
+from sevi.pipeline import UNTIL_GROUPS, PipelineConfig, run
+from sevi.synth import generate_city
 
 
 def _config(tmp_path, text=""):
@@ -85,6 +88,41 @@ def test_calibration_error_exits_two(city_dir, tmp_path, capsys, command):
     city = _edited_city(city_dir, tmp_path, "anchors.csv", _coincide)
     assert main(["--workdir", str(city), command, "--config", _config(tmp_path)]) == 2
     assert "stage 'calibrate_sigma' failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group", UNTIL_GROUPS)
+def test_stage_command_writes_the_manifest_of_its_group(city_dir, tmp_path, group):
+    assert main(["--workdir", str(city_dir), group, "--config", _config(tmp_path)]) == 0
+    run(PipelineConfig.from_mapping({"output_dir": str(tmp_path / "api")}), city_dir,
+        until=group)
+    assert ((tmp_path / "out" / "manifest.json").read_bytes()
+            == (tmp_path / "api" / "manifest.json").read_bytes())
+
+
+@pytest.mark.parametrize("command, artifact, stage", [
+    ("run", "indicators.csv", "indicators"),
+    ("robustness", "robustness.json", "robustness"),
+])
+def test_failed_write_exits_two_naming_its_stage(city_dir, tmp_path, capsys, command,
+                                                  artifact, stage):
+    # a directory where the artifact goes makes the write fail
+    (tmp_path / "out" / artifact).mkdir(parents=True)
+    assert main(["--workdir", str(city_dir), command, "--config", _config(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage '{stage}' failed" in err and artifact in err
+
+
+def test_city_too_small_for_its_gwr_exits_two(tmp_path, capsys):
+    # 12 segments against the 10 parameters of each local fit: AICc is +inf
+    # at every bandwidth the search visits
+    city = tmp_path / "city"
+    generate_city(city, seed=1, n_segments=12, n_pois=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the search also reports its boundary
+        assert main(["--workdir", str(city), "run", "--config", _config(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'gwr' failed" in err and "n=12" in err
+    assert not (tmp_path / "out" / "gwr_summary.json").exists()
 
 
 def test_non_utf8_table_exits_one(city_dir, tmp_path, capsys):

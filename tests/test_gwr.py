@@ -234,6 +234,17 @@ def test_selection_deterministic(rng):
     assert _fit1(design, "aicc").bandwidth == _fit1(design, "aicc").bandwidth
 
 
+def test_selection_without_finite_aicc_fails_by_name(rng):
+    # n = k + 3 leaves n - 2 = p = k + 1; tr(S) is p in the global limit and
+    # larger at finite bandwidths, so AICc is +inf wherever the search looks
+    design = GwrDesign.build(rng.uniform(0, 2000, (12, 2)), rng.normal(size=(12, 9)),
+                             rng.normal(size=12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ComputationError, match="n=12 locations .* 10 parameters"):
+            gwr.fit(design)
+
+
 # ---------------------------------------------------------------------------
 # time slicing
 # ---------------------------------------------------------------------------
@@ -247,7 +258,7 @@ def _period_design(rng, strengths, n=160):
     return GwrDesign.build(coords, predictors, Y)
 
 
-def test_time_sliced_identical_response(rng):
+def test_fit_identical_responses_give_identical_fits(rng):
     coords = rng.uniform(0, 3000, (100, 2))
     predictors = rng.normal(size=(100, 2))
     y = predictors @ np.array([1.0, 2.0]) + rng.normal(0, 0.3, 100)
@@ -258,7 +269,7 @@ def test_time_sliced_identical_response(rng):
     assert np.allclose(r2, r2[0], atol=1e-12)
 
 
-def test_time_sliced_matches_per_period_search(rng):
+def test_fit_matches_per_column_search(rng):
     # a jittered grid keeps the smallest distance, the search's lower bound,
     # well posed; wd_am carries no signal, so its search runs into the upper
     # boundary, while the others share a slope that drifts across the grid

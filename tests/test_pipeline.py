@@ -8,7 +8,7 @@ import pytest
 
 from sevi.geodata import (ANCHORS_HEADER, PERIODS, POINTS_HEADER, POIS_HEADER,
                           SEGMENTS_HEADER, project_to_metric)
-from sevi.pipeline import PipelineConfig, _load_city, ingest, robustness, run
+from sevi.pipeline import PipelineConfig, _City, ingest, robustness, run
 
 from .conftest import write_feature_collection
 
@@ -140,7 +140,7 @@ def test_tier_counts_match_brute_force_join(city_dir, default_run):
         expected_total.append(len(hits))
         expected_premium.append(int(is_premium[hits].sum()))
 
-    tables, _ = _load_city(_config(default_run), city_dir)
+    tables = _City(_config(default_run), city_dir).load
     total, premium = tables.pois.counts_within(tables.points.x, tables.points.y, 50.0)
     assert total.tolist() == expected_total
     assert premium.tolist() == expected_premium
