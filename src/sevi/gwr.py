@@ -10,10 +10,16 @@ A `GwrDesign` holds one set of coordinates and predictors and its responses
 as columns: the time-sliced analysis pairs the lagged streetscape
 predictors with one crowd response per period. At a given bandwidth the
 columns share their local systems, hat diagonals and hat-row norms, so
-`fit` fits them in one kernel call. With AICc selection every column keeps
-its own golden-section search, but the AICc values at each visited
-bandwidth come from one shared fit; each chosen bandwidth is then refitted
-once for the columns that chose it.
+`fit` fits them in one kernel call.
+
+With AICc selection the work splits in two, as in FastGWR (Li,
+Fotheringham, Li & Oshan, IJGIS 2019). The search builds the n x n
+distance matrix once; every column keeps its own golden-section search,
+but the AICc values at each visited bandwidth come from one shared
+AICc-only kernel call that reads that matrix and forms only the fitted
+values and tr(S). The refit then runs the full kernel once per chosen
+bandwidth, for the columns that chose it, and computes every diagnostic.
+Fixed and adaptive bandwidths go straight to the full kernel.
 """
 
 from __future__ import annotations
@@ -92,9 +98,10 @@ class GwrDesign:
     def n_params(self) -> int:
         return self.X.shape[1]
 
-    def pairwise_extent(self) -> tuple[float, float]:
-        """(smallest nonzero pairwise distance, diameter) of the coordinates."""
-        d = _pairwise(self.coords)
+    def pairwise_extent(self, d: np.ndarray | None = None) -> tuple[float, float]:
+        """(smallest nonzero pairwise distance, diameter) of the coordinates;
+        `d` is their distance matrix, when the caller already holds it."""
+        d = kernels.pairwise_distances(self.coords) if d is None else d
         diameter = float(d.max())
         nonzero = d[d > 0]
         if len(nonzero) == 0 or diameter <= 0:
@@ -149,12 +156,6 @@ def kernel_weight(d: float, bandwidth: float, kernel: str = "gaussian") -> float
     raise ValidationError(f"unknown kernel {kernel!r}")
 
 
-def _pairwise(coords: np.ndarray) -> np.ndarray:
-    """(n, n) Euclidean distances between the rows of `coords`."""
-    return np.hypot(coords[:, 0][:, None] - coords[:, 0][None, :],
-                    coords[:, 1][:, None] - coords[:, 1][None, :])
-
-
 def adaptive_bandwidths(coords: np.ndarray, m: int) -> np.ndarray:
     """Per-location bandwidth: distance to the m-th nearest neighbor
     (self excluded)."""
@@ -162,7 +163,7 @@ def adaptive_bandwidths(coords: np.ndarray, m: int) -> np.ndarray:
     n = coords.shape[0]
     if not (1 <= m <= n - 1):
         raise ValidationError(f"adaptive neighbor count must be in [1, {n - 1}], got {m}")
-    d = _pairwise(coords)
+    d = kernels.pairwise_distances(coords)
     bw = np.partition(d, m, axis=1)[:, m]  # the m+1 smallest include the self distance
     if np.any(bw <= 0):
         i = int(np.argmax(bw <= 0))
@@ -173,10 +174,10 @@ def adaptive_bandwidths(coords: np.ndarray, m: int) -> np.ndarray:
     return bw
 
 
-def _kernel(design: GwrDesign, Y: np.ndarray, bandwidth):
+def _kernel(design: GwrDesign, Y: np.ndarray, bandwidth, dist=None, full=True):
     """One kernel call over the response columns `Y` of `design`: (fixed
     bandwidth or None, adaptive neighbor count or None, *`kernels.gwr_fit_all`'s
-    outputs)."""
+    outputs). `dist` and `full` pass through to the kernel."""
     if isinstance(bandwidth, tuple):
         mode, m = bandwidth
         if mode != "adaptive":
@@ -191,9 +192,7 @@ def _kernel(design: GwrDesign, Y: np.ndarray, bandwidth):
         bw_arr = np.full(design.n, bw)
         bw_scalar, adaptive_m = bw, None
 
-    cx = np.ascontiguousarray(design.coords[:, 0])
-    cy = np.ascontiguousarray(design.coords[:, 1])
-    out = kernels.gwr_fit_all(cx, cy, design.X, Y, bw_arr, design.kernel)
+    out = kernels.gwr_fit_all(design.coords, design.X, Y, bw_arr, design.kernel, dist, full)
     flags = out[-1]
     if np.any(flags == kernels.FLAG_SINGULAR):
         i = int(np.argmax(flags == kernels.FLAG_SINGULAR))
@@ -296,10 +295,6 @@ def _golden_section(objective, lo0: float, hi0: float, rel_tol: float,
     boundary_pad = rel_tol * (hi0 - lo0)
     if best <= lo0 + boundary_pad or best >= hi0 - boundary_pad:
         best, boundary = (lo0, "lower") if best <= lo0 + boundary_pad else (hi0, "upper")
-        warnings.warn(
-            f"bandwidth search hit the {boundary} boundary "
-            f"({best:.3f} m); the criterion appears monotone over the search range"
-        )
     return float(best), boundary, len(cache)
 
 
@@ -309,16 +304,19 @@ def _search(design: GwrDesign, rel_tol: float = 1e-3,
     distance, diameter].
 
     Each search follows its own path, but every bandwidth any of them visits
-    is fitted once for all columns and its AICc values are memoised. Only
+    is fitted once for all columns, by the AICc-only kernel over the one
+    distance matrix of the search, and its AICc values are memoised. Only
     AICc is computed there: adjusted R^2 is undefined at bandwidths so small
-    that the effective parameters reach n, where AICc is +inf.
+    that the effective parameters reach n, where AICc is +inf. A search that
+    ends on a boundary warns, once the search as a whole has succeeded.
     """
-    lo0, hi0 = design.pairwise_extent()
+    dist = kernels.pairwise_distances(design.coords)
+    lo0, hi0 = design.pairwise_extent(dist)
     memo: dict[float, list[float]] = {}
 
     def column_aicc(b: float) -> list[float]:
         if b not in memo:
-            *_, fitted, s_ii, _, _ = _kernel(design, design.Y, b)
+            *_, fitted, s_ii, _, _ = _kernel(design, design.Y, b, dist, full=False)
             trace_s = float(s_ii.sum())
             memo[b] = [_aicc(_rss(design.Y[:, k], fitted[:, k])[1], trace_s, design.n)
                        for k in range(design.Y.shape[1])]
@@ -331,6 +329,12 @@ def _search(design: GwrDesign, rel_tol: float = 1e-3,
         raise ComputationError(
             f"no searched bandwidth gives a finite AICc: n={design.n} locations are too "
             f"few for {design.n_params} parameters per local fit (n - 2 - tr(S) <= 0)")
+    for best, boundary, _ in searches:
+        if boundary is not None:
+            warnings.warn(
+                f"bandwidth search hit the {boundary} boundary "
+                f"({best:.3f} m); the criterion appears monotone over the search range"
+            )
     return searches
 
 

@@ -6,8 +6,20 @@ block, one GEMM forms all local X'WX (against the row-wise outer products
 of X) and one forms X'WY for every response column, so the responses of a
 design share one pass. A stacked LAPACK Cholesky applies the
 pivot rule; a system whose smallest pivot falls below `_CHOL_TOL` of its
-largest diagonal is re-solved with a small ridge and flagged. The stack is
-then solved in one gufunc call with [X'WY | x_i] as right-hand sides.
+largest diagonal is re-solved with a small ridge and flagged.
+
+The kernel has two modes that share this block loop:
+
+- the full fit (fixed-bandwidth, adaptive and post-search fits) solves
+  [X'WY | x_i] in one gufunc call and returns the coefficients, fitted
+  values, hat diagonal and hat-row norms; it measures each block's
+  distances itself, so no n x n array is held;
+- the AICc evaluation of a bandwidth search reads each block's distances
+  from the matrix that `pairwise_distances` built once for the search, and
+  solves one right-hand side per location: X'WX is symmetric, so with
+  z = (X'WX)^-1 x_i the hat diagonal is x_i . z and the fitted values are
+  z . X'WY. It forms neither coefficients nor hat-row norms, which AICc
+  does not read.
 """
 
 import numpy as np
@@ -86,14 +98,31 @@ def _failed_pivots(A):
     return dmin_l ** 2 <= _CHOL_TOL * dmax
 
 
-def gwr_fit_all(cx, cy, X, Y, bandwidths, kernel):
-    """Local WLS at every location for the m response columns of `Y` (n, m),
-    which share X, under the "gaussian" or "bisquare" `kernel`.
+def _distance_rows(coords, lo, hi):
+    """Euclidean distances (hi - lo, n) from rows lo:hi of the (n, 2) `coords`
+    to every row."""
+    x, y = coords[:, 0], coords[:, 1]
+    return np.hypot(x[None, :] - x[lo:hi, None], y[None, :] - y[lo:hi, None])
+
+
+def pairwise_distances(coords):
+    """(n, n) Euclidean distances between the rows of `coords`; its row
+    blocks are bit-equal to those `gwr_fit_all` measures without it."""
+    return _distance_rows(coords, 0, len(coords))
+
+
+def gwr_fit_all(coords, X, Y, bandwidths, kernel, dist=None, full=True):
+    """Local WLS at every location of the (n, 2) `coords` for the m response
+    columns of `Y` (n, m), which share X, under the "gaussian" or "bisquare"
+    `kernel`. `dist` is `pairwise_distances(coords)` when the caller holds it;
+    otherwise each row block's distances are computed in the block.
 
     Returns coefficients (n, p, m), fitted values (n, m), the hat diagonal
     and hat-row squared norms (streamed, S never materialized) and a
     per-location flag (0 clean, 1 ridged, 2 singular); the last three depend
-    on X and the weights only, so they are shared by all responses.
+    on X and the weights only, so they are shared by all responses. With
+    `full=False` (the AICc search) the coefficients and hat-row norms are
+    not formed and come back as None.
     """
     n, p = X.shape
     m = Y.shape[1]
@@ -101,16 +130,17 @@ def gwr_fit_all(cx, cy, X, Y, bandwidths, kernel):
     # and X'WY of a block in one GEMM each
     XX = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
     XY = (X[:, :, None] * Y[:, None, :]).reshape(n, p * m)
-    beta = np.zeros((n, p, m))
+    beta = np.zeros((n, p, m)) if full else None
+    fitted = None if full else np.zeros((n, m))
     s_ii = np.zeros(n)
-    s_norm2 = np.zeros(n)
+    s_norm2 = np.zeros(n) if full else None
     flags = np.zeros(n, dtype=np.int8)
 
     rows = max(1, _FIT_BLOCK // n)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        t = np.hypot(cx[None, :] - cx[lo:hi, None],
-                     cy[None, :] - cy[lo:hi, None]) / bandwidths[lo:hi, None]
+        d = _distance_rows(coords, lo, hi) if dist is None else dist[lo:hi]
+        t = d / bandwidths[lo:hi, None]
         if kernel == "gaussian":
             W = np.exp(-0.5 * t * t)
         else:
@@ -131,14 +161,20 @@ def gwr_fit_all(cx, cy, X, Y, bandwidths, kernel):
 
         ok = np.flatnonzero(blk_flags != FLAG_SINGULAR)
         xi = X[lo:hi][ok]
-        # one solve for all right-hand sides: X'WY -> beta_i, x_i -> c = A^-1 x_i
-        sol = np.linalg.solve(A[ok], np.concatenate([B[ok], xi[:, :, None]], axis=2))
         rows_ok = lo + ok
-        beta[rows_ok] = sol[:, :, :m]
-        c = sol[:, :, m]
+        if full:
+            # one solve for all right-hand sides: X'WY -> beta_i, x_i -> c = A^-1 x_i
+            sol = np.linalg.solve(A[ok], np.concatenate([B[ok], xi[:, :, None]], axis=2))
+            beta[rows_ok] = sol[:, :, :m]
+            c = sol[:, :, m]
+            sx = W[ok] * (c @ X.T)
+            s_norm2[rows_ok] = np.einsum("ij,ij->i", sx, sx)
+        else:
+            # A is symmetric, so x_i' A^-1 X'WY = c' X'WY with c = A^-1 x_i
+            c = np.linalg.solve(A[ok], xi[:, :, None])[:, :, 0]
+            fitted[rows_ok] = np.einsum("ip,ipm->im", c, B[ok])
         s_ii[rows_ok] = np.einsum("ip,ip->i", xi, c)  # self-weight is kernel(0) == 1
-        sx = W[ok] * (c @ X.T)
-        s_norm2[rows_ok] = np.einsum("ij,ij->i", sx, sx)
 
-    fitted = np.einsum("ip,ipm->im", X, beta)
+    if full:
+        fitted = np.einsum("ip,ipm->im", X, beta)
     return beta, fitted, s_ii, s_norm2, flags

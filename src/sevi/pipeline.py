@@ -9,9 +9,11 @@ property named after the stage that computes it on first read. `run` loops
 over the table: each stage computes and writes inside one `_run_stage`,
 which turns a package error or a failed write into a `StageError` naming the
 stage; the loop records the stage in the manifest of per-file checksums and
-stops after the `until` group. `robustness` reads one analysis per spillover
-setting of its sweeps and writes its reports inside a stage of its own;
-`ingest` writes validated copies of the input tables.
+stops after the `until` group, and the manifest is written inside the last
+stage that ran. `robustness` reads one analysis per spillover setting of its
+sweeps and writes its reports inside a stage of its own; `ingest` writes
+validated copies of the input tables inside an `ingest` stage, and
+`decode_to_files` its assignments inside a `brands decode` stage.
 
 Each artifact format has one writer. `write_csv` writes every table, the
 synthetic fixtures and the validated copies included; a caller passes a
@@ -703,9 +705,11 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
         stages.append({"name": stage.name, "files": sorted(files)})
         if until is not None and stage.until == until:
             break
-    doc = {"config_sha256": config.sha256(), "stages": stages,
-           "files": {name: file_sha256(outdir / name) for s in stages for name in s["files"]}}
-    write_json(outdir / "manifest.json", doc)
+    with _run_stage(stages[-1]["name"]):  # the manifest closes the last stage that ran
+        doc = {"config_sha256": config.sha256(), "stages": stages,
+               "files": {name: file_sha256(outdir / name)
+                         for s in stages for name in s["files"]}}
+        write_json(outdir / "manifest.json", doc)
     return doc
 
 
@@ -781,12 +785,13 @@ def decode_to_files(config: PipelineConfig, workdir: Path) -> dict:
             source = item.assignment.provenance[brand]
             n_default += source == "default"
             rows.append((item.image_id, brand, item.assignment.tiers[brand], source))
-    write_csv(outdir / "assignments.csv", ("image_id", "brand", "tier", "provenance"), rows)
     tally = brandsem.tally_by_point(decoded)
-    _write_brands(outdir / "brands.csv", tally)
     summary = {"images": len(decoded), "assignments": len(rows),
                "defaulted_to_ordinary": n_default, "points": len(tally)}
-    write_json(outdir / "decode_summary.json", summary)
+    with _run_stage("brands decode"):
+        write_csv(outdir / "assignments.csv", ("image_id", "brand", "tier", "provenance"), rows)
+        _write_brands(outdir / "brands.csv", tally)
+        write_json(outdir / "decode_summary.json", summary)
     return summary
 
 
@@ -847,12 +852,13 @@ def ingest(config: PipelineConfig, workdir: Path) -> dict:
     workdir = Path(workdir)
     outdir = _output_dir(config, workdir)
     tables = load_tables(config.table_paths(workdir), config.raw["inputs"]["format"])
-    write_tables(tables, outdir / "validated")
     summary = {
         "points": len(tables.points), "segments": len(tables.segments),
         "anchors": len(tables.anchors), "pois": len(tables.pois),
         "lbs_segments": len(tables.lbs),
         "brand_points": len(tables.brands) if tables.brands else 0,
     }
-    write_json(outdir / "ingest_summary.json", summary)
+    with _run_stage("ingest"):
+        write_tables(tables, outdir / "validated")
+        write_json(outdir / "ingest_summary.json", summary)
     return summary

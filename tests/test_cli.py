@@ -102,6 +102,9 @@ def test_stage_command_writes_the_manifest_of_its_group(city_dir, tmp_path, grou
 @pytest.mark.parametrize("command, artifact, stage", [
     ("run", "indicators.csv", "indicators"),
     ("robustness", "robustness.json", "robustness"),
+    # the manifest closes the last stage of the group
+    ("spillover", "manifest.json", "spillover_field"),
+    ("ingest", "validated/points.csv", "ingest"),
 ])
 def test_failed_write_exits_two_naming_its_stage(city_dir, tmp_path, capsys, command,
                                                   artifact, stage):
@@ -117,9 +120,10 @@ def test_city_too_small_for_its_gwr_exits_two(tmp_path, capsys):
     # at every bandwidth the search visits
     city = tmp_path / "city"
     generate_city(city, seed=1, n_segments=12, n_pois=200)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the search also reports its boundary
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["--workdir", str(city), "run", "--config", _config(tmp_path)]) == 2
+    assert caught == []  # a failed search reports no boundary
     err = capsys.readouterr().err
     assert "stage 'gwr' failed" in err and "n=12" in err
     assert not (tmp_path / "out" / "gwr_summary.json").exists()

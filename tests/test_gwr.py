@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sevi import gwr
+from sevi import gwr, kernels
 from sevi.exceptions import ComputationError, ValidationError
 from sevi.geodata import PERIODS
 from sevi.gwr import (GwrDesign, adaptive_bandwidths, adjusted_r2, coef_summary,
@@ -124,6 +124,24 @@ def test_ols_limit_matches_global_regression(rng):
     assert rel < 1e-6
 
 
+@pytest.mark.parametrize("kernel", gwr.KERNELS)
+def test_gwr_tends_to_global_ols_as_bandwidth_grows(rng, kernel):
+    # at 1e9 m every weight is 1 to within 1e-11 on a 2 km design, so each
+    # local fit is the global regression
+    design, _ = _linear_design(rng, n=80, k=3, noise=0.5, kernel=kernel)
+    fit = _fit1(design, 1e9)
+    y = design.Y[:, 0]
+    n, p = design.X.shape
+    beta_ols, *_ = np.linalg.lstsq(design.X, y, rcond=None)
+    residuals = y - design.X @ beta_ols
+    r2_ols = 1.0 - (residuals @ residuals / (n - p)) / (((y - y.mean()) ** 2).sum() / (n - 1))
+
+    np.testing.assert_allclose(fit.beta, np.broadcast_to(beta_ols, fit.beta.shape),
+                               rtol=1e-9, atol=0)
+    assert fit.trace_s == pytest.approx(p, abs=1e-6)
+    assert fit.adjusted_r2 == pytest.approx(r2_ols, abs=1e-9)
+
+
 def test_two_regime_recovery(rng):
     design, gap = _two_regime(rng)
     fit = _fit1(design, "aicc")
@@ -236,13 +254,58 @@ def test_selection_deterministic(rng):
 
 def test_selection_without_finite_aicc_fails_by_name(rng):
     # n = k + 3 leaves n - 2 = p = k + 1; tr(S) is p in the global limit and
-    # larger at finite bandwidths, so AICc is +inf wherever the search looks
+    # larger at finite bandwidths, so AICc is +inf wherever the search looks;
+    # the failed search reports no boundary
     design = GwrDesign.build(rng.uniform(0, 2000, (12, 2)), rng.normal(size=(12, 9)),
                              rng.normal(size=12))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(ComputationError, match="n=12 locations .* 10 parameters"):
             gwr.fit(design)
+    assert caught == []
+
+
+def _full_kernel_search(design):
+    """The AICc search with every visited bandwidth fitted by the full kernel,
+    which measures its distances per row block: (bandwidth, boundary,
+    evaluations) per column."""
+    lo0, hi0 = design.pairwise_extent()
+    memo = {}
+
+    def column_aicc(b):
+        if b not in memo:
+            _, fitted, s_ii, _, _ = kernels.gwr_fit_all(
+                design.coords, design.X, design.Y, np.full(design.n, b), design.kernel)
+            memo[b] = [gwr._aicc(gwr._rss(design.Y[:, k], fitted[:, k])[1],
+                                 float(s_ii.sum()), design.n)
+                       for k in range(design.Y.shape[1])]
+        return memo[b]
+
+    return [gwr._golden_section(lambda b, k=k: column_aicc(b)[k], lo0, hi0, 1e-3, 60)
+            for k in range(design.Y.shape[1])]
+
+
+@pytest.mark.parametrize("kernel", gwr.KERNELS)
+def test_aicc_search_selects_what_the_full_kernel_search_selects(rng, kernel):
+    # eight responses whose drifting slope ranges from absent to strong, so
+    # the searches end at different bandwidths and one on the upper boundary
+    coords = rng.uniform(0, 3000, (160, 2))
+    predictors = rng.normal(size=(160, 2))
+    slope = 1.0 + coords[:, 0] / 1500.0
+    Y = np.column_stack([s * slope * predictors[:, 0] + rng.normal(0, 0.5, 160)
+                         for s in (0.0, 0.3, 0.6, 1.0, 0.1, 0.8, 0.4, 0.05)])
+    design = GwrDesign.build(coords, predictors, Y, kernel=kernel)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fits = gwr.fit(design)
+    want = _full_kernel_search(design)
+
+    assert len({fit.bandwidth for fit in fits}) > 1
+    assert len(caught) == sum(boundary is not None for _, boundary, _ in want)
+    for fit, (bandwidth, boundary, evals) in zip(fits, want):
+        assert (fit.bandwidth, fit.bandwidth_boundary, fit.aicc_evals) == (
+            bandwidth, boundary, evals)
 
 
 # ---------------------------------------------------------------------------

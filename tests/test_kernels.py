@@ -48,8 +48,7 @@ def _check_against_oracle(n, kernel, adaptive):
     y = X @ np.array([1.0, 2.0, 3.0]) + rng.normal(0, 0.1, n)
     bw = adaptive_bandwidths(coords, 20) if adaptive else np.full(n, 1200.0)
 
-    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(
-        coords[:, 0].copy(), coords[:, 1].copy(), X, y[:, None], bw, kernel)
+    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(coords, X, y[:, None], bw, kernel)
 
     assert beta.shape == (n, 3, 1) and fitted.shape == (n, 1)
     assert np.all(flags == kernels.FLAG_OK)
@@ -89,8 +88,7 @@ def test_near_singular_system_ridged_although_lapack_factors_it():
     L = np.linalg.cholesky(A)  # LAPACK alone does not object
     assert np.min(np.diag(L)) ** 2 <= kernels._CHOL_TOL * np.max(np.diag(A))
 
-    *_, flags = kernels.gwr_fit_all(coords[:, 0].copy(), coords[:, 1].copy(), X, y[:, None],
-                                    bw, "gaussian")
+    *_, flags = kernels.gwr_fit_all(coords, X, y[:, None], bw, "gaussian")
     assert np.all(flags == kernels.FLAG_RIDGED)
 
 
@@ -101,14 +99,13 @@ def test_gwr_fit_all_multiple_responses_match_single_calls():
     X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
     Y = X @ rng.normal(size=(3, 3)) + rng.normal(0, 0.2, (n, 3))
     bw = np.full(n, 900.0)
-    cx, cy = coords[:, 0].copy(), coords[:, 1].copy()
 
-    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(cx, cy, X, Y, bw, "gaussian")
+    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(coords, X, Y, bw, "gaussian")
 
     assert beta.shape == (n, 3, 3) and fitted.shape == (n, 3)
     assert np.all(flags == kernels.FLAG_OK)
     for k in range(3):
-        b1, f1, *single = kernels.gwr_fit_all(cx, cy, X, Y[:, k:k + 1].copy(), bw, "gaussian")
+        b1, f1, *single = kernels.gwr_fit_all(coords, X, Y[:, k:k + 1].copy(), bw, "gaussian")
         oracle = _oracle(coords, X, Y[:, k], bw, "gaussian")
         for got, one, want in zip((beta[:, :, k], fitted[:, k], s_ii, s_norm2),
                                   (b1[:, :, 0], f1[:, 0], *single[:2]), oracle):
@@ -134,8 +131,7 @@ def test_mixed_block_falls_back_to_per_row_pivot_rule(monkeypatch):
     chol = kernels._chol
     monkeypatch.setattr(kernels, "_chol", lambda A: calls.append(1) or chol(A))
 
-    beta, _, _, _, flags = kernels.gwr_fit_all(coords[:, 0].copy(), coords[:, 1].copy(),
-                                               X, y[:, None], bw, "bisquare")
+    beta, _, _, _, flags = kernels.gwr_fit_all(coords, X, y[:, None], bw, "bisquare")
 
     assert len(calls) >= n  # the block was re-checked row by row
     want = _reference_flags(coords, X, bw, "bisquare")
@@ -146,3 +142,49 @@ def test_mixed_block_falls_back_to_per_row_pivot_rule(monkeypatch):
     clean = np.flatnonzero(flags == kernels.FLAG_OK)
     want_beta = _oracle(coords, X, y, bw, "bisquare", rows=clean)[0]
     np.testing.assert_allclose(beta[clean, :, 0], want_beta[clean], rtol=1e-10, atol=0)
+
+
+def _clustered_with_isolated(n_cluster=290, n_isolated=4, seed=17):
+    """A cluster whose locations span several row blocks, plus points 100 km
+    away from it and from each other, which see only themselves at short
+    bandwidths (rank-1 systems, ridged)."""
+    rng = np.random.default_rng(seed)
+    coords = np.vstack([rng.uniform(0, 2000, (n_cluster, 2)),
+                        1e5 * np.arange(1, n_isolated + 1)[:, None] * np.ones((n_isolated, 2))])
+    n = len(coords)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
+    Y = X @ rng.normal(size=(4, 3)) + rng.normal(0, 0.3, (n, 3))
+    return coords, X, Y
+
+
+def test_distance_matrix_rows_equal_the_per_block_distances():
+    coords, _, _ = _clustered_with_isolated()
+    n = len(coords)
+    rows = kernels._FIT_BLOCK // n
+    assert rows < n
+    cx, cy = coords[:, 0].copy(), coords[:, 1].copy()
+    dist = kernels.pairwise_distances(coords)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = np.hypot(cx[None, :] - cx[lo:hi, None], cy[None, :] - cy[lo:hi, None])
+        assert np.array_equal(dist[lo:hi], block)
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "bisquare"])
+@pytest.mark.parametrize("bandwidth", [400.0, 1500.0])
+def test_aicc_mode_matches_the_full_fit(kernel, bandwidth):
+    coords, X, Y = _clustered_with_isolated()
+    n = len(coords)
+    assert n > kernels._FIT_BLOCK // n  # the locations span several row blocks
+    bw = np.full(n, bandwidth)
+    dist = kernels.pairwise_distances(coords)
+
+    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(coords, X, Y, bw, kernel)
+    no_beta, aicc_fitted, aicc_s_ii, no_norms, aicc_flags = kernels.gwr_fit_all(
+        coords, X, Y, bw, kernel, dist, full=False)
+
+    assert no_beta is None and no_norms is None
+    np.testing.assert_array_equal(aicc_flags, flags)
+    assert set(np.unique(flags)) == {kernels.FLAG_OK, kernels.FLAG_RIDGED}
+    np.testing.assert_allclose(aicc_fitted, fitted, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(aicc_s_ii, s_ii, rtol=1e-12, atol=0)
