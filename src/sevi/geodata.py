@@ -9,12 +9,14 @@ a per-segment reduction reads one contiguous slice of the permuted column.
 
 Ingestion reads every table as text columns plus row numbers, from a CSV
 file or from a GeoJSON FeatureCollection (a feature's number is its row, a
-Point's coordinates fill `lon`/`lat`); each table has one validator. The
-large tables (points, POIs, brand tallies) are checked as whole columns
-with the `int`, `float` and `str.strip` of a row-by-row check, so both
-accept the same text; only when a column check fails does the row-by-row
-check run, to raise the file/row/column error of the first bad row rather
-than drop data. Tables are immutable after load and safe for concurrent reads.
+Point's coordinates fill `lon`/`lat`). Each table is validated by one ordered
+list of column checks, each a whole-column rule giving the mask of the rows
+that break it; the error is that of the smallest bad row and, on one row, of
+the check listed first, as a row-by-row check in that order would raise. A
+number `int`/`float` rejects reads as 0: its parse check comes before every
+check reading the column. The file-wide running total of each left+right
+count pair stays inside int64, so no sum over points wraps. Tables are
+immutable after load and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -63,13 +66,17 @@ def project_to_metric(lon: float, lat: float) -> tuple[float, float]:
     if not (math.isfinite(lon) and math.isfinite(lat)):
         raise ValidationError(f"non-finite coordinate ({lon}, {lat})")
     if abs(lat) >= MAX_ABS_LAT:
-        raise ValidationError(
-            f"latitude {lat} outside the projection validity band (|lat| < {MAX_ABS_LAT})"
-        )
-    x = EARTH_RADIUS_M * math.radians(lon)
-    # asinh(tan(lat)) == ln(tan(pi/4 + lat/2)), but exact at the equator
-    y = EARTH_RADIUS_M * math.asinh(math.tan(math.radians(lat)))
-    return x, y
+        raise ValidationError(f"latitude {lat} outside the projection validity band "
+                              f"(|lat| < {MAX_ABS_LAT})")
+    return tuple(v.item() for v in _project((lon,), (lat,)))
+
+
+def _project(lon, lat) -> tuple[np.ndarray, np.ndarray]:
+    """Web-mercator x and y of each lon/lat, by scalar `math` per value
+    (numpy's arcsinh(tan) differs in the last bits)."""
+    return (np.array([EARTH_RADIUS_M * math.radians(v) for v in lon]),
+            # asinh(tan(lat)) == ln(tan(pi/4 + lat/2)), but exact at the equator
+            np.array([EARTH_RADIUS_M * math.asinh(math.tan(math.radians(v))) for v in lat]))
 
 
 def metric_to_lonlat(x: float, y: float) -> tuple[float, float]:
@@ -203,13 +210,12 @@ def _read_csv_rows(path: Path, expected_header: tuple[str, ...]):
             while chunk := list(islice(reader, _CHUNK_ROWS)):
                 numbers = range(start, start + len(chunk))
                 start += len(chunk)
-                if set(map(len, chunk)) != {width}:
-                    kept = [(lineno, row) for lineno, row in zip(numbers, chunk) if row]
-                    for lineno, row in kept:
-                        if len(row) != width:
-                            raise SchemaError(path, lineno, "-",
-                                              f"expected {width} fields, got {len(row)}")
-                    numbers, chunk = [k[0] for k in kept], [k[1] for k in kept]
+                if set(map(len, chunk)) != {width}:  # blank rows, or a row of another width
+                    numbers = [lineno for lineno, row in zip(numbers, chunk) if row]
+                    chunk = [row for row in chunk if row]
+                    widths = np.fromiter(map(len, chunk), dtype=np.intp, count=len(chunk))
+                    _raise_first(path, numbers, [_Check("-", widths != width, lambda i: (
+                        f"expected {width} fields, got {widths[i]}"))])
                 lines.extend(numbers)
                 for column, texts in zip(columns, zip(*chunk)):
                     column.extend(texts)
@@ -288,66 +294,96 @@ def _vertex(path, feature, k, c) -> tuple[float, float]:
     return lon, lat
 
 
-def _parse_int(path, row, column, text, minimum=None):
+class _Check(NamedTuple):
+    """A rule over a column: the mask of the rows that break it, and row i's message."""
+
+    column: str
+    bad: np.ndarray | None
+    message: Callable[[int], str]
+
+
+def _raise_first(path, lines, checks: list[_Check]):
+    """Raise the SchemaError of the smallest bad row; on one row the check
+    listed first wins, as a row-by-row check in that order would stop there."""
+    found = [(int(check.bad.argmax()), k) for k, check in enumerate(checks)
+             if check.bad is not None and check.bad.any()]
+    if found:
+        i, k = min(found)
+        raise SchemaError(path, lines[i], checks[k].column, checks[k].message(i))
+
+
+def _isin(values: list, allowed) -> np.ndarray:
+    """Mask of the values in `allowed`, a set, dict or tuple."""
+    return np.fromiter(map(allowed.__contains__, values), dtype=bool, count=len(values))
+
+
+def _repeats(keys: list) -> np.ndarray | None:
+    """Mask of the keys equal to an earlier key; None when all differ."""
+    if len(set(keys)) == len(keys):
+        return None
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return np.fromiter(map(first.__getitem__, keys), np.intp, len(keys)) != np.arange(len(keys))
+
+
+def _id_checks(column: str, ids: list[str], what: str) -> list[_Check]:
+    return [_Check(column, None if all(ids) else _isin(ids, {""}), lambda i: "empty id"),
+            _Check(column, _repeats(ids), lambda i: f"duplicate {what} id {ids[i]!r}")]
+
+
+def _parse(texts: list[str], kind) -> tuple[list, np.ndarray | None]:
+    """`kind` (int or float) of each text, and the mask of the texts it
+    rejects (None when none), which read as 0."""
     try:
-        value = int(text)
+        return list(map(kind, texts)), None
     except ValueError:
-        raise SchemaError(path, row, column, f"not an integer: {text!r}")
-    if minimum is not None and value < minimum:
-        raise SchemaError(path, row, column, f"must be >= {minimum}, got {value}")
-    if not -2**63 <= value < 2**63:
-        raise SchemaError(path, row, column, f"outside the 64-bit integer range: {text!r}")
-    return value
+        values, unparsed = [], np.zeros(len(texts), dtype=bool)
+    for i, text in enumerate(texts):
+        try:
+            values.append(kind(text))
+        except ValueError:
+            values.append(kind(0))
+            unparsed[i] = True
+    return values, unparsed
 
 
-def _parse_float(path, row, column, text, minimum=None):
+def _floats(column: str, texts: list[str]) -> tuple[np.ndarray, list[_Check]]:
+    """A column of finite floats and its checks."""
+    values, unparsed = _parse(texts, float)
+    values = np.array(values, dtype=float)
+    return values, [_Check(column, unparsed, lambda i: f"not a number: {texts[i]!r}"),
+                    _Check(column, ~np.isfinite(values), lambda i: f"not finite: {texts[i]!r}")]
+
+
+def _ints(column: str, texts: list[str]) -> tuple[np.ndarray, list[_Check]]:
+    """A column of non-negative int64 and its checks; values outside int64 read clipped."""
+    values, unparsed = _parse(texts, int)
     try:
-        value = float(text)
-    except ValueError:
-        raise SchemaError(path, row, column, f"not a number: {text!r}")
-    if not math.isfinite(value):
-        raise SchemaError(path, row, column, f"not finite: {text!r}")
-    if minimum is not None and value < minimum:
-        raise SchemaError(path, row, column, f"must be >= {minimum}, got {value}")
-    return value
+        ints, outside = np.array(values, dtype=np.int64), None
+    except OverflowError:
+        wide = np.array(values, dtype=object)
+        outside = (wide < -2**63) | (wide >= 2**63)
+        ints = np.clip(wide, -2**63, 2**63 - 1).astype(np.int64)
+    return ints, [_Check(column, unparsed, lambda i: f"not an integer: {texts[i]!r}"),
+                  _Check(column, ints < 0, lambda i: f"must be >= 0, got {int(texts[i])}"),
+                  _Check(column, outside,
+                         lambda i: f"outside the 64-bit integer range: {texts[i]!r}")]
 
 
-def _unique_id(path, row, text, seen: set, what: str, column: str = "id") -> str:
-    """`text` stripped, checked non-empty and not in `seen`, then added to it."""
-    ident = text.strip()
-    if not ident:
-        raise SchemaError(path, row, column, "empty id")
-    if ident in seen:
-        raise SchemaError(path, row, column, f"duplicate {what} id {ident!r}")
-    seen.add(ident)
-    return ident
+def _coordinates(lon_texts, lat_texts) -> tuple[np.ndarray, np.ndarray, list[_Check]]:
+    """lon and lat columns and their checks, the projection band last."""
+    lon, lon_checks = _floats("lon", lon_texts)
+    lat, lat_checks = _floats("lat", lat_texts)
+    return lon, lat, [*lon_checks, *lat_checks, _Check(
+        "lat", np.abs(lat) >= MAX_ABS_LAT,
+        lambda i: f"latitude {lat[i].item()} outside projection band (|lat| < {MAX_ABS_LAT})")]
 
 
-def _lonlat(path, row, lon_text, lat_text) -> tuple[float, float, float, float]:
-    """(lon, lat, x, y) of a row's coordinate; its latitude must lie inside
-    the projection band."""
-    lon = _parse_float(path, row, "lon", lon_text)
-    lat = _parse_float(path, row, "lat", lat_text)
-    if abs(lat) >= MAX_ABS_LAT:
-        raise SchemaError(path, row, "lat",
-                          f"latitude {lat} outside projection band (|lat| < {MAX_ABS_LAT})")
-    return (lon, lat, *project_to_metric(lon, lat))
-
-
-def _unique(ids: list[str]) -> bool:
-    return all(ids) and len(set(ids)) == len(ids)
-
-
-def _int64(columns) -> np.ndarray:
-    """(n, k) int64 matrix of k text columns; ValueError/OverflowError if one is not."""
-    return np.array([list(map(int, texts)) for texts in columns], dtype=np.int64).T
-
-
-def _project(lon: list[float], lat: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """`project_to_metric` per pair, by its scalar math (numpy's arcsinh(tan) differs)."""
-    return (np.array([EARTH_RADIUS_M * math.radians(v) for v in lon], dtype=float),
-            np.array([EARTH_RADIUS_M * math.asinh(math.tan(math.radians(v))) for v in lat],
-                     dtype=float))
+def _total_overflows(pair: np.ndarray) -> np.ndarray | None:
+    """Mask of the rows from which the running total of both columns of
+    `pair` over the file leaves int64; None when no total comes near it."""
+    if np.cumsum(pair.sum(axis=1, dtype=float)).max(initial=0.0) < 2.0**62:
+        return None
+    return np.cumsum(pair.astype(object).sum(axis=1)) >= 2**63
 
 
 _GREEN = COUNT_COLUMNS.index("green_pixels_left")
@@ -356,125 +392,81 @@ _TOTAL = COUNT_COLUMNS.index("total_pixels_left")
 
 def _load_points(path: Path, lines, columns) -> PointTable:
     ids, segment_ids = list(map(str.strip, columns[0])), list(map(str.strip, columns[3]))
-    try:
-        lon, lat = list(map(float, columns[1])), list(map(float, columns[2]))
-        ints = _int64(columns[4:])  # order, then the counts
-        order, counts = ints[:, 0], ints[:, 1:]
-        ok = (_unique(ids) and np.isfinite(lon).all() and (np.abs(lat) < MAX_ABS_LAT).all()
-              and ints.min(initial=0) >= 0
-              and (counts[:, _GREEN:_GREEN + 2] <= counts[:, _TOTAL:_TOTAL + 2]).all()
-              and len(set(zip(segment_ids, order.tolist()))) == len(ids))
-    except (ValueError, OverflowError):
-        ok = False
-    if not ok:
-        seen, placed = set(), set()
-        for lineno, row in zip(lines, zip(*columns)):
-            _unique_id(path, lineno, row[0], seen, "point")
-            _lonlat(path, lineno, row[1], row[2])
-            sid = row[3].strip()
-            order = _parse_int(path, lineno, "order", row[4], minimum=0)
-            if (sid, order) in placed:
-                raise SchemaError(path, lineno, "order",
-                                  f"duplicate order {order} within segment {sid!r}")
-            placed.add((sid, order))
-            counts = [_parse_int(path, lineno, col, text, minimum=0)
-                      for col, text in zip(COUNT_COLUMNS, row[5:])]
-            for side in (0, 1):
-                if counts[_GREEN + side] > counts[_TOTAL + side]:
-                    raise SchemaError(path, lineno, COUNT_COLUMNS[_GREEN + side],
-                                      "green pixel count exceeds total pixel count")
-        raise ValidationError(f"{path}: the column checks failed on no row")
-    return PointTable(np.array(ids, dtype=object), np.array(lon), np.array(lat),
-                      *_project(lon, lat), np.array(segment_ids, dtype=object), order, counts)
+    lon, lat, checks = _coordinates(columns[1], columns[2])
+    order, order_checks = _ints("order", columns[4])
+    parsed = [_ints(name, texts) for name, texts in zip(COUNT_COLUMNS, columns[5:])]
+    counts = np.array([values for values, _ in parsed]).T  # (n, 16), column by column
+    placed = list(zip(segment_ids, order.tolist()))
+    _raise_first(path, lines, [
+        *_id_checks("id", ids, "point"), *checks, *order_checks,
+        _Check("order", _repeats(placed),
+               lambda i: f"duplicate order {placed[i][1]} within segment {placed[i][0]!r}"),
+        *(check for _, count_checks in parsed for check in count_checks),
+        *(_Check(COUNT_COLUMNS[_GREEN + s], counts[:, _GREEN + s] > counts[:, _TOTAL + s],
+                 lambda i: "green pixel count exceeds total pixel count") for s in (0, 1)),
+        *(_Check(COUNT_COLUMNS[j], _total_overflows(counts[:, j:j + 2]),
+                 lambda i: "the running total of left + right over the file leaves the 64-bit "
+                           "integer range") for j in range(0, len(COUNT_COLUMNS), 2)),
+    ])
+    return PointTable(np.array(ids, dtype=object), lon, lat, *_project(lon.tolist(), lat.tolist()),
+                      np.array(segment_ids, dtype=object), order, counts)
 
 
 def _load_segments(path: Path, lines, columns) -> dict[str, StreetSegment]:
-    seen: set[str] = set()
-    segments: dict[str, StreetSegment] = {}
-    for lineno, row in zip(lines, zip(*columns)):
-        sid = _unique_id(path, lineno, row[0], seen, "segment")
-        length = _parse_float(path, lineno, "length_m", row[1])
-        if length <= 0:
-            raise SchemaError(path, lineno, "length_m", f"must be > 0, got {length}")
-        segments[sid] = StreetSegment(id=sid, length_m=length)
-    return segments
+    ids = list(map(str.strip, columns[0]))
+    length, checks = _floats("length_m", columns[1])
+    positive = _Check("length_m", length <= 0, lambda i: f"must be > 0, got {length[i].item()}")
+    _raise_first(path, lines, [*_id_checks("id", ids, "segment"), *checks, positive])
+    return {sid: StreetSegment(sid, m) for sid, m in zip(ids, length.tolist())}
 
 
 def _load_anchors(path: Path, lines, columns) -> list[MallAnchor]:
-    seen: set[str] = set()
-    anchors = []
-    for lineno, row in zip(lines, zip(*columns)):
-        aid = _unique_id(path, lineno, row[0], seen, "anchor")
-        category = row[1].strip()
-        if not category:
-            raise SchemaError(path, lineno, "category", "empty category")
-        lon, lat, x, y = _lonlat(path, lineno, row[2], row[3])
-        anchors.append(MallAnchor(id=aid, category=category, x=x, y=y, lon=lon, lat=lat))
-    return anchors
+    ids, category = list(map(str.strip, columns[0])), list(map(str.strip, columns[1]))
+    lon, lat, checks = _coordinates(columns[2], columns[3])
+    empty = _Check("category", _isin(category, {""}), lambda i: "empty category")
+    _raise_first(path, lines, [*_id_checks("id", ids, "anchor"), empty, *checks])
+    x, y = _project(lon.tolist(), lat.tolist())
+    return list(map(MallAnchor, ids, category, x.tolist(), y.tolist(), lon.tolist(), lat.tolist()))
 
 
 def _load_pois(path: Path, lines, columns) -> PoiTable:
-    ids, premium = list(map(str.strip, columns[0])), list(map(str.strip, columns[4]))
-    try:
-        lon, lat = list(map(float, columns[1])), list(map(float, columns[2]))
-        ok = (_unique(ids) and np.isfinite(lon).all() and (np.abs(lat) < MAX_ABS_LAT).all()
-              and set(premium) <= {"0", "1"})
-    except ValueError:
-        ok = False
-    if not ok:
-        seen = set()
-        for lineno, row in zip(lines, zip(*columns)):
-            _unique_id(path, lineno, row[0], seen, "poi")
-            _lonlat(path, lineno, row[1], row[2])
-            if row[4].strip() not in ("0", "1"):
-                raise SchemaError(path, lineno, "is_premium",
-                                  f"must be 0 or 1, got {row[4].strip()!r}")
-        raise ValidationError(f"{path}: the column checks failed on no row")
-    return PoiTable(np.array(ids, dtype=object), np.array(lon), np.array(lat),
-                    *_project(lon, lat), np.array(list(map(str.strip, columns[3])), dtype=object),
-                    np.array([p == "1" for p in premium], dtype=bool))
+    ids, category, premium = (list(map(str.strip, columns[j])) for j in (0, 3, 4))
+    lon, lat, checks = _coordinates(columns[1], columns[2])
+    _raise_first(path, lines, [*_id_checks("id", ids, "poi"), *checks,
+                               _Check("is_premium", ~_isin(premium, {"0", "1"}),
+                                      lambda i: f"must be 0 or 1, got {premium[i]!r}")])
+    return PoiTable(np.array(ids, dtype=object), lon, lat, *_project(lon.tolist(), lat.tolist()),
+                    np.array(category, dtype=object), _isin(premium, {"1"}))
 
 
 def _load_lbs(path: Path, lines, columns, segments: dict[str, StreetSegment]):
-    lbs: dict[str, dict[str, float]] = {}
-    for lineno, row in zip(lines, zip(*columns)):
-        sid = row[0].strip()
-        if sid not in segments:
-            raise SchemaError(path, lineno, "segment_id", f"unknown segment {sid!r}")
-        period = row[1].strip()
-        if period not in PERIODS:
-            raise SchemaError(path, lineno, "period",
-                              f"unknown period {period!r}; expected one of {list(PERIODS)}")
-        uv = _parse_float(path, lineno, "uv", row[2], minimum=0.0)
-        slot = lbs.setdefault(sid, {})
-        if period in slot:
-            raise SchemaError(path, lineno, "period",
-                              f"duplicate record for ({sid!r}, {period!r})")
-        slot[period] = uv
+    sids, periods = list(map(str.strip, columns[0])), list(map(str.strip, columns[1]))
+    uv, uv_checks = _floats("uv", columns[2])
+    records = list(zip(sids, periods))
+    _raise_first(path, lines, [
+        _Check("segment_id", ~_isin(sids, segments), lambda i: f"unknown segment {sids[i]!r}"),
+        _Check("period", ~_isin(periods, PERIODS),
+               lambda i: f"unknown period {periods[i]!r}; expected one of {list(PERIODS)}"),
+        *uv_checks, _Check("uv", uv < 0, lambda i: f"must be >= 0.0, got {uv[i].item()}"),
+        _Check("period", _repeats(records),
+               lambda i: "duplicate record for ({!r}, {!r})".format(*records[i])),
+    ])
+    lbs = {}
+    for (sid, period), value in zip(records, uv.tolist()):
+        lbs.setdefault(sid, {})[period] = value
     for sid, slot in lbs.items():
         missing = [p for p in PERIODS if p not in slot]
         if missing:
-            raise ValidationError(
-                f"{path}: segment {sid!r} is missing periods {missing}"
-            )
+            raise ValidationError(f"{path}: segment {sid!r} is missing periods {missing}")
     return lbs
 
 
 def _load_brands(path: Path, lines, columns) -> dict[str, BrandTally]:
     ids = list(map(str.strip, columns[0]))
-    try:
-        counts = _int64(columns[1:])
-        ok = _unique(ids) and counts.min(initial=0) >= 0
-    except (ValueError, OverflowError):
-        ok = False
-    if not ok:
-        seen = set()
-        for lineno, row in zip(lines, zip(*columns)):
-            _unique_id(path, lineno, row[0], seen, "point", column="point_id")
-            for column, text in zip(BRANDS_HEADER[1:], row[1:]):
-                _parse_int(path, lineno, column, text, minimum=0)
-        raise ValidationError(f"{path}: the column checks failed on no row")
-    return dict(zip(ids, map(BrandTally._make, counts.tolist())))
+    parsed = [_ints(name, texts) for name, texts in zip(BRANDS_HEADER[1:], columns[1:])]
+    _raise_first(path, lines, [*_id_checks("point_id", ids, "point"),
+                               *(check for _, checks in parsed for check in checks)])
+    return dict(zip(ids, map(BrandTally, *(values.tolist() for values, _ in parsed))))
 
 
 @dataclass(frozen=True)
@@ -514,9 +506,8 @@ def load_tables(paths: TablePaths, fmt: str = "csv") -> CityTables:
 
     for pid, sid in zip(points.ids.tolist(), points.segment_ids.tolist()):
         if sid not in segments:
-            raise ValidationError(
-                f"{paths.points}: point {pid!r} references unknown segment {sid!r}"
-            )
+            raise ValidationError(f"{paths.points}: point {pid!r} references unknown "
+                                  f"segment {sid!r}")
 
     lbs = _load_lbs(paths.lbs, *_read_csv_rows(paths.lbs, LBS_HEADER), segments)
 
@@ -526,9 +517,8 @@ def load_tables(paths: TablePaths, fmt: str = "csv") -> CityTables:
         point_ids = set(points.ids.tolist())
         for pid in brands:
             if pid not in point_ids:
-                raise ValidationError(
-                    f"{paths.brands}: brand tally references unknown point {pid!r}"
-                )
+                raise ValidationError(f"{paths.brands}: brand tally references unknown "
+                                      f"point {pid!r}")
 
     return CityTables(points=points, segments=segments, anchors=anchors, pois=pois,
                       lbs=lbs, brands=brands, segment_geometry=segment_geometry)

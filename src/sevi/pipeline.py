@@ -13,13 +13,15 @@ stops after the `until` group, and the manifest is written inside the last
 stage that ran. `robustness` reads one analysis per spillover setting of its
 sweeps and writes its reports inside a stage of its own; `ingest` writes
 validated copies of the input tables inside an `ingest` stage, and
-`decode_to_files` its assignments inside a `brands decode` stage.
+`decode_to_files` its assignments inside a `brands decode` stage; each makes
+its output directory inside its first stage.
 
 Each artifact format has one writer. `write_csv` writes every table, the
 synthetic fixtures and the validated copies included; a caller passes a
 table as columns zipped into rows. `write_json` writes every JSON document,
-the manifest included. `emit_geojson` writes the map. Reruns on identical
-inputs are byte-identical.
+the manifest included. `emit_geojson` writes the map. A NaN or infinite
+float fails its write, naming the file and the column or key. Reruns on
+identical inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -263,6 +265,8 @@ def _fmt(value) -> str:
     """A float with six decimals; any other cell as `str`, which for the str
     and int cells callers pass is the text the csv module writes for them."""
     if isinstance(value, float):
+        if value - value:  # NaN or +-inf; 0.0 for a finite float
+            raise ComputationError(f"non-finite value {value}")
         return f"{value:.6f}"
     return str(value)
 
@@ -274,31 +278,34 @@ def write_csv(path: Path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([_fmt(c) for c in row])
+            try:
+                w.writerow([_fmt(c) for c in row])
+            except ComputationError as exc:
+                column = next(h for h, c in zip(header, row) if isinstance(c, float) and c - c)
+                raise ComputationError(f"{path}: column {column!r}: {exc}") from None
 
 
-def _round_floats(obj, digits: int = 6):
+def _round_floats(obj, path: Path, key=None):
+    """`obj` with floats rounded to 6 decimals; a NaN or infinity names its key."""
     if isinstance(obj, float):
-        if math.isnan(obj):
-            return None
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return round(obj, digits)
+        if not math.isfinite(obj):
+            raise ComputationError(f"{path}: non-finite value {obj} under key {key!r}")
+        return round(obj, 6)
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _round_floats(v, path, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [_round_floats(v, path, key) for v in obj]
     if isinstance(obj, (np.floating,)):
-        return _round_floats(float(obj), digits)
+        return _round_floats(float(obj), path, key)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
-        return _round_floats(obj.tolist(), digits)
+        return _round_floats(obj.tolist(), path, key)
     return obj
 
 
 def write_json(path: Path, obj):
-    text = json.dumps(_round_floats(obj), indent=2, sort_keys=True, ensure_ascii=False)
+    text = json.dumps(_round_floats(obj, path), indent=2, sort_keys=True, ensure_ascii=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -364,9 +371,11 @@ def _stage_result(compute):
     return cached_property(in_stage)
 
 
-def _output_dir(config: PipelineConfig, workdir: Path) -> Path:
+def _output_dir(config: PipelineConfig, workdir: Path, stage: str) -> Path:
+    """The output directory, made inside `stage`, the first stage of a command."""
     outdir = Path(workdir) / config.raw["output_dir"]
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _run_stage(stage):
+        outdir.mkdir(parents=True, exist_ok=True)
     return outdir
 
 
@@ -482,7 +491,7 @@ def emit_geojson(path: Path, tables: CityTables,
     encoded once, however many points share them, and each feature's text is
     assembled around that string.
     """
-    properties = {sid: json.dumps(_round_floats(props), sort_keys=True, ensure_ascii=False)
+    properties = {sid: json.dumps(_round_floats(props, path), sort_keys=True, ensure_ascii=False)
                   for sid, props in properties_by_segment.items()}
 
     def position(lon: float, lat: float) -> str:
@@ -696,7 +705,7 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
     """
     if until is not None and until not in UNTIL_GROUPS:
         raise ValidationError(f"unknown stop stage {until!r}")
-    outdir = _output_dir(config, workdir)
+    outdir = _output_dir(config, workdir, STAGES[0].name)
     analysis = _Analysis(_City(config, Path(workdir)), config.spillover_config())
     stages = []
     for stage in STAGES:
@@ -720,7 +729,7 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
 def robustness(config: PipelineConfig, workdir: Path) -> RobustnessReport:
     """Threshold and decay sweeps for the GWR explanatory power, alternative
     composite-index correlations, and the external tier validation."""
-    outdir = _output_dir(config, workdir)
+    outdir = _output_dir(config, workdir, STAGES[0].name)
     city = _City(config, Path(workdir))
     sp = config.raw["spillover"]
     base = config.spillover_config()
@@ -768,7 +777,7 @@ def decode_to_files(config: PipelineConfig, workdir: Path) -> dict:
     from . import brandsem
 
     workdir = Path(workdir)
-    outdir = _output_dir(config, workdir)
+    outdir = _output_dir(config, workdir, "brands decode")
     dec = config.raw["decode"]
     db = brandsem.ReferenceDb.from_json(workdir / dec["reference_db"])
     if dec["backend"] == "offline":
@@ -850,7 +859,7 @@ def write_tables(tables: CityTables, outdir: Path):
 def ingest(config: PipelineConfig, workdir: Path) -> dict:
     """Validate the inputs and write round-tripped copies plus a summary."""
     workdir = Path(workdir)
-    outdir = _output_dir(config, workdir)
+    outdir = _output_dir(config, workdir, "ingest")
     tables = load_tables(config.table_paths(workdir), config.raw["inputs"]["format"])
     summary = {
         "points": len(tables.points), "segments": len(tables.segments),

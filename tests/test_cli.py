@@ -105,14 +105,27 @@ def test_stage_command_writes_the_manifest_of_its_group(city_dir, tmp_path, grou
     # the manifest closes the last stage of the group
     ("spillover", "manifest.json", "spillover_field"),
     ("ingest", "validated/points.csv", "ingest"),
+    # no artifact: the output directory, made in the command's first stage
+    ("run", None, "load"),
+    ("robustness", None, "load"),
+    ("ingest", None, "ingest"),
+    ("brands decode", None, "brands decode"),
 ])
-def test_failed_write_exits_two_naming_its_stage(city_dir, tmp_path, capsys, command,
-                                                  artifact, stage):
-    # a directory where the artifact goes makes the write fail
-    (tmp_path / "out" / artifact).mkdir(parents=True)
-    assert main(["--workdir", str(city_dir), command, "--config", _config(tmp_path)]) == 2
+def test_failed_write_exits_two_naming_its_stage(city_dir, corpus_dir, tmp_path, capsys,
+                                                  command, artifact, stage):
+    # a directory where the artifact goes makes the write fail; a file where
+    # the output directory goes makes its mkdir fail
+    if artifact is None:
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        overrides = ["--set", f"output_dir={tmp_path / 'afile' / 'x'}"]
+    else:
+        (tmp_path / "out" / artifact).mkdir(parents=True)
+        overrides = []
+    workdir = corpus_dir if command.startswith("brands") else city_dir
+    argv = ["--workdir", str(workdir), *command.split(), "--config", _config(tmp_path)]
+    assert main(argv + overrides) == 2
     err = capsys.readouterr().err
-    assert f"stage '{stage}' failed" in err and artifact in err
+    assert f"stage '{stage}' failed" in err and (artifact or "afile") in err
 
 
 def test_city_too_small_for_its_gwr_exits_two(tmp_path, capsys):
@@ -127,6 +140,20 @@ def test_city_too_small_for_its_gwr_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "stage 'gwr' failed" in err and "n=12" in err
     assert not (tmp_path / "out" / "gwr_summary.json").exists()
+
+
+def test_infinite_aicc_at_a_fixed_bandwidth_exits_two(tmp_path, capsys):
+    # at a fixed 600 m bandwidth the 12-segment city's fits leave no residual
+    # degrees of freedom: every period's AICc is +inf, and no writer takes it
+    city = tmp_path / "city"
+    generate_city(city, seed=1, n_segments=12, n_pois=200)
+    argv = ["--workdir", str(city), "run", "--config", _config(tmp_path),
+            "--set", "gwr.bandwidth=600"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "stage 'gwr' failed" in err
+    assert "gwr_summary.json: non-finite value inf under key 'aicc'" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_non_utf8_table_exits_one(city_dir, tmp_path, capsys):
@@ -169,6 +196,20 @@ def test_integer_outside_int64_exits_one(city_dir, tmp_path, capsys, table, row,
     assert main(["--workdir", str(city), command, "--config", _config(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert f"{city / table}: row {row}, column {column!r}: outside the 64-bit integer" in err
+
+
+def test_counts_whose_running_total_leaves_int64_exit_one(city_dir, tmp_path, capsys):
+    # each side fits in int64, but their sum does not: a sum over both sides
+    # of the segment's points would wrap
+    def edit(rows):
+        rows[10]["signboards_left"] = rows[10]["signboards_right"] = str(2**62)
+        return rows
+
+    city = _edited_city(city_dir, tmp_path, "points.csv", edit)
+    assert main(["--workdir", str(city), "indicators", "--config", _config(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{city / 'points.csv'}: row 12, column 'signboards_left': the running total" in err
+    assert not (tmp_path / "out" / "indicators.csv").exists()
 
 
 def test_sparse_brand_city_validates(city_dir, tmp_path):

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from sevi import geodata
 from sevi.exceptions import ComputationError, SchemaError, ValidationError
 from sevi.geodata import (ANCHORS_HEADER, BRANDS_HEADER, COUNT_COLUMNS, EARTH_RADIUS_M,
-                          POINTS_HEADER, POIS_HEADER, SEGMENTS_HEADER, BrandTally, CityTables,
-                          PoiTable, TablePaths, load_tables, metric_to_lonlat, pairs_within,
+                          LBS_HEADER, PERIODS, POINTS_HEADER, POIS_HEADER, SEGMENTS_HEADER,
+                          BrandTally, CityTables, MallAnchor, PoiTable, StreetSegment,
+                          TablePaths, load_tables, metric_to_lonlat, pairs_within,
                           project_to_metric)
 from sevi.pipeline import _tier_validation, write_tables
 
@@ -534,34 +535,107 @@ def _reference_rows(path, header):
         return rows
 
 
+def _ref_int(path, row, column, text):
+    """A non-negative int64 field."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise SchemaError(path, row, column, f"not an integer: {text!r}")
+    if value < 0:
+        raise SchemaError(path, row, column, f"must be >= 0, got {value}")
+    if not -2**63 <= value < 2**63:
+        raise SchemaError(path, row, column, f"outside the 64-bit integer range: {text!r}")
+    return value
+
+
+def _ref_float(path, row, column, text, minimum=None):
+    try:
+        value = float(text)
+    except ValueError:
+        raise SchemaError(path, row, column, f"not a number: {text!r}")
+    if not math.isfinite(value):
+        raise SchemaError(path, row, column, f"not finite: {text!r}")
+    if minimum is not None and value < minimum:
+        raise SchemaError(path, row, column, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _ref_id(path, row, text, seen, what, column="id"):
+    ident = text.strip()
+    if not ident:
+        raise SchemaError(path, row, column, "empty id")
+    if ident in seen:
+        raise SchemaError(path, row, column, f"duplicate {what} id {ident!r}")
+    seen.add(ident)
+    return ident
+
+
+def _ref_lonlat(path, row, lon_text, lat_text):
+    lon = _ref_float(path, row, "lon", lon_text)
+    lat = _ref_float(path, row, "lat", lat_text)
+    if abs(lat) >= 85.06:
+        raise SchemaError(path, row, "lat",
+                          f"latitude {lat} outside projection band (|lat| < 85.06)")
+    return (lon, lat, *project_to_metric(lon, lat))
+
+
 def _reference_points(path):
     """The row-by-row points loader: every field checked as it is met."""
     seen, placed, table = set(), set(), []
+    totals = [0] * (len(COUNT_COLUMNS) // 2)  # per left/right pair, over the rows so far
     for lineno, row in _reference_rows(path, POINTS_HEADER):
-        pid = geodata._unique_id(path, lineno, row[0], seen, "point")
-        lon, lat, x, y = geodata._lonlat(path, lineno, row[1], row[2])
+        pid = _ref_id(path, lineno, row[0], seen, "point")
+        lon, lat, x, y = _ref_lonlat(path, lineno, row[1], row[2])
         sid = row[3].strip()
-        order = geodata._parse_int(path, lineno, "order", row[4], minimum=0)
+        order = _ref_int(path, lineno, "order", row[4])
         if (sid, order) in placed:
             raise SchemaError(path, lineno, "order",
                               f"duplicate order {order} within segment {sid!r}")
         placed.add((sid, order))
-        counts = tuple(geodata._parse_int(path, lineno, col, text, minimum=0)
+        counts = tuple(_ref_int(path, lineno, col, text)
                        for col, text in zip(COUNT_COLUMNS, row[5:]))
         for side in ("left", "right"):
             green = COUNT_COLUMNS.index(f"green_pixels_{side}")
             if counts[green] > counts[COUNT_COLUMNS.index(f"total_pixels_{side}")]:
                 raise SchemaError(path, lineno, COUNT_COLUMNS[green],
                                   "green pixel count exceeds total pixel count")
+        for j in range(0, len(COUNT_COLUMNS), 2):
+            totals[j // 2] += counts[j] + counts[j + 1]
+            if totals[j // 2] >= 2**63:
+                raise SchemaError(path, lineno, COUNT_COLUMNS[j], "the running total of left + "
+                                  "right over the file leaves the 64-bit integer range")
         table.append((pid, lon, lat, x, y, sid, order, counts))
     return make_points(*table)
+
+
+def _reference_segments(path):
+    seen, segments = set(), {}
+    for lineno, row in _reference_rows(path, SEGMENTS_HEADER):
+        sid = _ref_id(path, lineno, row[0], seen, "segment")
+        length = _ref_float(path, lineno, "length_m", row[1])
+        if length <= 0:
+            raise SchemaError(path, lineno, "length_m", f"must be > 0, got {length}")
+        segments[sid] = StreetSegment(id=sid, length_m=length)
+    return segments
+
+
+def _reference_anchors(path):
+    seen, anchors = set(), []
+    for lineno, row in _reference_rows(path, ANCHORS_HEADER):
+        aid = _ref_id(path, lineno, row[0], seen, "anchor")
+        category = row[1].strip()
+        if not category:
+            raise SchemaError(path, lineno, "category", "empty category")
+        lon, lat, x, y = _ref_lonlat(path, lineno, row[2], row[3])
+        anchors.append(MallAnchor(id=aid, category=category, x=x, y=y, lon=lon, lat=lat))
+    return anchors
 
 
 def _reference_pois(path):
     seen, table = set(), []
     for lineno, row in _reference_rows(path, POIS_HEADER):
-        pid = geodata._unique_id(path, lineno, row[0], seen, "poi")
-        lon, lat, x, y = geodata._lonlat(path, lineno, row[1], row[2])
+        pid = _ref_id(path, lineno, row[0], seen, "poi")
+        lon, lat, x, y = _ref_lonlat(path, lineno, row[1], row[2])
         premium = row[4].strip()
         if premium not in ("0", "1"):
             raise SchemaError(path, lineno, "is_premium", f"must be 0 or 1, got {premium!r}")
@@ -569,27 +643,63 @@ def _reference_pois(path):
     return PoiTable(*table_columns(table, (object, float, float, float, float, object, bool)))
 
 
+_LBS_SEGMENTS = {f"s{k}": StreetSegment(f"s{k}", 100.0) for k in range(3)}
+
+
+def _reference_lbs(path):
+    lbs = {}
+    for lineno, row in _reference_rows(path, LBS_HEADER):
+        sid = row[0].strip()
+        if sid not in _LBS_SEGMENTS:
+            raise SchemaError(path, lineno, "segment_id", f"unknown segment {sid!r}")
+        period = row[1].strip()
+        if period not in PERIODS:
+            raise SchemaError(path, lineno, "period",
+                              f"unknown period {period!r}; expected one of {list(PERIODS)}")
+        uv = _ref_float(path, lineno, "uv", row[2], minimum=0.0)
+        slot = lbs.setdefault(sid, {})
+        if period in slot:
+            raise SchemaError(path, lineno, "period",
+                              f"duplicate record for ({sid!r}, {period!r})")
+        slot[period] = uv
+    for sid, slot in lbs.items():
+        missing = [p for p in PERIODS if p not in slot]
+        if missing:
+            raise ValidationError(f"{path}: segment {sid!r} is missing periods {missing}")
+    return lbs
+
+
 def _reference_brands(path):
     seen, brands = set(), {}
     for lineno, row in _reference_rows(path, BRANDS_HEADER):
-        pid = geodata._unique_id(path, lineno, row[0], seen, "point", column="point_id")
-        brands[pid] = BrandTally(*(geodata._parse_int(path, lineno, col, text, minimum=0)
+        pid = _ref_id(path, lineno, row[0], seen, "point", column="point_id")
+        brands[pid] = BrandTally(*(_ref_int(path, lineno, col, text)
                                    for col, text in zip(BRANDS_HEADER[1:], row[1:])))
     return brands
 
 
-def _columnar(load, header):
-    return lambda path: load(path, *geodata._read_csv_rows(path, header))
+def _columnar(load, header, *args):
+    return lambda path: load(path, *geodata._read_csv_rows(path, header), *args)
 
 
-# per table: header, valid row k, columnar loader, reference loader
+# per table: header, valid row k, row counts, columnar loader, reference loader
 _TABLES = {
     "points": (POINTS_HEADER, lambda k: _point_row(f"p{k}", f"{0.01 * k}", f"{-0.02 * k}",
                                                    f"s{k % 2}", str(k), signboards_left=k),
-               _columnar(geodata._load_points, POINTS_HEADER), _reference_points),
+               st.integers(1, 6), _columnar(geodata._load_points, POINTS_HEADER),
+               _reference_points),
+    "segments": (SEGMENTS_HEADER, lambda k: (f"s{k}", f"{10.0 + k}"), st.integers(1, 6),
+                 _columnar(geodata._load_segments, SEGMENTS_HEADER), _reference_segments),
+    "anchors": (ANCHORS_HEADER, lambda k: (f"a{k}", f"cat{k % 2}", f"{0.01 * k}", f"{0.03 * k}"),
+                st.integers(1, 6), _columnar(geodata._load_anchors, ANCHORS_HEADER),
+                _reference_anchors),
     "pois": (POIS_HEADER, lambda k: (f"q{k}", f"{0.01 * k}", f"{0.03 * k}", "shop", str(k % 2)),
-             _columnar(geodata._load_pois, POIS_HEADER), _reference_pois),
-    "brands": (BRANDS_HEADER, lambda k: (f"p{k}", str(k), str(2 * k), "1"),
+             st.integers(1, 6), _columnar(geodata._load_pois, POIS_HEADER), _reference_pois),
+    # every period of one or two segments, so a valid table is complete
+    "lbs": (LBS_HEADER, lambda k: (f"s{k // 8}", PERIODS[k % 8], f"{1.5 * k}"),
+            st.sampled_from([8, 16]),
+            _columnar(geodata._load_lbs, LBS_HEADER, _LBS_SEGMENTS), _reference_lbs),
+    "brands": (BRANDS_HEADER, lambda k: (f"p{k}", str(k), str(2 * k), "1"), st.integers(1, 6),
                _columnar(geodata._load_brands, BRANDS_HEADER), _reference_brands),
 }
 
@@ -597,13 +707,17 @@ _TABLES = {
 _FIELD_FAULTS = ["x", "1.5", "-1", "nan", "inf", "-inf", "", " ", "99999999999999999999",
                  "-99999999999999999999"]
 _COLUMN_FAULTS = {"lat": ["85.06", "-90"], "green_pixels_left": ["1001"],
-                  "green_pixels_right": ["2000"], "is_premium": ["2", "true"]}
+                  "signboards_right": [str(2**62), str(2**63 - 1)],
+                  "green_pixels_right": ["2000"], "is_premium": ["2", "true"],
+                  "length_m": ["0", "-1"], "category": [" "], "period": ["midnight"],
+                  "uv": ["-1"], "segment_id": ["s9"]}
 
 
 def _apply_fault(rows, data, header):
     """One fault in the text rows: a field's text, a padded field, a copied id
-    or (segment, order), a blank line or a row of the wrong width. Padding
-    and blank lines are no faults: both loaders must accept them."""
+    (or the (segment, period) of an lbs row) or (segment, order), a blank line
+    or a row of the wrong width. Padding and blank lines are no faults: both
+    loaders must accept them."""
     filled = [i for i, row in enumerate(rows) if row]
     k = data.draw(st.sampled_from(filled))
     kind = data.draw(st.sampled_from(["field", "column", "pad", "copy", "blank", "width"]))
@@ -618,7 +732,7 @@ def _apply_fault(rows, data, header):
         j = data.draw(st.integers(0, len(header) - 1))
         rows[k][j] = f" {rows[k][j]}\t"
     elif kind == "copy":
-        # ids, then for points (segment, order)
+        # the first two fields, then for points (segment, order)
         j = data.draw(st.sampled_from([0, 3] if header == POINTS_HEADER else [0]))
         src = data.draw(st.sampled_from(filled))
         rows[k][j:j + 2] = rows[src][j:j + 2]
@@ -631,7 +745,7 @@ def _apply_fault(rows, data, header):
 def _outcome(load, path):
     try:
         return "ok", load(path)
-    except SchemaError as exc:
+    except ValidationError as exc:
         return "error", str(exc)
 
 
@@ -639,10 +753,10 @@ def _outcome(load, path):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_column_checks_match_row_reference(tmp_path_factory, table, data):
-    # a few faults per table: the columnar loader returns the columns the
-    # row-by-row loader builds, or raises its error for the first bad row
-    header, valid_row, load, reference = _TABLES[table]
-    rows = [list(valid_row(k)) for k in range(data.draw(st.integers(1, 6)))]
+    # a few faults per table: the columnar loader returns what the row-by-row
+    # loader builds, or raises its error for the first bad row
+    header, valid_row, n_rows, load, reference = _TABLES[table]
+    rows = [list(valid_row(k)) for k in range(data.draw(n_rows))]
     for _ in range(data.draw(st.integers(0, 3))):
         _apply_fault(rows, data, header)
     path = tmp_path_factory.mktemp("table") / f"{table}.csv"
@@ -651,9 +765,7 @@ def test_column_checks_match_row_reference(tmp_path_factory, table, data):
 
     got, expected = _outcome(load, path), _outcome(reference, path)
     assert got[0] == expected[0], (got, expected)
-    if got[0] == "error":
-        assert got[1] == expected[1]
-    elif table == "brands":
+    if got[0] == "error" or table not in ("points", "pois"):
         assert got[1] == expected[1]
     else:
         _assert_same_columns(got[1], expected[1])

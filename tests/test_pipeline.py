@@ -8,7 +8,8 @@ import pytest
 
 from sevi.geodata import (ANCHORS_HEADER, PERIODS, POINTS_HEADER, POIS_HEADER,
                           SEGMENTS_HEADER, project_to_metric)
-from sevi.pipeline import PipelineConfig, _City, ingest, robustness, run
+from sevi.exceptions import ComputationError
+from sevi.pipeline import PipelineConfig, _City, ingest, robustness, run, write_csv, write_json
 
 from .conftest import write_feature_collection
 
@@ -249,3 +250,14 @@ def test_byte_order_marks_give_the_same_artifacts(city_dir, default_run, tmp_pat
     assert set(doc["files"]) <= set(names)
     for name in names:
         assert (outdir / name).read_bytes() == (default_run / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_writers_refuse_non_finite_floats(tmp_path, value):
+    with pytest.raises(ComputationError, match=r"t\.csv: column 'b': non-finite value"):
+        write_csv(tmp_path / "t.csv", ("a", "b"), [("x", 1.0), ("y", value)])
+    with pytest.raises(ComputationError, match=r"t\.json: non-finite value .* under key 'b'"):
+        write_json(tmp_path / "t.json", {"a": 1.0, "b": [0.5, value]})
+    # None is the one value written as null
+    write_json(tmp_path / "t.json", {"a": None, "b": [0.1234567]})
+    assert _json(tmp_path / "t.json") == {"a": None, "b": [0.123457]}
