@@ -1,4 +1,4 @@
-"""Data model, ingestion, metric projection, and the cell-grid pair search.
+"""Data model, ingestion, metric projection, and the cell-grid POI counts.
 
 Sampling points and POIs are held as columns, one array per field and one
 row per record in file order (`PointTable`, `PoiTable`). A point's sixteen
@@ -140,6 +140,11 @@ class PointTable:
         return segment_ids.tolist(), perm, bounds
 
 
+# candidate (location, POI) pairs `PoiTable.counts_within` tests at once;
+# bounds its working memory
+_PAIR_CHUNK = 2**16
+
+
 @dataclass(frozen=True, eq=False)
 class PoiTable:
     """The POIs as columns, one row per POI in file order."""
@@ -157,12 +162,70 @@ class PoiTable:
 
     def counts_within(self, x, y, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """For each location (x[i], y[i]), the number of POIs within `radius`
-        meters (<=) and the number of premium ones among them."""
-        qi, si = pairs_within(np.column_stack((x, y)), np.column_stack((self.x, self.y)),
-                              radius)
-        n = len(x)
-        return (np.bincount(qi, minlength=n),
-                np.bincount(qi[self.is_premium[si]], minlength=n))
+        meters and the number of premium ones among them.
+
+        The test is the correctly rounded `math.hypot(dx, dy) <= radius`, and
+        duplicate POIs count apart. The POIs are bucketed into square cells at
+        least `radius` wide, so a location's candidates are the POIs of the
+        3 x 3 cells around its own: three contiguous runs of the cell-sorted
+        POIs, found with `np.searchsorted`.
+        """
+        if not radius > 0:
+            raise ValidationError(f"radius must be positive, got {radius}")
+        q = np.column_stack((x, y)).astype(float)
+        if not np.all(np.isfinite(q)):
+            raise ValidationError("query coordinates must be finite")
+        total = np.zeros(len(q), dtype=np.intp)
+        premium = np.zeros(len(q), dtype=np.intp)
+        if len(q) == 0 or len(self) == 0:
+            return total, premium
+
+        s = np.column_stack((self.x, self.y))
+        lo = s.min(axis=0)
+        span = s.max(axis=0) - lo
+        # at most 2**20 cells a side keeps a row-major cell key inside int64; the
+        # 2**-20 widening keeps rounding in the cell coordinates from putting a
+        # POI at distance exactly `radius` two cells away from its location
+        cell = max(float(radius), float(span.max()) / 2**20) * (1.0 + 2**-20)
+        ncols, nrows = (np.floor(span / cell).astype(np.int64) + 1).tolist()
+        site_cell = np.floor((s - lo) / cell).astype(np.int64)
+        site_key = site_cell[:, 1] * ncols + site_cell[:, 0]
+        order = np.argsort(site_key)
+        site_key = site_key[order]
+
+        # a location more than one cell off the grid reaches no POI, so its cell
+        # is clamped there; the column run is clamped to the grid, so the key
+        # runs of rows outside it are empty
+        q_cell = np.clip(np.floor((q - lo) / cell), -1, [ncols, nrows]).astype(np.int64)
+        col_lo = np.maximum(q_cell[:, 0] - 1, 0)[:, None]
+        col_hi = np.minimum(q_cell[:, 0] + 1, ncols - 1)[:, None]
+        row_key = (q_cell[:, 1, None] + np.arange(-1, 2)) * ncols
+        start = np.searchsorted(site_key, row_key + col_lo, side="left")
+        count = np.searchsorted(site_key, row_key + col_hi, side="right") - start
+        per_query = count.sum(axis=1)
+        cum = np.concatenate(([0], np.cumsum(per_query)))
+
+        a = 0
+        while a < len(q):
+            b = max(int(np.searchsorted(cum, cum[a] + _PAIR_CHUNK, side="right")) - 1, a + 1)
+            run_start, run_len = start[a:b].ravel(), count[a:b].ravel()
+            # the k-th candidate of a run sits at run_start + k in the sorted POIs
+            pos = np.repeat(run_start - (np.cumsum(run_len) - run_len), run_len)
+            si = order[pos + np.arange(int(cum[b] - cum[a]))]
+            qi = np.repeat(np.arange(b - a), per_query[a:b])
+            dx = s[si, 0] - q[a:b, 0][qi]
+            dy = s[si, 1] - q[a:b, 1][qi]
+            dist = np.hypot(dx, dy)
+            keep = dist <= radius
+            # np.hypot may round one unit in the last place away from math.hypot;
+            # pairs that close to the radius are settled by math.hypot
+            for k in np.flatnonzero(np.abs(dist - radius) <= np.spacing(radius)).tolist():
+                keep[k] = math.hypot(dx[k], dy[k]) <= radius
+            qi, si = qi[keep], si[keep]
+            total[a:b] = np.bincount(qi, minlength=b - a)
+            premium[a:b] = np.bincount(qi[self.is_premium[si]], minlength=b - a)
+            a = b
+        return total, premium
 
 
 @dataclass
@@ -522,86 +585,3 @@ def load_tables(paths: TablePaths, fmt: str = "csv") -> CityTables:
 
     return CityTables(points=points, segments=segments, anchors=anchors, pois=pois,
                       lbs=lbs, brands=brands, segment_geometry=segment_geometry)
-
-
-# ---------------------------------------------------------------------------
-# spatial joins
-# ---------------------------------------------------------------------------
-
-# candidate pairs `pairs_within` tests at once; bounds its working memory
-_PAIR_CHUNK = 2**16
-
-
-def _xy_array(xy, what: str) -> np.ndarray:
-    xy = np.asarray(xy, dtype=float)
-    if xy.ndim != 2 or xy.shape[1] != 2:
-        raise ValidationError(f"{what} coordinates must be an (n, 2) array, got {xy.shape}")
-    if not np.all(np.isfinite(xy)):
-        raise ValidationError(f"{what} coordinates must be finite")
-    return xy
-
-
-def pairs_within(query_xy, site_xy, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays `(qi, si)` of every query/site pair with Euclidean
-    distance <= `radius`, ordered by query, then site.
-
-    Duplicate sites are distinct entries. The test is the correctly rounded
-    `math.hypot(dx, dy) <= radius`. Sites are bucketed into square cells at
-    least `radius` wide, so each query's candidates are the sites of the
-    3 x 3 cells around its own: three contiguous runs of the cell-sorted
-    sites, found with `np.searchsorted`.
-    """
-    if not radius > 0:
-        raise ValidationError(f"radius must be positive, got {radius}")
-    q = _xy_array(query_xy, "query")
-    s = _xy_array(site_xy, "site")
-    if len(q) == 0 or len(s) == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-
-    lo = s.min(axis=0)
-    span = s.max(axis=0) - lo
-    # at most 2**20 cells a side keeps a row-major cell key inside int64; the
-    # 2**-20 widening keeps rounding in the cell coordinates from putting a
-    # site at distance exactly `radius` two cells away from its query
-    cell = max(float(radius), float(span.max()) / 2**20) * (1.0 + 2**-20)
-    ncols, nrows = (np.floor(span / cell).astype(np.int64) + 1).tolist()
-    site_cell = np.floor((s - lo) / cell).astype(np.int64)
-    site_key = site_cell[:, 1] * ncols + site_cell[:, 0]
-    order = np.argsort(site_key, kind="stable")
-    site_key = site_key[order]
-
-    # a query more than one cell off the grid reaches no site, so its cell is
-    # clamped there; the column run is clamped to the grid, so the key runs of
-    # rows outside it are empty
-    q_cell = np.clip(np.floor((q - lo) / cell), -1, [ncols, nrows]).astype(np.int64)
-    col_lo = np.maximum(q_cell[:, 0] - 1, 0)[:, None]
-    col_hi = np.minimum(q_cell[:, 0] + 1, ncols - 1)[:, None]
-    row_key = (q_cell[:, 1, None] + np.arange(-1, 2)) * ncols
-    start = np.searchsorted(site_key, row_key + col_lo, side="left")
-    count = np.searchsorted(site_key, row_key + col_hi, side="right") - start
-    per_query = count.sum(axis=1)
-    cum = np.concatenate(([0], np.cumsum(per_query)))
-
-    out_q, out_s = [], []
-    a = 0
-    while a < len(q):
-        b = max(int(np.searchsorted(cum, cum[a] + _PAIR_CHUNK, side="right")) - 1, a + 1)
-        run_start, run_len = start[a:b].ravel(), count[a:b].ravel()
-        # the k-th candidate of a run sits at run_start + k in the sorted sites
-        pos = np.repeat(run_start - (np.cumsum(run_len) - run_len), run_len)
-        si = order[pos + np.arange(int(cum[b] - cum[a]))]
-        qi = np.repeat(np.arange(a, b), per_query[a:b])
-        dx = s[si, 0] - q[qi, 0]
-        dy = s[si, 1] - q[qi, 1]
-        dist = np.hypot(dx, dy)
-        keep = dist <= radius
-        # np.hypot may round one unit in the last place away from math.hypot;
-        # pairs that close to the radius are settled by math.hypot
-        for k in np.flatnonzero(np.abs(dist - radius) <= np.spacing(radius)).tolist():
-            keep[k] = math.hypot(dx[k], dy[k]) <= radius
-        qi, si = qi[keep], si[keep]
-        by_site = np.lexsort((si, qi))
-        out_q.append(qi[by_site])
-        out_s.append(si[by_site])
-        a = b
-    return np.concatenate(out_q), np.concatenate(out_s)

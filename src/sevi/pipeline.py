@@ -10,18 +10,19 @@ over the table: each stage computes and writes inside one `_run_stage`,
 which turns a package error or a failed write into a `StageError` naming the
 stage; the loop records the stage in the manifest of per-file checksums and
 stops after the `until` group, and the manifest is written inside the last
-stage that ran. `robustness` reads one analysis per spillover setting of its
-sweeps and writes its reports inside a stage of its own; `ingest` writes
-validated copies of the input tables inside an `ingest` stage, and
-`decode_to_files` its assignments inside a `brands decode` stage; each makes
-its output directory inside its first stage.
+stage that ran; the `load` stage deletes the manifest of an earlier run, so a
+failed run leaves none. `robustness` reads one analysis per spillover setting
+of its sweeps and writes its reports inside a stage of its own; `ingest`
+loads the input tables and writes validated copies inside an `ingest` stage,
+and `decode_to_files` decodes and writes its assignments inside a `brands
+decode` stage; each makes its output directory inside its first stage.
 
 Each artifact format has one writer. `write_csv` writes every table, the
 synthetic fixtures and the validated copies included; a caller passes a
 table as columns zipped into rows. `write_json` writes every JSON document,
 the manifest included. `emit_geojson` writes the map. A NaN or infinite
-float fails its write, naming the file and the column or key. Reruns on
-identical inputs are byte-identical.
+float fails its write, naming the file and the column or key, and leaves no
+file. Reruns on identical inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -108,25 +110,20 @@ def _merge_defaults(defaults: dict, user: dict, path: str = "") -> dict:
 
 
 def _parse_bandwidth(value):
-    if isinstance(value, str):
-        if value == "aicc":
-            return "aicc"
-        if value.startswith("adaptive:"):
-            try:
-                m = int(value.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(f"bad adaptive bandwidth spec {value!r}")
-            if m < 1:
-                raise ConfigError(f"adaptive neighbor count must be >= 1, got {m}")
+    """The `gwr.bandwidth` setting as "aicc", ("adaptive", m) or meters."""
+    if value == "aicc":
+        return "aicc"
+    if isinstance(value, str) and value.startswith("adaptive:"):
+        try:
+            m = int(value.split(":", 1)[1])
+        except ValueError:
+            m = 0
+        if m >= 1:
             return ("adaptive", m)
-        raise ConfigError(f"unknown bandwidth spec {value!r}")
-    try:
-        bw = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bandwidth must be 'aicc', 'adaptive:m', or meters, got {value!r}")
-    if bw <= 0:
-        raise ConfigError(f"bandwidth must be positive, got {bw}")
-    return bw
+    elif _is_number(value) and 0 < value <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"gwr.bandwidth must be 'aicc', 'adaptive:m' with an integer m >= 1, "
+                      f"or a positive, finite number of meters, got {value!r}")
 
 
 def _is_integer(value) -> bool:
@@ -282,6 +279,7 @@ def write_csv(path: Path, header, rows):
                 w.writerow([_fmt(c) for c in row])
             except ComputationError as exc:
                 column = next(h for h, c in zip(header, row) if isinstance(c, float) and c - c)
+                Path(path).unlink()  # no partial table is left behind
                 raise ComputationError(f"{path}: column {column!r}: {exc}") from None
 
 
@@ -488,8 +486,9 @@ def emit_geojson(path: Path, tables: CityTables,
 
     The text is that of json.dumps(sort_keys=True, ensure_ascii=False) on
     the whole collection, built by hand: each segment's properties are
-    encoded once, however many points share them, and each feature's text is
-    assembled around that string.
+    encoded once, however many points share them, before the file is opened
+    (a non-finite value fails there); each feature is written as soon as its
+    text is assembled around that string.
     """
     properties = {sid: json.dumps(_round_floats(props, path), sort_keys=True, ensure_ascii=False)
                   for sid, props in properties_by_segment.items()}
@@ -497,33 +496,25 @@ def emit_geojson(path: Path, tables: CityTables,
     def position(lon: float, lat: float) -> str:
         return f"[{round(lon, 7)!r}, {round(lat, 7)!r}]"
 
-    def feature(fid: str, kind: str, coordinates: str, props: str) -> str:
-        return (f'{{"geometry": {{"coordinates": {coordinates}, "type": "{kind}"}}, '
-                f'"id": {json.dumps(fid, ensure_ascii=False)}, "properties": {props}, '
-                f'"type": "Feature"}}')
-
-    features = []  # the JSON text of each feature
+    # (id, segment id, geometry type, coordinates text) of each feature
     if tables.segment_geometry:
-        for sid in sorted(properties):
-            coords = tables.segment_geometry.get(sid)
-            if coords is None:
-                raise ValidationError(f"no geometry for segment {sid!r}")
-            features.append(feature(sid, "LineString", "[" + ", ".join(
-                position(lon, lat) for lon, lat in coords) + "]", properties[sid]))
+        features = ((sid, sid, "LineString", "[" + ", ".join(
+            position(lon, lat) for lon, lat in tables.segment_geometry[sid]) + "]")
+            for sid in sorted(properties))
     else:
         pts = tables.points
         by_id = np.argsort(pts.ids)
-        for pid, sid, lon, lat in zip(*(c[by_id].tolist() for c in (
-                pts.ids, pts.segment_ids, pts.lon, pts.lat))):
-            if sid in properties:
-                features.append(feature(pid, "Point", position(lon, lat), properties[sid]))
-    # The collection is framed by hand too, so that the whole document's text
-    # (4.4 MB on a 12k-point city) is never held in memory next to its
-    # encoded bytes.
+        features = ((pid, sid, "Point", position(lon, lat)) for pid, sid, lon, lat in zip(
+            *(c[by_id].tolist() for c in (pts.ids, pts.segment_ids, pts.lon, pts.lat)))
+            if sid in properties)
+    # the collection is framed by hand and each feature written as it is
+    # built, so the document's text is never held in memory
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"features": [')
-        for k, text in enumerate(features):
-            fh.write(", " + text if k else text)
+        for k, (fid, sid, kind, coordinates) in enumerate(features):
+            fh.write(f'{", " if k else ""}{{"geometry": {{"coordinates": {coordinates}, '
+                     f'"type": "{kind}"}}, "id": {json.dumps(fid, ensure_ascii=False)}, '
+                     f'"properties": {properties[sid]}, "type": "Feature"}}')
         fh.write('], "type": "FeatureCollection"}\n')
 
 
@@ -532,6 +523,10 @@ def emit_geojson(path: Path, tables: CityTables,
 # ---------------------------------------------------------------------------
 
 def _read_tables(a: _Analysis, outdir: Path) -> list[str]:
+    # a manifest of an earlier run would vouch for files this run rewrites
+    manifest = outdir / "manifest.json"
+    if manifest.is_file():
+        manifest.unlink()
     a.city.load  # the tables are held in memory; no file is written
     return []
 
@@ -779,25 +774,24 @@ def decode_to_files(config: PipelineConfig, workdir: Path) -> dict:
     workdir = Path(workdir)
     outdir = _output_dir(config, workdir, "brands decode")
     dec = config.raw["decode"]
-    db = brandsem.ReferenceDb.from_json(workdir / dec["reference_db"])
-    if dec["backend"] == "offline":
-        client = brandsem.OfflineFixtureClient.from_json(workdir / dec["fixtures"])
-    else:
-        client = brandsem.HttpChatClient.from_env()
-    corpus = brandsem.load_corpus(workdir / dec["corpus"])
-    decoded = brandsem.decode_corpus(corpus, db, client, parallelism=dec["parallelism"])
-
-    rows = []
-    n_default = 0
-    for item in decoded:
-        for brand in sorted(item.assignment.tiers):
-            source = item.assignment.provenance[brand]
-            n_default += source == "default"
-            rows.append((item.image_id, brand, item.assignment.tiers[brand], source))
-    tally = brandsem.tally_by_point(decoded)
-    summary = {"images": len(decoded), "assignments": len(rows),
-               "defaulted_to_ordinary": n_default, "points": len(tally)}
     with _run_stage("brands decode"):
+        db = brandsem.ReferenceDb.from_json(workdir / dec["reference_db"])
+        if dec["backend"] == "offline":
+            client = brandsem.OfflineFixtureClient.from_json(workdir / dec["fixtures"])
+        else:
+            client = brandsem.HttpChatClient.from_env()
+        corpus = brandsem.load_corpus(workdir / dec["corpus"])
+        decoded = brandsem.decode_corpus(corpus, db, client, parallelism=dec["parallelism"])
+        rows = []
+        n_default = 0
+        for item in decoded:
+            for brand in sorted(item.assignment.tiers):
+                source = item.assignment.provenance[brand]
+                n_default += source == "default"
+                rows.append((item.image_id, brand, item.assignment.tiers[brand], source))
+        tally = brandsem.tally_by_point(decoded)
+        summary = {"images": len(decoded), "assignments": len(rows),
+                   "defaulted_to_ordinary": n_default, "points": len(tally)}
         write_csv(outdir / "assignments.csv", ("image_id", "brand", "tier", "provenance"), rows)
         _write_brands(outdir / "brands.csv", tally)
         write_json(outdir / "decode_summary.json", summary)
@@ -860,14 +854,14 @@ def ingest(config: PipelineConfig, workdir: Path) -> dict:
     """Validate the inputs and write round-tripped copies plus a summary."""
     workdir = Path(workdir)
     outdir = _output_dir(config, workdir, "ingest")
-    tables = load_tables(config.table_paths(workdir), config.raw["inputs"]["format"])
-    summary = {
-        "points": len(tables.points), "segments": len(tables.segments),
-        "anchors": len(tables.anchors), "pois": len(tables.pois),
-        "lbs_segments": len(tables.lbs),
-        "brand_points": len(tables.brands) if tables.brands else 0,
-    }
     with _run_stage("ingest"):
+        tables = load_tables(config.table_paths(workdir), config.raw["inputs"]["format"])
+        summary = {
+            "points": len(tables.points), "segments": len(tables.segments),
+            "anchors": len(tables.anchors), "pois": len(tables.pois),
+            "lbs_segments": len(tables.lbs),
+            "brand_points": len(tables.brands) if tables.brands else 0,
+        }
         write_tables(tables, outdir / "validated")
         write_json(outdir / "ingest_summary.json", summary)
     return summary

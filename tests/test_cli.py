@@ -39,6 +39,14 @@ def test_stage_run_exits_zero(city_dir, tmp_path):
     ("", ["--set", "spillover.sweep_thresholds=[]"]),
     ("", ["--set", "spillover.sweep_decays=[]"]),
     ("", ["--set", "gwr.summary_variables=mv"]),
+    # every bad bandwidth names its key
+    ("", ["--set", "gwr.bandwidth=adaptive:0"]),
+    ("", ["--set", "gwr.bandwidth=adaptive:x"]),
+    ("", ["--set", "gwr.bandwidth=-5"]),
+    ("", ["--set", "gwr.bandwidth=wide"]),
+    ("", ["--set", "gwr.bandwidth=true"]),
+    ("", ["--set", "gwr.bandwidth=.inf"]),
+    ("", ["--set", "gwr.bandwidth=1" + "0" * 400]),  # beyond the largest float
 ])
 def test_bad_config_exits_one(city_dir, tmp_path, capsys, extra, overrides):
     argv = ["--workdir", str(city_dir), "spillover", "--config", _config(tmp_path, extra)]
@@ -126,6 +134,36 @@ def test_failed_write_exits_two_naming_its_stage(city_dir, corpus_dir, tmp_path,
     assert main(argv + overrides) == 2
     err = capsys.readouterr().err
     assert f"stage '{stage}' failed" in err and (artifact or "afile") in err
+
+
+def test_failed_run_leaves_no_manifest(city_dir, tmp_path, capsys):
+    # the second run rewrites the early artifacts, then fails: a manifest
+    # left from the first run would no longer match them
+    argv = ["--workdir", str(city_dir), "run", "--config", _config(tmp_path)]
+    assert main(argv) == 0
+    assert (tmp_path / "out" / "manifest.json").is_file()
+    assert main(argv + ["--set", "smoothing_window=3", "--set", "poi_radius_m=0.001"]) == 2
+    assert "stage 'validation' failed" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_adaptive_bandwidth_run(city_dir, tmp_path):
+    argv = ["--workdir", str(city_dir), "run", "--config", _config(tmp_path),
+            "--set", "gwr.bandwidth=adaptive:30"]
+    assert main(argv) == 0
+    periods = json.loads((tmp_path / "out" / "gwr_summary.json").read_text(encoding="utf-8"))
+    assert len(periods["periods"]) == 8
+    for fit in periods["periods"].values():
+        assert fit["adaptive_neighbors"] == 30 and fit["bandwidth_m"] is None
+        assert math.isfinite(fit["adjusted_r2"])
+
+
+def test_adaptive_bandwidth_beyond_the_city_exits_one(city_dir, tmp_path, capsys):
+    # 500 neighbours of each of the 160 segments
+    argv = ["--workdir", str(city_dir), "gwr", "--config", _config(tmp_path),
+            "--set", "gwr.bandwidth=adaptive:500"]
+    assert main(argv) == 1
+    assert "stage 'gwr' failed" in capsys.readouterr().err
 
 
 def test_city_too_small_for_its_gwr_exits_two(tmp_path, capsys):
@@ -244,6 +282,47 @@ def test_missing_corpus_exits_one(corpus_dir, tmp_path, capsys):
     config = _config(tmp_path, "decode: {corpus: no_such_corpus.csv}\n")
     assert main(["--workdir", str(corpus_dir), "brands", "decode", "--config", config]) == 1
     assert str(corpus_dir / "no_such_corpus.csv") in capsys.readouterr().err
+
+
+def test_decode_then_eval(corpus_dir, tmp_path, capsys):
+    outputs = {}
+    for attempt in ("first", "second"):
+        out = tmp_path / attempt
+        decode = ["--workdir", str(corpus_dir), "brands", "decode", "--config",
+                  _config(tmp_path), "--set", f"output_dir={out}"]
+        assert main(decode) == 0
+        beval = ["--workdir", str(corpus_dir), "brands", "eval", "--gt", "ground_truth.csv",
+                 "--pred", "predictions.csv", "--out", str(out / "eval.json")]
+        assert main(beval) == 0
+        outputs[attempt] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert outputs["first"] == outputs["second"]
+    assert set(outputs["first"]) == {"assignments.csv", "brands.csv", "decode_summary.json",
+                                     "eval.json"}
+    summary = json.loads(outputs["first"]["decode_summary.json"])
+    with open(tmp_path / "first" / "assignments.csv", newline="", encoding="utf-8") as fh:
+        assert summary["assignments"] == len(list(csv.DictReader(fh)))
+    report = json.loads(outputs["first"]["eval.json"])
+    assert 0.0 <= report["overall"]["f1"] <= 1.0
+    assert "overall" in capsys.readouterr().out
+
+
+def test_missing_fixture_fails_in_stage_brands_decode(corpus_dir, tmp_path, capsys):
+    fixtures = json.loads((corpus_dir / "fixtures.json").read_text(encoding="utf-8"))
+    del fixtures[sorted(fixtures)[0]]
+    (tmp_path / "fixtures.json").write_text(json.dumps(fixtures), encoding="utf-8")
+    config = _config(tmp_path, f"decode: {{fixtures: {tmp_path / 'fixtures.json'}}}\n")
+    assert main(["--workdir", str(corpus_dir), "brands", "decode", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'brands decode' failed: no offline fixture" in err
+
+
+def test_missing_table_fails_in_stage_ingest(city_dir, tmp_path, capsys):
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    (city / "pois.csv").unlink()
+    assert main(["--workdir", str(city), "ingest", "--config", _config(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'ingest' failed: cannot open" in err and str(city / "pois.csv") in err
 
 
 def test_missing_ground_truth_exits_one(corpus_dir, capsys):

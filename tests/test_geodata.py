@@ -13,8 +13,7 @@ from sevi.exceptions import ComputationError, SchemaError, ValidationError
 from sevi.geodata import (ANCHORS_HEADER, BRANDS_HEADER, COUNT_COLUMNS, EARTH_RADIUS_M,
                           LBS_HEADER, PERIODS, POINTS_HEADER, POIS_HEADER, SEGMENTS_HEADER,
                           BrandTally, CityTables, MallAnchor, PoiTable, StreetSegment,
-                          TablePaths, load_tables, metric_to_lonlat, pairs_within,
-                          project_to_metric)
+                          TablePaths, load_tables, metric_to_lonlat, project_to_metric)
 from sevi.pipeline import _tier_validation, write_tables
 
 from .conftest import make_points, point_row, table_columns, write_feature_collection
@@ -61,113 +60,6 @@ def test_projection_round_trip(rng):
         lon2, lat2 = metric_to_lonlat(x, y)
         assert abs(lon2 - lon) < 1e-9
         assert abs(lat2 - lat) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# pair search
-# ---------------------------------------------------------------------------
-
-def _brute_pairs(query_xy, site_xy, r):
-    """(query, site) index pairs with math.hypot <= r, in (query, site) order."""
-    return [(i, j) for i, (qx, qy) in enumerate(query_xy) for j, (sx, sy) in enumerate(site_xy)
-            if math.hypot(sx - qx, sy - qy) <= r]
-
-
-def _pairs(query_xy, site_xy, r):
-    qi, si = pairs_within(np.asarray(query_xy, dtype=float).reshape(-1, 2),
-                          np.asarray(site_xy, dtype=float).reshape(-1, 2), r)
-    return list(zip(qi.tolist(), si.tolist()))
-
-
-def test_index_matches_brute_force(rng):
-    for _ in range(20):
-        n = int(rng.integers(1, 400))
-        xy = rng.uniform(0, 1000, (n, 2))
-        queries = rng.uniform(0, 1000, (int(rng.integers(1, 30)), 2))
-        r = float(rng.uniform(10, 500))
-        assert _pairs(queries, xy, r) == _brute_pairs(queries, xy, r)
-
-
-def test_index_permutation_invariant(rng):
-    xy = rng.uniform(0, 100, (200, 2))
-    perm = rng.permutation(200)
-    queries = rng.uniform(0, 100, (20, 2))
-    for r in rng.uniform(5, 60, 5):
-        qa, sa = pairs_within(queries, xy, float(r))
-        qb, sb = pairs_within(queries, xy[perm], float(r))
-        assert qa.tolist() == qb.tolist()
-        assert sorted(zip(qa.tolist(), perm[sb].tolist())) == list(zip(qa.tolist(), sa.tolist()))
-
-
-def test_index_keeps_duplicates():
-    xy = np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
-    assert _pairs([[1.0, 1.0]], xy, 0.5) == [(0, 0), (0, 1)]
-
-
-def test_index_boundary_is_inclusive():
-    # exact 3-4-5 triangle: the distance is exactly representable
-    assert _pairs([[0.0, 0.0]], [[3.0, 4.0]], 5.0) == [(0, 0)]
-    assert _pairs([[0.0, 0.0]], [[3.0, 4.0]], np.nextafter(5.0, 0.0)) == []
-
-
-def test_index_empty():
-    assert _pairs([[0.0, 0.0]], np.empty((0, 2)), 10.0) == []
-    assert _pairs(np.empty((0, 2)), [[0.0, 0.0]], 10.0) == []
-
-
-def test_pairs_negative_coordinates_and_queries_off_the_grid(rng):
-    sites = rng.uniform(-5000, -3000, (300, 2))
-    # inside the site extent, just outside it, and far outside it
-    queries = np.vstack([rng.uniform(-5200, -2800, (40, 2)),
-                         [[-5000 - 75.0, -4000.0], [-2900.0, -2900.0], [1e6, -1e6], [-1e7, 0.0]]])
-    assert _pairs(queries, sites, 80.0) == _brute_pairs(queries, sites, 80.0)
-
-
-def test_pairs_radius_larger_than_extent(rng):
-    # 90,000 candidate pairs: more than one chunk of the search
-    sites = rng.uniform(0, 50, (300, 2))
-    queries = rng.uniform(-100, 150, (300, 2))
-    assert _pairs(queries, sites, 400.0) == _brute_pairs(queries, sites, 400.0)
-    # one site, or all sites coincident: the extent is zero
-    assert _pairs(queries, [[7.0, 7.0]] * 3, 60.0) == _brute_pairs(queries, [[7.0, 7.0]] * 3, 60.0)
-
-
-def test_pairs_sites_on_cell_edges_and_at_the_radius():
-    r = 25.0
-    # sites on every multiple of the radius, which are the edges of cells r
-    # wide, and queries on the same lattice and halfway between: many pairs
-    # sit exactly at distance r
-    lattice = [(i * r, j * r) for i in range(-3, 4) for j in range(-3, 4)]
-    queries = lattice + [(x + r / 2, y) for x, y in lattice] + [(x, y + r) for x, y in lattice]
-    got = _pairs(queries, lattice, r)
-    assert got == _brute_pairs(queries, lattice, r)
-    assert (0, 1) in got and (0, 7) in got    # the neighbours exactly r away
-    # 2 - (1 - 2**-53) rounds to a distance of exactly 1, though in exact
-    # arithmetic the site lies just over 1 away: cells exactly 1 wide would
-    # put it two cells from the query
-    sites = [(0.0, 0.0), (1.0 - 2**-53, 0.0), (3.0, 0.0)]
-    assert _pairs([(2.0, 0.0)], sites, 1.0) == [(0, 1), (0, 2)]
-    # a far site widens the cells past r, so one cell holds the whole lattice
-    wide = lattice + [(1e9, -1e9)]
-    assert _pairs(queries, wide, r) == _brute_pairs(queries, wide, r)
-
-
-def test_pairs_distance_rounds_as_math_hypot():
-    # a libm hypot that is not correctly rounded puts these two distances one
-    # unit in the last place above and below the correctly rounded math.hypot
-    for site in ((980.091, 269.908), (657.957, 216.65)):
-        d = math.hypot(*site)
-        for r in (d, float(np.nextafter(d, 0.0))):
-            assert _pairs([[0.0, 0.0]], [site], r) == _brute_pairs([[0.0, 0.0]], [site], r)
-
-
-def test_pairs_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        pairs_within(np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
-    with pytest.raises(ValidationError):
-        pairs_within(np.zeros((1, 3)), np.zeros((1, 2)), 1.0)
-    with pytest.raises(ValidationError):
-        pairs_within(np.zeros((1, 2)), np.array([[0.0, np.nan]]), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +128,102 @@ _coord = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 def test_radius_join_property(points_xy, poi_xy, radius):
     rows = [(f"q{j}", x, y, premium) for j, (x, y, premium) in enumerate(poi_xy)]
     assert _counts(points_xy, rows, radius) == _brute_counts(points_xy, rows, radius)
+
+
+def _rows(site_xy):
+    """POI rows at `site_xy`, every third one premium."""
+    return [(f"q{j}", float(x), float(y), j % 3 == 0) for j, (x, y) in enumerate(site_xy)]
+
+
+def _matches_brute_force(query_xy, site_xy, radius):
+    rows = _rows(site_xy)
+    return _counts(query_xy, rows, radius) == _brute_counts(query_xy, rows, radius)
+
+
+def test_index_matches_brute_force(rng):
+    for _ in range(20):
+        n = int(rng.integers(1, 400))
+        xy = rng.uniform(0, 1000, (n, 2))
+        queries = rng.uniform(0, 1000, (int(rng.integers(1, 30)), 2))
+        assert _matches_brute_force(queries, xy, float(rng.uniform(10, 500)))
+
+
+def test_index_permutation_invariant(rng):
+    rows = _rows(rng.uniform(0, 100, (200, 2)))
+    permuted = [rows[k] for k in rng.permutation(200)]
+    queries = rng.uniform(0, 100, (20, 2))
+    for r in rng.uniform(5, 60, 5):
+        assert _counts(queries, rows, float(r)) == _counts(queries, permuted, float(r))
+
+
+def test_index_keeps_duplicates():
+    assert _counts([[1.0, 1.0]], _rows([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]]), 0.5) == ([2], [1])
+
+
+def test_index_boundary_is_inclusive():
+    # exact 3-4-5 triangle: the distance is exactly representable
+    site = [("q0", 3.0, 4.0, True)]
+    assert _counts([[0.0, 0.0]], site, 5.0) == ([1], [1])
+    assert _counts([[0.0, 0.0]], site, np.nextafter(5.0, 0.0)) == ([0], [0])
+
+
+def test_index_empty():
+    assert _counts([[0.0, 0.0]], [], 10.0) == ([0], [0])
+    assert _counts(np.empty((0, 2)), _rows([[0.0, 0.0]]), 10.0) == ([], [])
+
+
+def test_pairs_negative_coordinates_and_queries_off_the_grid(rng):
+    sites = rng.uniform(-5000, -3000, (300, 2))
+    # inside the site extent, just outside it, and far outside it
+    queries = np.vstack([rng.uniform(-5200, -2800, (40, 2)),
+                         [[-5000 - 75.0, -4000.0], [-2900.0, -2900.0], [1e6, -1e6], [-1e7, 0.0]]])
+    assert _matches_brute_force(queries, sites, 80.0)
+
+
+def test_pairs_radius_larger_than_extent(rng):
+    # 90,000 candidate pairs: more than one chunk of the search
+    sites = rng.uniform(0, 50, (300, 2))
+    queries = rng.uniform(-100, 150, (300, 2))
+    assert _matches_brute_force(queries, sites, 400.0)
+    # one site, or all sites coincident: the extent is zero
+    assert _matches_brute_force(queries, [[7.0, 7.0]] * 3, 60.0)
+
+
+def test_pairs_sites_on_cell_edges_and_at_the_radius():
+    r = 25.0
+    # sites on every multiple of the radius, which are the edges of cells r
+    # wide, and queries on the same lattice and halfway between: many pairs
+    # sit exactly at distance r
+    lattice = [(i * r, j * r) for i in range(-3, 4) for j in range(-3, 4)]
+    queries = lattice + [(x + r / 2, y) for x, y in lattice] + [(x, y + r) for x, y in lattice]
+    total, premium = _counts(queries, _rows(lattice), r)
+    assert (total, premium) == _brute_counts(queries, _rows(lattice), r)
+    assert total[0] == 3  # the corner site and its two neighbours exactly r away
+    # 2 - (1 - 2**-53) rounds to a distance of exactly 1, though in exact
+    # arithmetic the site lies just over 1 away: cells exactly 1 wide would
+    # put it two cells from the query
+    sites = [("q0", 0.0, 0.0, True), ("q1", 1.0 - 2**-53, 0.0, True), ("q2", 3.0, 0.0, False)]
+    assert _counts([(2.0, 0.0)], sites, 1.0) == ([2], [1])
+    # a far site widens the cells past r, so one cell holds the whole lattice
+    assert _matches_brute_force(queries, lattice + [(1e9, -1e9)], r)
+
+
+def test_pairs_distance_rounds_as_math_hypot():
+    # a libm hypot that is not correctly rounded puts these two distances one
+    # unit in the last place above and below the correctly rounded math.hypot
+    for site in ((980.091, 269.908), (657.957, 216.65)):
+        d = math.hypot(*site)
+        for r in (d, float(np.nextafter(d, 0.0))):
+            assert _matches_brute_force([[0.0, 0.0]], [site], r)
+
+
+def test_pairs_rejects_bad_input():
+    pois = _pois(_rows([[0.0, 0.0]]))
+    with pytest.raises(ValidationError, match="radius must be positive"):
+        pois.counts_within(np.zeros(1), np.zeros(1), 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="query coordinates must be finite"):
+            pois.counts_within(np.zeros(2), np.array([0.0, bad]), 1.0)
 
 
 def _validation(points_xy, poi_rows):

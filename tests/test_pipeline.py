@@ -256,6 +256,7 @@ def test_byte_order_marks_give_the_same_artifacts(city_dir, default_run, tmp_pat
 def test_writers_refuse_non_finite_floats(tmp_path, value):
     with pytest.raises(ComputationError, match=r"t\.csv: column 'b': non-finite value"):
         write_csv(tmp_path / "t.csv", ("a", "b"), [("x", 1.0), ("y", value)])
+    assert not (tmp_path / "t.csv").exists()  # no partial table is left
     with pytest.raises(ComputationError, match=r"t\.json: non-finite value .* under key 'b'"):
         write_json(tmp_path / "t.json", {"a": 1.0, "b": [0.5, value]})
     # None is the one value written as null
