@@ -10,7 +10,9 @@ A `GwrDesign` holds one set of coordinates and predictors and its responses
 as columns: the time-sliced analysis pairs the lagged streetscape
 predictors with one crowd response per period. At a given bandwidth the
 columns share their local systems, hat diagonals and hat-row norms, so
-`fit` fits them in one kernel call.
+`fit` fits them in one kernel call. `fit` builds the kernel's product
+operands (`kernels.gwr_operands`) once per design, and every kernel call
+of the search and the refits reads them.
 
 With AICc selection the work splits in two, as in FastGWR (Li,
 Fotheringham, Li & Oshan, IJGIS 2019). The search builds the n x n
@@ -174,10 +176,12 @@ def adaptive_bandwidths(coords: np.ndarray, m: int) -> np.ndarray:
     return bw
 
 
-def _kernel(design: GwrDesign, Y: np.ndarray, bandwidth, dist=None, full=True):
-    """One kernel call over the response columns `Y` of `design`: (fixed
-    bandwidth or None, adaptive neighbor count or None, *`kernels.gwr_fit_all`'s
-    outputs). `dist` and `full` pass through to the kernel."""
+def _kernel(design: GwrDesign, Y: np.ndarray, operands: kernels.GwrOperands, bandwidth,
+            dist=None, full=True):
+    """One kernel call over the response columns `Y` of `design`, whose
+    product operands are `operands`: (fixed bandwidth or None, adaptive
+    neighbor count or None, *`kernels.gwr_fit_all`'s outputs). `dist` and
+    `full` pass through to the kernel."""
     if isinstance(bandwidth, tuple):
         mode, m = bandwidth
         if mode != "adaptive":
@@ -192,7 +196,8 @@ def _kernel(design: GwrDesign, Y: np.ndarray, bandwidth, dist=None, full=True):
         bw_arr = np.full(design.n, bw)
         bw_scalar, adaptive_m = bw, None
 
-    out = kernels.gwr_fit_all(design.coords, design.X, Y, bw_arr, design.kernel, dist, full)
+    out = kernels.gwr_fit_all(design.coords, design.X, Y, bw_arr, design.kernel, dist, full,
+                              operands)
     flags = out[-1]
     if np.any(flags == kernels.FLAG_SINGULAR):
         i = int(np.argmax(flags == kernels.FLAG_SINGULAR))
@@ -208,8 +213,10 @@ def _rss(y: np.ndarray, fitted: np.ndarray) -> tuple[np.ndarray, float]:
     return residuals, float(residuals @ residuals)
 
 
-def _fit_columns(design: GwrDesign, columns: list[int], bandwidth) -> list[GwrFit]:
-    """Fits of the response `columns` at one bandwidth, in one kernel call.
+def _fit_columns(design: GwrDesign, operands: kernels.GwrOperands, columns: list[int],
+                 bandwidth) -> list[GwrFit]:
+    """Fits of the response `columns` at one bandwidth, in one kernel call;
+    `operands` are the design's, `kernels.gwr_operands(design.X, design.Y)`.
 
     `bandwidth` is either a positive float (meters, fixed kernel) or a tuple
     ("adaptive", m). Near-singular local systems are re-solved with a small
@@ -217,7 +224,8 @@ def _fit_columns(design: GwrDesign, columns: list[int], bandwidth) -> list[GwrFi
     its location.
     """
     Y = design.Y[:, columns]
-    bw_scalar, adaptive_m, beta, fitted, s_ii, s_norm2, flags = _kernel(design, Y, bandwidth)
+    bw_scalar, adaptive_m, beta, fitted, s_ii, s_norm2, flags = _kernel(
+        design, Y, operands.columns(columns), bandwidth)
     trace_s = float(s_ii.sum())
     trace_sts = float(s_norm2.sum())
 
@@ -298,17 +306,18 @@ def _golden_section(objective, lo0: float, hi0: float, rel_tol: float,
     return float(best), boundary, len(cache)
 
 
-def _search(design: GwrDesign, rel_tol: float = 1e-3,
+def _search(design: GwrDesign, operands: kernels.GwrOperands, rel_tol: float = 1e-3,
             max_iter: int = 60) -> list[tuple[float, str | None, int]]:
     """One golden-section AICc search per response column over [min nonzero
     distance, diameter].
 
     Each search follows its own path, but every bandwidth any of them visits
     is fitted once for all columns, by the AICc-only kernel over the one
-    distance matrix of the search, and its AICc values are memoised. Only
-    AICc is computed there: adjusted R^2 is undefined at bandwidths so small
-    that the effective parameters reach n, where AICc is +inf. A search that
-    ends on a boundary warns, once the search as a whole has succeeded.
+    distance matrix of the search and the design's `operands`, and its AICc
+    values are memoised. Only AICc is computed there: adjusted R^2 is
+    undefined at bandwidths so small that the effective parameters reach n,
+    where AICc is +inf. A search that ends on a boundary warns, once the
+    search as a whole has succeeded.
     """
     dist = kernels.pairwise_distances(design.coords)
     lo0, hi0 = design.pairwise_extent(dist)
@@ -316,7 +325,7 @@ def _search(design: GwrDesign, rel_tol: float = 1e-3,
 
     def column_aicc(b: float) -> list[float]:
         if b not in memo:
-            *_, fitted, s_ii, _, _ = _kernel(design, design.Y, b, dist, full=False)
+            *_, fitted, s_ii, _, _ = _kernel(design, design.Y, operands, b, dist, full=False)
             trace_s = float(s_ii.sum())
             memo[b] = [_aicc(_rss(design.Y[:, k], fitted[:, k])[1], trace_s, design.n)
                        for k in range(design.Y.shape[1])]
@@ -348,15 +357,16 @@ def fit(design: GwrDesign, bandwidth="aicc") -> list[GwrFit]:
     Deterministic for fixed inputs.
     """
     columns = list(range(design.Y.shape[1]))
+    operands = kernels.gwr_operands(design.X, design.Y)
     if bandwidth != "aicc":
-        return _fit_columns(design, columns, bandwidth)
-    searches = _search(design)
+        return _fit_columns(design, operands, columns, bandwidth)
+    searches = _search(design, operands)
     by_bandwidth: dict[float, list[int]] = {}
     for k, (bw, _, _) in enumerate(searches):
         by_bandwidth.setdefault(bw, []).append(k)
     fits: dict[int, GwrFit] = {}
     for bw, members in by_bandwidth.items():
-        fits.update(zip(members, _fit_columns(design, members, bw)))
+        fits.update(zip(members, _fit_columns(design, operands, members, bw)))
     for k, (_, boundary, evals) in enumerate(searches):
         fits[k].aicc_evals = evals
         fits[k].bandwidth_boundary = boundary

@@ -2,11 +2,22 @@
 
 `spill_field` evaluates the gated decay sum over the id-sorted anchors in
 chunks of points. `gwr_fit_all` fits every location in row blocks: per
-block, one GEMM forms all local X'WX (against the row-wise outer products
-of X) and one forms X'WY for every response column, so the responses of a
-design share one pass. A stacked LAPACK Cholesky applies the
-pivot rule; a system whose smallest pivot falls below `_CHOL_TOL` of its
-largest diagonal is re-solved with a small ridge and flagged.
+block, one GEMM forms all local X'WX and one forms X'WY for every response
+column, so the responses of a design share one pass. X'WX is symmetric, so
+the first GEMM runs against the p(p+1)/2 upper-triangle products
+X[:, i] * X[:, j] (i <= j) only, and its result is mirrored into the full
+matrices. These product operands depend on the design alone;
+`gwr_operands` builds them once, and a caller that fits one design many
+times (the bandwidth search) passes them to every call. A stacked LAPACK
+Cholesky applies the pivot rule; a system whose smallest pivot falls below
+`_CHOL_TOL` of its largest diagonal is re-solved with a small ridge and
+flagged.
+
+Row blocks are sized by GEMM work, not by weights: a block of `rows`
+locations multiplies its (rows, n) weights by an (n, width) operand, and
+rows x n x width, for the wider of the two operands, stays within
+`_GEMM_BUDGET` multiply-adds (one row at least), so OpenBLAS runs every
+GEMM on the calling thread.
 
 The kernel has two modes that share this block loop:
 
@@ -22,6 +33,8 @@ The kernel has two modes that share this block loop:
   does not read.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 # GWR location flags
@@ -33,11 +46,14 @@ RIDGE_REL = 1e-8       # ridge = RIDGE_REL * trace(A) / p on near-singular syste
 _CHOL_TOL = 1e-12      # pivot threshold relative to max initial diagonal
 
 _SPILL_CHUNK = 256     # points per distance block; bounds memory at chunk x anchors
-# kernel weights (rows x n) per GWR row block; bounds the block's temporaries.
-# Larger blocks save nothing measurable, but their GEMMs grow big enough for
-# OpenBLAS to split across threads, which on a busy 2-CPU host stalled for
-# milliseconds on about one call in ten.
-_FIT_BLOCK = 1 << 14
+# multiply-adds (rows x n x width) per GWR block GEMM. OpenBLAS 0.3.31 runs a
+# dgemm against C-ordered operands on the calling thread up to 1,000,000
+# multiply-adds and splits it across threads above (measured: one thread at
+# 1,000,000, two at 1,008,000). On a 2-CPU host those threads saved no wall
+# time on either benchmark city, while they raised the CPU time of a small
+# city `run` by a third; they also made the last bits of a fit depend on the
+# thread count.
+_GEMM_BUDGET = 900_000
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +127,51 @@ def pairwise_distances(coords):
     return _distance_rows(coords, 0, len(coords))
 
 
-def gwr_fit_all(coords, X, Y, bandwidths, kernel, dist=None, full=True):
+class GwrOperands(NamedTuple):
+    """The product operands of one design's block GEMMs (`gwr_operands`)."""
+
+    iu: np.ndarray   # row and column index of each upper-triangle entry of X'WX
+    ju: np.ndarray
+    XX: np.ndarray   # (n, p(p+1)/2) C-contiguous, column k is X[:, iu[k]] * X[:, ju[k]]
+    XY: np.ndarray   # (n, p m), entry [r, i m + k] is X[r, i] * Y[r, k]
+
+    def columns(self, columns) -> "GwrOperands":
+        """The operands of the response `columns` only: XX is shared, XY is a
+        copy of the columns' products."""
+        n, p = len(self.XX), int(self.iu[-1]) + 1  # triu_indices(p) ends at p - 1
+        XY = self.XY.reshape(n, p, -1)[:, :, columns].reshape(n, -1)
+        return self._replace(XY=np.ascontiguousarray(XY))
+
+
+def gwr_operands(X, Y) -> GwrOperands:
+    """The product operands of `gwr_fit_all` for predictors `X` (n, p) and
+    responses `Y` (n, m), built once per design."""
+    n, p = X.shape
+    iu, ju = np.triu_indices(p)
+    # the fancy-indexed product comes out Fortran-ordered, and OpenBLAS threaded
+    # a GEMM against that layout at 897,600 multiply-adds, where it runs one
+    # against a C-ordered operand on the calling thread
+    XX = np.ascontiguousarray(X[:, iu] * X[:, ju])
+    XY = (X[:, :, None] * Y[:, None, :]).reshape(n, p * Y.shape[1])
+    return GwrOperands(iu, ju, XX, XY)
+
+
+def _block_rows(n, p, m):
+    """Locations per row block for n locations, p predictors and m responses:
+    the block's GEMMs, (rows, n) weights against the (n, p(p+1)/2) and
+    (n, p m) operands, stay within `_GEMM_BUDGET` multiply-adds, or the block
+    is one row."""
+    width = max(p * (p + 1) // 2, p * m)
+    return max(1, _GEMM_BUDGET // (n * width))
+
+
+def gwr_fit_all(coords, X, Y, bandwidths, kernel, dist=None, full=True, operands=None):
     """Local WLS at every location of the (n, 2) `coords` for the m response
     columns of `Y` (n, m), which share X, under the "gaussian" or "bisquare"
     `kernel`. `dist` is `pairwise_distances(coords)` when the caller holds it;
     otherwise each row block's distances are computed in the block.
+    `operands` is `gwr_operands(X, Y)` when the caller holds it; otherwise
+    the call builds it.
 
     Returns coefficients (n, p, m), fitted values (n, m), the hat diagonal
     and hat-row squared norms (streamed, S never materialized) and a
@@ -126,17 +182,14 @@ def gwr_fit_all(coords, X, Y, bandwidths, kernel, dist=None, full=True):
     """
     n, p = X.shape
     m = Y.shape[1]
-    # row-wise outer products, so W @ XX and W @ XY form every local X'WX
-    # and X'WY of a block in one GEMM each
-    XX = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
-    XY = (X[:, :, None] * Y[:, None, :]).reshape(n, p * m)
+    iu, ju, XX, XY = gwr_operands(X, Y) if operands is None else operands
     beta = np.zeros((n, p, m)) if full else None
     fitted = None if full else np.zeros((n, m))
     s_ii = np.zeros(n)
     s_norm2 = np.zeros(n) if full else None
     flags = np.zeros(n, dtype=np.int8)
 
-    rows = max(1, _FIT_BLOCK // n)
+    rows = _block_rows(n, p, m)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         d = _distance_rows(coords, lo, hi) if dist is None else dist[lo:hi]
@@ -145,7 +198,10 @@ def gwr_fit_all(coords, X, Y, bandwidths, kernel, dist=None, full=True):
             W = np.exp(-0.5 * t * t)
         else:
             W = np.where(t < 1.0, (1.0 - t * t) ** 2, 0.0)
-        A = (W @ XX).reshape(-1, p, p)
+        upper = W @ XX
+        A = np.empty((hi - lo, p, p))
+        A[:, iu, ju] = upper
+        A[:, ju, iu] = upper
         B = (W @ XY).reshape(-1, p, m)
 
         failed = _failed_pivots(A)

@@ -175,8 +175,9 @@ class PipelineConfig:
         if c["inputs"]["format"] not in ("csv", "geojson"):
             raise ConfigError(f"inputs.format must be csv or geojson, got {c['inputs']['format']!r}")
         sp = c["spillover"]
-        if not (_is_number(sp["threshold_m"]) and sp["threshold_m"] > 0):
-            raise ConfigError(f"spillover.threshold_m must be positive, got {sp['threshold_m']!r}")
+        if not (_is_number(sp["threshold_m"]) and 0 < sp["threshold_m"] <= sys.float_info.max):
+            raise ConfigError(f"spillover.threshold_m must be positive and finite, "
+                              f"got {sp['threshold_m']!r}")
         if sp["decay"] not in spillover.DECAYS:
             raise ConfigError(f"spillover.decay must be one of {spillover.DECAYS}")
         for key in ("sweep_thresholds", "sweep_decays"):
@@ -199,8 +200,9 @@ class PipelineConfig:
         w = c["smoothing_window"]
         if not (_is_integer(w) and w >= 1 and w % 2 == 1):
             raise ConfigError(f"smoothing_window must be an odd integer >= 1, got {w!r}")
-        if not (_is_number(c["poi_radius_m"]) and c["poi_radius_m"] > 0):
-            raise ConfigError("poi_radius_m must be positive")
+        if not (_is_number(c["poi_radius_m"]) and 0 < c["poi_radius_m"] <= sys.float_info.max):
+            raise ConfigError(f"poi_radius_m must be positive and finite, "
+                              f"got {c['poi_radius_m']!r}")
         if not (_is_integer(c["pca_components"]) and 1 <= c["pca_components"] <= 9):
             raise ConfigError("pca_components must be an integer in [1, 9]")
         for tier, weight in c["brand_weights"].items():

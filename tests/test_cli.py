@@ -1,13 +1,20 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import re
 import shutil
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sevi.cli import main
-from sevi.pipeline import UNTIL_GROUPS, PipelineConfig, run
+from sevi.pipeline import STAGES, UNTIL_GROUPS, PipelineConfig, run
 from sevi.synth import generate_city
 
 
@@ -47,6 +54,10 @@ def test_stage_run_exits_zero(city_dir, tmp_path):
     ("", ["--set", "gwr.bandwidth=true"]),
     ("", ["--set", "gwr.bandwidth=.inf"]),
     ("", ["--set", "gwr.bandwidth=1" + "0" * 400]),  # beyond the largest float
+    # an infinite threshold has no whole-meter label; an infinite radius
+    # counts every POI for every point, so the three tiers are identical
+    ("", ["--set", "spillover.threshold_m=.inf"]),
+    ("", ["--set", "poi_radius_m=.inf"]),
 ])
 def test_bad_config_exits_one(city_dir, tmp_path, capsys, extra, overrides):
     argv = ["--workdir", str(city_dir), "spillover", "--config", _config(tmp_path, extra)]
@@ -71,17 +82,22 @@ def test_colliding_sweep_labels_exit_one(city_dir, tmp_path, capsys, override, m
     assert not (tmp_path / "out" / "robustness.json").exists()
 
 
+def _edit_table(path, edit):
+    """Replace the rows of the CSV table at `path` by edit(rows)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    fieldnames = list(rows[0])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(edit(rows))
+
+
 def _edited_city(city_dir, tmp_path, table, edit):
     """A copy of the city whose `table` rows are replaced by edit(rows)."""
     city = tmp_path / "city"
     shutil.copytree(city_dir, city)
-    with open(city / table, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    fieldnames = list(rows[0])
-    with open(city / table, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(edit(rows))
+    _edit_table(city / table, edit)
     return city
 
 
@@ -178,6 +194,92 @@ def test_city_too_small_for_its_gwr_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "stage 'gwr' failed" in err and "n=12" in err
     assert not (tmp_path / "out" / "gwr_summary.json").exists()
+
+
+def _set_columns(values):
+    """A table edit that sets the named columns of every row."""
+    def edit(rows):
+        for row in rows:
+            row.update(values)
+        return rows
+    return edit
+
+
+# faults of a tiny city: (table, edit)
+CITY_FAULTS = {
+    # no non-motor vehicle anywhere: the non-motor density is constant
+    "constant column": ("points.csv", _set_columns({"nonmotor_left": "0",
+                                                    "nonmotor_right": "0"})),
+    # every sampling point at one coordinate
+    "coincident points": ("points.csv", _coincide),
+    # no brand decoded at any point
+    "all-zero brands": ("brands.csv", _set_columns({"n_local": "0", "n_international": "0",
+                                                    "n_ordinary": "0"})),
+}
+STAGE_NAMES = {stage.name for stage in STAGES}
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def _leaves(node):
+    """Every scalar of a JSON document."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from _leaves(item)
+    else:
+        yield node
+
+
+def _non_finite_values(outdir):
+    """(file, value) of every non-finite number written under `outdir`: CSV
+    cells and JSON values that parse as one, and nan/inf words in text."""
+    found = []
+    for path in sorted(outdir.rglob("*")):
+        if path.suffix == ".csv":
+            with open(path, newline="", encoding="utf-8") as fh:
+                cells = [cell for row in csv.reader(fh) for cell in row]
+        elif path.suffix in (".json", ".geojson"):
+            cells = _leaves(json.loads(path.read_text(encoding="utf-8"), parse_constant=str))
+        elif path.is_file():
+            cells = NON_FINITE.findall(path.read_text(encoding="utf-8"))
+        else:
+            continue
+        for cell in cells:
+            if isinstance(cell, bool) or cell is None:
+                continue
+            try:
+                value = float(cell)
+            except (TypeError, ValueError):
+                continue
+            if not math.isfinite(value):
+                found.append((path.name, cell))
+    return found
+
+
+@settings(max_examples=12, deadline=None)
+@example(seed=1, segments=12, pois=200, fault=None)  # the city too small for its GWR
+@given(seed=st.integers(0, 40), segments=st.integers(8, 40), pois=st.integers(50, 400),
+       fault=st.sampled_from([None, *CITY_FAULTS]))
+def test_tiny_city_exits_zero_with_finite_artifacts_or_names_its_stage(seed, segments, pois,
+                                                                      fault):
+    with tempfile.TemporaryDirectory() as tmp:
+        city = Path(tmp) / "city"
+        generate_city(city, seed=seed, n_segments=segments, n_pois=pois)
+        if fault is not None:
+            table, edit = CITY_FAULTS[fault]
+            _edit_table(city / table, edit)
+        (city / "config.yaml").write_text("output_dir: out\n", encoding="utf-8")
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")  # a search that ends on a boundary
+            code = main(["--workdir", str(city), "run", "--config", "config.yaml"])
+        if code == 0:
+            assert _non_finite_values(city / "out") == []
+        else:
+            assert code in (1, 2), err.getvalue()
+            failed = re.search(r"stage '([^']+)' failed", err.getvalue())
+            assert failed and failed.group(1) in STAGE_NAMES, err.getvalue()
 
 
 def test_infinite_aicc_at_a_fixed_bandwidth_exits_two(tmp_path, capsys):

@@ -65,8 +65,8 @@ def test_gwr_fit_all_matches_normal_equations(kernel, adaptive):
 
 @pytest.mark.parametrize("kernel", ["gaussian", "bisquare"])
 def test_gwr_fit_all_across_row_blocks(kernel):
-    n = 300
-    assert kernels._FIT_BLOCK // n < n  # the locations span more than one row block
+    n = 400
+    assert kernels._block_rows(n, 3, 1) < n  # the locations span more than one row block
     _check_against_oracle(n, kernel, adaptive=True)
 
 
@@ -160,7 +160,7 @@ def _clustered_with_isolated(n_cluster=290, n_isolated=4, seed=17):
 def test_distance_matrix_rows_equal_the_per_block_distances():
     coords, _, _ = _clustered_with_isolated()
     n = len(coords)
-    rows = kernels._FIT_BLOCK // n
+    rows = kernels._block_rows(n, 4, 3)
     assert rows < n
     cx, cy = coords[:, 0].copy(), coords[:, 1].copy()
     dist = kernels.pairwise_distances(coords)
@@ -175,7 +175,7 @@ def test_distance_matrix_rows_equal_the_per_block_distances():
 def test_aicc_mode_matches_the_full_fit(kernel, bandwidth):
     coords, X, Y = _clustered_with_isolated()
     n = len(coords)
-    assert n > kernels._FIT_BLOCK // n  # the locations span several row blocks
+    assert n > kernels._block_rows(n, X.shape[1], Y.shape[1])  # more than one row block
     bw = np.full(n, bandwidth)
     dist = kernels.pairwise_distances(coords)
 
@@ -188,3 +188,140 @@ def test_aicc_mode_matches_the_full_fit(kernel, bandwidth):
     assert set(np.unique(flags)) == {kernels.FLAG_OK, kernels.FLAG_RIDGED}
     np.testing.assert_allclose(aicc_fitted, fitted, rtol=1e-12, atol=0)
     np.testing.assert_allclose(aicc_s_ii, s_ii, rtol=1e-12, atol=0)
+
+
+def _fit_all_before(coords, X, Y, bandwidths, kernel, dist=None, full=True):
+    """`gwr_fit_all` as it was before X'WX was formed from its upper triangle:
+    the full p x p row-wise outer products, and row blocks of 2**14 kernel
+    weights."""
+    n, p = X.shape
+    m = Y.shape[1]
+    XX = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+    XY = (X[:, :, None] * Y[:, None, :]).reshape(n, p * m)
+    beta = np.zeros((n, p, m)) if full else None
+    fitted = None if full else np.zeros((n, m))
+    s_ii = np.zeros(n)
+    s_norm2 = np.zeros(n) if full else None
+    flags = np.zeros(n, dtype=np.int8)
+
+    rows = max(1, (1 << 14) // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        d = kernels._distance_rows(coords, lo, hi) if dist is None else dist[lo:hi]
+        t = d / bandwidths[lo:hi, None]
+        if kernel == "gaussian":
+            W = np.exp(-0.5 * t * t)
+        else:
+            W = np.where(t < 1.0, (1.0 - t * t) ** 2, 0.0)
+        A = (W @ XX).reshape(-1, p, p)
+        B = (W @ XY).reshape(-1, p, m)
+
+        failed = kernels._failed_pivots(A)
+        blk_flags = flags[lo:hi]
+        for r in np.flatnonzero(failed):
+            lam = kernels.RIDGE_REL * float(np.trace(A[r])) / p
+            ridged = A[r] + lam * np.eye(p)
+            if kernels._chol(ridged) is None:
+                blk_flags[r] = kernels.FLAG_SINGULAR
+            else:
+                A[r] = ridged
+                blk_flags[r] = kernels.FLAG_RIDGED
+
+        ok = np.flatnonzero(blk_flags != kernels.FLAG_SINGULAR)
+        xi = X[lo:hi][ok]
+        rows_ok = lo + ok
+        if full:
+            sol = np.linalg.solve(A[ok], np.concatenate([B[ok], xi[:, :, None]], axis=2))
+            beta[rows_ok] = sol[:, :, :m]
+            c = sol[:, :, m]
+            sx = W[ok] * (c @ X.T)
+            s_norm2[rows_ok] = np.einsum("ij,ij->i", sx, sx)
+        else:
+            c = np.linalg.solve(A[ok], xi[:, :, None])[:, :, 0]
+            fitted[rows_ok] = np.einsum("ip,ipm->im", c, B[ok])
+        s_ii[rows_ok] = np.einsum("ip,ip->i", xi, c)
+
+    if full:
+        fitted = np.einsum("ip,ipm->im", X, beta)
+    return beta, fitted, s_ii, s_norm2, flags
+
+
+def _benchmark_shaped(n, seed=23):
+    """A design of the benchmark cities' shape: n locations on a 2.4 km
+    square, nine predictors plus the intercept, eight responses."""
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0, 2400, (n, 2))
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, 9))])
+    Y = X @ rng.normal(size=(10, 8)) + rng.normal(0, 0.5, (n, 8))
+    return coords, X, Y
+
+
+# Bandwidths that keep every local system far from the pivot boundary: each
+# fit is clean under both kernels. Near it a last-bit difference can move a
+# location across; under bisquare at 400 m with n = 1000, one location's
+# ridge flag differs between the two kernels.
+@pytest.mark.parametrize("kernel", ["gaussian", "bisquare"])
+@pytest.mark.parametrize("n, bandwidth, full", [
+    (160, 900.0, True), (160, 900.0, False), (1000, 600.0, True)])
+def test_symmetric_kernel_matches_the_kernel_before(kernel, n, bandwidth, full):
+    coords, X, Y = _benchmark_shaped(n)
+    bw = np.full(n, bandwidth)
+    dist = None if full else kernels.pairwise_distances(coords)
+
+    got = kernels.gwr_fit_all(coords, X, Y, bw, kernel, dist, full)
+    want = _fit_all_before(coords, X, Y, bw, kernel, dist, full)
+
+    np.testing.assert_array_equal(got[-1], want[-1])
+    assert np.all(got[-1] == kernels.FLAG_OK)
+    # beta, fitted values, hat diagonal and hat-row norms (None in the search)
+    for g, w in zip(got[:-1], want[:-1]):
+        if w is None:
+            assert g is None
+            continue
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("n, p, m", [
+    (160, 10, 8), (1000, 10, 8), (294, 4, 3), (400, 3, 1),
+    (1000, 42, 1),  # n x p(p+1)/2 = 903,000 is above the budget: one row per block
+])
+def test_every_block_gemm_stays_within_the_budget(monkeypatch, n, p, m):
+    rng = np.random.default_rng(n + p)
+    coords = rng.uniform(0, 2400, (n, 2))
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    Y = rng.normal(size=(n, m))
+    blocks = []
+    distance_rows = kernels._distance_rows
+    monkeypatch.setattr(kernels, "_distance_rows",
+                        lambda c, lo, hi: blocks.append((lo, hi)) or distance_rows(c, lo, hi))
+
+    kernels.gwr_fit_all(coords, X, Y, np.full(n, 5000.0), "gaussian")
+
+    width = max(p * (p + 1) // 2, p * m)  # the wider operand, X'WX's triangle or X'WY
+    budget = kernels._GEMM_BUDGET
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == n
+    rows = blocks[0][1]
+    if n * width > budget:
+        assert all(hi - lo == 1 for lo, hi in blocks)
+    else:
+        assert all((hi - lo) * n * width <= budget for lo, hi in blocks)
+        assert rows == n or (rows + 1) * n * width > budget  # no smaller than needed
+
+
+def test_operands_built_once_equal_those_built_per_call():
+    coords, X, Y = _clustered_with_isolated()
+    n = len(coords)
+    bw = np.full(n, 400.0)
+    dist = kernels.pairwise_distances(coords)
+    operands = kernels.gwr_operands(X, Y)
+    for columns in ([0, 1, 2], [2, 0], [1]):
+        sub = operands.columns(columns)
+        per_call = kernels.gwr_operands(X, Y[:, columns])
+        for got, want in zip(sub, per_call):
+            assert got.flags.c_contiguous and np.array_equal(got, want)
+        for full, d in ((True, None), (False, dist)):
+            got = kernels.gwr_fit_all(coords, X, Y[:, columns], bw, "bisquare", d, full, sub)
+            want = kernels.gwr_fit_all(coords, X, Y[:, columns], bw, "bisquare", d, full)
+            for g, w in zip(got, want):
+                assert (g is None and w is None) or np.array_equal(g, w)
