@@ -1,36 +1,27 @@
 """Hot numeric kernels: spillover field accumulation and local GWR fits.
 
 `spill_field` evaluates the gated decay sum over the id-sorted anchors in
-chunks of points. `gwr_fit_all` fits every location in row blocks: per
-block, one GEMM forms all local X'WX and one forms X'WY for every response
-column, so the responses of a design share one pass. X'WX is symmetric, so
-the first GEMM runs against the p(p+1)/2 upper-triangle products
-X[:, i] * X[:, j] (i <= j) only, and its result is mirrored into the full
-matrices. These product operands depend on the design alone;
-`gwr_operands` builds them once, and a caller that fits one design many
-times (the bandwidth search) passes them to every call. A stacked LAPACK
-Cholesky applies the pivot rule; a system whose smallest pivot falls below
-`_CHOL_TOL` of its largest diagonal is re-solved with a small ridge and
-flagged.
+chunks of points. `gwr_fit_all` fits every location; its row blocks only
+form the local systems. Per block, one GEMM forms all local X'WX and one
+forms X'WY for every response column, so the responses of a design share
+one pass. X'WX is symmetric, so its GEMM runs against the p(p+1)/2
+upper-triangle products X[:, i] * X[:, j] (i <= j) only, and its result is
+mirrored into the full matrices. These product operands depend on the
+design alone; `gwr_operands` builds them once, and a caller that fits one
+design many times (the bandwidth search) passes them to every call. The
+full fit adds one GEMM for X'W^2X, which gives the hat-row norms; the AICc
+search reads neither them nor the coefficients and skips it.
+
+After the loop, one path serves both modes: a stacked LAPACK Cholesky
+applies the pivot rule to all n systems, a system whose smallest pivot
+falls below `_CHOL_TOL` of its largest diagonal is ridged and flagged, and
+one `np.linalg.solve` runs over every non-singular system.
 
 Row blocks are sized by GEMM work, not by weights: a block of `rows`
 locations multiplies its (rows, n) weights by an (n, width) operand, and
 rows x n x width, for the wider of the two operands, stays within
 `_GEMM_BUDGET` multiply-adds (one row at least), so OpenBLAS runs every
 GEMM on the calling thread.
-
-The kernel has two modes that share this block loop:
-
-- the full fit (fixed-bandwidth, adaptive and post-search fits) solves
-  [X'WY | x_i] in one gufunc call and returns the coefficients, fitted
-  values, hat diagonal and hat-row norms; it measures each block's
-  distances itself, so no n x n array is held;
-- the AICc evaluation of a bandwidth search reads each block's distances
-  from the matrix that `pairwise_distances` built once for the search, and
-  solves one right-hand side per location: X'WX is symmetric, so with
-  z = (X'WX)^-1 x_i the hat diagonal is x_i . z and the fitted values are
-  z . X'WY. It forms neither coefficients nor hat-row norms, which AICc
-  does not read.
 """
 
 from typing import NamedTuple
@@ -103,15 +94,29 @@ def _chol(A):
     return L
 
 
-def _failed_pivots(A):
-    """Boolean mask of the stacked matrices that fail the pivot rule of `_chol`."""
+def _apply_pivot_rule(A):
+    """Flags (0 clean, 1 ridged, 2 singular) of the stacked systems A under
+    `_chol`'s pivot rule. A failing system gets a ridge of `RIDGE_REL` times
+    its mean diagonal and, if that passes, is replaced by it in A."""
+    p = A.shape[1]
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:  # raised for the whole stack; find the culprits
-        return np.array([_chol(a) is None for a in A], dtype=bool)
-    dmax = np.max(np.diagonal(A, axis1=1, axis2=2), axis=1)
-    dmin_l = np.min(np.diagonal(L, axis1=1, axis2=2), axis=1)
-    return dmin_l ** 2 <= _CHOL_TOL * dmax
+        failed = np.array([_chol(a) is None for a in A], dtype=bool)
+    else:
+        dmax = np.max(np.diagonal(A, axis1=1, axis2=2), axis=1)
+        dmin_l = np.min(np.diagonal(L, axis1=1, axis2=2), axis=1)
+        failed = dmin_l ** 2 <= _CHOL_TOL * dmax
+    flags = np.zeros(len(A), dtype=np.int8)
+    for r in np.flatnonzero(failed):
+        lam = RIDGE_REL * float(np.trace(A[r])) / p
+        ridged = A[r] + lam * np.eye(p)
+        if _chol(ridged) is None:
+            flags[r] = FLAG_SINGULAR
+        else:
+            A[r] = ridged
+            flags[r] = FLAG_RIDGED
+    return flags
 
 
 def _distance_rows(coords, lo, hi):
@@ -174,20 +179,20 @@ def gwr_fit_all(coords, X, Y, bandwidths, kernel, dist=None, full=True, operands
     the call builds it.
 
     Returns coefficients (n, p, m), fitted values (n, m), the hat diagonal
-    and hat-row squared norms (streamed, S never materialized) and a
-    per-location flag (0 clean, 1 ridged, 2 singular); the last three depend
-    on X and the weights only, so they are shared by all responses. With
-    `full=False` (the AICc search) the coefficients and hat-row norms are
-    not formed and come back as None.
+    and hat-row squared norms and a per-location flag (0 clean, 1 ridged,
+    2 singular); the last three depend on X and the weights only, so they
+    are shared by all responses. With c = (X'WX)^-1 x_i, the hat diagonal is
+    x_i . c, the fitted values are c . X'WY (X'WX is symmetric) and the
+    hat-row norm is c' X'W^2X c, so S is never materialized. With
+    `full=False` (the AICc search) X'W^2X, the coefficients and the hat-row
+    norms are not formed; the last two come back as None.
     """
     n, p = X.shape
     m = Y.shape[1]
     iu, ju, XX, XY = gwr_operands(X, Y) if operands is None else operands
-    beta = np.zeros((n, p, m)) if full else None
-    fitted = None if full else np.zeros((n, m))
-    s_ii = np.zeros(n)
-    s_norm2 = np.zeros(n) if full else None
-    flags = np.zeros(n, dtype=np.int8)
+    A = np.empty((n, p, p))
+    B = np.empty((n, p, m))
+    M = np.empty((n, p, p)) if full else None
 
     rows = _block_rows(n, p, m)
     for lo in range(0, n, rows):
@@ -199,38 +204,32 @@ def gwr_fit_all(coords, X, Y, bandwidths, kernel, dist=None, full=True, operands
         else:
             W = np.where(t < 1.0, (1.0 - t * t) ** 2, 0.0)
         upper = W @ XX
-        A = np.empty((hi - lo, p, p))
-        A[:, iu, ju] = upper
-        A[:, ju, iu] = upper
-        B = (W @ XY).reshape(-1, p, m)
-
-        failed = _failed_pivots(A)
-        blk_flags = flags[lo:hi]
-        for r in np.flatnonzero(failed):
-            lam = RIDGE_REL * float(np.trace(A[r])) / p
-            ridged = A[r] + lam * np.eye(p)
-            if _chol(ridged) is None:
-                blk_flags[r] = FLAG_SINGULAR
-            else:
-                A[r] = ridged
-                blk_flags[r] = FLAG_RIDGED
-
-        ok = np.flatnonzero(blk_flags != FLAG_SINGULAR)
-        xi = X[lo:hi][ok]
-        rows_ok = lo + ok
+        A[lo:hi, iu, ju] = upper
+        A[lo:hi, ju, iu] = upper
+        B[lo:hi] = (W @ XY).reshape(-1, p, m)
         if full:
-            # one solve for all right-hand sides: X'WY -> beta_i, x_i -> c = A^-1 x_i
-            sol = np.linalg.solve(A[ok], np.concatenate([B[ok], xi[:, :, None]], axis=2))
-            beta[rows_ok] = sol[:, :, :m]
-            c = sol[:, :, m]
-            sx = W[ok] * (c @ X.T)
-            s_norm2[rows_ok] = np.einsum("ij,ij->i", sx, sx)
-        else:
-            # A is symmetric, so x_i' A^-1 X'WY = c' X'WY with c = A^-1 x_i
-            c = np.linalg.solve(A[ok], xi[:, :, None])[:, :, 0]
-            fitted[rows_ok] = np.einsum("ip,ipm->im", c, B[ok])
-        s_ii[rows_ok] = np.einsum("ip,ip->i", xi, c)  # self-weight is kernel(0) == 1
+            upper = (W * W) @ XX
+            M[lo:hi, iu, ju] = upper
+            M[lo:hi, ju, iu] = upper
 
+    flags = _apply_pivot_rule(A)
+    ok = np.flatnonzero(flags != FLAG_SINGULAR)
+    xi = X[ok]
+    B_ok = B[ok]
+    rhs = xi[:, :, None]
     if full:
-        fitted = np.einsum("ip,ipm->im", X, beta)
+        # one solve for all right-hand sides: X'WY -> beta_i, x_i -> c
+        rhs = np.concatenate([B_ok, rhs], axis=2)
+    sol = np.linalg.solve(A[ok], rhs)
+    c = sol[:, :, -1]
+    s_ii = np.zeros(n)
+    s_ii[ok] = np.einsum("ip,ip->i", xi, c)  # self-weight is kernel(0) == 1
+    fitted = np.zeros((n, m))
+    fitted[ok] = np.einsum("ip,ipm->im", c, B_ok)
+    if not full:
+        return None, fitted, s_ii, None, flags
+    beta = np.zeros((n, p, m))
+    beta[ok] = sol[:, :, :m]
+    s_norm2 = np.zeros(n)
+    s_norm2[ok] = np.einsum("ip,ipq,iq->i", c, M[ok], c)
     return beta, fitted, s_ii, s_norm2, flags

@@ -185,8 +185,9 @@ class PipelineConfig:
                 raise ConfigError(f"spillover.{key} must be a non-empty list, got {sp[key]!r}")
         labels: dict[int, float] = {}
         for d in sp["sweep_thresholds"]:
-            if not (_is_number(d) and 0 < d < math.inf):
-                raise ConfigError(f"sweep threshold must be positive and finite, got {d!r}")
+            if not (_is_number(d) and 0 < d <= sys.float_info.max):
+                raise ConfigError(f"spillover.sweep_thresholds entries must be positive and "
+                                  f"finite, got {d!r}")
             # robustness outputs label each threshold by its whole meters
             if int(d) in labels:
                 raise ConfigError(f"sweep thresholds {labels[int(d)]!r} and {d!r} share the "
@@ -206,8 +207,9 @@ class PipelineConfig:
         if not (_is_integer(c["pca_components"]) and 1 <= c["pca_components"] <= 9):
             raise ConfigError("pca_components must be an integer in [1, 9]")
         for tier, weight in c["brand_weights"].items():
-            if not _is_number(weight):
-                raise ConfigError(f"brand_weights.{tier} must be a number, got {weight!r}")
+            if not (_is_number(weight) and abs(weight) <= sys.float_info.max):
+                raise ConfigError(f"brand_weights.{tier} must be a finite number, "
+                                  f"got {weight!r}")
         if c["gwr"]["kernel"] not in KERNELS:
             raise ConfigError(f"gwr.kernel must be one of {KERNELS}, got {c['gwr']['kernel']!r}")
         if c["gwr"]["x_source"] not in ("normalized", "raw"):

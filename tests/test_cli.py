@@ -58,6 +58,10 @@ def test_stage_run_exits_zero(city_dir, tmp_path):
     # counts every POI for every point, so the three tiers are identical
     ("", ["--set", "spillover.threshold_m=.inf"]),
     ("", ["--set", "poi_radius_m=.inf"]),
+    # a brand weight beyond the largest float, infinite or NaN
+    ("", ["--set", "brand_weights.local=1" + "0" * 400]),
+    ("", ["--set", "brand_weights.international=.inf"]),
+    ("", ["--set", "brand_weights.ordinary=.nan"]),
 ])
 def test_bad_config_exits_one(city_dir, tmp_path, capsys, extra, overrides):
     argv = ["--workdir", str(city_dir), "spillover", "--config", _config(tmp_path, extra)]
@@ -72,6 +76,9 @@ def test_bad_config_exits_one(city_dir, tmp_path, capsys, extra, overrides):
     ("spillover.sweep_thresholds=[1000.4, 1000.6, 3000]", "share the label 1000"),
     ("spillover.sweep_thresholds=[2000, 2000]", "share the label 2000"),
     ("spillover.sweep_thresholds=[.inf]", "finite"),
+    # beyond the largest float; the message names the key
+    pytest.param("spillover.sweep_thresholds=[1" + "0" * 400 + "]", "spillover.sweep_thresholds",
+                 id="beyond-the-largest-float"),
     ("spillover.sweep_decays=[gaussian, linear, gaussian]", "distinct"),
 ])
 def test_colliding_sweep_labels_exit_one(city_dir, tmp_path, capsys, override, message):

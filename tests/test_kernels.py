@@ -117,7 +117,7 @@ def test_mixed_block_falls_back_to_per_row_pivot_rule(monkeypatch):
     # bisquare at 100 m: a dense cluster gives clean systems, isolated points
     # see only themselves (rank 1, ridged), and an isolated point with a zero
     # row has X'WX == 0, which no ridge repairs; that row makes the stacked
-    # Cholesky raise for the whole block
+    # Cholesky raise for all n systems of the call
     rng = np.random.default_rng(3)
     cluster = rng.uniform(0, 150, (24, 2))
     isolated = 1000.0 * np.arange(1, 7)[:, None] * np.ones((6, 2))
@@ -133,7 +133,7 @@ def test_mixed_block_falls_back_to_per_row_pivot_rule(monkeypatch):
 
     beta, _, _, _, flags = kernels.gwr_fit_all(coords, X, y[:, None], bw, "bisquare")
 
-    assert len(calls) >= n  # the block was re-checked row by row
+    assert len(calls) >= n  # the stack was re-checked row by row
     want = _reference_flags(coords, X, bw, "bisquare")
     np.testing.assert_array_equal(flags, want)
     assert set(np.unique(flags)) == {kernels.FLAG_OK, kernels.FLAG_RIDGED,
@@ -190,6 +190,18 @@ def test_aicc_mode_matches_the_full_fit(kernel, bandwidth):
     np.testing.assert_allclose(aicc_s_ii, s_ii, rtol=1e-12, atol=0)
 
 
+def _failed_pivots_before(A):
+    """Boolean mask of the stacked matrices that fail the pivot rule of
+    `kernels._chol`, as the block kernels below checked it."""
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:  # raised for the whole stack; find the culprits
+        return np.array([kernels._chol(a) is None for a in A], dtype=bool)
+    dmax = np.max(np.diagonal(A, axis1=1, axis2=2), axis=1)
+    dmin_l = np.min(np.diagonal(L, axis1=1, axis2=2), axis=1)
+    return dmin_l ** 2 <= kernels._CHOL_TOL * dmax
+
+
 def _fit_all_before(coords, X, Y, bandwidths, kernel, dist=None, full=True):
     """`gwr_fit_all` as it was before X'WX was formed from its upper triangle:
     the full p x p row-wise outer products, and row blocks of 2**14 kernel
@@ -216,7 +228,7 @@ def _fit_all_before(coords, X, Y, bandwidths, kernel, dist=None, full=True):
         A = (W @ XX).reshape(-1, p, p)
         B = (W @ XY).reshape(-1, p, m)
 
-        failed = kernels._failed_pivots(A)
+        failed = _failed_pivots_before(A)
         blk_flags = flags[lo:hi]
         for r in np.flatnonzero(failed):
             lam = kernels.RIDGE_REL * float(np.trace(A[r])) / p
@@ -325,3 +337,110 @@ def test_operands_built_once_equal_those_built_per_call():
             want = kernels.gwr_fit_all(coords, X, Y[:, columns], bw, "bisquare", d, full)
             for g, w in zip(got, want):
                 assert (g is None and w is None) or np.array_equal(g, w)
+
+
+def _block_solve_kernel(coords, X, Y, bandwidths, kernel, dist=None, full=True):
+    """`gwr_fit_all` as it was before the pivot rule, the ridge and the solve
+    moved after the block loop: each row block checked, ridged and solved its
+    own systems, the full fit formed the hat-row norms from an n-wide pass
+    over the block's weights, and its fitted values were x_i . beta_i."""
+    n, p = X.shape
+    m = Y.shape[1]
+    iu, ju, XX, XY = kernels.gwr_operands(X, Y)
+    beta = np.zeros((n, p, m)) if full else None
+    fitted = None if full else np.zeros((n, m))
+    s_ii = np.zeros(n)
+    s_norm2 = np.zeros(n) if full else None
+    flags = np.zeros(n, dtype=np.int8)
+
+    rows = kernels._block_rows(n, p, m)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        d = kernels._distance_rows(coords, lo, hi) if dist is None else dist[lo:hi]
+        t = d / bandwidths[lo:hi, None]
+        if kernel == "gaussian":
+            W = np.exp(-0.5 * t * t)
+        else:
+            W = np.where(t < 1.0, (1.0 - t * t) ** 2, 0.0)
+        upper = W @ XX
+        A = np.empty((hi - lo, p, p))
+        A[:, iu, ju] = upper
+        A[:, ju, iu] = upper
+        B = (W @ XY).reshape(-1, p, m)
+
+        failed = _failed_pivots_before(A)
+        blk_flags = flags[lo:hi]
+        for r in np.flatnonzero(failed):
+            lam = kernels.RIDGE_REL * float(np.trace(A[r])) / p
+            ridged = A[r] + lam * np.eye(p)
+            if kernels._chol(ridged) is None:
+                blk_flags[r] = kernels.FLAG_SINGULAR
+            else:
+                A[r] = ridged
+                blk_flags[r] = kernels.FLAG_RIDGED
+
+        ok = np.flatnonzero(blk_flags != kernels.FLAG_SINGULAR)
+        xi = X[lo:hi][ok]
+        rows_ok = lo + ok
+        if full:
+            sol = np.linalg.solve(A[ok], np.concatenate([B[ok], xi[:, :, None]], axis=2))
+            beta[rows_ok] = sol[:, :, :m]
+            c = sol[:, :, m]
+            sx = W[ok] * (c @ X.T)
+            s_norm2[rows_ok] = np.einsum("ij,ij->i", sx, sx)
+        else:
+            c = np.linalg.solve(A[ok], xi[:, :, None])[:, :, 0]
+            fitted[rows_ok] = np.einsum("ip,ipm->im", c, B[ok])
+        s_ii[rows_ok] = np.einsum("ip,ip->i", xi, c)
+
+    if full:
+        fitted = np.einsum("ip,ipm->im", X, beta)
+    return beta, fitted, s_ii, s_norm2, flags
+
+
+def _clustered_with_zero_row():
+    """`_clustered_with_isolated` whose last (isolated) location has a zero
+    row: at short bandwidths its X'WX is 0, singular after the ridge, and the
+    stacked Cholesky raises for the whole call."""
+    coords, X, Y = _clustered_with_isolated()
+    X[-1] = 0.0
+    return coords, X, Y
+
+
+# beta, the hat diagonal, the flags and every output of the search are
+# bit-equal: each system is the same matrix with the same right-hand sides,
+# solved by the same LAPACK LU. The full fit's fitted values (c . X'WY for
+# x_i . beta_i) and hat-row norms (c' X'W^2X c for the n-wide pass) are
+# rounded differently. c' X'W^2X c loses digits where c is large, on ridged
+# systems: measured 5.0e-11 of the largest norm under bisquare at 150 m with
+# n = 1000 (202 ridged rows), and 2.2e-11 on the zero-row design at 100 m.
+@pytest.mark.parametrize("kernel", ["gaussian", "bisquare"])
+@pytest.mark.parametrize("design, n, bandwidth, full", [
+    ("benchmark", 160, 900.0, True), ("benchmark", 160, 900.0, False),
+    ("benchmark", 160, 300.0, True), ("benchmark", 160, 300.0, False),
+    ("benchmark", 1000, 600.0, True), ("benchmark", 1000, 150.0, True),
+    ("zero_row", None, 100.0, True), ("zero_row", None, 100.0, False),
+    ("zero_row", None, 1500.0, True), ("zero_row", None, 1500.0, False),
+])
+def test_one_solve_kernel_matches_the_block_solve_kernel(kernel, design, n, bandwidth, full):
+    coords, X, Y = _benchmark_shaped(n) if design == "benchmark" else _clustered_with_zero_row()
+    n = len(coords)
+    bw = np.full(n, bandwidth)
+    dist = None if full else kernels.pairwise_distances(coords)
+
+    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(coords, X, Y, bw, kernel, dist, full)
+    want = _block_solve_kernel(coords, X, Y, bw, kernel, dist, full)
+
+    np.testing.assert_array_equal(flags, want[4])
+    if design == "zero_row":
+        assert kernels.FLAG_SINGULAR in flags and kernels.FLAG_RIDGED in flags
+    assert np.array_equal(s_ii, want[2])
+    if not full:
+        assert beta is None and s_norm2 is None
+        assert np.array_equal(fitted, want[1])
+        return
+    assert np.array_equal(beta, want[0])
+    assert np.max(np.abs(fitted - want[1])) <= 1e-12 * np.max(np.abs(want[1]))
+    clean = np.all(flags == kernels.FLAG_OK)
+    bound = 1e-12 if clean else 1e-9
+    assert np.max(np.abs(s_norm2 - want[3])) <= bound * np.max(np.abs(want[3]))
