@@ -25,7 +25,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_args(sub):
     sub.add_argument("--config", required=True, help="pipeline config (YAML)")
     sub.add_argument("--set", action="append", default=[], dest="overrides",
-                     metavar="PATH=VALUE", help="override a config scalar")
+                     metavar="KEY=VALUE",
+                     help="set one leaf key (dotted, e.g. gwr.bandwidth) to a YAML value")
 
 
 def build_parser() -> _Parser:

@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import ConfigError, ValidationError
 from .geodata import BrandTally, PointTable, StreetSegment
 
 INDICATOR_NAMES = ("sd", "cr", "br", "mv", "md", "nd", "pp", "gr", "gd")
@@ -43,14 +43,11 @@ class BrandWeights:
     ordinary: float = 0.0
 
     def __post_init__(self):
-        vals = (self.local, self.international, self.ordinary)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValidationError(f"brand weights must be finite, got {vals}")
-        if not (self.international >= self.local >= self.ordinary >= 0):
-            raise ValidationError(
-                "brand weights must satisfy international >= local >= ordinary >= 0, "
-                f"got {vals}"
-            )
+        # the config checks that each weight is a finite number
+        if not self.international >= self.local >= self.ordinary >= 0:
+            raise ConfigError(
+                "brand_weights.international >= brand_weights.local >= brand_weights.ordinary "
+                f">= 0 must hold, got {self.international}, {self.local}, {self.ordinary}")
 
 
 def smooth_along_route(values, window: int = DEFAULT_SMOOTHING_WINDOW,

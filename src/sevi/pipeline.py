@@ -55,16 +55,77 @@ from .report import RobustnessReport, TierValidation
 if TYPE_CHECKING:  # brandsem is imported by the brand workflows only
     from . import brandsem
 
+
+# A kind checks one config value: kind(key, value) returns the value, parsed
+# for the bandwidth, or raises a ConfigError naming the dotted key.
+def _check(ok: bool, key: str, value, what: str):
+    if not ok:
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _finite(key, value):
+    # YAML booleans load as bool, which Python counts as int
+    return _check(isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and abs(value) <= sys.float_info.max, key, value, "a finite number")
+
+
+def _positive(key, value):
+    return _check(_finite(key, value) > 0, key, value, "positive and finite")
+
+
+def _integer(low, high=math.inf):
+    return lambda key, value: _check(
+        isinstance(value, int) and not isinstance(value, bool) and low <= value <= high,
+        key, value, f"an integer in [{low}, {high}]")
+
+
+_count = _integer(1)
+
+
+def _odd(key, value):
+    return _check(_count(key, value) % 2 == 1, key, value, "odd")
+
+
+def _one_of(*choices):
+    return lambda key, value: _check(value in choices, key, value, f"one of {choices}")
+
+
+def _path(nullable=False):
+    return lambda key, value: _check(isinstance(value, str) and value != "" and "\0" not in value
+                                     or nullable and value is None,
+                                     key, value, "a non-empty path" + " or null" * nullable)
+
+
+def _list_of(kind, label=lambda entry: entry):
+    """A non-empty list of `kind` whose entries have distinct labels."""
+    def check(key, value):
+        _check(isinstance(value, list) and value != [], key, value, "a non-empty list")
+        labels = [label(kind(f"{key}[{i}]", entry)) for i, entry in enumerate(value)]
+        for i, name in enumerate(labels):
+            if name in labels[:i]:
+                raise ConfigError(f"{key} entries {value[labels.index(name)]!r} and {value[i]!r} "
+                                  f"share the label {name!r}; the labels must be distinct")
+        return value
+    return check
+
+
+def _bandwidth(key, value):
+    """"aicc", ("adaptive", m) for m nearest neighbours, or fixed meters."""
+    if value == "aicc":
+        return value
+    try:
+        if isinstance(value, str) and value.startswith("adaptive:"):
+            return ("adaptive", _count(key, int(value.split(":", 1)[1])))
+        return float(_positive(key, value))
+    except (ConfigError, ValueError):
+        raise ConfigError(f"{key} must be 'aicc', 'adaptive:m' with an integer m >= 1, "
+                          f"or a positive, finite number of meters, got {value!r}") from None
+
+
 DEFAULT_CONFIG = {
-    "inputs": {
-        "format": "csv",
-        "points": "points.csv",
-        "segments": "segments.csv",
-        "anchors": "anchors.csv",
-        "pois": "pois.csv",
-        "lbs": "lbs.csv",
-        "brands": "brands.csv",
-    },
+    "inputs": {"format": "csv", **{table: f"{table}.csv" for table in
+                                   ("points", "segments", "anchors", "pois", "lbs", "brands")}},
     "output_dir": "out",
     "spillover": {
         "threshold_m": 2000.0,
@@ -76,63 +137,71 @@ DEFAULT_CONFIG = {
     "smoothing_window": 5,
     "poi_radius_m": 50.0,
     "pca_components": 4,
-    "gwr": {
-        "kernel": "gaussian",
-        "bandwidth": "aicc",
-        "x_source": "normalized",
-        "summary_variables": ["mv", "cr"],
-    },
-    "decode": {
-        "backend": "offline",
-        "reference_db": "reference_db.json",
-        "fixtures": "fixtures.json",
-        "corpus": "corpus.csv",
-        "parallelism": 4,
-    },
-    "seed": 20251015,
+    "gwr": {"kernel": "gaussian", "bandwidth": "aicc", "x_source": "normalized",
+            "summary_variables": ["mv", "cr"]},
+    "decode": {"backend": "offline", "reference_db": "reference_db.json",
+               "fixtures": "fixtures.json", "corpus": "corpus.csv", "parallelism": 4},
+}
+
+# the one kind of each leaf key of DEFAULT_CONFIG
+CONFIG_KINDS = {
+    "inputs.format": _one_of("csv", "geojson"),
+    **{f"inputs.{name}": _path() for name in ("points", "segments", "anchors", "pois", "lbs")},
+    "inputs.brands": _path(nullable=True),
+    "output_dir": _path(),
+    "spillover.threshold_m": _positive,
+    "spillover.decay": _one_of(*spillover.DECAYS),
+    # robustness outputs label each threshold by its whole meters
+    "spillover.sweep_thresholds": _list_of(_positive, label=int),
+    "spillover.sweep_decays": _list_of(_one_of(*spillover.DECAYS)),
+    **{f"brand_weights.{tier}": _finite for tier in ("local", "international", "ordinary")},
+    "smoothing_window": _odd,
+    "poi_radius_m": _positive,
+    "pca_components": _integer(1, 9),
+    "gwr.kernel": _one_of(*KERNELS),
+    "gwr.bandwidth": _bandwidth,
+    "gwr.x_source": _one_of("normalized", "raw"),
+    "gwr.summary_variables": _list_of(_one_of("intercept", *INDICATOR_NAMES)),
+    "decode.backend": _one_of("offline", "live"),
+    **{f"decode.{name}": _path() for name in ("reference_db", "fixtures", "corpus")},
+    "decode.parallelism": _count,
 }
 
 
 def _merge_defaults(defaults: dict, user: dict, path: str = "") -> dict:
-    # every mapping is rebuilt, so that an override never edits DEFAULT_CONFIG
+    # every mapping is rebuilt, so that no config shares one with DEFAULT_CONFIG
     merged = {}
-    for key, default_value in defaults.items():
-        if isinstance(default_value, dict):
-            if not isinstance(user.get(key, {}), dict):
-                raise ConfigError(f"config key {path + key!r} must be a mapping")
-            merged[key] = _merge_defaults(default_value, user.get(key, {}), path + key + ".")
-        else:
-            merged[key] = user.get(key, default_value)
+    for key, default in defaults.items():
+        value = user.get(key, default)
+        if isinstance(default, dict):
+            value = _merge_defaults(default, _check(isinstance(value, dict), path + key, value,
+                                                    "a mapping"), path + key + ".")
+        merged[key] = value
     for key in user:
         if key not in defaults:
             raise ConfigError(f"unknown config key {path + key!r}")
     return merged
 
 
-def _parse_bandwidth(value):
-    """The `gwr.bandwidth` setting as "aicc", ("adaptive", m) or meters."""
-    if value == "aicc":
-        return "aicc"
-    if isinstance(value, str) and value.startswith("adaptive:"):
-        try:
-            m = int(value.split(":", 1)[1])
-        except ValueError:
-            m = 0
-        if m >= 1:
-            return ("adaptive", m)
-    elif _is_number(value) and 0 < value <= sys.float_info.max:
-        return float(value)
-    raise ConfigError(f"gwr.bandwidth must be 'aicc', 'adaptive:m' with an integer m >= 1, "
-                      f"or a positive, finite number of meters, got {value!r}")
-
-
-def _is_integer(value) -> bool:
-    # YAML booleans load as bool, which Python counts as int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_integer(value) or isinstance(value, float)
+def _with_override(user: dict, item: str) -> dict:
+    """A copy of `user` whose leaf `key` is set to the YAML `value` of
+    `--set key=value`; on the key's path, mappings are copied and anything
+    else gives way to a mapping, as the override wins."""
+    dotted, eq, text = item.partition("=")
+    try:
+        value = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"--set {dotted}: {exc}") from None
+    if not eq or isinstance(value, dict):
+        raise ConfigError(f"--set expects KEY=VALUE, a leaf key and a scalar or a list, "
+                          f"got {item!r}")
+    *sections, leaf = dotted.strip().split(".")
+    top = node = dict(user)
+    for part in sections:
+        node[part] = dict(node[part]) if isinstance(node.get(part), dict) else {}
+        node = node[part]
+    node[leaf] = value
+    return top
 
 
 @dataclass
@@ -152,104 +221,34 @@ class PipelineConfig:
 
     @classmethod
     def from_mapping(cls, user: dict, overrides: list[str] | None = None) -> "PipelineConfig":
-        merged = _merge_defaults(DEFAULT_CONFIG, user)
+        """`user` over DEFAULT_CONFIG, each `--set` of `overrides` written in first."""
         for item in overrides or []:
-            if "=" not in item:
-                raise ConfigError(f"--set expects path=value, got {item!r}")
-            dotted, text = item.split("=", 1)
-            node = merged
-            parts = dotted.strip().split(".")
-            for part in parts[:-1]:
-                if part not in node or not isinstance(node[part], dict):
-                    raise ConfigError(f"unknown config path {dotted!r}")
-                node = node[part]
-            if parts[-1] not in node:
-                raise ConfigError(f"unknown config path {dotted!r}")
-            node[parts[-1]] = yaml.safe_load(text)
-        cfg = cls(raw=merged)
+            user = _with_override(user, item)
+        cfg = cls(raw=_merge_defaults(DEFAULT_CONFIG, user))
         cfg.validate()
         return cfg
 
     def validate(self):
-        c = self.raw
-        if c["inputs"]["format"] not in ("csv", "geojson"):
-            raise ConfigError(f"inputs.format must be csv or geojson, got {c['inputs']['format']!r}")
-        sp = c["spillover"]
-        if not (_is_number(sp["threshold_m"]) and 0 < sp["threshold_m"] <= sys.float_info.max):
-            raise ConfigError(f"spillover.threshold_m must be positive and finite, "
-                              f"got {sp['threshold_m']!r}")
-        if sp["decay"] not in spillover.DECAYS:
-            raise ConfigError(f"spillover.decay must be one of {spillover.DECAYS}")
-        for key in ("sweep_thresholds", "sweep_decays"):
-            if not (isinstance(sp[key], list) and sp[key]):
-                raise ConfigError(f"spillover.{key} must be a non-empty list, got {sp[key]!r}")
-        labels: dict[int, float] = {}
-        for d in sp["sweep_thresholds"]:
-            if not (_is_number(d) and 0 < d <= sys.float_info.max):
-                raise ConfigError(f"spillover.sweep_thresholds entries must be positive and "
-                                  f"finite, got {d!r}")
-            # robustness outputs label each threshold by its whole meters
-            if int(d) in labels:
-                raise ConfigError(f"sweep thresholds {labels[int(d)]!r} and {d!r} share the "
-                                  f"label {int(d)}; they must differ in whole meters")
-            labels[int(d)] = d
-        for decay in sp["sweep_decays"]:
-            if decay not in spillover.DECAYS:
-                raise ConfigError(f"sweep decay must be one of {spillover.DECAYS}, got {decay!r}")
-        if len(set(sp["sweep_decays"])) < len(sp["sweep_decays"]):
-            raise ConfigError(f"sweep decays must be distinct, got {sp['sweep_decays']!r}")
-        w = c["smoothing_window"]
-        if not (_is_integer(w) and w >= 1 and w % 2 == 1):
-            raise ConfigError(f"smoothing_window must be an odd integer >= 1, got {w!r}")
-        if not (_is_number(c["poi_radius_m"]) and 0 < c["poi_radius_m"] <= sys.float_info.max):
-            raise ConfigError(f"poi_radius_m must be positive and finite, "
-                              f"got {c['poi_radius_m']!r}")
-        if not (_is_integer(c["pca_components"]) and 1 <= c["pca_components"] <= 9):
-            raise ConfigError("pca_components must be an integer in [1, 9]")
-        for tier, weight in c["brand_weights"].items():
-            if not (_is_number(weight) and abs(weight) <= sys.float_info.max):
-                raise ConfigError(f"brand_weights.{tier} must be a finite number, "
-                                  f"got {weight!r}")
-        if c["gwr"]["kernel"] not in KERNELS:
-            raise ConfigError(f"gwr.kernel must be one of {KERNELS}, got {c['gwr']['kernel']!r}")
-        if c["gwr"]["x_source"] not in ("normalized", "raw"):
-            raise ConfigError("gwr.x_source must be normalized or raw")
-        if not isinstance(c["gwr"]["summary_variables"], list):
-            raise ConfigError(f"gwr.summary_variables must be a list of indicator names, "
-                              f"got {c['gwr']['summary_variables']!r}")
-        for v in c["gwr"]["summary_variables"]:
-            if v != "intercept" and v not in INDICATOR_NAMES:
-                raise ConfigError(f"gwr.summary_variables entry {v!r} is not an indicator")
-        _parse_bandwidth(c["gwr"]["bandwidth"])
-        if c["decode"]["backend"] not in ("offline", "live"):
-            raise ConfigError("decode.backend must be offline or live")
-        if not (_is_integer(c["decode"]["parallelism"]) and c["decode"]["parallelism"] >= 1):
-            raise ConfigError(f"decode.parallelism must be an integer >= 1, "
-                              f"got {c['decode']['parallelism']!r}")
-        # builds BrandWeights to trigger its own invariant checks
+        for key, kind in CONFIG_KINDS.items():
+            section, _, leaf = key.rpartition(".")
+            kind(key, (self.raw[section] if section else self.raw)[leaf])
+        # the one rule across keys: BrandWeights' tier ordering
         self.brand_weights()
 
     def brand_weights(self) -> BrandWeights:
-        bw = self.raw["brand_weights"]
-        return BrandWeights(local=float(bw["local"]), international=float(bw["international"]),
-                            ordinary=float(bw["ordinary"]))
+        return BrandWeights(**{tier: float(w) for tier, w in self.raw["brand_weights"].items()})
 
     def spillover_config(self) -> spillover.SpilloverConfig:
         sp = self.raw["spillover"]
         return spillover.SpilloverConfig(threshold_m=float(sp["threshold_m"]), decay=sp["decay"])
 
     def bandwidth(self):
-        return _parse_bandwidth(self.raw["gwr"]["bandwidth"])
+        return _bandwidth("gwr.bandwidth", self.raw["gwr"]["bandwidth"])
 
     def table_paths(self, workdir: Path) -> TablePaths:
-        ins = self.raw["inputs"]
-        brands = ins.get("brands")
-        return TablePaths(
-            points=workdir / ins["points"], segments=workdir / ins["segments"],
-            anchors=workdir / ins["anchors"], pois=workdir / ins["pois"],
-            lbs=workdir / ins["lbs"],
-            brands=(workdir / brands) if brands else None,
-        )
+        # only inputs.brands may be null
+        return TablePaths(**{table: None if path is None else workdir / path
+                             for table, path in self.raw["inputs"].items() if table != "format"})
 
     def sha256(self) -> str:
         """Digest of the analysis settings; where the outputs go is left out."""

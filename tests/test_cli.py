@@ -62,13 +62,38 @@ def test_stage_run_exits_zero(city_dir, tmp_path):
     ("", ["--set", "brand_weights.local=1" + "0" * 400]),
     ("", ["--set", "brand_weights.international=.inf"]),
     ("", ["--set", "brand_weights.ordinary=.nan"]),
+    # every path is a non-empty string; only inputs.brands may be null
+    ("", ["--set", "output_dir=5"]),
+    ("", ["--set", "inputs.points=null"]),
+    ("", ["--set", "inputs.brands=7"]),
+    # --set sets one leaf key: a section is a mapping, and no leaf takes one
+    ("", ["--set", "spillover=5"]),
+    ("", ["--set", "gwr=null"]),
+    ("", ["--set", "decode=[]"]),
+    ("", ["--set", "brand_weights={}"]),
+    ("", ["--set", "inputs={points: p.csv}"]),
+    # a repeated variable would be summarised twice
+    ("", ["--set", "gwr.summary_variables=[mv, mv]"]),
+    # the analysis takes no seed
+    ("", ["--set", "seed=1"]),
+    # the tier ordering names its keys
+    ("", ["--set", "brand_weights.local=2"]),
 ])
 def test_bad_config_exits_one(city_dir, tmp_path, capsys, extra, overrides):
     argv = ["--workdir", str(city_dir), "spillover", "--config", _config(tmp_path, extra)]
     assert main(argv + overrides) == 1
-    # the message names the offending key
+    # the message names the offending key, and nothing is written
     key = overrides[-1].split("=")[0] if overrides else "no_such_key"
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_nul_byte_in_a_path_exits_one(city_dir, tmp_path, capsys):
+    argv = ["--workdir", str(city_dir), "spillover",
+            "--config", _config(tmp_path, 'inputs: {points: "p\\0.csv"}\n')]
+    assert main(argv) == 1
+    assert "inputs.points" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("override, message", [

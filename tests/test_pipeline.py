@@ -2,14 +2,18 @@ import csv
 import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sevi.geodata import (ANCHORS_HEADER, PERIODS, POINTS_HEADER, POIS_HEADER,
                           SEGMENTS_HEADER, project_to_metric)
-from sevi.exceptions import ComputationError
-from sevi.pipeline import PipelineConfig, _City, ingest, robustness, run, write_csv, write_json
+from sevi.exceptions import ComputationError, ConfigError
+from sevi.pipeline import (CONFIG_KINDS, DEFAULT_CONFIG, PipelineConfig, _City, ingest,
+                           robustness, run, write_csv, write_json)
 
 from .conftest import write_feature_collection
 
@@ -78,6 +82,56 @@ def test_geojson_has_one_feature_per_scored_point(city_dir, default_run):
 def test_override_leaves_later_configs_alone(tmp_path):
     assert _config(tmp_path, ["gwr.bandwidth=1500"]).raw["gwr"]["bandwidth"] == 1500
     assert _config(tmp_path).raw["gwr"]["bandwidth"] == "aicc"
+
+
+def test_set_writes_into_a_copy_of_the_user_mapping(tmp_path):
+    user = {"output_dir": str(tmp_path), "gwr": {"kernel": "bisquare"}}
+    config = PipelineConfig.from_mapping(user, ["gwr.bandwidth=1500"])
+    assert config.raw["gwr"]["kernel"] == "bisquare" and config.raw["gwr"]["bandwidth"] == 1500
+    assert user == {"output_dir": str(tmp_path), "gwr": {"kernel": "bisquare"}}
+
+
+def _leaf_keys(mapping, prefix=""):
+    for key, value in mapping.items():
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+LEAF_KEYS = list(_leaf_keys(DEFAULT_CONFIG))
+
+
+def test_every_leaf_key_has_one_kind():
+    assert sorted(CONFIG_KINDS) == sorted(LEAF_KEYS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=st.one_of(st.booleans(), st.none(), st.floats(), st.integers(), st.text(max_size=12),
+                       st.lists(st.integers(-1, 3000) | st.text(max_size=12), max_size=3),
+                       st.dictionaries(st.text(max_size=4), st.integers(), max_size=2)))
+@example(value=True)
+@example(value=None)
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value=10**400)  # beyond the largest float
+@example(value=-1)
+@example(value=0)
+@example(value="x")
+@example(value=[1])
+@example(value={"a": 1})
+def test_each_leaf_value_is_rejected_naming_its_key_or_builds(value):
+    for key in LEAF_KEYS:
+        section, _, leaf = key.rpartition(".")
+        try:
+            config = PipelineConfig.from_mapping({section: {leaf: value}} if section
+                                                 else {leaf: value})
+        except ConfigError as exc:
+            assert key in str(exc), (key, value, exc)
+            continue
+        config.bandwidth(), config.spillover_config(), config.brand_weights()
+        config.table_paths(Path("w"))
 
 
 def test_rerun_gives_identical_manifest(city_dir, tmp_path):
