@@ -13,9 +13,10 @@ full fit adds one GEMM for X'W^2X, which gives the hat-row norms; the AICc
 search reads neither them nor the coefficients and skips it.
 
 After the loop, one path serves both modes: a stacked LAPACK Cholesky
-applies the pivot rule to all n systems, a system whose smallest pivot
-falls below `_CHOL_TOL` of its largest diagonal is ridged and flagged, and
-one `np.linalg.solve` runs over every non-singular system.
+applies the pivot rule to all n systems, and a system whose smallest pivot
+falls below `_CHOL_TOL` of its largest diagonal is ridged and flagged. If a
+system stays singular after its ridge, the call returns the flags alone;
+otherwise one `np.linalg.solve` runs over all n systems in place.
 
 Row blocks are sized by GEMM work, not by weights: a block of `rows`
 locations multiplies its (rows, n) weights by an (n, width) operand, and
@@ -181,11 +182,12 @@ def gwr_fit_all(coords, X, Y, bandwidths, kernel, dist=None, full=True, operands
     Returns coefficients (n, p, m), fitted values (n, m), the hat diagonal
     and hat-row squared norms and a per-location flag (0 clean, 1 ridged,
     2 singular); the last three depend on X and the weights only, so they
-    are shared by all responses. With c = (X'WX)^-1 x_i, the hat diagonal is
-    x_i . c, the fitted values are c . X'WY (X'WX is symmetric) and the
-    hat-row norm is c' X'W^2X c, so S is never materialized. With
-    `full=False` (the AICc search) X'W^2X, the coefficients and the hat-row
-    norms are not formed; the last two come back as None.
+    are shared by all responses. If any location is singular, only the flags
+    are returned, with None for the other four outputs. With
+    c = (X'WX)^-1 x_i, the hat diagonal is x_i . c, the fitted values are
+    c . X'WY (X'WX is symmetric) and the hat-row norm is c' X'W^2X c, so S is
+    never materialized. With `full=False` (the AICc search) X'W^2X, the
+    coefficients and the hat-row norms are not formed; they come back as None.
     """
     n, p = X.shape
     m = Y.shape[1]
@@ -213,23 +215,16 @@ def gwr_fit_all(coords, X, Y, bandwidths, kernel, dist=None, full=True, operands
             M[lo:hi, ju, iu] = upper
 
     flags = _apply_pivot_rule(A)
-    ok = np.flatnonzero(flags != FLAG_SINGULAR)
-    xi = X[ok]
-    B_ok = B[ok]
-    rhs = xi[:, :, None]
+    if np.any(flags == FLAG_SINGULAR):
+        return None, None, None, None, flags
+    rhs = X[:, :, None]
     if full:
         # one solve for all right-hand sides: X'WY -> beta_i, x_i -> c
-        rhs = np.concatenate([B_ok, rhs], axis=2)
-    sol = np.linalg.solve(A[ok], rhs)
+        rhs = np.concatenate([B, rhs], axis=2)
+    sol = np.linalg.solve(A, rhs)
     c = sol[:, :, -1]
-    s_ii = np.zeros(n)
-    s_ii[ok] = np.einsum("ip,ip->i", xi, c)  # self-weight is kernel(0) == 1
-    fitted = np.zeros((n, m))
-    fitted[ok] = np.einsum("ip,ipm->im", c, B_ok)
+    s_ii = np.einsum("ip,ip->i", X, c)  # self-weight is kernel(0) == 1
+    fitted = np.einsum("ip,ipm->im", c, B)
     if not full:
         return None, fitted, s_ii, None, flags
-    beta = np.zeros((n, p, m))
-    beta[ok] = sol[:, :, :m]
-    s_norm2 = np.zeros(n)
-    s_norm2[ok] = np.einsum("ip,ipq,iq->i", c, M[ok], c)
-    return beta, fitted, s_ii, s_norm2, flags
+    return sol[:, :, :m], fitted, s_ii, np.einsum("ip,ipq,iq->i", c, M, c), flags

@@ -50,7 +50,7 @@ from .geodata import (ANCHORS_HEADER, BRANDS_HEADER, LBS_HEADER, PERIODS, POINTS
                       load_tables)
 from .gwr import KERNELS, GwrDesign, GwrFit, coef_summary
 from .indicators import BLOCKS, INDICATOR_NAMES, BrandWeights, indicator_table
-from .report import RobustnessReport, TierValidation
+from .report import TierValidation
 
 if TYPE_CHECKING:  # brandsem is imported by the brand workflows only
     from . import brandsem
@@ -428,16 +428,16 @@ class _Analysis:
         return scoring.align_and_normalize(raw_matrix, segment_ids)
 
     @_stage_result
-    def entropy_weights(self) -> scoring.WeightMatrix:
+    def entropy_weights(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """(weights, column entropies), each keyed by BLOCKS"""
         return scoring.compute_weight_matrix(self.normalize)
 
     @_stage_result
     def scores(self):
-        """(TOPSIS result, equal-weight index, PCA index)"""
-        dims = scoring.block_aggregate(self.normalize.values, self.entropy_weights)
-        result = scoring.topsis(dims, self.indicators[0])
+        """(dimension scores, SEVI, equal-weight index, PCA index)"""
+        dims = scoring.block_aggregate(self.normalize.values, self.entropy_weights[0])
         eq, pca_index = scoring.alternative_indices(self.normalize)
-        return result, eq, pca_index
+        return dims, scoring.topsis(dims), eq, pca_index
 
     @_stage_result
     def stats(self) -> tuple[stats.CorrelationMatrix, stats.PcaModel]:
@@ -561,22 +561,21 @@ def _write_normalized(a: _Analysis, outdir: Path) -> list[str]:
 
 
 def _write_weights(a: _Analysis, outdir: Path) -> list[str]:
-    wm = a.entropy_weights
+    weights, entropies = a.entropy_weights
     write_json(outdir / "weights.json", {
         "columns": [vars(c) for c in a.normalize.columns],
         "blocks": {name: {"columns": list(INDICATOR_NAMES[lo:hi]),
-                          "weights": wm.block(name).tolist(),
-                          "entropy": wm.entropy.get(name, [])}
+                          "weights": weights[name].tolist(),
+                          "entropy": entropies[name].tolist()}
                    for name, (lo, hi) in BLOCKS.items()},
     })
     return ["weights.json"]
 
 
 def _write_sevi(a: _Analysis, outdir: Path) -> list[str]:
-    result, eq, pca_index = a.scores
-    write_csv(outdir / "sevi.csv", ("segment_id", "activity", "utilization", "environment",
-                                    "sevi", "sevi_eq", "sevi_pca"),
-              zip(a.indicators[0], *result.dims.T.tolist(), result.sevi.tolist(),
+    dims, sevi, eq, pca_index = a.scores
+    write_csv(outdir / "sevi.csv", ("segment_id", *BLOCKS, "sevi", "sevi_eq", "sevi_pca"),
+              zip(a.indicators[0], *dims.T.tolist(), sevi.tolist(),
                   eq.tolist(), pca_index.tolist()))
     return ["sevi.csv"]
 
@@ -645,27 +644,27 @@ def _write_gwr(a: _Analysis, outdir: Path) -> list[str]:
 
 def _write_geojson(a: _Analysis, outdir: Path) -> list[str]:
     segment_ids, raw_matrix, _, _ = a.indicators
-    result = a.scores[0]
-    names = INDICATOR_NAMES + ("activity", "utilization", "environment", "sevi")
-    values = np.column_stack([raw_matrix, result.dims, result.sevi]).tolist()
+    dims, sevi, _, _ = a.scores
+    names = INDICATOR_NAMES + tuple(BLOCKS) + ("sevi",)
+    values = np.column_stack([raw_matrix, dims, sevi]).tolist()
     emit_geojson(outdir / "sevi.geojson", a.city.load,
                  {sid: dict(zip(names, row)) for sid, row in zip(segment_ids, values)})
     return ["sevi.geojson"]
 
 
 def _write_summary(a: _Analysis, outdir: Path) -> list[str]:
-    result, eq, pca_index = a.scores
+    _, sevi, eq, pca_index = a.scores
     sevi_stats = {
         "n_segments": float(len(a.indicators[0])),
-        "sevi_min": float(result.sevi.min()),
-        "sevi_mean": float(result.sevi.mean()),
-        "sevi_max": float(result.sevi.max()),
-        "spearman_sevi_eq": stats.spearman(result.sevi, eq),
-        "spearman_sevi_pca": stats.spearman(result.sevi, pca_index),
+        "sevi_min": float(sevi.min()),
+        "sevi_mean": float(sevi.mean()),
+        "sevi_max": float(sevi.max()),
+        "spearman_sevi_eq": stats.spearman(sevi, eq),
+        "spearman_sevi_pca": stats.spearman(sevi, pca_index),
     }
     text = report.render_run_summary(
         sevi_stats, {p: fit.adjusted_r2 for p, fit in a.gwr.items()},
-        {name: a.entropy_weights.block(name) for name in BLOCKS}, a.validation)
+        a.entropy_weights[0], a.validation)
     (outdir / "summary.txt").write_text(text, encoding="utf-8")
     return ["summary.txt"]
 
@@ -724,9 +723,10 @@ def run(config: PipelineConfig, workdir: Path, until: str | None = None) -> dict
 # robustness suite
 # ---------------------------------------------------------------------------
 
-def robustness(config: PipelineConfig, workdir: Path) -> RobustnessReport:
+def robustness(config: PipelineConfig, workdir: Path) -> dict:
     """Threshold and decay sweeps for the GWR explanatory power, alternative
-    composite-index correlations, and the external tier validation."""
+    composite-index correlations, and the external tier validation; writes
+    robustness.json and its text rendering and returns the JSON document."""
     outdir = _output_dir(config, workdir, STAGES[0].name)
     city = _City(config, Path(workdir))
     sp = config.raw["spillover"]
@@ -744,25 +744,22 @@ def robustness(config: PipelineConfig, workdir: Path) -> RobustnessReport:
         r2_by_decay = {p: {decay: analyses[base.threshold_m, decay].gwr[p].adjusted_r2
                            for decay in sp["sweep_decays"]} for p in PERIODS}
         baseline = analyses[base.threshold_m, base.decay]
-        sevi_result, sevi_eq, sevi_pca = baseline.scores
-        corr = stats.spearman_matrix(np.column_stack([sevi_result.sevi, sevi_eq, sevi_pca]),
+        _, sevi, sevi_eq, sevi_pca = baseline.scores
+        corr = stats.spearman_matrix(np.column_stack([sevi, sevi_eq, sevi_pca]),
                                      ["sevi", "sevi_eq", "sevi_pca"])
         tv = baseline.validation
-        rob = RobustnessReport(
-            r2_by_threshold=r2_by_threshold, r2_by_decay=r2_by_decay,
-            index_correlation={"labels": corr.labels, "matrix": corr.values.tolist()},
-            tier_validation=tv, thresholds=thresholds, decays=list(sp["sweep_decays"]),
-        )
-        write_json(outdir / "robustness.json", {
+        doc = {
             "r2_by_threshold": r2_by_threshold, "r2_by_decay": r2_by_decay,
-            "index_correlation": rob.index_correlation,
+            "index_correlation": {"labels": corr.labels, "matrix": corr.values.tolist()},
             # the rank test without its tie correction
             "tier_validation": {**{k: v for k, v in vars(tv).items() if k != "kw_total"},
                                 "kw": {"h": tv.kw_total.h, "dof": tv.kw_total.dof,
                                        "p_value": tv.kw_total.p_value}},
-        })
-        (outdir / "robustness.txt").write_text(report.render_robustness(rob), encoding="utf-8")
-    return rob
+        }
+        write_json(outdir / "robustness.json", doc)
+        (outdir / "robustness.txt").write_text(report.render_robustness(doc, tv),
+                                               encoding="utf-8")
+    return doc
 
 
 # ---------------------------------------------------------------------------

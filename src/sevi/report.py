@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,16 +44,6 @@ class TierValidation:
         return self.n_active / self.n_points if self.n_points else 0.0
 
 
-@dataclass
-class RobustnessReport:
-    r2_by_threshold: dict[str, dict[str, float]]   # period -> "1000" -> r2
-    r2_by_decay: dict[str, dict[str, float]]       # period -> decay -> r2
-    index_correlation: dict                        # labels + matrix rows
-    tier_validation: TierValidation
-    thresholds: list[float] = field(default_factory=list)
-    decays: list[str] = field(default_factory=list)
-
-
 # ---------------------------------------------------------------------------
 # plain-text tables
 # ---------------------------------------------------------------------------
@@ -71,8 +61,10 @@ def _fmt_table(headers, rows, title=None) -> str:
     return "\n".join(lines)
 
 
-def render_r2_grid(grid: dict[str, dict[str, float]], column_keys: list[str],
-                   title: str) -> str:
+def render_r2_grid(grid: dict[str, dict[str, float]], title: str) -> str:
+    """One row per period of `grid` (period -> column key -> adjusted R^2),
+    its columns in the order of the first period's keys."""
+    column_keys = list(grid[PERIODS[0]])
     headers = ["period"] + column_keys + ["mean"]
     rows = []
     for period in PERIODS:
@@ -109,7 +101,7 @@ def render_tier_table(tv: TierValidation) -> str:
 
 
 def render_run_summary(sevi_stats: dict, r2_by_period: dict[str, float],
-                       weights: dict, tier_validation: TierValidation | None) -> str:
+                       weights: dict, tier_validation: TierValidation) -> str:
     parts = ["Street economic vitality run summary",
              "=" * 42, ""]
     rows = [[k, f"{v:.4f}"] for k, v in sevi_stats.items()]
@@ -122,26 +114,26 @@ def render_run_summary(sevi_stats: dict, r2_by_period: dict[str, float],
     rows.append(["mean", f"{mean_adjusted_r2([r2_by_period[p] for p in PERIODS]):.4f}"])
     parts.append(_fmt_table(["period", "adjusted R^2"], rows,
                             title="Time-sliced GWR explanatory power"))
-    if tier_validation is not None:
-        parts.append("")
-        parts.append(render_tier_table(tier_validation))
+    parts.append("")
+    parts.append(render_tier_table(tier_validation))
     parts.append("")
     return "\n".join(parts)
 
 
-def render_robustness(report: RobustnessReport) -> str:
+def render_robustness(doc: dict, tier_validation: TierValidation) -> str:
+    """The text of the `robustness.json` document `doc`; the tier table is
+    rendered from `tier_validation`, which `doc` records."""
     parts = ["Robustness checks", "=" * 42, ""]
-    parts.append(render_r2_grid(report.r2_by_threshold,
-                                [str(int(d)) for d in report.thresholds],
+    parts.append(render_r2_grid(doc["r2_by_threshold"],
                                 "Adjusted R^2 under alternative spillover thresholds (m)"))
     parts.append("")
-    parts.append(render_r2_grid(report.r2_by_decay, list(report.decays),
+    parts.append(render_r2_grid(doc["r2_by_decay"],
                                 "Adjusted R^2 under alternative distance-decay forms"))
     parts.append("")
-    corr = report.index_correlation
+    corr = doc["index_correlation"]
     parts.append(render_correlation(corr["labels"], corr["matrix"],
                                     "Rank correlation of alternative composite indices"))
     parts.append("")
-    parts.append(render_tier_table(report.tier_validation))
+    parts.append(render_tier_table(tier_validation))
     parts.append("")
     return "\n".join(parts)

@@ -4,7 +4,7 @@ block aggregation, TOPSIS closeness, and the two alternative composites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,40 +27,6 @@ class ColumnMeta:
 class NormalizedMatrix:
     values: np.ndarray                      # (n, 9) in [0, 1]
     columns: list[ColumnMeta]
-    segment_ids: list[str]
-
-    def block(self, name: str) -> np.ndarray:
-        lo, hi = BLOCKS[name]
-        return self.values[:, lo:hi]
-
-
-@dataclass
-class WeightMatrix:
-    """Block-diagonal weights; each block sums to 1."""
-
-    activity: np.ndarray
-    utilization: np.ndarray
-    environment: np.ndarray
-    entropy: dict[str, list[float]] = field(default_factory=dict)
-
-    def block(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
-    @classmethod
-    def uniform(cls) -> "WeightMatrix":
-        return cls(activity=np.full(4, 0.25), utilization=np.full(3, 1.0 / 3.0),
-                   environment=np.full(2, 0.5))
-
-
-@dataclass
-class SeviResult:
-    segment_ids: list[str]
-    dims: np.ndarray        # (n, 3) block scores A, U, P
-    sevi: np.ndarray        # (n,) in [0, 1]
-    z_plus: np.ndarray      # (3,) ideal
-    z_minus: np.ndarray     # (3,) negative ideal
-    d_plus: np.ndarray
-    d_minus: np.ndarray
 
 
 def align_and_normalize(raw: np.ndarray, segment_ids: list[str] | None = None) -> NormalizedMatrix:
@@ -101,22 +67,17 @@ def align_and_normalize(raw: np.ndarray, segment_ids: list[str] | None = None) -
             values[:, j] = (col - mn) / (mx - mn)
         columns.append(ColumnMeta(name=name, aligned=j == cr_col,
                                   raw_min=mn, raw_max=mx, constant=constant))
-    return NormalizedMatrix(values=values, columns=columns, segment_ids=list(segment_ids))
+    return NormalizedMatrix(values=values, columns=columns)
 
 
-def entropy_weights(block: np.ndarray) -> np.ndarray:
-    """Entropy-divergence weights for one normalized block.
+def entropy_weights(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy-divergence weights and column entropies of one normalized block.
 
     p_ij = r_ij / sum_i r_ij, e_j = -(1/ln n) sum_i p ln p (0 ln 0 := 0),
     w_j = (1 - e_j) / sum_k (1 - e_k). Columns whose divergence is below
     1e-12 (constant or all-zero columns) get weight 0; if every column is
     degenerate the weights are uniform.
     """
-    return _entropy_weights(block)[0]
-
-
-def _entropy_weights(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, column entropies) of one block; see `entropy_weights`."""
     block = np.asarray(block, dtype=float)
     if block.ndim != 2:
         raise ValidationError(f"expected a 2-D block, got shape {block.shape}")
@@ -151,48 +112,43 @@ def _entropy_weights(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return weights, entropies
 
 
-def compute_weight_matrix(nm: NormalizedMatrix) -> WeightMatrix:
-    entropy_diag: dict[str, list[float]] = {}
-    blocks = {}
-    for name in BLOCKS:
-        blocks[name], entropies = _entropy_weights(nm.block(name))
-        entropy_diag[name] = entropies.tolist()
-    return WeightMatrix(activity=blocks["activity"], utilization=blocks["utilization"],
-                        environment=blocks["environment"], entropy=entropy_diag)
+def compute_weight_matrix(nm: NormalizedMatrix) -> tuple[dict[str, np.ndarray],
+                                                         dict[str, np.ndarray]]:
+    """Each block's entropy weights and its column entropies, two dicts keyed
+    by `BLOCKS` in its order; each block's weights sum to 1."""
+    weights, entropies = {}, {}
+    for name, (lo, hi) in BLOCKS.items():
+        weights[name], entropies[name] = entropy_weights(nm.values[:, lo:hi])
+    return weights, entropies
 
 
-def block_aggregate(values: np.ndarray, weights: WeightMatrix) -> np.ndarray:
-    """Apply the block-diagonal weights: (n, 9) -> (n, 3) dimension scores."""
+def block_aggregate(values: np.ndarray, weights: dict[str, np.ndarray]) -> np.ndarray:
+    """Apply the block-diagonal weights, keyed by `BLOCKS`: (n, 9) values ->
+    one dimension score column per block."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    dims = np.empty((values.shape[0], 3))
-    for d, name in enumerate(("activity", "utilization", "environment")):
-        lo, hi = BLOCKS[name]
-        w = weights.block(name)
+    dims = np.empty((values.shape[0], len(BLOCKS)))
+    for d, (name, (lo, hi)) in enumerate(BLOCKS.items()):
+        w = weights[name]
         if len(w) != hi - lo:
             raise ValidationError(f"block {name!r} expects {hi - lo} weights, got {len(w)}")
         dims[:, d] = values[:, lo:hi] @ w
     return dims
 
 
-def topsis(dims: np.ndarray, segment_ids: list[str] | None = None) -> SeviResult:
-    """Closeness to the ideal over benefit-oriented dimension scores."""
+def topsis(dims: np.ndarray) -> np.ndarray:
+    """Closeness to the ideal over benefit-oriented dimension scores: the
+    SEVI of each row, in [0, 1]."""
     dims = np.asarray(dims, dtype=float)
     if dims.ndim != 2:
         raise ValidationError(f"expected a 2-D dimension matrix, got shape {dims.shape}")
     n = dims.shape[0]
     if n < 2:
         raise ValidationError(f"TOPSIS needs at least 2 segments, got {n}")
-    if segment_ids is None:
-        segment_ids = [str(i) for i in range(n)]
 
-    z_plus = dims.max(axis=0)
-    z_minus = dims.min(axis=0)
-    d_plus = np.linalg.norm(dims - z_plus, axis=1)
-    d_minus = np.linalg.norm(dims - z_minus, axis=1)
+    d_plus = np.linalg.norm(dims - dims.max(axis=0), axis=1)
+    d_minus = np.linalg.norm(dims - dims.min(axis=0), axis=1)
     denom = d_plus + d_minus
-    sevi = np.where(denom == 0.0, 0.5, d_minus / np.where(denom == 0.0, 1.0, denom))
-    return SeviResult(segment_ids=list(segment_ids), dims=dims, sevi=sevi,
-                      z_plus=z_plus, z_minus=z_minus, d_plus=d_plus, d_minus=d_minus)
+    return np.where(denom == 0.0, 0.5, d_minus / np.where(denom == 0.0, 1.0, denom))
 
 
 def first_component_scores(values: np.ndarray) -> np.ndarray:
@@ -221,7 +177,8 @@ def alternative_indices(nm: NormalizedMatrix) -> tuple[np.ndarray, np.ndarray]:
     The PCA variant is sign-fixed to correlate positively with the
     equal-weight index, then min-max rescaled to [0, 1].
     """
-    eq = topsis(block_aggregate(nm.values, WeightMatrix.uniform()), nm.segment_ids).sevi
+    eq = topsis(block_aggregate(nm.values, {name: np.full(hi - lo, 1.0 / (hi - lo))
+                                            for name, (lo, hi) in BLOCKS.items()}))
 
     scores = first_component_scores(nm.values)
     if scores.std() > 0 and eq.std() > 0:

@@ -113,35 +113,56 @@ def test_gwr_fit_all_multiple_responses_match_single_calls():
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
-def test_mixed_block_falls_back_to_per_row_pivot_rule(monkeypatch):
-    # bisquare at 100 m: a dense cluster gives clean systems, isolated points
-    # see only themselves (rank 1, ridged), and an isolated point with a zero
-    # row has X'WX == 0, which no ridge repairs; that row makes the stacked
-    # Cholesky raise for all n systems of the call
+def _mixed_block(zero_row):
+    """Bisquare at 100 m: a dense cluster gives clean systems, and isolated
+    points see only themselves (rank 1, ridged). With `zero_row`, the last
+    isolated point has a zero row, so its X'WX == 0, which no ridge repairs.
+    Either way the stacked Cholesky raises for all n systems of the call."""
     rng = np.random.default_rng(3)
     cluster = rng.uniform(0, 150, (24, 2))
     isolated = 1000.0 * np.arange(1, 7)[:, None] * np.ones((6, 2))
     coords = np.vstack([cluster, isolated])
     n = len(coords)
     X = rng.normal(size=(n, 3))
-    X[-1] = 0.0
-    y = rng.normal(size=n)
-    bw = np.full(n, 100.0)
+    if zero_row:
+        X[-1] = 0.0
+    return coords, X, rng.normal(size=n), np.full(n, 100.0)
+
+
+def _counting_chol(monkeypatch):
     calls = []
     chol = kernels._chol
     monkeypatch.setattr(kernels, "_chol", lambda A: calls.append(1) or chol(A))
+    return calls
 
-    beta, _, _, _, flags = kernels.gwr_fit_all(coords, X, y[:, None], bw, "bisquare")
 
-    assert len(calls) >= n  # the stack was re-checked row by row
+def test_mixed_block_falls_back_to_per_row_pivot_rule(monkeypatch):
+    coords, X, y, bw = _mixed_block(zero_row=True)
+    calls = _counting_chol(monkeypatch)
+
+    *solution, flags = kernels.gwr_fit_all(coords, X, y[:, None], bw, "bisquare")
+
+    assert len(calls) >= len(coords)  # the stack was re-checked row by row
     want = _reference_flags(coords, X, bw, "bisquare")
     np.testing.assert_array_equal(flags, want)
     assert set(np.unique(flags)) == {kernels.FLAG_OK, kernels.FLAG_RIDGED,
                                      kernels.FLAG_SINGULAR}
-    assert np.all(beta[flags == kernels.FLAG_SINGULAR] == 0.0)
+    assert solution == [None] * 4  # a singular system: the flags alone
+
+
+def test_per_row_fallback_solves_clean_and_ridged_rows(monkeypatch):
+    coords, X, y, bw = _mixed_block(zero_row=False)
+    calls = _counting_chol(monkeypatch)
+
+    beta, _, _, _, flags = kernels.gwr_fit_all(coords, X, y[:, None], bw, "bisquare")
+
+    assert len(calls) >= len(coords)  # the stack was re-checked row by row
+    np.testing.assert_array_equal(flags, _reference_flags(coords, X, bw, "bisquare"))
+    assert set(np.unique(flags)) == {kernels.FLAG_OK, kernels.FLAG_RIDGED}
     clean = np.flatnonzero(flags == kernels.FLAG_OK)
     want_beta = _oracle(coords, X, y, bw, "bisquare", rows=clean)[0]
     np.testing.assert_allclose(beta[clean, :, 0], want_beta[clean], rtol=1e-10, atol=0)
+    assert np.all(np.isfinite(beta))
 
 
 def _clustered_with_isolated(n_cluster=290, n_isolated=4, seed=17):
@@ -413,7 +434,8 @@ def _clustered_with_zero_row():
 # x_i . beta_i) and hat-row norms (c' X'W^2X c for the n-wide pass) are
 # rounded differently. c' X'W^2X c loses digits where c is large, on ridged
 # systems: measured 5.0e-11 of the largest norm under bisquare at 150 m with
-# n = 1000 (202 ridged rows), and 2.2e-11 on the zero-row design at 100 m.
+# n = 1000 (202 ridged rows). On the zero-row design a system stays singular,
+# so the call returns its flags and no solution.
 @pytest.mark.parametrize("kernel", ["gaussian", "bisquare"])
 @pytest.mark.parametrize("design, n, bandwidth, full", [
     ("benchmark", 160, 900.0, True), ("benchmark", 160, 900.0, False),
@@ -434,6 +456,8 @@ def test_one_solve_kernel_matches_the_block_solve_kernel(kernel, design, n, band
     np.testing.assert_array_equal(flags, want[4])
     if design == "zero_row":
         assert kernels.FLAG_SINGULAR in flags and kernels.FLAG_RIDGED in flags
+        assert beta is None and fitted is None and s_ii is None and s_norm2 is None
+        return
     assert np.array_equal(s_ii, want[2])
     if not full:
         assert beta is None and s_norm2 is None

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from sevi.geodata import (ANCHORS_HEADER, PERIODS, POINTS_HEADER, POIS_HEADER,
                           SEGMENTS_HEADER, project_to_metric)
 from sevi.exceptions import ComputationError, ConfigError
-from sevi.pipeline import (CONFIG_KINDS, DEFAULT_CONFIG, PipelineConfig, _City, ingest,
-                           robustness, run, write_csv, write_json)
+from sevi.indicators import INDICATOR_NAMES
+from sevi.pipeline import (CONFIG_KINDS, DEFAULT_CONFIG, PipelineConfig, _Analysis, _City,
+                           ingest, robustness, run, write_csv, write_json)
 
 from .conftest import write_feature_collection
 
@@ -159,8 +160,11 @@ def test_until_writes_exactly_its_manifest(city_dir, default_run, tmp_path, unti
 
 def test_robustness_grid_complete_and_baseline_matches_run(city_dir, default_run, tmp_path):
     config = _config(tmp_path)
-    robustness(config, city_dir)
+    returned = robustness(config, city_dir)
     doc = _json(tmp_path / "robustness.json")
+    write_json(tmp_path / "returned.json", returned)  # the document that was written
+    assert ((tmp_path / "returned.json").read_bytes()
+            == (tmp_path / "robustness.json").read_bytes())
     sp = config.raw["spillover"]
     summary = _json(default_run / "gwr_summary.json")
     for p in PERIODS:
@@ -172,6 +176,31 @@ def test_robustness_grid_complete_and_baseline_matches_run(city_dir, default_run
         assert doc["r2_by_threshold"][p]["2000"] == baseline
         assert doc["r2_by_decay"][p]["gaussian"] == baseline
     assert doc["tier_validation"]["kw"]["h"] == _json(default_run / "kw.json")["h"]
+
+
+@pytest.mark.parametrize("bandwidth", [1500, 600])
+def test_raw_predictors_give_the_normalized_fit(city_dir, bandwidth):
+    # min-max scaling maps each column affinely (the closure column flipped),
+    # and a local fit with an intercept is invariant under such a map: the
+    # fit is unchanged, and each slope scales by its column's range
+    fits = {}
+    for source in ("normalized", "raw"):
+        config = _config("unused", [f"gwr.bandwidth={bandwidth}", f"gwr.x_source={source}"])
+        analysis = _Analysis(_City(config, city_dir), config.spillover_config())
+        fits[source] = analysis.gwr
+    columns = analysis.normalize.columns
+    scale = np.array([(-1.0 if c.aligned else 1.0) * (c.raw_max - c.raw_min) for c in columns])
+    assert scale[INDICATOR_NAMES.index("cr")] < 0 and np.all(scale != 0)
+    for period in PERIODS:
+        norm, raw = fits["normalized"][period], fits["raw"][period]
+        assert norm.n_ridged == raw.n_ridged == 0
+        np.testing.assert_allclose(raw.adjusted_r2, norm.adjusted_r2, rtol=1e-9)
+        np.testing.assert_allclose(raw.trace_s, norm.trace_s, rtol=1e-9)
+        # a value near 0 agrees to 1e-9 of the largest one, not of itself
+        for got, want in ((raw.residuals, norm.residuals),
+                          (raw.beta[:, 1:] * scale, norm.beta[:, 1:])):
+            np.testing.assert_allclose(got, want, rtol=1e-9,
+                                       atol=1e-9 * np.max(np.abs(want)))
 
 
 def _projected(path, premium=False):

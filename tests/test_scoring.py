@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevi.exceptions import ValidationError
-from sevi.indicators import INDICATOR_NAMES
-from sevi.scoring import (WeightMatrix, align_and_normalize, alternative_indices,
-                          block_aggregate, compute_weight_matrix, entropy_weights,
-                          first_component_scores, topsis)
+from sevi import scoring
+from sevi.indicators import BLOCKS, INDICATOR_NAMES
+from sevi.scoring import (align_and_normalize, alternative_indices, block_aggregate,
+                          compute_weight_matrix, entropy_weights, first_component_scores,
+                          topsis)
 from sevi.stats import spearman
 
 CR = INDICATOR_NAMES.index("cr")
@@ -91,14 +92,14 @@ def test_values_in_unit_interval(rng):
 
 def test_constant_column_gets_zero_weight():
     block = np.column_stack([np.full(10, 0.5), np.linspace(0, 1, 10)])
-    w = entropy_weights(block)
+    w, _ = entropy_weights(block)
     assert w[0] == 0.0
     assert w[1] == 1.0
 
 
 def test_row_reversed_columns_share_weight():
     col = np.linspace(0.1, 1.0, 12)
-    w = entropy_weights(np.column_stack([col, col[::-1]]))
+    w, _ = entropy_weights(np.column_stack([col, col[::-1]]))
     assert np.allclose(w, [0.5, 0.5], atol=1e-12)
 
 
@@ -108,13 +109,15 @@ def test_entropy_weights_match_literal_oracle(rng):
     p = block / block.sum(axis=0, keepdims=True)
     e = -(np.where(p > 0, p * np.log(p), 0.0)).sum(axis=0) / np.log(block.shape[0])
     expected = (1 - e) / (1 - e).sum()
-    assert np.allclose(entropy_weights(block), expected, atol=1e-9)
+    w, entropies = entropy_weights(block)
+    assert np.allclose(w, expected, atol=1e-9)
+    assert np.allclose(entropies, e, atol=1e-9)
 
 
 def test_weights_sum_to_one_and_nonnegative(rng):
     for _ in range(10):
         block = rng.uniform(0, 1, (15, 3))
-        w = entropy_weights(block)
+        w, _ = entropy_weights(block)
         assert np.all(w >= 0)
         assert abs(w.sum() - 1.0) <= 1e-12
 
@@ -122,12 +125,12 @@ def test_weights_sum_to_one_and_nonnegative(rng):
 def test_weights_invariant_under_row_permutation(rng):
     block = rng.uniform(0, 1, (25, 4))
     perm = rng.permutation(25)
-    assert np.allclose(entropy_weights(block), entropy_weights(block[perm]), atol=1e-12)
+    assert np.allclose(entropy_weights(block)[0], entropy_weights(block[perm])[0], atol=1e-12)
 
 
 def test_all_degenerate_block_uniform():
     block = np.full((8, 3), 0.5)
-    assert np.allclose(entropy_weights(block), [1 / 3] * 3)
+    assert np.allclose(entropy_weights(block)[0], [1 / 3] * 3)
 
 
 def test_entropy_needs_two_rows():
@@ -139,15 +142,19 @@ def test_entropy_needs_two_rows():
 # block aggregation
 # ---------------------------------------------------------------------------
 
+def _uniform():
+    return {name: np.full(hi - lo, 1.0 / (hi - lo)) for name, (lo, hi) in BLOCKS.items()}
+
+
 def test_uniform_weights_on_half_inputs():
-    dims = block_aggregate(np.full((1, 9), 0.5), WeightMatrix.uniform())
+    dims = block_aggregate(np.full((1, 9), 0.5), _uniform())
     assert np.allclose(dims, 0.5)
 
 
 def test_weight_one_selects_single_indicator():
-    wm = WeightMatrix(activity=np.array([0, 0, 1.0, 0]),
-                      utilization=np.array([1.0, 0, 0]),
-                      environment=np.array([1.0, 0]))
+    wm = {"activity": np.array([0, 0, 1.0, 0]),
+          "utilization": np.array([1.0, 0, 0]),
+          "environment": np.array([1.0, 0])}
     values = np.arange(9, dtype=float).reshape(1, 9) / 10
     dims = block_aggregate(values, wm)
     assert dims[0, 0] == pytest.approx(values[0, 2])  # br
@@ -158,7 +165,7 @@ def test_weight_one_selects_single_indicator():
 def test_block_aggregate_matches_matrix_product(rng):
     values = rng.uniform(0, 1, (12, 9))
     wa, wu, wp = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(2))
-    wm = WeightMatrix(activity=wa, utilization=wu, environment=wp)
+    wm = {"activity": wa, "utilization": wu, "environment": wp}
     dims = block_aggregate(values, wm)
     expected = np.column_stack([values[:, :4] @ wa, values[:, 4:7] @ wu, values[:, 7:] @ wp])
     assert np.allclose(dims, expected, atol=1e-12)
@@ -170,35 +177,35 @@ def test_block_aggregate_matches_matrix_product(rng):
 
 def test_topsis_endpoints():
     dims = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
-    result = topsis(dims)
-    assert result.sevi[0] == 1.0
-    assert result.sevi[1] == 0.0
+    sevi = topsis(dims)
+    assert sevi[0] == 1.0
+    assert sevi[1] == 0.0
 
 
 def test_topsis_midpoint():
     dims = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.5]])
-    assert topsis(dims).sevi[2] == pytest.approx(0.5)
+    assert topsis(dims)[2] == pytest.approx(0.5)
 
 
 def test_topsis_three_segment_hand_computation():
     dims = np.array([[0.9, 0.2, 0.5], [0.1, 0.8, 0.5], [0.4, 0.4, 0.1]])
-    result = topsis(dims)
+    sevi = topsis(dims)
     z_plus = dims.max(axis=0)
     z_minus = dims.min(axis=0)
     for i in range(3):
         dp = math.dist(dims[i], z_plus)
         dm = math.dist(dims[i], z_minus)
-        assert result.sevi[i] == pytest.approx(dm / (dp + dm), abs=1e-12)
+        assert sevi[i] == pytest.approx(dm / (dp + dm), abs=1e-12)
 
 
 def test_topsis_constant_rows_get_half():
     dims = np.full((3, 3), 0.7)
-    assert np.all(topsis(dims).sevi == 0.5)
+    assert np.all(topsis(dims) == 0.5)
 
 
 def test_sevi_in_unit_interval(rng):
     for _ in range(10):
-        sevi = topsis(rng.uniform(0, 1, (30, 3))).sevi
+        sevi = topsis(rng.uniform(0, 1, (30, 3)))
         assert sevi.min() >= 0.0
         assert sevi.max() <= 1.0
 
@@ -211,20 +218,20 @@ def test_sevi_in_unit_interval(rng):
 def test_topsis_scores_in_unit_interval(rows, weights):
     # random indicator blocks under random per-block weights summing to one
     w = np.array(weights)
-    wm = WeightMatrix(activity=w[0:4] / w[0:4].sum(), utilization=w[4:7] / w[4:7].sum(),
-                      environment=w[7:9] / w[7:9].sum())
-    sevi = topsis(block_aggregate(align_and_normalize(np.array(rows)).values, wm)).sevi
+    wm = {"activity": w[0:4] / w[0:4].sum(), "utilization": w[4:7] / w[4:7].sum(),
+          "environment": w[7:9] / w[7:9].sum()}
+    sevi = topsis(block_aggregate(align_and_normalize(np.array(rows)).values, wm))
     assert np.all((sevi >= 0.0) & (sevi <= 1.0))
 
 
 def test_topsis_monotone_in_interior_indicator(rng):
     values = rng.uniform(0.2, 0.8, (20, 9))
-    wm = compute_weight_matrix(align_and_normalize(values))
+    wm, _ = compute_weight_matrix(align_and_normalize(values))
     base = topsis(block_aggregate(values, wm))
     bumped = values.copy()
     bumped[5, 0] = min(bumped[5, 0] + 0.1, 0.99)  # stays interior
     after = topsis(block_aggregate(bumped, wm))
-    assert after.sevi[5] >= base.sevi[5] - 1e-12
+    assert after[5] >= base[5] - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +245,8 @@ def test_equal_weight_index_coincides_when_ewm_is_uniform(rng):
     raw = np.column_stack([base[rng.permutation(16)] for _ in range(9)])
     raw[:, CR] = 1.0 - raw[:, CR]  # keep the aligned column a permutation too
     nm = align_and_normalize(raw)
-    wm = compute_weight_matrix(nm)
-    sevi = topsis(block_aggregate(nm.values, wm)).sevi
+    wm, _ = compute_weight_matrix(nm)
+    sevi = topsis(block_aggregate(nm.values, wm))
     eq, _ = alternative_indices(nm)
     assert np.allclose(sevi, eq, atol=1e-9)
 
@@ -284,8 +291,39 @@ def test_ewm_and_equal_weight_indices_strongly_agree(rng):
     for _ in range(20):
         raw = rng.uniform(0, 1, (40, 9)) ** rng.uniform(0.5, 2.0)
         nm = align_and_normalize(raw)
-        wm = compute_weight_matrix(nm)
-        sevi = topsis(block_aggregate(nm.values, wm)).sevi
+        wm, _ = compute_weight_matrix(nm)
+        sevi = topsis(block_aggregate(nm.values, wm))
         eq, _ = alternative_indices(nm)
         rhos.append(spearman(sevi, eq))
     assert min(rhos) > 0.9
+
+
+# ---------------------------------------------------------------------------
+# the dimension partition
+# ---------------------------------------------------------------------------
+
+def test_another_partition_of_the_columns_flows_through(monkeypatch, rng):
+    # scoring reads the dimensions from BLOCKS alone: a partition into two
+    # blocks of widths 2 and 7 gives two weight blocks and two score columns
+    blocks = {"first": (0, 2), "second": (2, 9)}
+    monkeypatch.setattr(scoring, "BLOCKS", blocks)
+    nm = align_and_normalize(_raw(25, rng))
+
+    weights, entropies = compute_weight_matrix(nm)
+    assert list(weights) == list(entropies) == list(blocks)
+    for name, (lo, hi) in blocks.items():
+        want_w, want_e = entropy_weights(nm.values[:, lo:hi])
+        assert np.array_equal(weights[name], want_w) and np.array_equal(entropies[name], want_e)
+        assert len(want_w) == hi - lo
+        assert weights[name].sum() == pytest.approx(1.0, abs=1e-12)
+
+    dims = block_aggregate(nm.values, weights)
+    assert dims.shape == (25, 2)
+    np.testing.assert_allclose(dims, np.column_stack(
+        [nm.values[:, lo:hi] @ weights[name] for name, (lo, hi) in blocks.items()]),
+        rtol=1e-12, atol=0)
+
+    eq, pca_index = alternative_indices(nm)
+    uniform = np.column_stack([nm.values[:, :2].mean(axis=1), nm.values[:, 2:].mean(axis=1)])
+    np.testing.assert_allclose(eq, topsis(uniform), rtol=1e-12, atol=1e-15)
+    assert eq.shape == pca_index.shape == (25,)
