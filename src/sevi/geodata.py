@@ -7,9 +7,13 @@ order. The route order sorts the segments by id and each segment's points by
 `order`; `PointTable.route` returns it as a permutation plus run bounds, so
 a per-segment reduction reads one contiguous slice of the permuted column.
 
-Ingestion reads every table as text columns plus row numbers, from a CSV
-file or from a GeoJSON FeatureCollection (a feature's number is its row, a
-Point's coordinates fill `lon`/`lat`). Each table is validated by one ordered
+Ingestion reads a table from a CSV file or from a GeoJSON FeatureCollection
+(a feature's number is its row, a Point's coordinates fill `lon`/`lat`) and
+parses it a chunk of rows at a time, so the text of a whole table is never
+held as cells. Each column is kept as its kind makes it: numbers as
+int64/float64 arrays plus the text of the rows they reject, which the error
+messages quote; labels (segment ids, categories, periods) as one str object
+per distinct value; other text as read. Each table is validated by one ordered
 list of column checks, each a whole-column rule giving the mask of the rows
 that break it; the error is that of the smallest bad row and, on one row, of
 the check listed first, as a row-by-row check in that order would raise. A
@@ -142,7 +146,7 @@ class PointTable:
 
 # candidate (location, POI) pairs `PoiTable.counts_within` tests at once;
 # bounds its working memory
-_PAIR_CHUNK = 2**16
+_PAIR_CHUNK = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,19 +249,130 @@ class CityTables:
 # ingestion
 # ---------------------------------------------------------------------------
 
-_CHUNK_ROWS = 256  # a chunk's row lists die before 700 allocations start a GC pass
+# rows parsed at once: only a chunk's text is held, and its row lists die
+# before 700 allocations start a GC pass
+_CHUNK_ROWS = 256
+
+# each table's column kinds in header order: "text" as read, a "label"
+# stripped and held as one str object per distinct value, or a number
+# parsed by "int" or "float"
+_KINDS = {
+    POINTS_HEADER: ("text", "float", "float", "label", "int") + ("int",) * len(COUNT_COLUMNS),
+    SEGMENTS_HEADER: ("text", "float"),
+    ANCHORS_HEADER: ("text", "label", "float", "float"),
+    POIS_HEADER: ("text", "float", "float", "label", "text"),
+    LBS_HEADER: ("label", "label", "float"),
+    BRANDS_HEADER: ("text", "int", "int", "int"),
+}
 
 
-def _read_csv_rows(path: Path, expected_header: tuple[str, ...]):
-    """A CSV table's non-blank rows as (row numbers, one list of texts per
-    column in header order); the header is row 1. A UTF-8 byte-order mark
-    before the header is skipped."""
+class _Numbers(NamedTuple):
+    """A number column: its int64 or float64 values, and by row index the
+    text of each row its kind rejects. Such a row reads as 0 when its text
+    is no number, clipped into int64 when outside it, else as parsed."""
+
+    values: np.ndarray
+    rejected: dict[int, str]
+
+
+def _parsed(parse, text: str):
+    """`parse(text)` (int or float), or None when the text is no such number."""
+    try:
+        return parse(text)
+    except ValueError:
+        return None
+
+
+def _number_block(cells: list[tuple[str, ...]], kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk's columns of one number kind, "int" or "float", as a (columns,
+    rows) block of values and the mask of the cells the kind rejects: no
+    number (read as 0), not finite, negative, or outside int64 (read clipped)."""
+    parse = int if kind == "int" else float
+    try:
+        values, unparsed = [list(map(parse, column)) for column in cells], []
+    except ValueError:
+        values = [[_parsed(parse, cell) for cell in column] for column in cells]
+        unparsed = [(r, i) for r, column in enumerate(values)
+                    for i, value in enumerate(column) if value is None]
+        for r, i in unparsed:
+            values[r][i] = 0
+    if parse is float:
+        block = np.array(values, dtype=float)
+        bad = ~np.isfinite(block)
+    else:
+        try:
+            block = np.array(values, dtype=np.int64)
+            bad = block < 0
+        except OverflowError:
+            wide = np.array(values, dtype=object)
+            block = np.clip(wide, -2**63, 2**63 - 1).astype(np.int64)
+            bad = (wide < 0) | (wide >= 2**63)
+    for r, i in unparsed:
+        bad[r, i] = True
+    return block, bad
+
+
+def _columns(chunks, kinds: tuple[str, ...]) -> list:
+    """Rows of texts, parsed a chunk at a time, as one column per kind: a
+    list of str for "text" and "label", `_Numbers` for "int" and "float"."""
+    columns = [[] for _ in kinds]
+    shared = [{} for _ in kinds]      # a label column's one str per value
+    numbers = {kind: [j for j, k in enumerate(kinds) if k == kind] for kind in ("int", "float")}
+    blocks = {kind: [] for kind in numbers}
+    rejected = [{} for _ in kinds]
+    start = 0
+    for chunk in chunks:
+        if not chunk:
+            continue
+        cells = list(zip(*chunk))
+        for j, kind in enumerate(kinds):
+            if kind == "text":
+                columns[j].extend(cells[j])
+            elif kind == "label":
+                labels = list(map(str.strip, cells[j]))
+                columns[j].extend(map(shared[j].setdefault, labels, labels))
+        for kind, js in numbers.items():
+            if js:
+                block, bad = _number_block([cells[j] for j in js], kind)
+                blocks[kind].append(block)
+                for r, i in np.argwhere(bad).tolist():
+                    rejected[js[r]][start + i] = cells[js[r]][i]
+        start += len(chunk)
+    dtypes = {"int": np.int64, "float": float}
+    for kind, js in numbers.items():
+        for r, j in enumerate(js):
+            values = [np.empty(0, dtypes[kind]), *(block[r] for block in blocks[kind])]
+            columns[j] = _Numbers(np.concatenate(values), rejected[j])
+    return columns
+
+
+def _read_csv_rows(path: Path, expected_header: tuple[str, ...],
+                   kinds: tuple[str, ...] | None = None):
+    """A CSV table's non-blank rows as (row numbers, one column per header
+    field, of the `_columns` kind given for it, "text" by default); the
+    header is row 1. A UTF-8 byte-order mark before the header is skipped.
+    A row of another width raises as it is read."""
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
     width = len(expected_header)
-    lines, columns = [], [[] for _ in expected_header]
+    lines = []
+
+    def chunks(reader):
+        start = 2
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            numbers = range(start, start + len(chunk))
+            start += len(chunk)
+            if set(map(len, chunk)) != {width}:  # blank rows, or a row of another width
+                numbers = [lineno for lineno, row in zip(numbers, chunk) if row]
+                chunk = [row for row in chunk if row]
+                widths = np.fromiter(map(len, chunk), dtype=np.intp, count=len(chunk))
+                _raise_first(path, numbers, [_Check("-", widths != width, lambda i: (
+                    f"expected {width} fields, got {widths[i]}"))])
+            lines.extend(numbers)
+            yield chunk
+
     with fh:
         reader = csv.reader(fh)
         try:
@@ -269,19 +384,7 @@ def _read_csv_rows(path: Path, expected_header: tuple[str, ...]):
                     path, 1, "-",
                     f"header {header} does not match expected {list(expected_header)}",
                 )
-            start = 2
-            while chunk := list(islice(reader, _CHUNK_ROWS)):
-                numbers = range(start, start + len(chunk))
-                start += len(chunk)
-                if set(map(len, chunk)) != {width}:  # blank rows, or a row of another width
-                    numbers = [lineno for lineno, row in zip(numbers, chunk) if row]
-                    chunk = [row for row in chunk if row]
-                    widths = np.fromiter(map(len, chunk), dtype=np.intp, count=len(chunk))
-                    _raise_first(path, numbers, [_Check("-", widths != width, lambda i: (
-                        f"expected {width} fields, got {widths[i]}"))])
-                lines.extend(numbers)
-                for column, texts in zip(columns, zip(*chunk)):
-                    column.extend(texts)
+            columns = _columns(chunks(reader), kinds or ("text",) * width)
         except UnicodeDecodeError:
             _raise_not_utf8(path)
     return lines, columns
@@ -300,9 +403,9 @@ def _raise_not_utf8(path: Path):
     raise ValidationError(f"{path} changed while it was read")
 
 
-def _read_geojson_rows(path: Path, header: tuple[str, ...]):
+def _read_geojson_rows(path: Path, header: tuple[str, ...], kinds: tuple[str, ...]):
     """The features of a GeoJSON FeatureCollection as a `_read_csv_rows`
-    table: (feature numbers, one list of texts per column in header order).
+    table: (feature numbers, one column per header field of its kind).
 
     With lon/lat in the header the features are Points whose coordinates
     fill those two fields; otherwise they are LineStrings. Returns the table
@@ -320,29 +423,33 @@ def _read_geojson_rows(path: Path, header: tuple[str, ...]):
     features = doc.get("features")
     if not isinstance(features, list):
         raise SchemaError(path, 0, "features", "expected a list of features")
-    kind = "Point" if "lon" in header else "LineString"
-    rows, vertices = [], [] if kind == "LineString" else None
-    for i, feat in enumerate(features, start=1):
-        geom = feat.get("geometry") if isinstance(feat, dict) else None
-        if not isinstance(geom, dict) or geom.get("type") != kind:
-            raise SchemaError(path, i, "geometry", f"expected a {kind} feature")
-        props = feat.get("properties")
-        if not isinstance(props, dict):
-            raise SchemaError(path, i, "properties", "expected an object")
-        coords = geom.get("coordinates")
-        if not (isinstance(coords, list) and len(coords) >= 2):
-            raise SchemaError(path, i, "coordinates", "expected [lon, lat] for a Point, "
-                              f"two or more such vertices for a LineString; got {coords!r}")
-        if kind == "Point":
-            props = {**props, "lon": coords[0], "lat": coords[1]}
-        else:
-            vertices.append([_vertex(path, i, k, c) for k, c in enumerate(coords)])
-        missing = [name for name in header if name not in props]
-        if missing:
-            raise SchemaError(path, i, missing[0], "missing property")
-        rows.append(["" if props[name] is None else str(props[name]) for name in header])
-    columns = [list(texts) for texts in zip(*rows)] or [[] for _ in header]
-    return (list(range(1, len(rows) + 1)), columns), vertices
+    shape = "Point" if "lon" in header else "LineString"
+    vertices = [] if shape == "LineString" else None
+
+    def rows():
+        for i, feat in enumerate(features, start=1):
+            geom = feat.get("geometry") if isinstance(feat, dict) else None
+            if not isinstance(geom, dict) or geom.get("type") != shape:
+                raise SchemaError(path, i, "geometry", f"expected a {shape} feature")
+            props = feat.get("properties")
+            if not isinstance(props, dict):
+                raise SchemaError(path, i, "properties", "expected an object")
+            coords = geom.get("coordinates")
+            if not (isinstance(coords, list) and len(coords) >= 2):
+                raise SchemaError(path, i, "coordinates", "expected [lon, lat] for a Point, "
+                                  f"two or more such vertices for a LineString; got {coords!r}")
+            if shape == "Point":
+                props = {**props, "lon": coords[0], "lat": coords[1]}
+            else:
+                vertices.append([_vertex(path, i, k, c) for k, c in enumerate(coords)])
+            missing = [name for name in header if name not in props]
+            if missing:
+                raise SchemaError(path, i, missing[0], "missing property")
+            yield ["" if props[name] is None else str(props[name]) for name in header]
+
+    texts = rows()
+    columns = _columns(iter(lambda: list(islice(texts, _CHUNK_ROWS)), []), kinds)
+    return (list(range(1, len(features) + 1)), columns), vertices
 
 
 def _vertex(path, feature, k, c) -> tuple[float, float]:
@@ -393,49 +500,42 @@ def _id_checks(column: str, ids: list[str], what: str) -> list[_Check]:
             _Check(column, _repeats(ids), lambda i: f"duplicate {what} id {ids[i]!r}")]
 
 
-def _parse(texts: list[str], kind) -> tuple[list, np.ndarray | None]:
-    """`kind` (int or float) of each text, and the mask of the texts it
-    rejects (None when none), which read as 0."""
-    try:
-        return list(map(kind, texts)), None
-    except ValueError:
-        values, unparsed = [], np.zeros(len(texts), dtype=bool)
-    for i, text in enumerate(texts):
-        try:
-            values.append(kind(text))
-        except ValueError:
-            values.append(kind(0))
-            unparsed[i] = True
-    return values, unparsed
+def _mask(n: int, rows) -> np.ndarray | None:
+    """The mask of `rows` among n rows; None when there are none."""
+    rows = list(rows)
+    if not rows:
+        return None
+    mask = np.zeros(n, dtype=bool)
+    mask[rows] = True
+    return mask
 
 
-def _floats(column: str, texts: list[str]) -> tuple[np.ndarray, list[_Check]]:
+def _floats(column: str, numbers: _Numbers) -> tuple[np.ndarray, list[_Check]]:
     """A column of finite floats and its checks."""
-    values, unparsed = _parse(texts, float)
-    values = np.array(values, dtype=float)
-    return values, [_Check(column, unparsed, lambda i: f"not a number: {texts[i]!r}"),
-                    _Check(column, ~np.isfinite(values), lambda i: f"not finite: {texts[i]!r}")]
+    values, texts = numbers
+    finite = np.isfinite(values)
+    # a rejected row that reads finite read as 0: its text is no number
+    return values, [_Check(column, _mask(len(values), (i for i in texts if finite[i])),
+                           lambda i: f"not a number: {texts[i]!r}"),
+                    _Check(column, ~finite, lambda i: f"not finite: {texts[i]!r}")]
 
 
-def _ints(column: str, texts: list[str]) -> tuple[np.ndarray, list[_Check]]:
+def _ints(column: str, numbers: _Numbers) -> tuple[np.ndarray, list[_Check]]:
     """A column of non-negative int64 and its checks; values outside int64 read clipped."""
-    values, unparsed = _parse(texts, int)
-    try:
-        ints, outside = np.array(values, dtype=np.int64), None
-    except OverflowError:
-        wide = np.array(values, dtype=object)
-        outside = (wide < -2**63) | (wide >= 2**63)
-        ints = np.clip(wide, -2**63, 2**63 - 1).astype(np.int64)
-    return ints, [_Check(column, unparsed, lambda i: f"not an integer: {texts[i]!r}"),
-                  _Check(column, ints < 0, lambda i: f"must be >= 0, got {int(texts[i])}"),
-                  _Check(column, outside,
-                         lambda i: f"outside the 64-bit integer range: {texts[i]!r}")]
+    values, texts = numbers
+    wide = {i: _parsed(int, text) for i, text in texts.items()}
+    outside = (i for i, v in wide.items() if v is not None and not -2**63 <= v < 2**63)
+    return values, [_Check(column, _mask(len(values), (i for i, v in wide.items() if v is None)),
+                           lambda i: f"not an integer: {texts[i]!r}"),
+                    _Check(column, values < 0, lambda i: f"must be >= 0, got {wide[i]}"),
+                    _Check(column, _mask(len(values), outside),
+                           lambda i: f"outside the 64-bit integer range: {texts[i]!r}")]
 
 
-def _coordinates(lon_texts, lat_texts) -> tuple[np.ndarray, np.ndarray, list[_Check]]:
+def _coordinates(lon_numbers, lat_numbers) -> tuple[np.ndarray, np.ndarray, list[_Check]]:
     """lon and lat columns and their checks, the projection band last."""
-    lon, lon_checks = _floats("lon", lon_texts)
-    lat, lat_checks = _floats("lat", lat_texts)
+    lon, lon_checks = _floats("lon", lon_numbers)
+    lat, lat_checks = _floats("lat", lat_numbers)
     return lon, lat, [*lon_checks, *lat_checks, _Check(
         "lat", np.abs(lat) >= MAX_ABS_LAT,
         lambda i: f"latitude {lat[i].item()} outside projection band (|lat| < {MAX_ABS_LAT})")]
@@ -454,10 +554,10 @@ _TOTAL = COUNT_COLUMNS.index("total_pixels_left")
 
 
 def _load_points(path: Path, lines, columns) -> PointTable:
-    ids, segment_ids = list(map(str.strip, columns[0])), list(map(str.strip, columns[3]))
+    ids, segment_ids = list(map(str.strip, columns[0])), columns[3]
     lon, lat, checks = _coordinates(columns[1], columns[2])
     order, order_checks = _ints("order", columns[4])
-    parsed = [_ints(name, texts) for name, texts in zip(COUNT_COLUMNS, columns[5:])]
+    parsed = [_ints(name, numbers) for name, numbers in zip(COUNT_COLUMNS, columns[5:])]
     counts = np.array([values for values, _ in parsed]).T  # (n, 16), column by column
     placed = list(zip(segment_ids, order.tolist()))
     _raise_first(path, lines, [
@@ -484,7 +584,7 @@ def _load_segments(path: Path, lines, columns) -> dict[str, StreetSegment]:
 
 
 def _load_anchors(path: Path, lines, columns) -> list[MallAnchor]:
-    ids, category = list(map(str.strip, columns[0])), list(map(str.strip, columns[1]))
+    ids, category = list(map(str.strip, columns[0])), columns[1]
     lon, lat, checks = _coordinates(columns[2], columns[3])
     empty = _Check("category", _isin(category, {""}), lambda i: "empty category")
     _raise_first(path, lines, [*_id_checks("id", ids, "anchor"), empty, *checks])
@@ -493,7 +593,8 @@ def _load_anchors(path: Path, lines, columns) -> list[MallAnchor]:
 
 
 def _load_pois(path: Path, lines, columns) -> PoiTable:
-    ids, category, premium = (list(map(str.strip, columns[j])) for j in (0, 3, 4))
+    ids, premium = (list(map(str.strip, columns[j])) for j in (0, 4))
+    category = columns[3]
     lon, lat, checks = _coordinates(columns[1], columns[2])
     _raise_first(path, lines, [*_id_checks("id", ids, "poi"), *checks,
                                _Check("is_premium", ~_isin(premium, {"0", "1"}),
@@ -503,7 +604,7 @@ def _load_pois(path: Path, lines, columns) -> PoiTable:
 
 
 def _load_lbs(path: Path, lines, columns, segments: dict[str, StreetSegment]):
-    sids, periods = list(map(str.strip, columns[0])), list(map(str.strip, columns[1]))
+    sids, periods = columns[0], columns[1]
     uv, uv_checks = _floats("uv", columns[2])
     records = list(zip(sids, periods))
     _raise_first(path, lines, [
@@ -526,7 +627,7 @@ def _load_lbs(path: Path, lines, columns, segments: dict[str, StreetSegment]):
 
 def _load_brands(path: Path, lines, columns) -> dict[str, BrandTally]:
     ids = list(map(str.strip, columns[0]))
-    parsed = [_ints(name, texts) for name, texts in zip(BRANDS_HEADER[1:], columns[1:])]
+    parsed = [_ints(name, numbers) for name, numbers in zip(BRANDS_HEADER[1:], columns[1:])]
     _raise_first(path, lines, [*_id_checks("point_id", ids, "point"),
                                *(check for _, checks in parsed for check in checks)])
     return dict(zip(ids, map(BrandTally, *(values.tolist() for values, _ in parsed))))
@@ -548,15 +649,16 @@ def load_tables(paths: TablePaths, fmt: str = "csv") -> CityTables:
     `fmt` selects how the four spatial tables are encoded: "csv", or
     "geojson", where points, anchors and POIs are Point features and
     segments are LineString features, with the CSV columns as properties.
-    The encoding only decides how the text columns are read: both yield the
-    same columns, and each table has one validator. LineString vertices become
+    The encoding only decides how the rows of text are read: both are parsed
+    into the same columns, and each table has one validator. LineString vertices become
     `segment_geometry`. The lbs/brands tables are CSV in both modes.
     """
     if fmt == "csv":
         def read(path, header):
-            return _read_csv_rows(path, header), None
+            return _read_csv_rows(path, header, _KINDS[header]), None
     elif fmt == "geojson":
-        read = _read_geojson_rows
+        def read(path, header):
+            return _read_geojson_rows(path, header, _KINDS[header])
     else:
         raise ValidationError(f"unknown table format {fmt!r} (expected csv or geojson)")
 
@@ -572,11 +674,13 @@ def load_tables(paths: TablePaths, fmt: str = "csv") -> CityTables:
             raise ValidationError(f"{paths.points}: point {pid!r} references unknown "
                                   f"segment {sid!r}")
 
-    lbs = _load_lbs(paths.lbs, *_read_csv_rows(paths.lbs, LBS_HEADER), segments)
+    lbs = _load_lbs(paths.lbs, *_read_csv_rows(paths.lbs, LBS_HEADER, _KINDS[LBS_HEADER]),
+                    segments)
 
     brands = None
     if paths.brands is not None:
-        brands = _load_brands(paths.brands, *_read_csv_rows(paths.brands, BRANDS_HEADER))
+        brands = _load_brands(paths.brands,
+                              *_read_csv_rows(paths.brands, BRANDS_HEADER, _KINDS[BRANDS_HEADER]))
         point_ids = set(points.ids.tolist())
         for pid in brands:
             if pid not in point_ids:

@@ -28,8 +28,9 @@ class SpilloverConfig:
     decay: str = "gaussian"
 
     def __post_init__(self):
-        if self.threshold_m <= 0:
-            raise ValidationError(f"spillover threshold must be > 0, got {self.threshold_m}")
+        if not 0 < self.threshold_m < math.inf:
+            raise ValidationError("spillover threshold must be > 0 and finite, "
+                                  f"got {self.threshold_m}")
         if self.decay not in DECAYS:
             raise ValidationError(f"unknown decay {self.decay!r}; expected one of {DECAYS}")
 

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +189,17 @@ def test_pairs_radius_larger_than_extent(rng):
     assert _matches_brute_force(queries, sites, 400.0)
     # one site, or all sites coincident: the extent is zero
     assert _matches_brute_force(queries, [[7.0, 7.0]] * 3, 60.0)
+
+
+@pytest.mark.parametrize("pair_chunk", [1, 5, 2**16])
+def test_pairs_chunks_match_brute_force(rng, monkeypatch, pair_chunk):
+    # chunks of one location, of a few candidate pairs (locations far off the
+    # grid have none, so several share a chunk) and of the whole search
+    monkeypatch.setattr(geodata, "_PAIR_CHUNK", pair_chunk)
+    sites = rng.uniform(0, 300, (400, 2))
+    queries = rng.uniform(-50, 350, (80, 2))
+    queries[::7] = [5e4, -5e4]
+    assert _matches_brute_force(queries, sites, 40.0)
 
 
 def test_pairs_sites_on_cell_edges_and_at_the_radius():
@@ -377,6 +390,33 @@ def test_round_trip_ten_rows(tmp_path, rng):
     assert {s.id: s.length_m for s in reloaded.segments.values()} == \
            {s.id: s.length_m for s in tables.segments.values()}
     assert reloaded.lbs == tables.lbs
+
+
+def _city_paths(city_dir):
+    return TablePaths(**{name: city_dir / f"{name}.csv" for name in (
+        "points", "segments", "anchors", "pois", "lbs", "brands")})
+
+
+def test_label_columns_share_one_string_per_value(city_dir):
+    tables = load_tables(_city_paths(city_dir))
+    for labels in (tables.points.segment_ids.tolist(), tables.pois.category.tolist(),
+                   [a.category for a in tables.anchors]):
+        assert len({id(label) for label in labels}) == len(set(labels)) < len(labels)
+
+
+def test_load_peak_memory_stays_near_what_the_tables_hold(city_dir):
+    # rows are parsed a chunk at a time, so no table is ever held as text
+    paths = _city_paths(city_dir)
+    load_tables(paths)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tables = load_tables(paths)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tables.points) > 1000
+    assert peak <= 1.4 * held, (peak, held)
 
 
 def test_geojson_points_ingestion(tmp_path):
@@ -667,7 +707,8 @@ def _reference_brands(path):
 
 
 def _columnar(load, header, *args):
-    return lambda path: load(path, *geodata._read_csv_rows(path, header), *args)
+    return lambda path: load(path, *geodata._read_csv_rows(path, header, geodata._KINDS[header]),
+                             *args)
 
 
 # per table: header, valid row k, row counts, columnar loader, reference loader
@@ -751,11 +792,50 @@ def test_column_checks_match_row_reference(tmp_path_factory, table, data):
     text = "".join(",".join(row) + "\n" for row in [list(header)] + rows)
     path.write_text(text, encoding="utf-8")
 
-    got, expected = _outcome(load, path), _outcome(reference, path)
-    assert got[0] == expected[0], (got, expected)
-    if got[0] == "error" or table not in ("points", "pois"):
-        assert got[1] == expected[1]
-    else:
-        _assert_same_columns(got[1], expected[1])
-        assert [getattr(got[1], f.name).dtype for f in dataclasses.fields(got[1])] == \
-            [getattr(expected[1], f.name).dtype for f in dataclasses.fields(expected[1])]
+    expected = _outcome(reference, path)
+    # at the real chunk size, and at chunks of two rows, which put faults on
+    # both sides of chunk boundaries
+    for chunk_rows in (geodata._CHUNK_ROWS, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geodata, "_CHUNK_ROWS", chunk_rows)
+            got = _outcome(load, path)
+        assert got[0] == expected[0], (chunk_rows, got, expected)
+        if got[0] == "error" or table not in ("points", "pois"):
+            assert got[1] == expected[1]
+        else:
+            _assert_same_columns(got[1], expected[1])
+            assert [getattr(got[1], f.name).dtype for f in dataclasses.fields(got[1])] == \
+                [getattr(expected[1], f.name).dtype for f in dataclasses.fields(expected[1])]
+
+
+# per rejected kind: the fields of one point row past the first chunk (row 290
+# of the file; its header is row 1), the column named and the message
+_PAST_FIRST_CHUNK = {
+    "not an integer": ({"signboards_left": "x"}, "signboards_left", "not an integer: 'x'"),
+    "not a number": ({"lon": "x"}, "lon", "not a number: 'x'"),
+    "not finite": ({"lat": "inf"}, "lat", "not finite: 'inf'"),
+    "negative outside int64": ({"persons_left": "-99999999999999999999"}, "persons_left",
+                               "must be >= 0, got -99999999999999999999"),
+    "outside int64": ({"glass_right": str(2**63)}, "glass_right",
+                      "outside the 64-bit integer range: '9223372036854775808'"),
+    "running total": ({"signboards_left": str(2**62)}, "signboards_left",
+                      "the running total of left + right over the file leaves the 64-bit "
+                      "integer range"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PAST_FIRST_CHUNK))
+def test_rejected_text_past_the_first_chunk(tmp_path, case):
+    fields, column, message = _PAST_FIRST_CHUNK[case]
+    rows = [_point_row(f"p{k}", order=str(k)) for k in range(300)]
+    # the running total leaves int64 only at the second of two such rows
+    rows[10] = _point_row("p10", order="10", signboards_left=str(2**62))
+    rows[288] = tuple({**dict(zip(POINTS_HEADER, rows[288])), **fields}.values())
+    paths = _minimal_tables(tmp_path, point_rows=rows)
+    with pytest.raises(SchemaError) as err:
+        load_tables(paths)
+    assert (err.value.row, err.value.column) == (290, column)
+    assert str(err.value) == f"{paths.points}: row 290, column {column!r}: {message}"
+    with pytest.raises(SchemaError) as reference:
+        _reference_points(paths.points)
+    assert str(reference.value) == str(err.value)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevi.exceptions import CalibrationError, ComputationError
+from sevi.exceptions import CalibrationError, ComputationError, ValidationError
 from sevi.geodata import MallAnchor
 from sevi.spillover import (SigmaTable, SpilloverConfig, calibrate_sigma,
                             decay_value, field_all, field_at, threshold_sweep)
@@ -209,6 +209,12 @@ def test_threshold_gate_examples():
     assert sweep[1000.0][0] == 0.0
     assert sweep[2000.0][0] > 0.99
     assert sweep[3000.0][0] > 0.99
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_config_rejects_threshold_not_positive_and_finite(threshold):
+    with pytest.raises(ValidationError, match="spillover threshold must be > 0 and finite"):
+        SpilloverConfig(threshold_m=threshold)
 
 
 def test_threshold_infinite_equals_ungated(rng):
