@@ -2,10 +2,12 @@
 classification against a reference database, and pipeline evaluation.
 
 Stage 1 transcribes visible signage text into a strict two-key JSON object;
-stage 2 rectifies and classifies the raw strings into brand tiers. All
-tests and the bundled pipelines run against the deterministic offline
-fixture backend; the live HTTP backend reads its endpoint, token, and model
-name from environment variables only.
+stage 2 rectifies and classifies the raw strings into brand tiers. One
+function builds each stage's whole request, `stage1_request` and
+`stage2_request`; a corpus is decoded on a bounded thread pool for every
+client. All tests and the bundled pipelines run against the deterministic
+offline fixture backend; the live HTTP backend reads its endpoint, token,
+and model name from environment variables only.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Protocol
 
 from .exceptions import ModelOutputError, SchemaError, TransportError, ValidationError
-from .geodata import BrandTally, _read_csv_rows
+from .geodata import BrandTally, _Check, _id_checks, _isin, _raise_first, _read_csv_rows
 
 TIERS = ("International", "Local", "Ordinary")
 
@@ -30,6 +32,10 @@ ENV_TOKEN = "SEVI_BRAND_TOKEN"
 ENV_MODEL = "SEVI_BRAND_MODEL"
 
 PROMPT_VERSION = "v1"
+
+# the columns of the brand-corpus tables, all read as text
+CORPUS_SCHEMA = {"image_id": "text", "point_id": "text"}
+LABELED_SCHEMA = {"image_id": "text", "brand": "text", "tier": "text"}
 
 _FENCE_RE = re.compile(r"^```[a-zA-Z0-9_-]*\s*\n(.*?)\n?```\s*$", re.DOTALL)
 _WS_RE = re.compile(r"\s+")
@@ -46,10 +52,6 @@ class GenerationParams:
     top_p: float = 1.0
     max_new_tokens: int = 64
     do_sample: bool = False
-
-    def as_dict(self) -> dict:
-        return {"temperature": self.temperature, "top_p": self.top_p,
-                "max_new_tokens": self.max_new_tokens, "do_sample": self.do_sample}
 
 
 S1_PARAMS = GenerationParams(max_new_tokens=64)
@@ -73,7 +75,7 @@ class VlmResponse:
 def request_hash(request: VlmRequest) -> str:
     payload = json.dumps(
         {"image_ref": request.image_ref, "prompt": request.prompt,
-         "stage": request.stage, "params": request.params.as_dict(),
+         "stage": request.stage, "params": asdict(request.params),
          "version": PROMPT_VERSION},
         sort_keys=True, separators=(",", ":"),
     )
@@ -142,10 +144,9 @@ class ReferenceDb:
 # prompts and parsing
 # ---------------------------------------------------------------------------
 
-def build_prompts(image_ref: str, reference_db: ReferenceDb,
-                  raw_brands: list[str]) -> tuple[str, str]:
-    """Deterministic stage-1 and stage-2 prompt texts."""
-    s1 = (
+def stage1_request(image_ref: str) -> VlmRequest:
+    """The stage-1 request: transcribe the visible signage of one image."""
+    prompt = (
         "You are a street-view signage recognition assistant.\n"
         f"Image: {image_ref}\n"
         "Extract only the brand names that are actually visible as text or logos "
@@ -156,6 +157,12 @@ def build_prompts(image_ref: str, reference_db: ReferenceDb,
         '  "summary": one short sentence describing the signage\n'
         "No other keys and no text outside the JSON object."
     )
+    return VlmRequest(image_ref=image_ref, prompt=prompt, params=S1_PARAMS, stage="s1")
+
+
+def stage2_request(image_ref: str, reference_db: ReferenceDb,
+                   raw_brands: list[str]) -> VlmRequest:
+    """The stage-2 request: classify `raw_brands` into tiers against `reference_db`."""
     if len(reference_db):
         db_lines = "\n".join(
             f"- {name}: {tier}" + (f" (aliases: {', '.join(aliases)})" if aliases else "")
@@ -164,7 +171,7 @@ def build_prompts(image_ref: str, reference_db: ReferenceDb,
     else:
         db_lines = "(reference database is empty)"
     brand_list = json.dumps(raw_brands, ensure_ascii=False)
-    s2 = (
+    prompt = (
         "You are a professional commercial classification assistant.\n"
         "Reference database of known brands:\n"
         f"{db_lines}\n"
@@ -177,7 +184,7 @@ def build_prompts(image_ref: str, reference_db: ReferenceDb,
         "Respond with a single JSON object mapping each observed string to its "
         "tier. No other keys and no text outside the JSON object."
     )
-    return s1, s2
+    return VlmRequest(image_ref=image_ref, prompt=prompt, params=S2_PARAMS, stage="s2")
 
 
 def _strip_fences(text: str) -> str:
@@ -350,9 +357,7 @@ def classify(raw_brands: list[str], reference_db: ReferenceDb,
             pending.append(raw)
 
     if pending:
-        _, s2_prompt = build_prompts(image_ref, reference_db, pending)
-        request = VlmRequest(image_ref=image_ref, prompt=s2_prompt,
-                             params=S2_PARAMS, stage="s2")
+        request = stage2_request(image_ref, reference_db, pending)
         answer = parse_model_json(client.complete(request), "s2")
         by_norm = {normalize_brand(k): v for k, v in answer.items()}
         for raw in pending:
@@ -379,16 +384,18 @@ class DecodedImage:
 
 
 def load_corpus(path) -> list[tuple[str, str]]:
-    """corpus.csv rows (image_id, point_id) in file order."""
-    _, (image_ids, point_ids) = _read_csv_rows(path, ("image_id", "point_id"))
-    return list(zip(map(str.strip, image_ids), map(str.strip, point_ids)))
+    """corpus.csv rows (image_id, point_id) in file order. Image ids are
+    distinct, and no id is empty."""
+    lines, columns = _read_csv_rows(path, CORPUS_SCHEMA)
+    image_ids, point_ids = (list(map(str.strip, columns[name])) for name in CORPUS_SCHEMA)
+    _raise_first(path, lines, [*_id_checks("image_id", image_ids, "image"),
+                               _Check("point_id", _isin(point_ids, {""}), lambda i: "empty id")])
+    return list(zip(image_ids, point_ids))
 
 
 def _decode_one(image_id: str, point_id: str, reference_db: ReferenceDb,
                 client: BrandModelClient) -> DecodedImage:
-    s1_prompt, _ = build_prompts(image_id, reference_db, [])
-    request = VlmRequest(image_ref=image_id, prompt=s1_prompt, params=S1_PARAMS, stage="s1")
-    response = parse_model_json(client.complete(request), "s1")
+    response = parse_model_json(client.complete(stage1_request(image_id)), "s1")
     assignment = classify(response.brands_found, reference_db, client, image_ref=image_id)
     return DecodedImage(image_id=image_id, point_id=point_id,
                         summary=response.summary, assignment=assignment)
@@ -398,16 +405,12 @@ def decode_corpus(corpus: list[tuple[str, str]], reference_db: ReferenceDb,
                   client: BrandModelClient, parallelism: int = 1) -> list[DecodedImage]:
     """Run the full two-stage decode over a corpus, ordered by image id.
 
-    Offline fixture clients always run sequentially; the live client may fan
-    out over a bounded thread pool, with results reassembled in order.
+    The images are decoded on a pool of `parallelism` threads, whatever the
+    client; the results, and the first failure, come back in image-id order.
     """
     ordered = sorted(corpus, key=lambda t: t[0])
-    if parallelism > 1 and not isinstance(client, OfflineFixtureClient):
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(_decode_one, img, pt, reference_db, client)
-                       for img, pt in ordered]
-            return [f.result() for f in futures]
-    return [_decode_one(img, pt, reference_db, client) for img, pt in ordered]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        return list(pool.map(lambda row: _decode_one(*row, reference_db, client), ordered))
 
 
 def tally_by_point(decoded: list[DecodedImage]) -> dict[str, BrandTally]:
@@ -416,16 +419,16 @@ def tally_by_point(decoded: list[DecodedImage]) -> dict[str, BrandTally]:
         slot = acc.setdefault(item.point_id, {"International": 0, "Local": 0, "Ordinary": 0})
         for tier in item.assignment.tiers.values():
             slot[tier] += 1
-    return {
-        pid: BrandTally(n_local=c["Local"], n_international=c["International"],
-                        n_ordinary=c["Ordinary"])
-        for pid, c in acc.items()
-    }
+    return {pid: BrandTally(c["Local"], c["International"], c["Ordinary"])
+            for pid, c in acc.items()}
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
+
+RATES = ("precision", "recall", "f1")  # the leading fields of TierMetrics
+
 
 @dataclass
 class TierMetrics:
@@ -451,11 +454,8 @@ def harmonic_f1(precision: float, recall: float) -> float:
 
 
 def _overall_mean(per_tier: dict[str, TierMetrics]) -> TierMetrics:
-    ps = [per_tier[t].precision for t in TIERS]
-    rs = [per_tier[t].recall for t in TIERS]
-    fs = [per_tier[t].f1 for t in TIERS]
-    return TierMetrics(precision=sum(ps) / len(ps), recall=sum(rs) / len(rs),
-                       f1=sum(fs) / len(fs))
+    return TierMetrics(*(sum(getattr(per_tier[t], rate) for t in TIERS) / len(TIERS)
+                         for rate in RATES))
 
 
 def report_from_tier_metrics(metrics: dict[str, tuple[float, float]]) -> EvalReport:
@@ -471,9 +471,9 @@ def report_from_tier_metrics(metrics: dict[str, tuple[float, float]]) -> EvalRep
 def load_labeled_pairs(path) -> dict[str, set[tuple[str, str]]]:
     """CSV (image_id, brand, tier) -> per-image sets of normalized pairs."""
     out: dict[str, set[tuple[str, str]]] = {}
-    lines, columns = _read_csv_rows(path, ("image_id", "brand", "tier"))
-    for lineno, row in zip(lines, zip(*columns)):
-        image_id, brand, tier = (c.strip() for c in row)
+    lines, columns = _read_csv_rows(path, LABELED_SCHEMA)
+    rows = zip(*(map(str.strip, columns[name]) for name in ("image_id", "brand", "tier")))
+    for lineno, (image_id, brand, tier) in zip(lines, rows):
         if tier not in TIERS:
             raise SchemaError(path, lineno, "tier", f"unknown tier {tier!r}")
         out.setdefault(image_id, set()).add((normalize_brand(brand), tier))

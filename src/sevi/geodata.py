@@ -10,13 +10,15 @@ a per-segment reduction reads one contiguous slice of the permuted column.
 Ingestion reads a table from a CSV file or from a GeoJSON FeatureCollection
 (a feature's number is its row, a Point's coordinates fill `lon`/`lat`) and
 parses it a chunk of rows at a time, so the text of a whole table is never
-held as cells. Each column is kept as its kind makes it: numbers as
-int64/float64 arrays plus the text of the rows they reject, which the error
-messages quote; labels (segment ids, categories, periods) as one str object
-per distinct value; other text as read. Each table is validated by one ordered
-list of column checks, each a whole-column rule giving the mask of the rows
-that break it; the error is that of the smallest bad row and, on one row, of
-the check listed first, as a row-by-row check in that order would raise. A
+held as cells. A table's schema (`POINTS_SCHEMA`, ...) maps its columns, in
+header order, to their kinds; a reader returns the columns keyed by name.
+Each column is kept as its kind makes it: numbers as int64/float64 arrays
+plus the text of the rows they reject, which the error messages quote;
+labels (segment ids, categories, periods) as one str object per distinct
+value; other text as read. Each table is validated by one ordered list of
+column checks, each a whole-column rule giving the mask of the rows that
+break it; the error is that of the smallest bad row and, on one row, of the
+check listed first, as a row-by-row check in that order would raise. A
 number `int`/`float` rejects reads as 0: its parse check comes before every
 check reading the column. The file-wide running total of each left+right
 count pair stays inside int64, so no sum over points wraps. Tables are
@@ -54,12 +56,21 @@ COUNT_COLUMNS = (
     "total_pixels_left", "total_pixels_right",
 )
 
-POINTS_HEADER = ("id", "lon", "lat", "segment_id", "order") + COUNT_COLUMNS
-SEGMENTS_HEADER = ("id", "length_m")
-ANCHORS_HEADER = ("id", "category", "lon", "lat")
-POIS_HEADER = ("id", "lon", "lat", "top_category", "is_premium")
-LBS_HEADER = ("segment_id", "period", "uv")
-BRANDS_HEADER = ("point_id", "n_local", "n_international", "n_ordinary")
+# each input table's columns in header order, each with its kind: "text" as
+# read, a "label" stripped and held as one str object per distinct value, or
+# a number parsed by "int" or "float"
+POINTS_SCHEMA = {"id": "text", "lon": "float", "lat": "float", "segment_id": "label",
+                 "order": "int", **dict.fromkeys(COUNT_COLUMNS, "int")}
+SEGMENTS_SCHEMA = {"id": "text", "length_m": "float"}
+ANCHORS_SCHEMA = {"id": "text", "category": "label", "lon": "float", "lat": "float"}
+POIS_SCHEMA = {"id": "text", "lon": "float", "lat": "float", "top_category": "label",
+               "is_premium": "text"}
+LBS_SCHEMA = {"segment_id": "label", "period": "label", "uv": "float"}
+BRANDS_SCHEMA = {"point_id": "text", "n_local": "int", "n_international": "int",
+                 "n_ordinary": "int"}
+POINTS_HEADER, SEGMENTS_HEADER, ANCHORS_HEADER, POIS_HEADER, LBS_HEADER, BRANDS_HEADER = (
+    tuple(schema) for schema in (POINTS_SCHEMA, SEGMENTS_SCHEMA, ANCHORS_SCHEMA, POIS_SCHEMA,
+                                 LBS_SCHEMA, BRANDS_SCHEMA))
 
 
 def project_to_metric(lon: float, lat: float) -> tuple[float, float]:
@@ -253,18 +264,6 @@ class CityTables:
 # before 700 allocations start a GC pass
 _CHUNK_ROWS = 256
 
-# each table's column kinds in header order: "text" as read, a "label"
-# stripped and held as one str object per distinct value, or a number
-# parsed by "int" or "float"
-_KINDS = {
-    POINTS_HEADER: ("text", "float", "float", "label", "int") + ("int",) * len(COUNT_COLUMNS),
-    SEGMENTS_HEADER: ("text", "float"),
-    ANCHORS_HEADER: ("text", "label", "float", "float"),
-    POIS_HEADER: ("text", "float", "float", "label", "text"),
-    LBS_HEADER: ("label", "label", "float"),
-    BRANDS_HEADER: ("text", "int", "int", "int"),
-}
-
 
 class _Numbers(NamedTuple):
     """A number column: its int64 or float64 values, and by row index the
@@ -312,9 +311,11 @@ def _number_block(cells: list[tuple[str, ...]], kind: str) -> tuple[np.ndarray, 
     return block, bad
 
 
-def _columns(chunks, kinds: tuple[str, ...]) -> list:
-    """Rows of texts, parsed a chunk at a time, as one column per kind: a
-    list of str for "text" and "label", `_Numbers` for "int" and "float"."""
+def _columns(chunks, schema: dict[str, str]) -> dict:
+    """Rows of texts, parsed a chunk at a time, as the columns of `schema`
+    keyed by name: a list of str for "text" and "label", `_Numbers` for
+    "int" and "float"."""
+    kinds = tuple(schema.values())
     columns = [[] for _ in kinds]
     shared = [{} for _ in kinds]      # a label column's one str per value
     numbers = {kind: [j for j, k in enumerate(kinds) if k == kind] for kind in ("int", "float")}
@@ -343,20 +344,19 @@ def _columns(chunks, kinds: tuple[str, ...]) -> list:
         for r, j in enumerate(js):
             values = [np.empty(0, dtypes[kind]), *(block[r] for block in blocks[kind])]
             columns[j] = _Numbers(np.concatenate(values), rejected[j])
-    return columns
+    return dict(zip(schema, columns))
 
 
-def _read_csv_rows(path: Path, expected_header: tuple[str, ...],
-                   kinds: tuple[str, ...] | None = None):
-    """A CSV table's non-blank rows as (row numbers, one column per header
-    field, of the `_columns` kind given for it, "text" by default); the
-    header is row 1. A UTF-8 byte-order mark before the header is skipped.
-    A row of another width raises as it is read."""
+def _read_csv_rows(path: Path, schema: dict[str, str]):
+    """A CSV table's non-blank rows as (row numbers, its `schema` columns
+    keyed by name, each of its kind); the header is row 1 and lists the
+    schema's columns in order. A UTF-8 byte-order mark before the header is
+    skipped. A row of another width raises as it is read."""
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
-    width = len(expected_header)
+    width = len(schema)
     lines = []
 
     def chunks(reader):
@@ -379,12 +379,12 @@ def _read_csv_rows(path: Path, expected_header: tuple[str, ...],
             header = next(reader, None)
             if header is None:
                 raise SchemaError(path, 0, "-", "file is empty (header row required)")
-            if tuple(h.strip() for h in header) != expected_header:
+            if [h.strip() for h in header] != list(schema):
                 raise SchemaError(
                     path, 1, "-",
-                    f"header {header} does not match expected {list(expected_header)}",
+                    f"header {header} does not match expected {list(schema)}",
                 )
-            columns = _columns(chunks(reader), kinds or ("text",) * width)
+            columns = _columns(chunks(reader), schema)
         except UnicodeDecodeError:
             _raise_not_utf8(path)
     return lines, columns
@@ -403,11 +403,11 @@ def _raise_not_utf8(path: Path):
     raise ValidationError(f"{path} changed while it was read")
 
 
-def _read_geojson_rows(path: Path, header: tuple[str, ...], kinds: tuple[str, ...]):
+def _read_geojson_rows(path: Path, schema: dict[str, str]):
     """The features of a GeoJSON FeatureCollection as a `_read_csv_rows`
-    table: (feature numbers, one column per header field of its kind).
+    table: (feature numbers, the `schema` columns keyed by name).
 
-    With lon/lat in the header the features are Points whose coordinates
+    With lon/lat in the schema the features are Points whose coordinates
     fill those two fields; otherwise they are LineStrings. Returns the table
     and, for LineStrings, each one's [(lon, lat), ...] vertices (else None).
     """
@@ -423,7 +423,7 @@ def _read_geojson_rows(path: Path, header: tuple[str, ...], kinds: tuple[str, ..
     features = doc.get("features")
     if not isinstance(features, list):
         raise SchemaError(path, 0, "features", "expected a list of features")
-    shape = "Point" if "lon" in header else "LineString"
+    shape = "Point" if "lon" in schema else "LineString"
     vertices = [] if shape == "LineString" else None
 
     def rows():
@@ -442,13 +442,13 @@ def _read_geojson_rows(path: Path, header: tuple[str, ...], kinds: tuple[str, ..
                 props = {**props, "lon": coords[0], "lat": coords[1]}
             else:
                 vertices.append([_vertex(path, i, k, c) for k, c in enumerate(coords)])
-            missing = [name for name in header if name not in props]
+            missing = [name for name in schema if name not in props]
             if missing:
                 raise SchemaError(path, i, missing[0], "missing property")
-            yield ["" if props[name] is None else str(props[name]) for name in header]
+            yield ["" if props[name] is None else str(props[name]) for name in schema]
 
     texts = rows()
-    columns = _columns(iter(lambda: list(islice(texts, _CHUNK_ROWS)), []), kinds)
+    columns = _columns(iter(lambda: list(islice(texts, _CHUNK_ROWS)), []), schema)
     return (list(range(1, len(features) + 1)), columns), vertices
 
 
@@ -554,10 +554,10 @@ _TOTAL = COUNT_COLUMNS.index("total_pixels_left")
 
 
 def _load_points(path: Path, lines, columns) -> PointTable:
-    ids, segment_ids = list(map(str.strip, columns[0])), columns[3]
-    lon, lat, checks = _coordinates(columns[1], columns[2])
-    order, order_checks = _ints("order", columns[4])
-    parsed = [_ints(name, numbers) for name, numbers in zip(COUNT_COLUMNS, columns[5:])]
+    ids, segment_ids = list(map(str.strip, columns["id"])), columns["segment_id"]
+    lon, lat, checks = _coordinates(columns["lon"], columns["lat"])
+    order, order_checks = _ints("order", columns["order"])
+    parsed = [_ints(name, columns[name]) for name in COUNT_COLUMNS]
     counts = np.array([values for values, _ in parsed]).T  # (n, 16), column by column
     placed = list(zip(segment_ids, order.tolist()))
     _raise_first(path, lines, [
@@ -576,16 +576,16 @@ def _load_points(path: Path, lines, columns) -> PointTable:
 
 
 def _load_segments(path: Path, lines, columns) -> dict[str, StreetSegment]:
-    ids = list(map(str.strip, columns[0]))
-    length, checks = _floats("length_m", columns[1])
+    ids = list(map(str.strip, columns["id"]))
+    length, checks = _floats("length_m", columns["length_m"])
     positive = _Check("length_m", length <= 0, lambda i: f"must be > 0, got {length[i].item()}")
     _raise_first(path, lines, [*_id_checks("id", ids, "segment"), *checks, positive])
     return {sid: StreetSegment(sid, m) for sid, m in zip(ids, length.tolist())}
 
 
 def _load_anchors(path: Path, lines, columns) -> list[MallAnchor]:
-    ids, category = list(map(str.strip, columns[0])), columns[1]
-    lon, lat, checks = _coordinates(columns[2], columns[3])
+    ids, category = list(map(str.strip, columns["id"])), columns["category"]
+    lon, lat, checks = _coordinates(columns["lon"], columns["lat"])
     empty = _Check("category", _isin(category, {""}), lambda i: "empty category")
     _raise_first(path, lines, [*_id_checks("id", ids, "anchor"), empty, *checks])
     x, y = _project(lon.tolist(), lat.tolist())
@@ -593,9 +593,9 @@ def _load_anchors(path: Path, lines, columns) -> list[MallAnchor]:
 
 
 def _load_pois(path: Path, lines, columns) -> PoiTable:
-    ids, premium = (list(map(str.strip, columns[j])) for j in (0, 4))
-    category = columns[3]
-    lon, lat, checks = _coordinates(columns[1], columns[2])
+    ids, premium = (list(map(str.strip, columns[name])) for name in ("id", "is_premium"))
+    category = columns["top_category"]
+    lon, lat, checks = _coordinates(columns["lon"], columns["lat"])
     _raise_first(path, lines, [*_id_checks("id", ids, "poi"), *checks,
                                _Check("is_premium", ~_isin(premium, {"0", "1"}),
                                       lambda i: f"must be 0 or 1, got {premium[i]!r}")])
@@ -604,8 +604,8 @@ def _load_pois(path: Path, lines, columns) -> PoiTable:
 
 
 def _load_lbs(path: Path, lines, columns, segments: dict[str, StreetSegment]):
-    sids, periods = columns[0], columns[1]
-    uv, uv_checks = _floats("uv", columns[2])
+    sids, periods = columns["segment_id"], columns["period"]
+    uv, uv_checks = _floats("uv", columns["uv"])
     records = list(zip(sids, periods))
     _raise_first(path, lines, [
         _Check("segment_id", ~_isin(sids, segments), lambda i: f"unknown segment {sids[i]!r}"),
@@ -626,8 +626,8 @@ def _load_lbs(path: Path, lines, columns, segments: dict[str, StreetSegment]):
 
 
 def _load_brands(path: Path, lines, columns) -> dict[str, BrandTally]:
-    ids = list(map(str.strip, columns[0]))
-    parsed = [_ints(name, numbers) for name, numbers in zip(BRANDS_HEADER[1:], columns[1:])]
+    ids = list(map(str.strip, columns["point_id"]))
+    parsed = [_ints(name, columns[name]) for name in BRANDS_HEADER[1:]]
     _raise_first(path, lines, [*_id_checks("point_id", ids, "point"),
                                *(check for _, checks in parsed for check in checks)])
     return dict(zip(ids, map(BrandTally, *(values.tolist() for values, _ in parsed))))
@@ -654,19 +654,18 @@ def load_tables(paths: TablePaths, fmt: str = "csv") -> CityTables:
     `segment_geometry`. The lbs/brands tables are CSV in both modes.
     """
     if fmt == "csv":
-        def read(path, header):
-            return _read_csv_rows(path, header, _KINDS[header]), None
+        def read(path, schema):
+            return _read_csv_rows(path, schema), None
     elif fmt == "geojson":
-        def read(path, header):
-            return _read_geojson_rows(path, header, _KINDS[header])
+        read = _read_geojson_rows
     else:
         raise ValidationError(f"unknown table format {fmt!r} (expected csv or geojson)")
 
-    points = _load_points(paths.points, *read(paths.points, POINTS_HEADER)[0])
-    segment_table, vertices = read(paths.segments, SEGMENTS_HEADER)
+    points = _load_points(paths.points, *read(paths.points, POINTS_SCHEMA)[0])
+    segment_table, vertices = read(paths.segments, SEGMENTS_SCHEMA)
     segments = _load_segments(paths.segments, *segment_table)
-    anchors = _load_anchors(paths.anchors, *read(paths.anchors, ANCHORS_HEADER)[0])
-    pois = _load_pois(paths.pois, *read(paths.pois, POIS_HEADER)[0])
+    anchors = _load_anchors(paths.anchors, *read(paths.anchors, ANCHORS_SCHEMA)[0])
+    pois = _load_pois(paths.pois, *read(paths.pois, POIS_SCHEMA)[0])
     segment_geometry = None if vertices is None else dict(zip(segments, vertices))
 
     for pid, sid in zip(points.ids.tolist(), points.segment_ids.tolist()):
@@ -674,13 +673,11 @@ def load_tables(paths: TablePaths, fmt: str = "csv") -> CityTables:
             raise ValidationError(f"{paths.points}: point {pid!r} references unknown "
                                   f"segment {sid!r}")
 
-    lbs = _load_lbs(paths.lbs, *_read_csv_rows(paths.lbs, LBS_HEADER, _KINDS[LBS_HEADER]),
-                    segments)
+    lbs = _load_lbs(paths.lbs, *_read_csv_rows(paths.lbs, LBS_SCHEMA), segments)
 
     brands = None
     if paths.brands is not None:
-        brands = _load_brands(paths.brands,
-                              *_read_csv_rows(paths.brands, BRANDS_HEADER, _KINDS[BRANDS_HEADER]))
+        brands = _load_brands(paths.brands, *_read_csv_rows(paths.brands, BRANDS_SCHEMA))
         point_ids = set(points.ids.tolist())
         for pid in brands:
             if pid not in point_ids:

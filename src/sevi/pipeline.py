@@ -17,6 +17,9 @@ loads the input tables and writes validated copies inside an `ingest` stage,
 and `decode_to_files` decodes and writes its assignments inside a `brands
 decode` stage; each makes its output directory inside its first stage.
 
+`CONFIG_KEYS` gives each leaf key of the config its default and its kind;
+`DEFAULT_CONFIG` is built from it by the walk that `--set` uses.
+
 Each artifact format has one writer. `write_csv` writes every table, the
 synthetic fixtures and the validated copies included; a caller passes a
 table as columns zipped into rows. `write_json` writes every JSON document,
@@ -34,15 +37,15 @@ import math
 import sys
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
-from functools import cached_property, wraps
+from dataclasses import asdict, dataclass
+from functools import cached_property, reduce, wraps
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 import yaml
 
-from . import gwr, report, scoring, spillover, stats
+from . import gwr, indicators, report, scoring, spillover, stats
 from .exceptions import (ComputationError, ConfigError, SeviError, StageError,
                          ValidationError)
 from .geodata import (ANCHORS_HEADER, BRANDS_HEADER, LBS_HEADER, PERIODS, POINTS_HEADER,
@@ -123,60 +126,61 @@ def _bandwidth(key, value):
                           f"or a positive, finite number of meters, got {value!r}") from None
 
 
-DEFAULT_CONFIG = {
-    "inputs": {"format": "csv", **{table: f"{table}.csv" for table in
-                                   ("points", "segments", "anchors", "pois", "lbs", "brands")}},
-    "output_dir": "out",
-    "spillover": {
-        "threshold_m": 2000.0,
-        "decay": "gaussian",
-        "sweep_thresholds": [1000.0, 2000.0, 3000.0],
-        "sweep_decays": ["gaussian", "exponential", "linear"],
-    },
-    "brand_weights": {"local": 1.0, "international": 1.5, "ordinary": 0.0},
-    "smoothing_window": 5,
-    "poi_radius_m": 50.0,
-    "pca_components": 4,
-    "gwr": {"kernel": "gaussian", "bandwidth": "aicc", "x_source": "normalized",
-            "summary_variables": ["mv", "cr"]},
-    "decode": {"backend": "offline", "reference_db": "reference_db.json",
-               "fixtures": "fixtures.json", "corpus": "corpus.csv", "parallelism": 4},
+# each leaf key of the config, dotted, with its default and its kind, in config order
+CONFIG_KEYS = {
+    "inputs.format": ("csv", _one_of("csv", "geojson")),
+    **{f"inputs.{table}": (f"{table}.csv", _path())
+       for table in ("points", "segments", "anchors", "pois", "lbs")},
+    "inputs.brands": ("brands.csv", _path(nullable=True)),
+    "output_dir": ("out", _path()),
+    "spillover.threshold_m": (spillover.DEFAULT_THRESHOLD_M, _positive),
+    "spillover.decay": ("gaussian", _one_of(*spillover.DECAYS)),
+    # robustness outputs label each threshold by its whole meters
+    "spillover.sweep_thresholds": (list(spillover.DEFAULT_SWEEP_M),
+                                   _list_of(_positive, label=int)),
+    "spillover.sweep_decays": (list(spillover.DECAYS), _list_of(_one_of(*spillover.DECAYS))),
+    **{f"brand_weights.{tier}": (weight, _finite)
+       for tier, weight in asdict(BrandWeights()).items()},
+    "smoothing_window": (indicators.DEFAULT_SMOOTHING_WINDOW, _odd),
+    "poi_radius_m": (50.0, _positive),
+    "pca_components": (4, _integer(1, 9)),
+    "gwr.kernel": ("gaussian", _one_of(*KERNELS)),
+    "gwr.bandwidth": ("aicc", _bandwidth),
+    "gwr.x_source": ("normalized", _one_of("normalized", "raw")),
+    "gwr.summary_variables": (["mv", "cr"], _list_of(_one_of("intercept", *INDICATOR_NAMES))),
+    "decode.backend": ("offline", _one_of("offline", "live")),
+    "decode.reference_db": ("reference_db.json", _path()),
+    "decode.fixtures": ("fixtures.json", _path()),
+    "decode.corpus": ("corpus.csv", _path()),
+    "decode.parallelism": (4, _count),
 }
 
-# the one kind of each leaf key of DEFAULT_CONFIG
-CONFIG_KINDS = {
-    "inputs.format": _one_of("csv", "geojson"),
-    **{f"inputs.{name}": _path() for name in ("points", "segments", "anchors", "pois", "lbs")},
-    "inputs.brands": _path(nullable=True),
-    "output_dir": _path(),
-    "spillover.threshold_m": _positive,
-    "spillover.decay": _one_of(*spillover.DECAYS),
-    # robustness outputs label each threshold by its whole meters
-    "spillover.sweep_thresholds": _list_of(_positive, label=int),
-    "spillover.sweep_decays": _list_of(_one_of(*spillover.DECAYS)),
-    **{f"brand_weights.{tier}": _finite for tier in ("local", "international", "ordinary")},
-    "smoothing_window": _odd,
-    "poi_radius_m": _positive,
-    "pca_components": _integer(1, 9),
-    "gwr.kernel": _one_of(*KERNELS),
-    "gwr.bandwidth": _bandwidth,
-    "gwr.x_source": _one_of("normalized", "raw"),
-    "gwr.summary_variables": _list_of(_one_of("intercept", *INDICATOR_NAMES)),
-    "decode.backend": _one_of("offline", "live"),
-    **{f"decode.{name}": _path() for name in ("reference_db", "fixtures", "corpus")},
-    "decode.parallelism": _count,
-}
+
+def _set_leaf(mapping: dict, dotted: str, value) -> dict:
+    """A copy of `mapping` whose leaf at the `dotted` key is `value`; on the
+    key's path, mappings are copied and anything else gives way to a mapping."""
+    *sections, leaf = dotted.split(".")
+    top = node = dict(mapping)
+    for part in sections:
+        node[part] = dict(node[part]) if isinstance(node.get(part), dict) else {}
+        node = node[part]
+    node[leaf] = value
+    return top
+
+
+DEFAULT_CONFIG = reduce(lambda config, key: _set_leaf(config, key, CONFIG_KEYS[key][0]),
+                        CONFIG_KEYS, {})
 
 
 def _merge_defaults(defaults: dict, user: dict, path: str = "") -> dict:
-    # every mapping is rebuilt, so that no config shares one with DEFAULT_CONFIG
+    # mappings and lists are copied: a config shares none with DEFAULT_CONFIG or `user`
     merged = {}
     for key, default in defaults.items():
         value = user.get(key, default)
         if isinstance(default, dict):
             value = _merge_defaults(default, _check(isinstance(value, dict), path + key, value,
                                                     "a mapping"), path + key + ".")
-        merged[key] = value
+        merged[key] = list(value) if isinstance(value, list) else value
     for key in user:
         if key not in defaults:
             raise ConfigError(f"unknown config key {path + key!r}")
@@ -185,8 +189,7 @@ def _merge_defaults(defaults: dict, user: dict, path: str = "") -> dict:
 
 def _with_override(user: dict, item: str) -> dict:
     """A copy of `user` whose leaf `key` is set to the YAML `value` of
-    `--set key=value`; on the key's path, mappings are copied and anything
-    else gives way to a mapping, as the override wins."""
+    `--set key=value`, as the override wins."""
     dotted, eq, text = item.partition("=")
     try:
         value = yaml.safe_load(text)
@@ -195,13 +198,7 @@ def _with_override(user: dict, item: str) -> dict:
     if not eq or isinstance(value, dict):
         raise ConfigError(f"--set expects KEY=VALUE, a leaf key and a scalar or a list, "
                           f"got {item!r}")
-    *sections, leaf = dotted.strip().split(".")
-    top = node = dict(user)
-    for part in sections:
-        node[part] = dict(node[part]) if isinstance(node.get(part), dict) else {}
-        node = node[part]
-    node[leaf] = value
-    return top
+    return _set_leaf(user, dotted.strip(), value)
 
 
 @dataclass
@@ -229,7 +226,7 @@ class PipelineConfig:
         return cfg
 
     def validate(self):
-        for key, kind in CONFIG_KINDS.items():
+        for key, (_, kind) in CONFIG_KEYS.items():
             section, _, leaf = key.rpartition(".")
             kind(key, (self.raw[section] if section else self.raw)[leaf])
         # the one rule across keys: BrandWeights' tier ordering
@@ -810,21 +807,15 @@ def evaluate_files(gt_path: Path, pred_path: Path, out_path: Path | None = None)
     rep = brandsem.evaluate(pred, gt)
     if out_path is not None:
         write_json(out_path, {
-            "per_tier": {
-                tier: {"precision": m.precision, "recall": m.recall, "f1": m.f1,
-                       "tp": m.tp, "fp": m.fp, "fn": m.fn}
-                for tier, m in rep.per_tier.items()
-            },
-            "overall": {"precision": rep.overall.precision,
-                        "recall": rep.overall.recall, "f1": rep.overall.f1},
+            "per_tier": {tier: vars(m) for tier, m in rep.per_tier.items()},
+            "overall": {rate: getattr(rep.overall, rate) for rate in brandsem.RATES},
             "gt_counts": rep.gt_counts,
         })
     return rep
 
 
 def _write_brands(path: Path, tallies: dict[str, BrandTally]):
-    write_csv(path, BRANDS_HEADER, ((pid, t.n_local, t.n_international, t.n_ordinary)
-                                    for pid, t in sorted(tallies.items())))
+    write_csv(path, BRANDS_HEADER, ((pid, *tally) for pid, tally in sorted(tallies.items())))
 
 
 def write_tables(tables: CityTables, outdir: Path):

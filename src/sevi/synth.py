@@ -260,17 +260,12 @@ def generate_brand_corpus(outdir, seed: int = 7, n_images: int = 50) -> dict:
         s1_text = json.dumps({"brands_found": raw, "summary": summary}, ensure_ascii=False)
         if i % 7 == 3:  # some responses arrive fenced
             s1_text = f"```json\n{s1_text}\n```"
-        s1_prompt, _ = brandsem.build_prompts(image_id, db, [])
-        s1_req = brandsem.VlmRequest(image_ref=image_id, prompt=s1_prompt,
-                                     params=brandsem.S1_PARAMS, stage="s1")
-        fixtures[brandsem.request_hash(s1_req)] = s1_text
+        fixtures[brandsem.request_hash(brandsem.stage1_request(image_id))] = s1_text
 
         pending = [b for b in dict.fromkeys(raw) if db.resolve(b) is None]
         if pending:
             answer = {b: _MODEL_KNOWN[b] for b in pending if b in _MODEL_KNOWN}
-            _, s2_prompt = brandsem.build_prompts(image_id, db, pending)
-            s2_req = brandsem.VlmRequest(image_ref=image_id, prompt=s2_prompt,
-                                         params=brandsem.S2_PARAMS, stage="s2")
+            s2_req = brandsem.stage2_request(image_id, db, pending)
             fixtures[brandsem.request_hash(s2_req)] = json.dumps(answer, ensure_ascii=False)
 
         pairs = []
@@ -302,9 +297,9 @@ def generate_brand_corpus(outdir, seed: int = 7, n_images: int = 50) -> dict:
     write_json(outdir / "reference_db.json", _REFERENCE_BRANDS)
     write_json(outdir / "fixtures.json", fixtures)
 
-    write_csv(outdir / "corpus.csv", ("image_id", "point_id"), corpus_rows)
-    write_csv(outdir / "ground_truth.csv", ("image_id", "brand", "tier"), gt_rows)
-    write_csv(outdir / "predictions.csv", ("image_id", "brand", "tier"), pred_rows)
+    write_csv(outdir / "corpus.csv", tuple(brandsem.CORPUS_SCHEMA), corpus_rows)
+    write_csv(outdir / "ground_truth.csv", tuple(brandsem.LABELED_SCHEMA), gt_rows)
+    write_csv(outdir / "predictions.csv", tuple(brandsem.LABELED_SCHEMA), pred_rows)
 
     return {"images": n_images, "fixtures": len(fixtures),
             "gt_pairs": len(gt_rows), "predicted_pairs": len(pred_rows)}

@@ -7,10 +7,11 @@ import pytest
 from sevi import brandsem
 from sevi.brandsem import (HttpChatClient, OfflineFixtureClient, ReferenceDb, S2_PARAMS,
                            DecodedImage, TierAssignment, VlmRequest,
-                           build_prompts, classify, decode_corpus, evaluate,
+                           classify, decode_corpus, evaluate,
                            harmonic_f1, load_corpus, load_labeled_pairs,
                            normalize_brand, parse_model_json,
-                           report_from_tier_metrics, request_hash, tally_by_point)
+                           report_from_tier_metrics, request_hash, stage1_request,
+                           stage2_request, tally_by_point)
 from sevi.exceptions import ModelOutputError, TransportError, ValidationError
 from sevi.geodata import BrandTally
 
@@ -41,18 +42,18 @@ class _RecordingClient:
 # ---------------------------------------------------------------------------
 
 def test_prompts_deterministic():
-    a = build_prompts("img1", DB, ["X", "Y"])
-    b = build_prompts("img1", DB, ["X", "Y"])
+    a = stage1_request("img1"), stage2_request("img1", DB, ["X", "Y"])
+    b = stage1_request("img1"), stage2_request("img1", DB, ["X", "Y"])
     assert a == b
 
 
 def test_empty_db_marker():
-    _, s2 = build_prompts("img1", ReferenceDb(), ["X"])
+    s2 = stage2_request("img1", ReferenceDb(), ["X"]).prompt
     assert "(reference database is empty)" in s2
 
 
 def test_db_names_appear_verbatim():
-    _, s2 = build_prompts("img1", DB, [])
+    s2 = stage2_request("img1", DB, []).prompt
     for name in ("Starbucks", "Jinling Teahouse", "Corner Grocery"):
         assert name in s2
 
@@ -291,6 +292,40 @@ def test_offline_decode_is_total_and_deterministic(corpus_dir):
     tally = tally_by_point(decoded_a)
     assert sum(t.n_local + t.n_international + t.n_ordinary
                for t in tally.values()) == total_brands
+
+
+class _FixtureRecorder(OfflineFixtureClient):
+    """The offline client, recording the hash of each request and the
+    thread that sent it."""
+
+    def __init__(self, fixtures):
+        super().__init__(fixtures)
+        self.sent = []
+
+    def complete(self, request):
+        self.sent.append((request_hash(request), threading.current_thread()))
+        return super().complete(request)
+
+
+def test_offline_decode_on_four_threads_equals_one(corpus_dir):
+    db = ReferenceDb.from_json(corpus_dir / "reference_db.json")
+    corpus = load_corpus(corpus_dir / "corpus.csv")
+    decoded = {}
+    for parallelism in (1, 4):
+        client = _FixtureRecorder.from_json(corpus_dir / "fixtures.json")
+        decoded[parallelism] = decode_corpus(corpus, db, client, parallelism=parallelism)
+        # an offline client goes through the thread pool like any other
+        assert threading.main_thread() not in {thread for _, thread in client.sent}
+    assert decoded[4] == decoded[1]
+
+
+def test_decode_sends_exactly_the_fixture_requests(corpus_dir):
+    # synth keys each fixture by the hash of a request built by the same
+    # two builders the decode uses: every fixture is used, every request has one
+    client = _FixtureRecorder.from_json(corpus_dir / "fixtures.json")
+    decode_corpus(load_corpus(corpus_dir / "corpus.csv"),
+                  ReferenceDb.from_json(corpus_dir / "reference_db.json"), client)
+    assert sorted(key for key, _ in client.sent) == sorted(client.fixtures)
 
 
 def test_malformed_fixture_never_silently_empty(corpus_dir):

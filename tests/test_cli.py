@@ -418,6 +418,30 @@ def test_missing_corpus_exits_one(corpus_dir, tmp_path, capsys):
     assert str(corpus_dir / "no_such_corpus.csv") in capsys.readouterr().err
 
 
+# per fault in corpus.csv (header row 1, images from row 2): the edit of its
+# lines and the error it gives
+_CORPUS_FAULTS = {
+    "duplicate image id": (lambda lines: lines + [lines[1]],
+                           "row 52, column 'image_id': duplicate image id 'img0001'"),
+    "empty image id": (lambda lines: [*lines[:2], ",p000001", *lines[3:]],
+                       "row 3, column 'image_id': empty id"),
+    "empty point id": (lambda lines: [*lines[:3], "img0003, ", *lines[4:]],
+                       "row 4, column 'point_id': empty id"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_CORPUS_FAULTS))
+def test_bad_corpus_id_exits_one_naming_its_row(corpus_dir, tmp_path, capsys, fault):
+    edit, message = _CORPUS_FAULTS[fault]
+    lines = (corpus_dir / "corpus.csv").read_text(encoding="utf-8").splitlines()
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    config = _config(tmp_path, f"decode: {{corpus: {corpus}}}\n")
+    assert main(["--workdir", str(corpus_dir), "brands", "decode", "--config", config]) == 1
+    assert f"stage 'brands decode' failed: {corpus}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "assignments.csv").exists()
+
+
 def test_decode_then_eval(corpus_dir, tmp_path, capsys):
     outputs = {}
     for attempt in ("first", "second"):

@@ -706,30 +706,52 @@ def _reference_brands(path):
     return brands
 
 
-def _columnar(load, header, *args):
-    return lambda path: load(path, *geodata._read_csv_rows(path, header, geodata._KINDS[header]),
-                             *args)
+# each table's header and column kinds as they were stated apart, before the
+# schemas gave each column its kind
+_SEPARATE_KINDS = {
+    ("id", "lon", "lat", "segment_id", "order") + COUNT_COLUMNS:
+        ("text", "float", "float", "label", "int") + ("int",) * len(COUNT_COLUMNS),
+    ("id", "length_m"): ("text", "float"),
+    ("id", "category", "lon", "lat"): ("text", "label", "float", "float"),
+    ("id", "lon", "lat", "top_category", "is_premium"):
+        ("text", "float", "float", "label", "text"),
+    ("segment_id", "period", "uv"): ("label", "label", "float"),
+    ("point_id", "n_local", "n_international", "n_ordinary"): ("text", "int", "int", "int"),
+}
+
+
+def test_schemas_keep_the_headers_and_kinds():
+    schemas = (geodata.POINTS_SCHEMA, geodata.SEGMENTS_SCHEMA, geodata.ANCHORS_SCHEMA,
+               geodata.POIS_SCHEMA, geodata.LBS_SCHEMA, geodata.BRANDS_SCHEMA)
+    assert {tuple(s): tuple(s.values()) for s in schemas} == _SEPARATE_KINDS
+    assert [tuple(s) for s in schemas] == [POINTS_HEADER, SEGMENTS_HEADER, ANCHORS_HEADER,
+                                           POIS_HEADER, LBS_HEADER, BRANDS_HEADER]
+
+
+def _columnar(load, schema, *args):
+    return lambda path: load(path, *geodata._read_csv_rows(path, schema), *args)
 
 
 # per table: header, valid row k, row counts, columnar loader, reference loader
 _TABLES = {
     "points": (POINTS_HEADER, lambda k: _point_row(f"p{k}", f"{0.01 * k}", f"{-0.02 * k}",
                                                    f"s{k % 2}", str(k), signboards_left=k),
-               st.integers(1, 6), _columnar(geodata._load_points, POINTS_HEADER),
+               st.integers(1, 6), _columnar(geodata._load_points, geodata.POINTS_SCHEMA),
                _reference_points),
     "segments": (SEGMENTS_HEADER, lambda k: (f"s{k}", f"{10.0 + k}"), st.integers(1, 6),
-                 _columnar(geodata._load_segments, SEGMENTS_HEADER), _reference_segments),
+                 _columnar(geodata._load_segments, geodata.SEGMENTS_SCHEMA), _reference_segments),
     "anchors": (ANCHORS_HEADER, lambda k: (f"a{k}", f"cat{k % 2}", f"{0.01 * k}", f"{0.03 * k}"),
-                st.integers(1, 6), _columnar(geodata._load_anchors, ANCHORS_HEADER),
+                st.integers(1, 6), _columnar(geodata._load_anchors, geodata.ANCHORS_SCHEMA),
                 _reference_anchors),
     "pois": (POIS_HEADER, lambda k: (f"q{k}", f"{0.01 * k}", f"{0.03 * k}", "shop", str(k % 2)),
-             st.integers(1, 6), _columnar(geodata._load_pois, POIS_HEADER), _reference_pois),
+             st.integers(1, 6), _columnar(geodata._load_pois, geodata.POIS_SCHEMA),
+             _reference_pois),
     # every period of one or two segments, so a valid table is complete
     "lbs": (LBS_HEADER, lambda k: (f"s{k // 8}", PERIODS[k % 8], f"{1.5 * k}"),
             st.sampled_from([8, 16]),
-            _columnar(geodata._load_lbs, LBS_HEADER, _LBS_SEGMENTS), _reference_lbs),
+            _columnar(geodata._load_lbs, geodata.LBS_SCHEMA, _LBS_SEGMENTS), _reference_lbs),
     "brands": (BRANDS_HEADER, lambda k: (f"p{k}", str(k), str(2 * k), "1"), st.integers(1, 6),
-               _columnar(geodata._load_brands, BRANDS_HEADER), _reference_brands),
+               _columnar(geodata._load_brands, geodata.BRANDS_SCHEMA), _reference_brands),
 }
 
 # texts that no numeric or id field accepts, and texts that only some columns reject

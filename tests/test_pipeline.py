@@ -13,8 +13,8 @@ from sevi.geodata import (ANCHORS_HEADER, PERIODS, POINTS_HEADER, POIS_HEADER,
                           SEGMENTS_HEADER, project_to_metric)
 from sevi.exceptions import ComputationError, ConfigError
 from sevi.indicators import INDICATOR_NAMES
-from sevi.pipeline import (CONFIG_KINDS, DEFAULT_CONFIG, PipelineConfig, _Analysis, _City,
-                           ingest, robustness, run, write_csv, write_json)
+from sevi.pipeline import (DEFAULT_CONFIG, PipelineConfig, _Analysis, _City, ingest, robustness,
+                           run, write_csv, write_json)
 
 from .conftest import write_feature_collection
 
@@ -102,9 +102,48 @@ def _leaf_keys(mapping, prefix=""):
 
 LEAF_KEYS = list(_leaf_keys(DEFAULT_CONFIG))
 
+# DEFAULT_CONFIG as it was written out before the config keys became one table
+_LITERAL_DEFAULT_CONFIG = {
+    "inputs": {"format": "csv", **{table: f"{table}.csv" for table in
+                                   ("points", "segments", "anchors", "pois", "lbs", "brands")}},
+    "output_dir": "out",
+    "spillover": {
+        "threshold_m": 2000.0,
+        "decay": "gaussian",
+        "sweep_thresholds": [1000.0, 2000.0, 3000.0],
+        "sweep_decays": ["gaussian", "exponential", "linear"],
+    },
+    "brand_weights": {"local": 1.0, "international": 1.5, "ordinary": 0.0},
+    "smoothing_window": 5,
+    "poi_radius_m": 50.0,
+    "pca_components": 4,
+    "gwr": {"kernel": "gaussian", "bandwidth": "aicc", "x_source": "normalized",
+            "summary_variables": ["mv", "cr"]},
+    "decode": {"backend": "offline", "reference_db": "reference_db.json",
+               "fixtures": "fixtures.json", "corpus": "corpus.csv", "parallelism": 4},
+}
 
-def test_every_leaf_key_has_one_kind():
-    assert sorted(CONFIG_KINDS) == sorted(LEAF_KEYS)
+
+def test_default_config_equals_its_literal():
+    # without sort_keys, the key order is compared too
+    assert json.dumps(DEFAULT_CONFIG) == json.dumps(_LITERAL_DEFAULT_CONFIG)
+
+
+def _containers(value):
+    """Each dict and list in `value`, itself included."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _containers(item)
+
+
+def test_merged_config_shares_no_mutable_value():
+    user = {"spillover": {"sweep_decays": ["linear"]}, "gwr": {"summary_variables": ["mv"]}}
+    merged = [PipelineConfig.from_mapping(user).raw, PipelineConfig.from_mapping({}).raw]
+    sources = {id(c) for c in [*_containers(DEFAULT_CONFIG), *_containers(user)]}
+    assert not [c for raw in merged for c in _containers(raw) if id(c) in sources]
+    merged[1]["gwr"]["summary_variables"].append("sd")
+    assert PipelineConfig.from_mapping({}).raw["gwr"]["summary_variables"] == ["mv", "cr"]
 
 
 @settings(max_examples=100, deadline=None)
