@@ -346,9 +346,7 @@ def classify(raw_brands: list[str], reference_db: ReferenceDb,
     remainder; anything still unresolved defaults to Ordinary with a flag."""
     assignment = TierAssignment()
     pending: list[str] = []
-    for raw in raw_brands:
-        if raw in assignment.tiers:
-            continue
+    for raw in dict.fromkeys(raw_brands):  # each distinct string once, in input order
         hit = reference_db.resolve(raw)
         if hit is not None:
             assignment.tiers[raw] = hit[1]

@@ -15,13 +15,13 @@ operands (`kernels.gwr_operands`) once per design, and every kernel call
 of the search and the refits reads them.
 
 With AICc selection the work splits in two, as in FastGWR (Li,
-Fotheringham, Li & Oshan, IJGIS 2019). The search builds the n x n
-distance matrix once; every column keeps its own golden-section search,
-but the AICc values at each visited bandwidth come from one shared
-AICc-only kernel call that reads that matrix and forms only the fitted
-values and tr(S). The refit then runs the full kernel once per chosen
-bandwidth, for the columns that chose it, and computes every diagnostic.
-Fixed and adaptive bandwidths go straight to the full kernel.
+Fotheringham, Li & Oshan, IJGIS 2019): every column keeps its own
+golden-section search, but the AICc values at each visited bandwidth come
+from one shared AICc-only kernel call that forms only the fitted values and
+tr(S); then the full kernel refits once per chosen bandwidth, for the
+columns that chose it. AICc and adaptive fits build the n x n distance
+matrix once, in `fit`, and every kernel call of the fit reads it; a fixed
+bandwidth holds none, and each row block measures its own distances.
 """
 
 from __future__ import annotations
@@ -100,12 +100,11 @@ class GwrDesign:
     def n_params(self) -> int:
         return self.X.shape[1]
 
-    def pairwise_extent(self, d: np.ndarray | None = None) -> tuple[float, float]:
-        """(smallest nonzero pairwise distance, diameter) of the coordinates;
-        `d` is their distance matrix, when the caller already holds it."""
-        d = kernels.pairwise_distances(self.coords) if d is None else d
-        diameter = float(d.max())
-        nonzero = d[d > 0]
+    def pairwise_extent(self, dist: np.ndarray) -> tuple[float, float]:
+        """(smallest nonzero pairwise distance, diameter) of the coordinates,
+        read from their distance matrix `dist`."""
+        diameter = float(dist.max())
+        nonzero = dist[dist > 0]
         if len(nonzero) == 0 or diameter <= 0:
             raise ValidationError("all coordinates coincide; no usable bandwidth range")
         return float(nonzero.min()), diameter
@@ -116,7 +115,6 @@ class GwrFit:
     beta: np.ndarray           # (n, k+1) local coefficients
     fitted: np.ndarray
     residuals: np.ndarray
-    hat_diag: np.ndarray
     trace_s: float
     trace_sts: float
     rss: float
@@ -129,8 +127,8 @@ class GwrFit:
     flags: np.ndarray           # 0 clean, 1 ridged, 2 singular
     predictor_names: list[str]
     location_ids: list[str]
-    aicc_evals: int = 0                     # distinct bandwidths the AICc search fitted
-    bandwidth_boundary: str | None = None   # "lower" | "upper" when the search hit one
+    aicc_evals: int                 # distinct bandwidths the AICc search fitted
+    bandwidth_boundary: str | None  # "lower" | "upper" when the search hit one
 
     @property
     def n(self) -> int:
@@ -139,9 +137,6 @@ class GwrFit:
     @property
     def n_ridged(self) -> int:
         return int((self.flags == kernels.FLAG_RIDGED).sum())
-
-    def effective_params(self) -> float:
-        return 2.0 * self.trace_s - self.trace_sts
 
 
 def kernel_weight(d: float, bandwidth: float, kernel: str = "gaussian") -> float:
@@ -158,15 +153,13 @@ def kernel_weight(d: float, bandwidth: float, kernel: str = "gaussian") -> float
     raise ValidationError(f"unknown kernel {kernel!r}")
 
 
-def adaptive_bandwidths(coords: np.ndarray, m: int) -> np.ndarray:
-    """Per-location bandwidth: distance to the m-th nearest neighbor
-    (self excluded)."""
-    coords = np.asarray(coords, dtype=float)
-    n = coords.shape[0]
+def adaptive_bandwidths(dist: np.ndarray, m: int) -> np.ndarray:
+    """Per-location bandwidth: distance to the m-th nearest neighbor (self
+    excluded), read from the locations' distance matrix `dist`."""
+    n = dist.shape[0]
     if not (1 <= m <= n - 1):
         raise ValidationError(f"adaptive neighbor count must be in [1, {n - 1}], got {m}")
-    d = kernels.pairwise_distances(coords)
-    bw = np.partition(d, m, axis=1)[:, m]  # the m+1 smallest include the self distance
+    bw = np.partition(dist, m, axis=1)[:, m]  # the m+1 smallest include the self distance
     if np.any(bw <= 0):
         i = int(np.argmax(bw <= 0))
         raise ComputationError(
@@ -176,27 +169,13 @@ def adaptive_bandwidths(coords: np.ndarray, m: int) -> np.ndarray:
     return bw
 
 
-def _kernel(design: GwrDesign, Y: np.ndarray, operands: kernels.GwrOperands, bandwidth,
-            dist=None, full=True):
-    """One kernel call over the response columns `Y` of `design`, whose
-    product operands are `operands`: (fixed bandwidth or None, adaptive
-    neighbor count or None, *`kernels.gwr_fit_all`'s outputs). `dist` and
-    `full` pass through to the kernel."""
-    if isinstance(bandwidth, tuple):
-        mode, m = bandwidth
-        if mode != "adaptive":
-            raise ValidationError(f"unknown bandwidth mode {mode!r}")
-        m = int(m)
-        bw_arr = adaptive_bandwidths(design.coords, m)
-        bw_scalar, adaptive_m = None, m
-    else:
-        bw = float(bandwidth)
-        if bw <= 0:
-            raise ValidationError(f"bandwidth must be > 0, got {bw}")
-        bw_arr = np.full(design.n, bw)
-        bw_scalar, adaptive_m = bw, None
-
-    out = kernels.gwr_fit_all(design.coords, design.X, Y, bw_arr, design.kernel, dist, full,
+def _kernel(design: GwrDesign, Y: np.ndarray, operands: kernels.GwrOperands,
+            bandwidths: np.ndarray, dist: np.ndarray | None, full=True):
+    """`kernels.gwr_fit_all` over the response columns `Y` of `design`, whose
+    product operands are `operands`, at the per-location `bandwidths`; `dist`
+    (the design's distance matrix or None) and `full` pass through. A local
+    system that stays singular raises an error naming its location."""
+    out = kernels.gwr_fit_all(design.coords, design.X, Y, bandwidths, design.kernel, dist, full,
                               operands)
     flags = out[-1]
     if np.any(flags == kernels.FLAG_SINGULAR):
@@ -205,7 +184,7 @@ def _kernel(design: GwrDesign, Y: np.ndarray, operands: kernels.GwrOperands, ban
             f"local system singular even after ridge fallback at location "
             f"{design.location_ids[i]!r}"
         )
-    return (bw_scalar, adaptive_m, *out)
+    return out
 
 
 def _rss(y: np.ndarray, fitted: np.ndarray) -> tuple[np.ndarray, float]:
@@ -214,49 +193,43 @@ def _rss(y: np.ndarray, fitted: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _fit_columns(design: GwrDesign, operands: kernels.GwrOperands, columns: list[int],
-                 bandwidth) -> list[GwrFit]:
-    """Fits of the response `columns` at one bandwidth, in one kernel call;
-    `operands` are the design's, `kernels.gwr_operands(design.X, design.Y)`.
-
-    `bandwidth` is either a positive float (meters, fixed kernel) or a tuple
-    ("adaptive", m). Near-singular local systems are re-solved with a small
-    ridge and flagged; a system that remains singular raises an error naming
-    its location.
-    """
+                 bandwidths: np.ndarray, dist: np.ndarray | None, bandwidth: float | None = None,
+                 adaptive_neighbors: int | None = None, searches=None) -> list[GwrFit]:
+    """Fits of the response `columns` at the per-location `bandwidths`, in one
+    kernel call over those columns' `operands` and the design's distance
+    matrix `dist` (or None). Each fit records the fixed `bandwidth` or the
+    `adaptive_neighbors` count and, after an AICc search, its column's
+    (bandwidth, boundary, evaluations) from `searches`. Near-singular local
+    systems are ridged and flagged (see `_kernel`)."""
     Y = design.Y[:, columns]
-    bw_scalar, adaptive_m, beta, fitted, s_ii, s_norm2, flags = _kernel(
-        design, Y, operands.columns(columns), bandwidth)
-    trace_s = float(s_ii.sum())
-    trace_sts = float(s_norm2.sum())
-
+    beta, fitted, s_ii, s_norm2, flags = _kernel(design, Y, operands, bandwidths, dist)
+    trace_s, trace_sts = float(s_ii.sum()), float(s_norm2.sum())
     fits = []
-    for k in range(len(columns)):
+    for k, (_, boundary, evals) in enumerate(searches or [(bandwidth, None, 0)] * len(columns)):
         y = Y[:, k]
         residuals, rss = _rss(y, fitted[:, k])
         tss = float(((y - y.mean()) ** 2).sum())
-        column_fit = GwrFit(beta=np.ascontiguousarray(beta[:, :, k]), fitted=fitted[:, k],
-                            residuals=residuals, hat_diag=s_ii, trace_s=trace_s,
-                            trace_sts=trace_sts, rss=rss, tss=tss, adjusted_r2=math.nan,
-                            aicc=math.nan, bandwidth=bw_scalar, adaptive_neighbors=adaptive_m,
-                            kernel=design.kernel, flags=flags,
-                            predictor_names=list(design.predictor_names),
-                            location_ids=list(design.location_ids))
-        column_fit.adjusted_r2 = adjusted_r2(column_fit, design.n)
-        column_fit.aicc = _aicc(rss, trace_s, design.n)
-        fits.append(column_fit)
+        fits.append(GwrFit(beta=np.ascontiguousarray(beta[:, :, k]), fitted=fitted[:, k],
+                           residuals=residuals, trace_s=trace_s, trace_sts=trace_sts, rss=rss,
+                           tss=tss, adjusted_r2=adjusted_r2(rss, tss, trace_s, trace_sts, design.n),
+                           aicc=_aicc(rss, trace_s, design.n), bandwidth=bandwidth,
+                           adaptive_neighbors=adaptive_neighbors, kernel=design.kernel,
+                           flags=flags, predictor_names=list(design.predictor_names),
+                           location_ids=list(design.location_ids), aicc_evals=evals,
+                           bandwidth_boundary=boundary))
     return fits
 
 
-def adjusted_r2(fit: GwrFit, n: int) -> float:
+def adjusted_r2(rss: float, tss: float, trace_s: float, trace_sts: float, n: int) -> float:
     """1 - [RSS/(n - p_eff)] / [TSS/(n - 1)] with p_eff = 2 tr(S) - tr(S'S)."""
-    p_eff = fit.effective_params()
+    p_eff = 2.0 * trace_s - trace_sts
     if n <= p_eff:
         raise ComputationError(
             f"adjusted R^2 undefined: n={n} <= effective parameters {p_eff:.3f}"
         )
-    if fit.tss <= 0:
+    if tss <= 0:
         raise ComputationError("adjusted R^2 undefined: response is constant")
-    return 1.0 - (fit.rss / (n - p_eff)) / (fit.tss / (n - 1))
+    return 1.0 - (rss / (n - p_eff)) / (tss / (n - 1))
 
 
 def _aicc(rss: float, trace_s: float, n: int) -> float:
@@ -306,26 +279,25 @@ def _golden_section(objective, lo0: float, hi0: float, rel_tol: float,
     return float(best), boundary, len(cache)
 
 
-def _search(design: GwrDesign, operands: kernels.GwrOperands, rel_tol: float = 1e-3,
-            max_iter: int = 60) -> list[tuple[float, str | None, int]]:
+def _search(design: GwrDesign, operands: kernels.GwrOperands, dist: np.ndarray,
+            rel_tol: float = 1e-3, max_iter: int = 60) -> list[tuple[float, str | None, int]]:
     """One golden-section AICc search per response column over [min nonzero
-    distance, diameter].
+    distance, diameter], both read from the design's distance matrix `dist`.
 
     Each search follows its own path, but every bandwidth any of them visits
-    is fitted once for all columns, by the AICc-only kernel over the one
-    distance matrix of the search and the design's `operands`, and its AICc
-    values are memoised. Only AICc is computed there: adjusted R^2 is
-    undefined at bandwidths so small that the effective parameters reach n,
-    where AICc is +inf. A search that ends on a boundary warns, once the
-    search as a whole has succeeded.
+    is fitted once for all columns, by the AICc-only kernel over `dist` and
+    the design's `operands`, and its AICc values are memoised. Only AICc is
+    computed there: adjusted R^2 is undefined at bandwidths so small that the
+    effective parameters reach n, where AICc is +inf. A search that ends on a
+    boundary warns, once the search as a whole has succeeded.
     """
-    dist = kernels.pairwise_distances(design.coords)
     lo0, hi0 = design.pairwise_extent(dist)
     memo: dict[float, list[float]] = {}
 
     def column_aicc(b: float) -> list[float]:
         if b not in memo:
-            *_, fitted, s_ii, _, _ = _kernel(design, design.Y, operands, b, dist, full=False)
+            _, fitted, s_ii, _, _ = _kernel(design, design.Y, operands, np.full(design.n, b),
+                                            dist, full=False)
             trace_s = float(s_ii.sum())
             memo[b] = [_aicc(_rss(design.Y[:, k], fitted[:, k])[1], trace_s, design.n)
                        for k in range(design.Y.shape[1])]
@@ -351,25 +323,30 @@ def fit(design: GwrDesign, bandwidth="aicc") -> list[GwrFit]:
     """One fit per response column of `design`, in column order.
 
     `bandwidth` is "aicc" (selected per column), a float (meters), or
-    ("adaptive", m). With "aicc" each fit records its search's evaluation
-    count and the boundary it hit, if any; when the criterion is monotone
-    over the interval the search lands on that boundary, with a warning.
-    Deterministic for fixed inputs.
+    ("adaptive", m), as `pipeline` checks it. "aicc" and ("adaptive", m)
+    build the distance matrix once, and the search, its refits and the
+    adaptive bandwidths read it; a fixed bandwidth builds none. With "aicc"
+    each fit records its search's evaluation count and the boundary it hit,
+    if any; when the criterion is monotone over the interval the search lands
+    on that boundary, with a warning. Deterministic for fixed inputs.
     """
     columns = list(range(design.Y.shape[1]))
     operands = kernels.gwr_operands(design.X, design.Y)
-    if bandwidth != "aicc":
-        return _fit_columns(design, operands, columns, bandwidth)
-    searches = _search(design, operands)
-    by_bandwidth: dict[float, list[int]] = {}
-    for k, (bw, _, _) in enumerate(searches):
-        by_bandwidth.setdefault(bw, []).append(k)
+    if bandwidth != "aicc" and not isinstance(bandwidth, tuple):
+        bw = float(bandwidth)
+        return _fit_columns(design, operands, columns, np.full(design.n, bw), None, bandwidth=bw)
+    dist = kernels.pairwise_distances(design.coords)
+    if isinstance(bandwidth, tuple):
+        _, m = bandwidth
+        return _fit_columns(design, operands, columns, adaptive_bandwidths(dist, m), dist,
+                            adaptive_neighbors=m)
+    searches = _search(design, operands, dist)
     fits: dict[int, GwrFit] = {}
-    for bw, members in by_bandwidth.items():
-        fits.update(zip(members, _fit_columns(design, operands, members, bw)))
-    for k, (_, boundary, evals) in enumerate(searches):
-        fits[k].aicc_evals = evals
-        fits[k].bandwidth_boundary = boundary
+    for bw in dict.fromkeys(bw for bw, _, _ in searches):  # one refit per chosen bandwidth
+        members = [k for k, (chosen, _, _) in enumerate(searches) if chosen == bw]
+        fits.update(zip(members, _fit_columns(design, operands.columns(members), members,
+                                              np.full(design.n, bw), dist, bandwidth=bw,
+                                              searches=[searches[k] for k in members])))
     return [fits[k] for k in columns]
 
 

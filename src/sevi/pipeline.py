@@ -143,7 +143,7 @@ CONFIG_KEYS = {
        for tier, weight in asdict(BrandWeights()).items()},
     "smoothing_window": (indicators.DEFAULT_SMOOTHING_WINDOW, _odd),
     "poi_radius_m": (50.0, _positive),
-    "pca_components": (4, _integer(1, 9)),
+    "pca_components": (4, _integer(1, len(INDICATOR_NAMES))),
     "gwr.kernel": ("gaussian", _one_of(*KERNELS)),
     "gwr.bandwidth": ("aicc", _bandwidth),
     "gwr.x_source": ("normalized", _one_of("normalized", "raw")),

@@ -157,6 +157,16 @@ def test_unresolved_defaults_to_ordinary_with_flag():
     assert assignment.unresolved == ["Ghost Sign"]
 
 
+def test_stage2_request_lists_each_unresolved_string_once():
+    client = _RecordingClient(json.dumps({"Nova Sports": "Local"}))
+    assignment = classify(["Nova Sports", "Starbucks", "Nova Sports", "nova sports"], DB, client)
+    (request,) = client.requests
+    assert request == stage2_request("batch", DB, ["Nova Sports", "nova sports"])
+    assert 'Observed brand strings: ["Nova Sports", "nova sports"]' in request.prompt
+    assert assignment.tiers == {"Nova Sports": "Local", "Starbucks": "International",
+                                "nova sports": "Local"}
+
+
 def test_never_fewer_assignments_than_inputs():
     client = _RecordingClient(json.dumps({}))
     raw = ["A", "B", "C"]

@@ -214,6 +214,24 @@ def test_adaptive_bandwidth_beyond_the_city_exits_one(city_dir, tmp_path, capsys
     assert "stage 'gwr' failed" in capsys.readouterr().err
 
 
+def _first_segments(count):
+    """A table edit that keeps the rows of the first `count` segments."""
+    def edit(rows):
+        keep = list(dict.fromkeys(row["segment_id"] for row in rows))[:count]
+        return [row for row in rows if row["segment_id"] in keep]
+    return edit
+
+
+def test_too_few_segments_with_crowd_data_exit_one(city_dir, tmp_path, capsys):
+    # crowd data for 11 of the 160 segments, against the 9 predictors plus
+    # intercept of each local fit: the stage stops before any fit
+    city = _edited_city(city_dir, tmp_path, "lbs.csv", _first_segments(11))
+    assert main(["--workdir", str(city), "gwr", "--config", _config(tmp_path)]) == 1
+    assert ("stage 'gwr' failed: only 11 segments have both indicators and crowd data; "
+            "need more than 11") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "gwr_summary.json").exists()
+
+
 def test_city_too_small_for_its_gwr_exits_two(tmp_path, capsys):
     # 12 segments against the 10 parameters of each local fit: AICc is +inf
     # at every bandwidth the search visits

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -117,7 +118,7 @@ def test_exact_fit_recovery(rng):
 
 def test_ols_limit_matches_global_regression(rng):
     design, _ = _linear_design(rng, n=300, k=4, noise=0.5)
-    _, diameter = design.pairwise_extent()
+    _, diameter = design.pairwise_extent(kernels.pairwise_distances(design.coords))
     fit = _fit1(design, 1e3 * diameter)
     beta_ols, *_ = np.linalg.lstsq(design.X, design.Y[:, 0], rcond=None)
     rel = np.max(np.abs(fit.beta - beta_ols)) / np.max(np.abs(beta_ols))
@@ -171,7 +172,8 @@ def test_singular_local_system_flagged_not_fatal(rng):
 def test_adjusted_r2_perfect_fit(rng):
     design, _ = _linear_design(rng, n=100, k=2, noise=0.0)
     fit = _fit1(design, 800.0)
-    assert adjusted_r2(fit, design.n) == pytest.approx(1.0, abs=1e-9)
+    assert adjusted_r2(fit.rss, fit.tss, fit.trace_s, fit.trace_sts,
+                       design.n) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_adjusted_r2_uninformative_predictors(rng):
@@ -179,7 +181,7 @@ def test_adjusted_r2_uninformative_predictors(rng):
     predictors = rng.normal(size=(200, 2))
     y = rng.normal(size=200)  # unrelated response
     design = GwrDesign.build(coords, predictors, y)
-    _, diameter = design.pairwise_extent()
+    _, diameter = design.pairwise_extent(kernels.pairwise_distances(design.coords))
     fit = _fit1(design, 100.0 * diameter)
     assert abs(fit.adjusted_r2) < 0.1
 
@@ -227,7 +229,7 @@ def test_adaptive_bisquare_well_posed(rng):
 
 def test_adaptive_bandwidths_are_mth_neighbor(rng):
     coords = rng.uniform(0, 100, (40, 2))
-    bw = adaptive_bandwidths(coords, 5)
+    bw = adaptive_bandwidths(kernels.pairwise_distances(coords), 5)
     d = np.hypot(coords[:, 0][:, None] - coords[:, 0][None, :],
                  coords[:, 1][:, None] - coords[:, 1][None, :])
     for i in range(40):
@@ -242,7 +244,7 @@ def test_selection_hits_upper_boundary_for_global_truth(rng):
     design, _ = _linear_design(rng, n=120, k=2, noise=0.5)
     with pytest.warns(UserWarning, match="boundary"):
         fit = _fit1(design, "aicc")
-    _, diameter = design.pairwise_extent()
+    _, diameter = design.pairwise_extent(kernels.pairwise_distances(design.coords))
     assert fit.bandwidth == pytest.approx(diameter)
     assert fit.bandwidth_boundary == "upper"
 
@@ -265,11 +267,22 @@ def test_selection_without_finite_aicc_fails_by_name(rng):
     assert caught == []
 
 
+def _drifting_design(rng, kernel):
+    """160 locations and eight responses whose slope drifts across the city
+    with strengths from absent to strong, so AICc chooses several bandwidths."""
+    coords = rng.uniform(0, 3000, (160, 2))
+    predictors = rng.normal(size=(160, 2))
+    slope = 1.0 + coords[:, 0] / 1500.0
+    Y = np.column_stack([s * slope * predictors[:, 0] + rng.normal(0, 0.5, 160)
+                         for s in (0.0, 0.3, 0.6, 1.0, 0.1, 0.8, 0.4, 0.05)])
+    return GwrDesign.build(coords, predictors, Y, kernel=kernel)
+
+
 def _full_kernel_search(design):
     """The AICc search with every visited bandwidth fitted by the full kernel,
     which measures its distances per row block: (bandwidth, boundary,
     evaluations) per column."""
-    lo0, hi0 = design.pairwise_extent()
+    lo0, hi0 = design.pairwise_extent(kernels.pairwise_distances(design.coords))
     memo = {}
 
     def column_aicc(b):
@@ -287,14 +300,8 @@ def _full_kernel_search(design):
 
 @pytest.mark.parametrize("kernel", gwr.KERNELS)
 def test_aicc_search_selects_what_the_full_kernel_search_selects(rng, kernel):
-    # eight responses whose drifting slope ranges from absent to strong, so
     # the searches end at different bandwidths and one on the upper boundary
-    coords = rng.uniform(0, 3000, (160, 2))
-    predictors = rng.normal(size=(160, 2))
-    slope = 1.0 + coords[:, 0] / 1500.0
-    Y = np.column_stack([s * slope * predictors[:, 0] + rng.normal(0, 0.5, 160)
-                         for s in (0.0, 0.3, 0.6, 1.0, 0.1, 0.8, 0.4, 0.05)])
-    design = GwrDesign.build(coords, predictors, Y, kernel=kernel)
+    design = _drifting_design(rng, kernel)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -306,6 +313,128 @@ def test_aicc_search_selects_what_the_full_kernel_search_selects(rng, kernel):
     for fit, (bandwidth, boundary, evals) in zip(fits, want):
         assert (fit.bandwidth, fit.bandwidth_boundary, fit.aicc_evals) == (
             bandwidth, boundary, evals)
+
+
+def _fit_before(design, bandwidth="aicc"):
+    """`gwr.fit` as it was before it alone decided what its bandwidth needs:
+    the kernel call parsed the bandwidth and built adaptive bandwidths from a
+    distance matrix of its own, every full fit measured its distances per row
+    block, and each fit was built with placeholder diagnostics that were then
+    filled in, the search outcome last. Each fit comes back as a dict of its
+    fields."""
+    n = design.n
+
+    def kernel(Y, operands, bandwidth):
+        if isinstance(bandwidth, tuple):
+            m = int(bandwidth[1])
+            bw_arr = np.partition(kernels.pairwise_distances(design.coords), m, axis=1)[:, m]
+            bw_scalar, adaptive_m = None, m
+        else:
+            bw_scalar, adaptive_m = float(bandwidth), None
+            bw_arr = np.full(n, bw_scalar)
+        out = kernels.gwr_fit_all(design.coords, design.X, Y, bw_arr, design.kernel, None, True,
+                                  operands)
+        assert not np.any(out[-1] == kernels.FLAG_SINGULAR)
+        return (bw_scalar, adaptive_m, *out)
+
+    def fit_columns(operands, columns, bandwidth):
+        Y = design.Y[:, columns]
+        bw_scalar, adaptive_m, beta, fitted, s_ii, s_norm2, flags = kernel(
+            Y, operands.columns(columns), bandwidth)
+        trace_s, trace_sts = float(s_ii.sum()), float(s_norm2.sum())
+        fits = []
+        for k in range(len(columns)):
+            y = Y[:, k]
+            residuals = y - fitted[:, k]
+            rss = float(residuals @ residuals)
+            tss = float(((y - y.mean()) ** 2).sum())
+            column_fit = dict(beta=np.ascontiguousarray(beta[:, :, k]), fitted=fitted[:, k],
+                              residuals=residuals, trace_s=trace_s, trace_sts=trace_sts,
+                              rss=rss, tss=tss, adjusted_r2=math.nan, aicc=math.nan,
+                              bandwidth=bw_scalar, adaptive_neighbors=adaptive_m,
+                              kernel=design.kernel, flags=flags,
+                              predictor_names=list(design.predictor_names),
+                              location_ids=list(design.location_ids), aicc_evals=0,
+                              bandwidth_boundary=None)
+            p_eff = 2.0 * trace_s - trace_sts
+            column_fit["adjusted_r2"] = 1.0 - (rss / (n - p_eff)) / (tss / (n - 1))
+            column_fit["aicc"] = gwr._aicc(rss, trace_s, n)
+            fits.append(column_fit)
+        return fits
+
+    columns = list(range(design.Y.shape[1]))
+    operands = kernels.gwr_operands(design.X, design.Y)
+    if bandwidth != "aicc":
+        return fit_columns(operands, columns, bandwidth)
+    searches = gwr._search(design, operands, kernels.pairwise_distances(design.coords))
+    by_bandwidth = {}
+    for k, (bw, _, _) in enumerate(searches):
+        by_bandwidth.setdefault(bw, []).append(k)
+    fits = {}
+    for bw, members in by_bandwidth.items():
+        fits.update(zip(members, fit_columns(operands, members, bw)))
+    for k, (_, boundary, evals) in enumerate(searches):
+        fits[k]["aicc_evals"] = evals
+        fits[k]["bandwidth_boundary"] = boundary
+    return [fits[k] for k in columns]
+
+
+# the refits and the adaptive fit read the rows of one distance matrix, which
+# are bit-equal to the per-block distances (test_kernels), so every field of
+# every fit is bit-equal to the fit before
+@pytest.mark.parametrize("kernel", gwr.KERNELS)
+@pytest.mark.parametrize("bandwidth", ["aicc", ("adaptive", 12), 900.0])
+def test_fit_matches_the_fit_before(rng, kernel, bandwidth):
+    design = _drifting_design(rng, kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the boundary warning of a search
+        fits = gwr.fit(design, bandwidth)
+        want = _fit_before(design, bandwidth)
+
+    if bandwidth == "aicc":
+        assert len({fit.bandwidth for fit in fits}) > 1
+    names = [f.name for f in dataclasses.fields(gwr.GwrFit)]
+    assert len(fits) == len(want) == 8
+    for fit, fields in zip(fits, want):
+        assert sorted(fields) == sorted(names)
+        for name in names:
+            got = getattr(fit, name)
+            if isinstance(got, np.ndarray):
+                assert got.dtype == fields[name].dtype and np.array_equal(got, fields[name]), name
+            else:
+                assert type(got) is type(fields[name]) and got == fields[name], name
+
+
+@pytest.mark.parametrize("bandwidth, matrices", [("aicc", 1), (("adaptive", 12), 1),
+                                                  (900.0, 0)])
+def test_one_distance_matrix_per_fit(rng, monkeypatch, bandwidth, matrices):
+    # an AICc or adaptive fit builds one matrix and measures no row block
+    # apart from it; a fixed bandwidth builds none, and each of its row blocks
+    # measures its own distances
+    design = _drifting_design(rng, "gaussian")
+    calls = {"matrix": 0, "rows": 0}
+    pairwise_distances, distance_rows = kernels.pairwise_distances, kernels._distance_rows
+
+    def count_matrix(coords):
+        calls["matrix"] += 1
+        return pairwise_distances(coords)
+
+    def count_rows(coords, lo, hi):
+        calls["rows"] += 1
+        return distance_rows(coords, lo, hi)
+
+    monkeypatch.setattr(kernels, "pairwise_distances", count_matrix)
+    monkeypatch.setattr(kernels, "_distance_rows", count_rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fits = gwr.fit(design, bandwidth)
+
+    if bandwidth == "aicc":
+        assert len({fit.bandwidth for fit in fits}) > 1  # several refits
+    assert calls["matrix"] == matrices
+    blocks = -(-design.n // kernels._block_rows(design.n, design.n_params, 8))
+    # the matrix is itself one `_distance_rows` call over all rows
+    assert calls["rows"] == (1 if matrices else blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +561,5 @@ def test_aicc_guard_small_denominator(rng):
 def test_adjusted_r2_rejects_overparameterized(rng):
     design, _ = _linear_design(rng, n=60, k=2, noise=0.2)
     fit = _fit1(design, 300.0)
-    fit.trace_s = design.n  # p_eff >= n
-    fit.trace_sts = 0.0
     with pytest.raises(ComputationError):
-        adjusted_r2(fit, design.n)
+        adjusted_r2(fit.rss, fit.tss, design.n, 0.0, design.n)  # p_eff >= n

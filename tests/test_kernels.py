@@ -46,7 +46,8 @@ def _check_against_oracle(n, kernel, adaptive):
     coords = rng.uniform(0, 2000, (n, 2))
     X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
     y = X @ np.array([1.0, 2.0, 3.0]) + rng.normal(0, 0.1, n)
-    bw = adaptive_bandwidths(coords, 20) if adaptive else np.full(n, 1200.0)
+    bw = (adaptive_bandwidths(kernels.pairwise_distances(coords), 20) if adaptive
+          else np.full(n, 1200.0))
 
     beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(coords, X, y[:, None], bw, kernel)
 
