@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Protocol
 
-from .exceptions import ModelOutputError, SchemaError, TransportError, ValidationError
+from .exceptions import ModelOutputError, TransportError, ValidationError
 from .geodata import BrandTally, _Check, _id_checks, _isin, _raise_first, _read_csv_rows
 
 TIERS = ("International", "Local", "Ordinary")
@@ -33,7 +33,7 @@ ENV_MODEL = "SEVI_BRAND_MODEL"
 
 PROMPT_VERSION = "v1"
 
-# the columns of the brand-corpus tables, all read as text
+# the columns of the brand-corpus tables, all text, read stripped
 CORPUS_SCHEMA = {"image_id": "text", "point_id": "text"}
 LABELED_SCHEMA = {"image_id": "text", "brand": "text", "tier": "text"}
 
@@ -99,16 +99,25 @@ class ReferenceDb:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ReferenceDb":
+        """`mapping` gives each canonical name {"tier": ..., "aliases": [...]}."""
+        if not isinstance(mapping, dict):
+            raise ValidationError("reference db must map brand names to entries, "
+                                  f"got a {type(mapping).__name__}")
         db = cls()
         for canonical in sorted(mapping):
             spec = mapping[canonical]
-            tier = spec.get("tier")
+            if not isinstance(spec, dict):
+                raise ValidationError(f"reference db entry {canonical!r}: expected an object "
+                                      f"with a tier and aliases, got {spec!r}")
+            tier, aliases = spec.get("tier"), spec.get("aliases", [])
             if tier not in TIERS:
                 raise ValidationError(
                     f"reference db entry {canonical!r}: unknown tier {tier!r}"
                 )
-            aliases = list(spec.get("aliases", []))
-            db.entries[canonical] = (tier, aliases)
+            if not (isinstance(aliases, list) and all(isinstance(a, str) for a in aliases)):
+                raise ValidationError(f"reference db entry {canonical!r}: aliases must be a "
+                                      f"list of strings, got {aliases!r}")
+            db.entries[canonical] = (tier, list(aliases))
             for name in [canonical, *aliases]:
                 key = normalize_brand(name)
                 if not key:
@@ -254,6 +263,12 @@ class OfflineFixtureClient:
                 fixtures = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read fixtures {path}: {exc}") from exc
+        if not isinstance(fixtures, dict):
+            raise ValidationError(f"fixtures {path}: expected an object of responses")
+        for key, response in fixtures.items():
+            if not isinstance(response, str):
+                raise ValidationError(f"fixtures {path}: response {key!r} is not a string: "
+                                      f"{response!r}")
         return cls(fixtures)
 
     def complete(self, request: VlmRequest) -> str:
@@ -385,7 +400,7 @@ def load_corpus(path) -> list[tuple[str, str]]:
     """corpus.csv rows (image_id, point_id) in file order. Image ids are
     distinct, and no id is empty."""
     lines, columns = _read_csv_rows(path, CORPUS_SCHEMA)
-    image_ids, point_ids = (list(map(str.strip, columns[name])) for name in CORPUS_SCHEMA)
+    image_ids, point_ids = (columns[name] for name in CORPUS_SCHEMA)
     _raise_first(path, lines, [*_id_checks("image_id", image_ids, "image"),
                                _Check("point_id", _isin(point_ids, {""}), lambda i: "empty id")])
     return list(zip(image_ids, point_ids))
@@ -414,7 +429,7 @@ def decode_corpus(corpus: list[tuple[str, str]], reference_db: ReferenceDb,
 def tally_by_point(decoded: list[DecodedImage]) -> dict[str, BrandTally]:
     acc: dict[str, dict[str, int]] = {}
     for item in decoded:
-        slot = acc.setdefault(item.point_id, {"International": 0, "Local": 0, "Ordinary": 0})
+        slot = acc.setdefault(item.point_id, dict.fromkeys(TIERS, 0))
         for tier in item.assignment.tiers.values():
             slot[tier] += 1
     return {pid: BrandTally(c["Local"], c["International"], c["Ordinary"])
@@ -467,13 +482,16 @@ def report_from_tier_metrics(metrics: dict[str, tuple[float, float]]) -> EvalRep
 
 
 def load_labeled_pairs(path) -> dict[str, set[tuple[str, str]]]:
-    """CSV (image_id, brand, tier) -> per-image sets of normalized pairs."""
+    """CSV (image_id, brand, tier) -> per-image sets of normalized pairs. No
+    image id or brand is empty, and every tier is one of TIERS."""
     out: dict[str, set[tuple[str, str]]] = {}
     lines, columns = _read_csv_rows(path, LABELED_SCHEMA)
-    rows = zip(*(map(str.strip, columns[name]) for name in ("image_id", "brand", "tier")))
-    for lineno, (image_id, brand, tier) in zip(lines, rows):
-        if tier not in TIERS:
-            raise SchemaError(path, lineno, "tier", f"unknown tier {tier!r}")
+    image_ids, brands, tiers = (columns[name] for name in LABELED_SCHEMA)
+    _raise_first(path, lines, [
+        _Check("image_id", _isin(image_ids, {""}), lambda i: "empty id"),
+        _Check("brand", _isin(brands, {""}), lambda i: "empty brand"),
+        _Check("tier", ~_isin(tiers, TIERS), lambda i: f"unknown tier {tiers[i]!r}")])
+    for image_id, brand, tier in zip(image_ids, brands, tiers):
         out.setdefault(image_id, set()).add((normalize_brand(brand), tier))
     return out
 

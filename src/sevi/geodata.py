@@ -11,18 +11,20 @@ Ingestion reads a table from a CSV file or from a GeoJSON FeatureCollection
 (a feature's number is its row, a Point's coordinates fill `lon`/`lat`) and
 parses it a chunk of rows at a time, so the text of a whole table is never
 held as cells. A table's schema (`POINTS_SCHEMA`, ...) maps its columns, in
-header order, to their kinds; a reader returns the columns keyed by name.
-Each column is kept as its kind makes it: numbers as int64/float64 arrays
-plus the text of the rows they reject, which the error messages quote;
-labels (segment ids, categories, periods) as one str object per distinct
-value; other text as read. Each table is validated by one ordered list of
-column checks, each a whole-column rule giving the mask of the rows that
-break it; the error is that of the smallest bad row and, on one row, of the
-check listed first, as a row-by-row check in that order would raise. A
-number `int`/`float` rejects reads as 0: its parse check comes before every
-check reading the column. The file-wide running total of each left+right
-count pair stays inside int64, so no sum over points wraps. Tables are
-immutable after load and safe for concurrent reads.
+header order, to their kinds, and is the one statement of each kind: a
+reader parses, strips and checks every column by it and returns the columns
+keyed by name. Text is stripped; labels (segment ids, categories, periods)
+are held as one str object per distinct value; a number column comes as its
+int64/float64 values and its kind's checks, which quote the text of the
+rows they reject. A loader adds only the rules that span columns or tables.
+Each table is validated by one ordered list of column checks, each a
+whole-column rule giving the mask of the rows that break it; the error is
+that of the smallest bad row and, on one row, of the check listed first, as
+a row-by-row check in that order would raise. A number `int`/`float`
+rejects reads as 0: its parse check comes before every check reading the
+column. The file-wide running total of each left+right count pair stays
+inside int64, so no sum over points wraps. Tables are immutable after load
+and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ COUNT_COLUMNS = (
     "total_pixels_left", "total_pixels_right",
 )
 
-# each input table's columns in header order, each with its kind: "text" as
-# read, a "label" stripped and held as one str object per distinct value, or
-# a number parsed by "int" or "float"
+# each input table's columns in header order, each with its kind: "text"
+# stripped, a "label" stripped and held as one str object per distinct value,
+# or a number parsed and checked by "int" or "float"
 POINTS_SCHEMA = {"id": "text", "lon": "float", "lat": "float", "segment_id": "label",
                  "order": "int", **dict.fromkeys(COUNT_COLUMNS, "int")}
 SEGMENTS_SCHEMA = {"id": "text", "length_m": "float"}
@@ -265,15 +267,6 @@ class CityTables:
 _CHUNK_ROWS = 256
 
 
-class _Numbers(NamedTuple):
-    """A number column: its int64 or float64 values, and by row index the
-    text of each row its kind rejects. Such a row reads as 0 when its text
-    is no number, clipped into int64 when outside it, else as parsed."""
-
-    values: np.ndarray
-    rejected: dict[int, str]
-
-
 def _parsed(parse, text: str):
     """`parse(text)` (int or float), or None when the text is no such number."""
     try:
@@ -282,68 +275,59 @@ def _parsed(parse, text: str):
         return None
 
 
-def _number_block(cells: list[tuple[str, ...]], kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk's columns of one number kind, "int" or "float", as a (columns,
-    rows) block of values and the mask of the cells the kind rejects: no
-    number (read as 0), not finite, negative, or outside int64 (read clipped)."""
+def _number_column(cells: tuple[str, ...], kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """One number column of a chunk, "int" or "float": its values and the
+    mask of the cells the kind rejects: no number (read as 0), not finite,
+    negative, or outside int64 (read clipped)."""
     parse = int if kind == "int" else float
     try:
-        values, unparsed = [list(map(parse, column)) for column in cells], []
-    except ValueError:
-        values = [[_parsed(parse, cell) for cell in column] for column in cells]
-        unparsed = [(r, i) for r, column in enumerate(values)
-                    for i, value in enumerate(column) if value is None]
-        for r, i in unparsed:
-            values[r][i] = 0
+        column = np.fromiter(map(parse, cells), np.int64 if parse is int else float, len(cells))
+        return column, column < 0 if parse is int else ~np.isfinite(column)
+    except (ValueError, OverflowError):  # a cell that is no number, or outside int64
+        values = [_parsed(parse, cell) for cell in cells]
+    unparsed = [i for i, value in enumerate(values) if value is None]
+    for i in unparsed:
+        values[i] = 0
     if parse is float:
-        block = np.array(values, dtype=float)
-        bad = ~np.isfinite(block)
+        column = np.array(values, dtype=float)
+        bad = ~np.isfinite(column)
     else:
-        try:
-            block = np.array(values, dtype=np.int64)
-            bad = block < 0
-        except OverflowError:
-            wide = np.array(values, dtype=object)
-            block = np.clip(wide, -2**63, 2**63 - 1).astype(np.int64)
-            bad = (wide < 0) | (wide >= 2**63)
-    for r, i in unparsed:
-        bad[r, i] = True
-    return block, bad
+        wide = np.array(values, dtype=object)
+        column = np.clip(wide, -2**63, 2**63 - 1).astype(np.int64)
+        bad = (wide < 0) | (wide >= 2**63)
+    bad[unparsed] = True
+    return column, bad
 
 
 def _columns(chunks, schema: dict[str, str]) -> dict:
     """Rows of texts, parsed a chunk at a time, as the columns of `schema`
-    keyed by name: a list of str for "text" and "label", `_Numbers` for
-    "int" and "float"."""
+    keyed by name: "text" as a list of stripped str, "label" the same with
+    one str object per distinct value, and "int" and "float" as the
+    (values, checks) of `_ints` and `_floats`, which quote the text of each
+    row they reject."""
     kinds = tuple(schema.values())
     columns = [[] for _ in kinds]
     shared = [{} for _ in kinds]      # a label column's one str per value
-    numbers = {kind: [j for j, k in enumerate(kinds) if k == kind] for kind in ("int", "float")}
-    blocks = {kind: [] for kind in numbers}
     rejected = [{} for _ in kinds]
     start = 0
     for chunk in chunks:
-        if not chunk:
-            continue
-        cells = list(zip(*chunk))
-        for j, kind in enumerate(kinds):
+        for j, (kind, cells) in enumerate(zip(kinds, zip(*chunk))):
             if kind == "text":
-                columns[j].extend(cells[j])
+                columns[j].extend(map(str.strip, cells))
             elif kind == "label":
-                labels = list(map(str.strip, cells[j]))
+                labels = list(map(str.strip, cells))
                 columns[j].extend(map(shared[j].setdefault, labels, labels))
-        for kind, js in numbers.items():
-            if js:
-                block, bad = _number_block([cells[j] for j in js], kind)
-                blocks[kind].append(block)
-                for r, i in np.argwhere(bad).tolist():
-                    rejected[js[r]][start + i] = cells[js[r]][i]
+            else:
+                values, bad = _number_column(cells, kind)
+                columns[j].append(values)
+                for i in np.flatnonzero(bad).tolist():
+                    rejected[j][start + i] = cells[i]
         start += len(chunk)
-    dtypes = {"int": np.int64, "float": float}
-    for kind, js in numbers.items():
-        for r, j in enumerate(js):
-            values = [np.empty(0, dtypes[kind]), *(block[r] for block in blocks[kind])]
-            columns[j] = _Numbers(np.concatenate(values), rejected[j])
+    checked = {"int": (_ints, np.int64), "float": (_floats, float)}
+    for j, (name, kind) in enumerate(schema.items()):
+        if kind in checked:
+            check, dtype = checked[kind]
+            columns[j] = check(name, np.concatenate([np.empty(0, dtype), *columns[j]]), rejected[j])
     return dict(zip(schema, columns))
 
 
@@ -510,9 +494,9 @@ def _mask(n: int, rows) -> np.ndarray | None:
     return mask
 
 
-def _floats(column: str, numbers: _Numbers) -> tuple[np.ndarray, list[_Check]]:
-    """A column of finite floats and its checks."""
-    values, texts = numbers
+def _floats(column: str, values: np.ndarray, texts: dict[int, str]):
+    """A column of finite floats and its checks; `texts` holds, by row
+    index, the text of each row the column rejects."""
     finite = np.isfinite(values)
     # a rejected row that reads finite read as 0: its text is no number
     return values, [_Check(column, _mask(len(values), (i for i in texts if finite[i])),
@@ -520,9 +504,8 @@ def _floats(column: str, numbers: _Numbers) -> tuple[np.ndarray, list[_Check]]:
                     _Check(column, ~finite, lambda i: f"not finite: {texts[i]!r}")]
 
 
-def _ints(column: str, numbers: _Numbers) -> tuple[np.ndarray, list[_Check]]:
+def _ints(column: str, values: np.ndarray, texts: dict[int, str]):
     """A column of non-negative int64 and its checks; values outside int64 read clipped."""
-    values, texts = numbers
     wide = {i: _parsed(int, text) for i, text in texts.items()}
     outside = (i for i, v in wide.items() if v is not None and not -2**63 <= v < 2**63)
     return values, [_Check(column, _mask(len(values), (i for i, v in wide.items() if v is None)),
@@ -532,10 +515,9 @@ def _ints(column: str, numbers: _Numbers) -> tuple[np.ndarray, list[_Check]]:
                            lambda i: f"outside the 64-bit integer range: {texts[i]!r}")]
 
 
-def _coordinates(lon_numbers, lat_numbers) -> tuple[np.ndarray, np.ndarray, list[_Check]]:
-    """lon and lat columns and their checks, the projection band last."""
-    lon, lon_checks = _floats("lon", lon_numbers)
-    lat, lat_checks = _floats("lat", lat_numbers)
+def _coordinates(columns: dict) -> tuple[np.ndarray, np.ndarray, list[_Check]]:
+    """The lon and lat columns and their checks, the projection band last."""
+    (lon, lon_checks), (lat, lat_checks) = columns["lon"], columns["lat"]
     return lon, lat, [*lon_checks, *lat_checks, _Check(
         "lat", np.abs(lat) >= MAX_ABS_LAT,
         lambda i: f"latitude {lat[i].item()} outside projection band (|lat| < {MAX_ABS_LAT})")]
@@ -549,24 +531,21 @@ def _total_overflows(pair: np.ndarray) -> np.ndarray | None:
     return np.cumsum(pair.astype(object).sum(axis=1)) >= 2**63
 
 
-_GREEN = COUNT_COLUMNS.index("green_pixels_left")
-_TOTAL = COUNT_COLUMNS.index("total_pixels_left")
-
-
 def _load_points(path: Path, lines, columns) -> PointTable:
-    ids, segment_ids = list(map(str.strip, columns["id"])), columns["segment_id"]
-    lon, lat, checks = _coordinates(columns["lon"], columns["lat"])
-    order, order_checks = _ints("order", columns["order"])
-    parsed = [_ints(name, columns[name]) for name in COUNT_COLUMNS]
-    counts = np.array([values for values, _ in parsed]).T  # (n, 16), column by column
+    ids, segment_ids = columns["id"], columns["segment_id"]
+    lon, lat, checks = _coordinates(columns)
+    order, order_checks = columns["order"]
+    counts = np.array([columns[name][0] for name in COUNT_COLUMNS]).T  # (n, 16), column by column
     placed = list(zip(segment_ids, order.tolist()))
     _raise_first(path, lines, [
         *_id_checks("id", ids, "point"), *checks, *order_checks,
         _Check("order", _repeats(placed),
                lambda i: f"duplicate order {placed[i][1]} within segment {placed[i][0]!r}"),
-        *(check for _, count_checks in parsed for check in count_checks),
-        *(_Check(COUNT_COLUMNS[_GREEN + s], counts[:, _GREEN + s] > counts[:, _TOTAL + s],
-                 lambda i: "green pixel count exceeds total pixel count") for s in (0, 1)),
+        *(check for name in COUNT_COLUMNS for check in columns[name][1]),
+        *(_Check(f"green_pixels_{side}",
+                 columns[f"green_pixels_{side}"][0] > columns[f"total_pixels_{side}"][0],
+                 lambda i: "green pixel count exceeds total pixel count")
+          for side in ("left", "right")),
         *(_Check(COUNT_COLUMNS[j], _total_overflows(counts[:, j:j + 2]),
                  lambda i: "the running total of left + right over the file leaves the 64-bit "
                            "integer range") for j in range(0, len(COUNT_COLUMNS), 2)),
@@ -576,16 +555,15 @@ def _load_points(path: Path, lines, columns) -> PointTable:
 
 
 def _load_segments(path: Path, lines, columns) -> dict[str, StreetSegment]:
-    ids = list(map(str.strip, columns["id"]))
-    length, checks = _floats("length_m", columns["length_m"])
+    ids, (length, checks) = columns["id"], columns["length_m"]
     positive = _Check("length_m", length <= 0, lambda i: f"must be > 0, got {length[i].item()}")
     _raise_first(path, lines, [*_id_checks("id", ids, "segment"), *checks, positive])
     return {sid: StreetSegment(sid, m) for sid, m in zip(ids, length.tolist())}
 
 
 def _load_anchors(path: Path, lines, columns) -> list[MallAnchor]:
-    ids, category = list(map(str.strip, columns["id"])), columns["category"]
-    lon, lat, checks = _coordinates(columns["lon"], columns["lat"])
+    ids, category = columns["id"], columns["category"]
+    lon, lat, checks = _coordinates(columns)
     empty = _Check("category", _isin(category, {""}), lambda i: "empty category")
     _raise_first(path, lines, [*_id_checks("id", ids, "anchor"), empty, *checks])
     x, y = _project(lon.tolist(), lat.tolist())
@@ -593,9 +571,8 @@ def _load_anchors(path: Path, lines, columns) -> list[MallAnchor]:
 
 
 def _load_pois(path: Path, lines, columns) -> PoiTable:
-    ids, premium = (list(map(str.strip, columns[name])) for name in ("id", "is_premium"))
-    category = columns["top_category"]
-    lon, lat, checks = _coordinates(columns["lon"], columns["lat"])
+    ids, category, premium = columns["id"], columns["top_category"], columns["is_premium"]
+    lon, lat, checks = _coordinates(columns)
     _raise_first(path, lines, [*_id_checks("id", ids, "poi"), *checks,
                                _Check("is_premium", ~_isin(premium, {"0", "1"}),
                                       lambda i: f"must be 0 or 1, got {premium[i]!r}")])
@@ -604,8 +581,7 @@ def _load_pois(path: Path, lines, columns) -> PoiTable:
 
 
 def _load_lbs(path: Path, lines, columns, segments: dict[str, StreetSegment]):
-    sids, periods = columns["segment_id"], columns["period"]
-    uv, uv_checks = _floats("uv", columns["uv"])
+    sids, periods, (uv, uv_checks) = columns["segment_id"], columns["period"], columns["uv"]
     records = list(zip(sids, periods))
     _raise_first(path, lines, [
         _Check("segment_id", ~_isin(sids, segments), lambda i: f"unknown segment {sids[i]!r}"),
@@ -626,11 +602,10 @@ def _load_lbs(path: Path, lines, columns, segments: dict[str, StreetSegment]):
 
 
 def _load_brands(path: Path, lines, columns) -> dict[str, BrandTally]:
-    ids = list(map(str.strip, columns["point_id"]))
-    parsed = [_ints(name, columns[name]) for name in BRANDS_HEADER[1:]]
+    ids, tallies = columns["point_id"], [columns[name] for name in BRANDS_HEADER[1:]]
     _raise_first(path, lines, [*_id_checks("point_id", ids, "point"),
-                               *(check for _, checks in parsed for check in checks)])
-    return dict(zip(ids, map(BrandTally, *(values.tolist() for values, _ in parsed))))
+                               *(check for _, checks in tallies for check in checks)])
+    return dict(zip(ids, map(BrandTally, *(values.tolist() for values, _ in tallies))))
 
 
 @dataclass(frozen=True)

@@ -779,16 +779,14 @@ def decode_to_files(config: PipelineConfig, workdir: Path) -> dict:
             client = brandsem.HttpChatClient.from_env()
         corpus = brandsem.load_corpus(workdir / dec["corpus"])
         decoded = brandsem.decode_corpus(corpus, db, client, parallelism=dec["parallelism"])
-        rows = []
-        n_default = 0
-        for item in decoded:
-            for brand in sorted(item.assignment.tiers):
-                source = item.assignment.provenance[brand]
-                n_default += source == "default"
-                rows.append((item.image_id, brand, item.assignment.tiers[brand], source))
+        rows = [(item.image_id, brand, item.assignment.tiers[brand],
+                 item.assignment.provenance[brand])
+                for item in decoded for brand in sorted(item.assignment.tiers)]
         tally = brandsem.tally_by_point(decoded)
         summary = {"images": len(decoded), "assignments": len(rows),
-                   "defaulted_to_ordinary": n_default, "points": len(tally)}
+                   "defaulted_to_ordinary": sum(len(item.assignment.unresolved)
+                                                for item in decoded),
+                   "points": len(tally)}
         write_csv(outdir / "assignments.csv", ("image_id", "brand", "tier", "provenance"), rows)
         _write_brands(outdir / "brands.csv", tally)
         write_json(outdir / "decode_summary.json", summary)

@@ -12,7 +12,7 @@ from sevi.brandsem import (HttpChatClient, OfflineFixtureClient, ReferenceDb, S2
                            normalize_brand, parse_model_json,
                            report_from_tier_metrics, request_hash, stage1_request,
                            stage2_request, tally_by_point)
-from sevi.exceptions import ModelOutputError, TransportError, ValidationError
+from sevi.exceptions import ModelOutputError, SchemaError, TransportError, ValidationError
 from sevi.geodata import BrandTally
 
 DB = ReferenceDb.from_mapping({
@@ -111,6 +111,33 @@ def test_alias_collision_rejected():
             "A": {"tier": "Local", "aliases": ["shared"]},
             "B": {"tier": "Ordinary", "aliases": ["SHARED"]},
         })
+
+
+_STARBUCKS = {"tier": "International", "aliases": ["星巴克"]}
+_NOT_STRINGS = "entry 'Starbucks': aliases must be a list of strings, got "
+
+# per malformed reference db: the mapping and the message of its error
+_BAD_DBS = {
+    "aliases as one string": ({"Starbucks": {**_STARBUCKS, "aliases": "星巴克"}},
+                              _NOT_STRINGS + "'星巴克'"),
+    "aliases as one spaced string": ({"Starbucks": {**_STARBUCKS, "aliases": "STARBUCKS COFFEE"}},
+                                     _NOT_STRINGS + "'STARBUCKS COFFEE'"),
+    "integer alias": ({"Starbucks": {**_STARBUCKS, "aliases": ["星巴克", 7]}},
+                      _NOT_STRINGS + "['星巴克', 7]"),
+    "entry not an object": ({"Starbucks": "International"},
+                            "entry 'Starbucks': expected an object with a tier and aliases, "
+                            "got 'International'"),
+    "document a list": ([{"Starbucks": _STARBUCKS}],
+                        "reference db must map brand names to entries, got a list"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_DBS))
+def test_malformed_reference_db_names_its_entry(case):
+    mapping, message = _BAD_DBS[case]
+    with pytest.raises(ValidationError) as err:
+        ReferenceDb.from_mapping(mapping)
+    assert message in str(err.value)
 
 
 def test_normalization_rules():
@@ -346,6 +373,40 @@ def test_malformed_fixture_never_silently_empty(corpus_dir):
     client.fixtures[key] = "garbage {{{"
     with pytest.raises((ModelOutputError, TransportError)):
         decode_corpus(load_corpus(corpus_dir / "corpus.csv"), db, client)
+
+
+def test_non_string_fixture_response_names_its_key(tmp_path):
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps({"a1": '{"Starbucks": "International"}', "b2": 7}),
+                    encoding="utf-8")
+    with pytest.raises(ValidationError, match="response 'b2' is not a string: 7"):
+        OfflineFixtureClient.from_json(path)
+    path.write_text(json.dumps(["{}"]), encoding="utf-8")
+    with pytest.raises(ValidationError, match="expected an object of responses"):
+        OfflineFixtureClient.from_json(path)
+
+
+# per fault in a labeled-pairs CSV: its rows and the error of the first bad row
+_LABELED_FAULTS = {
+    "empty image id": ("img1,A,Local\n ,B,Local\n", "row 3, column 'image_id': empty id"),
+    "empty brand": ("img1,,Local\nimg2,B,Local\n", "row 2, column 'brand': empty brand"),
+    "blank brand": ("img1,A,Local\nimg2, ,Local\n", "row 3, column 'brand': empty brand"),
+    "unknown tier": ("img1,A,Local\nimg2,B,Global\n",
+                     "row 3, column 'tier': unknown tier 'Global'"),
+    "smallest row first": ("img1,A,Global\nimg2,,Local\n",
+                           "row 2, column 'tier': unknown tier 'Global'"),
+    "brand before tier": ("img1,,Global\n", "row 2, column 'brand': empty brand"),
+}
+
+
+@pytest.mark.parametrize("case", list(_LABELED_FAULTS))
+def test_labeled_pairs_name_their_first_bad_row(tmp_path, case):
+    rows, message = _LABELED_FAULTS[case]
+    path = tmp_path / "pairs.csv"
+    path.write_text("image_id,brand,tier\n" + rows, encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_labeled_pairs(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_load_labeled_pairs_and_eval_against_plant(corpus_dir):

@@ -492,6 +492,47 @@ def test_missing_fixture_fails_in_stage_brands_decode(corpus_dir, tmp_path, caps
     assert "stage 'brands decode' failed: no offline fixture" in err
 
 
+def _replace(key, value):
+    """A copy of a JSON document with one key set to `value`."""
+    return lambda doc: {**doc, key: value}
+
+
+# per malformed decode input: the file, its edit and the end of the error
+_BAD_DECODE_INPUTS = {
+    "aliases as one string": ("reference_db.json",
+                              _replace("Starbucks", {"tier": "International", "aliases": "星巴克"}),
+                              "entry 'Starbucks': aliases must be a list of strings, got '星巴克'"),
+    "entry not an object": ("reference_db.json", _replace("Starbucks", "International"),
+                            "entry 'Starbucks': expected an object with a tier and aliases, "
+                            "got 'International'"),
+    "document a list": ("reference_db.json", lambda doc: list(doc),
+                        "reference db must map brand names to entries, got a list"),
+    "response not a string": ("fixtures.json", lambda doc: _replace(min(doc), 7)(doc),
+                              "is not a string: 7"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_DECODE_INPUTS))
+def test_malformed_decode_input_exits_one_naming_its_entry(corpus_dir, tmp_path, capsys, case):
+    name, edit, message = _BAD_DECODE_INPUTS[case]
+    doc = json.loads((corpus_dir / name).read_text(encoding="utf-8"))
+    (tmp_path / name).write_text(json.dumps(edit(doc), ensure_ascii=False), encoding="utf-8")
+    key = "reference_db" if name == "reference_db.json" else "fixtures"
+    config = _config(tmp_path, f"decode: {{{key}: {tmp_path / name}}}\n")
+    assert main(["--workdir", str(corpus_dir), "brands", "decode", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'brands decode' failed: " in err and message in err
+    assert not (tmp_path / "out" / "assignments.csv").exists()
+
+
+def test_empty_brand_in_eval_exits_one_naming_its_row(tmp_path, capsys):
+    for name in ("gt.csv", "pred.csv"):
+        (tmp_path / name).write_text("image_id,brand,tier\nimg0001,,Local\n", encoding="utf-8")
+    argv = ["--workdir", str(tmp_path), "brands", "eval", "--gt", "gt.csv", "--pred", "pred.csv"]
+    assert main(argv) == 1
+    assert f"{tmp_path / 'gt.csv'}: row 2, column 'brand': empty brand" in capsys.readouterr().err
+
+
 def test_missing_table_fails_in_stage_ingest(city_dir, tmp_path, capsys):
     city = tmp_path / "city"
     shutil.copytree(city_dir, city)

@@ -861,3 +861,28 @@ def test_rejected_text_past_the_first_chunk(tmp_path, case):
     with pytest.raises(SchemaError) as reference:
         _reference_points(paths.points)
     assert str(reference.value) == str(err.value)
+
+
+# every number column of the six schemas, with its table and its kind
+_NUMBER_COLUMNS = [(table, name, kind) for table in _TABLES
+                   for name, kind in getattr(geodata, f"{table.upper()}_SCHEMA").items()
+                   if kind in ("int", "float")]
+
+
+def test_every_number_column_is_listed():
+    assert len(_NUMBER_COLUMNS) == 28
+
+
+@pytest.mark.parametrize("table, name, kind", _NUMBER_COLUMNS)
+def test_every_number_column_is_checked_by_its_kind(tmp_path, table, name, kind):
+    # an "x" in row 3 of the file (its header is row 1) of valid rows
+    header, valid_row, _, load, _ = _TABLES[table]
+    rows = [list(valid_row(k)) for k in range(8 if table == "lbs" else 3)]
+    rows[1][header.index(name)] = "x"
+    path = tmp_path / f"{table}.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]), encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load(path)
+    message = "not an integer: 'x'" if kind == "int" else "not a number: 'x'"
+    assert (err.value.row, err.value.column) == (3, name)
+    assert str(err.value) == f"{path}: row 3, column {name!r}: {message}"
