@@ -22,6 +22,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _at_least(low: int):
+    def integer(text):  # argparse names a ValueError of int() an "invalid integer value"
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def _add_config_args(sub):
     sub.add_argument("--config", required=True, help="pipeline config (YAML)")
     sub.add_argument("--set", action="append", default=[], dest="overrides",
@@ -50,9 +58,9 @@ def build_parser() -> _Parser:
 
     synth = cmds.add_parser("synth")
     synth.add_argument("--out", required=True, help="directory for the generated tables")
-    synth.add_argument("--seed", type=int, default=20251015)
-    synth.add_argument("--segments", type=int, default=160)
-    synth.add_argument("--pois", type=int, default=2500)
+    synth.add_argument("--seed", type=_at_least(0), default=20251015)
+    synth.add_argument("--segments", type=_at_least(1), default=160)
+    synth.add_argument("--pois", type=_at_least(0), default=2500)
     synth.add_argument("--brand-corpus", action="store_true",
                        help="also generate the offline brand-decoding corpus")
     return parser

@@ -3,8 +3,8 @@
 The pipeline is the ordered table `STAGES`: load -> calibrate_sigma ->
 spillover_field -> indicators -> normalize -> entropy_weights -> scores ->
 stats -> validation -> gwr -> geojson -> report. Each entry holds the stage
-name, the `until` group it ends (if any) and a writer that returns the names
-of the files it wrote. `_City` and `_Analysis` hold the results, each
+name, the `until` group it ends (if any) and a writer that returns the file
+names its file writers return. `_City` and `_Analysis` hold the results, each
 property named after the stage that computes it on first read. `run` loops
 over the table: each stage computes and writes inside one `_run_stage`,
 which turns a package error or a failed write into a `StageError` naming the
@@ -20,12 +20,13 @@ decode` stage; each makes its output directory inside its first stage.
 `CONFIG_KEYS` gives each leaf key of the config its default and its kind;
 `DEFAULT_CONFIG` is built from it by the walk that `--set` uses.
 
-Each artifact format has one writer. `write_csv` writes every table, the
-synthetic fixtures and the validated copies included; a caller passes a
-table as columns zipped into rows. `write_json` writes every JSON document,
-the manifest included. `emit_geojson` writes the map. A NaN or infinite
-float fails its write, naming the file and the column or key, and leaves no
-file. Reruns on identical inputs are byte-identical.
+Each artifact format has one writer, which returns the name of its file.
+`write_csv` writes every table, the synthetic fixtures and the validated
+copies included; a caller passes a table as its columns. `write_json` writes
+every JSON document, the manifest included. `emit_geojson` writes the map.
+Each checks its floats before it opens its file, so a NaN or infinite float
+fails the write, naming the file and the column or key, and leaves no file.
+Reruns on identical inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -258,29 +259,26 @@ class PipelineConfig:
 # deterministic writers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    """A float with six decimals; any other cell as `str`, which for the str
-    and int cells callers pass is the text the csv module writes for them."""
-    if isinstance(value, float):
-        if value - value:  # NaN or +-inf; 0.0 for a finite float
-            raise ComputationError(f"non-finite value {value}")
-        return f"{value:.6f}"
-    return str(value)
-
-
-def write_csv(path: Path, header, rows):
-    """Write `header` and `rows` as CSV; a float cell gets six decimals, so a
-    caller wanting another precision passes its text."""
+def write_csv(path: Path, header, columns) -> str:
+    """Write the table of `header` and `columns` as CSV; return the file's name.
+    A float column, a float array or a list or tuple (as `zip(*rows)` gives) of
+    floats, is checked whole before the file is opened and written with six
+    decimals; any other cell as `str` writes it, so text keeps another precision."""
+    cells = []
+    for name, column in zip(header, columns):
+        if isinstance(column, (list, tuple)) and all(isinstance(v, float) for v in column):
+            column = np.array(column)
+        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+            bad = column[~np.isfinite(column)]
+            if len(bad):
+                raise ComputationError(f"{path}: column {name!r}: non-finite value {bad[0]}")
+            column = map("{:.6f}".format, column.tolist())
+        cells.append(column.tolist() if isinstance(column, np.ndarray) else column)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            try:
-                w.writerow([_fmt(c) for c in row])
-            except ComputationError as exc:
-                column = next(h for h, c in zip(header, row) if isinstance(c, float) and c - c)
-                Path(path).unlink()  # no partial table is left behind
-                raise ComputationError(f"{path}: column {column!r}: {exc}") from None
+        w.writerows(zip(*cells))
+    return path.name
 
 
 def _round_floats(obj, path: Path, key=None):
@@ -293,19 +291,14 @@ def _round_floats(obj, path: Path, key=None):
         return {k: _round_floats(v, path, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v, path, key) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return _round_floats(float(obj), path, key)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _round_floats(obj.tolist(), path, key)
     return obj
 
 
-def write_json(path: Path, obj):
+def write_json(path: Path, obj) -> str:
     text = json.dumps(_round_floats(obj, path), indent=2, sort_keys=True, ensure_ascii=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+    return path.name
 
 
 def file_sha256(path: Path) -> str:
@@ -477,7 +470,7 @@ class _Analysis:
 
 
 def emit_geojson(path: Path, tables: CityTables,
-                 properties_by_segment: dict[str, dict[str, float]]):
+                 properties_by_segment: dict[str, dict[str, float]]) -> str:
     """Write the map of the scored segments as a FeatureCollection: one
     LineString feature per segment when segment geometry was ingested, else
     one Point feature per sampling point of a scored segment, in id order.
@@ -516,6 +509,7 @@ def emit_geojson(path: Path, tables: CityTables,
                      f'"type": "{kind}"}}, "id": {json.dumps(fid, ensure_ascii=False)}, '
                      f'"properties": {properties[sid]}, "type": "Feature"}}')
         fh.write('], "type": "FeatureCollection"}\n')
+    return path.name
 
 
 # ---------------------------------------------------------------------------
@@ -533,110 +527,97 @@ def _read_tables(a: _Analysis, outdir: Path) -> list[str]:
 
 def _write_sigma(a: _Analysis, outdir: Path) -> list[str]:
     sigma = a.city.calibrate_sigma
-    write_csv(outdir / "sigma.csv", ("category", "sigma_m", "provenance"),
-              [(cat, sigma.sigma_m[cat], sigma.provenance[cat]) for cat in sorted(sigma.sigma_m)])
-    return ["sigma.csv"]
+    return [write_csv(outdir / "sigma.csv", ("category", "sigma_m", "provenance"),
+                      zip(*[(cat, sigma.sigma_m[cat], sigma.provenance[cat])
+                            for cat in sorted(sigma.sigma_m)]))]
 
 
 def _write_mv(a: _Analysis, outdir: Path) -> list[str]:
-    write_csv(outdir / "mv.csv", ("point_id", f"mv_{a.sp_cfg.decay}_{int(a.sp_cfg.threshold_m)}"),
-              zip(a.city.load.points.ids.tolist(), a.spillover_field.tolist()))
-    return ["mv.csv"]
+    return [write_csv(outdir / "mv.csv",
+                      ("point_id", f"mv_{a.sp_cfg.decay}_{int(a.sp_cfg.threshold_m)}"),
+                      (a.city.load.points.ids, a.spillover_field))]
 
 
 def _write_indicators(a: _Analysis, outdir: Path) -> list[str]:
     segment_ids, raw_matrix, seg_flags, _ = a.indicators
-    write_csv(outdir / "indicators.csv", ("segment_id",) + INDICATOR_NAMES + ("no_signboards",),
-              zip(segment_ids, *raw_matrix.T.tolist(), seg_flags.astype(int).tolist()))
-    return ["indicators.csv"]
+    return [write_csv(outdir / "indicators.csv",
+                      ("segment_id",) + INDICATOR_NAMES + ("no_signboards",),
+                      (segment_ids, *raw_matrix.T, seg_flags.astype(int)))]
 
 
 def _write_normalized(a: _Analysis, outdir: Path) -> list[str]:
-    write_csv(outdir / "normalized.csv", ("segment_id",) + INDICATOR_NAMES,
-              zip(a.indicators[0], *a.normalize.values.T.tolist()))
-    return ["normalized.csv"]
+    return [write_csv(outdir / "normalized.csv", ("segment_id",) + INDICATOR_NAMES,
+                      (a.indicators[0], *a.normalize.values.T))]
 
 
 def _write_weights(a: _Analysis, outdir: Path) -> list[str]:
     weights, entropies = a.entropy_weights
-    write_json(outdir / "weights.json", {
+    return [write_json(outdir / "weights.json", {
         "columns": [vars(c) for c in a.normalize.columns],
         "blocks": {name: {"columns": list(INDICATOR_NAMES[lo:hi]),
                           "weights": weights[name].tolist(),
                           "entropy": entropies[name].tolist()}
-                   for name, (lo, hi) in BLOCKS.items()},
-    })
-    return ["weights.json"]
+                   for name, (lo, hi) in BLOCKS.items()}})]
 
 
 def _write_sevi(a: _Analysis, outdir: Path) -> list[str]:
     dims, sevi, eq, pca_index = a.scores
-    write_csv(outdir / "sevi.csv", ("segment_id", *BLOCKS, "sevi", "sevi_eq", "sevi_pca"),
-              zip(a.indicators[0], *dims.T.tolist(), sevi.tolist(),
-                  eq.tolist(), pca_index.tolist()))
-    return ["sevi.csv"]
+    return [write_csv(outdir / "sevi.csv", ("segment_id", *BLOCKS, "sevi", "sevi_eq", "sevi_pca"),
+                      (a.indicators[0], *dims.T, sevi, eq, pca_index))]
 
 
 def _write_stats(a: _Analysis, outdir: Path) -> list[str]:
     corr, pca_model = a.stats
-    write_csv(outdir / "correlation.csv", ("variable",) + INDICATOR_NAMES,
-              zip(INDICATOR_NAMES, *corr.values.T.tolist()))
     k_comp = pca_model.loadings.shape[1]
     header = (("variable",) + tuple(f"pc{j + 1}_raw" for j in range(k_comp))
               + tuple(f"pc{j + 1}_rotated" for j in range(k_comp)))
-    write_csv(outdir / "pca_loadings.csv", header,
-              zip(INDICATOR_NAMES, *pca_model.loadings.T.tolist(),
-                  *pca_model.rotated_loadings.T.tolist()))
-    write_json(outdir / "pca_summary.json", {
-        "explained_variance_ratio": pca_model.explained_variance_ratio.tolist(),
-        "retained_components": k_comp,
-        "retained_variance": float(pca_model.explained_variance_ratio[:k_comp].sum()),
-        "rotation_converged": pca_model.rotation_converged,
-        "rotation_sweeps": pca_model.rotation_sweeps,
-    })
-    return ["correlation.csv", "pca_loadings.csv", "pca_summary.json"]
+    return [write_csv(outdir / "correlation.csv", ("variable",) + INDICATOR_NAMES,
+                      (INDICATOR_NAMES, *corr.values.T)),
+            write_csv(outdir / "pca_loadings.csv", header,
+                      (INDICATOR_NAMES, *pca_model.loadings.T, *pca_model.rotated_loadings.T)),
+            write_json(outdir / "pca_summary.json", {
+                "explained_variance_ratio": pca_model.explained_variance_ratio.tolist(),
+                "retained_components": k_comp,
+                "retained_variance": float(pca_model.explained_variance_ratio[:k_comp].sum()),
+                "rotation_converged": pca_model.rotation_converged,
+                "rotation_sweeps": pca_model.rotation_sweeps})]
 
 
 def _write_validation(a: _Analysis, outdir: Path) -> list[str]:
     tv = a.validation
-    write_csv(outdir / "tier_validation.csv",
-              ("tier", "n_points", "mean_total_poi", "mean_premium_poi"),
-              [(t, tv.tier_n[t], tv.mean_total_poi[t], tv.mean_premium_poi[t])
-               for t in stats.TERTILE_LABELS])
-    write_json(outdir / "kw.json", {
-        **vars(tv.kw_total), "growth_total_pct": tv.growth_total_pct,
-        "growth_premium_pct": tv.growth_premium_pct, "n_active": tv.n_active,
-        "n_points": tv.n_points})
-    return ["tier_validation.csv", "kw.json"]
+    return [write_csv(outdir / "tier_validation.csv",
+                      ("tier", "n_points", "mean_total_poi", "mean_premium_poi"),
+                      zip(*[(t, tv.tier_n[t], tv.mean_total_poi[t], tv.mean_premium_poi[t])
+                            for t in stats.TERTILE_LABELS])),
+            write_json(outdir / "kw.json", {
+                **vars(tv.kw_total), "growth_total_pct": tv.growth_total_pct,
+                "growth_premium_pct": tv.growth_premium_pct, "n_active": tv.n_active,
+                "n_points": tv.n_points})]
 
 
 def _write_gwr(a: _Analysis, outdir: Path) -> list[str]:
     fits = a.gwr
-    files = []
-    for period, fit in fits.items():
-        files.append(f"gwr_{period}.csv")
-        header = (("segment_id", "beta_intercept")
-                  + tuple(f"beta_{v}" for v in fit.predictor_names) + ("residual",))
-        write_csv(outdir / files[-1], header,
-                  zip(fit.location_ids, *fit.beta.T.tolist(), fit.residuals.tolist()))
-    write_json(outdir / "gwr_summary.json", {
-        "periods": {period: {
-            "adjusted_r2": fit.adjusted_r2, "aicc": fit.aicc, "bandwidth_m": fit.bandwidth,
-            "adaptive_neighbors": fit.adaptive_neighbors, "kernel": fit.kernel,
-            "trace_s": fit.trace_s, "trace_sts": fit.trace_sts, "n_ridged": fit.n_ridged,
-            "n": fit.n, "aicc_evals": fit.aicc_evals,
-            "bandwidth_boundary": fit.bandwidth_boundary,
-        } for period, fit in fits.items()},
-        "mean_adjusted_r2": report.mean_adjusted_r2([fit.adjusted_r2 for fit in fits.values()]),
-    })
-    write_csv(outdir / "coef_summary.csv",
-              ("variable", "period", "q1", "median", "q3", "whisker_lo", "whisker_hi",
-               "n_outliers"),
-              [(cs.variable, cs.period, cs.q1, cs.median, cs.q3, cs.whisker_lo, cs.whisker_hi,
-                len(cs.outliers))
-               for variable in a.city.config.raw["gwr"]["summary_variables"]
-               for cs in coef_summary(fits, variable)])
-    return files + ["gwr_summary.json", "coef_summary.csv"]
+    header = ("segment_id", "beta_intercept", *(f"beta_{v}" for v in INDICATOR_NAMES), "residual")
+    return [*(write_csv(outdir / f"gwr_{period}.csv", header,
+                        (fit.location_ids, *fit.beta.T, fit.residuals))
+              for period, fit in fits.items()),
+            write_json(outdir / "gwr_summary.json", {
+                "periods": {period: {
+                    "adjusted_r2": fit.adjusted_r2, "aicc": fit.aicc, "bandwidth_m": fit.bandwidth,
+                    "adaptive_neighbors": fit.adaptive_neighbors, "kernel": fit.kernel,
+                    "trace_s": fit.trace_s, "trace_sts": fit.trace_sts, "n_ridged": fit.n_ridged,
+                    "n": fit.n, "aicc_evals": fit.aicc_evals,
+                    "bandwidth_boundary": fit.bandwidth_boundary,
+                } for period, fit in fits.items()},
+                "mean_adjusted_r2": report.mean_adjusted_r2([fit.adjusted_r2
+                                                             for fit in fits.values()])}),
+            write_csv(outdir / "coef_summary.csv",
+                      ("variable", "period", "q1", "median", "q3", "whisker_lo", "whisker_hi",
+                       "n_outliers"),
+                      zip(*[(cs.variable, cs.period, cs.q1, cs.median, cs.q3, cs.whisker_lo,
+                             cs.whisker_hi, len(cs.outliers))
+                            for variable in a.city.config.raw["gwr"]["summary_variables"]
+                            for cs in coef_summary(fits, variable)]))]
 
 
 def _write_geojson(a: _Analysis, outdir: Path) -> list[str]:
@@ -644,9 +625,8 @@ def _write_geojson(a: _Analysis, outdir: Path) -> list[str]:
     dims, sevi, _, _ = a.scores
     names = INDICATOR_NAMES + tuple(BLOCKS) + ("sevi",)
     values = np.column_stack([raw_matrix, dims, sevi]).tolist()
-    emit_geojson(outdir / "sevi.geojson", a.city.load,
-                 {sid: dict(zip(names, row)) for sid, row in zip(segment_ids, values)})
-    return ["sevi.geojson"]
+    return [emit_geojson(outdir / "sevi.geojson", a.city.load,
+                         {sid: dict(zip(names, row)) for sid, row in zip(segment_ids, values)})]
 
 
 def _write_summary(a: _Analysis, outdir: Path) -> list[str]:
@@ -662,14 +642,15 @@ def _write_summary(a: _Analysis, outdir: Path) -> list[str]:
     text = report.render_run_summary(
         sevi_stats, {p: fit.adjusted_r2 for p, fit in a.gwr.items()},
         a.entropy_weights[0], a.validation)
-    (outdir / "summary.txt").write_text(text, encoding="utf-8")
-    return ["summary.txt"]
+    path = outdir / "summary.txt"
+    path.write_text(text, encoding="utf-8")
+    return [path.name]
 
 
 @dataclass(frozen=True)
 class _Stage:
     name: str
-    write: Callable[[_Analysis, Path], list[str]]  # computes, writes, names its files
+    write: Callable[[_Analysis, Path], list[str]]  # computes, writes, returns its writers' results
     until: str | None = None  # the `until` group that ends with this stage
 
 
@@ -787,7 +768,8 @@ def decode_to_files(config: PipelineConfig, workdir: Path) -> dict:
                    "defaulted_to_ordinary": sum(len(item.assignment.unresolved)
                                                 for item in decoded),
                    "points": len(tally)}
-        write_csv(outdir / "assignments.csv", ("image_id", "brand", "tier", "provenance"), rows)
+        write_csv(outdir / "assignments.csv", ("image_id", "brand", "tier", "provenance"),
+                  zip(*rows))
         _write_brands(outdir / "brands.csv", tally)
         write_json(outdir / "decode_summary.json", summary)
     return summary
@@ -813,7 +795,7 @@ def evaluate_files(gt_path: Path, pred_path: Path, out_path: Path | None = None)
 
 
 def _write_brands(path: Path, tallies: dict[str, BrandTally]):
-    write_csv(path, BRANDS_HEADER, ((pid, *tally) for pid, tally in sorted(tallies.items())))
+    write_csv(path, BRANDS_HEADER, zip(*((pid, *tally) for pid, tally in sorted(tallies.items()))))
 
 
 def write_tables(tables: CityTables, outdir: Path):
@@ -823,18 +805,18 @@ def write_tables(tables: CityTables, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
     pts, pois = tables.points, tables.pois
     write_csv(outdir / "points.csv", POINTS_HEADER,
-              zip(pts.ids.tolist(), map(repr, pts.lon.tolist()), map(repr, pts.lat.tolist()),
-                  pts.segment_ids.tolist(), pts.order.tolist(), *pts.counts.T.tolist()))
+              (pts.ids, map(repr, pts.lon.tolist()), map(repr, pts.lat.tolist()),
+               pts.segment_ids, pts.order, *pts.counts.T))
     write_csv(outdir / "segments.csv", SEGMENTS_HEADER,
-              ((s.id, repr(s.length_m)) for s in tables.segments.values()))
+              zip(*((s.id, repr(s.length_m)) for s in tables.segments.values())))
     write_csv(outdir / "anchors.csv", ANCHORS_HEADER,
-              ((a.id, a.category, repr(a.lon), repr(a.lat)) for a in tables.anchors))
+              zip(*((a.id, a.category, repr(a.lon), repr(a.lat)) for a in tables.anchors)))
     write_csv(outdir / "pois.csv", POIS_HEADER,
-              zip(pois.ids.tolist(), map(repr, pois.lon.tolist()), map(repr, pois.lat.tolist()),
-                  pois.category.tolist(), pois.is_premium.astype(int).tolist()))
+              (pois.ids, map(repr, pois.lon.tolist()), map(repr, pois.lat.tolist()),
+               pois.category, pois.is_premium.astype(int)))
     write_csv(outdir / "lbs.csv", LBS_HEADER,
-              ((sid, period, repr(slot[period]))
-               for sid, slot in sorted(tables.lbs.items()) for period in PERIODS))
+              zip(*((sid, period, repr(slot[period]))
+                    for sid, slot in sorted(tables.lbs.items()) for period in PERIODS)))
     if tables.brands is not None:
         _write_brands(outdir / "brands.csv", tables.brands)
 

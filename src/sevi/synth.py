@@ -167,12 +167,12 @@ def generate_city(outdir, seed: int = 20251015, n_segments: int = 160,
             uv = 30.0 + _PERIOD_AMP[period] * seg_drive[sid] + rng.normal(0.0, _PERIOD_NOISE[period])
             lbs_rows.append((sid, period, f"{max(uv, 0.0):.3f}"))
 
-    write_csv(outdir / "points.csv", POINTS_HEADER, point_rows)
-    write_csv(outdir / "segments.csv", SEGMENTS_HEADER, seg_rows)
-    write_csv(outdir / "anchors.csv", ANCHORS_HEADER, anchor_rows)
-    write_csv(outdir / "pois.csv", POIS_HEADER, poi_rows)
-    write_csv(outdir / "lbs.csv", LBS_HEADER, lbs_rows)
-    write_csv(outdir / "brands.csv", BRANDS_HEADER, brand_rows)
+    write_csv(outdir / "points.csv", POINTS_HEADER, zip(*point_rows))
+    write_csv(outdir / "segments.csv", SEGMENTS_HEADER, zip(*seg_rows))
+    write_csv(outdir / "anchors.csv", ANCHORS_HEADER, zip(*anchor_rows))
+    write_csv(outdir / "pois.csv", POIS_HEADER, zip(*poi_rows))
+    write_csv(outdir / "lbs.csv", LBS_HEADER, zip(*lbs_rows))
+    write_csv(outdir / "brands.csv", BRANDS_HEADER, zip(*brand_rows))
 
     return {"points": len(point_rows), "segments": len(seg_rows),
             "anchors": len(anchor_rows), "pois": len(poi_rows),
@@ -297,9 +297,9 @@ def generate_brand_corpus(outdir, seed: int = 7, n_images: int = 50) -> dict:
     write_json(outdir / "reference_db.json", _REFERENCE_BRANDS)
     write_json(outdir / "fixtures.json", fixtures)
 
-    write_csv(outdir / "corpus.csv", tuple(brandsem.CORPUS_SCHEMA), corpus_rows)
-    write_csv(outdir / "ground_truth.csv", tuple(brandsem.LABELED_SCHEMA), gt_rows)
-    write_csv(outdir / "predictions.csv", tuple(brandsem.LABELED_SCHEMA), pred_rows)
+    write_csv(outdir / "corpus.csv", tuple(brandsem.CORPUS_SCHEMA), zip(*corpus_rows))
+    write_csv(outdir / "ground_truth.csv", tuple(brandsem.LABELED_SCHEMA), zip(*gt_rows))
+    write_csv(outdir / "predictions.csv", tuple(brandsem.LABELED_SCHEMA), zip(*pred_rows))
 
     return {"images": n_images, "fixtures": len(fixtures),
             "gt_pairs": len(gt_rows), "predicted_pairs": len(pred_rows)}

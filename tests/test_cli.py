@@ -24,6 +24,16 @@ def _config(tmp_path, text=""):
     return str(path)
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--segments", "-1"), ("--segments", "0"), ("--pois", "-3"), ("--seed", "-1"),
+])
+def test_bad_synth_size_exits_one_naming_its_option(tmp_path, capsys, option, value):
+    code = main(["--workdir", str(tmp_path), "synth", "--out", "city", option, value])
+    assert code == 1
+    assert f"argument {option}: " in capsys.readouterr().err
+    assert not (tmp_path / "city").exists()
+
+
 def test_stage_run_exits_zero(city_dir, tmp_path):
     code = main(["--workdir", str(city_dir), "spillover", "--config", _config(tmp_path)])
     assert code == 0

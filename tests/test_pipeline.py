@@ -187,7 +187,7 @@ def test_rerun_gives_identical_manifest(city_dir, tmp_path):
 
 @pytest.mark.parametrize("until, last_stage", [
     ("spillover", "spillover_field"), ("indicators", "indicators"), ("sevi", "scores"),
-    ("stats", "validation"), ("gwr", "gwr"),
+    ("stats", "validation"), ("gwr", "gwr"), (None, "report"),
 ])
 def test_until_writes_exactly_its_manifest(city_dir, default_run, tmp_path, until, last_stage):
     doc = _run(city_dir, tmp_path, until=until)
@@ -377,8 +377,19 @@ def test_byte_order_marks_give_the_same_artifacts(city_dir, default_run, tmp_pat
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
 def test_writers_refuse_non_finite_floats(tmp_path, value):
     with pytest.raises(ComputationError, match=r"t\.csv: column 'b': non-finite value"):
-        write_csv(tmp_path / "t.csv", ("a", "b"), [("x", 1.0), ("y", value)])
+        write_csv(tmp_path / "t.csv", ("a", "b"), zip(*[("x", 1.0), ("y", value)]))
     assert not (tmp_path / "t.csv").exists()  # no partial table is left
+    # a bad value in a later row of a later column, an array or a list, names that column
+    floats = np.arange(6.0)
+    for container in (np.array, list):
+        with pytest.raises(ComputationError, match=r"t\.csv: column 'd': non-finite value"):
+            write_csv(tmp_path / "t.csv", ("a", "b", "c", "d"),
+                      (list("uvwxyz"), floats, floats.astype(int),
+                       container([*floats[:5], value])))
+        assert not (tmp_path / "t.csv").exists()
+    # an empty table writes only its header line
+    assert write_csv(tmp_path / "t.csv", ("a", "b"), zip(*[])) == "t.csv"
+    assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
     with pytest.raises(ComputationError, match=r"t\.json: non-finite value .* under key 'b'"):
         write_json(tmp_path / "t.json", {"a": 1.0, "b": [0.5, value]})
     # None is the one value written as null
