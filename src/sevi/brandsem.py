@@ -327,15 +327,24 @@ class HttpChatClient:
         body = json.dumps(payload).encode("utf-8")
         last_err = None
         for attempt in range(self.max_retries):
+            if attempt:  # back off between attempts, not after the last
+                time.sleep(min(2.0 ** (attempt - 1), 8.0))
             try:
                 post = urllib.request.Request(self.endpoint, data=body, headers=headers,
                                               method="POST")
                 # an HTTP error status raises HTTPError, an OSError
                 with urllib.request.urlopen(post, timeout=self.timeout) as resp:
-                    return json.loads(resp.read())["choices"][0]["message"]["content"]
-            except (OSError, http.client.HTTPException, KeyError, ValueError) as exc:
+                    reply = json.loads(resp.read())
+            except (OSError, http.client.HTTPException, ValueError) as exc:
                 last_err = exc
-                time.sleep(min(2.0 ** attempt, 8.0))
+                continue
+            try:
+                content = reply["choices"][0]["message"]["content"]
+            except (LookupError, TypeError):  # a reply of another shape
+                content = None
+            if isinstance(content, str):
+                return content
+            last_err = "the reply has no text at choices[0].message.content"
         raise TransportError(f"model call failed after {self.max_retries} attempts: {last_err}")
 
 

@@ -15,9 +15,9 @@ operands (`kernels.gwr_operands`) once per design, and every kernel call
 of the search and the refits reads them.
 
 With AICc selection the work splits in two, as in FastGWR (Li,
-Fotheringham, Li & Oshan, IJGIS 2019): every column keeps its own
-golden-section search, but the AICc values at each visited bandwidth come
-from one shared AICc-only kernel call that forms only the fitted values and
+Fotheringham, Li & Oshan, IJGIS 2019): one driver steps all columns'
+golden-section searches round by round, and fits each bandwidth a round
+asks for in one AICc-only kernel call that forms only the fitted values and
 tr(S); then the full kernel refits once per chosen bandwidth, for the
 columns that chose it. AICc and adaptive fits build the n x n distance
 matrix once, in `fit`, and every kernel call of the fit reads it; a fixed
@@ -38,6 +38,8 @@ from .geodata import PERIODS
 from .stats import sorted_quantiles
 
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
+REL_TOL = 1e-3  # the AICc search stops once its bracket is this share of the range,
+MAX_ITER = 60   # or after this many golden-section steps
 KERNELS = ("gaussian", "bisquare")
 
 
@@ -242,69 +244,67 @@ def _aicc(rss: float, trace_s: float, n: int) -> float:
             + n * (n + trace_s) / denom)
 
 
-def _golden_section(objective, lo0: float, hi0: float, rel_tol: float,
-                    max_iter: int) -> tuple[float, str | None, int]:
-    """Minimize `objective` over [lo0, hi0]: (best bandwidth, the boundary it
-    was clamped to or None, number of distinct bandwidths evaluated)."""
-    cache: dict[float, float] = {}
-
-    def f(b: float) -> float:
-        if b not in cache:
-            cache[b] = objective(b)
-        return cache[b]
-
+def _golden_section(lo0: float, hi0: float):
+    """Steps a golden-section search over [lo0, hi0]: yields each bandwidth it
+    visits, the ends first, and is sent back its AICc; a bandwidth may recur."""
     lo, hi = lo0, hi0
-    f(lo)
-    f(hi)
+    yield lo
+    yield hi
     x1 = hi - GOLDEN_INV * (hi - lo)
     x2 = lo + GOLDEN_INV * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if (hi - lo) <= rel_tol * (hi0 - lo0):
+    f1 = yield x1
+    f2 = yield x2
+    for _ in range(MAX_ITER):
+        if (hi - lo) <= REL_TOL * (hi0 - lo0):
             break
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - GOLDEN_INV * (hi - lo)
-            f1 = f(x1)
+            f1 = yield x1
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + GOLDEN_INV * (hi - lo)
-            f2 = f(x2)
-
-    best = min(cache, key=lambda b: (cache[b], b))
-    boundary = None
-    boundary_pad = rel_tol * (hi0 - lo0)
-    if best <= lo0 + boundary_pad or best >= hi0 - boundary_pad:
-        best, boundary = (lo0, "lower") if best <= lo0 + boundary_pad else (hi0, "upper")
-    return float(best), boundary, len(cache)
+            f2 = yield x2
 
 
-def _search(design: GwrDesign, operands: kernels.GwrOperands, dist: np.ndarray,
-            rel_tol: float = 1e-3, max_iter: int = 60) -> list[tuple[float, str | None, int]]:
+def _search(design: GwrDesign, operands: kernels.GwrOperands,
+            dist: np.ndarray) -> list[tuple[float, str | None, int]]:
     """One golden-section AICc search per response column over [min nonzero
     distance, diameter], both read from the design's distance matrix `dist`.
 
-    Each search follows its own path, but every bandwidth any of them visits
-    is fitted once for all columns, by the AICc-only kernel over `dist` and
-    the design's `operands`, and its AICc values are memoised. Only AICc is
-    computed there: adjusted R^2 is undefined at bandwidths so small that the
-    effective parameters reach n, where AICc is +inf. A search that ends on a
-    boundary warns, once the search as a whole has succeeded.
+    The searches step round by round; each bandwidth a round asks for that
+    the memo lacks is fitted once for all columns by the AICc-only kernel
+    over `dist` and `operands` (adjusted R^2 is undefined where effective
+    parameters reach n). Each column's outcome is read from its trace, the
+    AICc of each bandwidth it visited, in visit order. A search that ends on
+    a boundary warns, once all of them have succeeded.
     """
     lo0, hi0 = design.pairwise_extent(dist)
+    columns = range(design.Y.shape[1])
     memo: dict[float, list[float]] = {}
-
-    def column_aicc(b: float) -> list[float]:
-        if b not in memo:
+    steppers = [_golden_section(lo0, hi0) for _ in columns]
+    asks = {k: next(stepper) for k, stepper in enumerate(steppers)}
+    traces: list[dict[float, float]] = [{} for _ in columns]
+    while asks:
+        for b in dict.fromkeys(b for b in asks.values() if b not in memo):
             _, fitted, s_ii, _, _ = _kernel(design, design.Y, operands, np.full(design.n, b),
                                             dist, full=False)
             trace_s = float(s_ii.sum())
             memo[b] = [_aicc(_rss(design.Y[:, k], fitted[:, k])[1], trace_s, design.n)
-                       for k in range(design.Y.shape[1])]
-        return memo[b]
-
-    searches = [_golden_section(lambda b, k=k: column_aicc(b)[k], lo0, hi0, rel_tol, max_iter)
-                for k in range(design.Y.shape[1])]
+                       for k in columns]
+        for k, b in list(asks.items()):
+            traces[k][b] = memo[b][k]
+            try:
+                asks[k] = steppers[k].send(memo[b][k])
+            except StopIteration:
+                del asks[k]
+    pad = REL_TOL * (hi0 - lo0)
+    searches = []
+    for trace in traces:
+        best = min(trace, key=lambda b: (trace[b], b))
+        boundary = "lower" if best <= lo0 + pad else "upper" if best >= hi0 - pad else None
+        best = {"lower": lo0, "upper": hi0}.get(boundary, best)
+        searches.append((float(best), boundary, len(trace)))
     # the columns share tr(S), so AICc is +inf at a bandwidth for all or none
     if not any(math.isfinite(aiccs[0]) for aiccs in memo.values()):
         raise ComputationError(

@@ -427,17 +427,20 @@ def test_load_labeled_pairs_and_eval_against_plant(corpus_dir):
 
 @pytest.fixture
 def chat_server(monkeypatch):
-    """A localhost endpoint answering with the queued HTTP statuses (200
-    once the queue is empty); it records each request's headers and body.
-    `time.sleep` is stubbed to record the retry back-off."""
-    seen, statuses, sleeps = [], [], []
+    """A localhost endpoint answering with the queued replies, then with 200
+    and an echo of the model: an int is that HTTP status with the echo, any
+    other value a 200 with that value as its JSON body. It records each
+    request's headers and body. `time.sleep` is stubbed to record the retry
+    back-off."""
+    seen, replies, sleeps = [], [], []
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
             seen.append((dict(self.headers), body))
-            status = statuses.pop(0) if statuses else 200
-            answer = {"choices": [{"message": {"content": f"echo {body['model']}"}}]}
+            reply = replies.pop(0) if replies else 200
+            echo = {"choices": [{"message": {"content": f"echo {body['model']}"}}]}
+            status, answer = (reply, echo) if isinstance(reply, int) else (200, reply)
             data = json.dumps(answer).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -455,7 +458,7 @@ def chat_server(monkeypatch):
     monkeypatch.setattr(brandsem.time, "sleep", sleeps.append)
     client = HttpChatClient(f"http://127.0.0.1:{server.server_port}/v1/chat", token="t0k",
                             model="m1", timeout=10.0, max_retries=3)
-    yield client, seen, statuses, sleeps
+    yield client, seen, replies, sleeps
     server.shutdown()
     server.server_close()
     thread.join()
@@ -489,4 +492,20 @@ def test_http_client_gives_up_after_max_retries(chat_server):
     with pytest.raises(TransportError, match="after 3 attempts"):
         client.complete(_REQUEST)
     assert len(seen) == 3
-    assert sleeps == [1.0, 2.0, 4.0]
+    assert sleeps == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("answer", [{"choices": []}, {"choices": ["x"]},
+                                    {"choices": [{"message": {"content": None}}]}])
+def test_http_client_retries_a_reply_without_text(chat_server, answer):
+    # a 200 whose reply holds no text at choices[0].message.content is a
+    # failed attempt: it is retried, and a lasting one raises TransportError
+    client, seen, replies, sleeps = chat_server
+    replies.append(answer)
+    assert client.complete(_REQUEST) == "echo m1"
+    assert len(seen) == 2 and sleeps == [1.0]
+
+    replies.extend([answer] * 3)
+    with pytest.raises(TransportError, match=r"after 3 attempts: .*choices\[0\]\.message"):
+        client.complete(_REQUEST)
+    assert len(seen) == 5

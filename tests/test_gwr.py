@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevi import gwr, kernels
 from sevi.exceptions import ComputationError, ValidationError
@@ -278,10 +280,84 @@ def _drifting_design(rng, kernel):
     return GwrDesign.build(coords, predictors, Y, kernel=kernel)
 
 
+def _golden_section_before(objective, lo0, hi0, rel_tol, max_iter):
+    """The golden-section search as it was before it became a stepper:
+    minimize `objective` over [lo0, hi0], evaluating each bandwidth once, and
+    return (best bandwidth, the boundary it was clamped to or None, number of
+    distinct bandwidths evaluated)."""
+    cache = {}
+
+    def f(b):
+        if b not in cache:
+            cache[b] = objective(b)
+        return cache[b]
+
+    lo, hi = lo0, hi0
+    f(lo)
+    f(hi)
+    x1 = hi - gwr.GOLDEN_INV * (hi - lo)
+    x2 = lo + gwr.GOLDEN_INV * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(max_iter):
+        if (hi - lo) <= rel_tol * (hi0 - lo0):
+            break
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - gwr.GOLDEN_INV * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + gwr.GOLDEN_INV * (hi - lo)
+            f2 = f(x2)
+
+    best = min(cache, key=lambda b: (cache[b], b))
+    boundary = None
+    boundary_pad = rel_tol * (hi0 - lo0)
+    if best <= lo0 + boundary_pad or best >= hi0 - boundary_pad:
+        best, boundary = (lo0, "lower") if best <= lo0 + boundary_pad else (hi0, "upper")
+    return float(best), boundary, len(cache)
+
+
+def _objective(shape, center, step):
+    """A drawn objective: unimodal about `center`, monotone, flat, or stepped
+    (the distance to `center` in whole `step`s), the last two with ties."""
+    return {"unimodal": lambda b: (b - center) ** 2,
+            "increasing": lambda b: b,
+            "decreasing": lambda b: -b,
+            "flat": lambda b: 1.0,
+            "stepped": lambda b: math.floor(abs(b - center) / step)}[shape]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1.0, 1e4), st.floats(1e-3, 1e5),
+       st.sampled_from(["unimodal", "increasing", "decreasing", "flat", "stepped"]),
+       st.floats(-0.5, 1.5), st.floats(1e-3, 0.5))
+def test_golden_section_visits_what_the_search_before_visited(lo0, width, shape, where, step):
+    hi0 = lo0 + width
+    objective = _objective(shape, lo0 + where * width, step * width)
+    visited_before = []
+
+    def record(b):
+        visited_before.append(b)
+        return objective(b)
+
+    *_, evals_before = _golden_section_before(record, lo0, hi0, gwr.REL_TOL, gwr.MAX_ITER)
+    stepper = gwr._golden_section(lo0, hi0)
+    asked = [next(stepper)]
+    try:
+        while True:
+            asked.append(stepper.send(objective(asked[-1])))
+    except StopIteration:
+        pass
+
+    assert list(dict.fromkeys(asked)) == visited_before
+    assert len(set(asked)) == evals_before == len(visited_before)
+
+
 def _full_kernel_search(design):
-    """The AICc search with every visited bandwidth fitted by the full kernel,
-    which measures its distances per row block: (bandwidth, boundary,
-    evaluations) per column."""
+    """The AICc search as it was before it became a stepper, with every
+    visited bandwidth fitted by the full kernel, which measures its distances
+    per row block: (bandwidth, boundary, evaluations) per column."""
     lo0, hi0 = design.pairwise_extent(kernels.pairwise_distances(design.coords))
     memo = {}
 
@@ -294,7 +370,7 @@ def _full_kernel_search(design):
                        for k in range(design.Y.shape[1])]
         return memo[b]
 
-    return [gwr._golden_section(lambda b, k=k: column_aicc(b)[k], lo0, hi0, 1e-3, 60)
+    return [_golden_section_before(lambda b, k=k: column_aicc(b)[k], lo0, hi0, 1e-3, 60)
             for k in range(design.Y.shape[1])]
 
 
@@ -410,10 +486,23 @@ def test_fit_matches_the_fit_before(rng, kernel, bandwidth):
 def test_one_distance_matrix_per_fit(rng, monkeypatch, bandwidth, matrices):
     # an AICc or adaptive fit builds one matrix and measures no row block
     # apart from it; a fixed bandwidth builds none, and each of its row blocks
-    # measures its own distances
+    # measures its own distances. The AICc search calls the AICc-only kernel
+    # once per distinct bandwidth that the full-kernel search fitted, and the
+    # full kernel once per chosen bandwidth
     design = _drifting_design(rng, "gaussian")
     calls = {"matrix": 0, "rows": 0}
+    fitted = {True: [], False: []}  # the bandwidth of each kernel call, by `full`
     pairwise_distances, distance_rows = kernels.pairwise_distances, kernels._distance_rows
+    gwr_fit_all = kernels.gwr_fit_all
+
+    def count_fits(coords, X, Y, bandwidths, kernel, dist=None, full=True, operands=None):
+        fitted[full].append(bandwidths[0])
+        return gwr_fit_all(coords, X, Y, bandwidths, kernel, dist, full, operands)
+
+    monkeypatch.setattr(kernels, "gwr_fit_all", count_fits)
+    if bandwidth == "aicc":
+        _full_kernel_search(design)  # full calls only, one per distinct bandwidth
+        searched, fitted[True] = fitted[True], []
 
     def count_matrix(coords):
         calls["matrix"] += 1
@@ -431,6 +520,8 @@ def test_one_distance_matrix_per_fit(rng, monkeypatch, bandwidth, matrices):
 
     if bandwidth == "aicc":
         assert len({fit.bandwidth for fit in fits}) > 1  # several refits
+        assert len(fitted[False]) == len(set(fitted[False])) == len(set(searched))
+        assert len(fitted[True]) == len({fit.bandwidth for fit in fits})
     assert calls["matrix"] == matrices
     blocks = -(-design.n // kernels._block_rows(design.n, design.n_params, 8))
     # the matrix is itself one `_distance_rows` call over all rows
