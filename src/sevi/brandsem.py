@@ -19,7 +19,6 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Protocol
 
 from .exceptions import ModelOutputError, TransportError, ValidationError
@@ -234,8 +233,6 @@ def parse_model_json(text: str, schema: str):
         return VlmResponse(brands_found=list(brands), summary=doc["summary"])
 
     for key, tier in doc.items():
-        if not isinstance(key, str):
-            raise ModelOutputError("s2 keys must be brand strings", text)
         if tier not in TIERS:
             raise ModelOutputError(f"unknown tier {tier!r} for brand {key!r}", text)
     return dict(doc)
@@ -401,7 +398,6 @@ def classify(raw_brands: list[str], reference_db: ReferenceDb,
 class DecodedImage:
     image_id: str
     point_id: str
-    summary: str
     assignment: TierAssignment
 
 
@@ -419,8 +415,7 @@ def _decode_one(image_id: str, point_id: str, reference_db: ReferenceDb,
                 client: BrandModelClient) -> DecodedImage:
     response = parse_model_json(client.complete(stage1_request(image_id)), "s1")
     assignment = classify(response.brands_found, reference_db, client, image_ref=image_id)
-    return DecodedImage(image_id=image_id, point_id=point_id,
-                        summary=response.summary, assignment=assignment)
+    return DecodedImage(image_id=image_id, point_id=point_id, assignment=assignment)
 
 
 def decode_corpus(corpus: list[tuple[str, str]], reference_db: ReferenceDb,

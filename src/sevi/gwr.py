@@ -57,13 +57,12 @@ class GwrDesign:
     @classmethod
     def build(cls, coords, predictors, y, kernel="gaussian",
               predictor_names=None, location_ids=None) -> "GwrDesign":
-        """`y` is one response (n,) or m responses as columns (n, m)."""
+        """`y` is one response (n,) or m responses as columns (n, m). `kernel`
+        is one of KERNELS, as the config checks it (`gwr.kernel`)."""
         coords = np.asarray(coords, dtype=float).reshape(-1, 2)
         predictors = np.atleast_2d(np.asarray(predictors, dtype=float))
         y = np.asarray(y, dtype=float)
         n, k = predictors.shape
-        if kernel not in KERNELS:
-            raise ValidationError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
         if y.ndim not in (1, 2):
             raise ValidationError(f"response must be (n,) or (n, m), got shape {y.shape}")
         if coords.shape[0] != n or len(y) != n:
@@ -370,21 +369,14 @@ def coef_summary(fits: dict[str, GwrFit], variable: str) -> list[CoefSummary]:
     """Boxplot statistics of one coefficient's local values, per period.
 
     Whiskers sit at the most extreme data points within 1.5 IQR of the
-    quartiles; values beyond are listed as outliers.
+    quartiles; values beyond are listed as outliers. `fits` holds every
+    period, as the gwr stage returns them, and `variable` is "intercept" or
+    a predictor, as the config checks it (`gwr.summary_variables`).
     """
     out = []
     for period in PERIODS:
-        fit = fits.get(period)
-        if fit is None:
-            raise ValidationError(f"missing period {period!r}")
-        if variable == "intercept":
-            col = 0
-        else:
-            if variable not in fit.predictor_names:
-                raise ValidationError(
-                    f"variable {variable!r} not in design {fit.predictor_names}"
-                )
-            col = 1 + fit.predictor_names.index(variable)
+        fit = fits[period]
+        col = 0 if variable == "intercept" else 1 + fit.predictor_names.index(variable)
         values = fit.beta[:, col]
         q1, med, q3 = sorted_quantiles(np.sort(values), (0.25, 0.5, 0.75))
         iqr = q3 - q1

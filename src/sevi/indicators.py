@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .exceptions import ConfigError, ValidationError
+from .exceptions import ConfigError
 from .geodata import BrandTally, PointTable, StreetSegment
 
 INDICATOR_NAMES = ("sd", "cr", "br", "mv", "md", "nd", "pp", "gr", "gd")
@@ -54,14 +54,13 @@ def smooth_along_route(values, window: int = DEFAULT_SMOOTHING_WINDOW,
                        bounds=None) -> np.ndarray:
     """Centered moving mean over a route-ordered series, within the runs
     values[bounds[k]:bounds[k + 1]] (default: one run). At a run's ends the
-    window shrinks to the available neighbors. window must be odd and >= 1.
+    window shrinks to the available neighbors. `window` is odd and >= 1, as
+    the config checks it (`smoothing_window`).
 
     A window's values are added left to right from 0.0, with 0.0 for the
     positions outside the run, as np.mean adds fewer than eight values: up
     to window 7 each mean is bit for bit np.mean's.
     """
-    if window < 1 or window % 2 == 0:
-        raise ValidationError(f"smoothing window must be odd and >= 1, got {window}")
     values = np.asarray(values, dtype=float)
     n = len(values)
     bounds = np.asarray([0, n] if bounds is None else bounds)
@@ -84,15 +83,13 @@ def indicator_table(points: PointTable, segments: dict[str, StreetSegment],
     weighted mean of the smoothed point series (the plain weighted-count
     ratio when window == 1), its `mv` the mean of `mv_point` over its points.
     Closures are clamped to storefronts; no signboards give cr = br = 0.
+    Every segment length is positive, as the loader checks it.
 
     Returns (segment_ids, (k, 9) matrix in INDICATOR_NAMES order, per-segment
     no-signboard flags, smoothed point brand series in table order).
     """
     segment_ids, perm, bounds = points.route()
     length = np.array([segments[sid].length_m for sid in segment_ids], dtype=float)
-    bad = [sid for sid in segment_ids if segments[sid].length_m <= 0]
-    if bad:
-        raise ValidationError(f"segment {bad[0]!r} has non-positive length")
 
     def total(name: str) -> np.ndarray:
         return np.add.reduceat(points.both_sides(name)[perm], bounds[:-1])

@@ -777,7 +777,8 @@ def decode_to_files(config: PipelineConfig, workdir: Path) -> dict:
 
 def evaluate_files(gt_path: Path, pred_path: Path, out_path: Path | None = None) -> brandsem.EvalReport:
     """Evaluate a predictions CSV against ground truth; images present in the
-    ground truth but absent from the predictions count as empty predictions."""
+    ground truth but absent from the predictions count as empty predictions.
+    The report goes to `out_path`, whose directory is made if need be."""
     from . import brandsem
 
     gt = brandsem.load_labeled_pairs(gt_path)
@@ -786,6 +787,7 @@ def evaluate_files(gt_path: Path, pred_path: Path, out_path: Path | None = None)
         pred.setdefault(image_id, set())
     rep = brandsem.evaluate(pred, gt)
     if out_path is not None:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         write_json(out_path, {
             "per_tier": {tier: vars(m) for tier, m in rep.per_tier.items()},
             "overall": {rate: getattr(rep.overall, rate) for rate in brandsem.RATES},

@@ -88,7 +88,6 @@ class PcaModel:
     rotated_loadings: np.ndarray         # varimax-rotated retained loadings
     rotation_converged: bool
     rotation_sweeps: int
-    column_labels: list[str]
 
 
 def varimax(loadings: np.ndarray, tol: float = 1e-6, max_iter: int = 100) -> VarimaxResult:
@@ -147,6 +146,9 @@ def pca(matrix: np.ndarray, n_components: int = 4,
     Columns are z-scored; components are eigenvectors of the correlation
     matrix sorted by descending eigenvalue, each signed so its largest-
     magnitude entry is positive. The retained components are varimax-rotated.
+    `n_components` is in [1, k], as the config checks it for the nine
+    indicators (`pca_components`); `column_labels` name the columns in the
+    constant-column error.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -160,8 +162,6 @@ def pca(matrix: np.ndarray, n_components: int = 4,
     for j in range(k):
         if std[j] == 0:
             raise ComputationError(f"PCA column {column_labels[j]!r} is constant")
-    if not (1 <= n_components <= k):
-        raise ValidationError(f"n_components must be in [1, {k}], got {n_components}")
 
     z = (matrix - matrix.mean(axis=0)) / std
     corr = (z.T @ z) / (n - 1)
@@ -183,7 +183,7 @@ def pca(matrix: np.ndarray, n_components: int = 4,
         rotated, converged, sweeps = retained.copy(), True, 0
     return PcaModel(loadings=retained, explained_variance_ratio=ratios,
                     rotated_loadings=rotated, rotation_converged=converged,
-                    rotation_sweeps=sweeps, column_labels=list(column_labels))
+                    rotation_sweeps=sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def tertile_split(values) -> list[str]:
     if len(values) < 3:
         raise ValidationError(f"tertile split needs at least 3 values, got {len(values)}")
     ordered = np.sort(values)
-    # np.unique would import numpy.ma
+    # a bare np.unique would import numpy.ma (numpy 2.4 asks np.ma.is_masked)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     if len(distinct) < 3:
         raise ComputationError(

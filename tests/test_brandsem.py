@@ -220,7 +220,7 @@ def test_request_hash_sensitive_to_prompt():
 # ---------------------------------------------------------------------------
 
 def _image(point_id, tiers, image_id="img"):
-    return DecodedImage(image_id=image_id, point_id=point_id, summary="",
+    return DecodedImage(image_id=image_id, point_id=point_id,
                         assignment=TierAssignment(tiers=tiers))
 
 

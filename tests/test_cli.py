@@ -88,6 +88,17 @@ def test_stage_run_exits_zero(city_dir, tmp_path):
     ("", ["--set", "seed=1"]),
     # the tier ordering names its keys
     ("", ["--set", "brand_weights.local=2"]),
+    # each rule below is checked only here, at the config: the modules that
+    # the values reach do not check them again
+    ("", ["--set", "spillover.threshold_m=0"]),
+    ("", ["--set", "spillover.threshold_m=-1"]),
+    ("", ["--set", "spillover.decay=cubic"]),
+    ("", ["--set", "gwr.kernel=tricube"]),
+    ("", ["--set", "smoothing_window=4"]),
+    ("", ["--set", "smoothing_window=0"]),
+    ("", ["--set", "pca_components=0"]),
+    ("", ["--set", "pca_components=10"]),
+    ("", ["--set", "gwr.summary_variables=[nope]"]),
 ])
 def test_bad_config_exits_one(city_dir, tmp_path, capsys, extra, overrides):
     argv = ["--workdir", str(city_dir), "spillover", "--config", _config(tmp_path, extra)]
@@ -533,6 +544,14 @@ def test_malformed_decode_input_exits_one_naming_its_entry(corpus_dir, tmp_path,
     err = capsys.readouterr().err
     assert "stage 'brands decode' failed: " in err and message in err
     assert not (tmp_path / "out" / "assignments.csv").exists()
+
+
+def test_eval_writes_its_report_into_a_new_directory(corpus_dir, tmp_path):
+    out = tmp_path / "nodir" / "report.json"
+    argv = ["--workdir", str(corpus_dir), "brands", "eval", "--gt", "ground_truth.csv",
+            "--pred", "predictions.csv", "--out", str(out)]
+    assert main(argv) == 0
+    assert 0.0 <= json.loads(out.read_text(encoding="utf-8"))["overall"]["f1"] <= 1.0
 
 
 def test_empty_brand_in_eval_exits_one_naming_its_row(tmp_path, capsys):

@@ -633,13 +633,6 @@ def test_coef_summary_planted_night_outliers(rng):
     assert len(summaries["wd_nt"].outliers) > len(summaries["wd_am"].outliers)
 
 
-def test_coef_summary_unknown_variable(rng):
-    design, _ = _linear_design(rng, n=60, k=2)
-    fit = _fit1(design, 500.0)
-    with pytest.raises(ValidationError):
-        coef_summary({p: fit for p in PERIODS}, "nope")
-
-
 def test_aicc_guard_small_denominator(rng):
     design, _ = _linear_design(rng, n=60, k=2, noise=0.2)
     fit = _fit1(design, 300.0)

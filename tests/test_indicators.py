@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevi.exceptions import ValidationError
+from sevi.exceptions import ConfigError, ValidationError
 from sevi.geodata import BrandTally, StreetSegment, TablePaths, load_tables
 from sevi.indicators import (INDICATOR_NAMES, BrandWeights, indicator_table,
                              smooth_along_route)
+from sevi.pipeline import PipelineConfig
 
 from .conftest import make_points, point_row
 
@@ -48,8 +49,9 @@ def test_smooth_window_one_is_identity(rng):
 
 @pytest.mark.parametrize("window", [0, 2, 4, -1])
 def test_smooth_rejects_bad_window(window):
-    with pytest.raises(ValidationError):
-        smooth_along_route([1.0, 2.0], window=window)
+    # the config is the one check of the window; smooth_along_route takes it as given
+    with pytest.raises(ConfigError, match="smoothing_window must be"):
+        PipelineConfig.from_mapping({"smoothing_window": window})
 
 
 def test_smooth_stays_within_bounds(rng):
@@ -185,11 +187,6 @@ def test_green_ratio():
 def test_mv_passthrough():
     values, _, _ = _segment_values(make_points(point_row()), 50.0, mv_point=[2.75])
     assert values["mv"] == 2.75
-
-
-def test_non_positive_length_rejected():
-    with pytest.raises(ValidationError, match="non-positive length"):
-        _segment_values(make_points(point_row()), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevi.exceptions import CalibrationError, ComputationError, ValidationError
+from sevi.exceptions import CalibrationError, ComputationError, ConfigError, ValidationError
 from sevi.geodata import MallAnchor
+from sevi.pipeline import PipelineConfig
 from sevi.spillover import (SigmaTable, SpilloverConfig, calibrate_sigma,
                             decay_value, field_all, field_at, threshold_sweep)
 
@@ -213,8 +214,9 @@ def test_threshold_gate_examples():
 
 @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_config_rejects_threshold_not_positive_and_finite(threshold):
-    with pytest.raises(ValidationError, match="spillover threshold must be > 0 and finite"):
-        SpilloverConfig(threshold_m=threshold)
+    # the config is the one check of the threshold; SpilloverConfig takes it as given
+    with pytest.raises(ConfigError, match="spillover.threshold_m must be"):
+        PipelineConfig.from_mapping({"spillover": {"threshold_m": threshold}})
 
 
 def test_threshold_infinite_equals_ungated(rng):
