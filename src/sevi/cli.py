@@ -3,14 +3,24 @@
 Exit codes: 0 success, 1 validation/configuration error, 2 computation error
 or a failed write; an error inside a pipeline stage names that stage.
 All paths in the config are resolved against --workdir.
+
+OpenBLAS starts with one thread unless OPENBLAS_NUM_THREADS sets another count.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
+
+# Every GEMM of the GWR kernel stays within kernels._GEMM_BUDGET, so OpenBLAS
+# runs it on the calling thread and a worker pool only costs CPU at start-up.
+# OpenBLAS reads the variable once, as numpy loads: a count the caller set
+# wins, and a process that loaded numpy before this module is left as it is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .exceptions import StageError, ValidationError
 from .pipeline import (UNTIL_GROUPS, PipelineConfig, decode_to_files, evaluate_files,

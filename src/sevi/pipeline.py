@@ -69,6 +69,9 @@ def _check(ok: bool, key: str, value, what: str):
 
 
 def _finite(key, value):
+    if isinstance(value, str):  # PyYAML reads 1e3, and even 1.0e3, as text
+        raise ConfigError(f"{key} must be a finite number, got the string {value!r}; YAML reads "
+                          "an exponent as a number only with a dot and a sign, as in 1.0e+3")
     # YAML booleans load as bool, which Python counts as int
     return _check(isinstance(value, (int, float)) and not isinstance(value, bool)
                   and abs(value) <= sys.float_info.max, key, value, "a finite number")
@@ -533,9 +536,12 @@ def _write_sigma(a: _Analysis, outdir: Path) -> list[str]:
 
 
 def _write_mv(a: _Analysis, outdir: Path) -> list[str]:
+    # in point-id order, so the file does not depend on the input row order
+    ids = a.city.load.points.ids
+    by_id = np.argsort(ids)
     return [write_csv(outdir / "mv.csv",
                       ("point_id", f"mv_{a.sp_cfg.decay}_{int(a.sp_cfg.threshold_m)}"),
-                      (a.city.load.points.ids, a.spillover_field))]
+                      (ids[by_id], a.spillover_field[by_id]))]
 
 
 def _write_indicators(a: _Analysis, outdir: Path) -> list[str]:

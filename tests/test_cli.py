@@ -51,6 +51,9 @@ def test_stage_run_exits_zero(city_dir, tmp_path):
     ("", ["--set", "smoothing_window=true"]),
     ("", ["--set", "pca_components=true"]),
     ("", ["--set", "poi_radius_m=true"]),
+    # PyYAML reads an exponent without a dot and a sign as a string
+    ("", ["--set", "poi_radius_m=1e3"]),
+    ("", ["--set", "brand_weights.local=1.0e3"]),
     ("", ["--set", "decode.parallelism=abc"]),
     # an empty sweep has no R^2 to average; a bare name is not a list of names
     ("", ["--set", "spillover.sweep_thresholds=[]"]),
@@ -107,6 +110,20 @@ def test_bad_config_exits_one(city_dir, tmp_path, capsys, extra, overrides):
     key = overrides[-1].split("=")[0] if overrides else "no_such_key"
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override, key", [
+    ("poi_radius_m=1e3", "poi_radius_m"),
+    ("brand_weights.local=1.0e3", "brand_weights.local"),
+    ("spillover.sweep_thresholds=[1000, 2E+3]", "spillover.sweep_thresholds[1]"),
+])
+def test_a_yaml_exponent_read_as_text_names_the_number_form(city_dir, tmp_path, capsys,
+                                                            override, key):
+    argv = ["--workdir", str(city_dir), "spillover", "--config", _config(tmp_path)]
+    assert main(argv + ["--set", override]) == 1
+    err = capsys.readouterr().err
+    assert f"{key} must be a finite number, got the string" in err
+    assert "1.0e+3" in err
 
 
 def test_nul_byte_in_a_path_exits_one(city_dir, tmp_path, capsys):

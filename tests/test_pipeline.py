@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import random
 import shutil
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from sevi.pipeline import (DEFAULT_CONFIG, PipelineConfig, _Analysis, _City, ing
                            run, write_csv, write_json)
 
 from .conftest import write_feature_collection
+from .golden import city_results
 
 # headline values of the bundled synthetic city (seed 20251015)
 MEAN_ADJUSTED_R2 = 0.603279
@@ -183,6 +185,22 @@ def test_rerun_gives_identical_manifest(city_dir, tmp_path):
     assert first["files"]
     assert ((tmp_path / "a" / "manifest.json").read_bytes()
             == (tmp_path / "b" / "manifest.json").read_bytes())
+
+
+def test_artifacts_do_not_depend_on_the_input_row_order(city_dir, tmp_path):
+    # the data rows of every input table shuffled; `run` and `robustness`
+    # write the same bytes, manifest.json included
+    city = tmp_path / "shuffled"
+    shutil.copytree(city_dir, city)
+    rng = random.Random(20251015)
+    for path in sorted(city.glob("*.csv")):
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rng.shuffle(rows)
+        path.write_text("".join([header, *rows]), encoding="utf-8")
+    outputs = [{p.name: p.read_bytes() for p in city_results(source, tmp_path / name).iterdir()}
+               for source, name in ((city_dir, "out"), (city, "shuffled_out"))]
+    assert {"mv.csv", "manifest.json", "robustness.json"} <= set(outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("until, last_stage", [
