@@ -475,16 +475,6 @@ def _overall_mean(per_tier: dict[str, TierMetrics]) -> TierMetrics:
                          for rate in RATES))
 
 
-def report_from_tier_metrics(metrics: dict[str, tuple[float, float]]) -> EvalReport:
-    """Build a report from per-tier (precision, recall) pairs; F1 and the
-    unweighted overall row follow the same identities `evaluate` uses."""
-    per_tier = {}
-    for tier in TIERS:
-        p, r = metrics[tier]
-        per_tier[tier] = TierMetrics(precision=p, recall=r, f1=harmonic_f1(p, r))
-    return EvalReport(per_tier=per_tier, overall=_overall_mean(per_tier), gt_counts={})
-
-
 def load_labeled_pairs(path) -> dict[str, set[tuple[str, str]]]:
     """CSV (image_id, brand, tier) -> per-image sets of normalized pairs. No
     image id or brand is empty, and every tier is one of TIERS."""

@@ -4,7 +4,7 @@ Sampling points and POIs are held as columns, one array per field and one
 row per record in file order (`PointTable`, `PoiTable`). A point's sixteen
 detection counts are one row of an (n, 16) int64 matrix in COUNT_COLUMNS
 order. The route order sorts the segments by id and each segment's points by
-`order`; `PointTable.route` returns it as a permutation plus run bounds, so
+`order`; `PointTable.route` holds it as a permutation plus run bounds, so
 a per-segment reduction reads one contiguous slice of the permuted column.
 
 Ingestion reads a table from a CSV file or from a GeoJSON FeatureCollection
@@ -34,6 +34,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
@@ -147,13 +148,16 @@ class PointTable:
         j = COUNT_COLUMNS.index(f"{name}_left")
         return self.counts[:, j] + self.counts[:, j + 1]
 
+    @cached_property
     def route(self) -> tuple[list[str], np.ndarray, np.ndarray]:
         """Route order: the segments that hold points sorted by id, each one's
-        points by `order`. Returns (segment_ids, perm, bounds); the points of
-        `segment_ids[k]` are rows `perm[bounds[k]:bounds[k + 1]]`."""
+        points by `order`. (segment_ids, perm, bounds), computed once per
+        table and read-only; the points of `segment_ids[k]` are rows
+        `perm[bounds[k]:bounds[k + 1]]`."""
         segment_ids, code = np.unique(self.segment_ids, return_inverse=True)
         perm = np.lexsort((self.order, code))
         bounds = np.searchsorted(code[perm], np.arange(len(segment_ids) + 1))
+        perm.flags.writeable = bounds.flags.writeable = False
         return segment_ids.tolist(), perm, bounds
 
 

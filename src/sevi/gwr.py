@@ -140,20 +140,6 @@ class GwrFit:
         return int((self.flags == kernels.FLAG_RIDGED).sum())
 
 
-def kernel_weight(d: float, bandwidth: float, kernel: str = "gaussian") -> float:
-    """Spatial weight in [0, 1] for a neighbor at distance d."""
-    if d < 0:
-        raise ValidationError(f"distance must be >= 0, got {d}")
-    if bandwidth <= 0:
-        raise ValidationError(f"bandwidth must be > 0, got {bandwidth}")
-    t = d / bandwidth
-    if kernel == "gaussian":
-        return math.exp(-0.5 * t * t)
-    if kernel == "bisquare":
-        return (1.0 - t * t) ** 2 if t < 1.0 else 0.0
-    raise ValidationError(f"unknown kernel {kernel!r}")
-
-
 def adaptive_bandwidths(dist: np.ndarray, m: int) -> np.ndarray:
     """Per-location bandwidth: distance to the m-th nearest neighbor (self
     excluded), read from the locations' distance matrix `dist`."""
@@ -176,8 +162,8 @@ def _kernel(design: GwrDesign, Y: np.ndarray, operands: kernels.GwrOperands,
     product operands are `operands`, at the per-location `bandwidths`; `dist`
     (the design's distance matrix or None) and `full` pass through. A local
     system that stays singular raises an error naming its location."""
-    out = kernels.gwr_fit_all(design.coords, design.X, Y, bandwidths, design.kernel, dist, full,
-                              operands)
+    out = kernels.gwr_fit_all(design.coords, design.X, Y, bandwidths, design.kernel, operands,
+                              dist, full)
     flags = out[-1]
     if np.any(flags == kernels.FLAG_SINGULAR):
         i = int(np.argmax(flags == kernels.FLAG_SINGULAR))
@@ -347,10 +333,6 @@ def fit(design: GwrDesign, bandwidth="aicc") -> list[GwrFit]:
                                               np.full(design.n, bw), dist, bandwidth=bw,
                                               searches=[searches[k] for k in members])))
     return [fits[k] for k in columns]
-
-
-def r2_trajectory(fits: dict[str, GwrFit]) -> list[tuple[str, float]]:
-    return [(p, fits[p].adjusted_r2) for p in PERIODS]
 
 
 @dataclass

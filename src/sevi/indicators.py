@@ -88,7 +88,7 @@ def indicator_table(points: PointTable, segments: dict[str, StreetSegment],
     Returns (segment_ids, (k, 9) matrix in INDICATOR_NAMES order, per-segment
     no-signboard flags, smoothed point brand series in table order).
     """
-    segment_ids, perm, bounds = points.route()
+    segment_ids, perm, bounds = points.route
     length = np.array([segments[sid].length_m for sid in segment_ids], dtype=float)
 
     def total(name: str) -> np.ndarray:

@@ -171,13 +171,13 @@ def _block_rows(n, p, m):
     return max(1, _GEMM_BUDGET // (n * width))
 
 
-def gwr_fit_all(coords, X, Y, bandwidths, kernel, dist=None, full=True, operands=None):
+def gwr_fit_all(coords, X, Y, bandwidths, kernel, operands, dist=None, full=True):
     """Local WLS at every location of the (n, 2) `coords` for the m response
     columns of `Y` (n, m), which share X, under the "gaussian" or "bisquare"
-    `kernel`. `dist` is `pairwise_distances(coords)` when the caller holds it;
-    otherwise each row block's distances are computed in the block.
-    `operands` is `gwr_operands(X, Y)` when the caller holds it; otherwise
-    the call builds it.
+    `kernel`. `operands` is `gwr_operands(X, Y)`, which the caller builds
+    once per design and passes to every call. `dist` is
+    `pairwise_distances(coords)` when the caller holds it; otherwise each row
+    block's distances are computed in the block.
 
     Returns coefficients (n, p, m), fitted values (n, m), the hat diagonal
     and hat-row squared norms and a per-location flag (0 clean, 1 ridged,
@@ -191,7 +191,7 @@ def gwr_fit_all(coords, X, Y, bandwidths, kernel, dist=None, full=True, operands
     """
     n, p = X.shape
     m = Y.shape[1]
-    iu, ju, XX, XY = gwr_operands(X, Y) if operands is None else operands
+    iu, ju, XX, XY = operands
     A = np.empty((n, p, p))
     B = np.empty((n, p, m))
     M = np.empty((n, p, p)) if full else None

@@ -117,6 +117,13 @@ def _list_of(kind, label=lambda entry: entry):
     return check
 
 
+def _reads_as_finite_number(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 def _bandwidth(key, value):
     """"aicc", ("adaptive", m) for m nearest neighbours, or fixed meters."""
     if value == "aicc":
@@ -126,6 +133,8 @@ def _bandwidth(key, value):
             return ("adaptive", _count(key, int(value.split(":", 1)[1])))
         return float(_positive(key, value))
     except (ConfigError, ValueError):
+        if isinstance(value, str) and _reads_as_finite_number(value):
+            raise  # `_finite` names the form YAML reads as a number, 1.0e+3
         raise ConfigError(f"{key} must be 'aicc', 'adaptive:m' with an integer m >= 1, "
                           f"or a positive, finite number of meters, got {value!r}") from None
 
@@ -457,16 +466,22 @@ class _Analysis:
         if len(usable) < x_matrix.shape[1] + 3:
             raise ValidationError(f"only {len(usable)} segments have both indicators and "
                                   f"crowd data; need more than {x_matrix.shape[1] + 2}")
+        Y = np.array([[tables.lbs[sid][period] for period in PERIODS] for sid in usable])
+        for period, column in zip(PERIODS, Y.T):
+            if np.all(column == column[0]):
+                raise ValidationError(
+                    f"crowd intensity of period {period!r} is {float(column[0])!r} at all "
+                    f"{len(usable)} segments with crowd data; a constant response leaves "
+                    "nothing to fit")
         # each segment's centroid is the mean over its route slice, as its mv is
-        _, perm, bounds = tables.points.route()
+        _, perm, bounds = tables.points.route
         x, y = tables.points.x[perm], tables.points.y[perm]
         edges = bounds.tolist()
         centroids = np.array([[np.mean(x[lo:hi]), np.mean(y[lo:hi])]
                               for lo, hi in zip(edges, edges[1:])]).reshape(-1, 2)
         rows = [pos[sid] for sid in usable]
         design = GwrDesign.build(
-            centroids[rows], x_matrix[rows, :],
-            np.array([[tables.lbs[sid][period] for period in PERIODS] for sid in usable]),
+            centroids[rows], x_matrix[rows, :], Y,
             kernel=config.raw["gwr"]["kernel"], predictor_names=list(INDICATOR_NAMES),
             location_ids=usable)
         return dict(zip(PERIODS, gwr.fit(design, config.bandwidth())))

@@ -8,13 +8,12 @@ so outputs are bit-stable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .exceptions import CalibrationError, ComputationError, ValidationError
+from .exceptions import CalibrationError, ComputationError
 from .geodata import MallAnchor
 
 DECAYS = ("gaussian", "exponential", "linear")
@@ -94,21 +93,6 @@ def calibrate_sigma(anchors: list[MallAnchor]) -> SigmaTable:
     return table
 
 
-def decay_value(d: float, sigma: float, config: SpilloverConfig) -> float:
-    """Single decay term in [0, 1], gated to zero beyond the threshold."""
-    if d < 0:
-        raise ValidationError(f"distance must be >= 0, got {d}")
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be > 0, got {sigma}")
-    if d > config.threshold_m:
-        return 0.0
-    if config.decay == "gaussian":
-        return math.exp(-(d * d) / (2.0 * sigma * sigma))
-    if config.decay == "exponential":
-        return math.exp(-d / sigma)
-    return max(0.0, 1.0 - d / config.threshold_m)
-
-
 def _sorted_anchor_arrays(anchors: list[MallAnchor], sigma_table: SigmaTable):
     ordered = sorted(anchors, key=lambda a: a.id)
     ax = np.array([a.x for a in ordered], dtype=float)
@@ -117,26 +101,13 @@ def _sorted_anchor_arrays(anchors: list[MallAnchor], sigma_table: SigmaTable):
     return ax, ay, sig
 
 
-def field_at(x: float, y: float, anchors: list[MallAnchor], sigma_table: SigmaTable,
-             config: SpilloverConfig) -> float:
-    """Spillover value at the point (x, y): a scalar scan of the id-sorted anchors,
-    gated at the threshold and summed in ascending anchor-id order. The
-    reference that tests hold `field_all` to."""
-    ax, ay, sig = _sorted_anchor_arrays(anchors, sigma_table)
-    acc = 0.0
-    for j in range(len(ax)):
-        d = math.hypot(ax[j] - x, ay[j] - y)
-        if d <= config.threshold_m:
-            acc += decay_value(d, sig[j], config)
-    return acc
-
-
 def field_all(xy: np.ndarray, anchors: list[MallAnchor], sigma_table: SigmaTable,
               config: SpilloverConfig) -> np.ndarray:
     """Spillover values for a full point set via `kernels.spill_field`.
 
-    The kernel evaluates the gate directly over the id-sorted anchor arrays,
-    as `field_at` does for one point.
+    The kernel evaluates the gate directly over the id-sorted anchor arrays;
+    the tests hold it to a scalar scan of the same arrays, one point at a
+    time (`field_at` in `tests/oracles.py`).
     """
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     if len(xy) == 0:
@@ -148,13 +119,3 @@ def field_all(xy: np.ndarray, anchors: list[MallAnchor], sigma_table: SigmaTable
         np.ascontiguousarray(xy[:, 0]), np.ascontiguousarray(xy[:, 1]),
         ax, ay, sig, float(config.threshold_m), config.decay,
     )
-
-
-def threshold_sweep(xy: np.ndarray, anchors: list[MallAnchor], sigma_table: SigmaTable,
-                    thresholds=DEFAULT_SWEEP_M, decay: str = "gaussian") -> dict[float, np.ndarray]:
-    """Re-evaluate the field for each threshold; keys are the thresholds."""
-    out: dict[float, np.ndarray] = {}
-    for d_max in thresholds:
-        cfg = SpilloverConfig(threshold_m=float(d_max), decay=decay)
-        out[float(d_max)] = field_all(xy, anchors, sigma_table, cfg)
-    return out

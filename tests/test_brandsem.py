@@ -10,8 +10,7 @@ from sevi.brandsem import (HttpChatClient, OfflineFixtureClient, ReferenceDb, S2
                            classify, decode_corpus, evaluate,
                            harmonic_f1, load_corpus, load_labeled_pairs,
                            normalize_brand, parse_model_json,
-                           report_from_tier_metrics, request_hash, stage1_request,
-                           stage2_request, tally_by_point)
+                           request_hash, stage1_request, stage2_request, tally_by_point)
 from sevi.exceptions import ModelOutputError, SchemaError, TransportError, ValidationError
 from sevi.geodata import BrandTally
 
@@ -269,13 +268,10 @@ def test_image_id_mismatch_rejected():
 def test_f1_identity_and_paper_spot_check():
     assert harmonic_f1(0.802, 0.737) == pytest.approx(0.768, abs=1e-3)
     assert harmonic_f1(0.0, 0.0) == 0.0
-    rep = report_from_tier_metrics({
-        "International": (0.802, 0.737), "Ordinary": (1.000, 0.852),
-        "Local": (0.939, 0.660)})
-    for m in rep.per_tier.values():
-        if m.precision + m.recall:
-            assert m.f1 == pytest.approx(
-                2 * m.precision * m.recall / (m.precision + m.recall), abs=1e-9)
+    # the paper's per-tier (precision, recall): International, Ordinary, Local
+    for precision, recall in ((0.802, 0.737), (1.000, 0.852), (0.939, 0.660)):
+        assert harmonic_f1(precision, recall) == pytest.approx(
+            2 * precision * recall / (precision + recall), abs=1e-9)
 
 
 def test_adding_correct_prediction_never_decreases_recall():

@@ -116,6 +116,7 @@ def test_bad_config_exits_one(city_dir, tmp_path, capsys, extra, overrides):
     ("poi_radius_m=1e3", "poi_radius_m"),
     ("brand_weights.local=1.0e3", "brand_weights.local"),
     ("spillover.sweep_thresholds=[1000, 2E+3]", "spillover.sweep_thresholds[1]"),
+    ("gwr.bandwidth=1e3", "gwr.bandwidth"),
 ])
 def test_a_yaml_exponent_read_as_text_names_the_number_form(city_dir, tmp_path, capsys,
                                                             override, key):
@@ -267,6 +268,28 @@ def test_too_few_segments_with_crowd_data_exit_one(city_dir, tmp_path, capsys):
     assert main(["--workdir", str(city), "gwr", "--config", _config(tmp_path)]) == 1
     assert ("stage 'gwr' failed: only 11 segments have both indicators and crowd data; "
             "need more than 11") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "gwr_summary.json").exists()
+
+
+def _constant_period(period, uv):
+    """A crowd-table edit that sets every intensity of `period` to `uv`."""
+    def edit(rows):
+        for row in rows:
+            if row["period"] == period:
+                row["uv"] = uv
+        return rows
+    return edit
+
+
+def test_constant_crowd_response_exits_one_naming_its_period(city_dir, tmp_path, capsys):
+    # every wd_am intensity is 1.0: no fit can explain a constant response,
+    # so the stage stops before any fit and names the period
+    city = _edited_city(city_dir, tmp_path, "lbs.csv", _constant_period("wd_am", "1.0"))
+    assert main(["--workdir", str(city), "run", "--config", _config(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert ("stage 'gwr' failed: crowd intensity of period 'wd_am' is 1.0 at all 160 "
+            "segments with crowd data") in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out" / "gwr_summary.json").exists()
 
 

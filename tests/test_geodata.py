@@ -73,7 +73,7 @@ def test_route_sorts_segments_by_id_and_points_by_order():
                          point_row("b", segment_id="s10", order=0),
                          point_row("c", segment_id="s2", order=1),
                          point_row("d", segment_id="s2", order=3, signboards_right=4))
-    segment_ids, perm, bounds = points.route()
+    segment_ids, perm, bounds = points.route
     assert segment_ids == ["s10", "s2"]
     assert points.ids[perm].tolist() == ["b", "c", "d", "a"]
     assert bounds.tolist() == [0, 1, 4]

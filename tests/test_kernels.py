@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from sevi import kernels
-from sevi.gwr import adaptive_bandwidths, kernel_weight
+from sevi.gwr import adaptive_bandwidths
+
+from .oracles import kernel_weight
+
+
+def _fit_all(coords, X, Y, bandwidths, kernel, dist=None, full=True):
+    """`kernels.gwr_fit_all` with the design's operands built for the call."""
+    return kernels.gwr_fit_all(coords, X, Y, bandwidths, kernel, kernels.gwr_operands(X, Y),
+                               dist, full)
 
 
 def _local_system(coords, X, bandwidths, kernel, i):
@@ -49,7 +57,7 @@ def _check_against_oracle(n, kernel, adaptive):
     bw = (adaptive_bandwidths(kernels.pairwise_distances(coords), 20) if adaptive
           else np.full(n, 1200.0))
 
-    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(coords, X, y[:, None], bw, kernel)
+    beta, fitted, s_ii, s_norm2, flags = _fit_all(coords, X, y[:, None], bw, kernel)
 
     assert beta.shape == (n, 3, 1) and fitted.shape == (n, 1)
     assert np.all(flags == kernels.FLAG_OK)
@@ -89,7 +97,7 @@ def test_near_singular_system_ridged_although_lapack_factors_it():
     L = np.linalg.cholesky(A)  # LAPACK alone does not object
     assert np.min(np.diag(L)) ** 2 <= kernels._CHOL_TOL * np.max(np.diag(A))
 
-    *_, flags = kernels.gwr_fit_all(coords, X, y[:, None], bw, "gaussian")
+    *_, flags = _fit_all(coords, X, y[:, None], bw, "gaussian")
     assert np.all(flags == kernels.FLAG_RIDGED)
 
 
@@ -101,12 +109,12 @@ def test_gwr_fit_all_multiple_responses_match_single_calls():
     Y = X @ rng.normal(size=(3, 3)) + rng.normal(0, 0.2, (n, 3))
     bw = np.full(n, 900.0)
 
-    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(coords, X, Y, bw, "gaussian")
+    beta, fitted, s_ii, s_norm2, flags = _fit_all(coords, X, Y, bw, "gaussian")
 
     assert beta.shape == (n, 3, 3) and fitted.shape == (n, 3)
     assert np.all(flags == kernels.FLAG_OK)
     for k in range(3):
-        b1, f1, *single = kernels.gwr_fit_all(coords, X, Y[:, k:k + 1].copy(), bw, "gaussian")
+        b1, f1, *single = _fit_all(coords, X, Y[:, k:k + 1].copy(), bw, "gaussian")
         oracle = _oracle(coords, X, Y[:, k], bw, "gaussian")
         for got, one, want in zip((beta[:, :, k], fitted[:, k], s_ii, s_norm2),
                                   (b1[:, :, 0], f1[:, 0], *single[:2]), oracle):
@@ -141,7 +149,7 @@ def test_mixed_block_falls_back_to_per_row_pivot_rule(monkeypatch):
     coords, X, y, bw = _mixed_block(zero_row=True)
     calls = _counting_chol(monkeypatch)
 
-    *solution, flags = kernels.gwr_fit_all(coords, X, y[:, None], bw, "bisquare")
+    *solution, flags = _fit_all(coords, X, y[:, None], bw, "bisquare")
 
     assert len(calls) >= len(coords)  # the stack was re-checked row by row
     want = _reference_flags(coords, X, bw, "bisquare")
@@ -155,7 +163,7 @@ def test_per_row_fallback_solves_clean_and_ridged_rows(monkeypatch):
     coords, X, y, bw = _mixed_block(zero_row=False)
     calls = _counting_chol(monkeypatch)
 
-    beta, _, _, _, flags = kernels.gwr_fit_all(coords, X, y[:, None], bw, "bisquare")
+    beta, _, _, _, flags = _fit_all(coords, X, y[:, None], bw, "bisquare")
 
     assert len(calls) >= len(coords)  # the stack was re-checked row by row
     np.testing.assert_array_equal(flags, _reference_flags(coords, X, bw, "bisquare"))
@@ -201,8 +209,8 @@ def test_aicc_mode_matches_the_full_fit(kernel, bandwidth):
     bw = np.full(n, bandwidth)
     dist = kernels.pairwise_distances(coords)
 
-    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(coords, X, Y, bw, kernel)
-    no_beta, aicc_fitted, aicc_s_ii, no_norms, aicc_flags = kernels.gwr_fit_all(
+    beta, fitted, s_ii, s_norm2, flags = _fit_all(coords, X, Y, bw, kernel)
+    no_beta, aicc_fitted, aicc_s_ii, no_norms, aicc_flags = _fit_all(
         coords, X, Y, bw, kernel, dist, full=False)
 
     assert no_beta is None and no_norms is None
@@ -302,7 +310,7 @@ def test_symmetric_kernel_matches_the_kernel_before(kernel, n, bandwidth, full):
     bw = np.full(n, bandwidth)
     dist = None if full else kernels.pairwise_distances(coords)
 
-    got = kernels.gwr_fit_all(coords, X, Y, bw, kernel, dist, full)
+    got = _fit_all(coords, X, Y, bw, kernel, dist, full)
     want = _fit_all_before(coords, X, Y, bw, kernel, dist, full)
 
     np.testing.assert_array_equal(got[-1], want[-1])
@@ -329,7 +337,7 @@ def test_every_block_gemm_stays_within_the_budget(monkeypatch, n, p, m):
     monkeypatch.setattr(kernels, "_distance_rows",
                         lambda c, lo, hi: blocks.append((lo, hi)) or distance_rows(c, lo, hi))
 
-    kernels.gwr_fit_all(coords, X, Y, np.full(n, 5000.0), "gaussian")
+    _fit_all(coords, X, Y, np.full(n, 5000.0), "gaussian")
 
     width = max(p * (p + 1) // 2, p * m)  # the wider operand, X'WX's triangle or X'WY
     budget = kernels._GEMM_BUDGET
@@ -355,8 +363,9 @@ def test_operands_built_once_equal_those_built_per_call():
         for got, want in zip(sub, per_call):
             assert got.flags.c_contiguous and np.array_equal(got, want)
         for full, d in ((True, None), (False, dist)):
-            got = kernels.gwr_fit_all(coords, X, Y[:, columns], bw, "bisquare", d, full, sub)
-            want = kernels.gwr_fit_all(coords, X, Y[:, columns], bw, "bisquare", d, full)
+            got = kernels.gwr_fit_all(coords, X, Y[:, columns], bw, "bisquare", sub, d, full)
+            want = kernels.gwr_fit_all(coords, X, Y[:, columns], bw, "bisquare", per_call, d,
+                                       full)
             for g, w in zip(got, want):
                 assert (g is None and w is None) or np.array_equal(g, w)
 
@@ -451,7 +460,7 @@ def test_one_solve_kernel_matches_the_block_solve_kernel(kernel, design, n, band
     bw = np.full(n, bandwidth)
     dist = None if full else kernels.pairwise_distances(coords)
 
-    beta, fitted, s_ii, s_norm2, flags = kernels.gwr_fit_all(coords, X, Y, bw, kernel, dist, full)
+    beta, fitted, s_ii, s_norm2, flags = _fit_all(coords, X, Y, bw, kernel, dist, full)
     want = _block_solve_kernel(coords, X, Y, bw, kernel, dist, full)
 
     np.testing.assert_array_equal(flags, want[4])

@@ -297,7 +297,9 @@ def _csv_rows(path):
 
 def test_geojson_inputs_give_the_csv_artifacts(city_dir, default_run, tmp_path):
     # the city's spatial tables as GeoJSON: points, anchors and POIs become
-    # Point features, each segment a LineString through its route-ordered points
+    # Point features, each segment a LineString through its route-ordered
+    # points. With the features of each input shuffled, `run` writes the same
+    # bytes, manifest.json included
     city = tmp_path / "city"
     shutil.copytree(city_dir, city)
     points = _csv_rows(city_dir / "points.csv")
@@ -312,11 +314,14 @@ def test_geojson_inputs_give_the_csv_artifacts(city_dir, default_run, tmp_path):
         write_feature_collection(city / f"{name}.geojson", header,
                                  _csv_rows(city_dir / f"{name}.csv"))
     inputs = {name: f"{name}.geojson" for name in ("points", "segments", "anchors", "pois")}
-    outdir = tmp_path / "out"
-    config = PipelineConfig.from_mapping({"output_dir": str(outdir),
-                                          "inputs": {"format": "geojson", **inputs}})
 
-    doc = run(config, city)
+    def run_into(outdir):
+        return run(PipelineConfig.from_mapping({"output_dir": str(outdir),
+                                                "inputs": {"format": "geojson", **inputs}}),
+                   city)
+
+    outdir = tmp_path / "out"
+    doc = run_into(outdir)
 
     assert set(doc["files"]) == set(_json(default_run / "manifest.json")["files"])
     for name in doc["files"]:
@@ -330,6 +335,17 @@ def test_geojson_inputs_give_the_csv_artifacts(city_dir, default_run, tmp_path):
         assert f["geometry"] == {"type": "LineString", "coordinates": [
             [round(lon, 7), round(lat, 7)] for lon, lat in route[f["id"]]]}
         assert f["properties"]["sevi"] == scored[f["id"]]
+
+    rng = random.Random(20251015)
+    for name in inputs.values():
+        collection = json.loads((city / name).read_text(encoding="utf-8"))
+        rng.shuffle(collection["features"])
+        (city / name).write_text(json.dumps(collection), encoding="utf-8")
+    run_into(tmp_path / "shuffled_out")
+    outputs = [{p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+               for name in ("out", "shuffled_out")]
+    assert {"mv.csv", "manifest.json", "sevi.geojson"} <= set(outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 ODD_SEGMENT, ODD_POINT = 's0000,"é', 'p000000,"ü'

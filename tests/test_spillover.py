@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from sevi.exceptions import CalibrationError, ComputationError, ConfigError, ValidationError
 from sevi.geodata import MallAnchor
 from sevi.pipeline import PipelineConfig
-from sevi.spillover import (SigmaTable, SpilloverConfig, calibrate_sigma,
-                            decay_value, field_all, field_at, threshold_sweep)
+from sevi.spillover import SigmaTable, SpilloverConfig, calibrate_sigma, field_all
+
+from .oracles import decay_value, field_at
 
 
 def _anchor(aid, x, y, category="mall"):
@@ -206,7 +207,8 @@ def test_threshold_gate_examples():
     anchors = [_anchor("a0", 1500.0, 0.0)]
     table = SigmaTable(sigma_m={"mall": 1e7}, provenance={"mall": "computed"})
     xy = np.array([[0.0, 0.0]])
-    sweep = threshold_sweep(xy, anchors, table, thresholds=(1000.0, 2000.0, 3000.0))
+    sweep = {t: field_all(xy, anchors, table, SpilloverConfig(threshold_m=t))
+             for t in (1000.0, 2000.0, 3000.0)}
     assert sweep[1000.0][0] == 0.0
     assert sweep[2000.0][0] > 0.99
     assert sweep[3000.0][0] > 0.99
@@ -237,8 +239,8 @@ def test_field_monotone_in_threshold(rng, decay):
     anchors = [_anchor(f"a{j:02d}", *rng.uniform(0, 6000, 2)) for j in range(40)]
     table = _sigma_for(anchors)
     xy = rng.uniform(0, 6000, (50, 2))
-    sweep = threshold_sweep(xy, anchors, table, thresholds=(1000.0, 2000.0, 3000.0),
-                            decay=decay)
+    sweep = {t: field_all(xy, anchors, table, SpilloverConfig(threshold_m=t, decay=decay))
+             for t in (1000.0, 2000.0, 3000.0)}
     assert np.all(sweep[1000.0] <= sweep[2000.0] + 1e-15)
     assert np.all(sweep[2000.0] <= sweep[3000.0] + 1e-15)
 
