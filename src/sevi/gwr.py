@@ -35,7 +35,7 @@ import numpy as np
 from . import kernels
 from .exceptions import ComputationError, ValidationError
 from .geodata import PERIODS
-from .stats import sorted_quantiles
+from .stats import FLAT_RTOL, is_flat, sorted_quantiles
 
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 REL_TOL = 1e-3  # the AICc search stops once its bracket is this share of the range,
@@ -58,7 +58,11 @@ class GwrDesign:
     def build(cls, coords, predictors, y, kernel="gaussian",
               predictor_names=None, location_ids=None) -> "GwrDesign":
         """`y` is one response (n,) or m responses as columns (n, m). `kernel`
-        is one of KERNELS, as the config checks it (`gwr.kernel`)."""
+        is one of KERNELS, as the config checks it (`gwr.kernel`). Every
+        predictor must vary over the n locations (`stats.is_flat`): on a
+        subset of the city, such as the segments with crowd data, a flat
+        predictor is collinear with the intercept in every local fit
+        (Wheeler & Tiefelsdorf, J. Geogr. Syst. 2005)."""
         coords = np.asarray(coords, dtype=float).reshape(-1, 2)
         predictors = np.atleast_2d(np.asarray(predictors, dtype=float))
         y = np.asarray(y, dtype=float)
@@ -80,11 +84,10 @@ class GwrDesign:
         if len(predictor_names) != k:
             raise ValidationError(f"{k} predictors but {len(predictor_names)} names")
         for j in range(k):
-            col = predictors[:, j]
-            if col.max() == col.min():
+            if is_flat(predictors[:, j]):
                 raise ValidationError(
-                    f"predictor {predictor_names[j]!r} is constant; only the "
-                    "intercept may be constant"
+                    f"predictor {predictor_names[j]!r} is constant over the {n} locations "
+                    f"fitted (to a relative {FLAT_RTOL:g}); only the intercept may be constant"
                 )
         X = np.column_stack([np.ones(n), predictors])
         if location_ids is None:

@@ -22,7 +22,21 @@ import numpy as np
 from .exceptions import ConfigError
 from .geodata import BrandTally, PointTable, StreetSegment
 
-INDICATOR_NAMES = ("sd", "cr", "br", "mv", "md", "nd", "pp", "gr", "gd")
+# each indicator, in the canonical column order, with the input columns it is
+# computed from (`*` is a points.csv count's left and right sides)
+INDICATOR_INPUTS = {
+    "sd": ("points.signboards_*", "segments.length_m"),
+    "cr": ("points.closed_*", "points.signboards_*"),
+    "br": ("brands.n_local", "brands.n_international", "brands.n_ordinary",
+           "points.signboards_*"),
+    "mv": ("points.lon", "points.lat", "anchors.lon", "anchors.lat", "anchors.category"),
+    "md": ("points.motor_*", "segments.length_m"),
+    "nd": ("points.nonmotor_*", "segments.length_m"),
+    "pp": ("points.persons_*", "segments.length_m"),
+    "gr": ("points.green_pixels_*", "points.total_pixels_*"),
+    "gd": ("points.glass_*", "segments.length_m"),
+}
+INDICATOR_NAMES = tuple(INDICATOR_INPUTS)
 
 # dimension blocks over the canonical column order
 BLOCKS = {

@@ -69,7 +69,8 @@ def _check(ok: bool, key: str, value, what: str):
 
 
 def _finite(key, value):
-    if isinstance(value, str):  # PyYAML reads 1e3, and even 1.0e3, as text
+    # PyYAML reads 1e3, and even 1.0e3, as text
+    if isinstance(value, str) and _reads_as_finite_number(value):
         raise ConfigError(f"{key} must be a finite number, got the string {value!r}; YAML reads "
                           "an exponent as a number only with a dot and a sign, as in 1.0e+3")
     # YAML booleans load as bool, which Python counts as int
@@ -445,8 +446,7 @@ class _Analysis:
     def stats(self) -> tuple[stats.CorrelationMatrix, stats.PcaModel]:
         raw_matrix = self.indicators[1]
         corr = stats.spearman_matrix(raw_matrix, list(INDICATOR_NAMES))
-        model = stats.pca(raw_matrix, n_components=self.city.config.raw["pca_components"],
-                          column_labels=list(INDICATOR_NAMES))
+        model = stats.pca(raw_matrix, n_components=self.city.config.raw["pca_components"])
         return corr, model
 
     @_stage_result

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .indicators import BLOCKS, INDICATOR_NAMES
+from .indicators import BLOCKS, INDICATOR_INPUTS, INDICATOR_NAMES
+from .stats import FLAT_RTOL, is_flat
 
 _ENTROPY_SNAP = 1e-12  # divergences below this are indistinguishable from zero
 
@@ -20,7 +21,6 @@ class ColumnMeta:
     aligned: bool          # stored values are 1 - raw for cost-direction columns
     raw_min: float         # min/max of the benefit-aligned raw column
     raw_max: float
-    constant: bool
 
 
 @dataclass
@@ -31,7 +31,9 @@ class NormalizedMatrix:
 
 def align_and_normalize(raw: np.ndarray, segment_ids: list[str] | None = None) -> NormalizedMatrix:
     """Benefit-align the closure column (1 - cr) and min-max scale every
-    column to [0, 1]; constant columns map to 0.5 everywhere."""
+    column to [0, 1]. A flat column (`is_flat`, after the alignment) carries
+    no information to weight: the first one raises a ValidationError naming
+    the indicator, its raw value and the input columns it is computed from."""
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != len(INDICATOR_NAMES):
         raise ValidationError(
@@ -59,14 +61,14 @@ def align_and_normalize(raw: np.ndarray, segment_ids: list[str] | None = None) -
     columns = []
     for j, name in enumerate(INDICATOR_NAMES):
         col = aligned[:, j]
+        if is_flat(col):
+            raise ValidationError(
+                f"indicator {name!r} is {float(raw[0, j])!r} at all {n} segments (to a "
+                f"relative {FLAT_RTOL:g}), so it carries no information to weight; it is "
+                f"computed from {', '.join(INDICATOR_INPUTS[name])}")
         mn, mx = float(col.min()), float(col.max())
-        constant = mx == mn
-        if constant:
-            values[:, j] = 0.5
-        else:
-            values[:, j] = (col - mn) / (mx - mn)
-        columns.append(ColumnMeta(name=name, aligned=j == cr_col,
-                                  raw_min=mn, raw_max=mx, constant=constant))
+        values[:, j] = (col - mn) / (mx - mn)
+        columns.append(ColumnMeta(name=name, aligned=j == cr_col, raw_min=mn, raw_max=mx))
     return NormalizedMatrix(values=values, columns=columns)
 
 
@@ -74,9 +76,9 @@ def entropy_weights(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropy-divergence weights and column entropies of one normalized block.
 
     p_ij = r_ij / sum_i r_ij, e_j = -(1/ln n) sum_i p ln p (0 ln 0 := 0),
-    w_j = (1 - e_j) / sum_k (1 - e_k). Columns whose divergence is below
-    1e-12 (constant or all-zero columns) get weight 0; if every column is
-    degenerate the weights are uniform.
+    w_j = (1 - e_j) / sum_k (1 - e_k). Each column is a normalized one, with
+    maximum 1. A column whose divergence is below 1e-12 gets weight 0; if
+    every one does, the weights are uniform.
     """
     block = np.asarray(block, dtype=float)
     if block.ndim != 2:
@@ -92,12 +94,7 @@ def entropy_weights(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entropies = np.empty(k)
     for j in range(k):
         col = block[:, j]
-        total = col.sum()
-        if total <= 0:
-            entropies[j] = 1.0  # no information
-            divergence[j] = 0.0
-            continue
-        p = col / total
+        p = col / col.sum()
         nz = p > 0
         e = -(p[nz] * np.log(p[nz])).sum() / log_n
         entropies[j] = e
@@ -154,39 +151,27 @@ def topsis(dims: np.ndarray) -> np.ndarray:
 def first_component_scores(values: np.ndarray) -> np.ndarray:
     """First-principal-component scores of a column-standardized matrix.
 
-    Constant columns carry no variance and are excluded; with fewer than two
-    usable columns the lone column (or a constant 0.5 vector) is returned.
+    The matrix is a normalized one: at least two rows, and every column
+    varies, as `align_and_normalize` checks.
     """
     values = np.asarray(values, dtype=float)
-    std = values.std(axis=0)
-    usable = std > 0
-    if usable.sum() == 0:
-        return np.full(values.shape[0], 0.5)
-    z = (values[:, usable] - values[:, usable].mean(axis=0)) / std[usable]
-    if usable.sum() == 1:
-        return z[:, 0]
-    corr = (z.T @ z) / (z.shape[0] - 1) if z.shape[0] > 1 else np.eye(z.shape[1])
-    eigvals, eigvecs = np.linalg.eigh(corr)
-    v1 = eigvecs[:, -1]
-    return z @ v1
+    z = (values - values.mean(axis=0)) / values.std(axis=0)
+    corr = (z.T @ z) / (z.shape[0] - 1)
+    eigvecs = np.linalg.eigh(corr)[1]  # ascending eigenvalues: the first component is last
+    return z @ eigvecs[:, -1]
 
 
 def alternative_indices(nm: NormalizedMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Equal-weight TOPSIS and the rescaled first-component composite.
 
     The PCA variant is sign-fixed to correlate positively with the
-    equal-weight index, then min-max rescaled to [0, 1].
+    equal-weight index where that varies, then min-max rescaled to [0, 1];
+    the first component's scores vary, with sample variance lambda_1 >= 1.
     """
     eq = topsis(block_aggregate(nm.values, {name: np.full(hi - lo, 1.0 / (hi - lo))
                                             for name, (lo, hi) in BLOCKS.items()}))
 
     scores = first_component_scores(nm.values)
-    if scores.std() > 0 and eq.std() > 0:
-        if np.corrcoef(scores, eq)[0, 1] < 0:
-            scores = -scores
-    rng = scores.max() - scores.min()
-    if rng == 0:
-        pca_index = np.full(len(scores), 0.5)
-    else:
-        pca_index = (scores - scores.min()) / rng
-    return eq, pca_index
+    if eq.std() > 0 and np.corrcoef(scores, eq)[0, 1] < 0:
+        scores = -scores
+    return eq, (scores - scores.min()) / (scores.max() - scores.min())

@@ -15,6 +15,15 @@ import numpy as np
 
 from .exceptions import ComputationError, ValidationError
 
+FLAT_RTOL = 1e-9  # a segment mean of k equal values is off by about k 2^-53, relative
+
+
+def is_flat(column: np.ndarray) -> bool:
+    """Whether `column` spans no more than FLAT_RTOL of its magnitude:
+    max - min <= FLAT_RTOL * max(|min|, |max|). An all-zero column is flat."""
+    mn, mx = float(column.min()), float(column.max())
+    return mx - mn <= FLAT_RTOL * max(abs(mn), abs(mx))
+
 
 # ---------------------------------------------------------------------------
 # ranks and correlation
@@ -76,7 +85,6 @@ def spearman_matrix(matrix: np.ndarray, labels: list[str]) -> CorrelationMatrix:
 @dataclass
 class VarimaxResult:
     loadings: np.ndarray     # rotated loadings
-    rotation: np.ndarray     # orthogonal rotation matrix applied
     sweeps: int
     converged: bool
 
@@ -108,7 +116,6 @@ def varimax(loadings: np.ndarray, tol: float = 1e-6, max_iter: int = 100) -> Var
     if k < 2:
         raise ValidationError(f"varimax needs at least 2 factors, got {k}")
 
-    rotation = np.eye(k)
     converged = False
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
@@ -127,28 +134,24 @@ def varimax(loadings: np.ndarray, tol: float = 1e-6, max_iter: int = 100) -> Var
                 col_a = A[:, a].copy()
                 A[:, a] = c * col_a + s * A[:, b]
                 A[:, b] = -s * col_a + c * A[:, b]
-                rot_a = rotation[:, a].copy()
-                rotation[:, a] = c * rot_a + s * rotation[:, b]
-                rotation[:, b] = -s * rot_a + c * rotation[:, b]
         if max_angle < tol:
             converged = True
             break
     if not converged:
         warnings.warn(f"varimax did not converge within {max_iter} sweeps "
                       f"(last max angle {max_angle:.3e}); returning last iterate")
-    return VarimaxResult(loadings=A, rotation=rotation, sweeps=sweeps, converged=converged)
+    return VarimaxResult(loadings=A, sweeps=sweeps, converged=converged)
 
 
-def pca(matrix: np.ndarray, n_components: int = 4,
-        column_labels: list[str] | None = None) -> PcaModel:
+def pca(matrix: np.ndarray, n_components: int = 4) -> PcaModel:
     """Correlation-matrix PCA with a deterministic sign convention.
 
     Columns are z-scored; components are eigenvectors of the correlation
     matrix sorted by descending eigenvalue, each signed so its largest-
     magnitude entry is positive. The retained components are varimax-rotated.
     `n_components` is in [1, k], as the config checks it for the nine
-    indicators (`pca_components`); `column_labels` name the columns in the
-    constant-column error.
+    indicators (`pca_components`). Every column varies: the pipeline reads
+    the indicator columns that `scoring.align_and_normalize` checked.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -156,14 +159,7 @@ def pca(matrix: np.ndarray, n_components: int = 4,
     n, k = matrix.shape
     if n < 10:
         raise ValidationError(f"PCA needs at least 10 rows, got {n}")
-    if column_labels is None:
-        column_labels = [f"col{j}" for j in range(k)]
-    std = matrix.std(axis=0, ddof=1)
-    for j in range(k):
-        if std[j] == 0:
-            raise ComputationError(f"PCA column {column_labels[j]!r} is constant")
-
-    z = (matrix - matrix.mean(axis=0)) / std
+    z = (matrix - matrix.mean(axis=0)) / matrix.std(axis=0, ddof=1)
     corr = (z.T @ z) / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(corr)
     order = np.argsort(eigvals)[::-1]

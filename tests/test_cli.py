@@ -127,6 +127,19 @@ def test_a_yaml_exponent_read_as_text_names_the_number_form(city_dir, tmp_path, 
     assert "1.0e+3" in err
 
 
+@pytest.mark.parametrize("override, key", [
+    ("poi_radius_m=inf", "poi_radius_m"),
+    ("brand_weights.local=abc", "brand_weights.local"),
+])
+def test_text_that_is_no_finite_number_gets_no_exponent_hint(city_dir, tmp_path, capsys,
+                                                             override, key):
+    argv = ["--workdir", str(city_dir), "spillover", "--config", _config(tmp_path)]
+    assert main(argv + ["--set", override]) == 1
+    err = capsys.readouterr().err
+    assert f"{key} must be" in err
+    assert "1.0e+3" not in err
+
+
 def test_nul_byte_in_a_path_exits_one(city_dir, tmp_path, capsys):
     argv = ["--workdir", str(city_dir), "spillover",
             "--config", _config(tmp_path, 'inputs: {points: "p\\0.csv"}\n')]
@@ -314,6 +327,55 @@ def _set_columns(values):
             row.update(values)
         return rows
     return edit
+
+
+# a fault that leaves one indicator the same at every segment: {indicator: (table, edit)}
+FLAT_CITIES = {
+    "cr": ("points.csv", _set_columns({"closed_left": "0", "closed_right": "0"})),
+    "sd": ("points.csv", _set_columns({"signboards_left": "0", "signboards_right": "0"})),
+    "br": ("brands.csv", _set_columns({"n_local": "0", "n_international": "0",
+                                       "n_ordinary": "0"})),
+    "gr": ("points.csv", _set_columns({"green_pixels_left": "0", "green_pixels_right": "0"})),
+    # every sampling point at one coordinate: mv is equal up to round-off
+    "mv": ("points.csv", _coincide),
+}
+
+
+@pytest.mark.parametrize("command", ["sevi", "run", "robustness"])
+@pytest.mark.parametrize("indicator", list(FLAT_CITIES))
+def test_flat_indicator_exits_one_in_normalize(city_dir, tmp_path, capsys, command, indicator):
+    city = _edited_city(city_dir, tmp_path, *FLAT_CITIES[indicator])
+    assert main(["--workdir", str(city), command, "--config", _config(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'normalize' failed" in err
+    assert f"indicator {indicator!r} is" in err
+    assert "Traceback" not in err
+    out = tmp_path / "out"
+    for name in ("sevi.csv", "weights.json", "manifest.json"):
+        assert not (out / name).exists()
+    assert _non_finite_values(out) == []
+
+
+def test_predictor_flat_on_the_segments_with_crowd_data_exits_one_in_gwr(city_dir, tmp_path,
+                                                                         capsys):
+    # closures only on s0000-s0004, which have no crowd data: cr varies over
+    # the city and passes normalize, but is the same at every segment fitted
+    few = {"s0000", "s0001", "s0002", "s0003", "s0004"}
+
+    def closures_on_few(rows):
+        for row in rows:
+            if row["segment_id"] not in few:
+                row["closed_left"] = row["closed_right"] = "0"
+        return rows
+
+    city = _edited_city(city_dir, tmp_path, "points.csv", closures_on_few)
+    _edit_table(city / "lbs.csv", lambda rows: [r for r in rows if r["segment_id"] not in few])
+    assert main(["--workdir", str(city), "run", "--config", _config(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'gwr' failed: predictor 'cr' is constant over the 155 locations" in err
+    assert "Traceback" not in err
+    assert (tmp_path / "out" / "weights.json").exists()
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 # faults of a tiny city: (table, edit)

@@ -2,16 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sevi.exceptions import ValidationError
 from sevi import scoring
-from sevi.indicators import BLOCKS, INDICATOR_NAMES
+from sevi.indicators import BLOCKS, INDICATOR_INPUTS, INDICATOR_NAMES
 from sevi.scoring import (align_and_normalize, alternative_indices, block_aggregate,
-                          compute_weight_matrix, entropy_weights, first_component_scores,
-                          topsis)
-from sevi.stats import spearman
+                          compute_weight_matrix, entropy_weights, topsis)
+from sevi.stats import is_flat, spearman
 
 CR = INDICATOR_NAMES.index("cr")
 
@@ -27,7 +26,7 @@ def _raw(n, rng=None, fill=None):
 # ---------------------------------------------------------------------------
 
 def test_minmax_column():
-    raw = np.tile([[1.0]], (3, 9))
+    raw = np.arange(27.0).reshape(3, 9)
     raw[:, 0] = [0.0, 5.0, 10.0]
     nm = align_and_normalize(raw)
     assert np.allclose(nm.values[:, 0], [0.0, 0.5, 1.0])
@@ -41,13 +40,18 @@ def test_minmax_invariant_under_positive_affine_map(rows, j, scale, shift):
     raw = np.array(rows, dtype=float)
     mapped = raw.copy()
     mapped[:, j] = scale * raw[:, j] + shift
+    flat = [name for name, col in zip(INDICATOR_NAMES, raw.T) if col.min() == col.max()]
+    if flat:  # the map keeps a column flat, and a varying one varying
+        for matrix in (raw, mapped):
+            with pytest.raises(ValidationError, match=f"indicator '{flat[0]}'"):
+                align_and_normalize(matrix)
+        return
     before, after = align_and_normalize(raw), align_and_normalize(mapped)
     np.testing.assert_allclose(after.values, before.values, rtol=0, atol=1e-9)
-    assert [c.constant for c in after.columns] == [c.constant for c in before.columns]
 
 
 def test_closure_column_is_benefit_aligned():
-    raw = np.zeros((2, 9))
+    raw = np.array([np.zeros(9), np.ones(9)])
     raw[:, CR] = [0.2, 0.8]
     nm = align_and_normalize(raw)
     # 1 - cr gives (0.8, 0.2); scaled to (1, 0)
@@ -58,12 +62,39 @@ def test_closure_column_is_benefit_aligned():
     assert meta.raw_max == pytest.approx(0.8)
 
 
-def test_constant_column_maps_to_half():
-    raw = np.zeros((3, 9))
-    raw[:, 3] = 7.0
-    nm = align_and_normalize(raw)
-    assert np.all(nm.values[:, 3] == 0.5)
-    assert nm.columns[3].constant
+@pytest.mark.parametrize("column, values, shown", [
+    pytest.param(3, [7.0, 7.0, 7.0], "7.0", id="constant"),
+    pytest.param(3, [0.0, 0.0, 0.0], "0.0", id="all-zero"),
+    # one ulp apart: a flat column up to the round-off of a segment mean
+    pytest.param(3, [7.108628229631475, 7.108628229631476, 7.108628229631475],
+                 "7.108628229631475", id="one-ulp"),
+    # 1 - cr is flat where cr is, and the raw value is shown
+    pytest.param(CR, [0.25, 0.25, 0.25], "0.25", id="closure"),
+])
+def test_flat_column_is_rejected_naming_its_inputs(column, values, shown):
+    raw = np.arange(27.0).reshape(3, 9)
+    raw[:, column] = values
+    name = INDICATOR_NAMES[column]
+    with pytest.raises(ValidationError) as err:
+        align_and_normalize(raw)
+    message = str(err.value)
+    assert f"indicator {name!r} is {shown} at all 3 segments" in message
+    assert ", ".join(INDICATOR_INPUTS[name]) in message
+
+
+def test_first_flat_column_is_named():
+    raw = np.arange(27.0).reshape(3, 9)
+    raw[:, [2, 7]] = 0.0
+    with pytest.raises(ValidationError, match="indicator 'br'"):
+        align_and_normalize(raw)
+
+
+@pytest.mark.parametrize("column, flat", [
+    ([0.0, 0.0], True), ([5.0, 5.0], True), ([-3.0, -3.0 * (1 + 1e-10)], True),
+    ([1.0, 1.0 + 2e-9], False), ([0.0, 1e-300], False), ([-1.0, 1.0], False),
+])
+def test_is_flat_is_relative_to_the_magnitude(column, flat):
+    assert is_flat(np.array(column)) is flat
 
 
 def test_non_finite_value_named():
@@ -212,15 +243,20 @@ def test_sevi_in_unit_interval(rng):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 15).flatmap(lambda n: st.lists(
-           st.lists(st.floats(0.0, 1e3), min_size=9, max_size=9), min_size=n, max_size=n)),
+           st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n, unique=True),
+           min_size=9, max_size=9)),
        st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9).filter(
            lambda w: sum(w[0:4]) > 0 and sum(w[4:7]) > 0 and sum(w[7:9]) > 0))
-def test_topsis_scores_in_unit_interval(rows, weights):
+def test_topsis_scores_in_unit_interval(columns, weights):
     # random indicator blocks under random per-block weights summing to one
+    raw = np.array(columns).T
+    aligned = raw.copy()
+    aligned[:, CR] = 1.0 - aligned[:, CR]
+    assume(not any(is_flat(col) for col in aligned.T))  # a flat indicator is an input error
     w = np.array(weights)
     wm = {"activity": w[0:4] / w[0:4].sum(), "utilization": w[4:7] / w[4:7].sum(),
           "environment": w[7:9] / w[7:9].sum()}
-    sevi = topsis(block_aggregate(align_and_normalize(np.array(rows)).values, wm))
+    sevi = topsis(block_aggregate(align_and_normalize(raw).values, wm))
     assert np.all((sevi >= 0.0) & (sevi <= 1.0))
 
 
@@ -277,12 +313,6 @@ def test_pca_index_sign_fixed_positive(rng):
     assert np.corrcoef(pca_index, eq)[0, 1] >= 0
     assert pca_index.min() >= 0.0
     assert pca_index.max() <= 1.0
-
-
-def test_first_component_scores_handles_constant_columns():
-    values = np.column_stack([np.full(10, 0.5), np.linspace(0, 1, 10)])
-    scores = first_component_scores(values)
-    assert np.allclose(scores, (values[:, 1] - values[:, 1].mean()) / values[:, 1].std())
 
 
 def test_ewm_and_equal_weight_indices_strongly_agree(rng):

@@ -120,13 +120,6 @@ def test_pca_sign_convention():
         assert col[np.argmax(np.abs(col))] > 0
 
 
-def test_pca_rejects_constant_column(rng):
-    matrix = rng.normal(size=(30, 9))
-    matrix[:, 2] = 1.0
-    with pytest.raises(ComputationError, match="constant"):
-        pca(matrix)
-
-
 def test_pca_needs_ten_rows(rng):
     with pytest.raises(ValidationError):
         pca(rng.normal(size=(9, 9)))
@@ -159,7 +152,8 @@ def test_varimax_two_factor_recovers_45_degree_rotation():
                        [0.0, 1.0], [0.0, 0.9], [0.0, 0.7]])
     mixed = simple @ _rot(math.pi / 4)
     result = varimax(mixed)
-    angle = math.atan2(result.rotation[1, 0], result.rotation[0, 0])
+    rotation = np.linalg.lstsq(mixed, result.loadings, rcond=None)[0]
+    angle = math.atan2(rotation[1, 0], rotation[0, 0])
     assert abs(abs(angle) - math.pi / 4) < 1e-6
     # up to column order and sign, the simple structure is recovered
     recovered = np.sort(np.abs(result.loadings), axis=1)
@@ -181,7 +175,8 @@ def test_varimax_preserves_communalities(rng):
     result = varimax(loadings)
     assert np.allclose((result.loadings ** 2).sum(axis=1),
                        (loadings ** 2).sum(axis=1), atol=1e-9)
-    assert np.allclose(result.rotation.T @ result.rotation, np.eye(4), atol=1e-9)
+    rotation = np.linalg.lstsq(loadings, result.loadings, rcond=None)[0]
+    assert np.allclose(rotation.T @ rotation, np.eye(4), atol=1e-9)
 
 
 def test_varimax_warns_on_non_convergence(rng):
