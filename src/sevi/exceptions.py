@@ -48,9 +48,11 @@ class TransportError(ComputationError):
 
 
 class StageError(SeviError):
-    """Wraps any error raised inside a named pipeline stage."""
+    """Wraps any error raised inside a named pipeline stage; `setting`, if
+    given, names the spillover setting that the stage's analysis ran under."""
 
-    def __init__(self, stage, cause):
+    def __init__(self, stage, cause, setting=None):
         self.stage = stage
         self.cause = cause
-        super().__init__(f"stage '{stage}' failed: {cause}")
+        where = f" for {setting}" if setting else ""
+        super().__init__(f"stage '{stage}' failed{where}: {cause}")

@@ -5,7 +5,8 @@ row per record in file order (`PointTable`, `PoiTable`). A point's sixteen
 detection counts are one row of an (n, 16) int64 matrix in COUNT_COLUMNS
 order. The route order sorts the segments by id and each segment's points by
 `order`; `PointTable.route` holds it as a permutation plus run bounds, so
-a per-segment reduction reads one contiguous slice of the permuted column.
+a per-segment reduction, as `PointTable.segment_means`, reads one contiguous
+slice of the permuted column. `PointTable.by_id` holds the point-id order.
 
 Ingestion reads a table from a CSV file or from a GeoJSON FeatureCollection
 (a feature's number is its row, a Point's coordinates fill `lon`/`lat`) and
@@ -159,6 +160,21 @@ class PointTable:
         bounds = np.searchsorted(code[perm], np.arange(len(segment_ids) + 1))
         perm.flags.writeable = bounds.flags.writeable = False
         return segment_ids.tolist(), perm, bounds
+
+    def segment_means(self, column) -> np.ndarray:
+        """Per segment of `route`, the mean of `column` (a float per point, in
+        table order): its values added in route order over their count, as np.mean."""
+        _, perm, bounds = self.route
+        values, edges = column[perm], bounds.tolist()
+        sums = [values[lo:hi].sum() for lo, hi in zip(edges, edges[1:])]
+        return np.array(sums) / np.diff(bounds)
+
+    @cached_property
+    def by_id(self) -> np.ndarray:
+        """The rows in point-id order, computed once per table and read-only."""
+        order = np.argsort(self.ids)
+        order.flags.writeable = False
+        return order
 
 
 # candidate (location, POI) pairs `PoiTable.counts_within` tests at once;

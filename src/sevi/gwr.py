@@ -62,7 +62,8 @@ class GwrDesign:
         predictor must vary over the n locations (`stats.is_flat`): on a
         subset of the city, such as the segments with crowd data, a flat
         predictor is collinear with the intercept in every local fit
-        (Wheeler & Tiefelsdorf, J. Geogr. Syst. 2005)."""
+        (Wheeler & Tiefelsdorf, J. Geogr. Syst. 2005). There are more than
+        k + 2 locations, as the `gwr` stage checks."""
         coords = np.asarray(coords, dtype=float).reshape(-1, 2)
         predictors = np.atleast_2d(np.asarray(predictors, dtype=float))
         y = np.asarray(y, dtype=float)
@@ -73,8 +74,6 @@ class GwrDesign:
             raise ValidationError(
                 f"row mismatch: coords {coords.shape[0]}, X {n}, y {len(y)}"
             )
-        if n <= k + 2:
-            raise ValidationError(f"need n > k+2 observations, got n={n}, k={k}")
         if not np.all(np.isfinite(coords)):
             raise ValidationError("coordinates must be finite")
         if not (np.all(np.isfinite(predictors)) and np.all(np.isfinite(y))):

@@ -7,9 +7,9 @@ are summed over both sides of every point of a segment with
 `np.add.reduceat`, which is exact on integers, and divided by the segment
 length once. The brand-premium series is smoothed in one pass over the
 route (`smooth_along_route` with the segment bounds). The signboard-weighted
-brand numerator and the mean spillover stay one `np.sum` per segment
-slice: `np.add.reduceat` would add the floats in another order than the
-pairwise summation of `np.sum` and move the last bits of the results.
+brand numerator and the mean spillover (`PointTable.segment_means`) stay one
+`np.sum` per segment slice: `np.add.reduceat` would add the floats in another
+order than the pairwise summation of `np.sum` and move their last bits.
 """
 
 from __future__ import annotations
@@ -116,20 +116,18 @@ def indicator_table(points: PointTable, segments: dict[str, StreetSegment],
     ns = points.both_sides("signboards")
     ratio = np.where(ns > 0, score / np.maximum(ns, 1), 0.0)[perm]
     ns_route = ns[perm].astype(float)
-    mv_route = np.asarray(mv_point, dtype=float)[perm]
 
     ns_seg = total("signboards")
     smoothed = smooth_along_route(ratio, window, bounds)
     slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
     weighted = smoothed * ns_route
     br_sum = np.array([weighted[k].sum() for k in slices])
-    mv = np.array([mv_route[k].sum() for k in slices]) / np.diff(bounds)  # as np.mean
 
     closed = np.minimum(total("closed"), ns_seg)  # so 0 where there are no signboards
     pixels = total("total_pixels")
     matrix = np.column_stack([
         ns_seg / length, closed / np.maximum(ns_seg, 1),
-        np.where(ns_seg > 0, br_sum / np.maximum(ns_seg, 1), 0.0), mv,
+        np.where(ns_seg > 0, br_sum / np.maximum(ns_seg, 1), 0.0), points.segment_means(mv_point),
         total("motor") / length, total("nonmotor") / length, total("persons") / length,
         np.where(pixels == 0, 0.0, total("green_pixels") / np.maximum(pixels, 1)),
         total("glass") / length,

@@ -12,11 +12,12 @@ design many times (the bandwidth search) passes them to every call. The
 full fit adds one GEMM for X'W^2X, which gives the hat-row norms; the AICc
 search reads neither them nor the coefficients and skips it.
 
-After the loop, one path serves both modes: a stacked LAPACK Cholesky
-applies the pivot rule to all n systems, and a system whose smallest pivot
-falls below `_CHOL_TOL` of its largest diagonal is ridged and flagged. If a
-system stays singular after its ridge, the call returns the flags alone;
-otherwise one `np.linalg.solve` runs over all n systems in place.
+After the loop, one path serves both modes: `_failed_pivots`, a stacked
+LAPACK Cholesky, finds the systems whose smallest pivot falls below
+`_CHOL_TOL` of their largest diagonal, and one more call tests them all
+ridged. If a system stays singular after its ridge, the call returns the
+flags alone; otherwise one `np.linalg.solve` runs over all n systems in
+place. `_distances` measures the distances of both kernels.
 
 Row blocks are sized by GEMM work, not by weights: a block of `rows`
 locations multiplies its (rows, n) weights by an (n, width) operand, and
@@ -63,7 +64,7 @@ def spill_field(px, py, ax, ay, sigma, d_max, decay):
     out = np.zeros(n)
     for lo in range(0, n, _SPILL_CHUNK):
         hi = min(lo + _SPILL_CHUNK, n)
-        d = np.hypot(ax[None, :] - px[lo:hi, None], ay[None, :] - py[lo:hi, None])
+        d = _distances(px[lo:hi], py[lo:hi], ax, ay)
         inside = d <= d_max
         if decay == "gaussian":
             vals = np.exp(-(d * d) / (2.0 * sigma[None, :] ** 2))
@@ -79,58 +80,49 @@ def spill_field(px, py, ax, ay, sigma, d_max, decay):
 # GWR local weighted least squares
 # ---------------------------------------------------------------------------
 
-def _chol(A):
-    """Lower Cholesky factor of A, or None when A fails the pivot rule: its
-    largest diagonal is not positive, LAPACK finds it not positive definite,
-    or a squared pivot is at most `_CHOL_TOL` times the largest diagonal."""
-    dmax = float(np.max(np.diag(A)))
-    if dmax <= 0.0:
-        return None
+def _failed_pivots(A):
+    """Mask of the stacked systems A (s, p, p) that fail the pivot rule:
+    LAPACK finds the system not positive definite, or its smallest squared
+    pivot is at most `_CHOL_TOL` times its largest diagonal. LAPACK raises
+    for the whole stack, so then each system is tested alone."""
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        return None
-    if float(np.min(np.diag(L))) ** 2 <= _CHOL_TOL * dmax:
-        return None
-    return L
+        if len(A) == 1:
+            return np.ones(1, dtype=bool)
+        return np.concatenate([_failed_pivots(A[r:r + 1]) for r in range(len(A))])
+    dmax = np.max(np.diagonal(A, axis1=1, axis2=2), axis=1)
+    dmin_l = np.min(np.diagonal(L, axis1=1, axis2=2), axis=1)
+    return dmin_l ** 2 <= _CHOL_TOL * dmax
 
 
 def _apply_pivot_rule(A):
     """Flags (0 clean, 1 ridged, 2 singular) of the stacked systems A under
-    `_chol`'s pivot rule. A failing system gets a ridge of `RIDGE_REL` times
-    its mean diagonal and, if that passes, is replaced by it in A."""
+    the pivot rule of `_failed_pivots`. A failing system gets a ridge of
+    `RIDGE_REL` times its mean diagonal and, if that passes, is replaced by
+    it in A."""
     p = A.shape[1]
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:  # raised for the whole stack; find the culprits
-        failed = np.array([_chol(a) is None for a in A], dtype=bool)
-    else:
-        dmax = np.max(np.diagonal(A, axis1=1, axis2=2), axis=1)
-        dmin_l = np.min(np.diagonal(L, axis1=1, axis2=2), axis=1)
-        failed = dmin_l ** 2 <= _CHOL_TOL * dmax
     flags = np.zeros(len(A), dtype=np.int8)
-    for r in np.flatnonzero(failed):
-        lam = RIDGE_REL * float(np.trace(A[r])) / p
-        ridged = A[r] + lam * np.eye(p)
-        if _chol(ridged) is None:
-            flags[r] = FLAG_SINGULAR
-        else:
-            A[r] = ridged
-            flags[r] = FLAG_RIDGED
+    failed = np.flatnonzero(_failed_pivots(A))
+    lam = RIDGE_REL * np.trace(A[failed], axis1=1, axis2=2) / p
+    ridged = A[failed] + lam[:, None, None] * np.eye(p)
+    singular = _failed_pivots(ridged)
+    flags[failed] = np.where(singular, FLAG_SINGULAR, FLAG_RIDGED)
+    A[failed[~singular]] = ridged[~singular]
     return flags
 
 
-def _distance_rows(coords, lo, hi):
-    """Euclidean distances (hi - lo, n) from rows lo:hi of the (n, 2) `coords`
-    to every row."""
-    x, y = coords[:, 0], coords[:, 1]
-    return np.hypot(x[None, :] - x[lo:hi, None], y[None, :] - y[lo:hi, None])
+def _distances(px, py, sx, sy):
+    """Euclidean distances (len(px), len(sx)) from each point (px, py) to
+    each site (sx, sy)."""
+    return np.hypot(sx[None, :] - px[:, None], sy[None, :] - py[:, None])
 
 
 def pairwise_distances(coords):
     """(n, n) Euclidean distances between the rows of `coords`; its row
     blocks are bit-equal to those `gwr_fit_all` measures without it."""
-    return _distance_rows(coords, 0, len(coords))
+    x, y = coords[:, 0], coords[:, 1]
+    return _distances(x, y, x, y)
 
 
 class GwrOperands(NamedTuple):
@@ -196,10 +188,11 @@ def gwr_fit_all(coords, X, Y, bandwidths, kernel, operands, dist=None, full=True
     B = np.empty((n, p, m))
     M = np.empty((n, p, p)) if full else None
 
+    x, y = coords[:, 0], coords[:, 1]
     rows = _block_rows(n, p, m)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        d = _distance_rows(coords, lo, hi) if dist is None else dist[lo:hi]
+        d = _distances(x[lo:hi], y[lo:hi], x, y) if dist is None else dist[lo:hi]
         t = d / bandwidths[lo:hi, None]
         if kernel == "gaussian":
             W = np.exp(-0.5 * t * t)

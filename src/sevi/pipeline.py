@@ -12,10 +12,11 @@ stage; the loop records the stage in the manifest of per-file checksums and
 stops after the `until` group, and the manifest is written inside the last
 stage that ran; the `load` stage deletes the manifest of an earlier run, so a
 failed run leaves none. `robustness` reads one analysis per spillover setting
-of its sweeps and writes its reports inside a stage of its own; `ingest`
-loads the input tables and writes validated copies inside an `ingest` stage,
-and `decode_to_files` decodes and writes its assignments inside a `brands
-decode` stage; each makes its output directory inside its first stage.
+of its sweeps, whose stage errors name it, and writes its reports inside a
+stage of its own; `ingest` loads the input tables and writes validated copies
+inside an `ingest` stage, and `decode_to_files` decodes and writes its
+assignments inside a `brands decode` stage; each makes its output directory
+inside its first stage.
 
 `CONFIG_KEYS` gives each leaf key of the config its default and its kind;
 `DEFAULT_CONFIG` is built from it by the walk that `--set` uses.
@@ -355,22 +356,22 @@ def _tier_validation(tables: CityTables, point_br: np.ndarray,
 
 
 @contextmanager
-def _run_stage(name: str):
+def _run_stage(name: str, setting: str | None = None):
     """Turn a package error or a failed file operation inside the block into
-    a StageError naming `name`; one a nested stage already wrapped passes."""
+    a StageError naming `name` and `setting`; one already wrapped passes."""
     try:
         yield
     except StageError:
         raise
     except (SeviError, OSError) as exc:
-        raise StageError(name, exc) from exc
+        raise StageError(name, exc, setting) from exc
 
 
 def _stage_result(compute):
     """A cached property, computed on first read inside the stage it names."""
     @wraps(compute)
     def in_stage(self):
-        with _run_stage(compute.__name__):
+        with _run_stage(compute.__name__, getattr(self, "setting", None)):
             return compute(self)
     return cached_property(in_stage)
 
@@ -410,12 +411,12 @@ class _Analysis:
 
     city: _City
     sp_cfg: spillover.SpilloverConfig
+    setting: str | None = None  # names sp_cfg in an error where several settings are analysed
 
     @_stage_result
     def spillover_field(self) -> np.ndarray:
-        points = self.city.load.points
-        return spillover.field_all(np.column_stack((points.x, points.y)),
-                                   self.city.load.anchors, self.city.calibrate_sigma, self.sp_cfg)
+        return spillover.field_all(self.city.load.points, self.city.load.anchors,
+                                   self.city.calibrate_sigma, self.sp_cfg)
 
     @_stage_result
     def indicators(self):
@@ -473,12 +474,8 @@ class _Analysis:
                     f"crowd intensity of period {period!r} is {float(column[0])!r} at all "
                     f"{len(usable)} segments with crowd data; a constant response leaves "
                     "nothing to fit")
-        # each segment's centroid is the mean over its route slice, as its mv is
-        _, perm, bounds = tables.points.route
-        x, y = tables.points.x[perm], tables.points.y[perm]
-        edges = bounds.tolist()
-        centroids = np.array([[np.mean(x[lo:hi]), np.mean(y[lo:hi])]
-                              for lo, hi in zip(edges, edges[1:])]).reshape(-1, 2)
+        points = tables.points
+        centroids = np.column_stack([points.segment_means(c) for c in (points.x, points.y)])
         rows = [pos[sid] for sid in usable]
         design = GwrDesign.build(
             centroids[rows], x_matrix[rows, :], Y,
@@ -514,9 +511,8 @@ def emit_geojson(path: Path, tables: CityTables,
             for sid in sorted(properties))
     else:
         pts = tables.points
-        by_id = np.argsort(pts.ids)
         features = ((pid, sid, "Point", position(lon, lat)) for pid, sid, lon, lat in zip(
-            *(c[by_id].tolist() for c in (pts.ids, pts.segment_ids, pts.lon, pts.lat)))
+            *(c[pts.by_id].tolist() for c in (pts.ids, pts.segment_ids, pts.lon, pts.lat)))
             if sid in properties)
     # the collection is framed by hand and each feature written as it is
     # built, so the document's text is never held in memory
@@ -552,11 +548,10 @@ def _write_sigma(a: _Analysis, outdir: Path) -> list[str]:
 
 def _write_mv(a: _Analysis, outdir: Path) -> list[str]:
     # in point-id order, so the file does not depend on the input row order
-    ids = a.city.load.points.ids
-    by_id = np.argsort(ids)
+    points = a.city.load.points
     return [write_csv(outdir / "mv.csv",
                       ("point_id", f"mv_{a.sp_cfg.decay}_{int(a.sp_cfg.threshold_m)}"),
-                      (ids[by_id], a.spillover_field[by_id]))]
+                      (points.ids[points.by_id], a.spillover_field[points.by_id]))]
 
 
 def _write_indicators(a: _Analysis, outdir: Path) -> list[str]:
@@ -731,10 +726,11 @@ def robustness(config: PipelineConfig, workdir: Path) -> dict:
     sp = config.raw["spillover"]
     base = config.spillover_config()
     thresholds = [float(d) for d in sp["sweep_thresholds"]]
-    analyses = {(base.threshold_m, base.decay): _Analysis(city, base)}
-    for key in ([(d, base.decay) for d in thresholds]
+    analyses = {}
+    for key in ([(base.threshold_m, base.decay)] + [(d, base.decay) for d in thresholds]
                 + [(base.threshold_m, decay) for decay in sp["sweep_decays"]]):
-        analyses.setdefault(key, _Analysis(city, spillover.SpilloverConfig(*key)))
+        analyses.setdefault(key, _Analysis(city, spillover.SpilloverConfig(*key),
+                                           f"spillover threshold {int(key[0])} m, decay {key[1]}"))
     # each result is computed inside its own stage; the reports are written
     # inside this one
     with _run_stage("robustness"):

@@ -1,5 +1,6 @@
 """Directional alignment, min-max normalization, entropy weighting,
-block aggregation, TOPSIS closeness, and the two alternative composites.
+block aggregation, TOPSIS closeness, and the two alternative composites
+(the PCA one from `stats.correlation_components`).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .indicators import BLOCKS, INDICATOR_INPUTS, INDICATOR_NAMES
-from .stats import FLAT_RTOL, is_flat
+from .stats import FLAT_RTOL, correlation_components, is_flat
 
 _ENTROPY_SNAP = 1e-12  # divergences below this are indistinguishable from zero
 
@@ -148,30 +149,20 @@ def topsis(dims: np.ndarray) -> np.ndarray:
     return np.where(denom == 0.0, 0.5, d_minus / np.where(denom == 0.0, 1.0, denom))
 
 
-def first_component_scores(values: np.ndarray) -> np.ndarray:
-    """First-principal-component scores of a column-standardized matrix.
-
-    The matrix is a normalized one: at least two rows, and every column
-    varies, as `align_and_normalize` checks.
-    """
-    values = np.asarray(values, dtype=float)
-    z = (values - values.mean(axis=0)) / values.std(axis=0)
-    corr = (z.T @ z) / (z.shape[0] - 1)
-    eigvecs = np.linalg.eigh(corr)[1]  # ascending eigenvalues: the first component is last
-    return z @ eigvecs[:, -1]
-
-
 def alternative_indices(nm: NormalizedMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Equal-weight TOPSIS and the rescaled first-component composite.
 
-    The PCA variant is sign-fixed to correlate positively with the
-    equal-weight index where that varies, then min-max rescaled to [0, 1];
-    the first component's scores vary, with sample variance lambda_1 >= 1.
+    The PCA variant is the z-scores times the first eigenvector of
+    `correlation_components`, with that function's sign where the
+    equal-weight index is constant and correlating positively with it
+    elsewhere, min-max rescaled to [0, 1]; the first component's scores
+    vary, with sample variance lambda_1 >= 1.
     """
     eq = topsis(block_aggregate(nm.values, {name: np.full(hi - lo, 1.0 / (hi - lo))
                                             for name, (lo, hi) in BLOCKS.items()}))
 
-    scores = first_component_scores(nm.values)
+    z, _, eigvecs = correlation_components(nm.values)
+    scores = z @ eigvecs[:, 0]
     if eq.std() > 0 and np.corrcoef(scores, eq)[0, 1] < 0:
         scores = -scores
     return eq, (scores - scores.min()) / (scores.max() - scores.min())

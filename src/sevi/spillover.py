@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .exceptions import CalibrationError, ComputationError
-from .geodata import MallAnchor
+from .geodata import MallAnchor, PointTable
 
 DECAYS = ("gaussian", "exponential", "linear")
 DEFAULT_THRESHOLD_M = 2000.0
@@ -66,6 +66,8 @@ def calibrate_sigma(anchors: list[MallAnchor]) -> SigmaTable:
         y = np.array([a.y for a in members], dtype=float)
         dx = x[:, None] - x[None, :]
         dy = y[:, None] - y[None, :]
+        # not `kernels._distances`: np.hypot rounds some of these distances one
+        # unit in the last place away from this sqrt, and sigma would move
         dist = np.sqrt(dx * dx + dy * dy)
         # an anchor is not its own competitor; a coincident twin still gives 0
         np.fill_diagonal(dist, np.inf)
@@ -101,21 +103,15 @@ def _sorted_anchor_arrays(anchors: list[MallAnchor], sigma_table: SigmaTable):
     return ax, ay, sig
 
 
-def field_all(xy: np.ndarray, anchors: list[MallAnchor], sigma_table: SigmaTable,
+def field_all(points: PointTable, anchors: list[MallAnchor], sigma_table: SigmaTable,
               config: SpilloverConfig) -> np.ndarray:
-    """Spillover values for a full point set via `kernels.spill_field`.
+    """Spillover values at the points (`points.x`, `points.y`) via
+    `kernels.spill_field`.
 
     The kernel evaluates the gate directly over the id-sorted anchor arrays;
     the tests hold it to a scalar scan of the same arrays, one point at a
     time (`field_at` in `tests/oracles.py`).
     """
-    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-    if len(xy) == 0:
-        return np.zeros(0)
     ax, ay, sig = _sorted_anchor_arrays(anchors, sigma_table)
-    if len(ax) == 0:
-        return np.zeros(len(xy))
-    return kernels.spill_field(
-        np.ascontiguousarray(xy[:, 0]), np.ascontiguousarray(xy[:, 1]),
-        ax, ay, sig, float(config.threshold_m), config.decay,
-    )
+    return kernels.spill_field(points.x, points.y, ax, ay, sig, float(config.threshold_m),
+                               config.decay)

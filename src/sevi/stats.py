@@ -1,8 +1,8 @@
 """Rank statistics, PCA with varimax rotation, and the Kruskal-Wallis test.
 
-Ranks, correlations, PCA and the H statistic are computed here with numpy;
-the chi-square tail probability of H is a closed-form sum over the integer
-degrees of freedom.
+Ranks, correlations, the correlation eigendecomposition that `pca` and
+`scoring.alternative_indices` read, and the H statistic are computed here
+with numpy; the chi-square tail of H is a closed-form sum.
 """
 
 from __future__ import annotations
@@ -143,22 +143,12 @@ def varimax(loadings: np.ndarray, tol: float = 1e-6, max_iter: int = 100) -> Var
     return VarimaxResult(loadings=A, sweeps=sweeps, converged=converged)
 
 
-def pca(matrix: np.ndarray, n_components: int = 4) -> PcaModel:
-    """Correlation-matrix PCA with a deterministic sign convention.
-
-    Columns are z-scored; components are eigenvectors of the correlation
-    matrix sorted by descending eigenvalue, each signed so its largest-
-    magnitude entry is positive. The retained components are varimax-rotated.
-    `n_components` is in [1, k], as the config checks it for the nine
-    indicators (`pca_components`). Every column varies: the pipeline reads
-    the indicator columns that `scoring.align_and_normalize` checked.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValidationError(f"expected a 2-D matrix, got shape {matrix.shape}")
+def correlation_components(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The z-scores of the columns of `matrix` (n, k), the eigenvalues of
+    their correlation matrix in descending order, clipped at 0, and its
+    eigenvectors as columns in that order, each signed so that its
+    largest-magnitude entry is positive. Every column varies, and n >= 2."""
     n, k = matrix.shape
-    if n < 10:
-        raise ValidationError(f"PCA needs at least 10 rows, got {n}")
     z = (matrix - matrix.mean(axis=0)) / matrix.std(axis=0, ddof=1)
     corr = (z.T @ z) / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(corr)
@@ -169,6 +159,24 @@ def pca(matrix: np.ndarray, n_components: int = 4) -> PcaModel:
         peak = np.argmax(np.abs(eigvecs[:, j]))
         if eigvecs[peak, j] < 0:
             eigvecs[:, j] = -eigvecs[:, j]
+    return z, eigvals, eigvecs
+
+
+def pca(matrix: np.ndarray, n_components: int = 4) -> PcaModel:
+    """Correlation-matrix PCA with a deterministic sign convention.
+
+    The components are those of `correlation_components`; the retained ones
+    are varimax-rotated. `n_components` is in [1, k], as the config checks
+    it for the nine indicators (`pca_components`). Every column varies: the
+    pipeline reads the indicator columns that `scoring.align_and_normalize`
+    checked.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2:
+        raise ValidationError(f"expected a 2-D matrix, got shape {matrix.shape}")
+    if len(matrix) < 10:
+        raise ValidationError(f"PCA needs at least 10 rows, got {len(matrix)}")
+    _, eigvals, eigvecs = correlation_components(matrix)
 
     ratios = eigvals / eigvals.sum()
     retained = eigvecs[:, :n_components]

@@ -23,7 +23,8 @@ from sevi.synth import generate_city
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = ("gwr_summary.json", "weights.json", "kw.json", "pca_summary.json",
-          "tier_validation.csv", "coef_summary.csv", "gwr_we_md.csv", "robustness.json")
+          "tier_validation.csv", "coef_summary.csv", "gwr_we_md.csv", "robustness.json",
+          "sigma.csv", "indicators.csv", "sevi.csv", "pca_loadings.csv")
 # the search outcome is compared exactly; so are text and integers
 EXACT = frozenset({"bandwidth_m", "aicc_evals", "bandwidth_boundary"})
 TOLERANCE = 1.5e-6  # absolute, for every other float

@@ -2,15 +2,19 @@
 
 `decay_value` and `field_at` give the spillover field one term and one
 point at a time, as `spillover.field_all` must; `kernel_weight` gives one
-GWR weight, as `kernels.gwr_fit_all`'s row blocks must. No command calls
-them, so they live with the tests.
+GWR weight, as `kernels.gwr_fit_all`'s row blocks must; `chol` applies the
+pivot rule to one local system, as `kernels._failed_pivots` does to a
+stack. No command calls them, so they live with the tests.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from sevi.exceptions import ValidationError
+from sevi.kernels import _CHOL_TOL
 from sevi.geodata import MallAnchor
 from sevi.spillover import SigmaTable, SpilloverConfig, _sorted_anchor_arrays
 
@@ -56,3 +60,19 @@ def kernel_weight(d: float, bandwidth: float, kernel: str = "gaussian") -> float
     if kernel == "bisquare":
         return (1.0 - t * t) ** 2 if t < 1.0 else 0.0
     raise ValidationError(f"unknown kernel {kernel!r}")
+
+
+def chol(A):
+    """Lower Cholesky factor of A, or None when A fails the pivot rule: its
+    largest diagonal is not positive, LAPACK finds it not positive definite,
+    or a squared pivot is at most `_CHOL_TOL` times the largest diagonal."""
+    dmax = float(np.max(np.diag(A)))
+    if dmax <= 0.0:
+        return None
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    if float(np.min(np.diag(L))) ** 2 <= _CHOL_TOL * dmax:
+        return None
+    return L

@@ -356,6 +356,19 @@ def test_flat_indicator_exits_one_in_normalize(city_dir, tmp_path, capsys, comma
     assert _non_finite_values(out) == []
 
 
+def test_a_sweep_failure_names_its_spillover_setting(city_dir, tmp_path, capsys):
+    # every point at one coordinate: mv is flat at every setting. robustness
+    # computes the 1000 m threshold variant first, whose mv differs from that
+    # of the 2000 m default, so its message names the setting; run's does not
+    city = _edited_city(city_dir, tmp_path, *FLAT_CITIES["mv"])
+    assert main(["--workdir", str(city), "robustness", "--config", _config(tmp_path)]) == 1
+    assert ("stage 'normalize' failed for spillover threshold 1000 m, decay gaussian: "
+            "indicator 'mv' is 0.0 at all 160 segments") in capsys.readouterr().err
+    assert main(["--workdir", str(city), "run", "--config", _config(tmp_path)]) == 1
+    assert ("stage 'normalize' failed: indicator 'mv' is 2.0631209802478314 at all 160 "
+            "segments") in capsys.readouterr().err
+
+
 def test_predictor_flat_on_the_segments_with_crowd_data_exits_one_in_gwr(city_dir, tmp_path,
                                                                          capsys):
     # closures only on s0000-s0004, which have no crowd data: cr varies over

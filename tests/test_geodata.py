@@ -80,6 +80,30 @@ def test_route_sorts_segments_by_id_and_points_by_order():
     assert points.both_sides("signboards").tolist() == [0, 0, 0, 4]
 
 
+def test_segment_means_equal_np_mean_over_each_segment_in_route_order():
+    # one-point segments among longer ones, the rows shuffled, and values
+    # spanning nine orders of magnitude, so the order of the additions shows
+    rng = np.random.default_rng(8)
+    sizes = [1, 3, 1, 9, 17, 2, 40, 1]
+    rows = [point_row(f"p{k}.{j}", segment_id=f"s{k}", order=int(rank))
+            for k, size in enumerate(sizes) for j, rank in enumerate(rng.permutation(size))]
+    points = make_points(*(rows[i] for i in rng.permutation(len(rows))))
+    column = rng.normal(size=len(points)) * 10.0 ** rng.uniform(-3, 6, len(points))
+    want = []
+    for sid in sorted(set(points.segment_ids.tolist())):
+        rows_of = np.flatnonzero(points.segment_ids == sid)
+        want.append(np.mean(column[rows_of[np.argsort(points.order[rows_of])]]))
+    assert np.array_equal(points.segment_means(column), np.array(want))
+
+
+def test_id_order_is_computed_once_and_read_only():
+    points = make_points(*(point_row(pid) for pid in ("p10", "p2", "p1")))
+    assert points.ids[points.by_id].tolist() == ["p1", "p10", "p2"]
+    assert points.by_id is points.by_id
+    with pytest.raises(ValueError):
+        points.by_id[0] = 1
+
+
 # ---------------------------------------------------------------------------
 # radius join (POI counts per point) and the active filter
 # ---------------------------------------------------------------------------

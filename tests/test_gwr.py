@@ -82,13 +82,6 @@ def test_design_rejects_constant_predictor(rng):
         GwrDesign.build(coords, predictors, rng.normal(size=20))
 
 
-def test_design_rejects_too_few_rows(rng):
-    coords = rng.uniform(0, 100, (5, 2))
-    predictors = rng.normal(size=(5, 3))
-    with pytest.raises(ValidationError, match="n > k\\+2"):
-        GwrDesign.build(coords, predictors, rng.normal(size=5))
-
-
 def test_design_holds_responses_as_columns(rng):
     coords = rng.uniform(0, 100, (20, 2))
     predictors = rng.normal(size=(20, 2))
@@ -494,7 +487,7 @@ def test_one_distance_matrix_per_fit(rng, monkeypatch, bandwidth, matrices):
     design = _drifting_design(rng, "gaussian")
     calls = {"matrix": 0, "rows": 0}
     fitted = {True: [], False: []}  # the bandwidth of each kernel call, by `full`
-    pairwise_distances, distance_rows = kernels.pairwise_distances, kernels._distance_rows
+    pairwise_distances, distances = kernels.pairwise_distances, kernels._distances
     gwr_fit_all = kernels.gwr_fit_all
 
     def count_fits(coords, X, Y, bandwidths, kernel, operands, dist=None, full=True):
@@ -510,12 +503,12 @@ def test_one_distance_matrix_per_fit(rng, monkeypatch, bandwidth, matrices):
         calls["matrix"] += 1
         return pairwise_distances(coords)
 
-    def count_rows(coords, lo, hi):
+    def count_rows(px, py, sx, sy):
         calls["rows"] += 1
-        return distance_rows(coords, lo, hi)
+        return distances(px, py, sx, sy)
 
     monkeypatch.setattr(kernels, "pairwise_distances", count_matrix)
-    monkeypatch.setattr(kernels, "_distance_rows", count_rows)
+    monkeypatch.setattr(kernels, "_distances", count_rows)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fits = gwr.fit(design, bandwidth)
@@ -526,7 +519,7 @@ def test_one_distance_matrix_per_fit(rng, monkeypatch, bandwidth, matrices):
         assert len(fitted[True]) == len({fit.bandwidth for fit in fits})
     assert calls["matrix"] == matrices
     blocks = -(-design.n // kernels._block_rows(design.n, design.n_params, 8))
-    # the matrix is itself one `_distance_rows` call over all rows
+    # the matrix is itself one `_distances` call over all rows
     assert calls["rows"] == (1 if matrices else blocks)
 
 

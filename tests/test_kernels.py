@@ -4,7 +4,7 @@ import pytest
 from sevi import kernels
 from sevi.gwr import adaptive_bandwidths
 
-from .oracles import kernel_weight
+from .oracles import chol, kernel_weight
 
 
 def _fit_all(coords, X, Y, bandwidths, kernel, dist=None, full=True):
@@ -37,14 +37,14 @@ def _oracle(coords, X, y, bandwidths, kernel, rows=None):
 
 
 def _reference_flags(coords, X, bandwidths, kernel):
-    """Per-location pivot rule, ridge and singular verdict, one `_chol` at a time."""
+    """Per-location pivot rule, ridge and singular verdict, one `chol` at a time."""
     n, p = X.shape
     flags = np.zeros(n, dtype=np.int8)
     for i in range(n):
         _, A = _local_system(coords, X, bandwidths, kernel, i)
-        if kernels._chol(A) is None:
+        if chol(A) is None:
             lam = kernels.RIDGE_REL * np.trace(A) / p
-            ridged = kernels._chol(A + lam * np.eye(p)) is not None
+            ridged = chol(A + lam * np.eye(p)) is not None
             flags[i] = kernels.FLAG_RIDGED if ridged else kernels.FLAG_SINGULAR
     return flags
 
@@ -138,16 +138,24 @@ def _mixed_block(zero_row):
     return coords, X, rng.normal(size=n), np.full(n, 100.0)
 
 
-def _counting_chol(monkeypatch):
+def _counting_fallback(monkeypatch):
+    """A list that gets one entry per system that `kernels._failed_pivots`
+    tests alone."""
     calls = []
-    chol = kernels._chol
-    monkeypatch.setattr(kernels, "_chol", lambda A: calls.append(1) or chol(A))
+    failed_pivots = kernels._failed_pivots
+
+    def count(A):
+        if len(A) == 1:
+            calls.append(1)
+        return failed_pivots(A)
+
+    monkeypatch.setattr(kernels, "_failed_pivots", count)
     return calls
 
 
 def test_mixed_block_falls_back_to_per_row_pivot_rule(monkeypatch):
     coords, X, y, bw = _mixed_block(zero_row=True)
-    calls = _counting_chol(monkeypatch)
+    calls = _counting_fallback(monkeypatch)
 
     *solution, flags = _fit_all(coords, X, y[:, None], bw, "bisquare")
 
@@ -161,7 +169,7 @@ def test_mixed_block_falls_back_to_per_row_pivot_rule(monkeypatch):
 
 def test_per_row_fallback_solves_clean_and_ridged_rows(monkeypatch):
     coords, X, y, bw = _mixed_block(zero_row=False)
-    calls = _counting_chol(monkeypatch)
+    calls = _counting_fallback(monkeypatch)
 
     beta, _, _, _, flags = _fit_all(coords, X, y[:, None], bw, "bisquare")
 
@@ -172,6 +180,62 @@ def test_per_row_fallback_solves_clean_and_ridged_rows(monkeypatch):
     want_beta = _oracle(coords, X, y, bw, "bisquare", rows=clean)[0]
     np.testing.assert_allclose(beta[clean, :, 0], want_beta[clean], rtol=1e-10, atol=0)
     assert np.all(np.isfinite(beta))
+
+
+def _apply_pivot_rule_before(A):
+    """`kernels._apply_pivot_rule` as it was before the ridged systems were
+    tested as one stack: one `chol` per failing system."""
+    p = A.shape[1]
+    flags = np.zeros(len(A), dtype=np.int8)
+    for r in np.flatnonzero(_failed_pivots_before(A)):
+        lam = kernels.RIDGE_REL * float(np.trace(A[r])) / p
+        ridged = A[r] + lam * np.eye(p)
+        if chol(ridged) is None:
+            flags[r] = kernels.FLAG_SINGULAR
+        else:
+            A[r] = ridged
+            flags[r] = kernels.FLAG_RIDGED
+    return flags
+
+
+@pytest.mark.parametrize("stack_passes", [True, False])
+def test_stacked_pivot_rule_and_ridge_match_the_per_system_code(stack_passes):
+    # 10,000 local systems X'WX of 10 parameters from 1 to 14 weighted rows,
+    # rank-deficient ones among full-rank ones. A jitter far above round-off
+    # makes LAPACK accept the whole stack, and the rank-deficient systems
+    # fail on their smallest pivot. Without it LAPACK rejects the stack, and
+    # each system is tested alone; the all-zero systems stay singular after
+    # the ridge
+    rng = np.random.default_rng(31)
+    n, p = 10_000, 10
+    G = rng.normal(size=(n, 14, p)) * (np.arange(14) < rng.integers(1, 15, n)[:, None])[:, :, None]
+    if not stack_passes:
+        G[rng.choice(n, 5, replace=False)] = 0.0
+    A = np.einsum("sri,srj->sij", G, G)
+    if stack_passes:
+        A += 1e-13 * np.trace(A, axis1=1, axis2=2)[:, None, None] / p * np.eye(p)
+        np.linalg.cholesky(A)
+    A_before = A.copy()
+
+    flags = kernels._apply_pivot_rule(A)
+
+    assert np.array_equal(flags, _apply_pivot_rule_before(A_before))
+    assert np.array_equal(A, A_before)
+    assert {kernels.FLAG_OK, kernels.FLAG_RIDGED} <= set(flags.tolist())
+    assert (kernels.FLAG_SINGULAR in flags) != stack_passes
+
+
+def test_one_distance_function_gives_the_bits_of_both_former_formulas():
+    rng = np.random.default_rng(37)
+    px, py = rng.uniform(-4e4, 4e4, (2, 600))
+    ax, ay = rng.uniform(-4e4, 4e4, (2, 90))
+    x, y = np.column_stack([px, py]).T  # a GWR design's coordinate columns
+    for lo, hi in ((0, 256), (256, 512), (512, 600)):
+        # a chunk of the spillover field, then a row block of a GWR fit
+        spill = np.hypot(ax[None, :] - px[lo:hi, None], ay[None, :] - py[lo:hi, None])
+        assert np.array_equal(kernels._distances(px[lo:hi], py[lo:hi], ax, ay), spill)
+        assert np.array_equal(kernels._distances(x[lo:hi], y[lo:hi], x, y),
+                              np.hypot(x[None, :] - x[lo:hi, None], y[None, :] - y[lo:hi, None]))
 
 
 def _clustered_with_isolated(n_cluster=290, n_isolated=4, seed=17):
@@ -222,11 +286,11 @@ def test_aicc_mode_matches_the_full_fit(kernel, bandwidth):
 
 def _failed_pivots_before(A):
     """Boolean mask of the stacked matrices that fail the pivot rule of
-    `kernels._chol`, as the block kernels below checked it."""
+    `chol`, as the block kernels below checked it."""
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:  # raised for the whole stack; find the culprits
-        return np.array([kernels._chol(a) is None for a in A], dtype=bool)
+        return np.array([chol(a) is None for a in A], dtype=bool)
     dmax = np.max(np.diagonal(A, axis1=1, axis2=2), axis=1)
     dmin_l = np.min(np.diagonal(L, axis1=1, axis2=2), axis=1)
     return dmin_l ** 2 <= kernels._CHOL_TOL * dmax
@@ -246,10 +310,11 @@ def _fit_all_before(coords, X, Y, bandwidths, kernel, dist=None, full=True):
     s_norm2 = np.zeros(n) if full else None
     flags = np.zeros(n, dtype=np.int8)
 
+    x, y = coords[:, 0], coords[:, 1]
     rows = max(1, (1 << 14) // n)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        d = kernels._distance_rows(coords, lo, hi) if dist is None else dist[lo:hi]
+        d = kernels._distances(x[lo:hi], y[lo:hi], x, y) if dist is None else dist[lo:hi]
         t = d / bandwidths[lo:hi, None]
         if kernel == "gaussian":
             W = np.exp(-0.5 * t * t)
@@ -263,7 +328,7 @@ def _fit_all_before(coords, X, Y, bandwidths, kernel, dist=None, full=True):
         for r in np.flatnonzero(failed):
             lam = kernels.RIDGE_REL * float(np.trace(A[r])) / p
             ridged = A[r] + lam * np.eye(p)
-            if kernels._chol(ridged) is None:
+            if chol(ridged) is None:
                 blk_flags[r] = kernels.FLAG_SINGULAR
             else:
                 A[r] = ridged
@@ -333,9 +398,14 @@ def test_every_block_gemm_stays_within_the_budget(monkeypatch, n, p, m):
     X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
     Y = rng.normal(size=(n, m))
     blocks = []
-    distance_rows = kernels._distance_rows
-    monkeypatch.setattr(kernels, "_distance_rows",
-                        lambda c, lo, hi: blocks.append((lo, hi)) or distance_rows(c, lo, hi))
+    distances = kernels._distances
+
+    def record_block(px, py, sx, sy):
+        lo = int(np.flatnonzero(coords[:, 0] == px[0])[0])  # the coordinates are distinct
+        blocks.append((lo, lo + len(px)))
+        return distances(px, py, sx, sy)
+
+    monkeypatch.setattr(kernels, "_distances", record_block)
 
     _fit_all(coords, X, Y, np.full(n, 5000.0), "gaussian")
 
@@ -384,10 +454,11 @@ def _block_solve_kernel(coords, X, Y, bandwidths, kernel, dist=None, full=True):
     s_norm2 = np.zeros(n) if full else None
     flags = np.zeros(n, dtype=np.int8)
 
+    x, y = coords[:, 0], coords[:, 1]
     rows = kernels._block_rows(n, p, m)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        d = kernels._distance_rows(coords, lo, hi) if dist is None else dist[lo:hi]
+        d = kernels._distances(x[lo:hi], y[lo:hi], x, y) if dist is None else dist[lo:hi]
         t = d / bandwidths[lo:hi, None]
         if kernel == "gaussian":
             W = np.exp(-0.5 * t * t)
@@ -404,7 +475,7 @@ def _block_solve_kernel(coords, X, Y, bandwidths, kernel, dist=None, full=True):
         for r in np.flatnonzero(failed):
             lam = kernels.RIDGE_REL * float(np.trace(A[r])) / p
             ridged = A[r] + lam * np.eye(p)
-            if kernels._chol(ridged) is None:
+            if chol(ridged) is None:
                 blk_flags[r] = kernels.FLAG_SINGULAR
             else:
                 A[r] = ridged

@@ -315,6 +315,32 @@ def test_pca_index_sign_fixed_positive(rng):
     assert pca_index.max() <= 1.0
 
 
+def _pca_index_before(nm):
+    """`alternative_indices`' PCA composite as it was before it read
+    `stats.correlation_components`: z-scores with ddof 0, its own
+    eigendecomposition, and LAPACK's sign where the equal-weight index is
+    constant."""
+    values = nm.values
+    z = (values - values.mean(axis=0)) / values.std(axis=0)
+    corr = (z.T @ z) / (z.shape[0] - 1)
+    scores = z @ np.linalg.eigh(corr)[1][:, -1]
+    eq = alternative_indices(nm)[0]
+    if eq.std() > 0 and np.corrcoef(scores, eq)[0, 1] < 0:
+        scores = -scores
+    return (scores - scores.min()) / (scores.max() - scores.min())
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 10, 40, 200])
+def test_pca_index_matches_its_separate_decomposition(n):
+    # the ddof of the z-scores is a constant scale, which the min-max rescale
+    # removes; 2-9 rows are below `stats.pca`'s 10, and the index is read
+    # without it
+    rng = np.random.default_rng(n)
+    nm = align_and_normalize(rng.uniform(0, 5, (n, 9)) ** rng.uniform(0.5, 2.0, 9))
+    np.testing.assert_allclose(alternative_indices(nm)[1], _pca_index_before(nm),
+                               rtol=0, atol=1e-12)
+
+
 def test_ewm_and_equal_weight_indices_strongly_agree(rng):
     # consistency property over random non-degenerate data
     rhos = []

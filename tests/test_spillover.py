@@ -10,11 +10,18 @@ from sevi.geodata import MallAnchor
 from sevi.pipeline import PipelineConfig
 from sevi.spillover import SigmaTable, SpilloverConfig, calibrate_sigma, field_all
 
+from .conftest import make_points, point_row
 from .oracles import decay_value, field_at
 
 
 def _anchor(aid, x, y, category="mall"):
     return MallAnchor(id=aid, category=category, x=x, y=y)
+
+
+def _points(xy):
+    """A `PointTable` of points at the rows (x, y) of `xy`."""
+    rows = np.asarray(xy).tolist()
+    return make_points(*(point_row(f"p{i}", x, y) for i, (x, y) in enumerate(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +194,7 @@ def test_field_matches_brute_force(rng, decay):
                        provenance={f"c{k}": "computed" for k in range(3)})
     points_xy = rng.uniform(0, 4000, (100, 2))
     cfg = SpilloverConfig(threshold_m=2000.0, decay=decay)
-    got = field_all(points_xy, anchors, table, cfg)
+    got = field_all(_points(points_xy), anchors, table, cfg)
     expected = _brute_field(points_xy, anchors, table, cfg)
     assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -197,17 +204,25 @@ def test_field_at_agrees_with_field_all(rng):
     table = _sigma_for(anchors)
     cfg = SpilloverConfig(threshold_m=1500.0)
     xy = rng.uniform(0, 3000, (25, 2))
-    batch = field_all(xy, anchors, table, cfg)
+    batch = field_all(_points(xy), anchors, table, cfg)
     for i, (x, y) in enumerate(xy.tolist()):
         single = field_at(x, y, anchors, table, cfg)
         assert single == pytest.approx(batch[i], abs=1e-12)
+
+
+@pytest.mark.parametrize("n_points, n_anchors", [(0, 3), (4, 0), (0, 0)])
+def test_field_without_points_or_anchors_is_zeros(n_points, n_anchors):
+    anchors = [_anchor(f"a{j}", 100.0 * j, 0.0) for j in range(n_anchors)]
+    table = SigmaTable(sigma_m={"mall": 500.0}, provenance={"mall": "computed"})
+    got = field_all(_points(np.zeros((n_points, 2))), anchors, table, SpilloverConfig())
+    assert np.array_equal(got, np.zeros(n_points))
 
 
 def test_threshold_gate_examples():
     anchors = [_anchor("a0", 1500.0, 0.0)]
     table = SigmaTable(sigma_m={"mall": 1e7}, provenance={"mall": "computed"})
     xy = np.array([[0.0, 0.0]])
-    sweep = {t: field_all(xy, anchors, table, SpilloverConfig(threshold_m=t))
+    sweep = {t: field_all(_points(xy), anchors, table, SpilloverConfig(threshold_m=t))
              for t in (1000.0, 2000.0, 3000.0)}
     assert sweep[1000.0][0] == 0.0
     assert sweep[2000.0][0] > 0.99
@@ -225,7 +240,7 @@ def test_threshold_infinite_equals_ungated(rng):
     anchors = [_anchor(f"a{j}", *rng.uniform(0, 5000, 2)) for j in range(20)]
     table = _sigma_for(anchors)
     xy = rng.uniform(0, 5000, (10, 2))
-    wide = field_all(xy, anchors, table, SpilloverConfig(threshold_m=1e12))
+    wide = field_all(_points(xy), anchors, table, SpilloverConfig(threshold_m=1e12))
     ungated = np.array([
         math.fsum(math.exp(-(math.hypot(a.x - x, a.y - y) ** 2) / (2 * 500.0 ** 2))
                   for a in sorted(anchors, key=lambda a: a.id))
@@ -239,7 +254,8 @@ def test_field_monotone_in_threshold(rng, decay):
     anchors = [_anchor(f"a{j:02d}", *rng.uniform(0, 6000, 2)) for j in range(40)]
     table = _sigma_for(anchors)
     xy = rng.uniform(0, 6000, (50, 2))
-    sweep = {t: field_all(xy, anchors, table, SpilloverConfig(threshold_m=t, decay=decay))
+    points = _points(xy)
+    sweep = {t: field_all(points, anchors, table, SpilloverConfig(threshold_m=t, decay=decay))
              for t in (1000.0, 2000.0, 3000.0)}
     assert np.all(sweep[1000.0] <= sweep[2000.0] + 1e-15)
     assert np.all(sweep[2000.0] <= sweep[3000.0] + 1e-15)
@@ -257,10 +273,10 @@ def test_field_non_decreasing_in_threshold_property(anchor_xy, points_xy, t1, t2
     anchors = [_anchor(f"a{j:02d}", x, y) for j, (x, y) in enumerate(anchor_xy)]
     table = SigmaTable(sigma_m={"mall": sigma}, provenance={"mall": "computed"})
     low, high = sorted((t1, t2))
-    xy = np.array(points_xy)
-    assert np.all(field_all(xy, anchors, table, SpilloverConfig(threshold_m=low, decay=decay))
-                  <= field_all(xy, anchors, table, SpilloverConfig(threshold_m=high,
-                                                                   decay=decay)))
+    points = _points(points_xy)
+    assert np.all(field_all(points, anchors, table, SpilloverConfig(threshold_m=low, decay=decay))
+                  <= field_all(points, anchors, table, SpilloverConfig(threshold_m=high,
+                                                                       decay=decay)))
 
 
 @pytest.mark.parametrize("decay", ["gaussian", "exponential", "linear"])
