@@ -5,7 +5,7 @@ row per record in file order (`PointTable`, `PoiTable`). A point's sixteen
 detection counts are one row of an (n, 16) int64 matrix in COUNT_COLUMNS
 order. The route order sorts the segments by id and each segment's points by
 `order`; `PointTable.route` holds it as a permutation plus run bounds, so
-a per-segment reduction, as `PointTable.segment_means`, reads one contiguous
+a per-segment reduction, as `PointTable.segment_sums`, reads one contiguous
 slice of the permuted column. `PointTable.by_id` holds the point-id order.
 
 Ingestion reads a table from a CSV file or from a GeoJSON FeatureCollection
@@ -161,13 +161,17 @@ class PointTable:
         perm.flags.writeable = bounds.flags.writeable = False
         return segment_ids.tolist(), perm, bounds
 
-    def segment_means(self, column) -> np.ndarray:
-        """Per segment of `route`, the mean of `column` (a float per point, in
-        table order): its values added in route order over their count, as np.mean."""
+    def segment_sums(self, column) -> np.ndarray:
+        """Per segment of `route`, the sum of `column` (a float per point, in
+        table order): np.sum of its values in route order."""
         _, perm, bounds = self.route
         values, edges = column[perm], bounds.tolist()
-        sums = [values[lo:hi].sum() for lo, hi in zip(edges, edges[1:])]
-        return np.array(sums) / np.diff(bounds)
+        return np.array([values[lo:hi].sum() for lo, hi in zip(edges, edges[1:])])
+
+    def segment_means(self, column) -> np.ndarray:
+        """Per segment of `route`, the mean of `column`: its `segment_sums`
+        over the segment's point count, as np.mean."""
+        return self.segment_sums(column) / np.diff(self.route[2])
 
     @cached_property
     def by_id(self) -> np.ndarray:

@@ -58,30 +58,19 @@ class GwrDesign:
     def build(cls, coords, predictors, y, kernel="gaussian",
               predictor_names=None, location_ids=None) -> "GwrDesign":
         """`y` is one response (n,) or m responses as columns (n, m). `kernel`
-        is one of KERNELS, as the config checks it (`gwr.kernel`). Every
-        predictor must vary over the n locations (`stats.is_flat`): on a
+        is one of KERNELS, as the config checks it (`gwr.kernel`). The `gwr`
+        stage passes n > k + 2 rows of finite values (the loaders and
+        `indicators.indicator_table` check them) and one name per predictor.
+        Every predictor must vary over the n locations (`stats.is_flat`): on a
         subset of the city, such as the segments with crowd data, a flat
         predictor is collinear with the intercept in every local fit
-        (Wheeler & Tiefelsdorf, J. Geogr. Syst. 2005). There are more than
-        k + 2 locations, as the `gwr` stage checks."""
+        (Wheeler & Tiefelsdorf, J. Geogr. Syst. 2005)."""
         coords = np.asarray(coords, dtype=float).reshape(-1, 2)
         predictors = np.atleast_2d(np.asarray(predictors, dtype=float))
         y = np.asarray(y, dtype=float)
         n, k = predictors.shape
-        if y.ndim not in (1, 2):
-            raise ValidationError(f"response must be (n,) or (n, m), got shape {y.shape}")
-        if coords.shape[0] != n or len(y) != n:
-            raise ValidationError(
-                f"row mismatch: coords {coords.shape[0]}, X {n}, y {len(y)}"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise ValidationError("coordinates must be finite")
-        if not (np.all(np.isfinite(predictors)) and np.all(np.isfinite(y))):
-            raise ValidationError("predictors and response must be finite")
         if predictor_names is None:
             predictor_names = [f"x{j + 1}" for j in range(k)]
-        if len(predictor_names) != k:
-            raise ValidationError(f"{k} predictors but {len(predictor_names)} names")
         for j in range(k):
             if is_flat(predictors[:, j]):
                 raise ValidationError(

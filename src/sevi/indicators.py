@@ -7,9 +7,10 @@ are summed over both sides of every point of a segment with
 `np.add.reduceat`, which is exact on integers, and divided by the segment
 length once. The brand-premium series is smoothed in one pass over the
 route (`smooth_along_route` with the segment bounds). The signboard-weighted
-brand numerator and the mean spillover (`PointTable.segment_means`) stay one
-`np.sum` per segment slice: `np.add.reduceat` would add the floats in another
-order than the pairwise summation of `np.sum` and move their last bits.
+brand numerator and the mean spillover stay one `np.sum` per segment slice
+(`PointTable.segment_sums`): `np.add.reduceat` would add the floats in
+another order than the pairwise summation of `np.sum` and move their last
+bits.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, ValidationError
 from .geodata import BrandTally, PointTable, StreetSegment
 
 # each indicator, in the canonical column order, with the input columns it is
@@ -97,7 +98,10 @@ def indicator_table(points: PointTable, segments: dict[str, StreetSegment],
     weighted mean of the smoothed point series (the plain weighted-count
     ratio when window == 1), its `mv` the mean of `mv_point` over its points.
     Closures are clamped to storefronts; no signboards give cr = br = 0.
-    Every segment length is positive, as the loader checks it.
+    Every segment length is positive, as the loader checks it. A non-finite
+    indicator (a length so small that a density overflows) raises a
+    ValidationError naming the first one, its segment and its inputs: every
+    reader of the matrix reads finite values.
 
     Returns (segment_ids, (k, 9) matrix in INDICATOR_NAMES order, per-segment
     no-signboard flags, smoothed point brand series in table order).
@@ -115,23 +119,27 @@ def indicator_table(points: PointTable, segments: dict[str, StreetSegment],
              + tally[:, 2] * weights.ordinary)
     ns = points.both_sides("signboards")
     ratio = np.where(ns > 0, score / np.maximum(ns, 1), 0.0)[perm]
-    ns_route = ns[perm].astype(float)
-
+    point_br = np.empty(len(points))
+    point_br[perm] = smooth_along_route(ratio, window, bounds)
+    br_sum = points.segment_sums(point_br * ns)
     ns_seg = total("signboards")
-    smoothed = smooth_along_route(ratio, window, bounds)
-    slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-    weighted = smoothed * ns_route
-    br_sum = np.array([weighted[k].sum() for k in slices])
 
     closed = np.minimum(total("closed"), ns_seg)  # so 0 where there are no signboards
     pixels = total("total_pixels")
-    matrix = np.column_stack([
-        ns_seg / length, closed / np.maximum(ns_seg, 1),
-        np.where(ns_seg > 0, br_sum / np.maximum(ns_seg, 1), 0.0), points.segment_means(mv_point),
-        total("motor") / length, total("nonmotor") / length, total("persons") / length,
-        np.where(pixels == 0, 0.0, total("green_pixels") / np.maximum(pixels, 1)),
-        total("glass") / length,
-    ])
-    point_br = np.empty(len(points))
-    point_br[perm] = smoothed
+    with np.errstate(over="ignore"):  # an overflow is named below
+        matrix = np.column_stack([
+            ns_seg / length, closed / np.maximum(ns_seg, 1),
+            np.where(ns_seg > 0, br_sum / np.maximum(ns_seg, 1), 0.0),
+            points.segment_means(mv_point),
+            total("motor") / length, total("nonmotor") / length, total("persons") / length,
+            np.where(pixels == 0, 0.0, total("green_pixels") / np.maximum(pixels, 1)),
+            total("glass") / length,
+        ])
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        i, j = bad[0]
+        name = INDICATOR_NAMES[j]
+        raise ValidationError(
+            f"indicator {name!r} is {float(matrix[i, j])!r} at segment {segment_ids[i]!r}; "
+            f"it is computed from {', '.join(INDICATOR_INPUTS[name])}")
     return segment_ids, matrix, ns_seg == 0, point_br

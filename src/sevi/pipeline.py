@@ -428,8 +428,7 @@ class _Analysis:
 
     @_stage_result
     def normalize(self) -> scoring.NormalizedMatrix:
-        segment_ids, raw_matrix, _, _ = self.indicators
-        return scoring.align_and_normalize(raw_matrix, segment_ids)
+        return scoring.align_and_normalize(self.indicators[1])
 
     @_stage_result
     def entropy_weights(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
@@ -498,6 +497,7 @@ def emit_geojson(path: Path, tables: CityTables,
     (a non-finite value fails there); each feature is written as soon as its
     text is assembled around that string.
     """
+    encode_basestring = json.encoder.encode_basestring
     properties = {sid: json.dumps(_round_floats(props, path), sort_keys=True, ensure_ascii=False)
                   for sid, props in properties_by_segment.items()}
 
@@ -515,12 +515,13 @@ def emit_geojson(path: Path, tables: CityTables,
             *(c[pts.by_id].tolist() for c in (pts.ids, pts.segment_ids, pts.lon, pts.lat)))
             if sid in properties)
     # the collection is framed by hand and each feature written as it is
-    # built, so the document's text is never held in memory
+    # built, so the document's text is never held in memory; an id is encoded
+    # by the function that json.dumps(ensure_ascii=False) calls on a str
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"features": [')
         for k, (fid, sid, kind, coordinates) in enumerate(features):
             fh.write(f'{", " if k else ""}{{"geometry": {{"coordinates": {coordinates}, '
-                     f'"type": "{kind}"}}, "id": {json.dumps(fid, ensure_ascii=False)}, '
+                     f'"type": "{kind}"}}, "id": {encode_basestring(fid)}, '
                      f'"properties": {properties[sid]}, "type": "Feature"}}')
         fh.write('], "type": "FeatureCollection"}\n')
     return path.name

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ComputationError, ValidationError
+from .exceptions import ComputationError
 from .geodata import PERIODS
 from .stats import KwResult, TERTILE_LABELS
 
@@ -19,10 +19,8 @@ def growth_pct(high: float, low: float) -> float:
 
 
 def mean_adjusted_r2(values) -> float:
-    """Average explanatory power over a set of per-period fits."""
+    """Average explanatory power over a non-empty set of per-period fits."""
     values = [float(v) for v in values]
-    if not values:
-        raise ValidationError("no adjusted R^2 values to average")
     return sum(values) / len(values)
 
 

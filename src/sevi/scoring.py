@@ -30,29 +30,16 @@ class NormalizedMatrix:
     columns: list[ColumnMeta]
 
 
-def align_and_normalize(raw: np.ndarray, segment_ids: list[str] | None = None) -> NormalizedMatrix:
+def align_and_normalize(raw: np.ndarray) -> NormalizedMatrix:
     """Benefit-align the closure column (1 - cr) and min-max scale every
-    column to [0, 1]. A flat column (`is_flat`, after the alignment) carries
+    column of the finite (n, 9) indicator matrix (`indicator_table` checks
+    it) to [0, 1]. A flat column (`is_flat`, after the alignment) carries
     no information to weight: the first one raises a ValidationError naming
     the indicator, its raw value and the input columns it is computed from."""
     raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[1] != len(INDICATOR_NAMES):
-        raise ValidationError(
-            f"expected an (n, {len(INDICATOR_NAMES)}) indicator matrix, got {raw.shape}"
-        )
     n = raw.shape[0]
     if n < 2:
         raise ValidationError(f"normalization needs at least 2 segments, got {n}")
-    if segment_ids is None:
-        segment_ids = [str(i) for i in range(n)]
-
-    bad = np.argwhere(~np.isfinite(raw))
-    if len(bad):
-        i, j = bad[0]
-        raise ValidationError(
-            f"non-finite indicator value: segment {segment_ids[i]!r}, "
-            f"column {INDICATOR_NAMES[j]!r}"
-        )
 
     aligned = raw.copy()
     cr_col = INDICATOR_NAMES.index("cr")
@@ -77,19 +64,14 @@ def entropy_weights(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropy-divergence weights and column entropies of one normalized block.
 
     p_ij = r_ij / sum_i r_ij, e_j = -(1/ln n) sum_i p ln p (0 ln 0 := 0),
-    w_j = (1 - e_j) / sum_k (1 - e_k). Each column is a normalized one, with
-    maximum 1. A column whose divergence is below 1e-12 gets weight 0; if
-    every one does, the weights are uniform.
+    w_j = (1 - e_j) / sum_k (1 - e_k). A column whose divergence is below
+    1e-12 gets weight 0; if every one does, the weights are uniform.
+
+    `block` is (n, k) columns of `align_and_normalize`'s values: n >= 2, as
+    the `normalize` stage checks, and each column in [0, 1] with maximum 1.
     """
     block = np.asarray(block, dtype=float)
-    if block.ndim != 2:
-        raise ValidationError(f"expected a 2-D block, got shape {block.shape}")
     n, k = block.shape
-    if n < 2:
-        raise ValidationError(f"entropy weighting needs at least 2 rows, got {n}")
-    if np.any(block < 0):
-        raise ValidationError("entropy weighting expects nonnegative normalized values")
-
     log_n = np.log(n)
     divergence = np.empty(k)
     entropies = np.empty(k)
@@ -122,27 +104,20 @@ def compute_weight_matrix(nm: NormalizedMatrix) -> tuple[dict[str, np.ndarray],
 
 def block_aggregate(values: np.ndarray, weights: dict[str, np.ndarray]) -> np.ndarray:
     """Apply the block-diagonal weights, keyed by `BLOCKS`: (n, 9) values ->
-    one dimension score column per block."""
+    one dimension score column per block. `weights[name]` holds one weight
+    per column of block `name`, as both callers build them over `BLOCKS`."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     dims = np.empty((values.shape[0], len(BLOCKS)))
     for d, (name, (lo, hi)) in enumerate(BLOCKS.items()):
-        w = weights[name]
-        if len(w) != hi - lo:
-            raise ValidationError(f"block {name!r} expects {hi - lo} weights, got {len(w)}")
-        dims[:, d] = values[:, lo:hi] @ w
+        dims[:, d] = values[:, lo:hi] @ weights[name]
     return dims
 
 
 def topsis(dims: np.ndarray) -> np.ndarray:
     """Closeness to the ideal over benefit-oriented dimension scores: the
-    SEVI of each row, in [0, 1]."""
+    SEVI of each row, in [0, 1]. `dims` is `block_aggregate`'s (n, 3)
+    output, n >= 2 as the `normalize` stage checks."""
     dims = np.asarray(dims, dtype=float)
-    if dims.ndim != 2:
-        raise ValidationError(f"expected a 2-D dimension matrix, got shape {dims.shape}")
-    n = dims.shape[0]
-    if n < 2:
-        raise ValidationError(f"TOPSIS needs at least 2 segments, got {n}")
-
     d_plus = np.linalg.norm(dims - dims.max(axis=0), axis=1)
     d_minus = np.linalg.norm(dims - dims.min(axis=0), axis=1)
     denom = d_plus + d_minus

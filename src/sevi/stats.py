@@ -48,11 +48,10 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def spearman(x, y) -> float:
-    """Spearman rank correlation with average ranks for ties."""
+    """Spearman rank correlation with average ranks for ties, over x and y
+    of one length (both callers pass columns of the same segments)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(x) != len(y):
-        raise ValidationError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 3:
         raise ValidationError(f"need at least 3 observations, got {len(x)}")
     return _pearson(rankdata(x), rankdata(y))
@@ -65,10 +64,9 @@ class CorrelationMatrix:
 
 
 def spearman_matrix(matrix: np.ndarray, labels: list[str]) -> CorrelationMatrix:
+    """Pairwise `spearman` of the columns of `matrix`, one label per column."""
     matrix = np.asarray(matrix, dtype=float)
     k = matrix.shape[1]
-    if len(labels) != k:
-        raise ValidationError(f"{k} columns but {len(labels)} labels")
     out = np.eye(k)
     for a in range(k):
         for b in range(a + 1, k):
@@ -107,14 +105,11 @@ def varimax(loadings: np.ndarray, tol: float = 1e-6, max_iter: int = 100) -> Var
     den = p * sum(u^2 - v^2) - (sum(u)^2 - sum(v)^2),
     u = La^2 - Lb^2, v = 2 La Lb. Sweeps stop when the largest angle in a
     sweep drops below `tol`; non-convergence warns and returns the last
-    iterate. Orthogonality preserves row communalities.
+    iterate. Orthogonality preserves row communalities. `loadings` is
+    (p, k) with k >= 2 factors: `pca` rotates only two or more components.
     """
     A = np.array(loadings, dtype=float)
-    if A.ndim != 2:
-        raise ValidationError(f"expected a 2-D loading matrix, got shape {A.shape}")
     p, k = A.shape
-    if k < 2:
-        raise ValidationError(f"varimax needs at least 2 factors, got {k}")
 
     converged = False
     sweeps = 0
@@ -172,8 +167,6 @@ def pca(matrix: np.ndarray, n_components: int = 4) -> PcaModel:
     checked.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValidationError(f"expected a 2-D matrix, got shape {matrix.shape}")
     if len(matrix) < 10:
         raise ValidationError(f"PCA needs at least 10 rows, got {len(matrix)}")
     _, eigvals, eigvecs = correlation_components(matrix)
@@ -236,14 +229,10 @@ def kruskal_wallis(groups: list) -> KwResult:
 
     Ties share average ranks and H is divided by the tie-correction factor
     1 - sum(t^3 - t) / (N^3 - N). With all pooled values identical the
-    statistic is defined as 0 with p = 1.
+    statistic is defined as 0 with p = 1. `groups` are two or more non-empty
+    groups: the validation stage passes the three tiers of `tertile_split`.
     """
-    if len(groups) < 2:
-        raise ValidationError(f"need at least 2 groups, got {len(groups)}")
     arrays = [np.asarray(g, dtype=float) for g in groups]
-    for gi, arr in enumerate(arrays):
-        if len(arr) == 0:
-            raise ValidationError(f"group {gi} is empty")
     pooled = np.concatenate(arrays)
     n_total = len(pooled)
     if n_total < 5:
@@ -297,11 +286,10 @@ def tertile_split(values) -> list[str]:
     interpolated 1/3 and 2/3 quantiles: v <= c1 "low", v <= c2 "mid", else
     "high". Should a tier stay empty, c2 is clamped into [u[1], u[-2]] over
     the sorted distinct values u and c1 to below c2. Tied values share a
-    label, and three or more distinct values give three non-empty tiers.
+    label, and three or more distinct values give three non-empty tiers;
+    fewer raise. The validation stage passes 3 or more values.
     """
     values = np.asarray(values, dtype=float)
-    if len(values) < 3:
-        raise ValidationError(f"tertile split needs at least 3 values, got {len(values)}")
     ordered = np.sort(values)
     # a bare np.unique would import numpy.ma (numpy 2.4 asks np.ma.is_masked)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]

@@ -468,6 +468,65 @@ def test_tiny_city_exits_zero_with_finite_artifacts_or_names_its_stage(seed, seg
             assert failed and failed.group(1) in STAGE_NAMES, err.getvalue()
 
 
+def _synth_city(segments):
+    """Build the `synth --seed 1 --pois 200` city of `segments` segments."""
+    def build(city_dir, tmp_path):
+        city = tmp_path / "city"
+        generate_city(city, seed=1, n_segments=segments, n_pois=200)
+        return city
+    return build
+
+
+def _mutated_city(table, edit):
+    """Build a copy of the bundled city whose `table` rows are edit(rows)."""
+    return lambda city_dir, tmp_path: _edited_city(city_dir, tmp_path, table, edit)
+
+
+def _tiny_first_length(rows):  # the densities of s0000 overflow to inf
+    rows[0]["length_m"] = "1e-320"
+    return rows
+
+
+TINY_LENGTH = ("indicator 'sd' is inf at segment 's0000'; it is computed from "
+               "points.signboards_*, segments.length_m")
+# the smallest cities that reach each check a command meets:
+# {case: (city, command, exit code, failed stage, message)}
+DEGENERATE_CITIES = {
+    "1 segment": (_synth_city(1), ["run"], 1, "normalize", "at least 2 segments, got 1"),
+    "2 segments": (_synth_city(2), ["run"], 1, "stats", "at least 3 observations, got 2"),
+    "3 segments": (_synth_city(3), ["run"], 1, "stats", "PCA needs at least 10 rows, got 3"),
+    "one anchor": (_mutated_city("anchors.csv", lambda rows: rows[:1]), ["run"], 2,
+                   "calibrate_sigma", "no anchor category has two or more members"),
+    "no POIs": (_mutated_city("pois.csv", lambda rows: []), ["run"], 2, "validation",
+                "at least 3 active points, got 0"),
+    "every POI premium": (_mutated_city("pois.csv", _set_columns({"is_premium": "1"})),
+                          ["run"], 0, None, None),
+    **{f"tiny length, {' '.join(command)}": (_mutated_city("segments.csv", _tiny_first_length),
+                                             command, 1, "indicators", TINY_LENGTH)
+       for command in (["run"], ["sevi"], ["robustness"],
+                       ["robustness", "--set", "gwr.x_source=raw"])},
+}
+
+
+@pytest.mark.parametrize("case", list(DEGENERATE_CITIES))
+def test_degenerate_city_exits_in_the_stage_that_checks_it(city_dir, tmp_path, capsys, case):
+    build, (command, *options), code, stage, message = DEGENERATE_CITIES[case]
+    city = build(city_dir, tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a search that ends on a boundary
+        assert main(["--workdir", str(city), command, "--config", _config(tmp_path),
+                     *options]) == code
+    err = capsys.readouterr().err
+    out = tmp_path / "out"
+    if code == 0:
+        assert (out / "manifest.json").is_file()
+        assert _non_finite_values(out) == []
+    else:
+        assert f"stage '{stage}' failed" in err and message in err, err
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
+
 def test_infinite_aicc_at_a_fixed_bandwidth_exits_two(tmp_path, capsys):
     # at a fixed 600 m bandwidth the 12-segment city's fits leave no residual
     # degrees of freedom: every period's AICc is +inf, and no writer takes it

@@ -96,6 +96,22 @@ def test_segment_means_equal_np_mean_over_each_segment_in_route_order():
     assert np.array_equal(points.segment_means(column), np.array(want))
 
 
+def test_segment_sums_equal_a_per_slice_sum_in_route_order():
+    # the loop `indicator_table` summed the brand numerator with: np.sum of
+    # each segment's route slice, one-point segments included
+    rng = np.random.default_rng(9)
+    sizes = [1, 5, 1, 1, 12, 33, 2, 64, 1]
+    rows = [point_row(f"p{k}.{j}", segment_id=f"s{k}", order=int(rank))
+            for k, size in enumerate(sizes) for j, rank in enumerate(rng.permutation(size))]
+    points = make_points(*(rows[i] for i in rng.permutation(len(rows))))
+    column = rng.normal(size=len(points)) * 10.0 ** rng.uniform(-3, 6, len(points))
+    _, perm, bounds = points.route
+    routed = column[perm]
+    want = [routed[lo:hi].sum() for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    assert np.array_equal(points.segment_sums(column), np.array(want))
+    assert np.array_equal(points.segment_means(column), np.array(want) / np.diff(bounds))
+
+
 def test_id_order_is_computed_once_and_read_only():
     points = make_points(*(point_row(pid) for pid in ("p10", "p2", "p1")))
     assert points.ids[points.by_id].tolist() == ["p1", "p10", "p2"]

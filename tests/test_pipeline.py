@@ -3,6 +3,7 @@ import json
 import math
 import random
 import shutil
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,18 @@ def test_ids_with_csv_and_json_metacharacters_read_back(city_dir, tmp_path):
     with open(outdir / "sevi.csv", newline="", encoding="utf-8") as fh:
         scored = {row["segment_id"]: float(row["sevi"]) for row in csv.DictReader(fh)}
     assert features[ODD_POINT]["sevi"] == scored[ODD_SEGMENT]
+
+
+# quotes, backslashes, control characters, the JSON-legal line separators
+# U+2028/U+2029, non-ASCII and astral characters
+_ID_CHARS = st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\u2029é€😀'),
+                      st.characters())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(_ID_CHARS, max_size=24))
+def test_geojson_ids_are_encoded_as_json_dumps_encodes_them(fid):
+    assert encode_basestring(fid) == json.dumps(fid, ensure_ascii=False)
 
 
 def test_ingest_round_trip_is_a_fixed_point(city_dir, tmp_path):

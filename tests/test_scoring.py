@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 
 from sevi.exceptions import ValidationError
 from sevi import scoring
-from sevi.indicators import BLOCKS, INDICATOR_INPUTS, INDICATOR_NAMES
+from sevi.geodata import StreetSegment
+from sevi.indicators import (BLOCKS, INDICATOR_INPUTS, INDICATOR_NAMES, BrandWeights,
+                             indicator_table)
 from sevi.scoring import (align_and_normalize, alternative_indices, block_aggregate,
                           compute_weight_matrix, entropy_weights, topsis)
 from sevi.stats import is_flat, spearman
+
+from .conftest import make_points, point_row
 
 CR = INDICATOR_NAMES.index("cr")
 
@@ -98,12 +102,16 @@ def test_is_flat_is_relative_to_the_magnitude(column, flat):
 
 
 def test_non_finite_value_named():
-    raw = np.zeros((3, 9))
-    raw[1, 4] = math.nan
+    # normalize reads finite indicators: the indicators stage rejects the first
+    # non-finite one, naming it, its segment and its inputs
+    points = make_points(point_row("p0", segment_id="a", signboards_left=1, motor_left=2),
+                         point_row("p1", segment_id="b", motor_left=3))
+    segments = {"a": StreetSegment(id="a", length_m=50.0),
+                "b": StreetSegment(id="b", length_m=1e-320)}
     with pytest.raises(ValidationError) as err:
-        align_and_normalize(raw, segment_ids=["a", "b", "c"])
-    assert "'b'" in str(err.value)
-    assert "'md'" in str(err.value)
+        indicator_table(points, segments, {}, BrandWeights(), np.zeros(2))
+    assert str(err.value) == ("indicator 'md' is inf at segment 'b'; it is computed from "
+                              "points.motor_*, segments.length_m")
 
 
 def test_needs_two_segments():
@@ -162,11 +170,6 @@ def test_weights_invariant_under_row_permutation(rng):
 def test_all_degenerate_block_uniform():
     block = np.full((8, 3), 0.5)
     assert np.allclose(entropy_weights(block)[0], [1 / 3] * 3)
-
-
-def test_entropy_needs_two_rows():
-    with pytest.raises(ValidationError):
-        entropy_weights(np.ones((1, 2)))
 
 
 # ---------------------------------------------------------------------------
