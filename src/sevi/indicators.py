@@ -1,5 +1,5 @@
 """The nine street-level indicators, computed per segment from detection
-counts, brand tallies, and spillover values.
+counts and brand tallies; the pipeline adds the spillover indicator `mv`.
 
 `indicator_table` works in the route order of `PointTable.route`, where each
 segment's points are one contiguous slice of the permuted columns. Counts
@@ -7,7 +7,7 @@ are summed over both sides of every point of a segment with
 `np.add.reduceat`, which is exact on integers, and divided by the segment
 length once. The brand-premium series is smoothed in one pass over the
 route (`smooth_along_route` with the segment bounds). The signboard-weighted
-brand numerator and the mean spillover stay one `np.sum` per segment slice
+brand numerator, as `mv`, is one `np.sum` per segment slice
 (`PointTable.segment_sums`): `np.add.reduceat` would add the floats in
 another order than the pairwise summation of `np.sum` and move their last
 bits.
@@ -90,21 +90,21 @@ def smooth_along_route(values, window: int = DEFAULT_SMOOTHING_WINDOW,
 
 def indicator_table(points: PointTable, segments: dict[str, StreetSegment],
                     tallies: dict[str, BrandTally], weights: BrandWeights,
-                    mv_point, window: int = DEFAULT_SMOOTHING_WINDOW):
-    """Indicator matrix of the segments that hold points, sorted by id.
+                    window: int = DEFAULT_SMOOTHING_WINDOW):
+    """Matrix of the indicators other than `mv`, the one that depends on the
+    spillover setting, of the segments that hold points, sorted by id.
 
     A point's brand premium is its tier-weighted brand count per signboard
     (0 without signboards or tally). A segment's `br` is the signboard-
     weighted mean of the smoothed point series (the plain weighted-count
-    ratio when window == 1), its `mv` the mean of `mv_point` over its points.
-    Closures are clamped to storefronts; no signboards give cr = br = 0.
-    Every segment length is positive, as the loader checks it. A non-finite
-    indicator (a length so small that a density overflows) raises a
-    ValidationError naming the first one, its segment and its inputs: every
-    reader of the matrix reads finite values.
+    ratio when window == 1). Closures are clamped to storefronts; no
+    signboards give cr = br = 0. Every segment length is positive, as the
+    loader checks it. A non-finite indicator (a length so small that a
+    density overflows) raises a ValidationError naming the first one, its
+    segment and its inputs: every reader of the matrix reads finite values.
 
-    Returns (segment_ids, (k, 9) matrix in INDICATOR_NAMES order, per-segment
-    no-signboard flags, smoothed point brand series in table order).
+    Returns (segment_ids, (k, 8) matrix in INDICATOR_NAMES order less `mv`,
+    per-segment no-signboard flags, smoothed point brand series in table order).
     """
     segment_ids, perm, bounds = points.route
     length = np.array([segments[sid].length_m for sid in segment_ids], dtype=float)
@@ -130,7 +130,6 @@ def indicator_table(points: PointTable, segments: dict[str, StreetSegment],
         matrix = np.column_stack([
             ns_seg / length, closed / np.maximum(ns_seg, 1),
             np.where(ns_seg > 0, br_sum / np.maximum(ns_seg, 1), 0.0),
-            points.segment_means(mv_point),
             total("motor") / length, total("nonmotor") / length, total("persons") / length,
             np.where(pixels == 0, 0.0, total("green_pixels") / np.maximum(pixels, 1)),
             total("glass") / length,
@@ -138,7 +137,7 @@ def indicator_table(points: PointTable, segments: dict[str, StreetSegment],
     bad = np.argwhere(~np.isfinite(matrix))
     if len(bad):
         i, j = bad[0]
-        name = INDICATOR_NAMES[j]
+        name = [name for name in INDICATOR_NAMES if name != "mv"][j]
         raise ValidationError(
             f"indicator {name!r} is {float(matrix[i, j])!r} at segment {segment_ids[i]!r}; "
             f"it is computed from {', '.join(INDICATOR_INPUTS[name])}")

@@ -11,12 +11,12 @@ which turns a package error or a failed write into a `StageError` naming the
 stage; the loop records the stage in the manifest of per-file checksums and
 stops after the `until` group, and the manifest is written inside the last
 stage that ran; the `load` stage deletes the manifest of an earlier run, so a
-failed run leaves none. `robustness` reads one analysis per spillover setting
-of its sweeps, whose stage errors name it, and writes its reports inside a
-stage of its own; `ingest` loads the input tables and writes validated copies
-inside an `ingest` stage, and `decode_to_files` decodes and writes its
-assignments inside a `brands decode` stage; each makes its output directory
-inside its first stage.
+failed run leaves none. `robustness` reads the configured setting first, as
+`run` does, then one analysis per other setting of its sweeps, whose stage
+errors name it, and writes its reports inside a stage of its own; `ingest`
+loads the input tables and writes validated copies inside an `ingest` stage,
+and `decode_to_files` decodes and writes its assignments inside a
+`brands decode` stage; each makes its output directory inside its first stage.
 
 `CONFIG_KEYS` gives each leaf key of the config its default and its kind;
 `DEFAULT_CONFIG` is built from it by the walk that `--set` uses.
@@ -327,34 +327,6 @@ def file_sha256(path: Path) -> str:
 # the analysis core
 # ---------------------------------------------------------------------------
 
-def _tier_validation(tables: CityTables, point_br: np.ndarray,
-                     radius_m: float) -> TierValidation:
-    """POI counts within `radius_m` of each point, the active points (those
-    with a POI), their brand-premium tertiles, and the rank test on POI
-    counts across tiers."""
-    points = tables.points
-    n_total, n_premium = tables.pois.counts_within(points.x, points.y, radius_m)
-    active = n_total > 0
-    n_active = int(active.sum())
-    if n_active < 3:
-        raise ComputationError(
-            f"external validation needs at least 3 active points, got {n_active}"
-        )
-    labels = np.array(stats.tertile_split(point_br[active]))
-    totals = {t: n_total[active][labels == t] for t in stats.TERTILE_LABELS}
-    premiums = {t: n_premium[active][labels == t] for t in stats.TERTILE_LABELS}
-    mean_total = {t: float(np.mean(v)) for t, v in totals.items()}
-    mean_premium = {t: float(np.mean(v)) for t, v in premiums.items()}
-    kw = stats.kruskal_wallis(list(totals.values()))
-    return TierValidation(
-        tier_n={t: len(v) for t, v in totals.items()},
-        mean_total_poi=mean_total, mean_premium_poi=mean_premium,
-        growth_total_pct=report.growth_pct(mean_total["high"], mean_total["low"]),
-        growth_premium_pct=report.growth_pct(mean_premium["high"], mean_premium["low"]),
-        kw_total=kw, n_active=n_active, n_points=len(points),
-    )
-
-
 @contextmanager
 def _run_stage(name: str, setting: str | None = None):
     """Turn a package error or a failed file operation inside the block into
@@ -386,7 +358,8 @@ def _output_dir(config: PipelineConfig, workdir: Path, stage: str) -> Path:
 
 @dataclass
 class _City:
-    """One city's tables and decay bandwidths, shared by its analyses."""
+    """A result belongs to the city when no spillover setting changes it: its
+    analyses share it, and an error in its stage names no setting."""
 
     config: PipelineConfig
     workdir: Path
@@ -403,11 +376,66 @@ class _City:
     def calibrate_sigma(self) -> spillover.SigmaTable:
         return spillover.calibrate_sigma(self.load.anchors)
 
+    @_stage_result
+    def indicators(self):
+        """The indicators other than `mv`, as `indicator_table` returns them"""
+        tables, config = self.load, self.config
+        return indicator_table(tables.points, tables.segments, tables.brands or {},
+                               config.brand_weights(), config.raw["smoothing_window"])
+
+    @_stage_result
+    def validation(self) -> TierValidation:
+        """The rank test on POI counts within `poi_radius_m` across the
+        brand-premium tertiles of the active points (those with a POI)."""
+        points = self.load.points
+        n_total, n_premium = self.load.pois.counts_within(
+            points.x, points.y, float(self.config.raw["poi_radius_m"]))
+        active = n_total > 0
+        n_active = int(active.sum())
+        if n_active < 3:
+            raise ComputationError(
+                f"external validation needs at least 3 active points, got {n_active}"
+            )
+        labels = np.array(stats.tertile_split(self.indicators[3][active]))
+        totals = {t: n_total[active][labels == t] for t in stats.TERTILE_LABELS}
+        premiums = {t: n_premium[active][labels == t] for t in stats.TERTILE_LABELS}
+        mean_total = {t: float(np.mean(v)) for t, v in totals.items()}
+        mean_premium = {t: float(np.mean(v)) for t, v in premiums.items()}
+        kw = stats.kruskal_wallis(list(totals.values()))
+        return TierValidation(
+            tier_n={t: len(v) for t, v in totals.items()},
+            mean_total_poi=mean_total, mean_premium_poi=mean_premium,
+            growth_total_pct=report.growth_pct(mean_total["high"], mean_total["low"]),
+            growth_premium_pct=report.growth_pct(mean_premium["high"], mean_premium["low"]),
+            kw_total=kw, n_active=n_active, n_points=len(points),
+        )
+
+    @_stage_result
+    def gwr(self) -> tuple[list[int], list[str], np.ndarray, np.ndarray]:
+        """(indicator rows, ids, (n, 2) centroids, (n, 8) crowd intensities) of
+        the segments that carry crowd data: the GWR inputs of every setting"""
+        tables, segment_ids = self.load, self.indicators[0]
+        rows = [i for i, sid in enumerate(segment_ids) if sid in tables.lbs]
+        usable = [segment_ids[i] for i in rows]
+        if len(usable) < len(INDICATOR_NAMES) + 3:
+            raise ValidationError(f"only {len(usable)} segments have both indicators and "
+                                  f"crowd data; need more than {len(INDICATOR_NAMES) + 2}")
+        Y = np.array([[tables.lbs[sid][period] for period in PERIODS] for sid in usable])
+        for period, column in zip(PERIODS, Y.T):
+            if np.all(column == column[0]):
+                raise ValidationError(
+                    f"crowd intensity of period {period!r} is {float(column[0])!r} at all "
+                    f"{len(usable)} segments with crowd data; a constant response leaves "
+                    "nothing to fit")
+        points = tables.points
+        centroids = np.column_stack([points.segment_means(c) for c in (points.x, points.y)])
+        return rows, usable, centroids[rows], Y
+
 
 @dataclass
 class _Analysis:
-    """The analysis of a city under one spillover setting; a caller computes
-    exactly the stages whose results it reads."""
+    """The results that one spillover setting changes: `mv` and all that reads
+    it. A caller computes exactly the stages whose results it reads."""
 
     city: _City
     sp_cfg: spillover.SpilloverConfig
@@ -420,11 +448,13 @@ class _Analysis:
 
     @_stage_result
     def indicators(self):
-        """(segment_ids, raw_matrix, no-signboard flags, point brand series)"""
-        tables, config = self.city.load, self.city.config
-        return indicator_table(tables.points, tables.segments, tables.brands or {},
-                               config.brand_weights(), self.spillover_field,
-                               config.raw["smoothing_window"])
+        """(segment_ids, raw_matrix, no-signboard flags, point brand series): the
+        city's, with this setting's `mv`. `mv` is finite by construction: each
+        point sums at most len(anchors) decay values in [0, 1]."""
+        mv = self.city.load.points.segment_means(self.spillover_field)
+        segment_ids, others, flags, point_br = self.city.indicators
+        return (segment_ids, np.insert(others, INDICATOR_NAMES.index("mv"), mv, axis=1),
+                flags, point_br)
 
     @_stage_result
     def normalize(self) -> scoring.NormalizedMatrix:
@@ -450,34 +480,14 @@ class _Analysis:
         return corr, model
 
     @_stage_result
-    def validation(self) -> TierValidation:
-        return _tier_validation(self.city.load, self.indicators[3],
-                                float(self.city.config.raw["poi_radius_m"]))
-
-    @_stage_result
     def gwr(self) -> dict[str, GwrFit]:
         """One fit per period, over the segments that carry crowd intensities."""
-        tables, config = self.city.load, self.city.config
-        segment_ids, raw_matrix, _, _ = self.indicators
+        config = self.city.config
         x_matrix = (self.normalize.values if config.raw["gwr"]["x_source"] == "normalized"
-                    else raw_matrix)
-        pos = {sid: i for i, sid in enumerate(segment_ids)}
-        usable = [sid for sid in segment_ids if sid in tables.lbs]
-        if len(usable) < x_matrix.shape[1] + 3:
-            raise ValidationError(f"only {len(usable)} segments have both indicators and "
-                                  f"crowd data; need more than {x_matrix.shape[1] + 2}")
-        Y = np.array([[tables.lbs[sid][period] for period in PERIODS] for sid in usable])
-        for period, column in zip(PERIODS, Y.T):
-            if np.all(column == column[0]):
-                raise ValidationError(
-                    f"crowd intensity of period {period!r} is {float(column[0])!r} at all "
-                    f"{len(usable)} segments with crowd data; a constant response leaves "
-                    "nothing to fit")
-        points = tables.points
-        centroids = np.column_stack([points.segment_means(c) for c in (points.x, points.y)])
-        rows = [pos[sid] for sid in usable]
+                    else self.indicators[1])
+        rows, usable, centroids, Y = self.city.gwr
         design = GwrDesign.build(
-            centroids[rows], x_matrix[rows, :], Y,
+            centroids, x_matrix[rows, :], Y,
             kernel=config.raw["gwr"]["kernel"], predictor_names=list(INDICATOR_NAMES),
             location_ids=usable)
         return dict(zip(PERIODS, gwr.fit(design, config.bandwidth())))
@@ -601,7 +611,7 @@ def _write_stats(a: _Analysis, outdir: Path) -> list[str]:
 
 
 def _write_validation(a: _Analysis, outdir: Path) -> list[str]:
-    tv = a.validation
+    tv = a.city.validation
     return [write_csv(outdir / "tier_validation.csv",
                       ("tier", "n_points", "mean_total_poi", "mean_premium_poi"),
                       zip(*[(t, tv.tier_n[t], tv.mean_total_poi[t], tv.mean_premium_poi[t])
@@ -658,7 +668,7 @@ def _write_summary(a: _Analysis, outdir: Path) -> list[str]:
     }
     text = report.render_run_summary(
         sevi_stats, {p: fit.adjusted_r2 for p, fit in a.gwr.items()},
-        a.entropy_weights[0], a.validation)
+        a.entropy_weights[0], a.city.validation)
     path = outdir / "summary.txt"
     path.write_text(text, encoding="utf-8")
     return [path.name]
@@ -727,23 +737,26 @@ def robustness(config: PipelineConfig, workdir: Path) -> dict:
     sp = config.raw["spillover"]
     base = config.spillover_config()
     thresholds = [float(d) for d in sp["sweep_thresholds"]]
-    analyses = {}
-    for key in ([(base.threshold_m, base.decay)] + [(d, base.decay) for d in thresholds]
+    # the configured setting is unlabelled and read first, in run's order, so a
+    # fault that run would hit gives run's message; a variant names only its own
+    baseline = _Analysis(city, base)
+    analyses = {(base.threshold_m, base.decay): baseline}
+    for key in ([(d, base.decay) for d in thresholds]
                 + [(base.threshold_m, decay) for decay in sp["sweep_decays"]]):
         analyses.setdefault(key, _Analysis(city, spillover.SpilloverConfig(*key),
                                            f"spillover threshold {int(key[0])} m, decay {key[1]}"))
     # each result is computed inside its own stage; the reports are written
     # inside this one
     with _run_stage("robustness"):
+        _, sevi, sevi_eq, sevi_pca = baseline.scores
+        tv = city.validation
+        baseline.gwr
         r2_by_threshold = {p: {str(int(d)): analyses[d, base.decay].gwr[p].adjusted_r2
                                for d in thresholds} for p in PERIODS}
         r2_by_decay = {p: {decay: analyses[base.threshold_m, decay].gwr[p].adjusted_r2
                            for decay in sp["sweep_decays"]} for p in PERIODS}
-        baseline = analyses[base.threshold_m, base.decay]
-        _, sevi, sevi_eq, sevi_pca = baseline.scores
         corr = stats.spearman_matrix(np.column_stack([sevi, sevi_eq, sevi_pca]),
                                      ["sevi", "sevi_eq", "sevi_pca"])
-        tv = baseline.validation
         doc = {
             "r2_by_threshold": r2_by_threshold, "r2_by_decay": r2_by_decay,
             "index_correlation": {"labels": corr.labels, "matrix": corr.values.tolist()},

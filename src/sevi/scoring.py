@@ -32,8 +32,8 @@ class NormalizedMatrix:
 
 def align_and_normalize(raw: np.ndarray) -> NormalizedMatrix:
     """Benefit-align the closure column (1 - cr) and min-max scale every
-    column of the finite (n, 9) indicator matrix (`indicator_table` checks
-    it) to [0, 1]. A flat column (`is_flat`, after the alignment) carries
+    column of the finite (n, 9) indicator matrix (the `indicators` stage
+    checks it) to [0, 1]. A flat column (`is_flat`, after the alignment) carries
     no information to weight: the first one raises a ValidationError naming
     the indicator, its raw value and the input columns it is computed from."""
     raw = np.asarray(raw, dtype=float)

@@ -193,11 +193,10 @@ def chi2_sf(x: float, dof: int) -> float:
     With h = x / 2, an even `dof` gives sum_{i < dof/2} e^-h h^i / i!, and an
     odd one gives erfc(sqrt(h)) + sum_{i=1}^{(dof-1)/2} e^-h h^(i-1/2) / G(i+1/2).
     Each term is formed in log space, so none underflows before the sum does.
+    `x` is >= 0, as the Kruskal-Wallis H, a sum of squares, is.
     """
     if dof < 1 or dof != int(dof):
         raise ValidationError(f"degrees of freedom must be an integer >= 1, got {dof}")
-    if x < 0:
-        raise ValidationError(f"argument must be >= 0, got {x}")
     dof = int(dof)
     if x == 0:
         return 1.0
@@ -247,16 +246,14 @@ def kruskal_wallis(groups: list) -> KwResult:
     if correction == 0.0:  # every value identical
         return KwResult(h=0.0, dof=dof, p_value=1.0, tie_correction=0.0)
 
+    # 12 / (N (N + 1)) sum n_j (mean rank_j - (N + 1) / 2)^2: every term is >= 0
     h = 0.0
     offset = 0
     for arr in arrays:
         r = ranks[offset:offset + len(arr)]
-        h += r.sum() ** 2 / len(arr)
+        h += len(arr) * (r.sum() / len(arr) - 0.5 * (n_total + 1)) ** 2
         offset += len(arr)
-    h = 12.0 / (n_total * (n_total + 1)) * h - 3.0 * (n_total + 1)
-    h /= correction
-    if h < 0.0 and h > -1e-12:  # guard tiny negative round-off
-        h = 0.0
+    h = 12.0 / (n_total * (n_total + 1)) * h / correction
     return KwResult(h=h, dof=dof, p_value=chi2_sf(h, dof), tie_correction=correction)
 
 

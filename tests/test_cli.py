@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sevi.cli import main
+from sevi.geodata import metric_to_lonlat, project_to_metric
 from sevi.pipeline import STAGES, UNTIL_GROUPS, PipelineConfig, run
 from sevi.synth import generate_city
 
@@ -356,17 +357,38 @@ def test_flat_indicator_exits_one_in_normalize(city_dir, tmp_path, capsys, comma
     assert _non_finite_values(out) == []
 
 
+def _move_anchors_east(city, gap_m):
+    """Move every anchor of `city` east by one distance, so that the westmost
+    lies `gap_m` east of the eastmost sampling point."""
+    with open(city / "points.csv", newline="", encoding="utf-8") as fh:
+        east = max(project_to_metric(float(r["lon"]), float(r["lat"]))[0]
+                   for r in csv.DictReader(fh))
+
+    def edit(rows):
+        xy = [project_to_metric(float(r["lon"]), float(r["lat"])) for r in rows]
+        shift = east - min(x for x, _ in xy) + gap_m
+        for row, (x, y) in zip(rows, xy):
+            row["lon"], row["lat"] = map(repr, metric_to_lonlat(x + shift, y))
+        return rows
+    _edit_table(city / "anchors.csv", edit)
+
+
 def test_a_sweep_failure_names_its_spillover_setting(city_dir, tmp_path, capsys):
-    # every point at one coordinate: mv is flat at every setting. robustness
-    # computes the 1000 m threshold variant first, whose mv differs from that
-    # of the 2000 m default, so its message names the setting; run's does not
-    city = _edited_city(city_dir, tmp_path, *FLAT_CITIES["mv"])
-    assert main(["--workdir", str(city), "robustness", "--config", _config(tmp_path)]) == 1
-    assert ("stage 'normalize' failed for spillover threshold 1000 m, decay gaussian: "
-            "indicator 'mv' is 0.0 at all 160 segments") in capsys.readouterr().err
-    assert main(["--workdir", str(city), "run", "--config", _config(tmp_path)]) == 1
-    assert ("stage 'normalize' failed: indicator 'mv' is 2.0631209802478314 at all 160 "
-            "segments") in capsys.readouterr().err
+    # every anchor about 1,300 m from the nearest sampling point: mv varies at
+    # the 2000 m default and run exits 0, but at the 1000 m threshold of the
+    # sweep no point is in reach, mv is 0 everywhere, and robustness names
+    # the variant that failed
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    _move_anchors_east(city, 1300.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a search that ends on a boundary
+        assert main(["--workdir", str(city), "run", "--config", _config(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["--workdir", str(city), "robustness", "--config", _config(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: stage 'normalize' failed for spillover threshold 1000 m, decay gaussian: "
+        "indicator 'mv' is 0.0 at all 160 segments")
 
 
 def test_predictor_flat_on_the_segments_with_crowd_data_exits_one_in_gwr(city_dir, tmp_path,
@@ -525,6 +547,40 @@ def test_degenerate_city_exits_in_the_stage_that_checks_it(city_dir, tmp_path, c
         assert f"stage '{stage}' failed" in err and message in err, err
         assert "Traceback" not in err
         assert not (out / "manifest.json").exists()
+
+
+# faults that robustness meets at the configured setting, as run does:
+# {case: (table, edit, options, run's error)}
+RUN_FAULTS = {
+    **{f"tiny length{label}": ("segments.csv", _tiny_first_length, options,
+                               "stage 'indicators' failed: " + TINY_LENGTH)
+       for label, options in (("", []), (", raw predictors", ["--set", "gwr.x_source=raw"]))},
+    "crowd data on 11 segments": (
+        "lbs.csv", _first_segments(11), [],
+        "stage 'gwr' failed: only 11 segments have both indicators and crowd data; "
+        "need more than 11"),
+    "flat nd": ("points.csv", _set_columns({"nonmotor_left": "0", "nonmotor_right": "0"}), [],
+                "stage 'normalize' failed: indicator 'nd' is 0.0 at all 160 segments"),
+    # mv is flat at every setting, and 0.0 at the 1000 m threshold
+    "coincident points": (*FLAT_CITIES["mv"], [], "stage 'normalize' failed: indicator 'mv' is "
+                          "2.0631209802478314 at all 160 segments"),
+}
+
+
+@pytest.mark.parametrize("case", list(RUN_FAULTS))
+def test_robustness_prints_the_error_line_of_run(city_dir, tmp_path, capsys, case):
+    # robustness analyses the configured setting first, in run's order and
+    # unlabelled, and computes what no setting changes once, for the city:
+    # a fault that run meets is named as run names it
+    table, edit, options, message = RUN_FAULTS[case]
+    city = _edited_city(city_dir, tmp_path, table, edit)
+    errors = []
+    for command in ("run", "robustness"):
+        assert main(["--workdir", str(city), command, "--config", _config(tmp_path),
+                     *options]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith(f"error: {message}"), errors[0]
+    assert errors[1] == errors[0]
 
 
 def test_infinite_aicc_at_a_fixed_bandwidth_exits_two(tmp_path, capsys):

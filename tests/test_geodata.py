@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevi import geodata
-from sevi.exceptions import ComputationError, SchemaError, ValidationError
+from sevi.exceptions import ComputationError, SchemaError, StageError, ValidationError
 from sevi.geodata import (ANCHORS_HEADER, BRANDS_HEADER, COUNT_COLUMNS, EARTH_RADIUS_M,
                           LBS_HEADER, PERIODS, POINTS_HEADER, POIS_HEADER, SEGMENTS_HEADER,
                           BrandTally, CityTables, MallAnchor, PoiTable, StreetSegment,
                           TablePaths, load_tables, metric_to_lonlat, project_to_metric)
-from sevi.pipeline import _tier_validation, write_tables
+from sevi.pipeline import PipelineConfig, _City, write_tables
 
 from .conftest import make_points, point_row, table_columns, write_feature_collection
 
@@ -283,7 +283,11 @@ def _validation(points_xy, poi_rows):
     """The tier validation of points with brand premiums 0, 1, 2, ..."""
     points = make_points(*(point_row(f"p{i:04d}", x, y) for i, (x, y) in enumerate(points_xy)))
     tables = CityTables(points=points, segments={}, anchors=[], pois=_pois(poi_rows), lbs={})
-    return _tier_validation(tables, np.arange(len(points), dtype=float), 50.0)
+    city = _City(PipelineConfig.from_mapping({"poi_radius_m": 50.0}), None)
+    # the results the validation stage reads: the tables and the brand series
+    city.__dict__.update(load=tables, indicators=(None, None, None,
+                                                  np.arange(len(points), dtype=float)))
+    return city.validation
 
 
 def test_filter_active():
@@ -293,8 +297,10 @@ def test_filter_active():
     tv = _validation(points_xy, rows)
     assert (tv.n_active, tv.n_points) == (5, 7)
     assert sum(tv.tier_n.values()) == 5
-    with pytest.raises(ComputationError, match="at least 3 active points, got 0"):
+    with pytest.raises(StageError, match="stage 'validation' failed: external validation "
+                       "needs at least 3 active points, got 0") as err:
         _validation(points_xy, [("q0", 500.0, 0.0, True)])
+    assert isinstance(err.value.cause, ComputationError)
 
 
 def test_filter_active_planted_coverage():

@@ -9,21 +9,23 @@ from sevi.exceptions import ConfigError, ValidationError
 from sevi.geodata import BrandTally, StreetSegment, TablePaths, load_tables
 from sevi.indicators import (INDICATOR_NAMES, BrandWeights, indicator_table,
                              smooth_along_route)
-from sevi.pipeline import PipelineConfig
+from sevi.pipeline import PipelineConfig, _Analysis, _City
 
 from .conftest import make_points, point_row
 
+# the columns of `indicator_table`: every indicator but the spillover's `mv`
+TABLE_NAMES = tuple(name for name in INDICATOR_NAMES if name != "mv")
 
-def _segment_values(points, length=100.0, tallies=None, window=1, mv_point=None):
+
+def _segment_values(points, length=100.0, tallies=None, window=1):
     """indicator_table of a one-segment table: (indicators by name, flag,
     smoothed point series)."""
     segments = {sid: StreetSegment(id=sid, length_m=length)
                 for sid in points.segment_ids.tolist()}
-    mv_point = np.zeros(len(points)) if mv_point is None else np.asarray(mv_point)
     ids, matrix, flags, point_br = indicator_table(points, segments, tallies or {},
-                                                   BrandWeights(), mv_point, window)
+                                                   BrandWeights(), window)
     assert len(ids) == 1
-    return dict(zip(INDICATOR_NAMES, matrix[0].tolist())), bool(flags[0]), point_br
+    return dict(zip(TABLE_NAMES, matrix[0].tolist())), bool(flags[0]), point_br
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +152,7 @@ def test_segment_all_zero_detections():
     # a brand tally on a segment without signboards gives no premium
     values, flag, _ = _segment_values(points, 80.0, {"p0": BrandTally(n_international=3)},
                                       window=5)
-    assert list(values.values()) == [0.0] * 9
+    assert list(values.values()) == [0.0] * 8
     assert flag
 
 
@@ -184,9 +186,18 @@ def test_green_ratio():
     assert 0.0 <= values["gr"] <= 1.0
 
 
-def test_mv_passthrough():
-    values, _, _ = _segment_values(make_points(point_row()), 50.0, mv_point=[2.75])
-    assert values["mv"] == 2.75
+def test_mv_passthrough(city_dir):
+    # an analysis inserts its setting's mv, the segment means of its field,
+    # bit for bit between the city's br and md columns
+    config = PipelineConfig.from_mapping({})
+    analysis = _Analysis(_City(config, city_dir), config.spillover_config())
+    segment_ids, matrix, _, _ = analysis.indicators
+    points = analysis.city.load.points
+    assert segment_ids == points.route[0]
+    assert matrix[:, INDICATOR_NAMES.index("mv")].tobytes() == (
+        points.segment_means(analysis.spillover_field).tobytes())
+    others = np.delete(matrix, INDICATOR_NAMES.index("mv"), axis=1)
+    assert others.tobytes() == analysis.city.indicators[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +238,7 @@ def test_smoothed_ratio_spreads_along_route():
 # parity with a per-row reference on the bundled city
 # ---------------------------------------------------------------------------
 
-def _reference_table(city_dir, mv_by_id, window):
+def _reference_table(city_dir, window):
     """The indicators computed point by point from the CSV rows: Python
     integer sums and the same numpy float reductions, per segment in route
     order."""
@@ -263,7 +274,6 @@ def _reference_table(city_dir, mv_by_id, window):
         br = float((np.array(smoothed) * np.array(signboards)).sum() / ns) if ns else 0.0
         table[sid] = [
             ns / length, min(total("closed"), ns) / ns if ns else 0.0, br,
-            float(np.mean([mv_by_id[r["id"]] for r in route])),
             total("motor") / length, total("nonmotor") / length, total("persons") / length,
             total("green_pixels") / pixels if pixels else 0.0, total("glass") / length,
         ]
@@ -271,17 +281,15 @@ def _reference_table(city_dir, mv_by_id, window):
 
 
 @pytest.mark.parametrize("window", [1, 5, 7])
-def test_indicator_table_matches_per_row_reference(city_dir, rng, window):
+def test_indicator_table_matches_per_row_reference(city_dir, window):
     tables = load_tables(TablePaths(
         points=city_dir / "points.csv", segments=city_dir / "segments.csv",
         anchors=city_dir / "anchors.csv", pois=city_dir / "pois.csv",
         lbs=city_dir / "lbs.csv", brands=city_dir / "brands.csv"))
-    mv_point = rng.uniform(0.0, 3.0, len(tables.points))
     ids, matrix, flags, point_br = indicator_table(
-        tables.points, tables.segments, tables.brands, BrandWeights(), mv_point, window)
+        tables.points, tables.segments, tables.brands, BrandWeights(), window)
 
-    mv_by_id = dict(zip(tables.points.ids.tolist(), mv_point.tolist()))
-    expected, expected_br = _reference_table(city_dir, mv_by_id, window)
+    expected, expected_br = _reference_table(city_dir, window)
     assert ids == sorted(expected)
     assert {sid: row for sid, row in zip(ids, matrix.tolist())} == expected
     assert flags.tolist() == [expected[sid][0] == 0.0 for sid in ids]

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import shutil
+from functools import cached_property
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sevi import kernels, pipeline
 from sevi.geodata import (ANCHORS_HEADER, PERIODS, POINTS_HEADER, POIS_HEADER,
                           SEGMENTS_HEADER, project_to_metric)
 from sevi.exceptions import ComputationError, ConfigError
@@ -234,6 +236,33 @@ def test_robustness_grid_complete_and_baseline_matches_run(city_dir, default_run
         assert doc["r2_by_threshold"][p]["2000"] == baseline
         assert doc["r2_by_decay"][p]["gaussian"] == baseline
     assert doc["tier_validation"]["kw"]["h"] == _json(default_run / "kw.json")["h"]
+
+
+def test_robustness_computes_the_city_results_once(city_dir, tmp_path, monkeypatch):
+    # the results no spillover setting changes are the city's: one robustness
+    # computes them once, and the spillover field once per distinct setting
+    calls = {"indicator_table": 0, "validation": 0, "gwr": 0, "spill_field": 0}
+
+    def counted(name, compute):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return compute(*args, **kwargs)
+        return count
+
+    for name in ("validation", "gwr"):  # the stages of the city's cached results
+        stage = cached_property(counted(name, getattr(_City, name).func))
+        stage.__set_name__(_City, name)
+        monkeypatch.setattr(_City, name, stage)
+    monkeypatch.setattr(pipeline, "indicator_table",
+                        counted("indicator_table", pipeline.indicator_table))
+    monkeypatch.setattr(kernels, "spill_field", counted("spill_field", kernels.spill_field))
+    config = _config(tmp_path)
+    robustness(config, city_dir)
+    sp = config.raw["spillover"]
+    distinct = ({(float(d), sp["decay"]) for d in sp["sweep_thresholds"]}
+                 | {(float(sp["threshold_m"]), decay) for decay in sp["sweep_decays"]})
+    assert len(distinct) == 5
+    assert calls == {"indicator_table": 1, "validation": 1, "gwr": 1, "spill_field": 5}
 
 
 @pytest.mark.parametrize("bandwidth", [1500, 600])

@@ -109,7 +109,7 @@ def test_non_finite_value_named():
     segments = {"a": StreetSegment(id="a", length_m=50.0),
                 "b": StreetSegment(id="b", length_m=1e-320)}
     with pytest.raises(ValidationError) as err:
-        indicator_table(points, segments, {}, BrandWeights(), np.zeros(2))
+        indicator_table(points, segments, {}, BrandWeights())
     assert str(err.value) == ("indicator 'md' is inf at segment 'b'; it is computed from "
                               "points.motor_*, segments.length_m")
 
