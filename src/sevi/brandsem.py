@@ -204,14 +204,12 @@ def _strip_fences(text: str) -> str:
 
 
 def parse_model_json(text: str, schema: str):
-    """Validate raw model output against the s1 or s2 contract.
+    """Validate raw model output against the `schema` contract, "s1" or "s2".
 
     Code fences are tolerated; unknown keys and unknown tier strings are
     rejected. Failures raise with the raw text attached, never a silent
     empty result.
     """
-    if schema not in ("s1", "s2"):
-        raise ValidationError(f"unknown schema {schema!r}")
     body = _strip_fences(text)
     try:
         doc = json.loads(body)

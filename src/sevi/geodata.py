@@ -16,16 +16,17 @@ header order, to their kinds, and is the one statement of each kind: a
 reader parses, strips and checks every column by it and returns the columns
 keyed by name. Text is stripped; labels (segment ids, categories, periods)
 are held as one str object per distinct value; a number column comes as its
-int64/float64 values and its kind's checks, which quote the text of the
-rows they reject. A loader adds only the rules that span columns or tables.
+int64/float64 values and one check, which quotes the text of each row it
+rejects. One function, `_number_cell`, decides why a number cell is
+rejected; the cell reads 0, or clipped when an int leaves int64, so its
+check comes before every check reading the column. A loader adds only the
+rules that span columns or tables, a reference to another table among them.
 Each table is validated by one ordered list of column checks, each a
-whole-column rule giving the mask of the rows that break it; the error is
-that of the smallest bad row and, on one row, of the check listed first, as
-a row-by-row check in that order would raise. A number `int`/`float`
-rejects reads as 0: its parse check comes before every check reading the
-column. The file-wide running total of each left+right count pair stays
-inside int64, so no sum over points wraps. Tables are immutable after load
-and safe for concurrent reads.
+whole-column rule giving the mask of the rows that break it; the error names
+the smallest bad row and, on one row, is that of the check listed first, as
+a row-by-row check in that order would raise. The file-wide running total
+of each left+right count pair stays inside int64, so no sum over points
+wraps. Tables are immutable after load and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -291,48 +293,48 @@ class CityTables:
 _CHUNK_ROWS = 256
 
 
-def _parsed(parse, text: str):
-    """`parse(text)` (int or float), or None when the text is no such number."""
+def _number_cell(parse, text: str):
+    """The value a number cell of kind `parse` (int or float) reads, and why
+    the kind rejects it, or None: the one statement of a cell's rejection.
+    No number reads 0; an int outside int64 reads clipped, negative first."""
     try:
-        return parse(text)
+        value = parse(text)
     except ValueError:
-        return None
-
-
-def _number_column(cells: tuple[str, ...], kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """One number column of a chunk, "int" or "float": its values and the
-    mask of the cells the kind rejects: no number (read as 0), not finite,
-    negative, or outside int64 (read clipped)."""
-    parse = int if kind == "int" else float
-    try:
-        column = np.fromiter(map(parse, cells), np.int64 if parse is int else float, len(cells))
-        return column, column < 0 if parse is int else ~np.isfinite(column)
-    except (ValueError, OverflowError):  # a cell that is no number, or outside int64
-        values = [_parsed(parse, cell) for cell in cells]
-    unparsed = [i for i, value in enumerate(values) if value is None]
-    for i in unparsed:
-        values[i] = 0
+        return 0, f"not {'an integer' if parse is int else 'a number'}: {text!r}"
     if parse is float:
-        column = np.array(values, dtype=float)
-        bad = ~np.isfinite(column)
-    else:
-        wide = np.array(values, dtype=object)
-        column = np.clip(wide, -2**63, 2**63 - 1).astype(np.int64)
-        bad = (wide < 0) | (wide >= 2**63)
-    bad[unparsed] = True
-    return column, bad
+        return value, None if math.isfinite(value) else f"not finite: {text!r}"
+    if value < 0:
+        return max(value, -2**63), f"must be >= 0, got {value}"
+    if value >= 2**63:
+        return 2**63 - 1, f"outside the 64-bit integer range: {text!r}"
+    return value, None
+
+
+def _number_column(cells: tuple[str, ...], kind: str) -> tuple[np.ndarray, dict[int, str]]:
+    """One number column of a chunk, "int" or "float": its values and, by
+    index, the `_number_cell` message of each rejected cell. Only the cells
+    that one parse of the chunk flags, or all when it fails, are classified."""
+    parse, dtype = (int, np.int64) if kind == "int" else (float, float)
+    try:
+        column = np.fromiter(map(parse, cells), dtype, len(cells))
+    except (ValueError, OverflowError):  # a cell that is no number, or outside int64
+        read = [_number_cell(parse, cell) for cell in cells]
+        return (np.array([value for value, _ in read], dtype),
+                {i: why for i, (_, why) in enumerate(read) if why})
+    flagged = column < 0 if parse is int else ~np.isfinite(column)
+    return column, {i: _number_cell(parse, cells[i])[1] for i in np.flatnonzero(flagged).tolist()}
 
 
 def _columns(chunks, schema: dict[str, str]) -> dict:
     """Rows of texts, parsed a chunk at a time, as the columns of `schema`
     keyed by name: "text" as a list of stripped str, "label" the same with
-    one str object per distinct value, and "int" and "float" as the
-    (values, checks) of `_ints` and `_floats`, which quote the text of each
-    row they reject."""
+    one str object per distinct value, and "int" and "float" as (values,
+    `_Check`): an int64 or float64 array and the check of the rows it
+    rejects, which quotes `_number_cell`'s message for each."""
     kinds = tuple(schema.values())
     columns = [[] for _ in kinds]
     shared = [{} for _ in kinds]      # a label column's one str per value
-    rejected = [{} for _ in kinds]
+    rejected = [{} for _ in kinds]    # a number column's message by row
     start = 0
     for chunk in chunks:
         for j, (kind, cells) in enumerate(zip(kinds, zip(*chunk))):
@@ -342,16 +344,16 @@ def _columns(chunks, schema: dict[str, str]) -> dict:
                 labels = list(map(str.strip, cells))
                 columns[j].extend(map(shared[j].setdefault, labels, labels))
             else:
-                values, bad = _number_column(cells, kind)
+                values, messages = _number_column(cells, kind)
                 columns[j].append(values)
-                for i in np.flatnonzero(bad).tolist():
-                    rejected[j][start + i] = cells[i]
+                rejected[j].update((start + i, why) for i, why in messages.items())
         start += len(chunk)
-    checked = {"int": (_ints, np.int64), "float": (_floats, float)}
     for j, (name, kind) in enumerate(schema.items()):
-        if kind in checked:
-            check, dtype = checked[kind]
-            columns[j] = check(name, np.concatenate([np.empty(0, dtype), *columns[j]]), rejected[j])
+        if kind in ("int", "float"):
+            dtype = np.int64 if kind == "int" else float
+            values = np.concatenate([np.empty(0, dtype), *columns[j]])
+            bad = np.isin(np.arange(len(values)), list(rejected[j])) if rejected[j] else None
+            columns[j] = values, _Check(name, bad, rejected[j].__getitem__)
     return dict(zip(schema, columns))
 
 
@@ -365,7 +367,7 @@ def _read_csv_rows(path: Path, schema: dict[str, str]):
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
     width = len(schema)
-    lines = []
+    lines = array("q")  # no int object per row
 
     def chunks(reader):
         start = 2
@@ -457,7 +459,7 @@ def _read_geojson_rows(path: Path, schema: dict[str, str]):
 
     texts = rows()
     columns = _columns(iter(lambda: list(islice(texts, _CHUNK_ROWS)), []), schema)
-    return (list(range(1, len(features) + 1)), columns), vertices
+    return (range(1, len(features) + 1), columns), vertices
 
 
 def _vertex(path, feature, k, c) -> tuple[float, float]:
@@ -503,46 +505,20 @@ def _repeats(keys: list) -> np.ndarray | None:
     return np.fromiter(map(first.__getitem__, keys), np.intp, len(keys)) != np.arange(len(keys))
 
 
+def _known(column: str, values, known, what: str) -> _Check:
+    """The rule that each of `values` names a `what` in `known`."""
+    return _Check(column, ~_isin(values, known), lambda i: f"unknown {what} {values[i]!r}")
+
+
 def _id_checks(column: str, ids: list[str], what: str) -> list[_Check]:
     return [_Check(column, None if all(ids) else _isin(ids, {""}), lambda i: "empty id"),
             _Check(column, _repeats(ids), lambda i: f"duplicate {what} id {ids[i]!r}")]
 
 
-def _mask(n: int, rows) -> np.ndarray | None:
-    """The mask of `rows` among n rows; None when there are none."""
-    rows = list(rows)
-    if not rows:
-        return None
-    mask = np.zeros(n, dtype=bool)
-    mask[rows] = True
-    return mask
-
-
-def _floats(column: str, values: np.ndarray, texts: dict[int, str]):
-    """A column of finite floats and its checks; `texts` holds, by row
-    index, the text of each row the column rejects."""
-    finite = np.isfinite(values)
-    # a rejected row that reads finite read as 0: its text is no number
-    return values, [_Check(column, _mask(len(values), (i for i in texts if finite[i])),
-                           lambda i: f"not a number: {texts[i]!r}"),
-                    _Check(column, ~finite, lambda i: f"not finite: {texts[i]!r}")]
-
-
-def _ints(column: str, values: np.ndarray, texts: dict[int, str]):
-    """A column of non-negative int64 and its checks; values outside int64 read clipped."""
-    wide = {i: _parsed(int, text) for i, text in texts.items()}
-    outside = (i for i, v in wide.items() if v is not None and not -2**63 <= v < 2**63)
-    return values, [_Check(column, _mask(len(values), (i for i, v in wide.items() if v is None)),
-                           lambda i: f"not an integer: {texts[i]!r}"),
-                    _Check(column, values < 0, lambda i: f"must be >= 0, got {wide[i]}"),
-                    _Check(column, _mask(len(values), outside),
-                           lambda i: f"outside the 64-bit integer range: {texts[i]!r}")]
-
-
 def _coordinates(columns: dict) -> tuple[np.ndarray, np.ndarray, list[_Check]]:
     """The lon and lat columns and their checks, the projection band last."""
-    (lon, lon_checks), (lat, lat_checks) = columns["lon"], columns["lat"]
-    return lon, lat, [*lon_checks, *lat_checks, _Check(
+    (lon, lon_check), (lat, lat_check) = columns["lon"], columns["lat"]
+    return lon, lat, [lon_check, lat_check, _Check(
         "lat", np.abs(lat) >= MAX_ABS_LAT,
         lambda i: f"latitude {lat[i].item()} outside projection band (|lat| < {MAX_ABS_LAT})")]
 
@@ -558,14 +534,14 @@ def _total_overflows(pair: np.ndarray) -> np.ndarray | None:
 def _load_points(path: Path, lines, columns) -> PointTable:
     ids, segment_ids = columns["id"], columns["segment_id"]
     lon, lat, checks = _coordinates(columns)
-    order, order_checks = columns["order"]
+    order, order_check = columns["order"]
     counts = np.array([columns[name][0] for name in COUNT_COLUMNS]).T  # (n, 16), column by column
     placed = list(zip(segment_ids, order.tolist()))
     _raise_first(path, lines, [
-        *_id_checks("id", ids, "point"), *checks, *order_checks,
+        *_id_checks("id", ids, "point"), *checks, order_check,
         _Check("order", _repeats(placed),
                lambda i: f"duplicate order {placed[i][1]} within segment {placed[i][0]!r}"),
-        *(check for name in COUNT_COLUMNS for check in columns[name][1]),
+        *(columns[name][1] for name in COUNT_COLUMNS),
         *(_Check(f"green_pixels_{side}",
                  columns[f"green_pixels_{side}"][0] > columns[f"total_pixels_{side}"][0],
                  lambda i: "green pixel count exceeds total pixel count")
@@ -579,9 +555,9 @@ def _load_points(path: Path, lines, columns) -> PointTable:
 
 
 def _load_segments(path: Path, lines, columns) -> dict[str, StreetSegment]:
-    ids, (length, checks) = columns["id"], columns["length_m"]
+    ids, (length, check) = columns["id"], columns["length_m"]
     positive = _Check("length_m", length <= 0, lambda i: f"must be > 0, got {length[i].item()}")
-    _raise_first(path, lines, [*_id_checks("id", ids, "segment"), *checks, positive])
+    _raise_first(path, lines, [*_id_checks("id", ids, "segment"), check, positive])
     return {sid: StreetSegment(sid, m) for sid, m in zip(ids, length.tolist())}
 
 
@@ -605,13 +581,13 @@ def _load_pois(path: Path, lines, columns) -> PoiTable:
 
 
 def _load_lbs(path: Path, lines, columns, segments: dict[str, StreetSegment]):
-    sids, periods, (uv, uv_checks) = columns["segment_id"], columns["period"], columns["uv"]
+    sids, periods, (uv, uv_check) = columns["segment_id"], columns["period"], columns["uv"]
     records = list(zip(sids, periods))
     _raise_first(path, lines, [
-        _Check("segment_id", ~_isin(sids, segments), lambda i: f"unknown segment {sids[i]!r}"),
+        _known("segment_id", sids, segments, "segment"),
         _Check("period", ~_isin(periods, PERIODS),
                lambda i: f"unknown period {periods[i]!r}; expected one of {list(PERIODS)}"),
-        *uv_checks, _Check("uv", uv < 0, lambda i: f"must be >= 0.0, got {uv[i].item()}"),
+        uv_check, _Check("uv", uv < 0, lambda i: f"must be >= 0.0, got {uv[i].item()}"),
         _Check("period", _repeats(records),
                lambda i: "duplicate record for ({!r}, {!r})".format(*records[i])),
     ])
@@ -628,7 +604,7 @@ def _load_lbs(path: Path, lines, columns, segments: dict[str, StreetSegment]):
 def _load_brands(path: Path, lines, columns) -> dict[str, BrandTally]:
     ids, tallies = columns["point_id"], [columns[name] for name in BRANDS_HEADER[1:]]
     _raise_first(path, lines, [*_id_checks("point_id", ids, "point"),
-                               *(check for _, checks in tallies for check in checks)])
+                               *(check for _, check in tallies)])
     return dict(zip(ids, map(BrandTally, *(values.tolist() for values, _ in tallies))))
 
 
@@ -660,28 +636,28 @@ def load_tables(paths: TablePaths, fmt: str = "csv") -> CityTables:
     else:
         raise ValidationError(f"unknown table format {fmt!r} (expected csv or geojson)")
 
-    points = _load_points(paths.points, *read(paths.points, POINTS_SCHEMA)[0])
+    point_lines, columns = read(paths.points, POINTS_SCHEMA)[0]
+    points = _load_points(paths.points, point_lines, columns)
+    del columns  # past its loader a table keeps only its line numbers
     segment_table, vertices = read(paths.segments, SEGMENTS_SCHEMA)
     segments = _load_segments(paths.segments, *segment_table)
     anchors = _load_anchors(paths.anchors, *read(paths.anchors, ANCHORS_SCHEMA)[0])
     pois = _load_pois(paths.pois, *read(paths.pois, POIS_SCHEMA)[0])
     segment_geometry = None if vertices is None else dict(zip(segments, vertices))
 
-    for pid, sid in zip(points.ids.tolist(), points.segment_ids.tolist()):
-        if sid not in segments:
-            raise ValidationError(f"{paths.points}: point {pid!r} references unknown "
-                                  f"segment {sid!r}")
+    _raise_first(paths.points, point_lines,
+                 [_known("segment_id", points.segment_ids, segments, "segment")])
+    del point_lines
 
     lbs = _load_lbs(paths.lbs, *_read_csv_rows(paths.lbs, LBS_SCHEMA), segments)
 
     brands = None
     if paths.brands is not None:
-        brands = _load_brands(paths.brands, *_read_csv_rows(paths.brands, BRANDS_SCHEMA))
-        point_ids = set(points.ids.tolist())
-        for pid in brands:
-            if pid not in point_ids:
-                raise ValidationError(f"{paths.brands}: brand tally references unknown "
-                                      f"point {pid!r}")
+        brand_lines, columns = _read_csv_rows(paths.brands, BRANDS_SCHEMA)
+        brands = _load_brands(paths.brands, brand_lines, columns)
+        del columns
+        _raise_first(paths.brands, brand_lines,
+                     [_known("point_id", list(brands), set(points.ids), "point")])
 
     return CityTables(points=points, segments=segments, anchors=anchors, pois=pois,
                       lbs=lbs, brands=brands, segment_geometry=segment_geometry)

@@ -39,7 +39,8 @@ class TierValidation:
 
     @property
     def coverage(self) -> float:
-        return self.n_active / self.n_points if self.n_points else 0.0
+        """The share of active points; `validation` checks n_active >= 3, so n_points > 0."""
+        return self.n_active / self.n_points
 
 
 # ---------------------------------------------------------------------------

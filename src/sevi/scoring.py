@@ -138,6 +138,6 @@ def alternative_indices(nm: NormalizedMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     z, _, eigvecs = correlation_components(nm.values)
     scores = z @ eigvecs[:, 0]
-    if eq.std() > 0 and np.corrcoef(scores, eq)[0, 1] < 0:
+    if (scores - scores.mean()) @ (eq - eq.mean()) < 0:
         scores = -scores
     return eq, (scores - scores.min()) / (scores.max() - scores.min())

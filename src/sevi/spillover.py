@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .exceptions import CalibrationError, ComputationError
+from .exceptions import CalibrationError
 from .geodata import MallAnchor, PointTable
 
 DECAYS = ("gaussian", "exponential", "linear")
@@ -37,11 +37,6 @@ class SigmaTable:
 
     sigma_m: dict[str, float] = field(default_factory=dict)
     provenance: dict[str, str] = field(default_factory=dict)
-
-    def get(self, category: str) -> float:
-        if category not in self.sigma_m:
-            raise ComputationError(f"no calibrated bandwidth for category {category!r}")
-        return self.sigma_m[category]
 
 
 def calibrate_sigma(anchors: list[MallAnchor]) -> SigmaTable:
@@ -96,10 +91,11 @@ def calibrate_sigma(anchors: list[MallAnchor]) -> SigmaTable:
 
 
 def _sorted_anchor_arrays(anchors: list[MallAnchor], sigma_table: SigmaTable):
+    """x, y and bandwidth of the id-sorted anchors; `sigma_table` has each one's category."""
     ordered = sorted(anchors, key=lambda a: a.id)
     ax = np.array([a.x for a in ordered], dtype=float)
     ay = np.array([a.y for a in ordered], dtype=float)
-    sig = np.array([sigma_table.get(a.category) for a in ordered], dtype=float)
+    sig = np.array([sigma_table.sigma_m[a.category] for a in ordered], dtype=float)
     return ax, ay, sig
 
 

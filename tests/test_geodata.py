@@ -380,6 +380,49 @@ def test_load_rejects_dangling_segment(tmp_path):
         load_tables(paths)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "geojson"])
+def test_dangling_segment_names_its_row_past_the_first_chunk(tmp_path, fmt):
+    # point 289 of 300 names no segment: CSV row 290 (its header is row 1),
+    # feature 289
+    rows = [_point_row(f"p{k}", order=str(k)) for k in range(300)]
+    rows[288] = _point_row("p288", seg="zzz", order="288")
+    paths = _minimal_tables(tmp_path, point_rows=rows, fmt=fmt)
+    with pytest.raises(SchemaError) as err:
+        load_tables(paths, fmt)
+    row = 290 if fmt == "csv" else 289
+    assert str(err.value) == \
+        f"{paths.points}: row {row}, column 'segment_id': unknown segment 'zzz'"
+
+
+def test_dangling_brand_point_names_its_row(tmp_path):
+    rows = [_point_row(f"p{k}", order=str(k)) for k in range(3)]
+    paths = dataclasses.replace(_minimal_tables(tmp_path, point_rows=rows),
+                                brands=tmp_path / "brands.csv")
+    _write_csv(paths.brands, BRANDS_HEADER,
+               [("p0", "1", "0", "0"), (" nope ", "0", "1", "0"), ("p2", "0", "0", "1")])
+    with pytest.raises(SchemaError) as err:
+        load_tables(paths)
+    assert str(err.value) == f"{paths.brands}: row 3, column 'point_id': unknown point 'nope'"
+
+
+# each case: a table with a bad row beside a point of unknown segment, and
+# the table whose error is raised
+_BESIDE_DANGLING = {
+    "segments": (dict(segment_rows=[("s0", "100.0"), ("s1", "0")]), "segments"),
+    "pois": (dict(poi_rows=[("q0", "0.0005", "0.0", "shopping", "yes")]), "pois"),
+    "lbs": (dict(lbs_rows=[("s0", "wd_am", "-1")]), "points"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BESIDE_DANGLING))
+def test_dangling_segment_is_checked_after_the_pois(tmp_path, case):
+    tables, raised = _BESIDE_DANGLING[case]
+    paths = _minimal_tables(tmp_path, point_rows=[_point_row(seg="zzz")], **tables)
+    with pytest.raises(SchemaError) as err:
+        load_tables(paths)
+    assert err.value.path == str(getattr(paths, raised))
+
+
 def test_load_rejects_duplicate_order(tmp_path):
     rows = [_point_row("p0", order="0"), _point_row("p1", order="0")]
     paths = _minimal_tables(tmp_path, point_rows=rows)

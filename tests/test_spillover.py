@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevi.exceptions import CalibrationError, ComputationError, ConfigError, ValidationError
+from sevi.exceptions import CalibrationError, ConfigError, ValidationError
 from sevi.geodata import MallAnchor
 from sevi.pipeline import PipelineConfig
 from sevi.spillover import SigmaTable, SpilloverConfig, calibrate_sigma, field_all
@@ -165,13 +165,6 @@ def test_field_single_anchor_at_zero_distance():
     assert field_at(0.0, 0.0, anchors, _sigma_for(anchors), cfg) == 1.0
 
 
-def test_field_missing_category():
-    anchors = [_anchor("a0", 0.0, 0.0)]
-    table = SigmaTable(sigma_m={"other": 100.0}, provenance={"other": "computed"})
-    with pytest.raises(ComputationError):
-        field_at(0.0, 0.0, anchors, table, SpilloverConfig())
-
-
 def _brute_field(points_xy, anchors, table, cfg):
     """Exact sequential oracle: fsum over id-sorted anchors."""
     ordered = sorted(anchors, key=lambda a: a.id)
@@ -181,7 +174,7 @@ def _brute_field(points_xy, anchors, table, cfg):
         for a in ordered:
             d = math.hypot(a.x - x, a.y - y)
             if d <= cfg.threshold_m:
-                terms.append(decay_value(d, table.get(a.category), cfg))
+                terms.append(decay_value(d, table.sigma_m[a.category], cfg))
         out.append(math.fsum(terms))
     return np.array(out)
 
